@@ -12,6 +12,7 @@ from .graphs import (
     cartesian_product,
     complete,
     complete_bipartite,
+    connected_components,
     cycle,
     degree_sequence,
     disjoint_union,
@@ -53,13 +54,16 @@ from .polys import (
     DEFAULT_PRECISION,
     LAMBDA,
     MPoly,
+    RootCounter,
     RootReport,
     count_real_roots,
     divides,
+    gap_points,
     integer_roots,
     isolate_roots,
     parse_poly,
     sign_at,
+    split_integer_roots,
     sturm_count,
 )
 from .spectra import (

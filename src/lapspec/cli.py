@@ -221,8 +221,11 @@ def _graphs_from_args(args):
         return [graphs.from_graph6(args.g6)]
     if args.builder:
         return [parse_builder(args.builder)]
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CliError(f"no graphs in {args.file}")
@@ -251,7 +254,11 @@ def _dump(obj) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = RunConfig("spectrum", precision=Fraction(args.precision), out=args.out)
+    try:
+        precision = Fraction(args.precision)
+    except ZeroDivisionError as exc:
+        raise CliError(f"invalid precision {args.precision!r}: zero denominator") from exc
+    cfg = RunConfig("spectrum", precision=precision, out=args.out)
     reports = [
         spectra.spectrum(g, args.kind, precision=cfg.precision).to_json_dict()
         for g in _graphs_from_args(args)
@@ -307,7 +314,7 @@ def cmd_quotient(args) -> int:
         "kind": args.kind,
         "partition": partitions.format_partition(cells),
         "quotient": [[_entry_json(e) for e in row] for row in quotient.entries],
-        "quotient_char_poly": char_poly(quotient).to_text(),
+        "quotient_char_poly": MPoly.from_univariate(char_poly(quotient)).to_text(),
         "divides": True,
         "cofactor": cofactor.to_text(),
     }

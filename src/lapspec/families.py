@@ -215,7 +215,7 @@ def position_pooled_partition(cfg: FamilyConfig):
 
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
-    return char_poly(build_quotient(case_id, symbolic=True))
+    return MPoly.from_univariate(char_poly(build_quotient(case_id, symbolic=True)))
 
 
 def verify_printed_polynomial(case_id: str) -> dict:

@@ -174,7 +174,8 @@ def min_degree(g: Graph) -> int:
     return min(g.degrees(), default=0)
 
 
-def _components(g: Graph, removed=frozenset()):
+def connected_components(g: Graph, removed=frozenset()):
+    """Sorted vertex lists of the components of g without the removed vertices."""
     seen = set(removed)
     comps = []
     for start in range(g.n):
@@ -194,12 +195,8 @@ def _components(g: Graph, removed=frozenset()):
     return comps
 
 
-def connected_components(g: Graph):
-    return _components(g)
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_components(g)) == 1
+    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -249,7 +246,7 @@ def vertex_connectivity(g: Graph) -> int:
     if n <= 20:
         for k in range(1, n - 1):
             for cut in combinations(range(n), k):
-                if len(_components(g, frozenset(cut))) > 1:
+                if len(connected_components(g, cut)) > 1:
                     return k
         return n - 1
     return _connectivity_flow(g)
@@ -476,7 +473,7 @@ def graph_to_config(g: Graph):
     hub_u = high[0]
     hub_v = high[1] if len(high) == 2 else None
     paths, pend, cyc = [], {hub_u: [], hub_v: []}, {hub_u: [], hub_v: []}
-    for comp in _components(g, frozenset(hubs)):
+    for comp in connected_components(g, hubs):
         piece = _classify_piece(g, comp, hubs)
         if piece is None:
             return None

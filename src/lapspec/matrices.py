@@ -12,23 +12,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import FamilyConfig
-from .polys import LAMBDA, MPoly
 
 
 class IntMatrix:
     """Immutable dense matrix; entries are ints or MPoly values."""
 
-    __slots__ = ("rows", "cols", "entries", "blocks")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, blocks=None):
+    def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
         if entries and any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged rows")
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
         self.entries = entries
-        # Optional metadata: list of (label, offset, size) spans on the diagonal.
-        self.blocks = tuple(blocks) if blocks else ()
 
     @classmethod
     def zeros(cls, rows, cols=None):
@@ -87,30 +84,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def pretty(self) -> str:
-        """Aligned grid with block separators when block metadata is set."""
-        cells = [[_entry_text(e) for e in row] for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=1)
-        cuts = set()
-        for _, offset, size in self.blocks:
-            cuts.add(offset)
-        cuts.discard(0)
-        lines = []
-        for i, row in enumerate(cells):
-            if i in cuts:
-                lines.append("")
-            parts = []
-            for j, c in enumerate(row):
-                if j in cuts:
-                    parts.append("|")
-                parts.append(c.rjust(width))
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
-
-def _entry_text(e) -> str:
-    return e.to_text() if isinstance(e, MPoly) else str(e)
-
 
 def _dot(xs, ys):
     acc = 0
@@ -133,17 +106,15 @@ def block_diag(blocks) -> IntMatrix:
     blocks = list(blocks)
     n = sum(b.rows for b in blocks)
     out = [[0] * n for _ in range(n)]
-    meta = []
     offset = 0
-    for k, b in enumerate(blocks):
+    for b in blocks:
         if not b.is_square():
             raise ValueError("blocks must be square")
         for i in range(b.rows):
             for j in range(b.cols):
                 out[offset + i][offset + j] = b.entries[i][j]
-        meta.append((f"B{k}", offset, b.rows))
         offset += b.rows
-    return IntMatrix(out, blocks=meta)
+    return IntMatrix(out)
 
 
 def path_interior_block(k: int) -> IntMatrix:
@@ -158,19 +129,20 @@ def path_interior_block(k: int) -> IntMatrix:
     )
 
 
-def char_poly(m: IntMatrix, var: str = LAMBDA) -> MPoly:
-    """Monic characteristic polynomial det(var*I - M), division-free.
+def char_poly(m: IntMatrix) -> list:
+    """Ascending coefficients of det(λI - M), division-free.
 
     Berkowitz iteration over leading principal submatrices: each step
     multiplies the coefficient vector by a Toeplitz matrix built from the
-    new row/column, using only ring operations, so polynomial entries are
-    handled exactly.
+    new row/column, using only ring operations, so the coefficients lie in
+    the ring of the entries (ints, or MPoly values over Z[s,t]). The list
+    has n + 1 entries and ends in the leading 1.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
     if n == 0:
-        return MPoly.const(1, (var,))
+        return [1]
     a = m.entries
     coeffs = [1, -a[0][0]]  # descending powers
     for r in range(2, n + 1):
@@ -189,18 +161,7 @@ def char_poly(m: IntMatrix, var: str = LAMBDA) -> MPoly:
                 acc = acc + q[i - j] * coeffs[j]
             new.append(acc)
         coeffs = new
-    lam = MPoly.var(var)
-    powers = [MPoly.const(1, (var,))]
-    for _ in range(n):
-        powers.append(powers[-1] * lam)
-    result = MPoly.zero((var,))
-    for i, c in enumerate(coeffs):
-        if isinstance(c, MPoly):
-            if not c.is_zero():
-                result = result + powers[n - i] * c
-        elif c:
-            result = result + powers[n - i] * c
-    return result
+    return coeffs[::-1]
 
 
 def det_gauss(m: IntMatrix) -> Fraction:
@@ -232,7 +193,7 @@ def assemble_G2_laplacian(cfg: FamilyConfig) -> IntMatrix:
 
     Row/column order matches the canonical labeling of realize(): the 2x2
     hub block, then one interior block per internal path, then the pendant
-    and cycle chains of each hub. Block spans are kept as metadata.
+    and cycle chains of each hub.
     """
     cfg = cfg.normalized()
     cfg.validate()
@@ -244,7 +205,6 @@ def assemble_G2_laplacian(cfg: FamilyConfig) -> IntMatrix:
     out[1][1] = cfg.hub_degree_v()
     if cfg.hub_edge:
         out[0][1] = out[1][0] = -1
-    meta = [("D", 0, 2)]
     offset = 2
 
     def chain(span, hub_first=None, hub_last=None, last_degree=2):
@@ -262,15 +222,12 @@ def assemble_G2_laplacian(cfg: FamilyConfig) -> IntMatrix:
         offset += span
 
     for order in cfg.paths:
-        meta.append((f"A{order - 2}", offset, order - 2))
         chain(order - 2, hub_first=0, hub_last=1)
-    for hub, label in ((0, "u"), (1, "v")):
+    for hub in (0, 1):
         pendants = cfg.pendants_u if hub == 0 else cfg.pendants_v
         cycles = cfg.cycles_u if hub == 0 else cfg.cycles_v
         for length in pendants:
-            meta.append((f"P{label}{length}", offset, length))
             chain(length, hub_first=hub, last_degree=1)
         for length in cycles:
-            meta.append((f"C{label}{length}", offset, length - 1))
             chain(length - 1, hub_first=hub, hub_last=hub)
-    return IntMatrix(out, blocks=meta)
+    return IntMatrix(out)

@@ -10,7 +10,7 @@ handles irrational eigenvalues uniformly.
 from __future__ import annotations
 
 from .matrices import IntMatrix, char_poly
-from .polys import divides
+from .polys import MPoly, divides
 
 
 def validate_partition(cells, n: int):
@@ -107,8 +107,8 @@ def eigenvalue_containment_check(m: IntMatrix, cells):
     equitable, which quotient_matrix already rejects.
     """
     q = quotient_matrix(m, cells)
-    pq = char_poly(q)
-    pm = char_poly(m)
+    pq = MPoly.from_univariate(char_poly(q))
+    pm = MPoly.from_univariate(char_poly(m))
     ok, cofactor = divides(pq, pm)
     if not ok:
         raise AssertionError("equitable quotient polynomial must divide")

@@ -1,9 +1,13 @@
 """Exact polynomial arithmetic over the integers.
 
-Sparse multivariate polynomials (integer or exact-rational coefficients),
-integer-root extraction with multiplicities, Sturm-sequence root counting
-over half-open rational intervals, and bisection refinement of isolating
-intervals. No floating point is used anywhere in a decision path; decimal
+Sparse multivariate polynomials (integer or exact-rational coefficients)
+for the symbolic catalog, and one integer univariate kernel on ascending
+coefficient lists: primitive-PRS gcd, exact division by Gauss's lemma,
+square-free decomposition, integer-root extraction with multiplicities,
+Sturm-sequence root counting over half-open rational intervals, and
+bisection refinement of isolating intervals. MPoly input to the public
+root functions is converted to integer coefficients once, at the boundary.
+No floating point is used anywhere in a decision path; decimal
 output elsewhere in the library is display-only rounding of the rational
 intervals produced here.
 """
@@ -77,8 +81,26 @@ class MPoly:
 
     @classmethod
     def from_univariate(cls, coeffs, name=LAMBDA):
-        """Build from ascending coefficient list (index = exponent)."""
-        return cls((name,), {(i,): c for i, c in enumerate(coeffs) if c})
+        """Lift an ascending coefficient list (index = exponent) to name.
+
+        Coefficients are exact numbers or MPoly values in other variables;
+        those variables follow name, in order of first appearance from the
+        leading coefficient down.
+        """
+        variables = [name]
+        for c in reversed(coeffs):
+            if isinstance(c, MPoly) and c.terms:
+                variables += [v for v in c.vars if v not in variables]
+        pad = (0,) * (len(variables) - 1)
+        terms = {}
+        for i, c in enumerate(coeffs):
+            if isinstance(c, MPoly):
+                for exps, a in c.with_vars(variables).terms.items():
+                    key = (exps[0] + i,) + exps[1:]
+                    terms[key] = terms.get(key, 0) + a
+            elif c:
+                terms[(i,) + pad] = terms.get((i,) + pad, 0) + c
+        return cls(variables, terms)
 
     # -- inspection ---------------------------------------------------
 
@@ -482,63 +504,47 @@ def _root_bound(c) -> int:
     return 1 + (m + lead - 1) // lead if m else 1
 
 
-def _divmod_q(a, b):
-    """Exact division with remainder over the rationals."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    while r and len(r) >= len(b):
-        shift = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[shift] = f
-        for i, bc in enumerate(b):
-            r[i + shift] -= f * bc
-        _trim(r)
-    return q, r
+def _poly_gcd(a, b):
+    """Primitive gcd of integer polynomials, leading coefficient positive.
+
+    Primitive polynomial remainder sequence (Collins 1967; Brown and Traub
+    1971): each pseudo-remainder is cut to its primitive part, so the
+    coefficients stay small and never leave Z.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_trim(_prem_pos(a, b)))
+    return [-x for x in a] if a and a[-1] < 0 else a
 
 
-def _gcd_int(a, b):
-    """Primitive gcd of integer polynomials with positive leading coefficient."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    _trim(fa), _trim(fb)
-    while fb:
-        _, r = _divmod_q(fa, fb)
-        fa, fb = fb, r
-    if not fa:
-        return []
-    den = 1
-    for x in fa:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fa]
-    ints = _primitive(ints)
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
+def _exact_quotient(a, b):
+    """Primitive part, leading coefficient positive, of a / b.
+
+    b must divide a over Q. By Gauss's lemma the quotient of a by the
+    primitive part of b has integer coefficients, so the long division
+    never leaves Z.
+    """
+    b = _primitive(b)
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            r[k + i] -= q[k] * x
+    assert not any(r), "divisor does not divide"
+    q = _primitive(q)
+    return [-x for x in q] if q[-1] < 0 else q
 
 
 def _square_free_part(c):
+    """Primitive square-free part, leading coefficient positive."""
     c = _trim(list(c))
     if len(c) <= 1:
-        return list(c)
-    g = _gcd_int(c, _derivative(c))
-    if len(g) == 1:
-        out = list(c)
-    else:
-        q, r = _divmod_q(c, g)
-        assert not r
-        den = 1
-        for x in q:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out = [int(x * den) for x in q]
-        out = _primitive(out)
-    if out[-1] < 0:
-        out = [-x for x in out]
-    return out
+        return c
+    return _exact_quotient(c, _poly_gcd(c, _derivative(c)))
 
 
 def _squarefree_decomposition(c):
@@ -547,37 +553,26 @@ def _squarefree_decomposition(c):
     if len(c) <= 1:
         return []
     out = []
-    g = _gcd_int(c, _derivative(c))
-    w, r = _divmod_q(c, g)
-    assert not r
-    w = _fractions_to_primitive(w)
+    rest = _poly_gcd(c, _derivative(c))
+    w = _exact_quotient(c, rest)
     mult = 1
-    rest = g
     while len(w) > 1:
-        g2 = _gcd_int(w, rest)
-        factor, r = _divmod_q(w, g2)
-        assert not r
-        factor = _fractions_to_primitive(factor)
+        g = _poly_gcd(w, rest)
+        factor = _exact_quotient(w, g)
         if len(factor) > 1:
             out.append((factor, mult))
-        w = g2
-        rest, r = _divmod_q(rest, g2)
-        assert not r
-        rest = _fractions_to_primitive(rest)
+        w = g
+        rest = _exact_quotient(rest, g)
         mult += 1
     return out
 
 
-def _fractions_to_primitive(q):
-    den = 1
-    for x in q:
-        x = Fraction(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in q]
-    ints = _primitive(_trim(ints))
-    if ints and ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _divisors(n: int):
@@ -590,28 +585,6 @@ def _divisors(n: int):
     if small and small[-1] == large[-1]:
         large.pop()
     return small + large[::-1]
-
-
-def _integer_roots_uni(c):
-    """All integer roots with multiplicity, plus the integer-root-free rest."""
-    c = _trim(list(c))
-    if not c:
-        raise ValueError("zero polynomial")
-    roots = {}
-    k = 0
-    while not c[0]:
-        c = c[1:]
-        k += 1
-    if k:
-        roots[0] = k
-    bound = _root_bound(c)
-    candidates = [d for d in _divisors(c[0]) if d <= bound] if len(c) > 1 else []
-    for d in sorted(candidates):
-        for r in (d, -d):
-            while len(c) > 1 and _poly_eval_int(c, r) == 0:
-                c = _synthetic_div(c, r)
-                roots[r] = roots.get(r, 0) + 1
-    return roots, c
 
 
 def _poly_eval_int(c, x: int) -> int:
@@ -653,9 +626,7 @@ def _rational_roots(c):
     for cand in cands:
         for r in (cand, -cand):
             while len(c) > 1 and _sign_at(c, r) == 0:
-                down, rem = _divmod_q(c, [-r, 1])
-                assert not rem
-                c = _fractions_to_primitive(down)
+                c = _exact_quotient(c, [-r.numerator, r.denominator])
                 roots[r] = roots.get(r, 0) + 1
     return roots, c
 
@@ -701,6 +672,9 @@ def _isolate_squarefree(c, precision: Fraction):
 
 
 # -- public operations ----------------------------------------------------
+#
+# The root functions take a univariate MPoly or its ascending integer
+# coefficients; MPoly input is cleared of denominators once, at the boundary.
 
 
 @dataclass(frozen=True)
@@ -730,31 +704,49 @@ class RootReport:
         return sum(m for _, m in self.integer_roots)
 
 
-def integer_roots(p: MPoly, var: str = None, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
-    """Find every integer root with multiplicity by trial division.
+def split_integer_roots(c):
+    """Integer roots of c, and the integer-root-free rest as coefficients.
 
-    Candidates are divisors of the trailing coefficient (after factoring
-    out the power of the variable) capped by the Cauchy root bound.
+    Returns ({root: multiplicity}, cofactor) by trial division with the
+    divisors of the trailing coefficient (after the power of the variable
+    is factored out) below the Cauchy root bound. The polynomial has only
+    integer roots exactly when the cofactor is a constant.
     """
-    if p.is_zero():
+    c = _int_coeffs(c)[1]
+    if not c:
         raise ValueError("zero polynomial")
-    var = var or _only_var(p)
-    coeffs = p.univariate_coeffs(var)
-    coeffs = _clear_denominators(coeffs)
-    roots, residual = _integer_roots_uni(coeffs)
-    res_poly = MPoly.from_univariate(residual, var)
-    intervals = tuple(_isolate_squarefree(_square_free_part(residual), precision))
-    ordered = tuple(sorted(roots.items(), key=lambda kv: -kv[0]))
+    roots = {}
+    k = 0
+    while not c[0]:
+        c = c[1:]
+        k += 1
+    if k:
+        roots[0] = k
+    bound = _root_bound(c)
+    candidates = [d for d in _divisors(c[0]) if d <= bound] if len(c) > 1 else []
+    for d in sorted(candidates):
+        for r in (d, -d):
+            while len(c) > 1 and _poly_eval_int(c, r) == 0:
+                c = _synthetic_div(c, r)
+                roots[r] = roots.get(r, 0) + 1
+    return roots, c
+
+
+def integer_roots(p, var: str = None, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
+    """Every integer root with multiplicity (see split_integer_roots), and
+    isolating intervals for the real roots of the integer-root-free rest."""
+    var, coeffs = _int_coeffs(p, var)
+    roots, residual = split_integer_roots(coeffs)
     return RootReport(
-        poly=p,
+        poly=p if isinstance(p, MPoly) else MPoly.from_univariate(coeffs, var),
         var=var,
-        integer_roots=ordered,
-        residual=res_poly,
-        isolating_intervals=intervals,
+        integer_roots=tuple(sorted(roots.items(), key=lambda kv: -kv[0])),
+        residual=MPoly.from_univariate(residual, var),
+        isolating_intervals=tuple(_isolate_squarefree(_square_free_part(residual), precision)),
     )
 
 
-def sturm_count(p: MPoly, a, b, var: str = None) -> int:
+def sturm_count(p, a, b, var: str = None) -> int:
     """Exact number of distinct real roots in the half-open interval (a, b].
 
     The square-free part is taken internally, so repeated roots count once.
@@ -762,10 +754,9 @@ def sturm_count(p: MPoly, a, b, var: str = None) -> int:
     a, b = _as_fraction(a), _as_fraction(b)
     if a >= b:
         raise ValueError("empty interval: require a < b")
-    if p.is_zero():
+    coeffs = _int_coeffs(p, var)[1]
+    if not coeffs:
         raise ValueError("zero polynomial")
-    var = var or _only_var(p)
-    coeffs = _clear_denominators(p.univariate_coeffs(var))
     sf = _square_free_part(coeffs)
     if len(sf) <= 1:
         return 0
@@ -773,11 +764,9 @@ def sturm_count(p: MPoly, a, b, var: str = None) -> int:
     return _count_halfopen(chain, a, b)
 
 
-def count_real_roots(p: MPoly, var: str = None) -> int:
+def count_real_roots(p, var: str = None) -> int:
     """Distinct real roots over the whole line."""
-    var = var or _only_var(p)
-    coeffs = _clear_denominators(p.univariate_coeffs(var))
-    sf = _square_free_part(coeffs)
+    sf = _square_free_part(_int_coeffs(p, var)[1])
     if len(sf) <= 1:
         return 0
     bound = Fraction(_root_bound(sf))
@@ -785,21 +774,81 @@ def count_real_roots(p: MPoly, var: str = None) -> int:
     return _count_halfopen(chain, -bound, bound)
 
 
-def isolate_roots(p: MPoly, precision: Fraction = DEFAULT_PRECISION, var: str = None):
+def isolate_roots(p, precision: Fraction = DEFAULT_PRECISION, var: str = None):
     """Isolating rational intervals for all distinct real roots of p.
 
     Rational roots are returned as exact point intervals [r, r]; all other
     intervals are refined by bisection until their width is at most the
     requested precision.
     """
-    if p.is_zero():
+    coeffs = _int_coeffs(p, var)[1]
+    if not coeffs:
         raise ValueError("zero polynomial")
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    var = var or _only_var(p)
-    coeffs = _clear_denominators(p.univariate_coeffs(var))
     return _isolate_squarefree(_square_free_part(coeffs), precision)
+
+
+def gap_points(*polys):
+    """Rational points separating the distinct real roots of all polys.
+
+    One point lies strictly inside each gap between consecutive roots of
+    the union, plus one below and one above every root.
+    """
+    prod = [1]
+    for p in polys:
+        prod = _mul(prod, _int_coeffs(p)[1])
+    sf = _square_free_part(prod)
+    if len(sf) <= 1:
+        return [Fraction(0)]
+    bound = Fraction(_root_bound(sf))
+    precision = Fraction(1, 16)
+    while True:
+        intervals = _isolate_squarefree(sf, precision)
+        if all(a[1] < b[0] for a, b in zip(intervals, intervals[1:])):
+            break
+        precision /= 16
+    return [-bound] + [(a[1] + b[0]) / 2 for a, b in zip(intervals, intervals[1:])] + [bound]
+
+
+class RootCounter:
+    """Real roots of p above rational thresholds, counted with multiplicity.
+
+    One Sturm chain per square-free factor is built once and reused for
+    every threshold.
+    """
+
+    def __init__(self, p):
+        self._parts = [
+            (_sturm_chain(factor), Fraction(_root_bound(factor)), mult)
+            for factor, mult in _squarefree_decomposition(_int_coeffs(p)[1])
+        ]
+
+    def count_above(self, theta: Fraction) -> int:
+        return sum(
+            mult * _count_halfopen(chain, theta, max(bound, theta + 1))
+            for chain, bound, mult in self._parts
+        )
+
+
+def _divmod_q(a, b):
+    """Exact division with remainder over the rationals."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = a
+    while r and len(r) >= len(b):
+        shift = len(r) - len(b)
+        f = r[-1] / b[-1]
+        q[shift] = f
+        for i, bc in enumerate(b):
+            r[i + shift] -= f * bc
+        _trim(r)
+    return q, r
 
 
 def divides(p: MPoly, q: MPoly, var: str = None):
@@ -807,21 +856,15 @@ def divides(p: MPoly, q: MPoly, var: str = None):
     if p.is_zero():
         raise ValueError("division by the zero polynomial")
     var = var or _only_var(p, q)
-    a = q.univariate_coeffs(var)
-    b = p.univariate_coeffs(var)
-    quo, rem = _divmod_q(a, b)
+    quo, rem = _divmod_q(q.univariate_coeffs(var), p.univariate_coeffs(var))
     if rem:
         return False, None
-    return True, MPoly((var,), {(i,): c for i, c in enumerate(quo) if c})
+    return True, MPoly.from_univariate(quo, var)
 
 
-def sign_at(p: MPoly, point) -> int:
+def sign_at(p, point) -> int:
     """Exact sign (-1, 0, 1) of a univariate polynomial at a rational point."""
-    var = _only_var(p)
-    coeffs = _clear_denominators(p.univariate_coeffs(var))
-    if not coeffs:
-        return 0
-    return _sign_at(coeffs, _as_fraction(point))
+    return _sign_at(_int_coeffs(p)[1], _as_fraction(point))
 
 
 def _only_var(*polys) -> str:
@@ -832,6 +875,14 @@ def _only_var(*polys) -> str:
     if len(names) > 1:
         raise ValueError(f"expected a univariate polynomial, variables: {names}")
     return names[0] if names else LAMBDA
+
+
+def _int_coeffs(p, var=None):
+    """(variable, ascending integer coefficients) of an MPoly or coefficient list."""
+    if not isinstance(p, MPoly):
+        return var or LAMBDA, _trim(list(p))
+    var = var or _only_var(p)
+    return var, _clear_denominators(p.univariate_coeffs(var))
 
 
 def _clear_denominators(coeffs):

@@ -18,18 +18,13 @@ from .matrices import IntMatrix, char_poly
 from .polys import (
     DEFAULT_PRECISION,
     LAMBDA,
-    MPoly,
+    RootCounter,
     RootReport,
-    _clear_denominators,
-    _count_halfopen,
-    _root_bound,
-    _squarefree_decomposition,
-    _square_free_part,
-    _sturm_chain,
-    _trim,
+    gap_points,
     integer_roots,
     isolate_roots,
     sign_at,
+    split_integer_roots,
     sturm_count,
 )
 
@@ -123,23 +118,12 @@ def spectrum(g: Graph, kind: str = "L", precision: Fraction = DEFAULT_PRECISION)
     )
 
 
-def _charpoly_coeffs(g: Graph, kind: str):
-    return _clear_denominators(char_poly(_KIND_MATRIX[kind](g)).univariate_coeffs(LAMBDA))
-
-
-def _all_integer_roots(coeffs) -> bool:
-    from .polys import _integer_roots_uni
-
-    _, residual = _integer_roots_uni(list(coeffs))
-    return len(residual) <= 1
-
-
 def is_L_integral(g: Graph) -> bool:
-    return _all_integer_roots(_charpoly_coeffs(g, "L"))
+    return len(split_integer_roots(char_poly(laplacian(g)))[1]) <= 1
 
 
 def is_Q_integral(g: Graph) -> bool:
-    return _all_integer_roots(_charpoly_coeffs(g, "Q"))
+    return len(split_integer_roots(char_poly(signless_laplacian(g)))[1]) <= 1
 
 
 # -- algebraic connectivity ---------------------------------------------------
@@ -169,34 +153,28 @@ def algebraic_connectivity(g: Graph, precision: Fraction = DEFAULT_PRECISION) ->
     """Second-smallest Laplacian eigenvalue, exact when integer."""
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    coeffs = _charpoly_coeffs(g, "L")
-    zero_mult = 0
-    while not coeffs[zero_mult]:
-        zero_mult += 1
-    if zero_mult >= 2:
+    coeffs = char_poly(laplacian(g))
+    # The constant term is always zero (L is singular); a zero linear term
+    # makes 0 a double root, so the graph is disconnected.
+    if not coeffs[1]:
         return SpectralValue(is_integer=True, value=0)
-    reduced = coeffs[1:]
-    from .polys import _integer_roots_uni
-
-    roots, residual = _integer_roots_uni(list(reduced))
+    roots, residual = split_integer_roots(coeffs[1:])
     int_min = min(roots) if roots else None
-    res_poly = MPoly.from_univariate(residual)
     if len(residual) <= 1:
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision
-    intervals = isolate_roots(res_poly, prec)
-    lo, hi = intervals[0]
+    lo, hi = isolate_roots(residual, prec)[0]
     if int_min is not None:
         # The residual has no integer roots, so bisection separates them.
         while lo < int_min < hi:
             prec = prec / 2
-            lo, hi = isolate_roots(res_poly, prec)[0]
+            lo, hi = isolate_roots(residual, prec)[0]
         if int_min <= lo:
             return SpectralValue(is_integer=True, value=int_min)
     while lo < 0:
         # Connected graph: the root is strictly positive, so tighten.
         prec = prec / 2
-        lo, hi = isolate_roots(res_poly, prec)[0]
+        lo, hi = isolate_roots(residual, prec)[0]
     return SpectralValue(is_integer=False, lo=lo, hi=hi)
 
 
@@ -228,8 +206,7 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
     if g.edge_count == n * (n - 1) // 2:
         raise ValueError("complete graphs are excluded")
     k = vertex_connectivity(g)
-    coeffs = _charpoly_coeffs(g, "L")
-    p = MPoly.from_univariate(coeffs)
+    p = char_poly(laplacian(g))
     in_0k = sturm_count(p, 0, k)
     at_k = sign_at(p, k) == 0
     a_equals_k = at_k and in_0k == 1
@@ -243,7 +220,7 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
             continue
         if not all(g.adj[v] >= (set(range(n)) - cut_set - {v}) for v in cut):
             continue
-        comps = connected_components_excluding(g, cut_set)
+        comps = connected_components(g, cut_set)
         if len(comps) < 2:
             continue
         if 2 * k > n and not _small_side_bound_ok(g, cut, 2 * k - n):
@@ -256,12 +233,6 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
     raise AssertionError("a(G)=k(G) but no join decomposition exists")
 
 
-def connected_components_excluding(g: Graph, excluded):
-    from .graphs import _components
-
-    return _components(g, frozenset(excluded))
-
-
 def _small_side_bound_ok(g: Graph, cut, threshold: int) -> bool:
     """Check a(G[cut]) >= threshold for the k-vertex side, exactly."""
     sub = _induced(g, cut)
@@ -269,8 +240,7 @@ def _small_side_bound_ok(g: Graph, cut, threshold: int) -> bool:
         return threshold <= 0
     if not is_connected(sub):
         return threshold <= 0
-    coeffs = _charpoly_coeffs(sub, "L")
-    p = MPoly.from_univariate(coeffs)
+    p = char_poly(laplacian(sub))
     inside = sturm_count(p, 0, threshold) - (1 if sign_at(p, threshold) == 0 else 0)
     return inside == 0
 
@@ -297,72 +267,18 @@ def edge_interlacing_check(g: Graph, edges_to_remove) -> bool:
     r = g.edge_count - h.edge_count
     if r == 0:
         return True
-    pg = _charpoly_coeffs(g, "L")
-    ph = _charpoly_coeffs(h, "L")
-    return _interlaces(pg, ph, r)
+    return _interlaces(char_poly(laplacian(g)), char_poly(laplacian(h)), r)
 
 
 def _interlaces(pg, ph, r: int) -> bool:
-    cg = _MultCounter(pg)
-    ch = _MultCounter(ph)
-    for theta in _gap_thresholds(pg, ph):
+    cg = RootCounter(pg)
+    ch = RootCounter(ph)
+    for theta in gap_points(pg, ph):
         above_g = cg.count_above(theta)
         above_h = ch.count_above(theta)
         if not (above_h <= above_g <= above_h + r):
             return False
     return True
-
-
-class _MultCounter:
-    """Counts roots above a threshold with multiplicity, exactly."""
-
-    def __init__(self, coeffs):
-        self.parts = []
-        for factor, mult in _squarefree_decomposition(list(coeffs)):
-            chain = _sturm_chain(factor)
-            bound = Fraction(_root_bound(factor))
-            self.parts.append((chain, bound, mult))
-
-    def count_above(self, theta: Fraction) -> int:
-        total = 0
-        for chain, bound, mult in self.parts:
-            hi = max(bound, theta + 1)
-            total += mult * _count_halfopen(chain, theta, hi)
-        return total
-
-
-def _gap_thresholds(pg, ph):
-    """One rational strictly inside every gap of the union of root sets."""
-    from .polys import _isolate_squarefree
-
-    prod = _poly_mul(list(pg), list(ph))
-    sf = _square_free_part(prod)
-    if len(sf) <= 1:
-        return [Fraction(0)]
-    bound = Fraction(_root_bound(sf))
-    precision = Fraction(1, 16)
-    while True:
-        intervals = _isolate_squarefree(sf, precision)
-        ok = all(
-            intervals[i][1] < intervals[i + 1][0]
-            for i in range(len(intervals) - 1)
-        )
-        if ok:
-            break
-        precision /= 16
-    thresholds = [-bound, bound]
-    for i in range(len(intervals) - 1):
-        thresholds.append((intervals[i][1] + intervals[i + 1][0]) / 2)
-    return sorted(thresholds)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 # -- fixed six-vertex Q-integral reference graph ------------------------------

@@ -9,6 +9,7 @@ from lapspec.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_UNKNOWN_CASE,
+    EXIT_USAGE,
     main,
     parse_builder,
 )
@@ -170,6 +171,16 @@ def test_families_command_with_parameter_range(capsys):
 def test_bad_precision_rejected(capsys):
     code, _, err = run(capsys, "spectrum", "--builder", "K 2", "--precision", "0")
     assert code != EXIT_OK
+
+
+def test_bad_input_exits_with_usage_error(capsys, tmp_path):
+    for argv in (
+        ["spectrum", "--file", str(tmp_path / "missing.txt")],
+        ["spectrum", "--g6", "D?{", "--precision", "1/0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_erratum_report_command(capsys):

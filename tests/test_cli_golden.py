@@ -1,0 +1,58 @@
+"""Golden digests of the README's CLI examples.
+
+Each case runs one documented command and compares the sha256 of its
+stdout with a digest recorded from a known-good build, so any change to
+the printed bytes (JSON, JSONL or TSV) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from lapspec.cli import EXIT_OK, main
+
+GOLDEN = [
+    (
+        ["spectrum", "--builder", "star 6", "--kind", "L"],
+        "8ae3b82a26e9665e91e183a425e165bc4a68ac3348f9afcbd1b1f79c13b62e38",
+    ),
+    (
+        ["spectrum", "--g6", "D?{", "--kind", "Q", "--precision", "1/1000000"],
+        "8708976bc662c269203aa37d2d2822ee308de9817850e4c9b6bf15b74a442a80",
+    ),
+    (
+        ["classify", "--builder", "firefly 2 3 0"],
+        "23516893991364d89cc841a4d200a75825780e6e6859cb81e81f0a007d123456",
+    ),
+    (
+        ["quotient", "--builder", "star 6", "--partition", "0 | 1 2 3 4 5"],
+        "075099176a46c8889e8aff84dc53c2d2641998071607150ac1b981e904494c7a",
+    ),
+    (
+        ["refine", "--builder", "g2 path-orders=3,3,5 hub-edge", "--partition", "0 | 1 | *"],
+        "6a810acf697fe2cd797684573b84414f5c542d3b35444b40d72c561eff8e71f0",
+    ),
+    (
+        ["families", "--case", "4.4", "--s", "2..10"],
+        "47ccca71b8bb3030ce3e1ab410a81e37a08d5c88e0c1014fffb1b150bd52759c",
+    ),
+    (
+        ["enumerate", "--family", "G2", "--n", "8"],
+        "d321824eb100dce7539aa028683ebe899ed8d898c598497db8a5e4d7326ea441",
+    ),
+    (
+        ["erratum-report"],
+        "90c22b534310f1f575f9211f0c9723a841a9cb5d76fc63403ee67feb70a57064",
+    ),
+    (
+        ["verify-theorem", "--min", "9", "--max", "10"],
+        "28788f0885e48c3f82265b888b5cda6badceae6ac0369ee671325fd6d9e9d147",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a[0] for a, _ in GOLDEN])
+def test_readme_example_stdout_is_unchanged(capsys, argv, digest):
+    assert main(list(argv)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

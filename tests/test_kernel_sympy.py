@@ -1,0 +1,97 @@
+"""The integer polynomial kernel against sympy, an independent oracle.
+
+Seeded random integer polynomials are built as products of small factors,
+some raised to powers, so that gcds, square-free decompositions and root
+counts all see repeated roots. sympy is only a test-time oracle; the
+library does not depend on it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from lapspec import (  # noqa: E402
+    char_poly,
+    count_real_roots,
+    laplacian,
+    signless_laplacian,
+    split_integer_roots,
+    sturm_count,
+)
+from lapspec.polys import _poly_gcd, _squarefree_decomposition  # noqa: E402
+from oracle_helpers import random_connected_graph  # noqa: E402
+
+X = sympy.Symbol("x")
+
+
+def _random_poly(rng, factors=(1, 4)):
+    """sympy Poly over ZZ: a unit times products of powers of small factors."""
+    p = sympy.Integer(rng.choice([1, -1, 2, -6]))
+    for _ in range(rng.randint(*factors)):
+        deg = rng.randint(1, 3)
+        f = sum(rng.randint(-5, 5) * X**i for i in range(deg)) + rng.randint(1, 3) * X**deg
+        p *= f ** rng.choice([1, 1, 2, 3])
+    return sympy.Poly(p, X)
+
+
+def _coeffs(poly):
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def _normalized(poly):
+    """Primitive part with positive leading coefficient, as ascending ints."""
+    prim = poly.primitive()[1]
+    return _coeffs(-prim if prim.LC() < 0 else prim)
+
+
+def test_gcd_matches_sympy():
+    rng = random.Random(1967)
+    for _ in range(40):
+        common = _random_poly(rng, (0, 2))
+        a = _random_poly(rng) * common
+        b = _random_poly(rng) * common
+        assert _poly_gcd(_coeffs(a), _coeffs(b)) == _normalized(sympy.gcd(a, b))
+
+
+def test_squarefree_decomposition_matches_sqf_list():
+    rng = random.Random(1971)
+    for _ in range(40):
+        p = _random_poly(rng)
+        _, factors = p.sqf_list()
+        expected = sorted((_normalized(f), m) for f, m in factors)
+        assert sorted(_squarefree_decomposition(_coeffs(p))) == expected
+
+
+def test_real_root_counts_match_count_roots():
+    rng = random.Random(2009)
+    for _ in range(40):
+        p = _random_poly(rng)
+        sqf = p.sqf_part()
+        c = _coeffs(p)
+        assert count_real_roots(c) == sqf.count_roots()
+        a = Fraction(rng.randint(-12, 8), rng.randint(1, 3))
+        b = a + Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        # sympy counts on [a, b]; sturm_count on (a, b]
+        expected = sqf.count_roots(a, b) - (1 if sqf.eval(a) == 0 else 0)
+        assert sturm_count(c, a, b) == expected
+
+
+def test_integer_roots_match_sympy_roots():
+    rng = random.Random(11985)
+    for _ in range(40):
+        p = _random_poly(rng)
+        roots, residual = split_integer_roots(_coeffs(p))
+        assert roots == {int(r): m for r, m in sympy.roots(p, filter="Z").items()}
+        assert len(residual) - 1 == p.degree() - sum(roots.values())
+
+
+def test_char_poly_matches_sympy_charpoly():
+    rng = random.Random(20)
+    graphs = [random_connected_graph(rng, 8) for _ in range(20)]
+    for g in graphs:
+        for matrix in (laplacian(g), signless_laplacian(g)):
+            expected = sympy.Matrix(matrix.entries).charpoly(X)
+            assert char_poly(matrix) == _coeffs(expected)
