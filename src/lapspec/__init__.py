@@ -34,11 +34,9 @@ from .graphs import (
 )
 from .matrices import (
     IntMatrix,
-    assemble_G2_laplacian,
-    block_diag,
     char_poly,
     det_gauss,
-    path_interior_block,
+    family_char_poly,
     principal_submatrix,
 )
 from .partitions import (
@@ -62,6 +60,7 @@ from .polys import (
     integer_roots,
     isolate_roots,
     parse_poly,
+    poly_mul,
     sign_at,
     split_integer_roots,
     sturm_count,

@@ -234,16 +234,21 @@ def _graphs_from_args(args):
     return [graphs.from_graph6(ln) for ln in lines]
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, out: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
+    if out:
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _dump(obj) -> str:
@@ -431,9 +436,9 @@ def cmd_verify_theorem(args) -> int:
     except enumeration.BudgetExceededError as exc:
         raise CliError(str(exc), code=EXIT_BUDGET) from exc
     if cfg.out:
-        stream = "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts)
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(stream + "\n")
+        _write_file(cfg.out, "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts) + "\n")
+    if args.stats:
+        print(_dump(summary.stats), file=sys.stderr)
     sys.stdout.write(summary.to_tsv() + "\n")
     sys.stdout.write(f"{len(summary.disagreements)} disagreements\n")
     if summary.small_n_exceptions:
@@ -510,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", "--max-n", dest="max", type=int, default=12)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the verdict stream (JSON lines) here")
+    p.add_argument("--stats", action="store_true", help="print stage counts and seconds as JSON on stderr")
     p.set_defaults(fn=cmd_verify_theorem)
 
     p = sub.add_parser("erratum-report", help="documented discrepancies of the source text")

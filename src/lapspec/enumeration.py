@@ -11,7 +11,8 @@ against structural recognition of the six closed families.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphs import (
@@ -24,7 +25,8 @@ from .graphs import (
     realize,
     to_graph6,
 )
-from .spectra import is_L_integral
+from .matrices import family_char_poly
+from .polys import split_integer_roots
 
 DEFAULT_BUDGET = 12
 BUDGET_ENV = "LAPSPEC_BUDGET"
@@ -315,13 +317,25 @@ def theorem_tag(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    graph6: str
+    """One member's verdict; graph6 and bipartite are derived from the
+    config only when read, so the sweep itself builds no graph."""
+
     family: str
     n: int
-    config: tuple
-    bipartite: bool
+    config: tuple  # FamilyConfig.key()
     integral: bool
     tag: str
+
+    def _graph(self) -> Graph:
+        return realize(FamilyConfig(*self.config))
+
+    @property
+    def graph6(self) -> str:
+        return to_graph6(self._graph())
+
+    @property
+    def bipartite(self) -> bool:
+        return is_bipartite(self._graph())
 
     @property
     def in_list(self) -> bool:
@@ -332,29 +346,21 @@ class ClassificationVerdict:
         return self.integral == self.in_list
 
     def to_json_dict(self) -> dict:
+        g = self._graph()
         return {
-            "graph6": self.graph6,
+            "graph6": to_graph6(g),
             "family": self.family,
             "n": self.n,
             "config": list(self.config),
-            "bipartite": self.bipartite,
+            "bipartite": is_bipartite(g),
             "integral": self.integral,
             "tag": self.tag,
             "agreement": self.agreement,
         }
 
 
-def _verdict_for(cfg: FamilyConfig) -> ClassificationVerdict:
-    g = realize(cfg)
-    return ClassificationVerdict(
-        graph6=to_graph6(g),
-        family=cfg.family,
-        n=g.n,
-        config=cfg.key(),
-        bipartite=is_bipartite(g),
-        integral=is_L_integral(g),
-        tag=config_tag(cfg),
-    )
+def _is_integral(cfg: FamilyConfig) -> bool:
+    return len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
 
 
 @dataclass(frozen=True)
@@ -363,6 +369,8 @@ class TheoremSummary:
     n_max: int
     verdicts: tuple
     rows: tuple  # (n, family, graphs, integral, disagreements)
+    # counts and stage seconds of the run, see verify_theorem
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def disagreements(self):
@@ -379,6 +387,24 @@ class TheoremSummary:
         return "\n".join(lines)
 
 
+def _structure_counts(configs) -> dict:
+    """Distinct chains (kind, length), hub sides (pendants, cycles) and
+    internal-path sets (paths, hub edge) among the configs; family_char_poly
+    computes and caches one polynomial per side and per path set."""
+    chains, sides, links = set(), set(), set()
+    for cfg in configs:
+        hub_sides = [(cfg.pendants_u, cfg.cycles_u)]
+        if cfg.family == "G2":
+            hub_sides.append((cfg.pendants_v, cfg.cycles_v))
+            links.add((cfg.paths, cfg.hub_edge))
+            chains.update(("path", order) for order in cfg.paths)
+        for pendants, cycles in hub_sides:
+            sides.add((pendants, cycles))
+            chains.update(("pendant", length) for length in pendants)
+            chains.update(("cycle", length) for length in cycles)
+    return {"chains": len(chains), "sides": len(sides), "links": len(links)}
+
+
 def verify_theorem(
     n_min: int, n_max: int, jobs: int = 1, budget: int | None = None
 ) -> TheoremSummary:
@@ -387,6 +413,11 @@ def verify_theorem(
     Disagreement means exact integrality and membership in the six listed
     families differ; at nine or more vertices the classification promises
     there are none, below that the exceptions are reported as data.
+    Integrality comes from family_char_poly, no graph is built. The
+    summary's stats hold the number of configs, the distinct chains, hub
+    sides and internal-path sets behind their polynomials, and the seconds
+    of the enumerate, decide and tag stages (the tag stage also assembles
+    the verdicts and the tally).
     """
     budget = configured_budget() if budget is None else budget
     if n_max > budget:
@@ -395,19 +426,33 @@ def verify_theorem(
         )
     if n_min < 1 or n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
+    clock = time.perf_counter
+    t0 = clock()
     configs = [
         cfg
         for n in range(n_min, n_max + 1)
         for family in ("G1", "G2")
         for cfg in enumerate_family(family, n)
     ]
+    t1 = clock()
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            verdicts = pool.map(_verdict_for, configs, chunksize=16)
+            integral = pool.map(_is_integral, configs, chunksize=256)
     else:
-        verdicts = [_verdict_for(cfg) for cfg in configs]
+        integral = [_is_integral(cfg) for cfg in configs]
+    t2 = clock()
+    verdicts = tuple(
+        ClassificationVerdict(
+            family=cfg.family,
+            n=cfg.vertex_count(),
+            config=cfg.key(),
+            integral=flag,
+            tag=config_tag(cfg),
+        )
+        for cfg, flag in zip(configs, integral)
+    )
     tally = {}
     for v in verdicts:
         key = (v.n, v.family)
@@ -419,6 +464,14 @@ def verify_theorem(
         (n, family, *tally[(n, family)])
         for n, family in sorted(tally)
     )
+    t3 = clock()
+    stats = {
+        "configs": len(configs),
+        **_structure_counts(configs),
+        "enumerate_s": round(t1 - t0, 6),
+        "decide_s": round(t2 - t1, 6),
+        "tag_s": round(t3 - t2, 6),
+    }
     return TheoremSummary(
-        n_min=n_min, n_max=n_max, verdicts=tuple(verdicts), rows=rows
+        n_min=n_min, n_max=n_max, verdicts=verdicts, rows=rows, stats=stats
     )

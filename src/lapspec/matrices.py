@@ -3,15 +3,19 @@
 The characteristic polynomial is computed by the Berkowitz scheme, which
 is division-free and therefore valid verbatim over polynomial rings such
 as Z[s,t]; an independent exact-fraction Gaussian determinant is provided
-as a cross-oracle. Block assembly mirrors the two-hub family layout: a
-2x2 hub block followed by one tridiagonal block per attached chain.
+as a cross-oracle. Both serve as oracles for family_char_poly, which
+reads the characteristic polynomial of a one- or two-hub family member off
+its block layout (a hub block plus one tridiagonal block per attached
+chain) without building a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphs import FamilyConfig
+from .polys import poly_mul
 
 
 class IntMatrix:
@@ -102,33 +106,6 @@ def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
     return IntMatrix([[m.entries[i][j] for j in keep] for i in keep])
 
 
-def block_diag(blocks) -> IntMatrix:
-    blocks = list(blocks)
-    n = sum(b.rows for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        if not b.is_square():
-            raise ValueError("blocks must be square")
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[offset + i][offset + j] = b.entries[i][j]
-        offset += b.rows
-    return IntMatrix(out)
-
-
-def path_interior_block(k: int) -> IntMatrix:
-    """Tridiagonal block of a path's interior: 2 on, -1 off the diagonal."""
-    if k < 1:
-        raise ValueError("block size must be positive")
-    return IntMatrix(
-        [
-            [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(k)]
-            for i in range(k)
-        ]
-    )
-
-
 def char_poly(m: IntMatrix) -> list:
     """Ascending coefficients of det(λI - M), division-free.
 
@@ -188,46 +165,114 @@ def det_gauss(m: IntMatrix) -> Fraction:
     return sign * det
 
 
-def assemble_G2_laplacian(cfg: FamilyConfig) -> IntMatrix:
-    """Laplacian of a two-hub config built directly from its block layout.
+# -- structural characteristic polynomial of the one- and two-hub families -----
+#
+# λI - L of a G1/G2 member is a 1x1 or 2x2 hub block bordered by one
+# tridiagonal block per chain, and chains meet only at hubs. Eliminating the
+# chains (the Laplacian analogue of Schwenk's cut-vertex formulas) gives
+# det(λI - L) = ∏ θ_chain · det(S), S the Schur complement on the hubs. The
+# entries of S need only the end entries of each (λI - T_chain)^-1, which are
+# continuants over θ_chain, so everything below is integer polynomial
+# arithmetic on ascending coefficient lists. One hub side or one set of
+# internal paths recurs in many members, so their polynomials are cached.
 
-    Row/column order matches the canonical labeling of realize(): the 2x2
-    hub block, then one interior block per internal path, then the pendant
-    and cycle chains of each hub.
+
+def _add(a, b, scale=1):
+    """a + scale * b, trailing zeros trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += scale * x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _continuants(k, last):
+    """(t_k, t_{k-1}, t_{k-2}) for the k x k tridiagonal T with -1 off the
+    diagonal and diagonal 2, ..., 2, last.
+
+    t_j = det(λI - T_j) with T_j the trailing j x j block of T, so t_k = θ,
+    t_{k-1} leaves out the first vertex and, when last = 2, t_{k-2} leaves
+    out both end vertices; t_{-1} = 0. The corner entry of (λI - T)^-1 is
+    (-1)^(k+1) / θ.
     """
-    cfg = cfg.normalized()
+    older, old, cur = (), (1,), (-last, 1)
+    for _ in range(k - 1):
+        older, old, cur = old, cur, tuple(_add(poly_mul((-2, 1), cur), old, -1))
+    return cur, old, older
+
+
+@lru_cache(maxsize=4096)
+def _side(pendants, cycles):
+    """(P, N) of the chains hanging from one hub: P = ∏ θ_i and
+    N / P = Σ M_i / θ_i, the hub's share of the Schur complement.
+
+    A pendant path on k vertices has M = t_{k-1}. A cycle through the hub
+    has k = length - 1 further vertices with both ends on the hub, so M is
+    the sum of both end entries and twice the corner: 2 t_{k-1} + 2 (-1)^(k+1).
+    """
+    chains = [_continuants(length, 1)[:2] for length in pendants]
+    for length in cycles:
+        theta, minor, _ = _continuants(length - 1, 2)
+        chains.append((theta, [2 * x for x in _add(minor, (1,), (-1) ** length)]))
+    p, n = (1,), ()
+    for theta, m in chains:
+        p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m))
+    return tuple(p), tuple(n)
+
+
+@lru_cache(maxsize=4096)
+def _links(paths, hub_edge):
+    """(P, N, T) of the internal paths joining the two hubs.
+
+    P = ∏ θ_i; N / P = Σ t_{k_i - 1} / θ_i is each hub's share of the Schur
+    complement (the same at u and at v, a path being symmetric), and
+    U / P = Σ (-1)^(k_i + 1) / θ_i is the paths' part of the off-diagonal
+    entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
+    in one path keeps D = (N² - U²) / P exact as θ D + 2 (N m - U c) + P e,
+    because m² - c² = θ e (Cassini's identity for continuants), with
+    m = t_{k-1}, c = (-1)^(k+1) and e = t_{k-2}.
+    """
+    p, n, u, d = (1,), (), (), ()
+    for order in paths:
+        theta, m, e = _continuants(order - 2, 2)
+        c = (-((-1) ** order),)
+        p, n, u, d = (
+            poly_mul(p, theta),
+            _add(poly_mul(n, theta), poly_mul(p, m)),
+            _add(poly_mul(u, theta), poly_mul(p, c)),
+            _add(
+                _add(poly_mul(d, theta), poly_mul(p, e)),
+                _add(poly_mul(n, m), poly_mul(u, c), -1),
+                2,
+            ),
+        )
+    if hub_edge:
+        d = _add(_add(d, u, 2), p, -1)
+    return tuple(p), tuple(n), tuple(d)
+
+
+def family_char_poly(cfg: FamilyConfig) -> list:
+    """Ascending coefficients of det(λI - L) of a G1/G2 member, no matrix built.
+
+    With X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub
+    sides and P, N, T from the internal paths (see _side and _links):
+    G1 gives X, and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T, which is
+    (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
+    C' = hub_edge · P - U multiplied out. Equal to char_poly(laplacian(
+    realize(cfg))), which the tests use as its oracle.
+    """
     cfg.validate()
-    if cfg.family != "G2":
-        raise ValueError("expected a two-hub config")
-    n = cfg.vertex_count()
-    out = [[0] * n for _ in range(n)]
-    out[0][0] = cfg.hub_degree_u()
-    out[1][1] = cfg.hub_degree_v()
-    if cfg.hub_edge:
-        out[0][1] = out[1][0] = -1
-    offset = 2
-
-    def chain(span, hub_first=None, hub_last=None, last_degree=2):
-        nonlocal offset
-        for i in range(span):
-            out[offset + i][offset + i] = 2
-        out[offset + span - 1][offset + span - 1] = last_degree
-        for i in range(span - 1):
-            out[offset + i][offset + i + 1] = -1
-            out[offset + i + 1][offset + i] = -1
-        if hub_first is not None:
-            out[hub_first][offset] = out[offset][hub_first] = -1
-        if hub_last is not None:
-            out[hub_last][offset + span - 1] = out[offset + span - 1][hub_last] = -1
-        offset += span
-
-    for order in cfg.paths:
-        chain(order - 2, hub_first=0, hub_last=1)
-    for hub in (0, 1):
-        pendants = cfg.pendants_u if hub == 0 else cfg.pendants_v
-        cycles = cfg.cycles_u if hub == 0 else cfg.cycles_v
-        for length in pendants:
-            chain(length, hub_first=hub, last_degree=1)
-        for length in cycles:
-            chain(length - 1, hub_first=hub, hub_last=hub)
-    return IntMatrix(out)
+    pu, nu = _side(cfg.pendants_u, cfg.cycles_u)
+    x = _add(poly_mul((-cfg.hub_degree_u(), 1), pu), nu, -1)
+    if cfg.family == "G1":
+        return x
+    pv, nv = _side(cfg.pendants_v, cfg.cycles_v)
+    y = _add(poly_mul((-cfg.hub_degree_v(), 1), pv), nv, -1)
+    p, n, t = _links(cfg.paths, cfg.hub_edge)
+    cross = _add(poly_mul(x, pv), poly_mul(y, pu))
+    return _add(
+        _add(poly_mul(p, poly_mul(x, y)), poly_mul(n, cross), -1),
+        poly_mul(poly_mul(pu, pv), t),
+    )

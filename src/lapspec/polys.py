@@ -567,7 +567,8 @@ def _squarefree_decomposition(c):
     return out
 
 
-def _mul(a, b):
+def poly_mul(a, b):
+    """Product of two ascending integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -798,7 +799,7 @@ def gap_points(*polys):
     """
     prod = [1]
     for p in polys:
-        prod = _mul(prod, _int_coeffs(p)[1])
+        prod = poly_mul(prod, _int_coeffs(p)[1])
     sf = _square_free_part(prod)
     if len(sf) <= 1:
         return [Fraction(0)]

@@ -183,6 +183,28 @@ def test_bad_input_exits_with_usage_error(capsys, tmp_path):
         assert out == "" and err.startswith("error: "), argv
 
 
+def test_unwritable_out_exits_with_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (
+        ["spectrum", "--builder", "star 6", "--out", missing],
+        ["verify-theorem", "--min", "9", "--max", "9", "--out", missing],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.startswith("error: cannot write "), argv
+
+
+def test_verify_theorem_stats_on_stderr(capsys):
+    _, plain, _ = run(capsys, "verify-theorem", "--min", "9", "--max", "9")
+    code, out, err = run(capsys, "verify-theorem", "--min", "9", "--max", "9", "--stats")
+    assert code == EXIT_OK
+    assert out == plain
+    (line,) = err.splitlines()
+    stats = json.loads(line)
+    assert stats["configs"] == 69 + 484
+    assert set(stats) == {"configs", "chains", "sides", "links", "enumerate_s", "decide_s", "tag_s"}
+
+
 def test_erratum_report_command(capsys):
     code, out, _ = run(capsys, "erratum-report")
     assert code == EXIT_OK

@@ -1,8 +1,9 @@
 """Golden digests of the README's CLI examples.
 
 Each case runs one documented command and compares the sha256 of its
-stdout with a digest recorded from a known-good build, so any change to
-the printed bytes (JSON, JSONL or TSV) fails here.
+stdout (or of the file its --out option writes) with a digest recorded
+from a known-good build, so any change to the printed bytes (JSON, JSONL
+or TSV) fails here.
 """
 
 import hashlib
@@ -56,3 +57,27 @@ def test_readme_example_stdout_is_unchanged(capsys, argv, digest):
     assert main(list(argv)) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+OUT_GOLDEN = [
+    (
+        ["verify-theorem", "--min", "9", "--max", "10"],
+        1823,
+        "0e9d94564e60aab7a5f33bbc3fb68b3a4facabb9f2c61b6428bb5ddd03de20ff",
+    ),
+    (
+        # includes the n < 9 exceptions, and every bipartite field
+        ["verify-theorem", "--min", "5", "--max", "10", "--jobs", "2"],
+        2188,
+        "415ded381444e8d182022d14ab490be132da26fb63c909ac1ac7adae9330f8c1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,lines,digest", OUT_GOLDEN, ids=["9..10", "5..10-jobs2"])
+def test_verdict_stream_file_is_unchanged(capsys, tmp_path, argv, lines, digest):
+    out = tmp_path / "verdicts.jsonl"
+    assert main(list(argv) + ["--out", str(out)]) == EXIT_OK
+    data = out.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -142,6 +142,33 @@ def test_verify_theorem_nine():
     assert TAG_NONE not in integral_tags
 
 
+def test_verdicts_match_dense_path_at_eleven():
+    # every verdict field against realize -> Berkowitz -> split_integer_roots
+    from lapspec import char_poly, is_bipartite, laplacian, split_integer_roots, to_graph6
+
+    summary = verify_theorem(11, 11)
+    assert len(summary.verdicts) == 2768
+    for v in summary.verdicts:
+        cfg = FamilyConfig(*v.config)
+        g = realize(cfg)
+        assert v.config == cfg.key() and v.family == cfg.family and v.n == g.n
+        assert v.graph6 == to_graph6(g)
+        assert v.bipartite == is_bipartite(g)
+        assert v.integral == (len(split_integer_roots(char_poly(laplacian(g)))[1]) <= 1), v
+        assert v.tag == config_tag(cfg)
+
+
+def test_verify_theorem_stats():
+    summary = verify_theorem(9, 9)
+    stats = summary.stats
+    assert stats["configs"] == 69 + 484
+    # pendant lengths 1..6, cycle lengths 3..8, internal path orders 3..8
+    assert stats["chains"] == 6 + 6 + 6
+    assert 0 < stats["sides"] < stats["configs"] and 0 < stats["links"] < stats["configs"]
+    assert all(stats[k] >= 0 for k in ("enumerate_s", "decide_s", "tag_s"))
+    assert verify_theorem(9, 9, jobs=2).stats["sides"] == stats["sides"]
+
+
 def test_verify_theorem_budget():
     with pytest.raises(BudgetExceededError):
         verify_theorem(9, 13)

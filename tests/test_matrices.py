@@ -7,24 +7,37 @@ from lapspec import (
     IntMatrix,
     LAMBDA,
     MPoly,
-    assemble_G2_laplacian,
-    block_diag,
     char_poly,
     det_gauss,
+    enumerate_family,
+    family_char_poly,
     laplacian,
     parse_poly,
-    path_interior_block,
     principal_submatrix,
     realize,
 )
 
 
+def interior_blocks(*sizes):
+    """Block-diagonal matrix of path-interior blocks: 2 on the diagonal,
+    -1 next to it inside each block."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    block = {v: b for b, (s, k) in enumerate(zip(starts, sizes)) for v in range(s, s + k)}
+    n = sum(sizes)
+    return IntMatrix(
+        [
+            [2 if i == j else (-1 if abs(i - j) == 1 and block[i] == block[j] else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
 def test_char_poly_small():
     assert char_poly(IntMatrix([])) == [1]
     assert char_poly(IntMatrix([[2]])) == [-2, 1]
-    assert char_poly(path_interior_block(3)) == [-4, 10, -6, 1]
+    assert char_poly(interior_blocks(3)) == [-4, 10, -6, 1]
     assert char_poly(IntMatrix([[5, -5], [-1, 1]])) == [0, -6, 1]
-    assert MPoly.from_univariate(char_poly(path_interior_block(3))) == parse_poly(
+    assert MPoly.from_univariate(char_poly(interior_blocks(3))) == parse_poly(
         "λ^3 - 6*λ^2 + 10*λ - 4"
     )
     with pytest.raises(ValueError):
@@ -93,37 +106,64 @@ def test_principal_submatrix():
 
 
 def test_block_diag_and_interior_blocks():
-    assert path_interior_block(1) == IntMatrix([[2]])
-    b = block_diag([path_interior_block(2), path_interior_block(2)])
-    assert det_gauss(b) == 9
-    assert det_gauss(path_interior_block(2)) == 3
-    # removing both hub rows of a two-hub Laplacian leaves the link blocks
+    # removing both hub rows of a two-hub Laplacian leaves one
+    # path-interior block per internal path, in declaration order
     cfg = FamilyConfig("G2", hub_edge=True, paths=(3, 5, 7)).normalized()
-    L = assemble_G2_laplacian(cfg)
-    inner = principal_submatrix(L, [0, 1])
-    expect = block_diag([path_interior_block(1), path_interior_block(3), path_interior_block(5)])
-    assert inner == expect
+    inner = principal_submatrix(laplacian(realize(cfg)), [0, 1])
+    assert inner == interior_blocks(1, 3, 5)
+    assert principal_submatrix(inner, [1, 2, 3, 4, 5, 6, 7, 8]) == IntMatrix([[2]])
+    inner = principal_submatrix(laplacian(realize(FamilyConfig("G2", paths=(4, 4, 4)))), [0, 1])
+    assert inner == interior_blocks(2, 2, 2)
+    assert det_gauss(principal_submatrix(inner, [4, 5])) == 9
+    assert det_gauss(principal_submatrix(inner, [2, 3, 4, 5])) == 3
 
 
 def test_assemble_matches_realized_laplacian():
+    # the block-layout polynomial equals Berkowitz on the realized graph
     configs = [
         FamilyConfig("G2", hub_edge=True, paths=(3, 3, 3)),
         FamilyConfig("G2", hub_edge=True, paths=(3, 3, 5), pendants_u=(1, 2), cycles_v=(3,)),
         FamilyConfig("G2", hub_edge=False, paths=(3, 3, 4, 6), pendants_u=(1,), pendants_v=(2,)),
         FamilyConfig("G2", hub_edge=True, paths=(), cycles_u=(3, 4), cycles_v=(3,)),
         FamilyConfig("G2", hub_edge=False, paths=(4, 4, 4)),
+        FamilyConfig("G1", pendants_u=(1, 2, 5), cycles_u=(3, 6)),
     ]
     for cfg in configs:
-        cfg = cfg.normalized()
-        assert assemble_G2_laplacian(cfg) == laplacian(realize(cfg))
+        assert family_char_poly(cfg) == char_poly(laplacian(realize(cfg))), cfg
+    # K_2 ∨ 3K_1 has Laplacian spectrum {0, 2, 2, 5, 5}: λ (λ - 2)^2 (λ - 5)^2
+    assert family_char_poly(FamilyConfig("G2", hub_edge=True, paths=(3, 3, 3))) == [
+        0, 100, -140, 69, -14, 1
+    ]
 
 
 def test_assemble_hub_block():
     # hub block: diagonal carries the max degree, off-diagonal -1 when adjacent
-    L = assemble_G2_laplacian(FamilyConfig("G2", hub_edge=True, paths=(3, 3)))
-    assert L[0, 0] == 3 and L[1, 1] == 3 and L[0, 1] == -1
-    L = assemble_G2_laplacian(FamilyConfig("G2", hub_edge=False, paths=(3, 3, 3)))
-    assert L[0, 0] == 3 and L[0, 1] == 0
+    L = laplacian(realize(FamilyConfig("G2", hub_edge=True, paths=(3, 3))))
+    assert principal_submatrix(L, [2, 3]) == IntMatrix([[3, -1], [-1, 3]])
+    L = laplacian(realize(FamilyConfig("G2", hub_edge=False, paths=(3, 3, 3))))
+    assert principal_submatrix(L, [2, 3, 4]) == IntMatrix([[3, 0], [0, 3]])
+
+
+def test_family_char_poly_equals_berkowitz_up_to_ten():
+    # Berkowitz on the realized Laplacian is the oracle for every member
+    checked = 0
+    for n in range(4, 11):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                assert family_char_poly(cfg) == char_poly(laplacian(realize(cfg))), cfg
+                checked += 1
+    assert checked == 2191
+
+
+def test_family_char_poly_rejects_invalid_configs():
+    for cfg in (
+        FamilyConfig("G1", pendants_u=(1, 1)),
+        FamilyConfig("G1", pendants_u=(1, 1, 1), paths=(3,)),
+        FamilyConfig("G2", paths=(3, 3), cycles_u=(2,)),
+        FamilyConfig("G2", pendants_u=(1, 1), pendants_v=(1, 1)),
+    ):
+        with pytest.raises(ValueError):
+            family_char_poly(cfg)
 
 
 def test_interlacing_as_root_counts_random_principal_submatrices():
