@@ -3,7 +3,8 @@
 Sparse multivariate polynomials (integer or exact-rational coefficients)
 for the symbolic catalog, and one integer univariate kernel on ascending
 coefficient lists: primitive-PRS gcd, exact division by Gauss's lemma,
-square-free decomposition, integer-root extraction with multiplicities,
+square-free decomposition, integer-root extraction with multiplicities
+(candidates bounded by a root bound, not by the size of the constant term),
 Sturm-sequence root counting over half-open rational intervals, and
 bisection refinement of isolating intervals. MPoly input to the public
 root functions is converted to integer coefficients once, at the boundary.
@@ -504,6 +505,27 @@ def _root_bound(c) -> int:
     return 1 + (m + lead - 1) // lead if m else 1
 
 
+def _fujiwara_bound(c) -> int:
+    """Fujiwara's bound (1916), rounded up to a power of two.
+
+    Every complex root has absolute value below the result. Fujiwara bounds
+    the roots by 2·max_k |a_{d-k} / a_d|^(1/k); with q_k the ceiling of the
+    ratio, q_k^(1/k) < 2^ceil(bitlength(q_k) / k), so only integer bit
+    lengths and shifts are needed. By Vieta's formulas
+    |a_{d-k} / a_d| <= C(d, k)·R^k for the largest root modulus R, so the
+    result stays within a factor O(d) of R, whereas the Cauchy bound grows
+    with the largest coefficient (binomially, for a characteristic
+    polynomial); it keeps the candidate search short.
+    """
+    lead = abs(c[-1])
+    d = len(c) - 1
+    e = 0
+    for k in range(1, d + 1):
+        q = -(-abs(c[d - k]) // lead)
+        e = max(e, -(-q.bit_length() // k))
+    return 2 << e
+
+
 def _poly_gcd(a, b):
     """Primitive gcd of integer polynomials, leading coefficient positive.
 
@@ -576,16 +598,18 @@ def poly_mul(a, b):
     return out
 
 
-def _divisors(n: int):
+def _divisors(n: int, limit: int):
+    """Positive divisors of n that are at most limit, ascending.
+
+    Trial division runs to min(limit, isqrt(|n|)), so a small limit keeps
+    the search short however large n is.
+    """
     n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-    if small and small[-1] == large[-1]:
-        large.pop()
-    return small + large[::-1]
+    root = isqrt(n)
+    small = [d for d in range(1, min(limit, root) + 1) if n % d == 0]
+    if limit <= root:
+        return small
+    return small + [n // d for d in reversed(small) if d < n // d <= limit]
 
 
 def _poly_eval_int(c, x: int) -> int:
@@ -620,9 +644,9 @@ def _rational_roots(c):
         roots[Fraction(0)] = k
     if len(c) <= 1:
         return roots, c
-    bound = Fraction(_root_bound(c))
-    nums = _divisors(c[0])
-    dens = _divisors(c[-1])
+    bound = min(_root_bound(c), _fujiwara_bound(c))
+    dens = _divisors(c[-1], abs(c[-1]))
+    nums = _divisors(c[0], bound * abs(c[-1]))
     cands = sorted({Fraction(p, q) for p in nums for q in dens if Fraction(p, q) <= bound})
     for cand in cands:
         for r in (cand, -cand):
@@ -655,9 +679,12 @@ def _isolate_squarefree(c, precision: Fraction):
             if count == 0:
                 continue
             if count == 1:
+                # rest has no rational root, so no dyadic point is a root and
+                # the one simple root in (lo, hi] shows as a change of sign.
+                sign_lo = _sign_at(rest, lo)
                 while hi - lo > precision:
                     mid = (lo + hi) / 2
-                    if _count_halfopen(chain, lo, mid) == 1:
+                    if _sign_at(rest, mid) != sign_lo:
                         hi = mid
                     else:
                         lo = mid
@@ -710,8 +737,10 @@ def split_integer_roots(c):
 
     Returns ({root: multiplicity}, cofactor) by trial division with the
     divisors of the trailing coefficient (after the power of the variable
-    is factored out) below the Cauchy root bound. The polynomial has only
-    integer roots exactly when the cofactor is a constant.
+    is factored out) up to the smaller of the Cauchy and Fujiwara root
+    bounds, so the search is bounded by the size of the roots, not of the
+    trailing coefficient. The polynomial has only integer roots exactly
+    when the cofactor is a constant.
     """
     c = _int_coeffs(c)[1]
     if not c:
@@ -723,9 +752,8 @@ def split_integer_roots(c):
         k += 1
     if k:
         roots[0] = k
-    bound = _root_bound(c)
-    candidates = [d for d in _divisors(c[0]) if d <= bound] if len(c) > 1 else []
-    for d in sorted(candidates):
+    candidates = _divisors(c[0], min(_root_bound(c), _fujiwara_bound(c))) if len(c) > 1 else []
+    for d in candidates:
         for r in (d, -d):
             while len(c) > 1 and _poly_eval_int(c, r) == 0:
                 c = _synthetic_div(c, r)

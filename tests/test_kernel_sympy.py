@@ -14,14 +14,16 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from lapspec import (  # noqa: E402
+    Graph,
     char_poly,
+    complete,
     count_real_roots,
     laplacian,
     signless_laplacian,
     split_integer_roots,
     sturm_count,
 )
-from lapspec.polys import _poly_gcd, _squarefree_decomposition  # noqa: E402
+from lapspec.polys import _fujiwara_bound, _poly_gcd, _squarefree_decomposition  # noqa: E402
 from oracle_helpers import random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -79,13 +81,36 @@ def test_real_root_counts_match_count_roots():
         assert sturm_count(c, a, b) == expected
 
 
+def _dense_char_polys(rng, orders):
+    """sympy Polys of L and Q of K_n and of a random graph with edge density 0.85."""
+    for n in orders:
+        dense = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.85]
+        )
+        for g in (complete(n), dense):
+            for matrix in (laplacian(g), signless_laplacian(g)):
+                yield sympy.Poly(list(reversed(char_poly(matrix))), X)
+
+
 def test_integer_roots_match_sympy_roots():
     rng = random.Random(11985)
-    for _ in range(40):
-        p = _random_poly(rng)
+    polys = [_random_poly(rng) for _ in range(40)]
+    # Characteristic polynomials with constant terms up to 20^19, out of
+    # reach of a search over all divisors of the constant term.
+    polys += list(_dense_char_polys(rng, range(13, 21)))
+    for p in polys:
         roots, residual = split_integer_roots(_coeffs(p))
         assert roots == {int(r): m for r, m in sympy.roots(p, filter="Z").items()}
         assert len(residual) - 1 == p.degree() - sum(roots.values())
+
+
+def test_fujiwara_bound_exceeds_every_real_root():
+    rng = random.Random(1916)
+    polys = [_random_poly(rng) for _ in range(40)]
+    polys += list(_dense_char_polys(rng, (6, 9, 12)))
+    for p in polys:
+        bound = _fujiwara_bound(_coeffs(p))
+        assert all(-bound < r < bound for r in sympy.real_roots(p)), p
 
 
 def test_char_poly_matches_sympy_charpoly():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,8 +12,21 @@ from lapspec import (
     integer_roots,
     isolate_roots,
     parse_poly,
+    poly_mul,
     sign_at,
+    split_integer_roots,
     sturm_count,
+)
+from lapspec.polys import (
+    _count_halfopen,
+    _exact_quotient,
+    _poly_eval_int,
+    _rational_roots,
+    _root_bound,
+    _sign_at,
+    _square_free_part,
+    _sturm_chain,
+    _synthetic_div,
 )
 
 
@@ -89,6 +103,113 @@ def test_root_report_reconstruction_invariant():
             poly = poly * parse_poly("λ^2 + λ + 1")
         rep = integer_roots(poly)
         assert rep.reconstructs()
+
+
+# -- reference implementations ------------------------------------------------
+#
+# The full root searches try every divisor of the trailing coefficient found
+# by trial division up to isqrt(|c0|), kept when below the Cauchy bound. Their
+# cost grows with sqrt(|c0|), so they serve only as oracles for the kernel's
+# search, whose candidates stop at the Fujiwara bound.
+
+
+def _all_divisors(n):
+    n = abs(n)
+    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+
+
+def _strip_zero_roots(c):
+    k = 0
+    while not c[k]:
+        k += 1
+    return k, c[k:]
+
+
+def _full_search_integer_roots(c):
+    k, c = _strip_zero_roots(c)
+    roots = {0: k} if k else {}
+    bound = _root_bound(c)
+    for d in [d for d in _all_divisors(c[0]) if d <= bound]:
+        for r in (d, -d):
+            while len(c) > 1 and _poly_eval_int(c, r) == 0:
+                c = _synthetic_div(c, r)
+                roots[r] = roots.get(r, 0) + 1
+    return roots, c
+
+
+def _full_search_rational_roots(c):
+    k, c = _strip_zero_roots(c)
+    roots = {Fraction(0): k} if k else {}
+    nums, dens, bound = _all_divisors(c[0]), _all_divisors(c[-1]), _root_bound(c)
+    for cand in sorted({Fraction(p, q) for p in nums for q in dens if Fraction(p, q) <= bound}):
+        for r in (cand, -cand):
+            while len(c) > 1 and _sign_at(c, r) == 0:
+                c = _exact_quotient(c, [-r.numerator, r.denominator])
+                roots[r] = roots.get(r, 0) + 1
+    return roots, c
+
+
+def _sturm_bisection(c, precision):
+    """Isolating intervals by Sturm counts alone: every interval is split until
+    it holds one root and is at most precision wide."""
+    rational, rest = _rational_roots(c)
+    intervals = [(r, r) for r in rational]
+    if len(rest) > 1:
+        chain = _sturm_chain(rest)
+        bound = Fraction(_root_bound(rest))
+        work = [(-bound, bound)]
+        while work:
+            lo, hi = work.pop()
+            count = _count_halfopen(chain, lo, hi)
+            if count == 1 and hi - lo <= precision:
+                intervals.append((lo, hi))
+            elif count:
+                mid = (lo + hi) / 2
+                work += [(lo, mid), (mid, hi)]
+    return sorted(intervals, key=lambda iv: (iv[0] + iv[1]) / 2)
+
+
+def _random_factored_poly(rng):
+    """Ascending integer coefficients: a unit times repeated integer roots,
+    non-monic rational factors (q·x - p), a random quadratic, and often one
+    factor with a huge constant term (a huge integer root, or x^2 + K).
+    The huge constant is drawn only up to |c0| <= 10^11, so the full search
+    above stays affordable."""
+    c = [rng.choice([1, -1, 2, -3, 6])]
+    for _ in range(rng.randint(0, 3)):
+        r = rng.randint(-12, 12)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            c = poly_mul(c, [-r, 1])
+    for _ in range(rng.randint(0, 2)):
+        q = rng.randint(2, 5)
+        c = poly_mul(c, [-rng.choice([p for p in range(-7, 8) if p % q]), q])
+    if rng.random() < 0.5:
+        c = poly_mul(c, [rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 3)])
+    c0 = abs(_strip_zero_roots(c)[1][0])
+    if rng.random() < 0.7 and c0 * 10**6 <= 10**11:
+        big = rng.randint(10**6, 10**11 // c0)
+        c = poly_mul(c, rng.choice([[-big, 1], [big, 1], [big, 0, 1]]))
+    return c
+
+
+def test_bounded_root_search_equals_full_search():
+    rng = random.Random(1916)
+    for _ in range(60):
+        c = _random_factored_poly(rng)
+        assert split_integer_roots(c) == _full_search_integer_roots(c), c
+        assert _rational_roots(c) == _full_search_rational_roots(c), c
+
+
+def test_isolation_equals_sturm_bisection():
+    rng = random.Random(1829)
+    for _ in range(40):
+        c = [1]
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 4)
+            c = poly_mul(c, [rng.randint(-20, 20) for _ in range(deg)] + [rng.randint(1, 3)])
+        c = _square_free_part(c)
+        precision = rng.choice([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**20)])
+        assert isolate_roots(c, precision) == _sturm_bisection(c, precision), c
 
 
 def test_sturm_counts():

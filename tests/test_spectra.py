@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from lapspec import (
     spectrum,
     star,
     sturm_count,
+    to_graph6,
     vertex_connectivity,
 )
 from lapspec.polys import sign_at
@@ -103,6 +105,49 @@ def test_integrality_decisions():
     assert is_L_integral(firefly(4, 0, 0))
     # one lone vertex plus a star under a join: integral two-hub member
     assert is_L_integral(join(complete(1), disjoint_union(empty_graph(1), star(7))))
+
+
+def _integer_spectrum_by_scan(coeffs, top):
+    """Integer roots in [0, top] with multiplicity, by evaluating at each integer
+    and deflating; the slow reference for the root search of the kernel."""
+    roots = {}
+    for k in range(top + 1):
+        while len(coeffs) > 1 and sum(a * k**i for i, a in enumerate(coeffs)) == 0:
+            quotient = [0] * (len(coeffs) - 1)
+            carry = 0
+            for i in range(len(coeffs) - 1, 0, -1):
+                carry = coeffs[i] + k * carry
+                quotient[i - 1] = carry
+            coeffs = quotient
+            roots[k] = roots.get(k, 0) + 1
+    return roots
+
+
+def test_dense_graph_decisions_finish_in_bounded_time():
+    # Dense graphs have characteristic polynomials with huge constant terms
+    # (K_20: 20^19 after the factor λ); the root search must not depend on
+    # their size. Every L and Q eigenvalue lies in [0, 2(n - 1)] (Gershgorin),
+    # so scanning those integers gives the reference verdicts.
+    start = time.perf_counter()
+    rng = random.Random(85)
+    graphs = [complete(n) for n in (14, 20, 30, 40)]
+    for n in (14, 18, 22, 26, 30):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.85]
+        graphs.append(Graph.from_edges(n, edges))
+        graphs.append(join(random_cograph(rng, n // 2), random_cograph(rng, n - n // 2)))
+    for g in graphs:
+        for kind, decide, matrix in (
+            ("L", is_L_integral, laplacian(g)),
+            ("Q", is_Q_integral, signless_laplacian(g)),
+        ):
+            expected = _integer_spectrum_by_scan(char_poly(matrix), 2 * (g.n - 1))
+            integral = sum(expected.values()) == g.n
+            assert decide(g) == integral, (to_graph6(g), kind)
+            if kind == "Q":
+                rep = spectrum(g, "Q")
+                assert dict(rep.integer_spectrum) == expected
+                assert rep.is_integral == integral
+    assert time.perf_counter() - start < 20
 
 
 def test_gamma_fixture_shape():
