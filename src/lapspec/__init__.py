@@ -61,6 +61,7 @@ from .polys import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    scaled_value_at,
     sign_at,
     split_integer_roots,
     sturm_count,

@@ -20,7 +20,15 @@ from importlib import resources
 from .graphs import FamilyConfig, realize
 from .matrices import IntMatrix, char_poly
 from .partitions import eigenvalue_containment_check, is_equitable, quotient_matrix
-from .polys import LAMBDA, MPoly, integer_roots, parse_poly, sign_at, sturm_count
+from .polys import (
+    LAMBDA,
+    MPoly,
+    integer_roots,
+    parse_poly,
+    scaled_value_at,
+    sign_at,
+    sturm_count,
+)
 from .spectra import is_L_integral, laplacian, spectrum
 
 #: Locations where the transcription is known to disagree with the
@@ -304,48 +312,75 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
     yield from rec(0, [])
 
 
+def _param_terms(poly: MPoly, params) -> tuple:
+    """(exponents over params, integer coefficient) pairs of poly."""
+    return tuple(poly.with_vars(params).terms.items())
+
+
+def _eval_terms(terms, values) -> int:
+    """Evaluate a term list at integer parameter values, in ints."""
+    total = 0
+    for exps, c in terms:
+        for x, e in zip(values, exps):
+            if e:
+                c *= x**e
+        total += c
+    return total
+
+
 def verify_sign_claims(
     case_id: str, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None
 ) -> dict:
     """Exact sign verification of every cited evaluation point on the grid.
 
-    For claims that come with a printed closed-form value, the evaluation
-    is also checked to equal that expression exactly. Each grid point
-    additionally gets a Sturm certificate of a root strictly inside the
-    claimed interval.
+    The polynomial in Z[s,t][λ] is split once into integer term lists, one
+    per λ-degree, and evaluated in ints at each grid point. A claim point
+    p/r is checked through the integer r^d · f(p/r), which has the sign of
+    f there; a printed closed-form value is checked against it by
+    cross-multiplying with r^d. Each grid point also gets a certificate of
+    a root strictly inside the claimed interval: nonzero opposite signs at
+    its ends, or else a Sturm count.
     """
     case = get_case(case_id)
     poly = computed_symbolic_poly(case_id)
+    lam_terms = [
+        _param_terms(poly.coefficient_in(LAMBDA, k), case.params)
+        for k in range(poly.degree(LAMBDA) + 1)
+    ]
+    d = len(lam_terms) - 1
     lo, hi = case.root_interval
-    claim_exprs = {}
+    claims = []
     for claim in case.sign_claims:
-        if claim.printed_value is not None:
-            claim_exprs[claim.point] = parse_poly(
-                claim.printed_value, variables=case.params
+        expr = None
+        if (
+            claim.printed_value is not None
+            and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
+        ):
+            expr = _param_terms(
+                parse_poly(claim.printed_value, variables=case.params), case.params
             )
+        claims.append((claim, claim.point.denominator**d, expr))
     points_checked = 0
     sign_failures = []
     identity_failures = []
     root_failures = []
     for point in grid_points(case, cap, overrides):
         points_checked += 1
-        inst = poly.substitute(point)
-        for claim in case.sign_claims:
-            value = inst.eval_at({LAMBDA: claim.point})
+        values = [point[name] for name in case.params]
+        coeffs = [_eval_terms(terms, values) for terms in lam_terms]
+        for claim, scale, expr in claims:
+            value = scaled_value_at(coeffs, claim.point)
             if (value > 0) - (value < 0) != claim.sign:
-                sign_failures.append({"point": point, "at": str(claim.point), "value": str(value)})
-            expr = claim_exprs.get(claim.point)
-            if (
-                expr is not None
-                and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
-                and expr.eval_at(point) != value
-            ):
+                sign_failures.append(
+                    {"point": point, "at": str(claim.point), "value": str(Fraction(value, scale))}
+                )
+            if expr is not None and _eval_terms(expr, values) * scale != value:
                 identity_failures.append({"point": point, "at": str(claim.point)})
-        inside = sturm_count(inst, lo, hi, var=LAMBDA)
-        if sign_at(inst, hi) == 0:
-            inside -= 1
-        if inside < 1:
-            root_failures.append({"point": point})
+        sign_hi = sign_at(coeffs, hi)
+        if sign_at(coeffs, lo) * sign_hi >= 0:
+            inside = sturm_count(coeffs, lo, hi) - (sign_hi == 0)
+            if inside < 1:
+                root_failures.append({"point": point})
     return {
         "case": case_id,
         "grid_cap": cap,
@@ -404,10 +439,9 @@ def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
         for t in range(2, cap + 1):
             disc = t * t + 4
             brackets.append(t * t < disc < (t + 1) * (t + 1))
+        quad = parse_poly("λ^2 - (4+t)*λ + 3 + 2*t", variables=(LAMBDA, "t"))
         quad_ok = all(
-            integer_roots(
-                parse_poly("λ^2 - (4+t)*λ + 3 + 2*t", variables=(LAMBDA, "t")).substitute({"t": t})
-            ).integer_roots == ()
+            integer_roots(quad.substitute({"t": t})).integer_roots == ()
             for t in range(2, cap + 1)
         )
         return {
@@ -442,13 +476,13 @@ def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
         target = parse_poly(
             "λ*(λ-2)*(λ-t-3)*(λ^2-(t+5)*λ+2*t+4)", variables=(LAMBDA, "t")
         )
+        quad = parse_poly("λ^2-(t+5)*λ+2*t+4", variables=(LAMBDA, "t"))
         brackets = []
         quad_ok = True
         for t in range(3, cap + 1):
             disc = t * t + 2 * t + 9
             brackets.append((t + 1) ** 2 < disc < (t + 2) ** 2)
-            quad = parse_poly("λ^2-(t+5)*λ+2*t+4", variables=(LAMBDA, "t")).substitute({"t": t})
-            quad_ok = quad_ok and integer_roots(quad).integer_roots == ()
+            quad_ok = quad_ok and integer_roots(quad.substitute({"t": t})).integer_roots == ()
         return {
             "subcase": "iv",
             "printed_instance_ok": inst == printed_s2,

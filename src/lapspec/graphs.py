@@ -235,29 +235,23 @@ def _norm_edge(e):
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
-    Exhaustive cut search at small orders, max-flow (vertex-disjoint path
-    counting) beyond. Disconnected input returns 0; complete graphs n-1.
+    Disconnected input returns 0; complete graphs n-1. Otherwise the
+    minimum, over a few non-adjacent pairs, of the number of internally
+    vertex-disjoint paths (Menger), each found by unit-capacity max flow.
+    A minimum cut has at most deg(a) vertices for a vertex a of least
+    degree, so it misses a or one of a's neighbours b; the cut separates
+    that vertex from some vertex not adjacent to it. The pairs (a, t) and
+    (b, t), t not adjacent, therefore include one the cut separates.
     """
     n = g.n
     if n <= 1 or not is_connected(g):
         return 0
     if g.edge_count == n * (n - 1) // 2:
         return n - 1
-    if n <= 20:
-        for k in range(1, n - 1):
-            for cut in combinations(range(n), k):
-                if len(connected_components(g, cut)) > 1:
-                    return k
-        return n - 1
-    return _connectivity_flow(g)
-
-
-def _connectivity_flow(g: Graph) -> int:
-    best = g.n - 1
-    anchor = min(range(g.n), key=g.degree)
-    targets = [v for v in range(g.n) if v != anchor and v not in g.adj[anchor]]
-    pairs = [(anchor, t) for t in targets]
-    pairs += [(a, b) for a in g.adj[anchor] for b in range(g.n) if b != a and b not in g.adj[a]]
+    best = n - 1
+    anchor = min(range(n), key=g.degree)
+    pairs = [(anchor, t) for t in range(n) if t != anchor and t not in g.adj[anchor]]
+    pairs += [(a, b) for a in g.adj[anchor] for b in range(n) if b != a and b not in g.adj[a]]
     for s, t in pairs:
         best = min(best, _max_vertex_disjoint_paths(g, s, t, best))
     return best

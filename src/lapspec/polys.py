@@ -255,15 +255,22 @@ class MPoly:
     def substitute(self, assignment) -> "MPoly":
         """Substitute exact values for a subset of the variables."""
         keep = tuple(v for v in self.vars if v not in assignment)
+        # int values stay int, so integer polynomials never touch Fraction.
+        values = [
+            None if v not in assignment
+            else assignment[v] if isinstance(assignment[v], int)
+            else _as_fraction(assignment[v])
+            for v in self.vars
+        ]
         out = {}
         for exps, c in self.terms.items():
             val = c
             key = []
-            for v, e in zip(self.vars, exps):
-                if v in assignment:
-                    val = val * _as_fraction(assignment[v]) ** e
-                else:
+            for x, e in zip(values, exps):
+                if x is None:
                     key.append(e)
+                elif e:
+                    val = val * x**e
             key = tuple(key)
             out[key] = out.get(key, 0) + val
         return MPoly(keep, out)
@@ -430,11 +437,10 @@ def _primitive(c):
     return out
 
 
-def _sign_at(c, q: Fraction) -> int:
-    """Exact sign of the polynomial at a rational point.
+def _scaled_value(c, q: Fraction) -> int:
+    """r^d * c(q) for q = p/r in lowest terms and d = len(c) - 1.
 
-    Evaluates the homogenized form sum(c_i * p^i * r^(d-i)) for q = p/r;
-    the positive factor r^d leaves the sign unchanged.
+    Evaluates the homogenized form sum(c_i * p^i * r^(d-i)) in integers.
     """
     if not c:
         return 0
@@ -444,6 +450,13 @@ def _sign_at(c, q: Fraction) -> int:
     for i in range(len(c) - 2, -1, -1):
         rp *= r
         acc = acc * p + c[i] * rp
+    return acc
+
+
+def _sign_at(c, q: Fraction) -> int:
+    """Exact sign of the polynomial at a rational point; the positive
+    factor r^d of the scaled value leaves the sign unchanged."""
+    acc = _scaled_value(c, q)
     return (acc > 0) - (acc < 0)
 
 
@@ -894,6 +907,17 @@ def divides(p: MPoly, q: MPoly, var: str = None):
 def sign_at(p, point) -> int:
     """Exact sign (-1, 0, 1) of a univariate polynomial at a rational point."""
     return _sign_at(_int_coeffs(p)[1], _as_fraction(point))
+
+
+def scaled_value_at(c, point) -> int:
+    """The integer r^d * c(p/r) for point = p/r in lowest terms.
+
+    c is an ascending integer coefficient list and d = len(c) - 1, whether
+    or not the top coefficient is zero. The value of c at the point is the
+    result over r^d, so it has the sign of c there and compares with any
+    rational by cross-multiplying, without building a Fraction.
+    """
+    return _scaled_value(c, _as_fraction(point))
 
 
 def _only_var(*polys) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,18 @@ from lapspec import (
     is_L_integral,
     parse_poly,
     realize,
+    sign_at,
+    sturm_count,
     verify_printed_matrix,
     verify_printed_polynomial,
     verify_sign_claims,
 )
+from lapspec import families
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
+    SIGN_VALUE_TYPO_LEDGER,
+    computed_symbolic_poly,
     excluded_instance_report,
     get_case,
     grid_points,
@@ -111,6 +117,144 @@ def test_sign_claims_small_grid():
         assert report["value_identities_ok"], report
         assert report["root_in_interval_ok"], report
         assert report["points_checked"] > 0
+
+
+def _oracle_sign_claims(case_id, cap, overrides=None):
+    """Oracle: the sign-claim check on MPoly values, substituting each grid
+    point into Z[s,t][λ], evaluating every claim as an exact rational and
+    certifying the root by a Sturm count at every point."""
+    case = get_case(case_id)
+    poly = computed_symbolic_poly(case_id)
+    lo, hi = case.root_interval
+    claim_exprs = {}
+    for claim in case.sign_claims:
+        if claim.printed_value is not None:
+            claim_exprs[claim.point] = parse_poly(claim.printed_value, variables=case.params)
+    points_checked = 0
+    sign_failures = []
+    identity_failures = []
+    root_failures = []
+    for point in grid_points(case, cap, overrides):
+        points_checked += 1
+        inst = poly.substitute(point)
+        for claim in case.sign_claims:
+            value = inst.eval_at({LAMBDA: claim.point})
+            if (value > 0) - (value < 0) != claim.sign:
+                sign_failures.append({"point": point, "at": str(claim.point), "value": str(value)})
+            expr = claim_exprs.get(claim.point)
+            if (
+                expr is not None
+                and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
+                and expr.eval_at(point) != value
+            ):
+                identity_failures.append({"point": point, "at": str(claim.point)})
+        inside = sturm_count(inst, lo, hi, var=LAMBDA)
+        if sign_at(inst, hi) == 0:
+            inside -= 1
+        if inside < 1:
+            root_failures.append({"point": point})
+    return {
+        "case": case_id,
+        "grid_cap": cap,
+        "points_checked": points_checked,
+        "signs_ok": not sign_failures,
+        "value_identities_ok": not identity_failures,
+        "root_in_interval_ok": not root_failures,
+        "sign_failures": sign_failures[:5],
+        "identity_failures": identity_failures[:5],
+        "root_failures": root_failures[:5],
+    }
+
+
+@pytest.fixture
+def sturm_calls(monkeypatch):
+    """Count the Sturm fallbacks of verify_sign_claims."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sturm_count(*args, **kwargs)
+
+    monkeypatch.setattr(families, "sturm_count", counting)
+    return calls
+
+
+def test_sign_claims_equal_the_oracle_on_every_case(sturm_calls):
+    for cid in ALL_CASES:
+        assert verify_sign_claims(cid) == _oracle_sign_claims(cid, 20), cid
+    # Every point of today's catalog is settled by the sign change at the
+    # ends of the claimed interval.
+    assert sturm_calls == []
+
+
+def _mutate(monkeypatch, case_id, **changes):
+    case = dataclasses.replace(get_case(case_id), **changes)
+    monkeypatch.setitem(load_cases(), case_id, case)
+    return case
+
+
+def _claims(case_id, **printed):
+    """The case's claims, with the printed values given here (keyed by the
+    text of the claim point) in place of the transcribed ones."""
+    return tuple(
+        dataclasses.replace(cl, printed_value=printed.get(str(cl.point), cl.printed_value))
+        for cl in get_case(case_id).sign_claims
+    )
+
+
+SIGN, IDENTITY, ROOT = "sign_failures", "identity_failures", "root_failures"
+
+# (case, what is mutated, the change, the failure lists it must fill)
+MUTATIONS = [
+    ("4.4", "signs", None, {SIGN}),
+    ("4.7-c3.1", "signs", None, {SIGN}),
+    # λ = 0 is a root of every quotient: its sign 0 matches no claim
+    ("4.4", "zero", None, {SIGN, IDENTITY}),
+    ("4.6-c1.1", "values", {"3": "-6*s*t-3*t^2+1", "4": "4*(s+2*t)*(15*s+10*t-18)"}, {IDENTITY}),
+    ("4.7-c2.2", "values", {"1/2": "0", "1": "s"}, {IDENTITY}),
+    # the printed value at 1 is ledgered, so only the one at 1/2 can fail
+    ("4.7-c2.1", "values", {"1/2": "-s*t", "1": "t^2"}, {IDENTITY}),
+    ("4.4", "interval", (Fraction(11), Fraction(12)), {ROOT}),
+    ("4.7-c1.2", "interval", (Fraction(7, 3), Fraction(10, 3)), {ROOT}),
+    # a root at the upper end does not count as inside
+    ("4.5", "interval", (Fraction(-1), Fraction(0)), {ROOT}),
+    # a root at the lower end leaves the signs inconclusive; Sturm decides
+    ("4.6-c2.1", "interval", (Fraction(0), Fraction(1)), set()),
+]
+
+
+@pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
+def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, change, failures):
+    claims = get_case(case_id).sign_claims
+    if kind == "signs":
+        _mutate(monkeypatch, case_id, sign_claims=tuple(dataclasses.replace(cl, sign=-cl.sign) for cl in claims))
+    elif kind == "zero":
+        moved = dataclasses.replace(claims[0], point=Fraction(0))
+        _mutate(monkeypatch, case_id, sign_claims=(moved,) + claims[1:])
+    elif kind == "values":
+        _mutate(monkeypatch, case_id, sign_claims=_claims(case_id, **change))
+    else:
+        _mutate(monkeypatch, case_id, root_interval=change)
+    for cap in (6, 20):
+        assert verify_sign_claims(case_id, cap) == _oracle_sign_claims(case_id, cap)
+    report = verify_sign_claims(case_id, 20)
+    assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
+    if case_id == "4.7-c2.1":
+        assert {f["at"] for f in report["identity_failures"]} == {"1/2"}
+
+
+def test_two_roots_between_equal_signs_take_the_sturm_fallback(monkeypatch, sturm_calls):
+    # (1/2, 2) holds two roots of every 4.4 quotient, and the quotient has
+    # the same sign at both ends, so only the Sturm count certifies a root.
+    _mutate(monkeypatch, "4.4", root_interval=(Fraction(1, 2), Fraction(2)))
+    report = verify_sign_claims("4.4")
+    assert report == _oracle_sign_claims("4.4", 20)
+    assert report["root_in_interval_ok"]
+    assert len(sturm_calls) == report["points_checked"] == 19
+    for point in grid_points(get_case("4.4"), 20):
+        inst = computed_symbolic_poly("4.4").substitute(point)
+        assert sign_at(inst, Fraction(1, 2)) == sign_at(inst, 2) != 0
+        assert sturm_count(inst, Fraction(1, 2), 2) == 2
 
 
 def test_grid_respects_constraints():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from lapspec import (
     cartesian_product,
     complete,
     complete_bipartite,
+    connected_components,
     cycle,
     degree_sequence,
     disjoint_union,
@@ -26,7 +28,6 @@ from lapspec import (
     vertex_connectivity,
 )
 from lapspec.graphs import (
-    _connectivity_flow,
     from_adjacency_text,
     to_adjacency_text,
 )
@@ -171,6 +172,24 @@ def test_vertex_connectivity():
     assert vertex_connectivity(complete_bipartite(2, 6)) == 2
     assert vertex_connectivity(complete(5)) == 4
     assert vertex_connectivity(disjoint_union(complete(1), complete(1))) == 0
+    # Every 3-vertex cut of this graph contains vertex 0, its first vertex of
+    # least degree, so only the pairs of 0's neighbours show κ = 3.
+    g = Graph.from_edges(
+        7,
+        [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+         (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)],
+    )
+    assert vertex_connectivity(g) == _exhaustive_connectivity(g) == 3
+
+
+def _exhaustive_connectivity(g):
+    """Oracle: the size of the smallest vertex subset whose removal leaves
+    at least two components, by trying every subset in order of size."""
+    for k in range(1, g.n - 1):
+        for cut in combinations(range(g.n), k):
+            if len(connected_components(g, cut)) > 1:
+                return k
+    return g.n - 1
 
 
 def test_connectivity_flow_agrees_with_exhaustive():
@@ -183,7 +202,7 @@ def test_connectivity_flow_agrees_with_exhaustive():
         if not is_connected(g) or g.edge_count == n * (n - 1) // 2:
             continue
         checked += 1
-        assert vertex_connectivity(g) == _connectivity_flow(g)
+        assert vertex_connectivity(g) == _exhaustive_connectivity(g)
 
 
 def test_graph6_codec():

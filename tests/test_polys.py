@@ -13,6 +13,7 @@ from lapspec import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    scaled_value_at,
     sign_at,
     split_integer_roots,
     sturm_count,
@@ -60,6 +61,23 @@ def test_symbolic_substitution_matches_printed_evaluations():
     )
     assert p.substitute({LAMBDA: 1}) == parse_poly("s^2 - 1")
     assert p.substitute({LAMBDA: 2}) == parse_poly("-4*s")
+    # int values keep int coefficients; rational values agree with them
+    inst = p.substitute({"s": 3})
+    assert all(type(c) is int for c in inst.terms.values())
+    assert inst == p.substitute({"s": Fraction(3)})
+    half = p.substitute({LAMBDA: Fraction(1, 2)})
+    assert half.eval_at({"s": 3}) == inst.eval_at({LAMBDA: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        p.substitute({"s": 0.5})
+
+
+def test_scaled_value_at_is_the_value_times_the_denominator_power():
+    c = [6, -6, 1, 0]  # λ^2 - 6λ + 6 with a zero top coefficient: d = 3
+    for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 2), Fraction(1, 10**6)):
+        value = Fraction(q.denominator**3) * (q * q - 6 * q + 6)
+        assert scaled_value_at(c, q) == value
+        assert sign_at(c, q) == (value > 0) - (value < 0)
+    assert scaled_value_at([], Fraction(1, 3)) == 0
 
 
 def test_integer_roots_examples():
