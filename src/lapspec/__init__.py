@@ -24,8 +24,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     join,
-    max_degree,
-    min_degree,
     path,
     realize,
     star,
@@ -37,7 +35,9 @@ from .matrices import (
     char_poly,
     det_gauss,
     family_char_poly,
+    family_factors,
     principal_submatrix,
+    repeated_factors,
 )
 from .partitions import (
     check_equitable,

@@ -356,8 +356,10 @@ def _entry_json(e):
 def _parse_range(text: str):
     """'2..10' or a single integer; returns an inclusive (lo, hi) pair."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if lo > hi:
+            raise CliError(f"empty parameter range {text!r}")
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -378,15 +380,16 @@ def _case_report(case_id: str, cap: int, overrides: dict | None = None) -> dict:
         doc["closed_forms"] = [
             families.closed_form_root_check(sub, cap=cap) for sub in ("i", "ii", "iii", "iv")
         ]
-    point = next(families.grid_points(families.get_case(case_id), cap, overrides), None)
-    if point is not None:
-        doc["cross_check"] = families.cross_check_with_realization(case_id, **point)
+    point = next(families.grid_points(families.get_case(case_id), cap, overrides))
+    doc["cross_check"] = families.cross_check_with_realization(case_id, **point)
     return doc
 
 
 def cmd_families(args) -> int:
     cfg = RunConfig("families", out=args.out)
     cap = args.grid_cap
+    if cap < 1:
+        raise CliError("--grid-cap must be at least 1")
     overrides = {}
     if args.s:
         overrides["s"] = _parse_range(args.s)
@@ -400,6 +403,10 @@ def cmd_families(args) -> int:
         except KeyError as exc:
             raise CliError(str(exc), code=EXIT_UNKNOWN_CASE) from exc
         ids = [args.case]
+    for cid in ids:
+        # a sign check over no grid point would report signs_ok vacuously
+        if next(families.grid_points(families.get_case(cid), cap, overrides), None) is None:
+            raise CliError(f"case {cid} has no parameter point within --grid-cap and the ranges")
     docs = [_case_report(cid, cap, overrides or None) for cid in ids]
     _emit("\n".join(_dump(d) for d in docs), cfg.out)
     return EXIT_OK

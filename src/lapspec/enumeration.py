@@ -25,7 +25,7 @@ from .graphs import (
     realize,
     to_graph6,
 )
-from .matrices import family_char_poly
+from .matrices import family_factors, repeated_factors
 from .polys import split_integer_roots
 
 DEFAULT_BUDGET = 12
@@ -359,8 +359,23 @@ class ClassificationVerdict:
         }
 
 
-def _is_integral(cfg: FamilyConfig) -> bool:
-    return len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
+def _only_integer_roots(coeffs) -> bool:
+    return len(split_integer_roots(coeffs)[1]) <= 1
+
+
+# one entry per distinct repeated θ: a few dozen at the orders swept
+_integral_theta = lru_cache(maxsize=None)(_only_integer_roots)
+
+
+def _is_integral(cfg: FamilyConfig):
+    """True when the member's Laplacian spectrum is integral, else False,
+    or None when a repeated chain factor θ has a non-integer root, which
+    decides the member with no polynomial built. The polynomial is the
+    equitable quotient of family_factors times the repeated factors, so
+    otherwise the quotient's roots decide."""
+    if not all(_integral_theta(theta) for theta, _ in repeated_factors(cfg)):
+        return None
+    return _only_integer_roots(family_factors(cfg)[1])
 
 
 @dataclass(frozen=True)
@@ -389,8 +404,11 @@ class TheoremSummary:
 
 def _structure_counts(configs) -> dict:
     """Distinct chains (kind, length), hub sides (pendants, cycles) and
-    internal-path sets (paths, hub edge) among the configs; family_char_poly
-    computes and caches one polynomial per side and per path set."""
+    internal-path sets (paths, hub edge) among the configs. family_factors
+    folds each distinct chain kind of a side or path set once, weighted by
+    its count, and caches one fold per side and per path set; the G2
+    products of a u side with its path set sit in a 16-entry LRU, which
+    enumeration order keeps warm while the v side varies."""
     chains, sides, links = set(), set(), set()
     for cfg in configs:
         hub_sides = [(cfg.pendants_u, cfg.cycles_u)]
@@ -413,11 +431,12 @@ def verify_theorem(
     Disagreement means exact integrality and membership in the six listed
     families differ; at nine or more vertices the classification promises
     there are none, below that the exceptions are reported as data.
-    Integrality comes from family_char_poly, no graph is built. The
+    Integrality comes from family_factors, no graph is built. The
     summary's stats hold the number of configs, the distinct chains, hub
-    sides and internal-path sets behind their polynomials, and the seconds
-    of the enumerate, decide and tag stages (the tag stage also assembles
-    the verdicts and the tally).
+    sides and internal-path sets behind their polynomials, the members
+    decided by a repeated chain factor with no polynomial built
+    (repeated_exits), and the seconds of the enumerate, decide and tag
+    stages (the tag stage also assembles the verdicts and the tally).
     """
     budget = configured_budget() if budget is None else budget
     if n_max > budget:
@@ -439,9 +458,10 @@ def verify_theorem(
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            integral = pool.map(_is_integral, configs, chunksize=256)
+            decisions = pool.map(_is_integral, configs, chunksize=256)
     else:
-        integral = [_is_integral(cfg) for cfg in configs]
+        decisions = [_is_integral(cfg) for cfg in configs]
+    integral = [flag is True for flag in decisions]
     t2 = clock()
     verdicts = tuple(
         ClassificationVerdict(
@@ -468,6 +488,7 @@ def verify_theorem(
     stats = {
         "configs": len(configs),
         **_structure_counts(configs),
+        "repeated_exits": decisions.count(None),
         "enumerate_s": round(t1 - t0, 6),
         "decide_s": round(t2 - t1, 6),
         "tag_s": round(t3 - t2, 6),

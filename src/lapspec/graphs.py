@@ -166,14 +166,6 @@ def degree_sequence(g: Graph):
     return tuple(sorted(g.degrees(), reverse=True))
 
 
-def max_degree(g: Graph) -> int:
-    return max(g.degrees(), default=0)
-
-
-def min_degree(g: Graph) -> int:
-    return min(g.degrees(), default=0)
-
-
 def connected_components(g: Graph, removed=frozenset()):
     """Sorted vertex lists of the components of g without the removed vertices."""
     seen = set(removed)

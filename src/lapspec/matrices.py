@@ -3,14 +3,16 @@
 The characteristic polynomial is computed by the Berkowitz scheme, which
 is division-free and therefore valid verbatim over polynomial rings such
 as Z[s,t]; an independent exact-fraction Gaussian determinant is provided
-as a cross-oracle. Both serve as oracles for family_char_poly, which
-reads the characteristic polynomial of a one- or two-hub family member off
-its block layout (a hub block plus one tridiagonal block per attached
-chain) without building a matrix.
+as a cross-oracle. Both serve as oracles for family_factors and
+family_char_poly, which read the characteristic polynomial of a one- or
+two-hub family member off its block layout (a hub block plus one
+tridiagonal block per attached chain) without building a matrix, the
+first as an equitable quotient polynomial times repeated chain factors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -173,8 +175,15 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # det(λI - L) = ∏ θ_chain · det(S), S the Schur complement on the hubs. The
 # entries of S need only the end entries of each (λI - T_chain)^-1, which are
 # continuants over θ_chain, so everything below is integer polynomial
-# arithmetic on ascending coefficient lists. One hub side or one set of
-# internal paths recurs in many members, so their polynomials are cached.
+# arithmetic on ascending coefficient lists.
+#
+# c equal chains on one hub (or c equal internal paths) enter S as c times
+# one chain's share, so each distinct chain kind is folded once, weighted by
+# its count. What comes out is the characteristic polynomial of the quotient
+# by the equitable partition that merges the c copies position by position
+# (Haemers, Linear Algebra Appl. 226-228, 1995); the full polynomial is that
+# quotient times θ^(c-1) for every kind with c >= 2. One hub side or one set
+# of internal paths recurs in many members, so their folds are cached.
 
 
 def _add(a, b, scale=1):
@@ -203,76 +212,134 @@ def _continuants(k, last):
     return cur, old, older
 
 
+def _kinds(lengths):
+    """(length, count) for each distinct length, ascending."""
+    return sorted(Counter(lengths).items())
+
+
 @lru_cache(maxsize=4096)
 def _side(pendants, cycles):
-    """(P, N) of the chains hanging from one hub: P = ∏ θ_i and
-    N / P = Σ M_i / θ_i, the hub's share of the Schur complement.
+    """(P, N, repeated) of the chains hanging from one hub: P = ∏ θ_i and
+    N / P = Σ c_i M_i / θ_i over the distinct chain kinds i, c_i copies
+    each, the hub's share of the quotient's Schur complement; repeated
+    holds (θ_i, c_i - 1) for each kind with c_i >= 2.
 
     A pendant path on k vertices has M = t_{k-1}. A cycle through the hub
     has k = length - 1 further vertices with both ends on the hub, so M is
     the sum of both end entries and twice the corner: 2 t_{k-1} + 2 (-1)^(k+1).
     """
-    chains = [_continuants(length, 1)[:2] for length in pendants]
-    for length in cycles:
+    kinds = [(_continuants(length, 1)[:2], c) for length, c in _kinds(pendants)]
+    for length, c in _kinds(cycles):
         theta, minor, _ = _continuants(length - 1, 2)
-        chains.append((theta, [2 * x for x in _add(minor, (1,), (-1) ** length)]))
+        kinds.append(((theta, [2 * x for x in _add(minor, (1,), (-1) ** length)]), c))
     p, n = (1,), ()
-    for theta, m in chains:
-        p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m))
-    return tuple(p), tuple(n)
+    for (theta, m), c in kinds:
+        p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m), c)
+    repeated = tuple((theta, c - 1) for (theta, _), c in kinds if c > 1)
+    return tuple(p), tuple(n), repeated
 
 
 @lru_cache(maxsize=4096)
 def _links(paths, hub_edge):
-    """(P, N, T) of the internal paths joining the two hubs.
+    """(P, N, T, repeated) of the internal paths joining the two hubs, each
+    distinct path order i folded once with its count c_i.
 
-    P = ∏ θ_i; N / P = Σ t_{k_i - 1} / θ_i is each hub's share of the Schur
-    complement (the same at u and at v, a path being symmetric), and
-    U / P = Σ (-1)^(k_i + 1) / θ_i is the paths' part of the off-diagonal
+    P = ∏ θ_i; N / P = Σ c_i t_{k_i - 1} / θ_i is each hub's share of the
+    Schur complement (the same at u and at v, a path being symmetric), and
+    U / P = Σ c_i (-1)^(k_i + 1) / θ_i is the paths' part of the off-diagonal
     entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
-    in one path keeps D = (N² - U²) / P exact as θ D + 2 (N m - U c) + P e,
-    because m² - c² = θ e (Cassini's identity for continuants), with
-    m = t_{k-1}, c = (-1)^(k+1) and e = t_{k-2}.
+    in one kind keeps D = (N² - U²) / P exact as θ D + 2c (N m - U s) + c² P e,
+    because m² - s² = θ e (Cassini's identity for continuants), with
+    m = t_{k-1}, s = (-1)^(k+1) and e = t_{k-2}. repeated holds (θ_i, c_i - 1)
+    for each order with c_i >= 2.
     """
     p, n, u, d = (1,), (), (), ()
-    for order in paths:
+    repeated = []
+    for order, c in _kinds(paths):
         theta, m, e = _continuants(order - 2, 2)
-        c = (-((-1) ** order),)
+        s = (-((-1) ** order),)
         p, n, u, d = (
             poly_mul(p, theta),
-            _add(poly_mul(n, theta), poly_mul(p, m)),
-            _add(poly_mul(u, theta), poly_mul(p, c)),
+            _add(poly_mul(n, theta), poly_mul(p, m), c),
+            _add(poly_mul(u, theta), poly_mul(p, s), c),
             _add(
-                _add(poly_mul(d, theta), poly_mul(p, e)),
-                _add(poly_mul(n, m), poly_mul(u, c), -1),
-                2,
+                _add(poly_mul(d, theta), poly_mul(p, e), c * c),
+                _add(poly_mul(n, m), poly_mul(u, s), -1),
+                2 * c,
             ),
         )
+        if c > 1:
+            repeated.append((theta, c - 1))
     if hub_edge:
         d = _add(_add(d, u, 2), p, -1)
-    return tuple(p), tuple(n), tuple(d)
+    return tuple(p), tuple(n), tuple(d), tuple(repeated)
+
+
+def _hub(p, n, degree):
+    """(λ - degree) P - N: the hub's Schur complement entry times P."""
+    return _add(poly_mul((-degree, 1), p), n, -1)
+
+
+@lru_cache(maxsize=16)
+def _u_and_links(pendants_u, cycles_u, degree_u, paths, hub_edge):
+    """(A, B) = (P X - N P_u, N X - P_u T) of the u side and the internal
+    paths, so that the G2 quotient is Y A - P_v B. Enumeration keeps u and
+    the paths fixed while the v side varies, so a few entries suffice."""
+    pu, nu, _ = _side(pendants_u, cycles_u)
+    p, n, t, _ = _links(paths, hub_edge)
+    x = _hub(pu, nu, degree_u)
+    return (
+        _add(poly_mul(p, x), poly_mul(n, pu), -1),
+        _add(poly_mul(n, x), poly_mul(pu, t), -1),
+    )
+
+
+def repeated_factors(cfg: FamilyConfig) -> tuple:
+    """(θ, exponent) for each chain kind that occurs c >= 2 times on one hub
+    side or among the internal paths, with exponent c - 1: the factors of
+    det(λI - L) beyond its equitable quotient (see family_factors). θ is
+    the chain's continuant, an ascending coefficient tuple."""
+    cfg.validate()
+    repeated = _side(cfg.pendants_u, cfg.cycles_u)[2]
+    if cfg.family == "G2":
+        repeated += _side(cfg.pendants_v, cfg.cycles_v)[2]
+        repeated += _links(cfg.paths, cfg.hub_edge)[3]
+    return repeated
+
+
+def family_factors(cfg: FamilyConfig) -> tuple:
+    """(repeated_factors(cfg), quotient), the quotient an ascending
+    coefficient list, with det(λI - L) = quotient · ∏ θ^exponent over the
+    repeated factors.
+
+    The quotient is the monic characteristic polynomial of the quotient
+    matrix of L by the equitable partition with the hubs as singletons and
+    one cell per chain kind and position along the chain. With
+    X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub sides
+    and P, N, T from the internal paths (see _side and _links): G1 gives X,
+    and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B (see
+    _u_and_links), which is (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N,
+    B' = Y P - P_v N and C' = hub_edge · P - U multiplied out.
+    """
+    repeated = repeated_factors(cfg)
+    if cfg.family == "G1":
+        pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
+        return repeated, _hub(pu, nu, cfg.hub_degree_u())
+    pv, nv, _ = _side(cfg.pendants_v, cfg.cycles_v)
+    a, b = _u_and_links(
+        cfg.pendants_u, cfg.cycles_u, cfg.hub_degree_u(), cfg.paths, cfg.hub_edge
+    )
+    y = _hub(pv, nv, cfg.hub_degree_v())
+    return repeated, _add(poly_mul(y, a), poly_mul(pv, b), -1)
 
 
 def family_char_poly(cfg: FamilyConfig) -> list:
-    """Ascending coefficients of det(λI - L) of a G1/G2 member, no matrix built.
-
-    With X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub
-    sides and P, N, T from the internal paths (see _side and _links):
-    G1 gives X, and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T, which is
-    (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
-    C' = hub_edge · P - U multiplied out. Equal to char_poly(laplacian(
+    """Ascending coefficients of det(λI - L) of a G1/G2 member, no matrix
+    built: the product of family_factors(cfg). Equal to char_poly(laplacian(
     realize(cfg))), which the tests use as its oracle.
     """
-    cfg.validate()
-    pu, nu = _side(cfg.pendants_u, cfg.cycles_u)
-    x = _add(poly_mul((-cfg.hub_degree_u(), 1), pu), nu, -1)
-    if cfg.family == "G1":
-        return x
-    pv, nv = _side(cfg.pendants_v, cfg.cycles_v)
-    y = _add(poly_mul((-cfg.hub_degree_v(), 1), pv), nv, -1)
-    p, n, t = _links(cfg.paths, cfg.hub_edge)
-    cross = _add(poly_mul(x, pv), poly_mul(y, pu))
-    return _add(
-        _add(poly_mul(p, poly_mul(x, y)), poly_mul(n, cross), -1),
-        poly_mul(poly_mul(pu, pv), t),
-    )
+    repeated, out = family_factors(cfg)
+    for theta, exponent in repeated:
+        for _ in range(exponent):
+            out = poly_mul(out, theta)
+    return out

@@ -168,6 +168,26 @@ def test_families_command_with_parameter_range(capsys):
     assert doc["sign_claims"]["points_checked"] == 3
 
 
+def test_families_rejects_an_empty_grid(capsys):
+    # a sign check over no grid point would report signs_ok vacuously
+    for argv in (
+        ["--case", "4.4", "--grid-cap", "-1"],
+        ["--case", "4.4", "--grid-cap", "0"],
+        ["--case", "all", "--grid-cap", "0"],
+        ["--case", "4.4", "--s", "5..2"],
+        ["--case", "4.6-c1.1", "--t", "3..1"],
+        ["--case", "4.4", "--grid-cap", "1"],  # 4.4 needs s >= 2
+        ["--case", "4.4", "--s", "30..40"],
+        ["--case", "all", "--grid-cap", "2"],  # 4.6-c2.2 needs s >= 3
+    ):
+        code, out, err = run(capsys, "families", *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
+    code, out, _ = run(capsys, "families", "--case", "4.4", "--grid-cap", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["sign_claims"]["points_checked"] == 1
+
+
 def test_bad_precision_rejected(capsys):
     code, _, err = run(capsys, "spectrum", "--builder", "K 2", "--precision", "0")
     assert code != EXIT_OK
@@ -202,7 +222,10 @@ def test_verify_theorem_stats_on_stderr(capsys):
     (line,) = err.splitlines()
     stats = json.loads(line)
     assert stats["configs"] == 69 + 484
-    assert set(stats) == {"configs", "chains", "sides", "links", "enumerate_s", "decide_s", "tag_s"}
+    assert set(stats) == {
+        "configs", "chains", "sides", "links", "repeated_exits", "enumerate_s", "decide_s", "tag_s"
+    }
+    assert 0 < stats["repeated_exits"] < stats["configs"]
 
 
 def test_erratum_report_command(capsys):

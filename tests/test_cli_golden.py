@@ -7,6 +7,8 @@ or TSV) fails here.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +83,17 @@ def test_verdict_stream_file_is_unchanged(capsys, tmp_path, argv, lines, digest)
     data = out.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_headline_sweep_stdout_matches_the_benchmark_golden(capsys, jobs):
+    # the paper's headline range, 10,422 members; the benchmark checks the
+    # same digest, but CI does not run the benchmark
+    argv = ["verify-theorem", "--min", "9", "--max", "12"]
+    digest = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["responses"][" ".join(argv)]
+    assert main(argv + ["--jobs", jobs]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

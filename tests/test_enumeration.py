@@ -158,15 +158,47 @@ def test_verdicts_match_dense_path_at_eleven():
         assert v.tag == config_tag(cfg)
 
 
+def has_non_integral_repeated_factor(cfg):
+    from lapspec import repeated_factors, split_integer_roots
+
+    return any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg))
+
+
 def test_verify_theorem_stats():
     summary = verify_theorem(9, 9)
     stats = summary.stats
+    assert set(stats) == {
+        "configs", "chains", "sides", "links", "repeated_exits", "enumerate_s", "decide_s", "tag_s"
+    }
     assert stats["configs"] == 69 + 484
     # pendant lengths 1..6, cycle lengths 3..8, internal path orders 3..8
     assert stats["chains"] == 6 + 6 + 6
     assert 0 < stats["sides"] < stats["configs"] and 0 < stats["links"] < stats["configs"]
+    exits = sum(has_non_integral_repeated_factor(FamilyConfig(*v.config)) for v in summary.verdicts)
+    assert 0 < exits == stats["repeated_exits"]
     assert all(stats[k] >= 0 for k in ("enumerate_s", "decide_s", "tag_s"))
-    assert verify_theorem(9, 9, jobs=2).stats["sides"] == stats["sides"]
+    parallel = verify_theorem(9, 9, jobs=2).stats
+    assert (parallel["sides"], parallel["repeated_exits"]) == (stats["sides"], exits)
+
+
+def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen():
+    # oracle: integer roots of the whole det(λI - L), with no early exit
+    from lapspec import family_char_poly, split_integer_roots
+    from lapspec.enumeration import _is_integral
+
+    counts = [0, 0, 0]  # members, integral, decided by a repeated factor
+    for n in range(9, 14):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                full = len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
+                flag = _is_integral(cfg)
+                assert bool(flag) == full, cfg
+                exit_early = has_non_integral_repeated_factor(cfg)
+                assert (flag is None) == exit_early, cfg
+                counts[0] += 1
+                counts[1] += full
+                counts[2] += exit_early
+    assert counts[0] == 10422 + 11837 and 0 < counts[1] and 1294 < counts[2] < counts[0]
 
 
 def test_verify_theorem_budget():

@@ -11,10 +11,14 @@ from lapspec import (
     det_gauss,
     enumerate_family,
     family_char_poly,
+    family_factors,
     laplacian,
     parse_poly,
     principal_submatrix,
+    quotient_matrix,
     realize,
+    repeated_factors,
+    split_integer_roots,
 )
 
 
@@ -155,6 +159,76 @@ def test_family_char_poly_equals_berkowitz_up_to_ten():
     assert checked == 2191
 
 
+def chain_kind_cells(cfg):
+    """The hubs as singletons plus one cell per (chain kind, position) under
+    realize's labelling: hubs first, then the internal paths in ascending
+    order, then the pendants and cycles of u, then of v, each chain's
+    vertices consecutive from the end next to its (first) hub."""
+    cfg = cfg.normalized()
+    hubs = 1 if cfg.family == "G1" else 2
+    cells = [[h] for h in range(hubs)]
+    nxt = hubs
+    groups = [
+        [o - 2 for o in cfg.paths],
+        list(cfg.pendants_u),
+        [c - 1 for c in cfg.cycles_u],
+        list(cfg.pendants_v),
+        [c - 1 for c in cfg.cycles_v],
+    ]
+    for sizes in groups:
+        for size in sorted(set(sizes)):
+            starts = []
+            for _ in range(sizes.count(size)):
+                starts.append(nxt)
+                nxt += size
+            cells.extend([s + j for s in starts] for j in range(size))
+    assert nxt == cfg.vertex_count()
+    return cells
+
+
+def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
+    # independent oracle: Berkowitz on the quotient matrix of the realized
+    # Laplacian by the (chain kind, position) partition
+    checked = repeated = 0
+    for n in range(4, 11):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                factors, quotient = family_factors(cfg)
+                cells = chain_kind_cells(cfg)
+                assert quotient == char_poly(quotient_matrix(laplacian(realize(cfg)), cells)), cfg
+                assert len(quotient) == len(cells) + 1 and quotient[-1] == 1
+                assert factors == repeated_factors(cfg)
+                assert sum(e * (len(t) - 1) for t, e in factors) == n - len(cells)
+                checked += 1
+                repeated += bool(factors)
+    assert checked == 2191 and 0 < repeated < checked
+
+
+def chain_theta(kind, length):
+    """θ of one chain: Berkowitz on its block of a realized Laplacian, with
+    its copy's vertices located by realize's labelling (see chain_kind_cells)."""
+    if kind == "pendant":
+        cfg, start, size = FamilyConfig("G1", pendants_u=(length, length, length)), 1, length
+    elif kind == "cycle":
+        cfg, start, size = FamilyConfig("G1", cycles_u=(length, length)), 1, length - 1
+    else:
+        cfg, start, size = FamilyConfig("G2", True, (length, length)), 2, length - 2
+    L = laplacian(realize(cfg))
+    block = principal_submatrix(L, [v for v in range(L.rows) if not start <= v < start + size])
+    theta = tuple(char_poly(block))
+    assert (theta, 2 if kind == "pendant" else 1) in repeated_factors(cfg)
+    return theta
+
+
+def test_integral_chain_kinds_up_to_sixteen():
+    kinds = [("pendant", k) for k in range(1, 17)]
+    kinds += [("cycle", k) for k in range(3, 17)] + [("path", k) for k in range(3, 17)]
+    integral = {
+        kind for kind in kinds if len(split_integer_roots(chain_theta(*kind))[1]) <= 1
+    }
+    assert integral == {("pendant", 1), ("cycle", 3), ("path", 3), ("path", 4)}
+
+
 def test_family_char_poly_rejects_invalid_configs():
     for cfg in (
         FamilyConfig("G1", pendants_u=(1, 1)),
@@ -162,8 +236,9 @@ def test_family_char_poly_rejects_invalid_configs():
         FamilyConfig("G2", paths=(3, 3), cycles_u=(2,)),
         FamilyConfig("G2", pendants_u=(1, 1), pendants_v=(1, 1)),
     ):
-        with pytest.raises(ValueError):
-            family_char_poly(cfg)
+        for fn in (family_char_poly, family_factors, repeated_factors):
+            with pytest.raises(ValueError):
+                fn(cfg)
 
 
 def test_interlacing_as_root_counts_random_principal_submatrices():
