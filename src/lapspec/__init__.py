@@ -36,6 +36,7 @@ from .matrices import (
     det_gauss,
     family_char_poly,
     family_factors,
+    path_quotient,
     principal_submatrix,
     repeated_factors,
 )

@@ -318,7 +318,7 @@ def cmd_quotient(args) -> int:
         "graph6": graphs.to_graph6(g),
         "kind": args.kind,
         "partition": partitions.format_partition(cells),
-        "quotient": [[_entry_json(e) for e in row] for row in quotient.entries],
+        "quotient": [list(row) for row in quotient.entries],
         "quotient_char_poly": MPoly.from_univariate(char_poly(quotient)).to_text(),
         "divides": True,
         "cofactor": cofactor.to_text(),
@@ -341,16 +341,12 @@ def cmd_refine(args) -> int:
         "seed": partitions.format_partition(seed),
         "partition": partitions.format_partition(refined),
         "cells": len(refined),
-        "quotient": [[_entry_json(e) for e in row] for row in quotient.entries],
+        "quotient": [list(row) for row in quotient.entries],
         "divides": True,
         "cofactor": cofactor.to_text(),
     }
     _emit(_dump(doc), cfg.out)
     return EXIT_OK
-
-
-def _entry_json(e):
-    return e.to_text() if isinstance(e, MPoly) else e
 
 
 def _parse_range(text: str):
@@ -403,6 +399,9 @@ def cmd_families(args) -> int:
         except KeyError as exc:
             raise CliError(str(exc), code=EXIT_UNKNOWN_CASE) from exc
         ids = [args.case]
+    for name in overrides:
+        if not any(name in families.get_case(cid).params for cid in ids):
+            raise CliError(f"--{name} is not a parameter of case {args.case}")
     for cid in ids:
         # a sign check over no grid point would report signs_ok vacuously
         if next(families.grid_points(families.get_case(cid), cap, overrides), None) is None:

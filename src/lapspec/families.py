@@ -2,11 +2,13 @@
 
 Each catalog case fixes a hub adjacency flag and a multiset of internal
 path orders with symbolic counts (s, t). The quotient matrix over the
-position-pooled partition is generated structurally; the source text's
-printed matrix and characteristic polynomial are transcribed verbatim in
-the data file and diffed against the generated/computed ones, so any
-misprint shows up as data rather than being silently corrected. Two
-misprints are pre-registered; everything else must diff empty.
+position-pooled partition is generated structurally, and its polynomial
+in Z[s,t][λ] comes from the sweep's internal-path fold
+(matrices.path_quotient); the source text's printed matrix and
+characteristic polynomial are transcribed verbatim in the data file and
+diffed against the generated/computed ones, so any misprint shows up as
+data rather than being silently corrected. Two misprints are
+pre-registered; everything else must diff empty.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .graphs import FamilyConfig, realize
-from .matrices import IntMatrix, char_poly
+from .matrices import IntMatrix, path_quotient
 from .partitions import eigenvalue_containment_check, is_equitable, quotient_matrix
 from .polys import (
     LAMBDA,
@@ -158,9 +160,7 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
     for order in orders:
         base[order] = dim
         dim += order - 2
-    hub_degree = (1 if case.hub_edge else 0) + sum(
-        (counts[o] for o in counts), MPoly.zero(case.params) if symbolic else 0
-    )
+    hub_degree = int(case.hub_edge) + sum(counts.values())
     m = [[0] * dim for _ in range(dim)]
     m[0][0] = hub_degree
     m[1][1] = hub_degree
@@ -223,7 +223,11 @@ def position_pooled_partition(cfg: FamilyConfig):
 
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
-    return MPoly.from_univariate(char_poly(build_quotient(case_id, symbolic=True)))
+    """The case's quotient polynomial in Z[s,t][λ]: the structural fold of
+    matrices.path_quotient at the symbolic counts, no matrix built."""
+    case = get_case(case_id)
+    counts = _resolve_counts(case, {}, symbolic=True)
+    return MPoly.from_univariate(path_quotient(counts.items(), case.hub_edge))
 
 
 def verify_printed_polynomial(case_id: str) -> dict:

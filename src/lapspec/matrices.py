@@ -1,13 +1,16 @@
-"""Dense matrices over a commutative ring (integers or polynomials).
+"""Dense matrices and the structural polynomials of the two families.
 
-The characteristic polynomial is computed by the Berkowitz scheme, which
-is division-free and therefore valid verbatim over polynomial rings such
-as Z[s,t]; an independent exact-fraction Gaussian determinant is provided
-as a cross-oracle. Both serve as oracles for family_factors and
-family_char_poly, which read the characteristic polynomial of a one- or
-two-hub family member off its block layout (a hub block plus one
-tridiagonal block per attached chain) without building a matrix, the
-first as an equitable quotient polynomial times repeated chain factors.
+The characteristic polynomial of a dense matrix is computed by the
+Berkowitz scheme, which is division-free, with an exact-fraction
+Gaussian determinant as a cross-oracle. Both are the oracles of
+family_factors and family_char_poly, which read the characteristic
+polynomial of a one- or two-hub family member off its block layout (a hub
+block plus one tridiagonal block per attached chain) without building a
+matrix, the first as an equitable quotient polynomial times repeated
+chain factors. path_quotient gives the same quotient for members with
+internal paths only, with counts that may be MPoly values: the catalog's
+polynomials in Z[s,t][λ] come from it, and Berkowitz over Z[s,t] is kept
+only as their test oracle.
 """
 
 from __future__ import annotations
@@ -33,19 +36,6 @@ class IntMatrix:
         self.cols = len(entries[0]) if entries else 0
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -66,26 +56,6 @@ class IntMatrix:
 
     def trace(self):
         return sum(self.entries[i][i] for i in range(self.rows))
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            cols = list(zip(*other.entries))
-            return IntMatrix(
-                [[_dot(row, col) for col in cols] for row in self.entries]
-            )
-        return IntMatrix([[a * other for a in row] for row in self.entries])
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -239,10 +209,9 @@ def _side(pendants, cycles):
     return tuple(p), tuple(n), repeated
 
 
-@lru_cache(maxsize=4096)
-def _links(paths, hub_edge):
-    """(P, N, T, repeated) of the internal paths joining the two hubs, each
-    distinct path order i folded once with its count c_i.
+def _fold_links(kinds, hub_edge):
+    """(P, N, T) of the internal paths joining the two hubs, folding each
+    (order, count) pair of kinds once; a count is an int or an MPoly.
 
     P = ∏ θ_i; N / P = Σ c_i t_{k_i - 1} / θ_i is each hub's share of the
     Schur complement (the same at u and at v, a path being symmetric), and
@@ -250,12 +219,10 @@ def _links(paths, hub_edge):
     entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
     in one kind keeps D = (N² - U²) / P exact as θ D + 2c (N m - U s) + c² P e,
     because m² - s² = θ e (Cassini's identity for continuants), with
-    m = t_{k-1}, s = (-1)^(k+1) and e = t_{k-2}. repeated holds (θ_i, c_i - 1)
-    for each order with c_i >= 2.
+    m = t_{k-1}, s = (-1)^(k+1) and e = t_{k-2}.
     """
     p, n, u, d = (1,), (), (), ()
-    repeated = []
-    for order, c in _kinds(paths):
+    for order, c in kinds:
         theta, m, e = _continuants(order - 2, 2)
         s = (-((-1) ** order),)
         p, n, u, d = (
@@ -268,11 +235,19 @@ def _links(paths, hub_edge):
                 2 * c,
             ),
         )
-        if c > 1:
-            repeated.append((theta, c - 1))
     if hub_edge:
         d = _add(_add(d, u, 2), p, -1)
-    return tuple(p), tuple(n), tuple(d), tuple(repeated)
+    return p, n, d
+
+
+@lru_cache(maxsize=4096)
+def _links(paths, hub_edge):
+    """(P, N, T, repeated) of _fold_links at the concrete counts of paths;
+    repeated holds (θ_i, c_i - 1) for each order with c_i >= 2."""
+    kinds = _kinds(paths)
+    p, n, t = _fold_links(kinds, hub_edge)
+    repeated = tuple((_continuants(order - 2, 2)[0], c - 1) for order, c in kinds if c > 1)
+    return tuple(p), tuple(n), tuple(t), repeated
 
 
 def _hub(p, n, degree):
@@ -343,3 +318,19 @@ def family_char_poly(cfg: FamilyConfig) -> list:
         for _ in range(exponent):
             out = poly_mul(out, theta)
     return out
+
+
+def path_quotient(counts, hub_edge) -> list:
+    """Ascending coefficients of the equitable quotient polynomial of a G2
+    member whose hubs carry only internal paths, c_i paths of each order i.
+
+    counts holds (order, c_i) pairs; each c_i is an int or an MPoly, so
+    symbolic counts give the polynomial in Z[s,t][λ]. With X = λ - d for
+    the hub degree d = hub_edge + Σ c_i and P, N, T from the paths (see
+    _fold_links), it is P X² - 2 N X + T, family_factors' quotient with
+    empty hub sides. Every order's θ divides P, also where c_i = 0.
+    """
+    counts = tuple(counts)
+    p, n, t = _fold_links(counts, hub_edge)
+    x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)
+    return _add(poly_mul(x, _add(poly_mul(p, x), n, -2)), t)

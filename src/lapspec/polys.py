@@ -105,8 +105,9 @@ class MPoly:
 
     # -- inspection ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        # nonzero test, so coefficient-list helpers trim MPoly zeros like 0
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -895,7 +896,7 @@ def _divmod_q(a, b):
 
 def divides(p: MPoly, q: MPoly, var: str = None):
     """Exact divisibility over the rationals; returns (flag, quotient)."""
-    if p.is_zero():
+    if not p:
         raise ValueError("division by the zero polynomial")
     var = var or _only_var(p, q)
     quo, rem = _divmod_q(q.univariate_coeffs(var), p.univariate_coeffs(var))

@@ -188,6 +188,20 @@ def test_families_rejects_an_empty_grid(capsys):
     assert json.loads(out)["sign_claims"]["points_checked"] == 1
 
 
+def test_families_rejects_a_parameter_no_selected_case_has(capsys):
+    # 4.4 and 4.5 have only s: a --t range there would be silently ignored
+    for argv in (["--case", "4.4", "--t", "1..3"], ["--case", "4.5", "--s", "2", "--t", "1"]):
+        code, out, err = run(capsys, "families", *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.startswith("error: --t ") and len(err.splitlines()) == 1, argv
+    # some cases of "all" have t, so the range narrows those
+    code, out, _ = run(capsys, "families", "--case", "all", "--t", "1..3", "--grid-cap", "3")
+    assert code == EXIT_OK
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert docs[0]["case"] == "4.4" and docs[0]["sign_claims"]["points_checked"] == 2
+    assert docs[2]["case"] == "4.6-c1.1" and docs[2]["sign_claims"]["points_checked"] == 9
+
+
 def test_bad_precision_rejected(capsys):
     code, _, err = run(capsys, "spectrum", "--builder", "K 2", "--precision", "0")
     assert code != EXIT_OK

@@ -88,12 +88,23 @@ def test_verdict_stream_file_is_unchanged(capsys, tmp_path, argv, lines, digest)
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
+def _bench_digest(argv):
+    return json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["responses"][" ".join(argv)]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_headline_sweep_stdout_matches_the_benchmark_golden(capsys, jobs):
     # the paper's headline range, 10,422 members; the benchmark checks the
     # same digest, but CI does not run the benchmark
     argv = ["verify-theorem", "--min", "9", "--max", "12"]
-    digest = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["responses"][" ".join(argv)]
     assert main(argv + ["--jobs", jobs]) == EXIT_OK
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _bench_digest(argv)
+
+
+def test_catalog_stdout_matches_the_benchmark_golden(capsys):
+    # all twelve catalog cases at grid cap 20, the benchmark's catalog workload
+    argv = ["families", "--case", "all"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _bench_digest(argv)

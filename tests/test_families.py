@@ -14,6 +14,7 @@ from lapspec import (
     closed_form_root_check,
     cross_check_with_realization,
     erratum_entries,
+    family_factors,
     is_L_integral,
     parse_poly,
     realize,
@@ -87,6 +88,23 @@ def test_symbolic_matches_concrete_instantiation():
                 e = sym.entries[i][j]
                 e = e.eval_at(values) if isinstance(e, MPoly) else e
                 assert e == conc.entries[i][j]
+
+
+def test_symbolic_poly_equals_berkowitz_oracle_and_the_sweep_fold():
+    # Oracle: Berkowitz over Z[s,t] on the symbolic quotient matrix. And at
+    # concrete counts the catalog polynomial is the sweep's quotient of the
+    # same member, every path order present.
+    points = 0
+    for cid in ALL_CASES:
+        poly = computed_symbolic_poly(cid)
+        assert poly == MPoly.from_univariate(char_poly(build_quotient(cid, symbolic=True))), cid
+        for point in grid_points(get_case(cid), cap=6):
+            if min(point.values()) < 1:
+                continue
+            _, quotient = family_factors(case_config(cid, **point))
+            assert poly.substitute(point).univariate_coeffs() == quotient, (cid, point)
+            points += 1
+    assert points == 296  # 5 + 5 + 6 + 4 + 24 + 7 * 36
 
 
 def test_printed_polynomials_verify_except_ledgered_typo():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,8 @@ from lapspec import (
     family_factors,
     laplacian,
     parse_poly,
+    path_quotient,
+    poly_mul,
     principal_submatrix,
     quotient_matrix,
     realize,
@@ -202,6 +205,19 @@ def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
                 checked += 1
                 repeated += bool(factors)
     assert checked == 2191 and 0 < repeated < checked
+
+
+def test_path_quotient_over_symbolic_and_absent_counts():
+    s = MPoly.var("s", ("s",))
+    # K_2 joined with s isolated vertices: Laplacian quotient λ (λ - s - 2)^2
+    assert MPoly.from_univariate(path_quotient([(3, s)], True)) == parse_poly(
+        "λ*(λ - s - 2)^2", variables=(LAMBDA, "s")
+    )
+    # an order with count 0 still contributes its θ, here λ - 2 for order 3
+    for paths, hub_edge in (((4, 4, 4), False), ((4, 5, 5), True)):
+        _, quotient = family_factors(FamilyConfig("G2", hub_edge, paths))
+        counts = [(3, 0)] + sorted(Counter(paths).items())
+        assert path_quotient(counts, hub_edge) == poly_mul((-2, 1), quotient)
 
 
 def chain_theta(kind, length):

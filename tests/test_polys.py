@@ -39,6 +39,7 @@ def test_ring_arithmetic_basics():
     x = lam()
     assert (x - 1) * (x - 1) == parse_poly("λ^2 - 2*λ + 1")
     assert (x + 2) ** 3 == parse_poly("λ^3 + 6*λ^2 + 12*λ + 8")
+    assert x and x - 0 and not x - x and not MPoly.zero(("s",)) and MPoly.const(-1)
     p = parse_poly("λ^2 - 6*λ + 6")
     assert p.eval_at({LAMBDA: 1}) == 1
     assert p.eval_at({LAMBDA: Fraction(1, 2)}) == Fraction(13, 4)
