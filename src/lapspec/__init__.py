@@ -38,6 +38,7 @@ from .matrices import (
     family_factors,
     path_quotient,
     principal_submatrix,
+    quotient_sign_change,
     repeated_factors,
 )
 from .partitions import (
@@ -62,6 +63,7 @@ from .polys import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    poly_value,
     scaled_value_at,
     sign_at,
     split_integer_roots,

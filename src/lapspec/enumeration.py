@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 
 from .graphs import (
@@ -25,7 +26,7 @@ from .graphs import (
     realize,
     to_graph6,
 )
-from .matrices import family_factors, repeated_factors
+from .matrices import family_factors, quotient_sign_change, repeated_factors
 from .polys import split_integer_roots
 
 DEFAULT_BUDGET = 12
@@ -38,7 +39,12 @@ class BudgetExceededError(ValueError):
 
 def configured_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 # -- structural enumeration ---------------------------------------------------
@@ -367,14 +373,27 @@ def _only_integer_roots(coeffs) -> bool:
 _integral_theta = lru_cache(maxsize=None)(_only_integer_roots)
 
 
+class SignExit(Enum):
+    """_is_integral's verdict on a member whose quotient changes sign
+    between two consecutive integers: falsy like False, counted apart."""
+
+    SIGN_CHANGE = "sign change"
+
+    def __bool__(self):
+        return False
+
+
 def _is_integral(cfg: FamilyConfig):
-    """True when the member's Laplacian spectrum is integral, else False,
-    or None when a repeated chain factor θ has a non-integer root, which
-    decides the member with no polynomial built. The polynomial is the
-    equitable quotient of family_factors times the repeated factors, so
-    otherwise the quotient's roots decide."""
+    """True when the member's Laplacian spectrum is integral, else falsy:
+    None when a repeated chain factor θ has a non-integer root,
+    SignExit.SIGN_CHANGE when the equitable quotient of family_factors has
+    one between two consecutive integers (quotient_sign_change), both with
+    no polynomial built, and False when the quotient's integer-root test
+    decides. The polynomial is the quotient times the repeated factors."""
     if not all(_integral_theta(theta) for theta, _ in repeated_factors(cfg)):
         return None
+    if quotient_sign_change(cfg) is not None:
+        return SignExit.SIGN_CHANGE
     return _only_integer_roots(family_factors(cfg)[1])
 
 
@@ -406,9 +425,8 @@ def _structure_counts(configs) -> dict:
     """Distinct chains (kind, length), hub sides (pendants, cycles) and
     internal-path sets (paths, hub edge) among the configs. family_factors
     folds each distinct chain kind of a side or path set once, weighted by
-    its count, and caches one fold per side and per path set; the G2
-    products of a u side with its path set sit in a 16-entry LRU, which
-    enumeration order keeps warm while the v side varies."""
+    its count, and caches one fold per side and per path set;
+    quotient_sign_change evaluates those cached folds at integers."""
     chains, sides, links = set(), set(), set()
     for cfg in configs:
         hub_sides = [(cfg.pendants_u, cfg.cycles_u)]
@@ -431,12 +449,14 @@ def verify_theorem(
     Disagreement means exact integrality and membership in the six listed
     families differ; at nine or more vertices the classification promises
     there are none, below that the exceptions are reported as data.
-    Integrality comes from family_factors, no graph is built. The
-    summary's stats hold the number of configs, the distinct chains, hub
-    sides and internal-path sets behind their polynomials, the members
-    decided by a repeated chain factor with no polynomial built
-    (repeated_exits), and the seconds of the enumerate, decide and tag
-    stages (the tag stage also assembles the verdicts and the tally).
+    Integrality comes from the cached side and link folds of
+    family_factors, no graph is built. The summary's stats hold the number
+    of configs, the distinct chains, hub sides and internal-path sets
+    behind those folds, the members decided with no polynomial built by a
+    repeated chain factor (repeated_exits) or by a sign change of the
+    quotient between consecutive integers (sign_exits), and the seconds of
+    the enumerate, decide and tag stages (the tag stage also assembles the
+    verdicts and the tally).
     """
     budget = configured_budget() if budget is None else budget
     if n_max > budget:
@@ -489,6 +509,7 @@ def verify_theorem(
         "configs": len(configs),
         **_structure_counts(configs),
         "repeated_exits": decisions.count(None),
+        "sign_exits": decisions.count(SignExit.SIGN_CHANGE),
         "enumerate_s": round(t1 - t0, 6),
         "decide_s": round(t2 - t1, 6),
         "tag_s": round(t3 - t2, 6),

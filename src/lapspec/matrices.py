@@ -7,10 +7,12 @@ family_factors and family_char_poly, which read the characteristic
 polynomial of a one- or two-hub family member off its block layout (a hub
 block plus one tridiagonal block per attached chain) without building a
 matrix, the first as an equitable quotient polynomial times repeated
-chain factors. path_quotient gives the same quotient for members with
-internal paths only, with counts that may be MPoly values: the catalog's
-polynomials in Z[s,t][λ] come from it, and Berkowitz over Z[s,t] is kept
-only as their test oracle.
+chain factors. quotient_sign_change evaluates that quotient at
+consecutive integers from the cached folds, and a sign change certifies a
+non-integer eigenvalue with no polynomial built. path_quotient gives the
+same quotient for members with internal paths only, with counts that may
+be MPoly values: the catalog's polynomials in Z[s,t][λ] come from it, and
+Berkowitz over Z[s,t] is kept only as their test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import FamilyConfig
-from .polys import poly_mul
+from .polys import poly_mul, poly_value
 
 
 class IntMatrix:
@@ -255,20 +257,6 @@ def _hub(p, n, degree):
     return _add(poly_mul((-degree, 1), p), n, -1)
 
 
-@lru_cache(maxsize=16)
-def _u_and_links(pendants_u, cycles_u, degree_u, paths, hub_edge):
-    """(A, B) = (P X - N P_u, N X - P_u T) of the u side and the internal
-    paths, so that the G2 quotient is Y A - P_v B. Enumeration keeps u and
-    the paths fixed while the v side varies, so a few entries suffice."""
-    pu, nu, _ = _side(pendants_u, cycles_u)
-    p, n, t, _ = _links(paths, hub_edge)
-    x = _hub(pu, nu, degree_u)
-    return (
-        _add(poly_mul(p, x), poly_mul(n, pu), -1),
-        _add(poly_mul(n, x), poly_mul(pu, t), -1),
-    )
-
-
 def repeated_factors(cfg: FamilyConfig) -> tuple:
     """(θ, exponent) for each chain kind that occurs c >= 2 times on one hub
     side or among the internal paths, with exponent c - 1: the factors of
@@ -292,20 +280,66 @@ def family_factors(cfg: FamilyConfig) -> tuple:
     one cell per chain kind and position along the chain. With
     X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub sides
     and P, N, T from the internal paths (see _side and _links): G1 gives X,
-    and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B (see
-    _u_and_links), which is (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N,
-    B' = Y P - P_v N and C' = hub_edge · P - U multiplied out.
+    and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B with
+    A = P X - N P_u and B = N X - P_u T, which is (A'B' - P_u P_v C'^2) / P
+    with A' = X P - P_u N, B' = Y P - P_v N and C' = hub_edge · P - U
+    multiplied out.
     """
     repeated = repeated_factors(cfg)
+    pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
+    x = _hub(pu, nu, cfg.hub_degree_u())
     if cfg.family == "G1":
-        pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
-        return repeated, _hub(pu, nu, cfg.hub_degree_u())
+        return repeated, x
     pv, nv, _ = _side(cfg.pendants_v, cfg.cycles_v)
-    a, b = _u_and_links(
-        cfg.pendants_u, cfg.cycles_u, cfg.hub_degree_u(), cfg.paths, cfg.hub_edge
-    )
+    p, n, t, _ = _links(cfg.paths, cfg.hub_edge)
     y = _hub(pv, nv, cfg.hub_degree_v())
+    a = _add(poly_mul(p, x), poly_mul(n, pu), -1)
+    b = _add(poly_mul(n, x), poly_mul(pu, t), -1)
     return repeated, _add(poly_mul(y, a), poly_mul(pv, b), -1)
+
+
+def _quotient_at(cfg: FamilyConfig):
+    """The function k -> Q(k) in ints, Q the quotient of family_factors,
+    combining the values at k of the member's cached side and link
+    polynomials as family_factors combines the polynomials: X for G1,
+    Y A - P_v B for G2. No coefficient list is multiplied."""
+    pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
+    du = cfg.hub_degree_u()
+    if cfg.family == "G1":
+        return lambda k: (k - du) * poly_value(pu, k) - poly_value(nu, k)
+    pv, nv, _ = _side(cfg.pendants_v, cfg.cycles_v)
+    p, n, t, _ = _links(cfg.paths, cfg.hub_edge)
+    dv = cfg.hub_degree_v()
+
+    def quotient(k):
+        pu_k, pv_k = poly_value(pu, k), poly_value(pv, k)
+        p_k, n_k = poly_value(p, k), poly_value(n, k)
+        x = (k - du) * pu_k - poly_value(nu, k)
+        y = (k - dv) * pv_k - poly_value(nv, k)
+        return y * (p_k * x - n_k * pu_k) - pv_k * (n_k * x - pu_k * poly_value(t, k))
+
+    return quotient
+
+
+def quotient_sign_change(cfg: FamilyConfig):
+    """The first k in 1..n-1 at which the quotient Q of family_factors
+    takes nonzero values of opposite sign at k and k + 1, or None.
+
+    Q's roots are Laplacian eigenvalues (Q is the characteristic
+    polynomial of an equitable quotient), so such a k certifies one in the
+    open interval (k, k + 1), a non-integer one. A zero Q(k) is an integer
+    root, and no comparison spans it. The scan evaluates Q at 1, 2, ...
+    in ints, stops at the first sign change and builds no polynomial.
+    """
+    cfg.validate()
+    quotient = _quotient_at(cfg)
+    last = 0
+    for k in range(1, cfg.vertex_count() + 1):
+        q = quotient(k)
+        if q and last and (q < 0) != (last < 0):
+            return k - 1
+        last = q
+    return None
 
 
 def family_char_poly(cfg: FamilyConfig) -> list:

@@ -626,7 +626,8 @@ def _divisors(n: int, limit: int):
     return small + [n // d for d in reversed(small) if d < n // d <= limit]
 
 
-def _poly_eval_int(c, x: int) -> int:
+def poly_value(c, x: int) -> int:
+    """c(x) for ascending integer coefficients c and an integer x (Horner)."""
     acc = 0
     for a in reversed(c):
         acc = acc * x + a
@@ -769,7 +770,7 @@ def split_integer_roots(c):
     candidates = _divisors(c[0], min(_root_bound(c), _fujiwara_bound(c))) if len(c) > 1 else []
     for d in candidates:
         for r in (d, -d):
-            while len(c) > 1 and _poly_eval_int(c, r) == 0:
+            while len(c) > 1 and poly_value(c, r) == 0:
                 c = _synthetic_div(c, r)
                 roots[r] = roots.get(r, 0) + 1
     return roots, c

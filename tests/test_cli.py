@@ -145,6 +145,17 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert configured_budget() == 13
 
 
+def test_non_integer_budget_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("LAPSPEC_BUDGET", "abc")
+    for argv in (
+        ["verify-theorem", "--min", "9", "--max", "10"],
+        ["enumerate", "--family", "G1", "--n", "5"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err == "error: LAPSPEC_BUDGET must be an integer, got 'abc'\n", argv
+
+
 def test_families_command(capsys):
     code, out, _ = run(capsys, "families", "--case", "4.4", "--grid-cap", "4")
     assert code == EXIT_OK
@@ -237,9 +248,14 @@ def test_verify_theorem_stats_on_stderr(capsys):
     stats = json.loads(line)
     assert stats["configs"] == 69 + 484
     assert set(stats) == {
-        "configs", "chains", "sides", "links", "repeated_exits", "enumerate_s", "decide_s", "tag_s"
+        "configs", "chains", "sides", "links", "repeated_exits", "sign_exits",
+        "enumerate_s", "decide_s", "tag_s",
     }
     assert 0 < stats["repeated_exits"] < stats["configs"]
+    assert 0 < stats["sign_exits"] < stats["configs"] - stats["repeated_exits"]
+    # the members left to the root search are the integral ones and a few more
+    integral = sum(int(row.split("\t")[3]) for row in plain.splitlines()[1:3])
+    assert integral < stats["configs"] - stats["repeated_exits"] - stats["sign_exits"]
 
 
 def test_erratum_report_command(capsys):

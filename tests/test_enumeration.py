@@ -164,21 +164,38 @@ def has_non_integral_repeated_factor(cfg):
     return any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg))
 
 
+def has_quotient_sign_change(cfg):
+    # oracle: signs of the multiplied-out quotient at consecutive integers
+    from lapspec import family_factors, sign_at
+
+    quotient = family_factors(cfg)[1]
+    n = cfg.vertex_count()
+    return any(sign_at(quotient, k) * sign_at(quotient, k + 1) < 0 for k in range(1, n))
+
+
 def test_verify_theorem_stats():
     summary = verify_theorem(9, 9)
     stats = summary.stats
     assert set(stats) == {
-        "configs", "chains", "sides", "links", "repeated_exits", "enumerate_s", "decide_s", "tag_s"
+        "configs", "chains", "sides", "links", "repeated_exits", "sign_exits",
+        "enumerate_s", "decide_s", "tag_s",
     }
     assert stats["configs"] == 69 + 484
     # pendant lengths 1..6, cycle lengths 3..8, internal path orders 3..8
     assert stats["chains"] == 6 + 6 + 6
     assert 0 < stats["sides"] < stats["configs"] and 0 < stats["links"] < stats["configs"]
-    exits = sum(has_non_integral_repeated_factor(FamilyConfig(*v.config)) for v in summary.verdicts)
+    configs = [FamilyConfig(*v.config) for v in summary.verdicts]
+    exits = sum(has_non_integral_repeated_factor(cfg) for cfg in configs)
     assert 0 < exits == stats["repeated_exits"]
+    signs = sum(
+        has_quotient_sign_change(cfg) for cfg in configs if not has_non_integral_repeated_factor(cfg)
+    )
+    assert 0 < signs == stats["sign_exits"] < stats["configs"] - exits
     assert all(stats[k] >= 0 for k in ("enumerate_s", "decide_s", "tag_s"))
     parallel = verify_theorem(9, 9, jobs=2).stats
-    assert (parallel["sides"], parallel["repeated_exits"]) == (stats["sides"], exits)
+    assert (parallel["sides"], parallel["repeated_exits"], parallel["sign_exits"]) == (
+        stats["sides"], exits, signs
+    )
 
 
 def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen():

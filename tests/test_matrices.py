@@ -19,9 +19,12 @@ from lapspec import (
     poly_mul,
     principal_submatrix,
     quotient_matrix,
+    quotient_sign_change,
     realize,
     repeated_factors,
+    sign_at,
     split_integer_roots,
+    sturm_count,
 )
 
 
@@ -207,6 +210,64 @@ def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
     assert checked == 2191 and 0 < repeated < checked
 
 
+def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
+    # the sign scan's Q(k) from cached side and link values, against the
+    # value of family_factors' coefficient list at every k in 0..n
+    from lapspec.matrices import _quotient_at
+
+    checked = 0
+    for n in range(4, 11):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                quotient, at = family_factors(cfg)[1], _quotient_at(cfg)
+                for k in range(n + 1):
+                    assert at(k) == sum(c * k**i for i, c in enumerate(quotient)), (cfg, k)
+                checked += 1
+    assert checked == 2191
+
+
+def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
+    # oracle: signs of the multiplied-out quotient and its Sturm count
+    members = decided = 0
+    for n in range(9, 12):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                quotient = family_factors(cfg)[1]
+                signs = [sign_at(quotient, k) for k in range(1, n + 1)]
+                changes = [k for k in range(1, n) if signs[k - 1] * signs[k] < 0]
+                k = quotient_sign_change(cfg)
+                assert k == (changes[0] if changes else None), cfg
+                if k is not None:
+                    assert sturm_count(quotient, k, k + 1) >= 1, cfg
+                    decided += 1
+                members += 1
+    assert members == 553 + 1270 + 2768 and 0 < decided < members
+
+
+def test_sign_scan_restarts_after_an_integer_root():
+    # K_{2,n-2}: the quotient is λ (λ - n + 2) (λ - n), so it takes opposite
+    # signs at n - 3 and n - 1, around a root of odd multiplicity
+    for n in range(6, 13):
+        cfg = FamilyConfig("G2", False, (3,) * (n - 2))
+        quotient = family_factors(cfg)[1]
+        assert split_integer_roots(quotient) == ({0: 1, n - 2: 1, n: 1}, [1])
+        assert sign_at(quotient, n - 3) * sign_at(quotient, n - 1) < 0
+        assert quotient_sign_change(cfg) is None
+    # no member with an integral quotient is rejected, 62 of the 68 at 9..11
+    # with an odd-multiplicity integer root strictly between 1 and n
+    integral = odd_inside = 0
+    for n in range(9, 12):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                roots, rest = split_integer_roots(family_factors(cfg)[1])
+                if len(rest) > 1:
+                    continue
+                assert quotient_sign_change(cfg) is None, cfg
+                integral += 1
+                odd_inside += any(m % 2 and 1 < r < n for r, m in roots.items())
+    assert (integral, odd_inside) == (68, 62)
+
+
 def test_path_quotient_over_symbolic_and_absent_counts():
     s = MPoly.var("s", ("s",))
     # K_2 joined with s isolated vertices: Laplacian quotient λ (λ - s - 2)^2
@@ -252,7 +313,7 @@ def test_family_char_poly_rejects_invalid_configs():
         FamilyConfig("G2", paths=(3, 3), cycles_u=(2,)),
         FamilyConfig("G2", pendants_u=(1, 1), pendants_v=(1, 1)),
     ):
-        for fn in (family_char_poly, family_factors, repeated_factors):
+        for fn in (family_char_poly, family_factors, repeated_factors, quotient_sign_change):
             with pytest.raises(ValueError):
                 fn(cfg)
 

@@ -13,6 +13,7 @@ from lapspec import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    poly_value,
     scaled_value_at,
     sign_at,
     split_integer_roots,
@@ -21,7 +22,6 @@ from lapspec import (
 from lapspec.polys import (
     _count_halfopen,
     _exact_quotient,
-    _poly_eval_int,
     _rational_roots,
     _root_bound,
     _sign_at,
@@ -150,7 +150,7 @@ def _full_search_integer_roots(c):
     bound = _root_bound(c)
     for d in [d for d in _all_divisors(c[0]) if d <= bound]:
         for r in (d, -d):
-            while len(c) > 1 and _poly_eval_int(c, r) == 0:
+            while len(c) > 1 and poly_value(c, r) == 0:
                 c = _synthetic_div(c, r)
                 roots[r] = roots.get(r, 0) + 1
     return roots, c
