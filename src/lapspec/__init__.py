@@ -56,7 +56,6 @@ from .polys import (
     MPoly,
     RootCounter,
     RootReport,
-    count_real_roots,
     divides,
     gap_points,
     integer_roots,

@@ -22,12 +22,11 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enumeration, families, graphs, partitions, spectra
 from .matrices import char_poly
-from .polys import DEFAULT_PRECISION, MPoly
+from .polys import MPoly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,6 +46,18 @@ class CliError(Exception):
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9-]*|\d+|[(),=])")
 
 _SHORTHAND = re.compile(r"^([KPC])(\d+)$")
+
+# builder config keys -> FamilyConfig fields; g2 also takes the flag hub-edge
+_CONFIG_FIELDS = {
+    "g1": {"pendants": "pendants_u", "cycles": "cycles_u"},
+    "g2": {
+        "path-orders": "paths",
+        "pendants-u": "pendants_u",
+        "cycles-u": "cycles_u",
+        "pendants-v": "pendants_v",
+        "cycles-v": "cycles_v",
+    },
+}
 
 
 def _lex(text: str):
@@ -102,26 +113,18 @@ def parse_builder(text: str) -> graphs.Graph:
                 kv[key] = take_int_list()
             else:
                 flags.add(key)
-        if family == "g1":
-            cfg = graphs.FamilyConfig(
-                "G1",
-                pendants_u=tuple(kv.pop("pendants", ())),
-                cycles_u=tuple(kv.pop("cycles", ())),
-            )
-        else:
-            cfg = graphs.FamilyConfig(
-                "G2",
+        fields = _CONFIG_FIELDS[family]
+        known_flags = {"hub-edge"} if family == "g2" else set()
+        unknown = sorted(kv.keys() - fields) + sorted(flags - known_flags)
+        if unknown:
+            raise CliError(f"unknown config fields: {unknown}")
+        return graphs.realize(
+            graphs.FamilyConfig(
+                family.upper(),
                 hub_edge="hub-edge" in flags,
-                paths=tuple(kv.pop("path-orders", ())),
-                pendants_u=tuple(kv.pop("pendants-u", ())),
-                cycles_u=tuple(kv.pop("cycles-u", ())),
-                pendants_v=tuple(kv.pop("pendants-v", ())),
-                cycles_v=tuple(kv.pop("cycles-v", ())),
+                **{fields[key]: tuple(values) for key, values in kv.items()},
             )
-            flags.discard("hub-edge")
-        if kv or flags:
-            raise CliError(f"unknown config fields: {sorted(kv) + sorted(flags)}")
-        return graphs.realize(cfg)
+        )
 
     def parse_args_list():
         out = []
@@ -188,31 +191,6 @@ def parse_builder(text: str) -> graphs.Graph:
     return g
 
 
-# -- run configuration ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    precision: Fraction = DEFAULT_PRECISION
-    n_max: int | None = None
-    jobs: int = 1
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.precision <= 0:
-            raise CliError("precision must be positive")
-        budget = enumeration.configured_budget()
-        if self.n_max is not None and self.n_max > budget:
-            raise CliError(
-                f"n_max={self.n_max} exceeds the budget {budget} "
-                f"(set {enumeration.BUDGET_ENV} to raise it)",
-                code=EXIT_BUDGET,
-            )
-        if self.jobs < 1:
-            raise CliError("jobs must be at least 1")
-
-
 def _graphs_from_args(args):
     sources = [s for s in (args.g6, args.builder, args.file) if s]
     if len(sources) != 1:
@@ -263,18 +241,18 @@ def cmd_spectrum(args) -> int:
         precision = Fraction(args.precision)
     except ZeroDivisionError as exc:
         raise CliError(f"invalid precision {args.precision!r}: zero denominator") from exc
-    cfg = RunConfig("spectrum", precision=precision, out=args.out)
+    if precision <= 0:
+        raise CliError("precision must be positive")
     reports = [
-        spectra.spectrum(g, args.kind, precision=cfg.precision).to_json_dict()
+        spectra.spectrum(g, args.kind, precision=precision).to_json_dict()
         for g in _graphs_from_args(args)
     ]
     text = "\n".join(_dump(r) for r in reports)
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    cfg = RunConfig("classify", out=args.out)
     out = []
     for g in _graphs_from_args(args):
         member = graphs.family_membership(g)
@@ -293,7 +271,7 @@ def cmd_classify(args) -> int:
             doc["algebraic_connectivity"] = spectra.algebraic_connectivity(g).to_json()
             doc["vertex_connectivity"] = graphs.vertex_connectivity(g)
         out.append(doc)
-    _emit("\n".join(_dump(d) for d in out), cfg.out)
+    _emit("\n".join(_dump(d) for d in out), args.out)
     return EXIT_OK
 
 
@@ -305,7 +283,6 @@ def _partition_or_die(text, n):
 
 
 def cmd_quotient(args) -> int:
-    cfg = RunConfig("quotient", out=args.out)
     (g,) = _graphs_from_args(args)
     cells = _partition_or_die(args.partition, g.n)
     matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
@@ -323,12 +300,11 @@ def cmd_quotient(args) -> int:
         "divides": True,
         "cofactor": cofactor.to_text(),
     }
-    _emit(_dump(doc), cfg.out)
+    _emit(_dump(doc), args.out)
     return EXIT_OK
 
 
 def cmd_refine(args) -> int:
-    cfg = RunConfig("refine", out=args.out)
     (g,) = _graphs_from_args(args)
     seed = _partition_or_die(args.partition, g.n)
     matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
@@ -345,7 +321,7 @@ def cmd_refine(args) -> int:
         "divides": True,
         "cofactor": cofactor.to_text(),
     }
-    _emit(_dump(doc), cfg.out)
+    _emit(_dump(doc), args.out)
     return EXIT_OK
 
 
@@ -382,7 +358,6 @@ def _case_report(case_id: str, cap: int, overrides: dict | None = None) -> dict:
 
 
 def cmd_families(args) -> int:
-    cfg = RunConfig("families", out=args.out)
     cap = args.grid_cap
     if cap < 1:
         raise CliError("--grid-cap must be at least 1")
@@ -407,12 +382,12 @@ def cmd_families(args) -> int:
         if next(families.grid_points(families.get_case(cid), cap, overrides), None) is None:
             raise CliError(f"case {cid} has no parameter point within --grid-cap and the ranges")
     docs = [_case_report(cid, cap, overrides or None) for cid in ids]
-    _emit("\n".join(_dump(d) for d in docs), cfg.out)
+    _emit("\n".join(_dump(d) for d in docs), args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    cfg = RunConfig("enumerate", n_max=args.n, out=args.out)
+    enumeration.check_budget(args.n)
     lines = []
     for config in enumeration.enumerate_family(args.family, args.n):
         g = graphs.realize(config)
@@ -431,18 +406,16 @@ def cmd_enumerate(args) -> int:
                 }
             )
         )
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
 def cmd_verify_theorem(args) -> int:
-    cfg = RunConfig("verify-theorem", n_max=args.max, jobs=args.jobs, out=args.out)
-    try:
-        summary = enumeration.verify_theorem(args.min, args.max, jobs=cfg.jobs)
-    except enumeration.BudgetExceededError as exc:
-        raise CliError(str(exc), code=EXIT_BUDGET) from exc
-    if cfg.out:
-        _write_file(cfg.out, "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts) + "\n")
+    if args.jobs < 1:
+        raise CliError("jobs must be at least 1")
+    summary = enumeration.verify_theorem(args.min, args.max, jobs=args.jobs)
+    if args.out:
+        _write_file(args.out, "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts) + "\n")
     if args.stats:
         print(_dump(summary.stats), file=sys.stderr)
     sys.stdout.write(summary.to_tsv() + "\n")
@@ -455,8 +428,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_erratum_report(args) -> int:
-    cfg = RunConfig("erratum-report", out=args.out)
-    _emit("\n".join(_dump(e) for e in families.erratum_entries()), cfg.out)
+    _emit("\n".join(_dump(e) for e in families.erratum_entries()), args.out)
     return EXIT_OK
 
 
@@ -538,6 +510,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except enumeration.BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,6 +47,16 @@ def configured_budget() -> int:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
+def check_budget(n_max: int, budget: int | None = None) -> None:
+    """Raise BudgetExceededError when n_max exceeds the budget, by default
+    the configured one."""
+    budget = configured_budget() if budget is None else budget
+    if n_max > budget:
+        raise BudgetExceededError(
+            f"n_max={n_max} exceeds the budget {budget} (set {BUDGET_ENV} to raise it)"
+        )
+
+
 # -- structural enumeration ---------------------------------------------------
 
 
@@ -84,8 +94,9 @@ def _side_options(budget: int):
 def enumerate_family(family: str, n: int):
     """Every family member on exactly n vertices, one config per iso class.
 
-    G2 configs come out normalized (multisets ascending, the lighter hub
-    side first), so equality of configs is graph isomorphism.
+    The walk builds each config already normalized (multisets ascending,
+    the lighter hub side first), so FamilyConfig keeps the walk's shared
+    tuples rather than sorting copies.
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
@@ -108,6 +119,7 @@ def _g1_configs(n: int):
 
 def _g2_configs(n: int):
     budget = n - 2
+    options = [list(_side_options(b)) for b in range(budget + 1)]
     for hub_edge in (False, True):
         for path_used in range(budget + 1):
             for parts in _partitions(path_used, 1):
@@ -117,11 +129,11 @@ def _g2_configs(n: int):
                 rem = budget - path_used
                 base = (1 if hub_edge else 0) + len(paths)
                 for bu in range(rem + 1):
-                    for side_u in _side_options(bu):
+                    for side_u in options[bu]:
                         pu, cu = side_u
                         if base + len(pu) + 2 * len(cu) < 3:
                             continue
-                        for side_v in _side_options(rem - bu):
+                        for side_v in options[rem - bu]:
                             if side_u > side_v:
                                 continue
                             pv, cv = side_v
@@ -276,7 +288,6 @@ def config_tag(cfg: FamilyConfig) -> str:
     here: triangles-only hubs (no pendant edge) and joins with a single
     extra component are integral members; see the erratum report.
     """
-    cfg = cfg.normalized()
     if cfg.family == "G1":
         if not cfg.cycles_u and all(p == 1 for p in cfg.pendants_u):
             return TAG_STAR
@@ -458,11 +469,7 @@ def verify_theorem(
     the enumerate, decide and tag stages (the tag stage also assembles the
     verdicts and the tally).
     """
-    budget = configured_budget() if budget is None else budget
-    if n_max > budget:
-        raise BudgetExceededError(
-            f"n_max={n_max} exceeds the configured budget {budget}"
-        )
+    check_budget(n_max, budget)
     if n_min < 1 or n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     clock = time.perf_counter

@@ -206,7 +206,6 @@ def case_config(case_id: str, s=None, t=None) -> FamilyConfig:
 
 def position_pooled_partition(cfg: FamilyConfig):
     """Cells: each hub alone, then same-order path internals pooled by position."""
-    cfg = cfg.normalized()
     if cfg.pendants_u or cfg.cycles_u or cfg.pendants_v or cfg.cycles_v:
         raise ValueError("position pooling applies to path-only configs")
     pools = {}
@@ -404,9 +403,8 @@ def excluded_instance_report(case_id: str) -> list:
     out = []
     for inst in case.excluded_instances:
         values = dict(inst)
-        cfg = case_config(case_id, **values)
         try:
-            g = realize(cfg)
+            g = realize(case_config(case_id, **values))
         except ValueError:
             # The instance drops out of the two-hub family entirely.
             out.append({"case": case_id, "params": values, "realizable": False})

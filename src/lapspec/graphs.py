@@ -9,7 +9,7 @@ degree at least three, every other vertex of degree one or two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -315,6 +315,12 @@ class FamilyConfig:
     (lengths >= 3); only the u-side fields are used. G2: two hubs u, v,
     optionally adjacent, joined by internal paths (orders >= 3, counting
     both hubs), each hub carrying its own pendant paths and cycles.
+
+    Construction normalizes and validates: the multisets are sorted and a
+    G2 member's lighter hub side comes first, so equal configs are
+    isomorphic members, and a config that is no family member raises
+    ValueError. A field given sorted keeps its tuple, so configs can share
+    them.
     """
 
     family: str
@@ -325,21 +331,17 @@ class FamilyConfig:
     pendants_v: tuple = ()
     cycles_v: tuple = ()
 
-    def normalized(self) -> "FamilyConfig":
-        pu, cu = tuple(sorted(self.pendants_u)), tuple(sorted(self.cycles_u))
-        pv, cv = tuple(sorted(self.pendants_v)), tuple(sorted(self.cycles_v))
+    def __post_init__(self):
+        sides = ("pendants_u", "cycles_u", "pendants_v", "cycles_v")
+        for name in ("paths",) + sides:
+            value = getattr(self, name)
+            ordered = tuple(sorted(value))
+            if ordered != value:
+                object.__setattr__(self, name, ordered)
+        pu, cu, pv, cv = (getattr(self, name) for name in sides)
         if self.family == "G2" and (pv, cv) < (pu, cu):
-            pu, cu, pv, cv = pv, cv, pu, cu
-        return replace(
-            self,
-            paths=tuple(sorted(self.paths)),
-            pendants_u=pu,
-            cycles_u=cu,
-            pendants_v=pv,
-            cycles_v=cv,
-        )
-
-    def validate(self) -> None:
+            for name, value in zip(sides, (pv, cv, pu, cu)):
+                object.__setattr__(self, name, value)
         if self.family not in ("G1", "G2"):
             raise ValueError(f"unknown family {self.family!r}")
         if any(p < 1 for p in self.pendants_u + self.pendants_v):
@@ -399,8 +401,6 @@ def realize(cfg: FamilyConfig) -> Graph:
     declaration order (orders ascending, each path traversed u to v); then
     pendant chains and cycle chains of u, then of v.
     """
-    cfg = cfg.normalized()
-    cfg.validate()
     edges = []
     if cfg.family == "G1":
         hub_u, nxt = 0, 1
@@ -472,12 +472,12 @@ def graph_to_config(g: Graph):
         else:
             hub, length = data
             cyc[hub].append(length)
-    if len(high) == 1:
-        cfg = FamilyConfig(
-            family="G1", pendants_u=tuple(pend[hub_u]), cycles_u=tuple(cyc[hub_u])
-        )
-    else:
-        cfg = FamilyConfig(
+    try:
+        if len(high) == 1:
+            return FamilyConfig(
+                family="G1", pendants_u=tuple(pend[hub_u]), cycles_u=tuple(cyc[hub_u])
+            )
+        return FamilyConfig(
             family="G2",
             hub_edge=g.has_edge(hub_u, hub_v),
             paths=tuple(paths),
@@ -486,12 +486,8 @@ def graph_to_config(g: Graph):
             pendants_v=tuple(pend[hub_v]),
             cycles_v=tuple(cyc[hub_v]),
         )
-    cfg = cfg.normalized()
-    try:
-        cfg.validate()
     except ValueError:
         return None
-    return cfg
 
 
 def _classify_piece(g: Graph, comp, hubs):

@@ -262,7 +262,6 @@ def repeated_factors(cfg: FamilyConfig) -> tuple:
     side or among the internal paths, with exponent c - 1: the factors of
     det(λI - L) beyond its equitable quotient (see family_factors). θ is
     the chain's continuant, an ascending coefficient tuple."""
-    cfg.validate()
     repeated = _side(cfg.pendants_u, cfg.cycles_u)[2]
     if cfg.family == "G2":
         repeated += _side(cfg.pendants_v, cfg.cycles_v)[2]
@@ -331,7 +330,6 @@ def quotient_sign_change(cfg: FamilyConfig):
     root, and no comparison spans it. The scan evaluates Q at 1, 2, ...
     in ints, stops at the first sign change and builds no polynomial.
     """
-    cfg.validate()
     quotient = _quotient_at(cfg)
     last = 0
     for k in range(1, cfg.vertex_count() + 1):

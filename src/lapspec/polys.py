@@ -743,9 +743,6 @@ class RootReport:
             prod = prod * (lam - root) ** mult
         return prod == self.poly
 
-    def root_multiplicity_total(self) -> int:
-        return sum(m for _, m in self.integer_roots)
-
 
 def split_integer_roots(c):
     """Integer roots of c, and the integer-root-free rest as coefficients.
@@ -806,16 +803,6 @@ def sturm_count(p, a, b, var: str = None) -> int:
         return 0
     chain = _sturm_chain(sf)
     return _count_halfopen(chain, a, b)
-
-
-def count_real_roots(p, var: str = None) -> int:
-    """Distinct real roots over the whole line."""
-    sf = _square_free_part(_int_coeffs(p, var)[1])
-    if len(sf) <= 1:
-        return 0
-    bound = Fraction(_root_bound(sf))
-    chain = _sturm_chain(sf)
-    return _count_halfopen(chain, -bound, bound)
 
 
 def isolate_roots(p, precision: Fraction = DEFAULT_PRECISION, var: str = None):

@@ -59,6 +59,16 @@ def spanning_tree_count(g: Graph) -> int:
     return count
 
 
+def scrambled_fields(cfg, rng: random.Random, swap: bool = False) -> tuple:
+    """cfg.key() with every multiset shuffled and, when swap is set, the
+    two hub sides exchanged: the fields of the same member, unnormalized."""
+    family, hub_edge, *multisets = cfg.key()
+    paths, pu, cu, pv, cv = (tuple(rng.sample(m, len(m))) for m in multisets)
+    if swap:
+        pu, cu, pv, cv = pv, cv, pu, cu
+    return family, hub_edge, paths, pu, cu, pv, cv
+
+
 def random_connected_graph(rng: random.Random, n_max: int = 8, density: float = 0.45) -> Graph:
     while True:
         n = rng.randint(3, n_max)

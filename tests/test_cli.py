@@ -136,8 +136,13 @@ def test_verify_theorem_deterministic_across_jobs(capsys, tmp_path):
 
 
 def test_budget_exit_code(capsys, monkeypatch):
-    code, _, err = run(capsys, "verify-theorem", "--min", "9", "--max", "13")
-    assert code == EXIT_BUDGET
+    for argv in (
+        ["verify-theorem", "--min", "9", "--max", "13"],
+        ["enumerate", "--family", "G2", "--n", "13"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET, argv
+        assert out == "" and err == "error: n_max=13 exceeds the budget 12 (set LAPSPEC_BUDGET to raise it)\n", argv
     monkeypatch.setenv("LAPSPEC_BUDGET", "13")
     # now allowed (but keep it cheap: only check argument validation path)
     from lapspec.enumeration import configured_budget
@@ -154,6 +159,9 @@ def test_non_integer_budget_names_the_variable(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and err == "error: LAPSPEC_BUDGET must be an integer, got 'abc'\n", argv
+    # the other commands never read the budget
+    code, out, err = run(capsys, "spectrum", "--builder", "star 6")
+    assert code == EXIT_OK and err == "" and json.loads(out)["integral"]
 
 
 def test_families_command(capsys):
@@ -214,14 +222,17 @@ def test_families_rejects_a_parameter_no_selected_case_has(capsys):
 
 
 def test_bad_precision_rejected(capsys):
-    code, _, err = run(capsys, "spectrum", "--builder", "K 2", "--precision", "0")
-    assert code != EXIT_OK
+    for precision in ("0", "-1/2"):
+        code, out, err = run(capsys, "spectrum", "--builder", "K 2", f"--precision={precision}")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: precision must be positive\n"
 
 
 def test_bad_input_exits_with_usage_error(capsys, tmp_path):
     for argv in (
         ["spectrum", "--file", str(tmp_path / "missing.txt")],
         ["spectrum", "--g6", "D?{", "--precision", "1/0"],
+        ["verify-theorem", "--min", "9", "--max", "9", "--jobs", "0"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv

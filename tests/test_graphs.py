@@ -14,6 +14,7 @@ from lapspec import (
     degree_sequence,
     disjoint_union,
     empty_graph,
+    enumerate_family,
     family_membership,
     firefly,
     from_graph6,
@@ -31,6 +32,7 @@ from lapspec.graphs import (
     from_adjacency_text,
     to_adjacency_text,
 )
+from oracle_helpers import scrambled_fields
 
 
 def test_basic_constructors():
@@ -118,7 +120,6 @@ def test_realize_and_vertex_count():
         FamilyConfig("G2", hub_edge=False, paths=(3, 3, 4), pendants_u=(2,)),
         FamilyConfig("G2", hub_edge=True, paths=(), cycles_u=(3,), cycles_v=(4,)),
     ]:
-        cfg = cfg.normalized()
         assert realize(cfg).n == cfg.vertex_count()
 
 
@@ -128,6 +129,48 @@ def test_realize_rejects_degree_violations():
         realize(FamilyConfig("G2", hub_edge=False, paths=(3, 4)))
     with pytest.raises(ValueError):
         realize(FamilyConfig("G1", pendants_u=(1, 1)))
+
+
+def test_construction_normalizes_every_member_up_to_nine():
+    # shuffled multisets and swapped hub sides build the enumerated config
+    rng = random.Random(9)
+    checked = 0
+    for n in range(1, 10):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                g6 = to_graph6(realize(cfg))
+                for swap in (False, True) if family == "G2" else (False,):
+                    other = FamilyConfig(*scrambled_fields(cfg, rng, swap))
+                    assert other == cfg and hash(other) == hash(cfg), other
+                    assert to_graph6(realize(other)) == g6, other
+                checked += 1
+    assert checked == 921
+
+
+@pytest.mark.parametrize(
+    "family,fields,message",
+    [
+        ("G3", {"pendants_u": (1, 1, 1)}, "unknown family 'G3'"),
+        ("G1", {"pendants_u": (0, 1, 1)}, "pendant path lengths must be >= 1"),
+        ("G2", {"paths": (3,), "pendants_u": (1, 1), "pendants_v": (0, 1)}, "pendant path lengths must be >= 1"),
+        ("G1", {"cycles_u": (2, 3)}, "cycle lengths must be >= 3"),
+        ("G2", {"paths": (3,), "cycles_u": (3,), "cycles_v": (2,)}, "cycle lengths must be >= 3"),
+        ("G1", {"pendants_u": (1, 1, 1), "hub_edge": True}, "G1 configs use only the hub-side fields"),
+        ("G1", {"pendants_u": (1, 1, 1), "paths": (3,)}, "G1 configs use only the hub-side fields"),
+        ("G1", {"pendants_u": (1, 1, 1), "pendants_v": (1,)}, "G1 configs use only the hub-side fields"),
+        ("G1", {"pendants_u": (1, 1, 1), "cycles_v": (3,)}, "G1 configs use only the hub-side fields"),
+        ("G1", {"pendants_u": (1, 1)}, "hub degree must be >= 3"),
+        ("G2", {"paths": (2, 3, 3)}, "internal path orders must be >= 3"),
+        ("G2", {"pendants_u": (1, 1, 1), "pendants_v": (1, 1, 1)}, "disconnected: need the hub edge or an internal path"),
+        ("G2", {"hub_edge": True, "paths": (3,), "pendants_u": (1,)}, "both hub degrees must be >= 3"),
+        ("G2", {"hub_edge": True, "paths": (3,), "pendants_v": (1,)}, "both hub degrees must be >= 3"),
+    ],
+)
+def test_construction_rejects_each_membership_rule(family, fields, message):
+    # each config breaks one rule only, so a dropped rule lets it build
+    with pytest.raises(ValueError) as exc:
+        FamilyConfig(family, **fields)
+    assert str(exc.value) == message
 
 
 def test_config_round_trip():
@@ -140,7 +183,6 @@ def test_config_round_trip():
         FamilyConfig("G2", hub_edge=False, paths=(5,), cycles_u=(3,), cycles_v=(4,)),
     ]
     for cfg in configs:
-        cfg = cfg.normalized()
         assert graph_to_config(realize(cfg)) == cfg
 
 

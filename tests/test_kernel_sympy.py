@@ -17,13 +17,12 @@ from lapspec import (  # noqa: E402
     Graph,
     char_poly,
     complete,
-    count_real_roots,
     laplacian,
     signless_laplacian,
     split_integer_roots,
     sturm_count,
 )
-from lapspec.polys import _fujiwara_bound, _poly_gcd, _squarefree_decomposition  # noqa: E402
+from lapspec.polys import _fujiwara_bound, _poly_gcd, _root_bound, _squarefree_decomposition  # noqa: E402
 from oracle_helpers import random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -73,7 +72,9 @@ def test_real_root_counts_match_count_roots():
         p = _random_poly(rng)
         sqf = p.sqf_part()
         c = _coeffs(p)
-        assert count_real_roots(c) == sqf.count_roots()
+        # every real root lies strictly inside the Cauchy bound
+        bound = _root_bound(c)
+        assert sturm_count(c, -bound, bound) == sqf.count_roots()
         a = Fraction(rng.randint(-12, 8), rng.randint(1, 3))
         b = a + Fraction(rng.randint(1, 12), rng.randint(1, 3))
         # sympy counts on [a, b]; sturm_count on (a, b]

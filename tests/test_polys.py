@@ -7,7 +7,6 @@ import pytest
 from lapspec import (
     LAMBDA,
     MPoly,
-    count_real_roots,
     divides,
     integer_roots,
     isolate_roots,
@@ -305,7 +304,7 @@ def test_isolation_handles_repeated_and_rational_roots():
     assert len(ivs) == len(set(ivs)) == 4
     assert (Fraction(1, 2), Fraction(1, 2)) in ivs
     assert (3, 3) in ivs
-    assert count_real_roots(p) == 4
+    assert sturm_count(p, -4, 4) == 4
 
 
 def test_divides():
@@ -348,7 +347,8 @@ def test_big_coefficient_isolation_is_fast_and_bounded():
         coeffs = [rng.randint(-(10**9), 10**9) for _ in range(13)]
         coeffs[-1] = abs(coeffs[-1]) or 1
         poly = MPoly.from_univariate(coeffs)
-        assert 0 <= count_real_roots(poly) <= 12
+        bound = _root_bound(coeffs)
+        assert 0 <= sturm_count(poly, -bound, bound) <= 12
 
 
 def test_equality_and_hash_ignore_dead_variables():
