@@ -19,6 +19,7 @@ and --builder takes a small construction expression:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -441,7 +442,11 @@ def _add_source_flags(p):
     p.add_argument("--file", help="file with adjacency text or graph6 lines")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    main call; parse_args fills a fresh Namespace each time, so no state
+    passes from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="lapspec",
         description="Exact integral-spectrum decisions for sparse graph families",

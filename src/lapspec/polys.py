@@ -438,14 +438,14 @@ def _primitive(c):
     return out
 
 
-def _scaled_value(c, q: Fraction) -> int:
-    """r^d * c(q) for q = p/r in lowest terms and d = len(c) - 1.
+def _scaled_value(c, p: int, r: int) -> int:
+    """r^d * c(p/r) for integers p and r > 0, with d = len(c) - 1.
 
-    Evaluates the homogenized form sum(c_i * p^i * r^(d-i)) in integers.
+    Evaluates the homogenized form sum(c_i * p^i * r^(d-i)) in integers;
+    the factor r^d is positive, so the result has the sign of c(p/r).
     """
     if not c:
         return 0
-    p, r = q.numerator, q.denominator
     acc = c[-1]
     rp = 1
     for i in range(len(c) - 2, -1, -1):
@@ -455,9 +455,8 @@ def _scaled_value(c, q: Fraction) -> int:
 
 
 def _sign_at(c, q: Fraction) -> int:
-    """Exact sign of the polynomial at a rational point; the positive
-    factor r^d of the scaled value leaves the sign unchanged."""
-    acc = _scaled_value(c, q)
+    """Exact sign of the polynomial at a rational point."""
+    acc = _scaled_value(c, q.numerator, q.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -502,14 +501,19 @@ def _sturm_chain(c):
         chain.append(_primitive(nxt))
     return chain
 
-def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+def _variations(chain, p: int, r: int) -> int:
+    """Sign changes along the chain at p/r (r > 0), zeros skipped."""
+    signs = [v > 0 for v in (_scaled_value(c, p, r) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _count_halfopen(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b] of the chain's square-free polynomial."""
-    return _variations(chain, a) - _variations(chain, b)
+    return (
+        _variations(chain, a.numerator, a.denominator)
+        - _variations(chain, b.numerator, b.denominator)
+    )
 
 
 def _root_bound(c) -> int:
@@ -676,7 +680,11 @@ def _isolate_squarefree(c, precision: Fraction):
 
     Rational roots come back as degenerate point intervals; the remaining
     roots get half-open (lo, hi] intervals bisected down to the requested
-    width.
+    width. Bisection runs on dyadic endpoints kept as integer numerators
+    lo, hi over 2^k: halving doubles both and takes the midpoint
+    (lo + hi) // 2 at k + 1, so signs and Sturm counts are homogenized
+    integer evaluations and a Fraction is built only for each endpoint
+    returned.
     """
     c = _trim(list(c))
     if len(c) <= 1:
@@ -686,30 +694,33 @@ def _isolate_squarefree(c, precision: Fraction):
     intervals = [(r, r) for r in points]
     if len(rest) > 1:
         chain = _sturm_chain(rest)
-        bound = Fraction(_root_bound(rest))
-        work = [(-bound, bound, _count_halfopen(chain, -bound, bound))]
-        found = []
+        num, den = precision.numerator, precision.denominator
+        bound = _root_bound(rest)
+        # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k)
+        v_lo = _variations(chain, -bound, 1)
+        work = [(-bound, bound, 0, v_lo - _variations(chain, bound, 1), v_lo)]
         while work:
-            lo, hi, count = work.pop()
+            lo, hi, k, count, v_lo = work.pop()
             if count == 0:
                 continue
             if count == 1:
                 # rest has no rational root, so no dyadic point is a root and
                 # the one simple root in (lo, hi] shows as a change of sign.
-                sign_lo = _sign_at(rest, lo)
-                while hi - lo > precision:
-                    mid = (lo + hi) / 2
-                    if _sign_at(rest, mid) != sign_lo:
+                positive_lo = _scaled_value(rest, lo, 1 << k) > 0
+                while (hi - lo) * den > num << k:
+                    lo, hi, k = lo << 1, hi << 1, k + 1
+                    mid = (lo + hi) >> 1
+                    if (_scaled_value(rest, mid, 1 << k) > 0) != positive_lo:
                         hi = mid
                     else:
                         lo = mid
-                found.append((lo, hi))
+                intervals.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
             else:
-                mid = (lo + hi) / 2
-                left = _count_halfopen(chain, lo, mid)
-                work.append((lo, mid, left))
-                work.append((mid, hi, count - left))
-        intervals.extend(found)
+                lo, hi, k = lo << 1, hi << 1, k + 1
+                mid = (lo + hi) >> 1
+                v_mid = _variations(chain, mid, 1 << k)
+                work.append((lo, mid, k, v_lo - v_mid, v_lo))
+                work.append((mid, hi, k, count - (v_lo - v_mid), v_mid))
     intervals.sort(key=lambda iv: (iv[0] + iv[1]) / 2)
     return intervals
 
@@ -906,7 +917,8 @@ def scaled_value_at(c, point) -> int:
     result over r^d, so it has the sign of c there and compares with any
     rational by cross-multiplying, without building a Fraction.
     """
-    return _scaled_value(c, _as_fraction(point))
+    q = _as_fraction(point)
+    return _scaled_value(c, q.numerator, q.denominator)
 
 
 def _only_var(*polys) -> str:

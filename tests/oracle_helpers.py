@@ -1,14 +1,17 @@
 """Independent oracles and random generators shared by the test modules.
 
 Everything here is deliberately naive: spanning trees are enumerated one
-by one, random graphs are built from explicit edge lists, and cographs
-come from literal union/join trees. None of it shares code with the
-library paths it checks.
+by one, random graphs are built from explicit edge lists, cographs come
+from literal union/join trees, and real roots are isolated by bisection on
+Fractions with polynomials evaluated as sum(c_i * x**i). None of it shares
+code with the library paths it checks.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import ceil, gcd, isqrt, lcm
 
 from lapspec import Graph, complete, disjoint_union, is_connected, join
 
@@ -93,3 +96,176 @@ def random_cograph(rng: random.Random, leaves: int) -> Graph:
     if rng.random() < 0.5:
         return disjoint_union(a, b)
     return join(a, b)
+
+
+# -- real-root isolation on Fractions -----------------------------------------
+#
+# fraction_isolate_squarefree is the bisection loop lapspec ran before its
+# isolation moved to integer dyadic endpoints, copied as it was, with every
+# sign, Sturm chain, gcd and rational root computed here over Q. Its
+# intervals are the ones lapspec must keep returning.
+
+
+def fraction_value(c, x: Fraction) -> Fraction:
+    return sum(a * x**i for i, a in enumerate(c))
+
+
+def _q_sign(c, x: Fraction) -> int:
+    v = fraction_value(c, x)
+    return (v > 0) - (v < 0)
+
+
+def _q_trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _q_divmod(a, b):
+    """Quotient and remainder of a by b over Q (ascending coefficients)."""
+    r = _q_trim([Fraction(x) for x in a])
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        f = r[-1] / b[-1]
+        q[shift] = f
+        for i, y in enumerate(b):
+            r[i + shift] -= f * y
+        r.pop()
+        _q_trim(r)
+    return q, r
+
+
+def _q_primitive(c):
+    """The positive multiple of c with coprime integer coefficients."""
+    c = [Fraction(x) for x in c]
+    den = lcm(*(x.denominator for x in c))
+    ints = [int(x * den) for x in c]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return [x // g for x in ints]
+
+
+def _q_derivative(c):
+    return [i * a for i, a in enumerate(c)][1:]
+
+
+def fraction_square_free_part(c):
+    """c / gcd(c, c') by Euclid's algorithm over Q, as primitive integers."""
+    c = _q_trim(list(c))
+    if len(c) <= 1:
+        return c
+    a, b = c, _q_derivative(c)
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return _q_primitive(_q_divmod(c, a)[0])
+
+
+def _q_root_bound(c) -> int:
+    m = max(abs(a) for a in c[:-1]) if len(c) > 1 else 0
+    return 1 + ceil(Fraction(m) / abs(c[-1])) if m else 1
+
+
+def _q_fujiwara_bound(c) -> int:
+    """2b for the least power of two b with b^k >= |c[d-k] / c[d]| for every
+    k: every root has modulus at most 2b (Fujiwara 1916)."""
+    d = len(c) - 1
+    b = 1
+    while any(b**k * abs(c[-1]) < abs(c[d - k]) for k in range(1, d + 1)):
+        b *= 2
+    return 2 * b
+
+
+def _q_divisors(n: int, limit: int):
+    n = abs(n)
+    small = [d for d in range(1, min(limit, isqrt(n)) + 1) if n % d == 0]
+    return small + [n // d for d in small if d < n // d <= limit]
+
+
+def _q_rational_roots(c):
+    """Rational roots of an integer polynomial (rational root theorem), and
+    c divided by their linear factors."""
+    c = _q_primitive(c)
+    roots = set()
+    while not c[0]:
+        roots.add(Fraction(0))
+        c = c[1:]
+    bound = _q_fujiwara_bound(c)
+    nums = _q_divisors(c[0], bound * abs(c[-1]))
+    candidates = {
+        Fraction(sign * p, q)
+        for q in _q_divisors(c[-1], abs(c[-1]))
+        for p in nums
+        if p <= bound * q
+        for sign in (1, -1)
+    }
+    rest = c
+    for r in sorted(candidates):
+        if fraction_value(c, r) == 0:
+            roots.add(r)
+            rest = _q_divmod(rest, [-r, 1])[0]
+    return roots, rest
+
+
+def _q_sturm_chain(c):
+    chain = [c, _q_derivative(c)]
+    while len(chain[-1]) > 1:
+        rem = _q_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            raise ValueError("polynomial is not square-free")
+        chain.append(_q_primitive([-a for a in rem]))
+    return chain
+
+
+def _q_count_halfopen(chain, a: Fraction, b: Fraction) -> int:
+    def variations(x):
+        signs = [s for s in (_q_sign(c, x) for c in chain) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
+
+    return variations(a) - variations(b)
+
+
+def fraction_isolate_squarefree(c, precision: Fraction):
+    """Isolating intervals of a square-free polynomial, by the bisection
+    loop on Fraction endpoints: rational roots as point intervals, every
+    other root in a half-open (lo, hi] of width at most precision."""
+    c = _q_trim(list(c))
+    if len(c) <= 1:
+        return []
+    rational, rest = _q_rational_roots(c)
+    points = sorted(rational)
+    intervals = [(r, r) for r in points]
+    if len(rest) > 1:
+        chain = _q_sturm_chain(rest)
+        bound = Fraction(_q_root_bound(rest))
+        work = [(-bound, bound, _q_count_halfopen(chain, -bound, bound))]
+        found = []
+        while work:
+            lo, hi, count = work.pop()
+            if count == 0:
+                continue
+            if count == 1:
+                # rest has no rational root, so no dyadic point is a root and
+                # the one simple root in (lo, hi] shows as a change of sign.
+                sign_lo = _q_sign(rest, lo)
+                while hi - lo > precision:
+                    mid = (lo + hi) / 2
+                    if _q_sign(rest, mid) != sign_lo:
+                        hi = mid
+                    else:
+                        lo = mid
+                found.append((lo, hi))
+            else:
+                mid = (lo + hi) / 2
+                left = _q_count_halfopen(chain, lo, mid)
+                work.append((lo, mid, left))
+                work.append((mid, hi, count - left))
+        intervals.extend(found)
+    intervals.sort(key=lambda iv: (iv[0] + iv[1]) / 2)
+    return intervals
+
+
+def fraction_isolate_roots(c, precision: Fraction):
+    """The oracle for isolate_roots: isolation of the square-free part."""
+    return fraction_isolate_squarefree(fraction_square_free_part(c), precision)

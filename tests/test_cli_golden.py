@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lapspec.cli import EXIT_OK, main
+from lapspec.cli import EXIT_OK, build_parser, main
 
 GOLDEN = [
     (
@@ -108,3 +108,35 @@ def test_catalog_stdout_matches_the_benchmark_golden(capsys):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _bench_digest(argv)
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path):
+    # main parses every call with one shared parser (build_parser is cached)
+    assert build_parser() is build_parser()
+    star_l = ["spectrum", "--builder", "star 6"]
+    golden = dict((" ".join(argv), digest) for argv, digest in GOLDEN)
+    l_digest = golden["spectrum --builder star 6 --kind L"]
+
+    def stdout_digest(argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    # a --kind given once is not the default of the next call
+    assert main(star_l + ["--kind", "Q"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["kind"] == "Q"
+    assert stdout_digest(star_l) == (EXIT_OK, l_digest)
+    # nor is an --out path
+    out = tmp_path / "report.json"
+    assert main(star_l + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    out.unlink()
+    assert stdout_digest(star_l) == (EXIT_OK, l_digest)
+    assert not out.exists()
+    # a usage error on the warm parser leaves it whole
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--builder", "star 6", "--kind", "X"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv, digest in GOLDEN[:5]:
+        assert stdout_digest(argv) == (EXIT_OK, digest), argv

@@ -1,0 +1,92 @@
+"""Root isolation on integer dyadic endpoints against the Fraction oracle.
+
+isolate_roots bisects on integer numerators over powers of two. The oracle
+in oracle_helpers runs the earlier bisection loop on Fractions, with its own
+gcd, Sturm chain, rational roots and plain sum(c_i * x**i) evaluation, so
+every interval must come back exactly equal, in the same order.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lapspec import complete, polys
+from lapspec.matrices import char_poly
+from lapspec.polys import gap_points, isolate_roots, poly_mul
+from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
+
+from oracle_helpers import (
+    fraction_isolate_roots,
+    fraction_isolate_squarefree,
+    fraction_square_free_part,
+    random_connected_graph,
+)
+
+PRECISIONS = [Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 7), Fraction(2)]
+
+
+def _seeded_square_free(seed=20261018):
+    """Square-free integer polynomials of degree 3..14 with coefficients up
+    to 10^3, 10^6, 10^9 or 10^12 in size, the i-th with i % 3 planted
+    rational roots p/q."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(12):
+        planted = i % 3
+        # a factor (q x - p) with |p| <= 12, q <= 6 grows coefficients by <= 18
+        mag = 10 ** (3 * (1 + i % 4)) // 18**planted
+        while True:
+            c = [rng.randint(-mag, mag) for _ in range(3 + i - planted + 1)]
+            c[-1] = c[-1] or 1
+            for _ in range(planted):
+                c = poly_mul(c, [-rng.randint(-12, 12), rng.randint(1, 6)])
+            if len(fraction_square_free_part(c)) == len(c):
+                out.append(c)
+                break
+    return out
+
+
+def _graphs():
+    rng = random.Random(13)
+    dense = [random_connected_graph(rng, n_max=13, density=0.85) for _ in range(6)]
+    return [complete(n) for n in range(5, 14)] + dense
+
+
+GRAPHS = _graphs()
+SQUARE_FREE = _seeded_square_free()
+
+
+def test_seeded_polynomials_reach_the_stated_sizes():
+    assert max(len(c) for c in SQUARE_FREE) - 1 == 14
+    assert max(abs(a) for c in SQUARE_FREE for a in c) > 10**11
+    # some rational roots come back as point intervals
+    assert any(lo == hi for c in SQUARE_FREE for lo, hi in isolate_roots(c, Fraction(2)))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=str)
+def test_isolate_roots_equals_the_oracle_on_seeded_polynomials(precision):
+    for c in SQUARE_FREE:
+        assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), c
+
+
+@pytest.mark.parametrize("kind", ["L", "Q"])
+def test_isolate_roots_equals_the_oracle_on_graph_polynomials(kind):
+    matrix = laplacian if kind == "L" else signless_laplacian
+    for g in GRAPHS:
+        c = char_poly(matrix(g))
+        for precision in PRECISIONS:
+            assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), (g.n, precision)
+
+
+def test_gap_points_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
+    def results():
+        out = []
+        for g in GRAPHS:
+            lc, qc = char_poly(laplacian(g)), char_poly(signless_laplacian(g))
+            out.append((gap_points(lc), gap_points(lc, qc), algebraic_connectivity(g)))
+        return out
+
+    expected = results()
+    monkeypatch.setattr(polys, "_isolate_squarefree", fraction_isolate_squarefree)
+    assert results() == expected
