@@ -1,11 +1,16 @@
 """Exhaustive enumeration of the two sparse families and the final check.
 
-Family members are enumerated structurally as FamilyConfig records (an
-integer-composition walk over attachment multisets, one config per
-isomorphism class). An independent vertex-augmentation generator with
-canonical-form deduplication guards completeness at small orders. The
-verification sweep decides exact integrality for every member and compares
-against structural recognition of the six closed families.
+Family members are enumerated structurally, by an integer-composition walk
+over attachment multisets with one member per isomorphism class: the G1
+members by hub side, and the G2 members in shards of one link set (hub
+edge and internal paths), then by u side, then by v side.
+enumerate_family turns the walk into FamilyConfig records. An independent
+vertex-augmentation generator with canonical-form deduplication guards
+completeness at small orders. The verification sweep walks the same
+shards with no FamilyConfig per member: it decides exact integrality from
+the value tables of the hub-side and link folds (see
+matrices.side_table), compares against structural recognition of the six
+closed families and tallies, member by member in place.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .graphs import (
     FamilyConfig,
@@ -26,7 +30,14 @@ from .graphs import (
     realize,
     to_graph6,
 )
-from .matrices import family_factors, quotient_sign_change, repeated_factors
+from .matrices import (
+    family_factors,
+    links_table,
+    one_hub_coupling,
+    side_sign_change,
+    side_table,
+    two_hub_coupling,
+)
 from .polys import split_integer_roots
 
 DEFAULT_BUDGET = 12
@@ -83,65 +94,79 @@ def _cycle_multisets(budget: int):
         yield tuple(p + 1 for p in parts)
 
 
-def _side_options(budget: int):
+@lru_cache(maxsize=None)
+def _sides(budget: int) -> tuple:
     """(pendant lengths, cycle lengths) pairs for one hub, exact budget."""
-    for pend_used in range(budget + 1):
-        for pendants in _partitions(pend_used, 1):
-            for cycles in _cycle_multisets(budget - pend_used):
-                yield pendants, cycles
+    return tuple(
+        (pendants, cycles)
+        for pend_used in range(budget + 1)
+        for pendants in _partitions(pend_used, 1)
+        for cycles in _cycle_multisets(budget - pend_used)
+    )
 
 
-def enumerate_family(family: str, n: int):
-    """Every family member on exactly n vertices, one config per iso class.
-
-    The walk builds each config already normalized (multisets ascending,
-    the lighter hub side first), so FamilyConfig keeps the walk's shared
-    tuples rather than sorting copies.
-    """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
-    if family == "G1":
-        yield from _g1_configs(n)
-    elif family == "G2":
-        yield from _g2_configs(n)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def _g1_configs(n: int):
+def _g1_sides(n: int):
+    """The hub sides (pendants, cycles) of the G1 members on n vertices."""
     budget = n - 1
     for cyc_used in range(budget + 1):
         for cycles in _cycle_multisets(cyc_used):
             for pendants in _partitions(budget - cyc_used, 1):
                 if 2 * len(cycles) + len(pendants) >= 3:
-                    yield FamilyConfig("G1", pendants_u=pendants, cycles_u=cycles)
+                    yield pendants, cycles
 
 
-def _g2_configs(n: int):
+def _g2_links(n: int):
+    """The (hub edge, internal paths) pairs of the G2 members on n vertices."""
     budget = n - 2
-    options = [list(_side_options(b)) for b in range(budget + 1)]
     for hub_edge in (False, True):
         for path_used in range(budget + 1):
             for parts in _partitions(path_used, 1):
                 paths = tuple(p + 2 for p in parts)
-                if not hub_edge and not paths:
-                    continue
-                rem = budget - path_used
-                base = (1 if hub_edge else 0) + len(paths)
-                for bu in range(rem + 1):
-                    for side_u in options[bu]:
-                        pu, cu = side_u
-                        if base + len(pu) + 2 * len(cu) < 3:
-                            continue
-                        for side_v in options[rem - bu]:
-                            if side_u > side_v:
-                                continue
-                            pv, cv = side_v
-                            if base + len(pv) + 2 * len(cv) < 3:
-                                continue
-                            yield FamilyConfig(
-                                "G2", hub_edge, paths, pu, cu, pv, cv
-                            )
+                if hub_edge or paths:
+                    yield hub_edge, paths
+
+
+def _g2_sides(n: int, hub_edge: bool, paths: tuple):
+    """(u side, [v sides]) for the G2 members on n vertices with these
+    links, each pair of sides one member: every hub has degree at least 3
+    and the u side is the lighter (see FamilyConfig)."""
+    rem = n - 2 - sum(p - 2 for p in paths)
+    base = hub_edge + len(paths)
+    for bu in range(rem + 1):
+        for side_u in _sides(bu):
+            pu, cu = side_u
+            if base + len(pu) + 2 * len(cu) < 3:
+                continue
+            v_sides = [
+                side_v
+                for side_v in _sides(rem - bu)
+                if side_u <= side_v and base + len(side_v[0]) + 2 * len(side_v[1]) >= 3
+            ]
+            if v_sides:
+                yield side_u, v_sides
+
+
+def enumerate_family(family: str, n: int):
+    """Every family member on n vertices, one config per iso class.
+
+    The walk is the sweep's (see verify_theorem): G1 members by hub side,
+    G2 members by links, then u side, then v side. It builds each config
+    already normalized (multisets ascending, the lighter hub side first),
+    so FamilyConfig keeps the walk's shared tuples rather than sorting
+    copies.
+    """
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    if family == "G1":
+        for pendants, cycles in _g1_sides(n):
+            yield FamilyConfig("G1", pendants_u=pendants, cycles_u=cycles)
+    elif family == "G2":
+        for hub_edge, paths in _g2_links(n):
+            for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
+                for pv, cv in v_sides:
+                    yield FamilyConfig("G2", hub_edge, paths, pu, cu, pv, cv)
+    else:
+        raise ValueError(f"unknown family {family!r}")
 
 
 # -- canonical forms (refinement + individualization) -------------------------
@@ -288,35 +313,36 @@ def config_tag(cfg: FamilyConfig) -> str:
     here: triangles-only hubs (no pendant edge) and joins with a single
     extra component are integral members; see the erratum report.
     """
-    if cfg.family == "G1":
-        if not cfg.cycles_u and all(p == 1 for p in cfg.pendants_u):
+    return _key_tag(*cfg.key())
+
+
+def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v) -> str:
+    """config_tag of the config with this key(), so that the sweep tags a
+    member with no FamilyConfig built."""
+    if family == "G1":
+        if not cycles_u and all(p == 1 for p in pendants_u):
             return TAG_STAR
-        if (
-            cfg.cycles_u
-            and all(c == 3 for c in cfg.cycles_u)
-            and all(p == 1 for p in cfg.pendants_u)
-        ):
+        if cycles_u and all(c == 3 for c in cycles_u) and all(p == 1 for p in pendants_u):
             return TAG_FIREFLY
         return TAG_NONE
-    side_u = cfg.pendants_u or cfg.cycles_u
-    side_v = cfg.pendants_v or cfg.cycles_v
-    paths = cfg.paths
+    side_u = pendants_u or cycles_u
+    side_v = pendants_v or cycles_v
     if not side_u and not side_v and paths:
-        if cfg.hub_edge and all(o == 4 for o in paths):
+        if hub_edge and all(o == 4 for o in paths):
             return TAG_PRODUCT
-        if cfg.hub_edge and all(o == 3 for o in paths):
+        if hub_edge and all(o == 3 for o in paths):
             return TAG_JOIN_TWO
-        if not cfg.hub_edge and all(o == 3 for o in paths):
+        if not hub_edge and all(o == 3 for o in paths):
             return TAG_BICLIQUE
         return TAG_NONE
     if (
-        cfg.hub_edge
+        hub_edge
         and not side_u
         and side_v
         and paths
         and all(o == 3 for o in paths)
-        and all(p == 1 for p in cfg.pendants_v)
-        and all(c == 3 for c in cfg.cycles_v)
+        and all(p == 1 for p in pendants_v)
+        and all(c == 3 for c in cycles_v)
     ):
         return TAG_JOIN_ONE
     return TAG_NONE
@@ -376,38 +402,6 @@ class ClassificationVerdict:
         }
 
 
-def _only_integer_roots(coeffs) -> bool:
-    return len(split_integer_roots(coeffs)[1]) <= 1
-
-
-# one entry per distinct repeated θ: a few dozen at the orders swept
-_integral_theta = lru_cache(maxsize=None)(_only_integer_roots)
-
-
-class SignExit(Enum):
-    """_is_integral's verdict on a member whose quotient changes sign
-    between two consecutive integers: falsy like False, counted apart."""
-
-    SIGN_CHANGE = "sign change"
-
-    def __bool__(self):
-        return False
-
-
-def _is_integral(cfg: FamilyConfig):
-    """True when the member's Laplacian spectrum is integral, else falsy:
-    None when a repeated chain factor θ has a non-integer root,
-    SignExit.SIGN_CHANGE when the equitable quotient of family_factors has
-    one between two consecutive integers (quotient_sign_change), both with
-    no polynomial built, and False when the quotient's integer-root test
-    decides. The polynomial is the quotient times the repeated factors."""
-    if not all(_integral_theta(theta) for theta, _ in repeated_factors(cfg)):
-        return None
-    if quotient_sign_change(cfg) is not None:
-        return SignExit.SIGN_CHANGE
-    return _only_integer_roots(family_factors(cfg)[1])
-
-
 @dataclass(frozen=True)
 class TheoremSummary:
     n_min: int
@@ -432,24 +426,94 @@ class TheoremSummary:
         return "\n".join(lines)
 
 
-def _structure_counts(configs) -> dict:
-    """Distinct chains (kind, length), hub sides (pendants, cycles) and
-    internal-path sets (paths, hub edge) among the configs. family_factors
-    folds each distinct chain kind of a side or path set once, weighted by
-    its count, and caches one fold per side and per path set;
-    quotient_sign_change evaluates those cached folds at integers."""
-    chains, sides, links = set(), set(), set()
-    for cfg in configs:
-        hub_sides = [(cfg.pendants_u, cfg.cycles_u)]
-        if cfg.family == "G2":
-            hub_sides.append((cfg.pendants_v, cfg.cycles_v))
-            links.add((cfg.paths, cfg.hub_edge))
-            chains.update(("path", order) for order in cfg.paths)
-        for pendants, cycles in hub_sides:
-            sides.add((pendants, cycles))
-            chains.update(("pendant", length) for length in pendants)
-            chains.update(("cycle", length) for length in cycles)
-    return {"chains": len(chains), "sides": len(sides), "links": len(links)}
+def _shards(n: int):
+    """The sweep's shard descriptors (n, family, hub edge, paths) at order
+    n: the G1 members as one shard, then one per G2 link set."""
+    yield n, "G1", False, ()
+    for hub_edge, paths in _g2_links(n):
+        yield n, "G2", hub_edge, paths
+
+
+def _shard_groups(shard, size):
+    """(key prefix, coupling, ok, base, sides) per group of one shard's
+    members, one member per side: its key() is prefix + side + suffix
+    (suffix () for G2, the empty v side for G1), and the hub carrying the
+    side has degree base + len(pendants) + 2 len(cycles). ok is false when
+    a repeated θ of the chains the group fixes (the links and the u side)
+    has a non-integer root."""
+    n, family, hub_edge, paths = shard
+    if family == "G1":
+        yield ("G1", False, ()), one_hub_coupling(size), True, 0, list(_g1_sides(n))
+        return
+    links = links_table(paths, hub_edge, size)
+    base = hub_edge + len(paths)
+    for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
+        side_u = side_table(pu, cu, size)
+        ok = links[3] and side_u[2]
+        coupling = two_hub_coupling(links, side_u, base + len(pu) + 2 * len(cu)) if ok else None
+        yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
+
+
+def _only_integer_roots(coeffs) -> bool:
+    return len(split_integer_roots(coeffs)[1]) <= 1
+
+
+def _decide_shard(shard, size):
+    """Decide, tag and tally every member of one shard from the value
+    tables of size entries (see quotient_sign_change).
+
+    A member is not integral when a repeated chain factor θ has a
+    non-integer root (a repeated exit) or when its equitable quotient
+    changes sign between consecutive integers (a sign exit), both decided
+    with no polynomial built. Only the members left get a FamilyConfig, and
+    their quotient's integer-root test decides. Returns the verdicts in
+    walk order, the hub sides met and the shard's counts."""
+    n, family = shard[:2]
+    suffix = ((), ()) if family == "G1" else ()
+    clock = time.perf_counter
+    verdicts, sides = [], set()
+    integrals = disagreements = repeated = signs = 0
+    root_s = 0.0
+    for prefix, coupling, ok, base, v_sides in _shard_groups(shard, size):
+        if family == "G2":
+            sides.add(prefix[3:])
+        sides.update(v_sides)
+        for side in v_sides:
+            pendants, cycles = side
+            key = prefix + side + suffix
+            table = side_table(pendants, cycles, size)
+            if not (ok and table[2]):
+                repeated += 1
+                integral = False
+            elif side_sign_change(coupling, table, base + len(pendants) + 2 * len(cycles), n) is not None:
+                signs += 1
+                integral = False
+            else:
+                t0 = clock()
+                integral = _only_integer_roots(family_factors(FamilyConfig(*key))[1])
+                root_s += clock() - t0
+            tag = _key_tag(*key)
+            integrals += integral
+            disagreements += integral == (tag == TAG_NONE)
+            verdicts.append(ClassificationVerdict(family, n, key, integral, tag))
+    counts = {
+        "integral": integrals,
+        "disagreements": disagreements,
+        "repeated_exits": repeated,
+        "sign_exits": signs,
+        "root_test_s": root_s,
+    }
+    return verdicts, sides, counts
+
+
+def _fill_tables(n_max: int) -> None:
+    """Fill the value tables of every hub side and link set of the members
+    on at most n_max vertices."""
+    for budget in range(n_max):
+        for pendants, cycles in _sides(budget):
+            side_table(pendants, cycles, n_max + 1)
+    for hub_edge, paths in _g2_links(n_max):
+        links_table(paths, hub_edge, n_max + 1)
 
 
 def verify_theorem(
@@ -460,67 +524,65 @@ def verify_theorem(
     Disagreement means exact integrality and membership in the six listed
     families differ; at nine or more vertices the classification promises
     there are none, below that the exceptions are reported as data.
-    Integrality comes from the cached side and link folds of
-    family_factors, no graph is built. The summary's stats hold the number
-    of configs, the distinct chains, hub sides and internal-path sets
-    behind those folds, the members decided with no polynomial built by a
-    repeated chain factor (repeated_exits) or by a sign change of the
-    quotient between consecutive integers (sign_exits), and the seconds of
-    the enumerate, decide and tag stages (the tag stage also assembles the
-    verdicts and the tally).
+
+    The sweep fills the value tables of every hub side and link set up to
+    n_max once, then walks the shards of _shards in order (in a Pool of
+    jobs workers when jobs > 1, the results concatenated in the same
+    order) and decides, tags and tallies each member in place with no
+    graph built (see _decide_shard). The summary's stats hold the number
+    of configs, the distinct chains, hub sides and internal-path sets met,
+    the repeated_exits and sign_exits, and the seconds of filling the
+    tables (tables_s), of the integer-root tests of the members left
+    (root_test_s, summed over the workers) and of the whole walk (walk_s).
     """
     check_budget(n_max, budget)
     if n_min < 1 or n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     clock = time.perf_counter
     t0 = clock()
-    configs = [
-        cfg
-        for n in range(n_min, n_max + 1)
-        for family in ("G1", "G2")
-        for cfg in enumerate_family(family, n)
-    ]
+    _fill_tables(n_max)
     t1 = clock()
+    shards = [shard for n in range(n_min, n_max + 1) for shard in _shards(n)]
+    decide = partial(_decide_shard, size=n_max + 1)
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            decisions = pool.map(_is_integral, configs, chunksize=256)
+            results = pool.map(decide, shards)
     else:
-        decisions = [_is_integral(cfg) for cfg in configs]
-    integral = [flag is True for flag in decisions]
+        results = map(decide, shards)
+    verdicts, tally, sides, links = [], {}, set(), set()
+    totals = dict.fromkeys(("repeated_exits", "sign_exits", "root_test_s"), 0)
+    for (n, family, hub_edge, paths), (found, met, counts) in zip(shards, results):
+        if not found:
+            continue
+        verdicts.extend(found)
+        sides |= met
+        if family == "G2":
+            links.add((paths, hub_edge))
+        row = tally.setdefault((n, family), [0, 0, 0])
+        row[0] += len(found)
+        row[1] += counts["integral"]
+        row[2] += counts["disagreements"]
+        for name in totals:
+            totals[name] += counts[name]
     t2 = clock()
-    verdicts = tuple(
-        ClassificationVerdict(
-            family=cfg.family,
-            n=cfg.vertex_count(),
-            config=cfg.key(),
-            integral=flag,
-            tag=config_tag(cfg),
-        )
-        for cfg, flag in zip(configs, integral)
-    )
-    tally = {}
-    for v in verdicts:
-        key = (v.n, v.family)
-        row = tally.setdefault(key, [0, 0, 0])
-        row[0] += 1
-        row[1] += v.integral
-        row[2] += not v.agreement
-    rows = tuple(
-        (n, family, *tally[(n, family)])
-        for n, family in sorted(tally)
-    )
-    t3 = clock()
+    rows = tuple((n, family, *tally[(n, family)]) for n, family in sorted(tally))
+    chains = {("path", order) for paths, _ in links for order in paths}
+    for pendants, cycles in sides:
+        chains.update(("pendant", length) for length in pendants)
+        chains.update(("cycle", length) for length in cycles)
     stats = {
-        "configs": len(configs),
-        **_structure_counts(configs),
-        "repeated_exits": decisions.count(None),
-        "sign_exits": decisions.count(SignExit.SIGN_CHANGE),
-        "enumerate_s": round(t1 - t0, 6),
-        "decide_s": round(t2 - t1, 6),
-        "tag_s": round(t3 - t2, 6),
+        "configs": len(verdicts),
+        "chains": len(chains),
+        "sides": len(sides),
+        "links": len(links),
+        "repeated_exits": totals["repeated_exits"],
+        "sign_exits": totals["sign_exits"],
+        "tables_s": round(t1 - t0, 6),
+        "root_test_s": round(totals["root_test_s"], 6),
+        "walk_s": round(t2 - t1, 6),
     }
     return TheoremSummary(
-        n_min=n_min, n_max=n_max, verdicts=verdicts, rows=rows, stats=stats
+        n_min=n_min, n_max=n_max, verdicts=tuple(verdicts), rows=rows, stats=stats
     )

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import mul
 from importlib import resources
 
 from .graphs import FamilyConfig, realize
@@ -315,20 +317,13 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
     yield from rec(0, [])
 
 
-def _param_terms(poly: MPoly, params) -> tuple:
-    """(exponents over params, integer coefficient) pairs of poly."""
-    return tuple(poly.with_vars(params).terms.items())
-
-
-def _eval_terms(terms, values) -> int:
-    """Evaluate a term list at integer parameter values, in ints."""
-    total = 0
-    for exps, c in terms:
-        for x, e in zip(values, exps):
-            if e:
-                c *= x**e
-        total += c
-    return total
+def _monomial_rows(polys, params) -> tuple:
+    """(monomials, rows): the exponent tuples over params that occur in
+    polys, and each poly as its integer coefficients over them, so that a
+    poly's value is the dot product of its row with the monomials' values."""
+    terms = [poly.with_vars(params).terms for poly in polys]
+    monomials = sorted({exps for t in terms for exps in t})
+    return monomials, [[t.get(exps, 0) for exps in monomials] for t in terms]
 
 
 def verify_sign_claims(
@@ -336,33 +331,31 @@ def verify_sign_claims(
 ) -> dict:
     """Exact sign verification of every cited evaluation point on the grid.
 
-    The polynomial in Z[s,t][λ] is split once into integer term lists, one
-    per λ-degree, and evaluated in ints at each grid point. A claim point
-    p/r is checked through the integer r^d · f(p/r), which has the sign of
-    f there; a printed closed-form value is checked against it by
-    cross-multiplying with r^d. Each grid point also gets a certificate of
+    The polynomial in Z[s,t][λ] is split once into integer rows over the
+    monomials in s and t, one per λ-degree and one per printed value, and
+    each grid point evaluates the monomials once and every row from them,
+    in ints. A claim point p/r is checked through the integer r^d · f(p/r),
+    which has the sign of f there; a printed closed-form value is checked
+    against it by cross-multiplying with r^d. Each grid point also gets a certificate of
     a root strictly inside the claimed interval: nonzero opposite signs at
     its ends, or else a Sturm count.
     """
     case = get_case(case_id)
     poly = computed_symbolic_poly(case_id)
-    lam_terms = [
-        _param_terms(poly.coefficient_in(LAMBDA, k), case.params)
-        for k in range(poly.degree(LAMBDA) + 1)
-    ]
-    d = len(lam_terms) - 1
+    polys = [poly.coefficient_in(LAMBDA, k) for k in range(poly.degree(LAMBDA) + 1)]
+    d = len(polys) - 1
     lo, hi = case.root_interval
-    claims = []
+    claims = []  # (claim, r^d, index of the printed value's poly or None)
     for claim in case.sign_claims:
-        expr = None
+        at = None
         if (
             claim.printed_value is not None
             and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
         ):
-            expr = _param_terms(
-                parse_poly(claim.printed_value, variables=case.params), case.params
-            )
-        claims.append((claim, claim.point.denominator**d, expr))
+            at = len(polys)
+            polys.append(parse_poly(claim.printed_value, variables=case.params))
+        claims.append((claim, claim.point.denominator**d, at))
+    monomials, rows = _monomial_rows(polys, case.params)
     points_checked = 0
     sign_failures = []
     identity_failures = []
@@ -370,14 +363,16 @@ def verify_sign_claims(
     for point in grid_points(case, cap, overrides):
         points_checked += 1
         values = [point[name] for name in case.params]
-        coeffs = [_eval_terms(terms, values) for terms in lam_terms]
-        for claim, scale, expr in claims:
+        powers = [prod(x**e for x, e in zip(values, exps)) for exps in monomials]
+        evaluated = [sum(map(mul, row, powers)) for row in rows]
+        coeffs = evaluated[: d + 1]
+        for claim, scale, at in claims:
             value = scaled_value_at(coeffs, claim.point)
             if (value > 0) - (value < 0) != claim.sign:
                 sign_failures.append(
                     {"point": point, "at": str(claim.point), "value": str(Fraction(value, scale))}
                 )
-            if expr is not None and _eval_terms(expr, values) * scale != value:
+            if at is not None and evaluated[at] * scale != value:
                 identity_failures.append({"point": point, "at": str(claim.point)})
         sign_hi = sign_at(coeffs, hi)
         if sign_at(coeffs, lo) * sign_hi >= 0:

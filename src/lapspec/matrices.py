@@ -7,9 +7,11 @@ family_factors and family_char_poly, which read the characteristic
 polynomial of a one- or two-hub family member off its block layout (a hub
 block plus one tridiagonal block per attached chain) without building a
 matrix, the first as an equitable quotient polynomial times repeated
-chain factors. quotient_sign_change evaluates that quotient at
-consecutive integers from the cached folds, and a sign change certifies a
-non-integer eigenvalue with no polynomial built. path_quotient gives the
+chain factors. side_table and links_table hold the values of the cached
+hub-side and link folds at k = 0, 1, ..., and quotient_sign_change and
+the sweep read that quotient at consecutive integers off them: a sign
+change certifies a non-integer eigenvalue with no polynomial built, and
+a member costs a few products per k. path_quotient gives the
 same quotient for members with internal paths only, with counts that may
 be MPoly values: the catalog's polynomials in Z[s,t][λ] come from it, and
 Berkowitz over Z[s,t] is kept only as their test oracle.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import FamilyConfig
-from .polys import poly_mul, poly_value
+from .polys import poly_mul, poly_value, split_integer_roots
 
 
 class IntMatrix:
@@ -297,27 +299,84 @@ def family_factors(cfg: FamilyConfig) -> tuple:
     return repeated, _add(poly_mul(y, a), poly_mul(pv, b), -1)
 
 
-def _quotient_at(cfg: FamilyConfig):
-    """The function k -> Q(k) in ints, Q the quotient of family_factors,
-    combining the values at k of the member's cached side and link
-    polynomials as family_factors combines the polynomials: X for G1,
-    Y A - P_v B for G2. No coefficient list is multiplied."""
-    pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
-    du = cfg.hub_degree_u()
-    if cfg.family == "G1":
-        return lambda k: (k - du) * poly_value(pu, k) - poly_value(nu, k)
-    pv, nv, _ = _side(cfg.pendants_v, cfg.cycles_v)
-    p, n, t, _ = _links(cfg.paths, cfg.hub_edge)
-    dv = cfg.hub_degree_v()
+# -- value tables of the sweep ---------------------------------------------------
+#
+# quotient_sign_change needs the quotient's values at the integers, not its
+# coefficients. A side's or a link set's fold is evaluated at k = 0..size-1
+# once into a table, so a member costs a few products per k: A and B below
+# depend only on the internal paths and the u side, so a walk that fixes both
+# computes them once and pays Q(k) = Y(k) A(k) - P_v(k) B(k) per v side. A
+# table also records whether every repeated θ of its chains has only integer
+# roots, the other early decision (see repeated_factors).
 
-    def quotient(k):
-        pu_k, pv_k = poly_value(pu, k), poly_value(pv, k)
-        p_k, n_k = poly_value(p, k), poly_value(n, k)
-        x = (k - du) * pu_k - poly_value(nu, k)
-        y = (k - dv) * pv_k - poly_value(nv, k)
-        return y * (p_k * x - n_k * pu_k) - pv_k * (n_k * x - pu_k * poly_value(t, k))
 
-    return quotient
+@lru_cache(maxsize=None)
+def _integer_roots_only(theta) -> bool:
+    """One entry per distinct repeated θ: a few dozen at the orders swept."""
+    return len(split_integer_roots(theta)[1]) <= 1
+
+
+@lru_cache(maxsize=1 << 16)
+def side_table(pendants, cycles, size):
+    """(P(k), N(k)) for k in range(size), P and N the folds of _side, and
+    whether every repeated θ of the side has only integer roots."""
+    p, n, repeated = _side(pendants, cycles)
+    return (
+        tuple(poly_value(p, k) for k in range(size)),
+        tuple(poly_value(n, k) for k in range(size)),
+        all(_integer_roots_only(theta) for theta, _ in repeated),
+    )
+
+
+@lru_cache(maxsize=1 << 16)
+def links_table(paths, hub_edge, size):
+    """(P(k), N(k), T(k)) for k in range(size), P, N and T the folds of
+    _links, and whether every repeated θ of the paths has only integer
+    roots."""
+    p, n, t, repeated = _links(paths, hub_edge)
+    return (
+        tuple(poly_value(p, k) for k in range(size)),
+        tuple(poly_value(n, k) for k in range(size)),
+        tuple(poly_value(t, k) for k in range(size)),
+        all(_integer_roots_only(theta) for theta, _ in repeated),
+    )
+
+
+def one_hub_coupling(size) -> tuple:
+    """(A(k), B(k)) = (1, 0) for k in range(size): with them
+    side_sign_change scans a G1 member's quotient X."""
+    return (1,) * size, (0,) * size
+
+
+def two_hub_coupling(links, side_u, degree_u) -> tuple:
+    """(A(k), B(k)) for k in the range of the tables, A = P X_u - N P_u and
+    B = N X_u - P_u T, from a links_table and the side_table of the u hub
+    of degree degree_u, X_u(k) = (k - degree_u) P_u(k) - N_u(k): the part
+    of a G2 member's quotient Y A - P_v B its v side does not change."""
+    p, n, t, _ = links
+    pu, nu, _ = side_u
+    a, b = [], []
+    for k, (p_k, n_k, t_k, pu_k, nu_k) in enumerate(zip(p, n, t, pu, nu)):
+        x = (k - degree_u) * pu_k - nu_k
+        a.append(p_k * x - n_k * pu_k)
+        b.append(n_k * x - pu_k * t_k)
+    return a, b
+
+
+def side_sign_change(coupling, side, degree, n):
+    """The first k in 1..n-1 at which Q(k) = Y(k) A(k) - P(k) B(k) and
+    Q(k + 1) are nonzero of opposite sign, or None; (A, B) is a coupling,
+    (P, N) the side's table and Y(k) = (k - degree) P(k) - N(k)."""
+    a, b = coupling
+    p, nn, _ = side
+    last = 0
+    for k in range(1, n + 1):
+        p_k = p[k]
+        q = ((k - degree) * p_k - nn[k]) * a[k] - p_k * b[k]
+        if q and last and (q < 0) != (last < 0):
+            return k - 1
+        last = q
+    return None
 
 
 def quotient_sign_change(cfg: FamilyConfig):
@@ -327,17 +386,18 @@ def quotient_sign_change(cfg: FamilyConfig):
     Q's roots are Laplacian eigenvalues (Q is the characteristic
     polynomial of an equitable quotient), so such a k certifies one in the
     open interval (k, k + 1), a non-integer one. A zero Q(k) is an integer
-    root, and no comparison spans it. The scan evaluates Q at 1, 2, ...
-    in ints, stops at the first sign change and builds no polynomial.
+    root, and no comparison spans it. The scan reads Q(1), Q(2), ... off
+    the value tables as the sweep does, stops at the first sign change and
+    builds no polynomial.
     """
-    quotient = _quotient_at(cfg)
-    last = 0
-    for k in range(1, cfg.vertex_count() + 1):
-        q = quotient(k)
-        if q and last and (q < 0) != (last < 0):
-            return k - 1
-        last = q
-    return None
+    n = cfg.vertex_count()
+    side_u = side_table(cfg.pendants_u, cfg.cycles_u, n + 1)
+    if cfg.family == "G1":
+        return side_sign_change(one_hub_coupling(n + 1), side_u, cfg.hub_degree_u(), n)
+    links = links_table(cfg.paths, cfg.hub_edge, n + 1)
+    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
+    side_v = side_table(cfg.pendants_v, cfg.cycles_v, n + 1)
+    return side_sign_change(coupling, side_v, cfg.hub_degree_v(), n)
 
 
 def family_char_poly(cfg: FamilyConfig) -> list:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: spanning trees are enumerated one
 by one, random graphs are built from explicit edge lists, cographs come
 from literal union/join trees, and real roots are isolated by bisection on
 Fractions with polynomials evaluated as sum(c_i * x**i). None of it shares
-code with the library paths it checks.
+code with the library paths it checks, except reference_sweep: it checks
+how verify_theorem walks, hoists and tallies, and makes the library's own
+decisions one member at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,20 @@ import random
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
-from lapspec import Graph, complete, disjoint_union, is_connected, join
+from lapspec import (
+    Graph,
+    complete,
+    config_tag,
+    disjoint_union,
+    enumerate_family,
+    family_factors,
+    is_connected,
+    join,
+    quotient_sign_change,
+    repeated_factors,
+    split_integer_roots,
+)
+from lapspec.enumeration import TAG_NONE
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -269,3 +284,36 @@ def fraction_isolate_squarefree(c, precision: Fraction):
 def fraction_isolate_roots(c, precision: Fraction):
     """The oracle for isolate_roots: isolation of the square-free part."""
     return fraction_isolate_squarefree(fraction_square_free_part(c), precision)
+
+
+# -- the classification sweep one member at a time ------------------------------
+
+
+def reference_sweep(n_min: int, n_max: int):
+    """The sweep as a loop over enumerate_family, one FamilyConfig per
+    member, the reference for verify_theorem's shard walk: a repeated chain
+    factor θ with a non-integer root, else a sign change of the quotient
+    (quotient_sign_change), else the quotient's integer-root test decides,
+    and config_tag tags. Returns the TSV rows, one (family, n, key,
+    integral, tag) per member in order, and the repeated and sign exits."""
+    verdicts, tally = [], {}
+    repeated = signs = 0
+    for n in range(n_min, n_max + 1):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                if any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg)):
+                    repeated += 1
+                    integral = False
+                elif quotient_sign_change(cfg) is not None:
+                    signs += 1
+                    integral = False
+                else:
+                    integral = len(split_integer_roots(family_factors(cfg)[1])[1]) <= 1
+                tag = config_tag(cfg)
+                verdicts.append((family, n, cfg.key(), integral, tag))
+                row = tally.setdefault((n, family), [0, 0, 0])
+                row[0] += 1
+                row[1] += integral
+                row[2] += integral != (tag != TAG_NONE)
+    rows = tuple((n, family, *tally[n, family]) for n, family in sorted(tally))
+    return rows, verdicts, repeated, signs

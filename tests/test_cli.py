@@ -260,7 +260,7 @@ def test_verify_theorem_stats_on_stderr(capsys):
     assert stats["configs"] == 69 + 484
     assert set(stats) == {
         "configs", "chains", "sides", "links", "repeated_exits", "sign_exits",
-        "enumerate_s", "decide_s", "tag_s",
+        "tables_s", "root_test_s", "walk_s",
     }
     assert 0 < stats["repeated_exits"] < stats["configs"]
     assert 0 < stats["sign_exits"] < stats["configs"] - stats["repeated_exits"]

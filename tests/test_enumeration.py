@@ -33,7 +33,7 @@ from lapspec.enumeration import (
     TAG_STAR,
     BudgetExceededError,
 )
-from oracle_helpers import scrambled_fields
+from oracle_helpers import reference_sweep, scrambled_fields
 
 
 def test_enumerate_family_small_cases():
@@ -182,44 +182,55 @@ def test_verify_theorem_stats():
     stats = summary.stats
     assert set(stats) == {
         "configs", "chains", "sides", "links", "repeated_exits", "sign_exits",
-        "enumerate_s", "decide_s", "tag_s",
+        "tables_s", "root_test_s", "walk_s",
     }
     assert stats["configs"] == 69 + 484
     # pendant lengths 1..6, cycle lengths 3..8, internal path orders 3..8
     assert stats["chains"] == 6 + 6 + 6
-    assert 0 < stats["sides"] < stats["configs"] and 0 < stats["links"] < stats["configs"]
     configs = [FamilyConfig(*v.config) for v in summary.verdicts]
+    sides = {(c.pendants_u, c.cycles_u) for c in configs}
+    sides |= {(c.pendants_v, c.cycles_v) for c in configs if c.family == "G2"}
+    links = {(c.paths, c.hub_edge) for c in configs if c.family == "G2"}
+    assert (stats["sides"], stats["links"]) == (len(sides), len(links))
     exits = sum(has_non_integral_repeated_factor(cfg) for cfg in configs)
     assert 0 < exits == stats["repeated_exits"]
     signs = sum(
         has_quotient_sign_change(cfg) for cfg in configs if not has_non_integral_repeated_factor(cfg)
     )
     assert 0 < signs == stats["sign_exits"] < stats["configs"] - exits
-    assert all(stats[k] >= 0 for k in ("enumerate_s", "decide_s", "tag_s"))
-    parallel = verify_theorem(9, 9, jobs=2).stats
-    assert (parallel["sides"], parallel["repeated_exits"], parallel["sign_exits"]) == (
-        stats["sides"], exits, signs
-    )
+    assert all(stats[k] >= 0 for k in ("tables_s", "root_test_s", "walk_s"))
+    assert stats["root_test_s"] < stats["walk_s"]
 
 
-def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen():
+@pytest.fixture(scope="module")
+def sweep_nine_to_thirteen():
+    return verify_theorem(9, 13, budget=13)
+
+
+def test_shard_walk_matches_the_reference_sweep_nine_to_thirteen(sweep_nine_to_thirteen):
+    summary = sweep_nine_to_thirteen
+    rows, verdicts, repeated, signs = reference_sweep(9, 13)
+    assert summary.rows == rows
+    assert len(summary.verdicts) == len(verdicts) == 10422 + 11837
+    for v, want in zip(summary.verdicts, verdicts):
+        assert (v.family, v.n, v.config, v.integral, v.tag) == want
+    assert (summary.stats["repeated_exits"], summary.stats["sign_exits"]) == (repeated, signs)
+
+
+def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen(sweep_nine_to_thirteen):
     # oracle: integer roots of the whole det(λI - L), with no early exit
     from lapspec import family_char_poly, split_integer_roots
-    from lapspec.enumeration import _is_integral
 
     counts = [0, 0, 0]  # members, integral, decided by a repeated factor
-    for n in range(9, 14):
-        for family in ("G1", "G2"):
-            for cfg in enumerate_family(family, n):
-                full = len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
-                flag = _is_integral(cfg)
-                assert bool(flag) == full, cfg
-                exit_early = has_non_integral_repeated_factor(cfg)
-                assert (flag is None) == exit_early, cfg
-                counts[0] += 1
-                counts[1] += full
-                counts[2] += exit_early
+    for v in sweep_nine_to_thirteen.verdicts:
+        cfg = FamilyConfig(*v.config)
+        full = len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
+        assert v.integral == full, cfg
+        counts[0] += 1
+        counts[1] += full
+        counts[2] += has_non_integral_repeated_factor(cfg)
     assert counts[0] == 10422 + 11837 and 0 < counts[1] and 1294 < counts[2] < counts[0]
+    assert counts[2] == sweep_nine_to_thirteen.stats["repeated_exits"]
 
 
 def test_verify_theorem_budget():
@@ -237,10 +248,13 @@ def test_small_n_exceptions_are_reported_not_asserted():
 
 
 def test_parallel_matches_serial():
-    serial = verify_theorem(9, 9, jobs=1)
-    parallel = verify_theorem(9, 9, jobs=2)
+    serial = verify_theorem(9, 10, jobs=1)
+    parallel = verify_theorem(9, 10, jobs=2)
     assert serial.rows == parallel.rows
-    assert [v.graph6 for v in serial.verdicts] == [v.graph6 for v in parallel.verdicts]
+    assert serial.verdicts == parallel.verdicts
+    timers = ("tables_s", "root_test_s", "walk_s")
+    counts = {k: v for k, v in serial.stats.items() if k not in timers}
+    assert counts == {k: v for k, v in parallel.stats.items() if k not in timers}
 
 
 def test_integral_nonbipartite_two_hub_members_have_a_equal_k():

@@ -1,0 +1,80 @@
+"""Properties of the integer univariate kernel (needs Hypothesis).
+
+The gcd divides both inputs and keeps a planted common factor, the
+square-free decomposition multiplies back to its input up to the content,
+and split_integer_roots finds exactly the integer roots planted in front
+of a cofactor with none. Divisibility, content and rational roots come
+from the Fraction helpers of oracle_helpers, not from lapspec.
+"""
+
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from lapspec.polys import (  # noqa: E402
+    _poly_gcd,
+    _squarefree_decomposition,
+    poly_mul,
+    split_integer_roots,
+)
+
+from oracle_helpers import _q_divmod, _q_rational_roots  # noqa: E402
+
+polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)
+nonconstant = polys.filter(lambda c: len(c) > 1)
+
+
+def divides(d, c) -> bool:
+    return not _q_divmod(c, d)[1]
+
+
+def content(c) -> int:
+    g = 0
+    for x in c:
+        g = gcd(g, x)
+    return g
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(polys, polys, polys)
+def test_gcd_divides_both_inputs_and_keeps_a_common_factor(common, a, b):
+    a, b = poly_mul(common, a), poly_mul(common, b)
+    g = _poly_gcd(a, b)
+    assert g and g[-1] > 0 and content(g) == 1
+    assert divides(g, a) and divides(g, b)
+    assert divides(common, g)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(nonconstant, st.integers(1, 3)), max_size=3), polys)
+def test_squarefree_decomposition_multiplies_back_up_to_content(factors, cofactor):
+    c = cofactor
+    for f, m in factors:
+        for _ in range(m):
+            c = poly_mul(c, f)
+    product = [1]
+    for f, m in _squarefree_decomposition(c):
+        assert m >= 1 and f[-1] > 0 and content(f) == 1
+        for _ in range(m):
+            product = poly_mul(product, f)
+    sign = 1 if c[-1] > 0 else -1
+    assert [sign * content(c) * x for x in product] == c
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.dictionaries(st.integers(-12, 12), st.integers(1, 3), max_size=4),
+    polys,
+)
+def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor):
+    assume(all(r.denominator != 1 for r in _q_rational_roots(cofactor)[0]))
+    c = cofactor
+    for r, m in planted.items():
+        for _ in range(m):
+            c = poly_mul(c, [-r, 1])
+    roots, rest = split_integer_roots(c)
+    assert roots == planted
+    assert rest == cofactor

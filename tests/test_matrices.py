@@ -210,19 +210,62 @@ def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
 
 
 def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
-    # the sign scan's Q(k) from cached side and link values, against the
-    # value of family_factors' coefficient list at every k in 0..n
-    from lapspec.matrices import _quotient_at
+    # the sign scan's Q(k) = Y(k) A(k) - P_v(k) B(k) from the value tables,
+    # against the value of family_factors' coefficient list at every k in 0..n
+    from lapspec.matrices import links_table, one_hub_coupling, side_table, two_hub_coupling
 
     checked = 0
     for n in range(4, 11):
         for family in ("G1", "G2"):
             for cfg in enumerate_family(family, n):
-                quotient, at = family_factors(cfg)[1], _quotient_at(cfg)
+                side_u = side_table(cfg.pendants_u, cfg.cycles_u, n + 1)
+                if family == "G1":
+                    (a, b), (p, nn, _), d = one_hub_coupling(n + 1), side_u, cfg.hub_degree_u()
+                else:
+                    links = links_table(cfg.paths, cfg.hub_edge, n + 1)
+                    a, b = two_hub_coupling(links, side_u, cfg.hub_degree_u())
+                    p, nn, _ = side_table(cfg.pendants_v, cfg.cycles_v, n + 1)
+                    d = cfg.hub_degree_v()
+                quotient = family_factors(cfg)[1]
                 for k in range(n + 1):
-                    assert at(k) == sum(c * k**i for i, c in enumerate(quotient)), (cfg, k)
+                    at = ((k - d) * p[k] - nn[k]) * a[k] - p[k] * b[k]
+                    assert at == sum(c * k**i for i, c in enumerate(quotient)), (cfg, k)
                 checked += 1
     assert checked == 2191
+
+
+def test_value_tables_equal_the_folds_nine_to_twelve():
+    # every side and link set the sweep meets at 9..12: each table entry is
+    # the fold's coefficient list evaluated as sum(c_i k^i), and the flag
+    # says whether every repeated θ has only integer roots
+    from lapspec.matrices import _links, _side, links_table, side_table
+
+    def values(poly):
+        return tuple(sum(c * k**i for i, c in enumerate(poly)) for k in range(13))
+
+    def integer_roots_only(repeated):
+        return all(len(split_integer_roots(theta)[1]) <= 1 for theta, _ in repeated)
+
+    sides, links = set(), set()
+    for n in range(9, 13):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                sides.add((cfg.pendants_u, cfg.cycles_u))
+                if family == "G2":
+                    sides.add((cfg.pendants_v, cfg.cycles_v))
+                    links.add((cfg.paths, cfg.hub_edge))
+    assert (len(sides), len(links)) == (732, 262)
+    flags = Counter()
+    for side in sides:
+        p, n, repeated = _side(*side)
+        assert side_table(*side, 13) == (values(p), values(n), integer_roots_only(repeated)), side
+        flags[integer_roots_only(repeated)] += 1
+    for paths, hub_edge in links:
+        p, n, t, repeated = _links(paths, hub_edge)
+        want = (values(p), values(n), values(t), integer_roots_only(repeated))
+        assert links_table(paths, hub_edge, 13) == want, (paths, hub_edge)
+        flags[integer_roots_only(repeated)] += 1
+    assert flags[True] > 0 and flags[False] > 0
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
