@@ -62,6 +62,7 @@ from .polys import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    poly_text,
     poly_value,
     scaled_value_at,
     sign_at,

@@ -608,13 +608,7 @@ def from_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- adjacency-list text format (debugging aid) ------------------------------
-
-
-def to_adjacency_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+# -- adjacency-list text format ----------------------------------------------
 
 
 def from_adjacency_text(text: str) -> Graph:

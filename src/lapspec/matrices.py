@@ -51,16 +51,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.rows))
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 

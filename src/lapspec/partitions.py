@@ -10,7 +10,7 @@ handles irrational eigenvalues uniformly.
 from __future__ import annotations
 
 from .matrices import IntMatrix, char_poly
-from .polys import MPoly, divides
+from .polys import divides
 
 
 def validate_partition(cells, n: int):
@@ -67,21 +67,26 @@ def _cell_sums(m: IntMatrix, cells):
     return sums
 
 
-def check_equitable(m: IntMatrix, cells):
-    """(True, None), or (False, witness) naming the offending cell pair."""
-    cells = validate_partition(cells, m.rows)
-    sums = _cell_sums(m, cells)
+def _witness(cells, sums):
+    """None for an equitable partition, else the offending cell pair."""
     for i, cell in enumerate(cells):
         first = sums[cell[0]]
         for v in cell[1:]:
             if sums[v] != first:
                 j = next(k for k in range(len(cells)) if sums[v][k] != first[k])
-                return False, {
+                return {
                     "cell_pair": (i, j),
                     "vertices": (cell[0], v),
                     "sums": (first[j], sums[v][j]),
                 }
-    return True, None
+    return None
+
+
+def check_equitable(m: IntMatrix, cells):
+    """(True, None), or (False, witness) naming the offending cell pair."""
+    cells = validate_partition(cells, m.rows)
+    witness = _witness(cells, _cell_sums(m, cells))
+    return witness is None, witness
 
 
 def is_equitable(m: IntMatrix, cells) -> bool:
@@ -91,25 +96,23 @@ def is_equitable(m: IntMatrix, cells) -> bool:
 
 def quotient_matrix(m: IntMatrix, cells) -> IntMatrix:
     cells = validate_partition(cells, m.rows)
-    ok, witness = check_equitable(m, cells)
-    if not ok:
-        raise ValueError(f"partition is not equitable: {witness}")
     sums = _cell_sums(m, cells)
+    witness = _witness(cells, sums)
+    if witness is not None:
+        raise ValueError(f"partition is not equitable: {witness}")
     return IntMatrix([list(sums[cell[0]]) for cell in cells])
 
 
 def eigenvalue_containment_check(m: IntMatrix, cells):
     """Certify that every quotient eigenvalue is an eigenvalue of M.
 
-    The certificate is exact divisibility of characteristic polynomials,
-    which handles irrational eigenvalues uniformly. Returns
-    (True, cofactor); divisibility can only fail if the partition was not
-    equitable, which quotient_matrix already rejects.
+    The certificate is exact divisibility of characteristic polynomials
+    in Z[λ], which handles irrational eigenvalues uniformly. Returns
+    (True, cofactor), the cofactor as ascending integer coefficients;
+    divisibility can only fail if the partition was not equitable, which
+    quotient_matrix already rejects.
     """
-    q = quotient_matrix(m, cells)
-    pq = MPoly.from_univariate(char_poly(q))
-    pm = MPoly.from_univariate(char_poly(m))
-    ok, cofactor = divides(pq, pm)
+    ok, cofactor = divides(char_poly(quotient_matrix(m, cells)), char_poly(m))
     if not ok:
         raise AssertionError("equitable quotient polynomial must divide")
     return True, cofactor

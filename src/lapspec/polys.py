@@ -1,16 +1,17 @@
 """Exact polynomial arithmetic over the integers.
 
-Sparse multivariate polynomials (integer or exact-rational coefficients)
-for the symbolic catalog, and one integer univariate kernel on ascending
-coefficient lists: primitive-PRS gcd, exact division by Gauss's lemma,
-square-free decomposition, integer-root extraction with multiplicities
-(candidates bounded by a root bound, not by the size of the constant term),
-Sturm-sequence root counting over half-open rational intervals, and
-bisection refinement of isolating intervals. MPoly input to the public
-root functions is converted to integer coefficients once, at the boundary.
-No floating point is used anywhere in a decision path; decimal
-output elsewhere in the library is display-only rounding of the rational
-intervals produced here.
+Two representations, one per job. MPoly is a sparse multivariate
+polynomial (integer or exact-rational coefficients) and serves only the
+symbolic Z[s,t][λ] catalog. Every single-graph decision works on ascending
+integer coefficient lists in one univariate kernel: primitive-PRS gcd,
+exact division in Z[λ], square-free decomposition, integer-root extraction
+with multiplicities (candidates bounded by a root bound, not by the size
+of the constant term), Sturm-sequence root counting over half-open
+rational intervals, bisection refinement of isolating intervals, and
+poly_text, which prints a list in MPoly's canonical text. No floating
+point is used anywhere in a decision path; decimal output elsewhere in
+the library is display-only rounding of the rational intervals produced
+here.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def _normalize_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _power_text(name, e):
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _terms_text(terms):
+    """Join (coefficient, factor texts) pairs, leading term first, into the
+    canonical text that parse_poly reads; '0' when there are none."""
+    pieces = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join(factors if factors and mag == 1 else (str(mag), *factors))
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
 
 
 class MPoly:
@@ -289,25 +308,10 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, c in self._sorted_terms():
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            mag = abs(c)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _terms_text(
+            (c, [_power_text(v, e) for v, e in zip(self.vars, exps) if e])
+            for exps, c in self._sorted_terms()
+        )
 
     def __repr__(self):
         return f"MPoly({self.to_text()!r})"
@@ -560,6 +564,23 @@ def _poly_gcd(a, b):
     return [-x for x in a] if a and a[-1] < 0 else a
 
 
+def _quotient(a, b):
+    """a / b for trimmed integer lists, or None when it is not in Z[λ].
+
+    Long division with floor quotients of the leading coefficients: a step
+    leaves a nonzero remainder coefficient that no later step touches
+    unless b's leading coefficient divides, so the remainder vanishes
+    exactly when the quotient has integer coefficients.
+    """
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            r[k + i] -= q[k] * x
+    return None if any(r) else q
+
+
 def _exact_quotient(a, b):
     """Primitive part, leading coefficient positive, of a / b.
 
@@ -567,14 +588,8 @@ def _exact_quotient(a, b):
     primitive part of b has integer coefficients, so the long division
     never leaves Z.
     """
-    b = _primitive(b)
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in reversed(range(len(q))):
-        q[k] = r[k + len(b) - 1] // b[-1]
-        for i, x in enumerate(b):
-            r[k + i] -= q[k] * x
-    assert not any(r), "divisor does not divide"
+    q = _quotient(a, _primitive(b))
+    assert q is not None, "divisor does not divide"
     q = _primitive(q)
     return [-x for x in q] if q[-1] < 0 else q
 
@@ -727,8 +742,9 @@ def _isolate_squarefree(c, precision: Fraction):
 
 # -- public operations ----------------------------------------------------
 #
-# The root functions take a univariate MPoly or its ascending integer
-# coefficients; MPoly input is cleared of denominators once, at the boundary.
+# The root functions and divides take ascending integer coefficient lists
+# (index = exponent of λ); a catalog polynomial in Z[s,t][λ] reaches them
+# through MPoly.univariate_coeffs once its parameters are substituted.
 
 
 @dataclass(frozen=True)
@@ -736,23 +752,14 @@ class RootReport:
     """Exact factorization data for a univariate integer polynomial.
 
     integer_roots lists (root, multiplicity) in descending root order;
-    residual is the integer-root-free cofactor; isolating_intervals hold
-    exactly one real residual root each (residual taken square-free).
+    residual is the integer-root-free cofactor, as a tuple of ascending
+    integer coefficients; isolating_intervals hold exactly one real
+    residual root each (residual taken square-free).
     """
 
-    poly: MPoly
-    var: str
     integer_roots: tuple
-    residual: MPoly
+    residual: tuple
     isolating_intervals: tuple
-
-    def reconstructs(self) -> bool:
-        """Check product of linear factors times residual equals the input."""
-        prod = self.residual
-        lam = MPoly.var(self.var)
-        for root, mult in self.integer_roots:
-            prod = prod * (lam - root) ** mult
-        return prod == self.poly
 
 
 def split_integer_roots(c):
@@ -765,7 +772,7 @@ def split_integer_roots(c):
     trailing coefficient. The polynomial has only integer roots exactly
     when the cofactor is a constant.
     """
-    c = _int_coeffs(c)[1]
+    c = _trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
     roots = {}
@@ -784,21 +791,18 @@ def split_integer_roots(c):
     return roots, c
 
 
-def integer_roots(p, var: str = None, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
+def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     """Every integer root with multiplicity (see split_integer_roots), and
     isolating intervals for the real roots of the integer-root-free rest."""
-    var, coeffs = _int_coeffs(p, var)
-    roots, residual = split_integer_roots(coeffs)
+    roots, residual = split_integer_roots(c)
     return RootReport(
-        poly=p if isinstance(p, MPoly) else MPoly.from_univariate(coeffs, var),
-        var=var,
         integer_roots=tuple(sorted(roots.items(), key=lambda kv: -kv[0])),
-        residual=MPoly.from_univariate(residual, var),
+        residual=tuple(residual),
         isolating_intervals=tuple(_isolate_squarefree(_square_free_part(residual), precision)),
     )
 
 
-def sturm_count(p, a, b, var: str = None) -> int:
+def sturm_count(c, a, b) -> int:
     """Exact number of distinct real roots in the half-open interval (a, b].
 
     The square-free part is taken internally, so repeated roots count once.
@@ -806,30 +810,30 @@ def sturm_count(p, a, b, var: str = None) -> int:
     a, b = _as_fraction(a), _as_fraction(b)
     if a >= b:
         raise ValueError("empty interval: require a < b")
-    coeffs = _int_coeffs(p, var)[1]
-    if not coeffs:
+    c = _trim(list(c))
+    if not c:
         raise ValueError("zero polynomial")
-    sf = _square_free_part(coeffs)
+    sf = _square_free_part(c)
     if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)
     return _count_halfopen(chain, a, b)
 
 
-def isolate_roots(p, precision: Fraction = DEFAULT_PRECISION, var: str = None):
-    """Isolating rational intervals for all distinct real roots of p.
+def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
+    """Isolating rational intervals for all distinct real roots of c.
 
     Rational roots are returned as exact point intervals [r, r]; all other
     intervals are refined by bisection until their width is at most the
     requested precision.
     """
-    coeffs = _int_coeffs(p, var)[1]
-    if not coeffs:
+    c = _trim(list(c))
+    if not c:
         raise ValueError("zero polynomial")
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    return _isolate_squarefree(_square_free_part(coeffs), precision)
+    return _isolate_squarefree(_square_free_part(c), precision)
 
 
 def gap_points(*polys):
@@ -839,8 +843,8 @@ def gap_points(*polys):
     the union, plus one below and one above every root.
     """
     prod = [1]
-    for p in polys:
-        prod = poly_mul(prod, _int_coeffs(p)[1])
+    for c in polys:
+        prod = poly_mul(prod, _trim(list(c)))
     sf = _square_free_part(prod)
     if len(sf) <= 1:
         return [Fraction(0)]
@@ -855,16 +859,16 @@ def gap_points(*polys):
 
 
 class RootCounter:
-    """Real roots of p above rational thresholds, counted with multiplicity.
+    """Real roots of c above rational thresholds, counted with multiplicity.
 
     One Sturm chain per square-free factor is built once and reused for
     every threshold.
     """
 
-    def __init__(self, p):
+    def __init__(self, c):
         self._parts = [
             (_sturm_chain(factor), Fraction(_root_bound(factor)), mult)
-            for factor, mult in _squarefree_decomposition(_int_coeffs(p)[1])
+            for factor, mult in _squarefree_decomposition(c)
         ]
 
     def count_above(self, theta: Fraction) -> int:
@@ -874,39 +878,22 @@ class RootCounter:
         )
 
 
-def _divmod_q(a, b):
-    """Exact division with remainder over the rationals."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    while r and len(r) >= len(b):
-        shift = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[shift] = f
-        for i, bc in enumerate(b):
-            r[i + shift] -= f * bc
-        _trim(r)
-    return q, r
+def divides(p, q):
+    """Exact divisibility in Z[λ]; returns (flag, quotient).
 
-
-def divides(p: MPoly, q: MPoly, var: str = None):
-    """Exact divisibility over the rationals; returns (flag, quotient)."""
+    The quotient is the integer coefficient list of q / p, or None when p
+    does not divide q with an integer quotient.
+    """
+    p = _trim(list(p))
     if not p:
         raise ValueError("division by the zero polynomial")
-    var = var or _only_var(p, q)
-    quo, rem = _divmod_q(q.univariate_coeffs(var), p.univariate_coeffs(var))
-    if rem:
-        return False, None
-    return True, MPoly.from_univariate(quo, var)
+    quo = _quotient(_trim(list(q)), p)
+    return quo is not None, quo
 
 
-def sign_at(p, point) -> int:
+def sign_at(c, point) -> int:
     """Exact sign (-1, 0, 1) of a univariate polynomial at a rational point."""
-    return _sign_at(_int_coeffs(p)[1], _as_fraction(point))
+    return _sign_at(c, _as_fraction(point))
 
 
 def scaled_value_at(c, point) -> int:
@@ -921,27 +908,11 @@ def scaled_value_at(c, point) -> int:
     return _scaled_value(c, q.numerator, q.denominator)
 
 
-def _only_var(*polys) -> str:
-    live = []
-    for p in polys:
-        live.extend(v for v in p.vars if p.degree(v) > 0)
-    names = sorted(set(live))
-    if len(names) > 1:
-        raise ValueError(f"expected a univariate polynomial, variables: {names}")
-    return names[0] if names else LAMBDA
-
-
-def _int_coeffs(p, var=None):
-    """(variable, ascending integer coefficients) of an MPoly or coefficient list."""
-    if not isinstance(p, MPoly):
-        return var or LAMBDA, _trim(list(p))
-    var = var or _only_var(p)
-    return var, _clear_denominators(p.univariate_coeffs(var))
-
-
-def _clear_denominators(coeffs):
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs]
+def poly_text(c) -> str:
+    """Canonical text of ascending integer coefficients in λ, the form
+    MPoly.to_text prints and parse_poly reads: '0' for the zero list."""
+    return _terms_text(
+        (a, () if e == 0 else (_power_text(LAMBDA, e),))
+        for e, a in reversed(list(enumerate(c)))
+        if a
+    )

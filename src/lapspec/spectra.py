@@ -17,22 +17,16 @@ from .graphs import Graph, connected_components, is_connected, remove_edges, to_
 from .matrices import IntMatrix, char_poly
 from .polys import (
     DEFAULT_PRECISION,
-    LAMBDA,
     RootCounter,
     RootReport,
     gap_points,
     integer_roots,
     isolate_roots,
+    poly_text,
     sign_at,
     split_integer_roots,
     sturm_count,
 )
-
-
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix(
-        [[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)]
-    )
 
 
 def laplacian(g: Graph) -> IntMatrix:
@@ -84,7 +78,7 @@ class SpectrumReport:
 
     @property
     def is_integral(self) -> bool:
-        return self.root_report.residual.degree() <= 0
+        return len(self.root_report.residual) <= 1
 
     def display(self) -> str:
         """Human-readable multiset, largest eigenvalue first."""
@@ -101,7 +95,7 @@ class SpectrumReport:
             "kind": self.kind,
             "n": self.n,
             "integer_roots": [[r, m] for r, m in self.integer_spectrum],
-            "residual": self.root_report.residual.to_text(),
+            "residual": poly_text(self.root_report.residual),
             "intervals": [[str(lo), str(hi)] for lo, hi in self.intervals],
             "integral": self.is_integral,
             "display": self.display(),
@@ -112,7 +106,7 @@ def spectrum(g: Graph, kind: str = "L", precision: Fraction = DEFAULT_PRECISION)
     if kind not in _KIND_MATRIX:
         raise ValueError("kind must be 'L' or 'Q'")
     p = char_poly(_KIND_MATRIX[kind](g))
-    report = integer_roots(p, var=LAMBDA, precision=precision)
+    report = integer_roots(p, precision)
     return SpectrumReport(
         graph6=to_graph6(g), kind=kind, n=g.n, root_report=report, precision=precision
     )

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: spanning trees are enumerated one
 by one, random graphs are built from explicit edge lists, cographs come
-from literal union/join trees, and real roots are isolated by bisection on
-Fractions with polynomials evaluated as sum(c_i * x**i). None of it shares
+from literal union/join trees, real roots are isolated by bisection on
+Fractions with polynomials evaluated as sum(c_i * x**i), polynomials are
+divided over Q and multiplied back one linear factor at a time, and
+matrices are read off adjacency tests one entry at a time. None of it shares
 code with the library paths it checks, except reference_sweep: it checks
 how verify_theorem walks, hoists and tallies, and makes the library's own
 decisions one member at a time.
@@ -17,6 +19,7 @@ from math import ceil, gcd, isqrt, lcm
 
 from lapspec import (
     Graph,
+    IntMatrix,
     complete,
     config_tag,
     disjoint_union,
@@ -284,6 +287,29 @@ def fraction_isolate_squarefree(c, precision: Fraction):
 def fraction_isolate_roots(c, precision: Fraction):
     """The oracle for isolate_roots: isolation of the square-free part."""
     return fraction_isolate_squarefree(fraction_square_free_part(c), precision)
+
+
+def fraction_divides(p, q):
+    """The oracle for divides: long division of q by p over Q.
+
+    Returns (True, quotient as Fractions) when the remainder vanishes, else
+    (False, None); for a monic p this is divisibility in Z[λ].
+    """
+    quo, rem = _q_divmod(q, _q_trim(list(p)))
+    return (False, None) if rem else (True, quo)
+
+
+def reconstructs(report, c) -> bool:
+    """A RootReport's residual times (λ - r)^m over its integer roots is c."""
+    prod = list(report.residual)
+    for root, mult in report.integer_roots:
+        for _ in range(mult):
+            prod = [a - root * b for a, b in zip([0] + prod, prod + [0])]
+    return prod == _q_trim(list(c))
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    return IntMatrix([[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)])
 
 
 # -- the classification sweep one member at a time ------------------------------

@@ -1,17 +1,19 @@
-"""Golden digests of the README's CLI examples.
+"""Golden digests of the README's CLI examples and the benchmark workloads.
 
-Each case runs one documented command and compares the sha256 of its
-stdout (or of the file its --out option writes) with a digest recorded
-from a known-good build, so any change to the printed bytes (JSON, JSONL
-or TSV) fails here.
+Each case runs one documented command, or every request of a benchmark
+workload, and compares the sha256 of its stdout (or of the file its --out
+option writes) with a digest recorded from a known-good build, so any
+change to the printed bytes (JSON, JSONL or TSV) fails here.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from lapspec import canonical_form, from_graph6
 from lapspec.cli import EXIT_OK, build_parser, main
 
 GOLDEN = [
@@ -108,6 +110,29 @@ def test_catalog_stdout_matches_the_benchmark_golden(capsys):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _bench_digest(argv)
+
+
+def _bench_queries():
+    spec = importlib.util.spec_from_file_location("perfbench_queries", BENCH_GOLDEN.with_name("queries.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_queries_responses_match_the_benchmark_golden(capsys):
+    # every request of the benchmark's queries workload: 288 CLI requests
+    # (spectrum, classify, refine) and 72 canonical_form pairs
+    responses = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["responses"]
+    requests = _bench_queries().stream(1)
+    assert len(requests) == 360
+    for req in requests:
+        if "argv" in req:
+            assert main(list(req["argv"])) == EXIT_OK, req["key"]
+            text = capsys.readouterr().out
+        else:
+            text = canonical_form(from_graph6(req["g6"]))
+            assert canonical_form(from_graph6(req["relabeled"])) == text, req["key"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == responses[req["key"]], req["key"]
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from lapspec import (
     FamilyConfig,
-    MPoly,
     char_poly,
     check_equitable,
     coarsest_equitable_refinement,
@@ -14,11 +13,12 @@ from lapspec import (
     laplacian,
     parse_partition,
     path,
+    poly_mul,
     quotient_matrix,
     realize,
     star,
 )
-from lapspec.spectra import adjacency_matrix
+from oracle_helpers import adjacency_matrix
 
 
 def test_star_center_leaves_partition():
@@ -29,7 +29,7 @@ def test_star_center_leaves_partition():
     assert q.entries == ((5, -5), (-1, 1))
     ok, cofactor = eigenvalue_containment_check(L, cells)
     assert ok
-    assert MPoly.from_univariate(char_poly(q)) * cofactor == MPoly.from_univariate(char_poly(L))
+    assert poly_mul(char_poly(q), cofactor) == char_poly(L)
 
 
 def test_path_partitions():
@@ -56,7 +56,7 @@ def test_singleton_partition_is_identity():
     cells = tuple((i,) for i in range(5))
     assert quotient_matrix(L, cells).entries == L.entries
     ok, cofactor = eigenvalue_containment_check(L, cells)
-    assert ok and cofactor == 1
+    assert ok and cofactor == [1]
 
 
 def test_refinement():

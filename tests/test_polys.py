@@ -12,6 +12,7 @@ from lapspec import (
     isolate_roots,
     parse_poly,
     poly_mul,
+    poly_text,
     poly_value,
     scaled_value_at,
     sign_at,
@@ -28,10 +29,16 @@ from lapspec.polys import (
     _sturm_chain,
     _synthetic_div,
 )
+from oracle_helpers import fraction_divides, reconstructs
 
 
 def lam():
     return MPoly.var(LAMBDA)
+
+
+def coeffs(text):
+    """Ascending integer coefficients of a polynomial in λ written as text."""
+    return parse_poly(text).univariate_coeffs()
 
 
 def test_ring_arithmetic_basics():
@@ -51,6 +58,12 @@ def test_parser_round_trip_and_literal_powers():
     assert parse_poly("15^2").constant_value() == 225
     with pytest.raises(ValueError):
         parse_poly("λ +* 2")
+    # poly_text prints a coefficient list as MPoly.to_text prints its lift
+    rng = random.Random(3)
+    for _ in range(40):
+        c = [rng.choice([0, 0, 1, -1, 2, -7, 12]) for _ in range(rng.randint(0, 6))]
+        assert poly_text(c) == MPoly.from_univariate(c).to_text(), c
+        assert parse_poly(poly_text(c)) == MPoly.from_univariate(c)
 
 
 def test_symbolic_substitution_matches_printed_evaluations():
@@ -81,46 +94,46 @@ def test_scaled_value_at_is_the_value_times_the_denominator_power():
 
 
 def test_integer_roots_examples():
-    rep = integer_roots(parse_poly("λ^3 - 4*λ^2 + 3*λ"))
+    rep = integer_roots(coeffs("λ^3 - 4*λ^2 + 3*λ"))
     assert rep.integer_roots == ((3, 1), (1, 1), (0, 1))
-    assert rep.residual == 1
-    rep = integer_roots(parse_poly("λ^4 - 12*λ^3 + 50*λ^2 - 84*λ + 48"))
+    assert rep.residual == (1,)
+    rep = integer_roots(coeffs("λ^4 - 12*λ^3 + 50*λ^2 - 84*λ + 48"))
     assert dict(rep.integer_roots) == {2: 1, 4: 1}
-    assert rep.residual == parse_poly("λ^2 - 6*λ + 6")
-    rep = integer_roots(parse_poly("λ^2 + 1"))
-    assert rep.integer_roots == () and rep.residual == parse_poly("λ^2 + 1")
+    assert rep.residual == (6, -6, 1)
+    rep = integer_roots(coeffs("λ^2 + 1"))
+    assert rep.integer_roots == () and rep.residual == (1, 0, 1)
     assert rep.isolating_intervals == ()
     with pytest.raises(ValueError):
-        integer_roots(MPoly.zero((LAMBDA,)))
+        integer_roots([])
+    with pytest.raises(ValueError):
+        integer_roots([0, 0])
 
 
 def test_integer_roots_recovers_random_linear_factorizations():
     rng = random.Random(42)
-    x = lam()
     for _ in range(60):
         roots = {}
-        poly = MPoly.const(rng.choice([1, 1, 2, -3]), (LAMBDA,))
+        c = [rng.choice([1, 1, 2, -3])]
         for _ in range(rng.randint(1, 5)):
             r = rng.randint(-6, 6)
             roots[r] = roots.get(r, 0) + 1
-            poly = poly * (x - r)
-        rep = integer_roots(poly)
+            c = poly_mul(c, [-r, 1])
+        rep = integer_roots(c)
         assert dict(rep.integer_roots) == roots
-        assert rep.residual.degree() == 0
-        assert rep.reconstructs() or rep.residual != 1  # non-monic keeps the unit
+        assert len(rep.residual) == 1  # a non-monic input keeps its unit
+        assert reconstructs(rep, c)
 
 
 def test_root_report_reconstruction_invariant():
     rng = random.Random(7)
-    x = lam()
     for _ in range(40):
-        poly = MPoly.const(1, (LAMBDA,))
+        c = [1]
         for _ in range(rng.randint(1, 3)):
-            poly = poly * (x - rng.randint(-4, 4))
+            c = poly_mul(c, [-rng.randint(-4, 4), 1])
         if rng.random() < 0.6:
-            poly = poly * parse_poly("λ^2 + λ + 1")
-        rep = integer_roots(poly)
-        assert rep.reconstructs()
+            c = poly_mul(c, [1, 1, 1])
+        rep = integer_roots(c)
+        assert reconstructs(rep, c)
 
 
 # -- reference implementations ------------------------------------------------
@@ -231,15 +244,15 @@ def test_isolation_equals_sturm_bisection():
 
 
 def test_sturm_counts():
-    p = parse_poly("λ^2 - 6*λ + 6")
+    p = coeffs("λ^2 - 6*λ + 6")
     assert sturm_count(p, 1, 2) == 1
     assert sturm_count(p, 4, 5) == 1
     assert sturm_count(p, 2, 4) == 0
-    assert sturm_count(parse_poly("λ^2 + 1"), -10, 10) == 0
+    assert sturm_count(coeffs("λ^2 + 1"), -10, 10) == 0
     with pytest.raises(ValueError):
         sturm_count(p, 2, 2)
     # repeated roots count once; the half-open end includes its root
-    q = parse_poly("(λ-2)^2*(λ-1)")
+    q = coeffs("(λ-2)^2*(λ-1)")
     assert sturm_count(q, 0, 2) == 2
     assert sturm_count(q, 1, 2) == 1
     assert sturm_count(q, 2, 3) == 0
@@ -248,12 +261,11 @@ def test_sturm_counts():
 def test_sturm_against_known_root_multisets():
     # polynomials with fully known roots: counts are literal comparisons
     rng = random.Random(61)
-    x = lam()
     for _ in range(50):
         roots = sorted(rng.randint(-6, 6) for _ in range(rng.randint(1, 6)))
-        poly = MPoly.const(1, (LAMBDA,))
+        poly = [1]
         for r in roots:
-            poly = poly * (x - r)
+            poly = poly_mul(poly, [-r, 1])
         a = Fraction(rng.randint(-16, 12), 2)
         b = a + Fraction(rng.randint(1, 16), 2)
         expected = len({r for r in roots if a < r <= b})
@@ -262,11 +274,10 @@ def test_sturm_against_known_root_multisets():
 
 def test_sturm_partition_additivity():
     rng = random.Random(13)
-    x = lam()
     for _ in range(30):
-        poly = MPoly.const(1, (LAMBDA,))
+        poly = [1]
         for _ in range(rng.randint(2, 6)):
-            poly = poly * (x - rng.randint(-5, 5))
+            poly = poly_mul(poly, [-rng.randint(-5, 5), 1])
         pts = sorted(rng.sample(range(-8, 9), 4))
         a, m1, m2, b = (Fraction(p, 2) for p in pts)
         total = sturm_count(poly, a, b)
@@ -287,19 +298,19 @@ def test_eval_mul_homomorphism():
 
 
 def test_isolate_roots():
-    ivs = isolate_roots(parse_poly("λ^2 - 6*λ + 6"), Fraction(1, 100))
+    ivs = isolate_roots(coeffs("λ^2 - 6*λ + 6"), Fraction(1, 100))
     assert len(ivs) == 2
     for (lo, hi), target in zip(ivs, (Fraction(1268, 1000), Fraction(4732, 1000))):
         assert hi - lo <= Fraction(1, 100)
         assert lo < target < hi or abs((lo + hi) / 2 - target) < Fraction(1, 100)
-    ivs = isolate_roots(parse_poly("λ^2 - 7*λ + 8"), Fraction(1, 100))
+    ivs = isolate_roots(coeffs("λ^2 - 7*λ + 8"), Fraction(1, 100))
     mids = [float((lo + hi) / 2) for lo, hi in ivs]
     assert round(mids[0], 2) == 1.44 and round(mids[1], 2) == 5.56
-    assert isolate_roots(parse_poly("λ - 5")) == [(5, 5)]
+    assert isolate_roots(coeffs("λ - 5")) == [(5, 5)]
 
 
 def test_isolation_handles_repeated_and_rational_roots():
-    p = parse_poly("(2*λ-1)^2*(λ-3)*(λ^2-2)")
+    p = coeffs("(2*λ-1)^2*(λ-3)*(λ^2-2)")
     ivs = isolate_roots(p, Fraction(1, 1000))
     assert len(ivs) == len(set(ivs)) == 4
     assert (Fraction(1, 2), Fraction(1, 2)) in ivs
@@ -308,26 +319,57 @@ def test_isolation_handles_repeated_and_rational_roots():
 
 
 def test_divides():
-    ok, quo = divides(parse_poly("λ - 1"), parse_poly("λ^2 - 1"))
-    assert ok and quo == parse_poly("λ + 1")
-    ok, quo = divides(parse_poly("λ^2 - 6*λ"), parse_poly("λ^2 - 6*λ"))
-    assert ok and quo == 1
-    ok, quo = divides(parse_poly("λ^2 + 1"), parse_poly("λ^3 - 4*λ^2 + 3*λ"))
+    ok, quo = divides(coeffs("λ - 1"), coeffs("λ^2 - 1"))
+    assert ok and quo == coeffs("λ + 1")
+    ok, quo = divides(coeffs("λ^2 - 6*λ"), coeffs("λ^2 - 6*λ"))
+    assert ok and quo == [1]
+    ok, quo = divides(coeffs("λ^2 + 1"), coeffs("λ^3 - 4*λ^2 + 3*λ"))
     assert not ok and quo is None
+    # in Z[λ]: 2λ divides 4λ^2, but not 3λ, whose quotient over Q is 3/2
+    assert divides([0, 2], [0, 0, 4]) == (True, [0, 2])
+    assert divides([0, 2], [0, 3]) == (False, None)
+    assert divides([1, 1], []) == (True, [])
     with pytest.raises(ValueError):
-        divides(MPoly.zero((LAMBDA,)), parse_poly("λ"))
+        divides([0], coeffs("λ"))
+
+
+def _random_monic(rng, max_degree):
+    return [rng.randint(-9, 9) for _ in range(rng.randint(0, max_degree))] + [1]
+
+
+def test_divides_equals_the_fraction_oracle_on_seeded_monic_pairs():
+    rng = random.Random(1837)
+    flags = set()
+    for _ in range(300):
+        p = [1]
+        for _ in range(rng.randint(1, 3)):
+            p = poly_mul(p, _random_monic(rng, 3))
+        cofactor = [1]
+        for _ in range(rng.randint(0, 3)):
+            cofactor = poly_mul(cofactor, _random_monic(rng, 3))
+        q = poly_mul(p, cofactor)
+        if len(p) > 1 and rng.random() < 0.5:
+            # a nonzero integer added to q is not a multiple of p (deg p >= 1)
+            q[0] += rng.choice([-3, -1, 1, 2])
+        elif rng.random() < 0.3:
+            q = _random_monic(rng, 8)
+        ok, quo = divides(p, q)
+        assert (ok, quo) == fraction_divides(p, q), (p, q)
+        assert not ok or poly_mul(p, quo) == q
+        flags.add(ok)
+    assert flags == {True, False}
 
 
 def test_sign_at():
-    p = parse_poly("λ^2 - 2")
+    p = coeffs("λ^2 - 2")
     assert sign_at(p, 1) == -1
     assert sign_at(p, Fraction(3, 2)) == 1
-    assert sign_at(parse_poly("λ - 5"), 5) == 0
+    assert sign_at(coeffs("λ - 5"), 5) == 0
 
 
 def test_close_roots_are_separated():
     # 1 and 1 + 2^-20: both rational, both recovered exactly
-    p = parse_poly("(λ - 1)*(1048576*λ - 1048577)")
+    p = coeffs("(λ - 1)*(1048576*λ - 1048577)")
     ivs = isolate_roots(p, Fraction(1, 2**30))
     assert ivs == [(1, 1), (Fraction(1048577, 1048576), Fraction(1048577, 1048576))]
     assert sturm_count(p, Fraction(1, 2), 1) == 1
@@ -335,20 +377,20 @@ def test_close_roots_are_separated():
 
 
 def test_negative_leading_coefficient():
-    rep = integer_roots(parse_poly("-1*λ^3 + λ"))
+    c = coeffs("-1*λ^3 + λ")
+    rep = integer_roots(c)
     assert dict(rep.integer_roots) == {0: 1, 1: 1, -1: 1}
-    assert rep.residual == -1
-    assert rep.reconstructs()
+    assert rep.residual == (-1,)
+    assert reconstructs(rep, c)
 
 
 def test_big_coefficient_isolation_is_fast_and_bounded():
     rng = random.Random(1)
     for _ in range(10):
-        coeffs = [rng.randint(-(10**9), 10**9) for _ in range(13)]
-        coeffs[-1] = abs(coeffs[-1]) or 1
-        poly = MPoly.from_univariate(coeffs)
-        bound = _root_bound(coeffs)
-        assert 0 <= sturm_count(poly, -bound, bound) <= 12
+        c = [rng.randint(-(10**9), 10**9) for _ in range(13)]
+        c[-1] = abs(c[-1]) or 1
+        bound = _root_bound(c)
+        assert 0 <= sturm_count(c, -bound, bound) <= 12
 
 
 def test_equality_and_hash_ignore_dead_variables():
