@@ -25,6 +25,7 @@ from .graphs import (
     is_connected,
     join,
     path,
+    quotient_cells,
     realize,
     star,
     to_graph6,
@@ -42,11 +43,8 @@ from .matrices import (
     repeated_factors,
 )
 from .partitions import (
-    check_equitable,
     coarsest_equitable_refinement,
-    eigenvalue_containment_check,
     format_partition,
-    is_equitable,
     parse_partition,
     quotient_matrix,
 )
@@ -60,6 +58,7 @@ from .polys import (
     gap_points,
     integer_roots,
     isolate_roots,
+    only_integer_roots,
     parse_poly,
     poly_mul,
     poly_text,

@@ -38,7 +38,7 @@ from .matrices import (
     side_table,
     two_hub_coupling,
 )
-from .polys import split_integer_roots
+from .polys import only_integer_roots
 
 DEFAULT_BUDGET = 12
 BUDGET_ENV = "LAPSPEC_BUDGET"
@@ -58,10 +58,9 @@ def configured_budget() -> int:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_budget(n_max: int, budget: int | None = None) -> None:
-    """Raise BudgetExceededError when n_max exceeds the budget, by default
-    the configured one."""
-    budget = configured_budget() if budget is None else budget
+def check_budget(n_max: int) -> None:
+    """Raise BudgetExceededError when n_max exceeds the configured budget."""
+    budget = configured_budget()
     if n_max > budget:
         raise BudgetExceededError(
             f"n_max={n_max} exceeds the budget {budget} (set {BUDGET_ENV} to raise it)"
@@ -111,7 +110,7 @@ def _g1_sides(n: int):
     for cyc_used in range(budget + 1):
         for cycles in _cycle_multisets(cyc_used):
             for pendants in _partitions(budget - cyc_used, 1):
-                if 2 * len(cycles) + len(pendants) >= 3:
+                if FamilyConfig.side_degree(pendants, cycles) >= 3:
                     yield pendants, cycles
 
 
@@ -135,12 +134,12 @@ def _g2_sides(n: int, hub_edge: bool, paths: tuple):
     for bu in range(rem + 1):
         for side_u in _sides(bu):
             pu, cu = side_u
-            if base + len(pu) + 2 * len(cu) < 3:
+            if base + FamilyConfig.side_degree(pu, cu) < 3:
                 continue
             v_sides = [
                 side_v
                 for side_v in _sides(rem - bu)
-                if side_u <= side_v and base + len(side_v[0]) + 2 * len(side_v[1]) >= 3
+                if side_u <= side_v and base + FamilyConfig.side_degree(*side_v) >= 3
             ]
             if v_sides:
                 yield side_u, v_sides
@@ -438,7 +437,7 @@ def _shard_groups(shard, size):
     """(key prefix, coupling, ok, base, sides) per group of one shard's
     members, one member per side: its key() is prefix + side + suffix
     (suffix () for G2, the empty v side for G1), and the hub carrying the
-    side has degree base + len(pendants) + 2 len(cycles). ok is false when
+    side has degree base + FamilyConfig.side_degree(*side). ok is false when
     a repeated θ of the chains the group fixes (the links and the u side)
     has a non-integer root."""
     n, family, hub_edge, paths = shard
@@ -450,12 +449,9 @@ def _shard_groups(shard, size):
     for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
         side_u = side_table(pu, cu, size)
         ok = links[3] and side_u[2]
-        coupling = two_hub_coupling(links, side_u, base + len(pu) + 2 * len(cu)) if ok else None
+        degree_u = base + FamilyConfig.side_degree(pu, cu)
+        coupling = two_hub_coupling(links, side_u, degree_u) if ok else None
         yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
-
-
-def _only_integer_roots(coeffs) -> bool:
-    return len(split_integer_roots(coeffs)[1]) <= 1
 
 
 def _decide_shard(shard, size):
@@ -470,7 +466,7 @@ def _decide_shard(shard, size):
     walk order, the hub sides met and the shard's counts."""
     n, family = shard[:2]
     suffix = ((), ()) if family == "G1" else ()
-    clock = time.perf_counter
+    clock, side_degree = time.perf_counter, FamilyConfig.side_degree
     verdicts, sides = [], set()
     integrals = disagreements = repeated = signs = 0
     root_s = 0.0
@@ -485,12 +481,12 @@ def _decide_shard(shard, size):
             if not (ok and table[2]):
                 repeated += 1
                 integral = False
-            elif side_sign_change(coupling, table, base + len(pendants) + 2 * len(cycles), n) is not None:
+            elif side_sign_change(coupling, table, base + side_degree(pendants, cycles), n) is not None:
                 signs += 1
                 integral = False
             else:
                 t0 = clock()
-                integral = _only_integer_roots(family_factors(FamilyConfig(*key))[1])
+                integral = only_integer_roots(family_factors(FamilyConfig(*key))[1])
                 root_s += clock() - t0
             tag = _key_tag(*key)
             integrals += integral
@@ -516,9 +512,7 @@ def _fill_tables(n_max: int) -> None:
         links_table(paths, hub_edge, n_max + 1)
 
 
-def verify_theorem(
-    n_min: int, n_max: int, jobs: int = 1, budget: int | None = None
-) -> TheoremSummary:
+def verify_theorem(n_min: int, n_max: int, jobs: int = 1) -> TheoremSummary:
     """Classify every family member in the range and tally agreement.
 
     Disagreement means exact integrality and membership in the six listed
@@ -535,7 +529,7 @@ def verify_theorem(
     tables (tables_s), of the integer-root tests of the members left
     (root_test_s, summed over the workers) and of the whole walk (walk_s).
     """
-    check_budget(n_max, budget)
+    check_budget(n_max)
     if n_min < 1 or n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     clock = time.perf_counter

@@ -5,12 +5,19 @@ irreflexive adjacency relation. The two structured families handled by
 the rest of the library are described by FamilyConfig records: sparse
 connected graphs having exactly one (G1) or exactly two (G2) vertices of
 degree at least three, every other vertex of degree one or two.
+
+A member is its hubs plus a list of chains (internal paths, pendant paths
+and cycles), each a bare path of non-hub vertices with one or two hub
+edges at its ends. That one chain layout (_chains) gives realize its
+labelling, FamilyConfig.vertex_count its order and quotient_cells its
+equitable partition, and graph_to_config reads it back off a graph from
+the hub edges of each component left when the hubs are removed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 
 class Graph:
@@ -361,26 +368,23 @@ class FamilyConfig:
             if self.hub_degree_u() < 3 or self.hub_degree_v() < 3:
                 raise ValueError("both hub degrees must be >= 3")
 
+    @staticmethod
+    def side_degree(pendants, cycles) -> int:
+        """The degree a hub gets from its pendant paths and cycles."""
+        return len(pendants) + 2 * len(cycles)
+
     def hub_degree_u(self) -> int:
-        base = len(self.pendants_u) + 2 * len(self.cycles_u)
-        if self.family == "G1":
-            return base
-        return base + len(self.paths) + (1 if self.hub_edge else 0)
+        return self.side_degree(self.pendants_u, self.cycles_u) + self._link_degree()
 
     def hub_degree_v(self) -> int:
-        return (
-            len(self.pendants_v)
-            + 2 * len(self.cycles_v)
-            + len(self.paths)
-            + (1 if self.hub_edge else 0)
-        )
+        return self.side_degree(self.pendants_v, self.cycles_v) + self._link_degree()
+
+    def _link_degree(self) -> int:
+        """The degree each hub gets from the internal paths and hub edge."""
+        return len(self.paths) + bool(self.hub_edge)
 
     def vertex_count(self) -> int:
-        extra = sum(self.pendants_u) + sum(self.pendants_v)
-        extra += sum(c - 1 for c in self.cycles_u + self.cycles_v)
-        if self.family == "G1":
-            return 1 + extra
-        return 2 + sum(p - 2 for p in self.paths) + extra
+        return _hub_count(self) + sum(k for k, _, _ in _chains(self))
 
     def key(self):
         return (
@@ -394,146 +398,88 @@ class FamilyConfig:
         )
 
 
+def _chains(cfg: FamilyConfig) -> list:
+    """(k, first hub, last hub or None) for each chain of a member, k its
+    vertices other than hubs, in realize's order: the internal paths
+    (order - 2 vertices from u to v), then u's pendants (length, u, None)
+    and cycles (length - 1, u, u), then v's. u is vertex 0 and v vertex 1;
+    a G1 member has no internal paths and no v side. Equal chains are
+    adjacent, the multisets being sorted."""
+    chains = [(order - 2, 0, 1) for order in cfg.paths]
+    sides = ((0, cfg.pendants_u, cfg.cycles_u), (1, cfg.pendants_v, cfg.cycles_v))
+    for hub, pendants, cycles in sides:
+        chains += [(length, hub, None) for length in pendants]
+        chains += [(length - 1, hub, hub) for length in cycles]
+    return chains
+
+
+def _hub_count(cfg: FamilyConfig) -> int:
+    return 1 if cfg.family == "G1" else 2
+
+
 def realize(cfg: FamilyConfig) -> Graph:
     """Build the labeled graph of a config under the canonical labeling.
 
-    Hubs come first (u=0, and v=1 for G2); then internal path vertices in
-    declaration order (orders ascending, each path traversed u to v); then
-    pendant chains and cycle chains of u, then of v.
+    The hubs come first (u = 0, and v = 1 for G2). Each chain of _chains
+    then takes the next k labels in order, from the end joined to its
+    first hub onwards, and a chain with a last hub (an internal path or a
+    cycle) joins its final vertex to it.
     """
-    edges = []
-    if cfg.family == "G1":
-        hub_u, nxt = 0, 1
-        hub_v = None
-    else:
-        hub_u, hub_v, nxt = 0, 1, 2
-        if cfg.hub_edge:
-            edges.append((hub_u, hub_v))
-        for order in cfg.paths:
-            k = order - 2
-            chain = list(range(nxt, nxt + k))
-            edges.append((hub_u, chain[0]))
-            edges.extend(zip(chain, chain[1:]))
-            edges.append((chain[-1], hub_v))
-            nxt += k
-    for hub, pendants, cycles in (
-        (hub_u, cfg.pendants_u, cfg.cycles_u),
-        (hub_v, cfg.pendants_v, cfg.cycles_v),
-    ):
-        if hub is None:
-            continue
-        for length in pendants:
-            chain = list(range(nxt, nxt + length))
-            edges.append((hub, chain[0]))
-            edges.extend(zip(chain, chain[1:]))
-            nxt += length
-        for length in cycles:
-            k = length - 1
-            chain = list(range(nxt, nxt + k))
-            edges.append((hub, chain[0]))
-            edges.extend(zip(chain, chain[1:]))
-            edges.append((chain[-1], hub))
-            nxt += k
-    g = Graph.from_edges(nxt, edges)
-    high = [v for v in range(g.n) if g.degree(v) >= 3]
-    want = 1 if cfg.family == "G1" else 2
-    if len(high) != want or any(g.degree(v) > 2 for v in range(g.n) if v not in high):
-        raise ValueError("realized graph violates the family degree profile")
-    return g
+    edges = [(0, 1)] if cfg.hub_edge else []
+    nxt = _hub_count(cfg)
+    for k, first, last in _chains(cfg):
+        edges.append((first, nxt))
+        edges.extend((w, w + 1) for w in range(nxt, nxt + k - 1))
+        nxt += k
+        if last is not None:
+            edges.append((nxt - 1, last))
+    return Graph.from_edges(nxt, edges)
+
+
+def quotient_cells(cfg: FamilyConfig) -> tuple:
+    """The equitable partition of realize(cfg) whose quotient polynomial
+    family_factors returns: each hub alone, then one cell per run of equal
+    chains and position along the chain, ordered by smallest vertex."""
+    cells = [(hub,) for hub in range(_hub_count(cfg))]
+    nxt = len(cells)
+    for (k, _, _), run in groupby(_chains(cfg)):
+        end = nxt + k * len(list(run))
+        cells.extend(tuple(range(nxt + j, end, k)) for j in range(k))
+        nxt = end
+    return tuple(cells)
 
 
 def graph_to_config(g: Graph):
     """Recover the FamilyConfig of a family member, or None.
 
-    Removing the hub(s) from a family graph leaves bare paths; each piece
-    is classified by which hubs its endpoints attach to.
+    A member is connected with one or two hubs (vertices of degree at
+    least three) and every other vertex of degree one or two, so each
+    component of G minus the hubs is a bare path whose ends carry its hub
+    edges: one edge makes it a pendant path, two to the same hub a cycle
+    through that hub, and one to each hub an internal path.
     """
     if g.n < 2 or not is_connected(g):
         return None
-    high = [v for v in range(g.n) if g.degree(v) >= 3]
-    if not high or len(high) > 2 or any(
-        g.degree(v) not in (1, 2) for v in range(g.n) if v not in high
-    ):
+    hubs = [v for v in range(g.n) if g.degree(v) >= 3]
+    if not 1 <= len(hubs) <= 2:
         return None
-    hubs = set(high)
-    hub_u = high[0]
-    hub_v = high[1] if len(high) == 2 else None
-    paths, pend, cyc = [], {hub_u: [], hub_v: []}, {hub_u: [], hub_v: []}
+    u, v = hubs[0], hubs[-1]
+    sides = {u: ([], []), v: ([], [])}
+    paths = []
     for comp in connected_components(g, hubs):
-        piece = _classify_piece(g, comp, hubs)
-        if piece is None:
-            return None
-        kind, data = piece
-        if kind == "path":
-            paths.append(data)
-        elif kind == "pendant":
-            hub, length = data
-            pend[hub].append(length)
+        ends = sorted(h for w in comp for h in g.adj[w] if h in sides)
+        if len(ends) == 1:
+            sides[ends[0]][0].append(len(comp))
+        elif ends[0] == ends[1]:
+            sides[ends[0]][1].append(len(comp) + 1)
         else:
-            hub, length = data
-            cyc[hub].append(length)
-    try:
-        if len(high) == 1:
-            return FamilyConfig(
-                family="G1", pendants_u=tuple(pend[hub_u]), cycles_u=tuple(cyc[hub_u])
-            )
-        return FamilyConfig(
-            family="G2",
-            hub_edge=g.has_edge(hub_u, hub_v),
-            paths=tuple(paths),
-            pendants_u=tuple(pend[hub_u]),
-            cycles_u=tuple(cyc[hub_u]),
-            pendants_v=tuple(pend[hub_v]),
-            cycles_v=tuple(cyc[hub_v]),
-        )
-    except ValueError:
-        return None
-
-
-def _classify_piece(g: Graph, comp, hubs):
-    """Classify one component of G minus the hubs; None when malformed."""
-    inside = set(comp)
-    ends = []
-    for v in comp:
-        inner = [w for w in g.adj[v] if w in inside]
-        if len(inner) > 2:
-            return None
-        if len(inner) <= 1:
-            ends.append(v)
-    if len(comp) == 1:
-        order = [comp[0]]
-    elif len(ends) != 2:
-        return None  # the piece contains a cycle, impossible here
-    else:
-        order = [ends[0]]
-        prev = None
-        while len(order) < len(comp):
-            nxts = [w for w in g.adj[order[-1]] if w in inside and w != prev]
-            if len(nxts) != 1:
-                return None
-            prev = order[-1]
-            order.append(nxts[0])
-    first_hubs = g.adj[order[0]] & frozenset(hubs)
-    last_hubs = g.adj[order[-1]] & frozenset(hubs)
-    if len(comp) == 1:
-        if len(first_hubs) == 2:
-            return "path", 3
-        if len(first_hubs) == 1:
-            return "pendant", (next(iter(first_hubs)), 1)
-        return None
-    if len(first_hubs) > 1 or len(last_hubs) > 1:
-        return None
-    a = next(iter(first_hubs)) if first_hubs else None
-    b = next(iter(last_hubs)) if last_hubs else None
-    if a is not None and b is not None:
-        if a == b:
-            return "cycle", (a, len(comp) + 1)
-        return "path", len(comp) + 2
-    if a is not None:
-        return "pendant", (a, len(comp))
-    if b is not None:
-        return "pendant", (b, len(comp))
-    return None
+            paths.append(len(comp) + 2)
+    (pu, cu), (pv, cv) = sides[u], sides[v]
+    if u == v:
+        return FamilyConfig("G1", pendants_u=tuple(pu), cycles_u=tuple(cu))
+    return FamilyConfig(
+        "G2", g.has_edge(u, v), tuple(paths), tuple(pu), tuple(cu), tuple(pv), tuple(cv)
+    )
 
 
 def family_membership(g: Graph) -> str:

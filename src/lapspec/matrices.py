@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import FamilyConfig
-from .polys import poly_mul, poly_value, split_integer_roots
+from .polys import only_integer_roots, poly_mul, poly_value
 
 
 class IntMatrix:
@@ -303,7 +303,7 @@ def family_factors(cfg: FamilyConfig) -> tuple:
 @lru_cache(maxsize=None)
 def _integer_roots_only(theta) -> bool:
     """One entry per distinct repeated θ: a few dozen at the orders swept."""
-    return len(split_integer_roots(theta)[1]) <= 1
+    return only_integer_roots(theta)
 
 
 @lru_cache(maxsize=1 << 16)

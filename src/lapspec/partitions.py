@@ -2,15 +2,16 @@
 
 A partition of the index set is equitable for a matrix M when the row sum
 from any vertex of cell i into cell j depends only on (i, j); the quotient
-matrix collects those constants. Containment of quotient eigenvalues in
-the full spectrum is certified by exact polynomial divisibility, which
-handles irrational eigenvalues uniformly.
+matrix collects those constants, and quotient_matrix raises ValueError,
+naming an offending cell pair, on a partition that is not equitable. Every
+quotient eigenvalue is then an eigenvalue of M; the CLI and the catalog
+certify it by exact divisibility of the characteristic polynomials
+(polys.divides), which handles irrational eigenvalues uniformly.
 """
 
 from __future__ import annotations
 
-from .matrices import IntMatrix, char_poly
-from .polys import divides
+from .matrices import IntMatrix
 
 
 def validate_partition(cells, n: int):
@@ -82,18 +83,6 @@ def _witness(cells, sums):
     return None
 
 
-def check_equitable(m: IntMatrix, cells):
-    """(True, None), or (False, witness) naming the offending cell pair."""
-    cells = validate_partition(cells, m.rows)
-    witness = _witness(cells, _cell_sums(m, cells))
-    return witness is None, witness
-
-
-def is_equitable(m: IntMatrix, cells) -> bool:
-    ok, _ = check_equitable(m, cells)
-    return ok
-
-
 def quotient_matrix(m: IntMatrix, cells) -> IntMatrix:
     cells = validate_partition(cells, m.rows)
     sums = _cell_sums(m, cells)
@@ -101,21 +90,6 @@ def quotient_matrix(m: IntMatrix, cells) -> IntMatrix:
     if witness is not None:
         raise ValueError(f"partition is not equitable: {witness}")
     return IntMatrix([list(sums[cell[0]]) for cell in cells])
-
-
-def eigenvalue_containment_check(m: IntMatrix, cells):
-    """Certify that every quotient eigenvalue is an eigenvalue of M.
-
-    The certificate is exact divisibility of characteristic polynomials
-    in Z[λ], which handles irrational eigenvalues uniformly. Returns
-    (True, cofactor), the cofactor as ascending integer coefficients;
-    divisibility can only fail if the partition was not equitable, which
-    quotient_matrix already rejects.
-    """
-    ok, cofactor = divides(char_poly(quotient_matrix(m, cells)), char_poly(m))
-    if not ok:
-        raise AssertionError("equitable quotient polynomial must divide")
-    return True, cofactor
 
 
 def coarsest_equitable_refinement(m: IntMatrix, cells):

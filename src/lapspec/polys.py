@@ -791,6 +791,12 @@ def split_integer_roots(c):
     return roots, c
 
 
+def only_integer_roots(c) -> bool:
+    """Whether every root of c is an integer: split_integer_roots leaves a
+    constant cofactor."""
+    return len(split_integer_roots(c)[1]) <= 1
+
+
 def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     """Every integer root with multiplicity (see split_integer_roots), and
     isolating intervals for the real roots of the integer-root-free rest."""

@@ -22,6 +22,7 @@ from .polys import (
     gap_points,
     integer_roots,
     isolate_roots,
+    only_integer_roots,
     poly_text,
     sign_at,
     split_integer_roots,
@@ -113,11 +114,11 @@ def spectrum(g: Graph, kind: str = "L", precision: Fraction = DEFAULT_PRECISION)
 
 
 def is_L_integral(g: Graph) -> bool:
-    return len(split_integer_roots(char_poly(laplacian(g)))[1]) <= 1
+    return only_integer_roots(char_poly(laplacian(g)))
 
 
 def is_Q_integral(g: Graph) -> bool:
-    return len(split_integer_roots(char_poly(signless_laplacian(g)))[1]) <= 1
+    return only_integer_roots(char_poly(signless_laplacian(g)))
 
 
 # -- algebraic connectivity ---------------------------------------------------

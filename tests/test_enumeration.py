@@ -204,7 +204,9 @@ def test_verify_theorem_stats():
 
 @pytest.fixture(scope="module")
 def sweep_nine_to_thirteen():
-    return verify_theorem(9, 13, budget=13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LAPSPEC_BUDGET", "13")
+        return verify_theorem(9, 13)
 
 
 def test_shard_walk_matches_the_reference_sweep_nine_to_thirteen(sweep_nine_to_thirteen):

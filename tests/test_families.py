@@ -17,6 +17,7 @@ from lapspec import (
     family_factors,
     is_L_integral,
     parse_poly,
+    quotient_cells,
     realize,
     sign_at,
     sturm_count,
@@ -34,7 +35,6 @@ from lapspec.families import (
     get_case,
     grid_points,
     load_cases,
-    position_pooled_partition,
 )
 
 ALL_CASES = (
@@ -322,7 +322,7 @@ def test_transcribed_matrix_at_concrete_parameters_matches_graph_quotient():
     for cid, values in [("4.4", {"s": 3}), ("4.7-c1.2", {"s": 2, "t": 1})]:
         case = get_case(cid)
         cfg = case_config(cid, **values)
-        cells = position_pooled_partition(cfg)
+        cells = quotient_cells(cfg)
         got = quotient_matrix(laplacian(realize(cfg)), cells)
         for i, row in enumerate(case.printed_matrix):
             for j, text in enumerate(row):
@@ -330,9 +330,9 @@ def test_transcribed_matrix_at_concrete_parameters_matches_graph_quotient():
                 assert got.entries[i][j] == want, (cid, i, j)
 
 
-def test_position_pooled_partition_orders_cells_by_minimum():
+def test_quotient_cells_of_a_case_order_cells_by_minimum():
     cfg = case_config("4.6-c1.1", s=2, t=2)
-    cells = position_pooled_partition(cfg)
+    cells = quotient_cells(cfg)
     assert cells[0] == (0,) and cells[1] == (1,)
     mins = [c[0] for c in cells]
     assert mins == sorted(mins)

@@ -22,7 +22,10 @@ from lapspec import (
     is_bipartite,
     is_connected,
     join,
+    laplacian,
     path,
+    quotient_cells,
+    quotient_matrix,
     realize,
     star,
     to_graph6,
@@ -181,6 +184,64 @@ def test_config_round_trip():
     ]
     for cfg in configs:
         assert graph_to_config(realize(cfg)) == cfg
+    # every member up to ten vertices, realized under a random relabelling
+    rng = random.Random(10)
+    checked = 0
+    for n in range(1, 11):
+        for family in ("G1", "G2"):
+            for cfg in enumerate_family(family, n):
+                g = realize(cfg)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+                assert graph_to_config(h) == cfg, (cfg, perm)
+                checked += 1
+    assert checked == 2191
+
+
+def test_graph_to_config_on_every_profile_graph_up_to_eight():
+    # every graph with at most two vertices of degree >= 3, up to iso, from
+    # the augmentation oracle: None exactly off the degree profile, else a
+    # config whose realization is the graph
+    from lapspec.enumeration import _profile_states, canonical_form
+
+    for n in range(1, 9):
+        members = 0
+        for code in _profile_states(n):
+            g = from_graph6(code)
+            degrees = g.degrees()
+            hubs = sum(d >= 3 for d in degrees)
+            in_profile = 1 <= hubs <= 2 and all(d >= 3 or d in (1, 2) for d in degrees)
+            cfg = graph_to_config(g)
+            if g.n < 2 or not is_connected(g) or not in_profile:
+                assert cfg is None, code
+                continue
+            assert canonical_form(realize(cfg)) == code, (code, cfg)
+            members += 1
+        enumerated = sum(1 for family in ("G1", "G2") for _ in enumerate_family(family, n))
+        assert members == enumerated, n
+
+
+def test_realize_labelling_and_quotient_cells():
+    # hubs 0 and 1; then the internal paths (3, 3, 5) from u to v; u's
+    # pendants (1, 1) and its triangle; v's pendant of length 2 and its two
+    # 4-cycles, each chain's vertices consecutive from its (first) hub
+    cfg = FamilyConfig(
+        "G2", True, (3, 3, 5), pendants_u=(1, 1), cycles_u=(3,), pendants_v=(2,), cycles_v=(4, 4)
+    )
+    edges = [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 1)]
+    edges += [(0, 7), (0, 8), (0, 9), (9, 10), (10, 0)]
+    edges += [(1, 11), (11, 12), (1, 13), (13, 14), (14, 15), (15, 1)]
+    edges += [(1, 16), (16, 17), (17, 18), (18, 1)]
+    assert realize(cfg) == Graph.from_edges(19, edges) and cfg.vertex_count() == 19
+    cells = ((0,), (1,), (2, 3), (4,), (5,), (6,), (7, 8), (9,), (10,), (11,), (12,))
+    cells += ((13, 16), (14, 17), (15, 18))
+    assert quotient_cells(cfg) == cells
+    assert quotient_matrix(laplacian(realize(cfg)), cells).rows == len(cells)
+    # G1: one hub, its pendants then its cycles
+    cfg = FamilyConfig("G1", pendants_u=(2, 2), cycles_u=(3,))
+    assert realize(cfg) == Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 0)])
+    assert quotient_cells(cfg) == ((0,), (1, 3), (2, 4), (5,), (6,))
 
 
 def test_family_membership():

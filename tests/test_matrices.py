@@ -18,6 +18,7 @@ from lapspec import (
     path_quotient,
     poly_mul,
     principal_submatrix,
+    quotient_cells,
     quotient_matrix,
     quotient_sign_change,
     realize,
@@ -165,41 +166,15 @@ def test_family_char_poly_equals_berkowitz_up_to_ten():
     assert checked == 2191
 
 
-def chain_kind_cells(cfg):
-    """The hubs as singletons plus one cell per (chain kind, position) under
-    realize's labelling: hubs first, then the internal paths in ascending
-    order, then the pendants and cycles of u, then of v, each chain's
-    vertices consecutive from the end next to its (first) hub."""
-    hubs = 1 if cfg.family == "G1" else 2
-    cells = [[h] for h in range(hubs)]
-    nxt = hubs
-    groups = [
-        [o - 2 for o in cfg.paths],
-        list(cfg.pendants_u),
-        [c - 1 for c in cfg.cycles_u],
-        list(cfg.pendants_v),
-        [c - 1 for c in cfg.cycles_v],
-    ]
-    for sizes in groups:
-        for size in sorted(set(sizes)):
-            starts = []
-            for _ in range(sizes.count(size)):
-                starts.append(nxt)
-                nxt += size
-            cells.extend([s + j for s in starts] for j in range(size))
-    assert nxt == cfg.vertex_count()
-    return cells
-
-
 def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
     # independent oracle: Berkowitz on the quotient matrix of the realized
-    # Laplacian by the (chain kind, position) partition
+    # Laplacian by the (chain kind, position) partition of quotient_cells
     checked = repeated = 0
     for n in range(4, 11):
         for family in ("G1", "G2"):
             for cfg in enumerate_family(family, n):
                 factors, quotient = family_factors(cfg)
-                cells = chain_kind_cells(cfg)
+                cells = quotient_cells(cfg)
                 assert quotient == char_poly(quotient_matrix(laplacian(realize(cfg)), cells)), cfg
                 assert len(quotient) == len(cells) + 1 and quotient[-1] == 1
                 assert factors == repeated_factors(cfg)
@@ -325,7 +300,8 @@ def test_path_quotient_over_symbolic_and_absent_counts():
 
 def chain_theta(kind, length):
     """θ of one chain: Berkowitz on its block of a realized Laplacian, with
-    its copy's vertices located by realize's labelling (see chain_kind_cells)."""
+    its copy's vertices located by realize's labelling: hubs first, then each
+    chain's vertices consecutive."""
     if kind == "pendant":
         cfg, start, size = FamilyConfig("G1", pendants_u=(length, length, length)), 1, length
     elif kind == "cycle":

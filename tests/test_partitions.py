@@ -3,13 +3,11 @@ import pytest
 from lapspec import (
     FamilyConfig,
     char_poly,
-    check_equitable,
     coarsest_equitable_refinement,
     complete_bipartite,
     cycle,
-    eigenvalue_containment_check,
+    divides,
     format_partition,
-    is_equitable,
     laplacian,
     parse_partition,
     path,
@@ -24,29 +22,31 @@ from oracle_helpers import adjacency_matrix
 def test_star_center_leaves_partition():
     L = laplacian(star(6))
     cells = ((0,), (1, 2, 3, 4, 5))
-    assert is_equitable(L, cells)
     q = quotient_matrix(L, cells)
     assert q.entries == ((5, -5), (-1, 1))
-    ok, cofactor = eigenvalue_containment_check(L, cells)
+    ok, cofactor = divides(char_poly(q), char_poly(L))
     assert ok
     assert poly_mul(char_poly(q), cofactor) == char_poly(L)
 
 
 def test_path_partitions():
     L = laplacian(path(4))
-    assert is_equitable(L, ((0, 3), (1, 2)))
-    ok, witness = check_equitable(L, ((0, 1), (2, 3)))
-    assert not ok and witness["cell_pair"] is not None
-    with pytest.raises(ValueError):
+    assert quotient_matrix(L, ((0, 3), (1, 2))).entries == ((1, -1), (-1, 1))
+    # the error names the offending cell pair: into cell 0, vertex 0's row
+    # sums to 0 and vertex 1's to 1
+    with pytest.raises(ValueError) as exc:
         quotient_matrix(L, ((0, 1), (2, 3)))
+    assert str(exc.value) == (
+        "partition is not equitable: {'cell_pair': (0, 0), 'vertices': (0, 1), 'sums': (0, 1)}"
+    )
 
 
 def test_partition_validation():
     L = laplacian(path(3))
     with pytest.raises(ValueError):
-        is_equitable(L, ((0, 1),))  # does not cover
+        quotient_matrix(L, ((0, 1),))  # does not cover
     with pytest.raises(ValueError):
-        is_equitable(L, ((0, 1), (1, 2)))  # overlap
+        quotient_matrix(L, ((0, 1), (1, 2)))  # overlap
     with pytest.raises(ValueError):
         parse_partition("0 | 9", 3)
 
@@ -55,7 +55,7 @@ def test_singleton_partition_is_identity():
     L = laplacian(cycle(5))
     cells = tuple((i,) for i in range(5))
     assert quotient_matrix(L, cells).entries == L.entries
-    ok, cofactor = eigenvalue_containment_check(L, cells)
+    ok, cofactor = divides(char_poly(quotient_matrix(L, cells)), char_poly(L))
     assert ok and cofactor == [1]
 
 
@@ -74,7 +74,7 @@ def test_refinement_idempotent_and_equitable():
         L = laplacian(g)
         seed = parse_partition("0 | 1 | *", g.n) if g.n > 2 else ((0,), (1,))
         ref = coarsest_equitable_refinement(L, seed)
-        assert is_equitable(L, ref)
+        quotient_matrix(L, ref)  # raises unless equitable
         assert coarsest_equitable_refinement(L, ref) == ref
         # refinement refines the seed
         for cell in ref:
@@ -86,8 +86,7 @@ def test_hub_seed_recovers_position_pools():
     L = laplacian(g)
     ref = coarsest_equitable_refinement(L, parse_partition("0 | 1 | *", g.n))
     assert ref == ((0,), (1,), (2, 3), (4,), (5,), (6,))
-    ok, _ = eigenvalue_containment_check(L, ref)
-    assert ok
+    assert divides(char_poly(quotient_matrix(L, ref)), char_poly(L))[0]
 
 
 def test_partition_text_round_trip():
