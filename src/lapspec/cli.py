@@ -2,7 +2,8 @@
 
 Single-graph commands print one JSON document; streaming commands print
 JSON lines; the classification sweep prints a TSV summary. Outputs are
-deterministic for a fixed invocation, including across --jobs settings.
+deterministic for a fixed invocation. The sweep runs in one process; its
+--jobs option is accepted for compatibility and has no effect.
 
 Graph sources: --g6 takes a graph6 string, --file reads either the
 adjacency-list text format (first line a vertex count) or graph6 lines,
@@ -415,7 +416,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify_theorem(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be at least 1")
-    summary = enumeration.verify_theorem(args.min, args.max, jobs=args.jobs)
+    summary = enumeration.verify_theorem(args.min, args.max)
     if args.out:
         _write_file(args.out, "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts) + "\n")
     if args.stats:
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", help="exhaustive classification sweep")
     p.add_argument("--min", type=int, default=9)
     p.add_argument("--max", "--max-n", dest="max", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", help="write the verdict stream (JSON lines) here")
     p.add_argument("--stats", action="store_true", help="print stage counts and seconds as JSON on stderr")
     p.set_defaults(fn=cmd_verify_theorem)

@@ -7,8 +7,9 @@ edge and internal paths), then by u side, then by v side.
 enumerate_family turns the walk into FamilyConfig records. An independent
 vertex-augmentation generator with canonical-form deduplication guards
 completeness at small orders. The verification sweep walks the same
-shards with no FamilyConfig per member: it decides exact integrality from
-the value tables of the hub-side and link folds (see
+members in one process, shard by shard (the G1 members, then each G2 link
+set and u side), with no FamilyConfig per member: it decides exact
+integrality from the value tables of the hub-side and link folds (see
 matrices.side_table), compares against structural recognition of the six
 closed families and tallies, member by member in place.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .graphs import (
     FamilyConfig,
@@ -425,81 +426,71 @@ class TheoremSummary:
         return "\n".join(lines)
 
 
-def _shards(n: int):
-    """The sweep's shard descriptors (n, family, hub edge, paths) at order
-    n: the G1 members as one shard, then one per G2 link set."""
-    yield n, "G1", False, ()
+def _shard_groups(n, size):
+    """The sweep's shards at order n in walk order: the G1 members as one
+    shard, then one per G2 link set and u side. Each is (key prefix,
+    coupling, ok, base, v sides), one member per v side: its key() is
+    prefix + side + suffix (suffix () for G2, the empty v side for G1),
+    and the hub carrying the side has degree base +
+    FamilyConfig.side_degree(*side). ok is false when a repeated θ of the
+    chains the shard fixes (the links and the u side) has a non-integer
+    root. A shard with no member is skipped."""
+    g1_sides = list(_g1_sides(n))
+    if g1_sides:
+        yield ("G1", False, ()), one_hub_coupling(size), True, 0, g1_sides
     for hub_edge, paths in _g2_links(n):
-        yield n, "G2", hub_edge, paths
+        links = links_table(paths, hub_edge, size)
+        base = hub_edge + len(paths)
+        for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
+            side_u = side_table(pu, cu, size)
+            ok = links[3] and side_u[2]
+            degree_u = base + FamilyConfig.side_degree(pu, cu)
+            coupling = two_hub_coupling(links, side_u, degree_u) if ok else None
+            yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
 
 
-def _shard_groups(shard, size):
-    """(key prefix, coupling, ok, base, sides) per group of one shard's
-    members, one member per side: its key() is prefix + side + suffix
-    (suffix () for G2, the empty v side for G1), and the hub carrying the
-    side has degree base + FamilyConfig.side_degree(*side). ok is false when
-    a repeated θ of the chains the group fixes (the links and the u side)
-    has a non-integer root."""
-    n, family, hub_edge, paths = shard
-    if family == "G1":
-        yield ("G1", False, ()), one_hub_coupling(size), True, 0, list(_g1_sides(n))
-        return
-    links = links_table(paths, hub_edge, size)
-    base = hub_edge + len(paths)
-    for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
-        side_u = side_table(pu, cu, size)
-        ok = links[3] and side_u[2]
-        degree_u = base + FamilyConfig.side_degree(pu, cu)
-        coupling = two_hub_coupling(links, side_u, degree_u) if ok else None
-        yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
-
-
-def _decide_shard(shard, size):
-    """Decide, tag and tally every member of one shard from the value
-    tables of size entries (see quotient_sign_change).
+def _decide_shard(n, shard, size, row, counts, verdicts):
+    """Decide, tag and tally every member of one shard of order n from the
+    value tables of size entries (see quotient_sign_change).
 
     A member is not integral when a repeated chain factor θ has a
     non-integer root (a repeated exit) or when its equitable quotient
     changes sign between consecutive integers (a sign exit), both decided
     with no polynomial built. Only the members left get a FamilyConfig, and
-    their quotient's integer-root test decides. Returns the verdicts in
-    walk order, the hub sides met and the shard's counts."""
-    n, family = shard[:2]
+    their quotient's integer-root test decides. Each verdict is appended to
+    verdicts in walk order, the members are tallied into row (graphs,
+    integral, disagreements) and the exits and root-test seconds into
+    counts."""
+    prefix, coupling, ok, base, v_sides = shard
+    family = prefix[0]
     suffix = ((), ()) if family == "G1" else ()
     clock, side_degree = time.perf_counter, FamilyConfig.side_degree
-    verdicts, sides = [], set()
     integrals = disagreements = repeated = signs = 0
     root_s = 0.0
-    for prefix, coupling, ok, base, v_sides in _shard_groups(shard, size):
-        if family == "G2":
-            sides.add(prefix[3:])
-        sides.update(v_sides)
-        for side in v_sides:
-            pendants, cycles = side
-            key = prefix + side + suffix
-            table = side_table(pendants, cycles, size)
-            if not (ok and table[2]):
-                repeated += 1
-                integral = False
-            elif side_sign_change(coupling, table, base + side_degree(pendants, cycles), n) is not None:
-                signs += 1
-                integral = False
-            else:
-                t0 = clock()
-                integral = only_integer_roots(family_factors(FamilyConfig(*key))[1])
-                root_s += clock() - t0
-            tag = _key_tag(*key)
-            integrals += integral
-            disagreements += integral == (tag == TAG_NONE)
-            verdicts.append(ClassificationVerdict(family, n, key, integral, tag))
-    counts = {
-        "integral": integrals,
-        "disagreements": disagreements,
-        "repeated_exits": repeated,
-        "sign_exits": signs,
-        "root_test_s": root_s,
-    }
-    return verdicts, sides, counts
+    for side in v_sides:
+        pendants, cycles = side
+        key = prefix + side + suffix
+        table = side_table(pendants, cycles, size)
+        if not (ok and table[2]):
+            repeated += 1
+            integral = False
+        elif side_sign_change(coupling, table, base + side_degree(pendants, cycles), n) is not None:
+            signs += 1
+            integral = False
+        else:
+            t0 = clock()
+            integral = only_integer_roots(family_factors(FamilyConfig(*key))[1])
+            root_s += clock() - t0
+        tag = _key_tag(*key)
+        integrals += integral
+        disagreements += integral == (tag == TAG_NONE)
+        verdicts.append(ClassificationVerdict(family, n, key, integral, tag))
+    row[0] += len(v_sides)
+    row[1] += integrals
+    row[2] += disagreements
+    counts["repeated_exits"] += repeated
+    counts["sign_exits"] += signs
+    counts["root_test_s"] += root_s
 
 
 def _fill_tables(n_max: int) -> None:
@@ -512,7 +503,7 @@ def _fill_tables(n_max: int) -> None:
         links_table(paths, hub_edge, n_max + 1)
 
 
-def verify_theorem(n_min: int, n_max: int, jobs: int = 1) -> TheoremSummary:
+def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
     """Classify every family member in the range and tally agreement.
 
     Disagreement means exact integrality and membership in the six listed
@@ -520,14 +511,13 @@ def verify_theorem(n_min: int, n_max: int, jobs: int = 1) -> TheoremSummary:
     there are none, below that the exceptions are reported as data.
 
     The sweep fills the value tables of every hub side and link set up to
-    n_max once, then walks the shards of _shards in order (in a Pool of
-    jobs workers when jobs > 1, the results concatenated in the same
-    order) and decides, tags and tallies each member in place with no
-    graph built (see _decide_shard). The summary's stats hold the number
-    of configs, the distinct chains, hub sides and internal-path sets met,
-    the repeated_exits and sign_exits, and the seconds of filling the
-    tables (tables_s), of the integer-root tests of the members left
-    (root_test_s, summed over the workers) and of the whole walk (walk_s).
+    n_max once, then walks the shards of _shard_groups order by order in
+    one process and decides, tags and tallies each member in place with
+    no graph built (see _decide_shard). The summary's stats hold the
+    number of configs, the distinct chains, hub sides and internal-path
+    sets met, the repeated_exits and sign_exits, and the seconds of
+    filling the tables (tables_s), of the integer-root tests of the
+    members left (root_test_s) and of the whole walk (walk_s).
     """
     check_budget(n_max)
     if n_min < 1 or n_min > n_max:
@@ -536,33 +526,21 @@ def verify_theorem(n_min: int, n_max: int, jobs: int = 1) -> TheoremSummary:
     t0 = clock()
     _fill_tables(n_max)
     t1 = clock()
-    shards = [shard for n in range(n_min, n_max + 1) for shard in _shards(n)]
-    decide = partial(_decide_shard, size=n_max + 1)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(decide, shards)
-    else:
-        results = map(decide, shards)
+    size = n_max + 1
     verdicts, tally, sides, links = [], {}, set(), set()
-    totals = dict.fromkeys(("repeated_exits", "sign_exits", "root_test_s"), 0)
-    for (n, family, hub_edge, paths), (found, met, counts) in zip(shards, results):
-        if not found:
-            continue
-        verdicts.extend(found)
-        sides |= met
-        if family == "G2":
-            links.add((paths, hub_edge))
-        row = tally.setdefault((n, family), [0, 0, 0])
-        row[0] += len(found)
-        row[1] += counts["integral"]
-        row[2] += counts["disagreements"]
-        for name in totals:
-            totals[name] += counts[name]
+    counts = {"repeated_exits": 0, "sign_exits": 0, "root_test_s": 0.0}
+    for n in range(n_min, n_max + 1):
+        for shard in _shard_groups(n, size):
+            prefix, v_sides = shard[0], shard[4]
+            if prefix[0] == "G2":
+                links.add(prefix[1:3])
+                sides.add(prefix[3:])
+            sides.update(v_sides)
+            row = tally.setdefault((n, prefix[0]), [0, 0, 0])
+            _decide_shard(n, shard, size, row, counts, verdicts)
     t2 = clock()
     rows = tuple((n, family, *tally[(n, family)]) for n, family in sorted(tally))
-    chains = {("path", order) for paths, _ in links for order in paths}
+    chains = {("path", order) for _, paths in links for order in paths}
     for pendants, cycles in sides:
         chains.update(("pendant", length) for length in pendants)
         chains.update(("cycle", length) for length in cycles)
@@ -571,10 +549,10 @@ def verify_theorem(n_min: int, n_max: int, jobs: int = 1) -> TheoremSummary:
         "chains": len(chains),
         "sides": len(sides),
         "links": len(links),
-        "repeated_exits": totals["repeated_exits"],
-        "sign_exits": totals["sign_exits"],
+        "repeated_exits": counts["repeated_exits"],
+        "sign_exits": counts["sign_exits"],
         "tables_s": round(t1 - t0, 6),
-        "root_test_s": round(totals["root_test_s"], 6),
+        "root_test_s": round(counts["root_test_s"], 6),
         "walk_s": round(t2 - t1, 6),
     }
     return TheoremSummary(

@@ -253,6 +253,8 @@ def vertex_connectivity(g: Graph) -> int:
     pairs += [(a, b) for a in g.adj[anchor] for b in range(n) if b != a and b not in g.adj[a]]
     for s, t in pairs:
         best = min(best, _max_vertex_disjoint_paths(g, s, t, best))
+        if best == 1:  # the floor of a connected graph
+            break
     return best
 
 

@@ -249,16 +249,6 @@ def test_small_n_exceptions_are_reported_not_asserted():
     assert len(summary.disagreements) == 0  # only n >= 9 counts as disagreement
 
 
-def test_parallel_matches_serial():
-    serial = verify_theorem(9, 10, jobs=1)
-    parallel = verify_theorem(9, 10, jobs=2)
-    assert serial.rows == parallel.rows
-    assert serial.verdicts == parallel.verdicts
-    timers = ("tables_s", "root_test_s", "walk_s")
-    counts = {k: v for k, v in serial.stats.items() if k not in timers}
-    assert counts == {k: v for k, v in parallel.stats.items() if k not in timers}
-
-
 def test_integral_nonbipartite_two_hub_members_have_a_equal_k():
     from lapspec import from_graph6, kirkland_decomposition_check
 

@@ -6,7 +6,8 @@ function bodies. No module imports a private name from another: a
 And MPoly, the sparse polynomial of the symbolic Z[s,t] catalog, is used
 only by polys, families and the package namespace: every other module
 works on integer coefficient lists, so a `from .polys import MPoly` or a
-`polys.MPoly` elsewhere fails the test.
+`polys.MPoly` elsewhere fails the test. No module imports multiprocessing:
+the classification sweep runs in one process.
 """
 
 import ast
@@ -41,6 +42,24 @@ def mpoly_uses(source: str, filename: str = "<source>"):
             )
         elif isinstance(node, ast.Attribute) and node.attr == "MPoly":
             hits.append(f"{filename}:{node.lineno}: .MPoly")
+    return hits
+
+
+def module_imports(source: str, name: str, filename: str = "<source>"):
+    """Imports of the top-level module name (or a submodule of it)."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        hits.extend(
+            f"{filename}:{node.lineno}: import {module}"
+            for module in modules
+            if module == name or module.startswith(name + ".")
+        )
     return hits
 
 
@@ -83,4 +102,25 @@ def test_mpoly_checker_sees_imports_and_attributes_inside_functions():
     assert mpoly_uses(source) == [
         "<source>:4: import MPoly",
         "<source>:5: .MPoly",
+    ]
+
+
+def test_no_module_imports_multiprocessing():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    hits = [h for f in files for h in module_imports(f.read_text(encoding="utf-8"), "multiprocessing", f.name)]
+    assert hits == []
+
+
+def test_import_checker_sees_imports_inside_functions():
+    source = (
+        "import os, multiprocessing.pool\n"
+        "from . import multiprocessing\n"
+        "def f():\n"
+        "    from multiprocessing import Pool\n"
+        "    import multiprocessingx\n"
+    )
+    assert module_imports(source, "multiprocessing") == [
+        "<source>:1: import multiprocessing.pool",
+        "<source>:4: import multiprocessing",
     ]
