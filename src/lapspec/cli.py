@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Single-graph commands print one JSON document; streaming commands print
-JSON lines; the classification sweep prints a TSV summary. Outputs are
-deterministic for a fixed invocation. The sweep runs in one process; its
---jobs option is accepted for compatibility and has no effect.
+Single-graph commands print one JSON document; streaming commands write
+JSON lines as they are made (an empty stream is zero bytes); the
+classification sweep prints a TSV summary, and its --out lines are
+written during the sweep. An --out file is opened only once the arguments
+pass their checks. Outputs are deterministic for a fixed invocation. The
+sweep runs in one process; its --jobs option is accepted for
+compatibility and has no effect.
 
 Graph sources: --g6 takes a graph6 string, --file reads either the
 adjacency-list text format (first line a vertex count) or graph6 lines,
@@ -20,6 +23,7 @@ and --builder takes a small construction expression:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -214,21 +218,25 @@ def _graphs_from_args(args):
     return [graphs.from_graph6(ln) for ln in lines]
 
 
-def _write_file(path: str, text: str):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or the file at path opened for writing; failing to open or
+    write the file is a usage error."""
+    if not path:
+        yield sys.stdout
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: str | None):
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        _write_file(out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines, out: str | None):
+    """Write each line, newline-terminated, as it comes; no lines, no bytes."""
+    with _output(out) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _dump(obj) -> str:
@@ -249,8 +257,7 @@ def cmd_spectrum(args) -> int:
         spectra.spectrum(g, args.kind, precision=precision).to_json_dict()
         for g in _graphs_from_args(args)
     ]
-    text = "\n".join(_dump(r) for r in reports)
-    _emit(text, args.out)
+    _emit(map(_dump, reports), args.out)
     return EXIT_OK
 
 
@@ -273,7 +280,7 @@ def cmd_classify(args) -> int:
             doc["algebraic_connectivity"] = spectra.algebraic_connectivity(g).to_json()
             doc["vertex_connectivity"] = graphs.vertex_connectivity(g)
         out.append(doc)
-    _emit("\n".join(_dump(d) for d in out), args.out)
+    _emit(map(_dump, out), args.out)
     return EXIT_OK
 
 
@@ -303,7 +310,7 @@ def cmd_quotient(args) -> int:
         "divides": ok,
         "cofactor": poly_text(cofactor),
     }
-    _emit(_dump(doc), args.out)
+    _emit([_dump(doc)], args.out)
     return EXIT_OK
 
 
@@ -324,7 +331,7 @@ def cmd_refine(args) -> int:
         "divides": ok,
         "cofactor": poly_text(cofactor),
     }
-    _emit(_dump(doc), args.out)
+    _emit([_dump(doc)], args.out)
     return EXIT_OK
 
 
@@ -385,40 +392,42 @@ def cmd_families(args) -> int:
         if next(families.grid_points(families.get_case(cid), cap, overrides), None) is None:
             raise CliError(f"case {cid} has no parameter point within --grid-cap and the ranges")
     docs = [_case_report(cid, cap, overrides or None) for cid in ids]
-    _emit("\n".join(_dump(d) for d in docs), args.out)
+    _emit(map(_dump, docs), args.out)
     return EXIT_OK
+
+
+def _member_line(config) -> str:
+    g = graphs.realize(config)
+    return _dump(
+        {
+            "family": config.family,
+            "n": g.n,
+            "graph6": graphs.to_graph6(g),
+            "hub_edge": config.hub_edge,
+            "paths": list(config.paths),
+            "pendants_u": list(config.pendants_u),
+            "cycles_u": list(config.cycles_u),
+            "pendants_v": list(config.pendants_v),
+            "cycles_v": list(config.cycles_v),
+        }
+    )
 
 
 def cmd_enumerate(args) -> int:
     enumeration.check_budget(args.n)
-    lines = []
-    for config in enumeration.enumerate_family(args.family, args.n):
-        g = graphs.realize(config)
-        lines.append(
-            _dump(
-                {
-                    "family": config.family,
-                    "n": g.n,
-                    "graph6": graphs.to_graph6(g),
-                    "hub_edge": config.hub_edge,
-                    "paths": list(config.paths),
-                    "pendants_u": list(config.pendants_u),
-                    "cycles_u": list(config.cycles_u),
-                    "pendants_v": list(config.pendants_v),
-                    "cycles_v": list(config.cycles_v),
-                }
-            )
-        )
-    _emit("\n".join(lines), args.out)
+    if args.n < 1:  # before --out is opened, so a rejected run makes no file
+        raise CliError("vertex count must be positive")
+    _emit(map(_member_line, enumeration.enumerate_family(args.family, args.n)), args.out)
     return EXIT_OK
 
 
 def cmd_verify_theorem(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be at least 1")
-    summary = enumeration.verify_theorem(args.min, args.max)
-    if args.out:
-        _write_file(args.out, "\n".join(_dump(v.to_json_dict()) for v in summary.verdicts) + "\n")
+    # the budget and range errors come before --out is opened
+    enumeration.check_sweep_range(args.min, args.max)
+    with _output(args.out) if args.out else contextlib.nullcontext() as fh:
+        summary = enumeration.verify_theorem(args.min, args.max, fh)
     if args.stats:
         print(_dump(summary.stats), file=sys.stderr)
     sys.stdout.write(summary.to_tsv() + "\n")
@@ -431,7 +440,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_erratum_report(args) -> int:
-    _emit("\n".join(_dump(e) for e in families.erratum_entries()), args.out)
+    _emit(map(_dump, families.erratum_entries()), args.out)
     return EXIT_OK
 
 

@@ -11,11 +11,13 @@ members in one process, shard by shard (the G1 members, then each G2 link
 set and u side), with no FamilyConfig per member: it decides exact
 integrality from the value tables of the hub-side and link folds (see
 matrices.side_table), compares against structural recognition of the six
-closed families and tallies, member by member in place.
+closed families and tallies, member by member in place, keeping nothing
+per member; given a text stream, it writes each member's record to it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -358,66 +360,39 @@ def theorem_tag(g: Graph) -> str:
 # -- the classification sweep --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
-    """One member's verdict; graph6 and bipartite are derived from the
-    config only when read, so the sweep itself builds no graph."""
-
-    family: str
-    n: int
-    config: tuple  # FamilyConfig.key()
-    integral: bool
-    tag: str
-
-    def _graph(self) -> Graph:
-        return realize(FamilyConfig(*self.config))
-
-    @property
-    def graph6(self) -> str:
-        return to_graph6(self._graph())
-
-    @property
-    def bipartite(self) -> bool:
-        return is_bipartite(self._graph())
-
-    @property
-    def in_list(self) -> bool:
-        return self.tag != TAG_NONE
-
-    @property
-    def agreement(self) -> bool:
-        return self.integral == self.in_list
-
-    def to_json_dict(self) -> dict:
-        g = self._graph()
-        return {
-            "graph6": to_graph6(g),
-            "family": self.family,
-            "n": self.n,
-            "config": list(self.config),
-            "bipartite": is_bipartite(g),
-            "integral": self.integral,
-            "tag": self.tag,
-            "agreement": self.agreement,
-        }
+def member_record(n: int, key: tuple, integral: bool, tag: str) -> dict:
+    """The --out record of the member with this FamilyConfig.key(), its
+    integrality and its tag; the only place the sweep realizes a graph."""
+    g = realize(FamilyConfig(*key))
+    return {
+        "graph6": to_graph6(g),
+        "family": key[0],
+        "n": n,
+        "config": list(key),
+        "bipartite": is_bipartite(g),
+        "integral": integral,
+        "tag": tag,
+        "agreement": integral == (tag != TAG_NONE),
+    }
 
 
 @dataclass(frozen=True)
 class TheoremSummary:
     n_min: int
     n_max: int
-    verdicts: tuple
     rows: tuple  # (n, family, graphs, integral, disagreements)
+    # member_record of each member whose integrality and tag disagree
+    mismatches: tuple
     # counts and stage seconds of the run, see verify_theorem
     stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def disagreements(self):
-        return tuple(v for v in self.verdicts if v.n >= 9 and not v.agreement)
+        return tuple(r for r in self.mismatches if r["n"] >= 9)
 
     @property
     def small_n_exceptions(self):
-        return tuple(v for v in self.verdicts if v.n < 9 and not v.agreement)
+        return tuple(r for r in self.mismatches if r["n"] < 9)
 
     def to_tsv(self) -> str:
         lines = ["n\tfamily\tgraphs\tintegral\tdisagreements"]
@@ -449,7 +424,7 @@ def _shard_groups(n, size):
             yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
 
 
-def _decide_shard(n, shard, size, row, counts, verdicts):
+def _decide_shard(n, shard, size, row, counts, mismatches, out):
     """Decide, tag and tally every member of one shard of order n from the
     value tables of size entries (see quotient_sign_change).
 
@@ -457,13 +432,13 @@ def _decide_shard(n, shard, size, row, counts, verdicts):
     non-integer root (a repeated exit) or when its equitable quotient
     changes sign between consecutive integers (a sign exit), both decided
     with no polynomial built. Only the members left get a FamilyConfig, and
-    their quotient's integer-root test decides. Each verdict is appended to
-    verdicts in walk order, the members are tallied into row (graphs,
-    integral, disagreements) and the exits and root-test seconds into
-    counts."""
+    their quotient's integer-root test decides. The members are tallied
+    into row (graphs, integral, disagreements) and the exits and root-test
+    seconds into counts; only a disagreeing member's member_record is kept,
+    in mismatches. Given a text stream out, each member's record is
+    written to it as one JSON line as soon as the member is decided."""
     prefix, coupling, ok, base, v_sides = shard
-    family = prefix[0]
-    suffix = ((), ()) if family == "G1" else ()
+    suffix = ((), ()) if prefix[0] == "G1" else ()
     clock, side_degree = time.perf_counter, FamilyConfig.side_degree
     integrals = disagreements = repeated = signs = 0
     root_s = 0.0
@@ -483,8 +458,11 @@ def _decide_shard(n, shard, size, row, counts, verdicts):
             root_s += clock() - t0
         tag = _key_tag(*key)
         integrals += integral
-        disagreements += integral == (tag == TAG_NONE)
-        verdicts.append(ClassificationVerdict(family, n, key, integral, tag))
+        if integral == (tag == TAG_NONE):
+            disagreements += 1
+            mismatches.append(member_record(n, key, integral, tag))
+        if out is not None:
+            out.write(json.dumps(member_record(n, key, integral, tag), ensure_ascii=False) + "\n")
     row[0] += len(v_sides)
     row[1] += integrals
     row[2] += disagreements
@@ -503,7 +481,16 @@ def _fill_tables(n_max: int) -> None:
         links_table(paths, hub_edge, n_max + 1)
 
 
-def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
+def check_sweep_range(n_min: int, n_max: int) -> None:
+    """The checks verify_theorem makes before it walks: BudgetExceededError
+    when n_max exceeds the budget, else ValueError for an empty range or
+    n_min below 1."""
+    check_budget(n_max)
+    if n_min < 1 or n_min > n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
+
+
+def verify_theorem(n_min: int, n_max: int, out=None) -> TheoremSummary:
     """Classify every family member in the range and tally agreement.
 
     Disagreement means exact integrality and membership in the six listed
@@ -513,21 +500,22 @@ def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
     The sweep fills the value tables of every hub side and link set up to
     n_max once, then walks the shards of _shard_groups order by order in
     one process and decides, tags and tallies each member in place with
-    no graph built (see _decide_shard). The summary's stats hold the
-    number of configs, the distinct chains, hub sides and internal-path
-    sets met, the repeated_exits and sign_exits, and the seconds of
-    filling the tables (tables_s), of the integer-root tests of the
-    members left (root_test_s) and of the whole walk (walk_s).
+    no graph built (see _decide_shard), keeping only the member_record of
+    each disagreeing member. Given a text stream out, the walk realizes
+    each member and writes its record to out as one JSON line, in walk
+    order. The summary's stats hold the number of configs, the distinct
+    chains, hub sides and internal-path sets met, the repeated_exits and
+    sign_exits, and the seconds of filling the tables (tables_s), of the
+    integer-root tests of the members left (root_test_s) and of the whole
+    walk, writing to out included (walk_s).
     """
-    check_budget(n_max)
-    if n_min < 1 or n_min > n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+    check_sweep_range(n_min, n_max)
     clock = time.perf_counter
     t0 = clock()
     _fill_tables(n_max)
     t1 = clock()
     size = n_max + 1
-    verdicts, tally, sides, links = [], {}, set(), set()
+    mismatches, tally, sides, links = [], {}, set(), set()
     counts = {"repeated_exits": 0, "sign_exits": 0, "root_test_s": 0.0}
     for n in range(n_min, n_max + 1):
         for shard in _shard_groups(n, size):
@@ -537,7 +525,7 @@ def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
                 sides.add(prefix[3:])
             sides.update(v_sides)
             row = tally.setdefault((n, prefix[0]), [0, 0, 0])
-            _decide_shard(n, shard, size, row, counts, verdicts)
+            _decide_shard(n, shard, size, row, counts, mismatches, out)
     t2 = clock()
     rows = tuple((n, family, *tally[(n, family)]) for n, family in sorted(tally))
     chains = {("path", order) for _, paths in links for order in paths}
@@ -545,7 +533,7 @@ def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
         chains.update(("pendant", length) for length in pendants)
         chains.update(("cycle", length) for length in cycles)
     stats = {
-        "configs": len(verdicts),
+        "configs": sum(row[2] for row in rows),
         "chains": len(chains),
         "sides": len(sides),
         "links": len(links),
@@ -556,5 +544,5 @@ def verify_theorem(n_min: int, n_max: int) -> TheoremSummary:
         "walk_s": round(t2 - t1, 6),
     }
     return TheoremSummary(
-        n_min=n_min, n_max=n_max, verdicts=tuple(verdicts), rows=rows, stats=stats
+        n_min=n_min, n_max=n_max, rows=rows, mismatches=tuple(mismatches), stats=stats
     )

@@ -252,6 +252,35 @@ def test_unwritable_out_exits_with_usage_error(capsys, tmp_path):
         assert out == "" and err.startswith("error: cannot write "), argv
 
 
+def test_rejected_sweep_creates_no_out_file(capsys, tmp_path, monkeypatch):
+    # the budget (exit 5) and range (exit 2) checks come before --out is opened
+    monkeypatch.delenv("LAPSPEC_BUDGET", raising=False)
+    out = tmp_path / "x"
+    for argv, want in (
+        (["verify-theorem", "--min", "9", "--max", "13"], EXIT_BUDGET),
+        (["verify-theorem", "--min", "10", "--max", "9"], EXIT_USAGE),
+        (["verify-theorem", "--min", "0", "--max", "9"], EXIT_USAGE),
+        (["enumerate", "--family", "G2", "--n", "13"], EXIT_BUDGET),
+        (["enumerate", "--family", "G2", "--n", "0"], EXIT_USAGE),
+    ):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == want, argv
+        assert stdout == "" and err.startswith("error: "), argv
+        assert not out.exists(), argv
+
+
+def test_empty_member_stream_is_zero_bytes(capsys, tmp_path):
+    # G1 needs a hub of degree 3, so no member has two vertices
+    code, out, _ = run(capsys, "enumerate", "--family", "G1", "--n", "2")
+    assert (code, out) == (EXIT_OK, "")
+    path = tmp_path / "members.jsonl"
+    code, _, _ = run(capsys, "enumerate", "--family", "G1", "--n", "2", "--out", str(path))
+    assert code == EXIT_OK and path.read_bytes() == b""
+    code, out, _ = run(capsys, "verify-theorem", "--min", "1", "--max", "2", "--out", str(path))
+    assert code == EXIT_OK and path.read_bytes() == b""
+    assert out == "n\tfamily\tgraphs\tintegral\tdisagreements\n0 disagreements\n"
+
+
 def test_verify_theorem_stats_on_stderr(capsys):
     _, plain, _ = run(capsys, "verify-theorem", "--min", "9", "--max", "9")
     code, out, err = run(capsys, "verify-theorem", "--min", "9", "--max", "9", "--stats")

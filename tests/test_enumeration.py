@@ -1,4 +1,8 @@
+import gc
+import io
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,31 +139,55 @@ def test_tag_is_unique_per_graph():
                 assert tag == config_tag(other)
 
 
+def sweep_records(n_min, n_max):
+    """verify_theorem's summary and its out stream, one parsed record per
+    member in walk order."""
+    buf = io.StringIO()
+    summary = verify_theorem(n_min, n_max, buf)
+    return summary, [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
+def as_json(records):
+    """The records as their out lines read back (config tuples as lists)."""
+    return tuple(json.loads(json.dumps(r)) for r in records)
+
+
+def record_config(record):
+    """The FamilyConfig of a record, whose config is the key() as lists."""
+    family, hub_edge, *chains = record["config"]
+    return FamilyConfig(family, hub_edge, *map(tuple, chains))
+
+
 def test_verify_theorem_nine():
-    summary = verify_theorem(9, 9)
+    summary, records = sweep_records(9, 9)
     assert len(summary.disagreements) == 0
     counts = {(n, fam): (g, i, d) for n, fam, g, i, d in summary.rows}
     assert counts[(9, "G1")][0] == 69
     assert counts[(9, "G2")][0] == 484
     assert counts[(9, "G1")][1] == 5  # star plus four firefly shapes
-    integral_tags = {v.tag for v in summary.verdicts if v.integral}
+    integral_tags = {r["tag"] for r in records if r["integral"]}
     assert TAG_NONE not in integral_tags
 
 
 def test_verdicts_match_dense_path_at_eleven():
-    # every verdict field against realize -> Berkowitz -> split_integer_roots
+    # every record field against realize -> Berkowitz -> split_integer_roots
     from lapspec import char_poly, is_bipartite, laplacian, split_integer_roots, to_graph6
 
-    summary = verify_theorem(11, 11)
-    assert len(summary.verdicts) == 2768
-    for v in summary.verdicts:
-        cfg = FamilyConfig(*v.config)
+    summary, records = sweep_records(11, 11)
+    assert len(records) == 2768
+    for r in records:
+        cfg = record_config(r)
         g = realize(cfg)
-        assert v.config == cfg.key() and v.family == cfg.family and v.n == g.n
-        assert v.graph6 == to_graph6(g)
-        assert v.bipartite == is_bipartite(g)
-        assert v.integral == (len(split_integer_roots(char_poly(laplacian(g)))[1]) <= 1), v
-        assert v.tag == config_tag(cfg)
+        assert list(r) == [
+            "graph6", "family", "n", "config", "bipartite", "integral", "tag", "agreement",
+        ]
+        assert r["config"] == json.loads(json.dumps(cfg.key()))
+        assert r["family"] == cfg.family and r["n"] == g.n == 11
+        assert r["graph6"] == to_graph6(g)
+        assert r["bipartite"] == is_bipartite(g)
+        assert r["integral"] == (len(split_integer_roots(char_poly(laplacian(g)))[1]) <= 1), r
+        assert r["tag"] == config_tag(cfg)
+        assert r["agreement"] == (r["integral"] == (r["tag"] != TAG_NONE))
 
 
 def has_non_integral_repeated_factor(cfg):
@@ -178,7 +206,7 @@ def has_quotient_sign_change(cfg):
 
 
 def test_verify_theorem_stats():
-    summary = verify_theorem(9, 9)
+    summary, records = sweep_records(9, 9)
     stats = summary.stats
     assert set(stats) == {
         "configs", "chains", "sides", "links", "repeated_exits", "sign_exits",
@@ -187,7 +215,8 @@ def test_verify_theorem_stats():
     assert stats["configs"] == 69 + 484
     # pendant lengths 1..6, cycle lengths 3..8, internal path orders 3..8
     assert stats["chains"] == 6 + 6 + 6
-    configs = [FamilyConfig(*v.config) for v in summary.verdicts]
+    configs = [record_config(r) for r in records]
+    assert stats["configs"] == len(configs)
     sides = {(c.pendants_u, c.cycles_u) for c in configs}
     sides |= {(c.pendants_v, c.cycles_v) for c in configs if c.family == "G2"}
     links = {(c.paths, c.hub_edge) for c in configs if c.family == "G2"}
@@ -206,33 +235,63 @@ def test_verify_theorem_stats():
 def sweep_nine_to_thirteen():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("LAPSPEC_BUDGET", "13")
-        return verify_theorem(9, 13)
+        return sweep_records(9, 13)
 
 
 def test_shard_walk_matches_the_reference_sweep_nine_to_thirteen(sweep_nine_to_thirteen):
-    summary = sweep_nine_to_thirteen
+    summary, records = sweep_nine_to_thirteen
     rows, verdicts, repeated, signs = reference_sweep(9, 13)
     assert summary.rows == rows
-    assert len(summary.verdicts) == len(verdicts) == 10422 + 11837
-    for v, want in zip(summary.verdicts, verdicts):
-        assert (v.family, v.n, v.config, v.integral, v.tag) == want
+    assert len(records) == len(verdicts) == 10422 + 11837
+    for r, want in zip(records, verdicts):
+        got = (r["family"], r["n"], record_config(r).key(), r["integral"], r["tag"])
+        assert got == want
     assert (summary.stats["repeated_exits"], summary.stats["sign_exits"]) == (repeated, signs)
+    assert summary.stats["configs"] == len(records)
+    assert as_json(summary.mismatches) == tuple(r for r in records if not r["agreement"]) == ()
 
 
 def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen(sweep_nine_to_thirteen):
     # oracle: integer roots of the whole det(λI - L), with no early exit
     from lapspec import family_char_poly, split_integer_roots
 
+    summary, records = sweep_nine_to_thirteen
     counts = [0, 0, 0]  # members, integral, decided by a repeated factor
-    for v in sweep_nine_to_thirteen.verdicts:
-        cfg = FamilyConfig(*v.config)
+    for r in records:
+        cfg = record_config(r)
         full = len(split_integer_roots(family_char_poly(cfg))[1]) <= 1
-        assert v.integral == full, cfg
+        assert r["integral"] == full, cfg
         counts[0] += 1
         counts[1] += full
         counts[2] += has_non_integral_repeated_factor(cfg)
     assert counts[0] == 10422 + 11837 and 0 < counts[1] and 1294 < counts[2] < counts[0]
-    assert counts[2] == sweep_nine_to_thirteen.stats["repeated_exits"]
+    assert counts[2] == summary.stats["repeated_exits"]
+
+
+class _Discard:
+    """A text stream that throws every line away."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_sweep_summary_retains_no_memory_per_member(sweep_nine_to_thirteen, monkeypatch):
+    # the fixture's sweep has filled every cache the 9..13 walk reads; a
+    # second sweep, with or without an out stream, may keep only its rows,
+    # stats and disagreeing records (a per-member verdict tuple kept 4.7 MB)
+    monkeypatch.setenv("LAPSPEC_BUDGET", "13")
+    for out in (None, _Discard()):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary = verify_theorem(9, 13, out)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert summary == sweep_nine_to_thirteen[0]
+        assert retained < 512 * 1024, (out, retained)
 
 
 def test_verify_theorem_budget():
@@ -243,22 +302,39 @@ def test_verify_theorem_budget():
 
 
 def test_small_n_exceptions_are_reported_not_asserted():
-    summary = verify_theorem(4, 6)
+    summary, records = sweep_records(4, 6)
     # whatever the small-order outcome, the API reports it as data
     assert isinstance(summary.small_n_exceptions, tuple)
     assert len(summary.disagreements) == 0  # only n >= 9 counts as disagreement
+    assert as_json(summary.small_n_exceptions) == tuple(r for r in records if not r["agreement"])
+
+
+def test_disagreeing_members_are_kept_as_records(monkeypatch):
+    # no member disagrees in fact, so tag every member "none": each
+    # integral member then disagrees, and the summary keeps its record
+    from lapspec import enumeration
+
+    monkeypatch.setattr(enumeration, "_key_tag", lambda *key: TAG_NONE)
+    summary, records = sweep_records(8, 9)
+    integral = tuple(r for r in records if r["integral"])
+    assert not any(r["agreement"] for r in integral)
+    assert as_json(summary.mismatches) == integral
+    assert as_json(summary.small_n_exceptions) == tuple(r for r in integral if r["n"] == 8) != ()
+    assert as_json(summary.disagreements) == tuple(r for r in integral if r["n"] == 9) != ()
+    assert [row[4] for row in summary.rows] == [row[3] for row in summary.rows]
+    assert verify_theorem(8, 9) == summary
 
 
 def test_integral_nonbipartite_two_hub_members_have_a_equal_k():
     from lapspec import from_graph6, kirkland_decomposition_check
 
-    summary = verify_theorem(9, 10)
+    _, records = sweep_records(9, 10)
     checked = 0
-    for v in summary.verdicts:
-        if v.family == "G2" and v.integral and not v.bipartite:
-            g = from_graph6(v.graph6)
+    for r in records:
+        if r["family"] == "G2" and r["integral"] and not r["bipartite"]:
+            g = from_graph6(r["graph6"])
             report = kirkland_decomposition_check(g)
-            assert report.a_equals_k, v
+            assert report.a_equals_k, r
             checked += 1
     assert checked >= 10
 
