@@ -38,7 +38,6 @@ from .matrices import (
     family_char_poly,
     family_factors,
     path_quotient,
-    principal_submatrix,
     quotient_sign_change,
     repeated_factors,
 )
@@ -57,6 +56,7 @@ from .polys import (
     divides,
     gap_points,
     integer_roots,
+    isolate_lowest_root,
     isolate_roots,
     only_integer_roots,
     parse_poly,
@@ -72,6 +72,7 @@ from .spectra import (
     SpectralValue,
     SpectrumReport,
     algebraic_connectivity,
+    algebraic_connectivity_from_poly,
     edge_interlacing_check,
     gamma_101,
     is_L_integral,

@@ -381,18 +381,11 @@ class TheoremSummary:
     n_min: int
     n_max: int
     rows: tuple  # (n, family, graphs, integral, disagreements)
-    # member_record of each member whose integrality and tag disagree
-    mismatches: tuple
+    # member_record of each member, of any order, whose integrality and
+    # tag disagree
+    disagreements: tuple
     # counts and stage seconds of the run, see verify_theorem
     stats: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def disagreements(self):
-        return tuple(r for r in self.mismatches if r["n"] >= 9)
-
-    @property
-    def small_n_exceptions(self):
-        return tuple(r for r in self.mismatches if r["n"] < 9)
 
     def to_tsv(self) -> str:
         lines = ["n\tfamily\tgraphs\tintegral\tdisagreements"]
@@ -544,5 +537,5 @@ def verify_theorem(n_min: int, n_max: int, out=None) -> TheoremSummary:
         "walk_s": round(t2 - t1, 6),
     }
     return TheoremSummary(
-        n_min=n_min, n_max=n_max, rows=rows, mismatches=tuple(mismatches), stats=stats
+        n_min=n_min, n_max=n_max, rows=rows, disagreements=tuple(mismatches), stats=stats
     )

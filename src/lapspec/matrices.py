@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .graphs import FamilyConfig
 from .polys import only_integer_roots, poly_mul, poly_value
@@ -55,23 +56,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def _dot(xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
-    removed = list(removed)
-    if len(set(removed)) != len(removed):
-        raise ValueError("indices must be distinct")
-    if any(i < 0 or i >= m.rows for i in removed):
-        raise ValueError("index out of range")
-    keep = [i for i in range(m.rows) if i not in set(removed)]
-    return IntMatrix([[m.entries[i][j] for j in keep] for i in keep])
-
-
 def char_poly(m: IntMatrix) -> list:
     """Ascending coefficients of det(λI - M), division-free.
 
@@ -79,7 +63,9 @@ def char_poly(m: IntMatrix) -> list:
     multiplies the coefficient vector by a Toeplitz matrix built from the
     new row/column, using only ring operations, so the coefficients lie in
     the ring of the entries (ints, or MPoly values over Z[s,t]). The list
-    has n + 1 entries and ends in the leading 1.
+    has n + 1 entries and ends in the leading 1. Each inner product is a
+    sum(map(mul, ...)); sum starts from the int 0, which MPoly entries add
+    through __radd__.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -89,21 +75,16 @@ def char_poly(m: IntMatrix) -> list:
     a = m.entries
     coeffs = [1, -a[0][0]]  # descending powers
     for r in range(2, n + 1):
+        block = [a[i][: r - 1] for i in range(r - 1)]
         row = a[r - 1][: r - 1]
-        col = [a[i][r - 1] for i in range(r - 1)]
         q = [1, -a[r - 1][r - 1]]
-        v = col
+        v = [a[i][r - 1] for i in range(r - 1)]
         for k in range(2, r + 1):
-            q.append(-_dot(row, v))
+            q.append(-sum(map(mul, row, v)))
             if k < r:
-                v = [_dot(a[i][: r - 1], v) for i in range(r - 1)]
-        new = []
-        for i in range(r + 1):
-            acc = 0
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                acc = acc + q[i - j] * coeffs[j]
-            new.append(acc)
-        coeffs = new
+                v = [sum(map(mul, x, v)) for x in block]
+        # the first r + 1 terms of the product q · coeffs
+        coeffs = [sum(map(mul, q[i::-1], coeffs)) for i in range(r + 1)]
     return coeffs[::-1]
 
 

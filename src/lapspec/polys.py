@@ -7,11 +7,15 @@ integer coefficient lists in one univariate kernel: primitive-PRS gcd,
 exact division in Z[λ], square-free decomposition, integer-root extraction
 with multiplicities (candidates bounded by a root bound, not by the size
 of the constant term), Sturm-sequence root counting over half-open
-rational intervals, bisection refinement of isolating intervals, and
-poly_text, which prints a list in MPoly's canonical text. No floating
-point is used anywhere in a decision path; decimal output elsewhere in
-the library is display-only rounding of the rational intervals produced
-here.
+rational intervals, isolating intervals, and poly_text, which prints a
+list in MPoly's canonical text. Isolation keeps the dyadic grid that
+bisection from the Cauchy bound builds, but starts at the deepest level
+whose two cells next to 0 cover the Fujiwara bound, and refines each
+single-root cell by secant jumps that are kept only when exact signs at
+both ends of the new cell differ; isolate_lowest_root refines the lowest
+root only. No floating point is used anywhere in a decision path; decimal
+output elsewhere in the library is display-only rounding of the rational
+intervals produced here.
 """
 
 from __future__ import annotations
@@ -690,53 +694,112 @@ def _rational_roots(c):
     return roots, c
 
 
+def _root_cells(rest, precision: Fraction):
+    """Isolating cells of the dyadic grid for rest, lowest root first.
+
+    rest is square-free with no rational root. The grid is the one that
+    bisecting (-B, B], B the Cauchy bound, builds: level k has cells of
+    width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k, and
+    0 is a grid point from level 1 on. The search starts at level s, the
+    deeper of 1 and the deepest level whose two cells next to 0 still cover
+    (-F, F), F the Fujiwara bound; it starts no deeper than the level at
+    which bisection would stop refining, so every root's cell is the one
+    plain bisection from (-B, B] reaches. Cells holding several roots are
+    halved by Sturm counts, the lower half first. Yields (lo, hi, k, level)
+    for each cell holding exactly one root, where level is how deep its
+    refinement must go: the first level whose cells are at most precision
+    wide, or k when the cell is that narrow already.
+    """
+    chain = _sturm_chain(rest)
+    bound = _root_bound(rest)
+    width = 2 * bound
+    q = -(-width * precision.denominator // precision.numerator)
+    target = (q - 1).bit_length()  # least level with width / 2^level <= precision
+    f = _fujiwara_bound(rest).bit_length() - 1  # F = 2^f
+    s = min(max(1, width.bit_length() - 1 - f), target)
+    ends = (-bound, bound) if s == 0 else (-width, 0, width)
+    v = [_variations(chain, e, 1 << s) for e in ends]
+    # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k)
+    work = [(lo, hi, s, v_lo - v_hi, v_lo) for lo, hi, v_lo, v_hi in zip(ends, ends[1:], v, v[1:])]
+    work.reverse()
+    while work:
+        lo, hi, k, count, v_lo = work.pop()
+        if count == 1:
+            yield lo, hi, k, max(k, target)
+        elif count > 1:
+            lo, hi, k = lo << 1, hi << 1, k + 1
+            mid = (lo + hi) >> 1
+            v_mid = _variations(chain, mid, 1 << k)
+            work.append((mid, hi, k, count - (v_lo - v_mid), v_mid))
+            work.append((lo, mid, k, v_lo - v_mid, v_lo))
+
+
+def _refine(c, lo, hi, k, target):
+    """The cell at level target of the dyadic grid inside (lo, hi] over 2^k
+    that holds the one root of c there, as a pair of Fractions.
+
+    c has no rational root, so the root shows as a change of sign between
+    cell ends. A secant step jumps 2^m levels at once: it takes the
+    sub-cell holding the zero of the chord through the cell's ends, and
+    keeps it only when the exact signs at its two ends differ. A hit
+    doubles the jump; a miss halves it and takes one bisection step. The
+    values are r^d·c(p/r) at the ends p/r of the current level, computed
+    in integers (an end shared with the cell is rescaled, not evaluated
+    again), so every cell kept is a grid cell that holds the root: the one
+    bisection reaches.
+    """
+    d = len(c) - 1
+    f_lo = _scaled_value(c, lo, 1 << k)
+    f_hi = _scaled_value(c, hi, 1 << k)
+    m = 0
+    while k < target:
+        j = min(1 << m, target - k)
+        # the chord's zero is lo + t (hi - lo), t = f_lo / (f_lo - f_hi) in (0, 1)
+        i = (f_lo << j) // (f_lo - f_hi)
+        a = (lo << j) + i * (hi - lo)
+        b = a + hi - lo
+        f_a = f_lo << d * j if i == 0 else _scaled_value(c, a, 1 << (k + j))
+        if (f_a > 0) == (f_lo > 0):
+            f_b = f_hi << d * j if i == (1 << j) - 1 else _scaled_value(c, b, 1 << (k + j))
+            if (f_b > 0) != (f_lo > 0):
+                lo, hi, k, f_lo, f_hi = a, b, k + j, f_a, f_b
+                m += 1
+                continue
+        m = max(0, m - 1)
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        mid = (lo + hi) >> 1
+        f_mid = _scaled_value(c, mid, 1 << k)
+        if (f_mid > 0) != (f_lo > 0):
+            hi, f_lo, f_hi = mid, f_lo << d, f_mid
+        else:
+            lo, f_lo, f_hi = mid, f_mid, f_hi << d
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+
+def _isolation(c, precision: Fraction):
+    """The rational roots of a square-free c, ascending, and an iterator of
+    isolating intervals of its other real roots, ascending, each refined
+    only when it is drawn."""
+    rational, rest = _rational_roots(c)
+    cells = _root_cells(rest, precision) if len(rest) > 1 else ()
+    return sorted(rational), (_refine(rest, *cell) for cell in cells)
+
+
+def _midpoint(iv):
+    return (iv[0] + iv[1]) / 2
+
+
 def _isolate_squarefree(c, precision: Fraction):
     """Disjoint rational intervals, one per real root of a square-free poly.
 
     Rational roots come back as degenerate point intervals; the remaining
-    roots get half-open (lo, hi] intervals bisected down to the requested
-    width. Bisection runs on dyadic endpoints kept as integer numerators
-    lo, hi over 2^k: halving doubles both and takes the midpoint
-    (lo + hi) // 2 at k + 1, so signs and Sturm counts are homogenized
-    integer evaluations and a Fraction is built only for each endpoint
-    returned.
+    roots get half-open (lo, hi] intervals of the dyadic grid of _root_cells
+    refined down to the requested width, all sorted by midpoint.
     """
-    c = _trim(list(c))
-    if len(c) <= 1:
-        return []
-    rational, rest = _rational_roots(c)
-    points = sorted(rational)
+    points, cells = _isolation(c, precision)
     intervals = [(r, r) for r in points]
-    if len(rest) > 1:
-        chain = _sturm_chain(rest)
-        num, den = precision.numerator, precision.denominator
-        bound = _root_bound(rest)
-        # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k)
-        v_lo = _variations(chain, -bound, 1)
-        work = [(-bound, bound, 0, v_lo - _variations(chain, bound, 1), v_lo)]
-        while work:
-            lo, hi, k, count, v_lo = work.pop()
-            if count == 0:
-                continue
-            if count == 1:
-                # rest has no rational root, so no dyadic point is a root and
-                # the one simple root in (lo, hi] shows as a change of sign.
-                positive_lo = _scaled_value(rest, lo, 1 << k) > 0
-                while (hi - lo) * den > num << k:
-                    lo, hi, k = lo << 1, hi << 1, k + 1
-                    mid = (lo + hi) >> 1
-                    if (_scaled_value(rest, mid, 1 << k) > 0) != positive_lo:
-                        hi = mid
-                    else:
-                        lo = mid
-                intervals.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
-            else:
-                lo, hi, k = lo << 1, hi << 1, k + 1
-                mid = (lo + hi) >> 1
-                v_mid = _variations(chain, mid, 1 << k)
-                work.append((lo, mid, k, v_lo - v_mid, v_lo))
-                work.append((mid, hi, k, count - (v_lo - v_mid), v_mid))
-    intervals.sort(key=lambda iv: (iv[0] + iv[1]) / 2)
+    intervals.extend(cells)
+    intervals.sort(key=_midpoint)
     return intervals
 
 
@@ -826,20 +889,39 @@ def sturm_count(c, a, b) -> int:
     return _count_halfopen(chain, a, b)
 
 
-def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
-    """Isolating rational intervals for all distinct real roots of c.
-
-    Rational roots are returned as exact point intervals [r, r]; all other
-    intervals are refined by bisection until their width is at most the
-    requested precision.
-    """
+def _checked_square_free(c, precision):
     c = _trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    return _isolate_squarefree(_square_free_part(c), precision)
+    return _square_free_part(c), precision
+
+
+def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
+    """Isolating rational intervals for all distinct real roots of c.
+
+    Rational roots are returned as exact point intervals [r, r]; all other
+    intervals are cells of a dyadic grid, found from a start level fixed by
+    the Fujiwara bound and refined by sign-checked secant jumps until their
+    width is at most the requested precision: the cells plain bisection
+    reaches (see _root_cells and _refine). Sorted by midpoint.
+    """
+    return _isolate_squarefree(*_checked_square_free(c, precision))
+
+
+def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
+    """isolate_roots(c, precision)[0], or None when c has no real root.
+
+    The search visits the lower half of every cell first and refines only
+    the first cell holding a single root, so the other roots cost no
+    refinement.
+    """
+    points, cells = _isolation(*_checked_square_free(c, precision))
+    first = next(cells, None)
+    candidates = [(r, r) for r in points[:1]] + ([first] if first else [])
+    return min(candidates, key=_midpoint, default=None)
 
 
 def gap_points(*polys):

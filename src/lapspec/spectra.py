@@ -3,8 +3,11 @@
 Every decision here is exact: integrality is decided by trial division of
 the characteristic polynomial, order comparisons against rational
 thresholds go through Sturm counts, and interlacing statements are checked
-as root-counting inequalities. Floating point appears only in display
-strings derived from isolating intervals.
+as root-counting inequalities. The algebraic connectivity is read off a
+Laplacian polynomial (algebraic_connectivity_from_poly, so a caller that
+has the polynomial builds it once) by isolating only its lowest
+non-integer root. Floating point appears only in display strings derived
+from isolating intervals.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .polys import (
     RootReport,
     gap_points,
     integer_roots,
-    isolate_roots,
+    isolate_lowest_root,
     only_integer_roots,
     poly_text,
     sign_at,
@@ -148,7 +151,16 @@ def algebraic_connectivity(g: Graph, precision: Fraction = DEFAULT_PRECISION) ->
     """Second-smallest Laplacian eigenvalue, exact when integer."""
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    coeffs = char_poly(laplacian(g))
+    return algebraic_connectivity_from_poly(char_poly(laplacian(g)), precision)
+
+
+def algebraic_connectivity_from_poly(coeffs, precision: Fraction = DEFAULT_PRECISION) -> SpectralValue:
+    """The second-smallest root of a graph's Laplacian polynomial coeffs
+    (ascending, as char_poly gives it, n >= 2), exact when integer.
+
+    Only the lowest residual root is isolated (isolate_lowest_root), and
+    each halving of the precision isolates that one root again.
+    """
     # The constant term is always zero (L is singular); a zero linear term
     # makes 0 a double root, so the graph is disconnected.
     if not coeffs[1]:
@@ -158,18 +170,18 @@ def algebraic_connectivity(g: Graph, precision: Fraction = DEFAULT_PRECISION) ->
     if len(residual) <= 1:
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision
-    lo, hi = isolate_roots(residual, prec)[0]
+    lo, hi = isolate_lowest_root(residual, prec)
     if int_min is not None:
-        # The residual has no integer roots, so bisection separates them.
+        # The residual has no integer roots, so a finer precision separates them.
         while lo < int_min < hi:
             prec = prec / 2
-            lo, hi = isolate_roots(residual, prec)[0]
+            lo, hi = isolate_lowest_root(residual, prec)
         if int_min <= lo:
             return SpectralValue(is_integer=True, value=int_min)
     while lo < 0:
         # Connected graph: the root is strictly positive, so tighten.
         prec = prec / 2
-        lo, hi = isolate_roots(residual, prec)[0]
+        lo, hi = isolate_lowest_root(residual, prec)
     return SpectralValue(is_integer=False, lo=lo, hi=hi)
 
 
@@ -206,7 +218,7 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
     at_k = sign_at(p, k) == 0
     a_equals_k = at_k and in_0k == 1
     strictly_inside = in_0k - (1 if at_k else 0)
-    a_val = algebraic_connectivity(g)
+    a_val = algebraic_connectivity_from_poly(p)
     if not a_equals_k:
         return JoinDecompositionReport(k, False, None, None, a_val, strictly_inside)
     for cut in combinations(range(n), k):

@@ -34,6 +34,17 @@ from lapspec import (
 from lapspec.enumeration import TAG_NONE
 
 
+def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
+    """m with the rows and columns listed in removed deleted."""
+    removed = list(removed)
+    if len(set(removed)) != len(removed):
+        raise ValueError("indices must be distinct")
+    if any(i < 0 or i >= m.rows for i in removed):
+        raise ValueError("index out of range")
+    keep = [i for i in range(m.rows) if i not in set(removed)]
+    return IntMatrix([[m.entries[i][j] for j in keep] for i in keep])
+
+
 def spanning_tree_count(g: Graph) -> int:
     """Count spanning trees by enumerating them (deletion/contraction).
 

@@ -24,7 +24,6 @@ from lapspec import (
     is_L_integral,
     laplacian,
     parse_poly,
-    principal_submatrix,
     quotient_matrix,
     realize,
     signless_laplacian,
@@ -41,7 +40,7 @@ from lapspec.families import (
 )
 from lapspec.graphs import complete_bipartite, cycle, is_bipartite, is_connected, path
 from lapspec.polys import divides, sign_at
-from oracle_helpers import random_cograph, random_connected_graph, spanning_tree_count
+from oracle_helpers import principal_submatrix, random_cograph, random_connected_graph, spanning_tree_count
 
 
 def _report(num, label, elapsed, detail=""):

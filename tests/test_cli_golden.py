@@ -70,7 +70,7 @@ OUT_GOLDEN = [
         "0e9d94564e60aab7a5f33bbc3fb68b3a4facabb9f2c61b6428bb5ddd03de20ff",
     ),
     (
-        # includes the n < 9 exceptions, and every bipartite field
+        # orders below 9 too, and members of both bipartite values
         ["verify-theorem", "--min", "5", "--max", "10", "--jobs", "2"],
         2188,
         "415ded381444e8d182022d14ab490be132da26fb63c909ac1ac7adae9330f8c1",

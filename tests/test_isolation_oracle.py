@@ -1,9 +1,11 @@
 """Root isolation on integer dyadic endpoints against the Fraction oracle.
 
-isolate_roots bisects on integer numerators over powers of two. The oracle
-in oracle_helpers runs the earlier bisection loop on Fractions, with its own
-gcd, Sturm chain, rational roots and plain sum(c_i * x**i) evaluation, so
-every interval must come back exactly equal, in the same order.
+isolate_roots starts its search at a level fixed by the Fujiwara bound and
+refines by sign-checked secant jumps on integer numerators over powers of
+two. The oracle in oracle_helpers runs plain bisection from the Cauchy
+bound on Fractions, with its own gcd, Sturm chain, rational roots and
+plain sum(c_i * x**i) evaluation, so every interval must come back exactly
+equal, in the same order; isolate_lowest_root must return the first.
 """
 
 import random
@@ -11,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from lapspec import complete, polys
+from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import gap_points, isolate_roots, poly_mul
+from lapspec.polys import gap_points, isolate_lowest_root, isolate_roots, poly_mul
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
@@ -23,7 +25,14 @@ from oracle_helpers import (
     random_connected_graph,
 )
 
-PRECISIONS = [Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 7), Fraction(2)]
+PRECISIONS = [
+    Fraction(1, 10**30),
+    Fraction(1, 10**6),
+    Fraction(1, 3),
+    Fraction(5, 7),
+    Fraction(2),
+    Fraction(5),
+]
 
 
 def _seeded_square_free(seed=20261018):
@@ -53,8 +62,18 @@ def _graphs():
     return [complete(n) for n in range(5, 14)] + dense
 
 
+def _close_pairs():
+    """(x^2 - p)(x^2 - p - 1) for p near 10^6: two pairs of irrational
+    roots 5·10^-4 apart, where a chord through a cell holding one root
+    often points into the wrong sub-cell."""
+    return [poly_mul([-p, 0, 1], [-p - 1, 0, 1]) for p in (999_983, 10**6, 10**6 + 7)]
+
+
 GRAPHS = _graphs()
 SQUARE_FREE = _seeded_square_free()
+# x^3 - x - 1 has one real root and Cauchy bound 2: at precision 5 the
+# root's cell is the whole (-2, 2], coarser than the cells next to 0
+EXTRA = _close_pairs() + [[-1, -1, 0, 1]]
 
 
 def test_seeded_polynomials_reach_the_stated_sizes():
@@ -66,8 +85,16 @@ def test_seeded_polynomials_reach_the_stated_sizes():
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=str)
 def test_isolate_roots_equals_the_oracle_on_seeded_polynomials(precision):
-    for c in SQUARE_FREE:
+    for c in SQUARE_FREE + EXTRA:
         assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), c
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=str)
+def test_isolate_lowest_root_is_the_first_interval(precision):
+    graph_polys = [char_poly(m(g)) for g in GRAPHS for m in (laplacian, signless_laplacian)]
+    for c in SQUARE_FREE + EXTRA + graph_polys:
+        assert isolate_lowest_root(c, precision) == isolate_roots(c, precision)[0], c
+    assert isolate_lowest_root([1, 0, 1], precision) is None
 
 
 @pytest.mark.parametrize("kind", ["L", "Q"])
@@ -89,4 +116,5 @@ def test_gap_points_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
 
     expected = results()
     monkeypatch.setattr(polys, "_isolate_squarefree", fraction_isolate_squarefree)
+    monkeypatch.setattr(spectra, "isolate_lowest_root", lambda c, p: fraction_isolate_roots(c, p)[0])
     assert results() == expected

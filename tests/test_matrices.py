@@ -17,7 +17,6 @@ from lapspec import (
     parse_poly,
     path_quotient,
     poly_mul,
-    principal_submatrix,
     quotient_cells,
     quotient_matrix,
     quotient_sign_change,
@@ -27,6 +26,8 @@ from lapspec import (
     split_integer_roots,
     sturm_count,
 )
+
+from oracle_helpers import principal_submatrix
 
 
 def interior_blocks(*sizes):

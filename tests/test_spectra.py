@@ -27,7 +27,6 @@ from lapspec import (
     laplacian,
     parse_poly,
     path,
-    principal_submatrix,
     realize,
     signless_laplacian,
     spectrum,
@@ -37,7 +36,13 @@ from lapspec import (
     vertex_connectivity,
 )
 from lapspec.polys import sign_at
-from oracle_helpers import random_cograph, random_connected_graph, reconstructs, spanning_tree_count
+from oracle_helpers import (
+    principal_submatrix,
+    random_cograph,
+    random_connected_graph,
+    reconstructs,
+    spanning_tree_count,
+)
 
 
 def test_laplacian_basics():
