@@ -7,14 +7,17 @@ family_factors and family_char_poly, which read the characteristic
 polynomial of a one- or two-hub family member off its block layout (a hub
 block plus one tridiagonal block per attached chain) without building a
 matrix, the first as an equitable quotient polynomial times repeated
-chain factors. side_table and links_table hold the values of the cached
-hub-side and link folds at k = 0, 1, ..., and quotient_sign_change and
-the sweep read that quotient at consecutive integers off them: a sign
-change certifies a non-integer eigenvalue with no polynomial built, and
-a member costs a few products per k. path_quotient gives the
-same quotient for members with internal paths only, with counts that may
-be MPoly values: the catalog's polynomials in Z[s,t][λ] come from it, and
-Berkowitz over Z[s,t] is kept only as their test oracle.
+chain factors. side_table and links_table hold the values at
+k = 0, 1, ... of the same hub-side and link folds, folded in ints at each
+k from the continuants' values, and quotient_sign_change and the sweep
+read that quotient at consecutive integers off them: a sign change
+certifies a non-integer eigenvalue with no polynomial built, and a member
+costs a few products per k. The polynomial folds serve the root test
+(family_factors) and path_quotient, and are the tables' test oracle.
+path_quotient gives the same quotient for members with internal paths
+only, with counts that may be MPoly values: the catalog's polynomials in
+Z[s,t][λ] come from it, and Berkowitz over Z[s,t] is kept only as their
+test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 
 from .graphs import FamilyConfig
-from .polys import only_integer_roots, poly_mul, poly_value
+from .polys import only_integer_roots, poly_mul
 
 
 class IntMatrix:
@@ -153,7 +156,8 @@ def _continuants(k, last):
     """
     older, old, cur = (), (1,), (-last, 1)
     for _ in range(k - 1):
-        older, old, cur = old, cur, tuple(_add(poly_mul((-2, 1), cur), old, -1))
+        # (λ - 2) t_{j-1} - t_{j-2}, the product by λ - 2 as a shift
+        older, old, cur = old, cur, tuple(_add(_add((0,) + cur, cur, -2), old, -1))
     return cur, old, older
 
 
@@ -273,12 +277,15 @@ def family_factors(cfg: FamilyConfig) -> tuple:
 # -- value tables of the sweep ---------------------------------------------------
 #
 # quotient_sign_change needs the quotient's values at the integers, not its
-# coefficients. A side's or a link set's fold is evaluated at k = 0..size-1
-# once into a table, so a member costs a few products per k: A and B below
-# depend only on the internal paths and the u side, so a walk that fixes both
-# computes them once and pays Q(k) = Y(k) A(k) - P_v(k) B(k) per v side. A
-# table also records whether every repeated θ of its chains has only integer
-# roots, the other early decision (see repeated_factors).
+# coefficients. So a table holds a side's or a link set's P, N (and T) at
+# k = 0..size-1, folded in plain ints at each k with the same updates as
+# _side and _fold_links, from the continuants' values t_j(k): no polynomial
+# is built, and a table costs a few products per chain kind and k. A member
+# then costs a few products per k: A and B below depend only on the internal
+# paths and the u side, so a walk that fixes both computes them once and pays
+# Q(k) = Y(k) A(k) - P_v(k) B(k) per v side. A table also records whether
+# every repeated θ of its chains has only integer roots, the other early
+# decision (see repeated_factors); only that flag reads a θ polynomial.
 
 
 @lru_cache(maxsize=None)
@@ -287,30 +294,80 @@ def _integer_roots_only(theta) -> bool:
     return only_integer_roots(theta)
 
 
+@lru_cache(maxsize=256)
+def _continuant_values(last, size, longest):
+    """The values of _continuants' t_j at λ = k for j = -1..longest, as
+    rows over k in range(size): row j + 1 holds t_j(0), ..., t_j(size - 1).
+
+    t_{-1} = 0, t_0 = 1, t_1 = k - last and t_j = (k - 2) t_{j-1} - t_{j-2}.
+    """
+    ks = range(size)
+    rows = [(0,) * size, (1,) * size, tuple(k - last for k in ks)]
+    while len(rows) < longest + 2:
+        rows.append(tuple((k - 2) * a - b for k, a, b in zip(ks, rows[-1], rows[-2])))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=1 << 16)
 def side_table(pendants, cycles, size):
     """(P(k), N(k)) for k in range(size), P and N the folds of _side, and
-    whether every repeated θ of the side has only integer roots."""
-    p, n, repeated = _side(pendants, cycles)
-    return (
-        tuple(poly_value(p, k) for k in range(size)),
-        tuple(poly_value(n, k) for k in range(size)),
-        all(_integer_roots_only(theta) for theta, _ in repeated),
-    )
+    whether every repeated θ of the side has only integer roots.
+
+    The fold runs in ints at each k: a pendant path on L vertices has
+    θ = t_L and M = t_{L-1} (last = 1), a cycle of length L has θ = t_{L-1}
+    and M = 2 t_{L-2} + 2 (-1)^L (last = 2), and each kind of count c maps
+    (P, N) to (P θ, N θ + c P M).
+    """
+    pendant_kinds, cycle_kinds = _kinds(pendants), _kinds(cycles)
+    kinds = []
+    if pendants:
+        t = _continuant_values(1, size, max(pendants))
+        kinds += [(t[length + 1], t[length], c) for length, c in pendant_kinds]
+    if cycles:
+        t = _continuant_values(2, size, max(cycles) - 1)
+        for length, c in cycle_kinds:
+            sign = (-1) ** length
+            kinds.append((t[length], [2 * (x + sign) for x in t[length - 1]], c))
+    p, n = (1,) * size, (0,) * size
+    for theta, m, c in kinds:
+        p, n = (
+            [p_k * th for p_k, th in zip(p, theta)],
+            [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
+        )
+    repeated = [_continuants(length, 1)[0] for length, c in pendant_kinds if c > 1]
+    repeated += [_continuants(length - 1, 2)[0] for length, c in cycle_kinds if c > 1]
+    return tuple(p), tuple(n), all(map(_integer_roots_only, repeated))
 
 
 @lru_cache(maxsize=1 << 16)
 def links_table(paths, hub_edge, size):
     """(P(k), N(k), T(k)) for k in range(size), P, N and T the folds of
     _links, and whether every repeated θ of the paths has only integer
-    roots."""
-    p, n, t, repeated = _links(paths, hub_edge)
-    return (
-        tuple(poly_value(p, k) for k in range(size)),
-        tuple(poly_value(n, k) for k in range(size)),
-        tuple(poly_value(t, k) for k in range(size)),
-        all(_integer_roots_only(theta) for theta, _ in repeated),
-    )
+    roots.
+
+    The fold runs in ints at each k with _fold_links' update: a path of
+    order i has θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} (last = 2) and
+    s = (-1)^(i+1), and the hub edge adds 2U - P to T.
+    """
+    kinds = _kinds(paths)
+    t = _continuant_values(2, size, max(paths, default=2) - 2)
+    p, n, u, d = (1,) * size, (0,) * size, (0,) * size, (0,) * size
+    for order, c in kinds:
+        theta, m, e = t[order - 1], t[order - 2], t[order - 3]
+        s = -((-1) ** order)
+        p, n, u, d = (
+            [p_k * th for p_k, th in zip(p, theta)],
+            [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
+            [u_k * th + c * s * p_k for u_k, th, p_k in zip(u, theta, p)],
+            [
+                d_k * th + c * c * p_k * e_k + 2 * c * (n_k * m_k - u_k * s)
+                for d_k, th, p_k, e_k, n_k, m_k, u_k in zip(d, theta, p, e, n, m, u)
+            ],
+        )
+    if hub_edge:
+        d = [d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]
+    repeated = [_continuants(order - 2, 2)[0] for order, c in kinds if c > 1]
+    return tuple(p), tuple(n), tuple(d), all(map(_integer_roots_only, repeated))
 
 
 def one_hub_coupling(size) -> tuple:

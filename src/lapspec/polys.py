@@ -462,6 +462,19 @@ def _scaled_value(c, p: int, r: int) -> int:
     return acc
 
 
+def _dyadic_value(c, p: int, k: int) -> int:
+    """_scaled_value(c, p, 1 << k): 2^(kd) * c(p / 2^k), the powers of
+    r = 2^k applied as shifts of the coefficients."""
+    if not c:
+        return 0
+    acc = c[-1]
+    shift = 0
+    for i in range(len(c) - 2, -1, -1):
+        shift += k
+        acc = acc * p + (c[i] << shift)
+    return acc
+
+
 def _sign_at(c, q: Fraction) -> int:
     """Exact sign of the polynomial at a rational point."""
     acc = _scaled_value(c, q.numerator, q.denominator)
@@ -510,18 +523,18 @@ def _sturm_chain(c):
     return chain
 
 
-def _variations(chain, p: int, r: int) -> int:
-    """Sign changes along the chain at p/r (r > 0), zeros skipped."""
-    signs = [v > 0 for v in (_scaled_value(c, p, r) for c in chain) if v]
+def _variations(values) -> int:
+    """Sign changes along a Sturm chain's values at one point, zeros
+    skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _count_halfopen(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b] of the chain's square-free polynomial."""
-    return (
-        _variations(chain, a.numerator, a.denominator)
-        - _variations(chain, b.numerator, b.denominator)
-    )
+    v_a = _variations(_scaled_value(c, a.numerator, a.denominator) for c in chain)
+    v_b = _variations(_scaled_value(c, b.numerator, b.denominator) for c in chain)
+    return v_a - v_b
 
 
 def _root_bound(c) -> int:
@@ -718,7 +731,7 @@ def _root_cells(rest, precision: Fraction):
     f = _fujiwara_bound(rest).bit_length() - 1  # F = 2^f
     s = min(max(1, width.bit_length() - 1 - f), target)
     ends = (-bound, bound) if s == 0 else (-width, 0, width)
-    v = [_variations(chain, e, 1 << s) for e in ends]
+    v = [_variations(_dyadic_value(c, e, s) for c in chain) for e in ends]
     # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k)
     work = [(lo, hi, s, v_lo - v_hi, v_lo) for lo, hi, v_lo, v_hi in zip(ends, ends[1:], v, v[1:])]
     work.reverse()
@@ -729,7 +742,7 @@ def _root_cells(rest, precision: Fraction):
         elif count > 1:
             lo, hi, k = lo << 1, hi << 1, k + 1
             mid = (lo + hi) >> 1
-            v_mid = _variations(chain, mid, 1 << k)
+            v_mid = _variations(_dyadic_value(c, mid, k) for c in chain)
             work.append((mid, hi, k, count - (v_lo - v_mid), v_mid))
             work.append((lo, mid, k, v_lo - v_mid, v_lo))
 
@@ -749,8 +762,8 @@ def _refine(c, lo, hi, k, target):
     bisection reaches.
     """
     d = len(c) - 1
-    f_lo = _scaled_value(c, lo, 1 << k)
-    f_hi = _scaled_value(c, hi, 1 << k)
+    f_lo = _dyadic_value(c, lo, k)
+    f_hi = _dyadic_value(c, hi, k)
     m = 0
     while k < target:
         j = min(1 << m, target - k)
@@ -758,9 +771,9 @@ def _refine(c, lo, hi, k, target):
         i = (f_lo << j) // (f_lo - f_hi)
         a = (lo << j) + i * (hi - lo)
         b = a + hi - lo
-        f_a = f_lo << d * j if i == 0 else _scaled_value(c, a, 1 << (k + j))
+        f_a = f_lo << d * j if i == 0 else _dyadic_value(c, a, k + j)
         if (f_a > 0) == (f_lo > 0):
-            f_b = f_hi << d * j if i == (1 << j) - 1 else _scaled_value(c, b, 1 << (k + j))
+            f_b = f_hi << d * j if i == (1 << j) - 1 else _dyadic_value(c, b, k + j)
             if (f_b > 0) != (f_lo > 0):
                 lo, hi, k, f_lo, f_hi = a, b, k + j, f_a, f_b
                 m += 1
@@ -768,7 +781,7 @@ def _refine(c, lo, hi, k, target):
         m = max(0, m - 1)
         lo, hi, k = lo << 1, hi << 1, k + 1
         mid = (lo + hi) >> 1
-        f_mid = _scaled_value(c, mid, 1 << k)
+        f_mid = _dyadic_value(c, mid, k)
         if (f_mid > 0) != (f_lo > 0):
             hi, f_lo, f_hi = mid, f_lo << d, f_mid
         else:

@@ -2,9 +2,10 @@
 
 The gcd divides both inputs and keeps a planted common factor, the
 square-free decomposition multiplies back to its input up to the content,
-and split_integer_roots finds exactly the integer roots planted in front
-of a cofactor with none. Divisibility, content and rational roots come
-from the Fraction helpers of oracle_helpers, not from lapspec.
+split_integer_roots finds exactly the integer roots planted in front of a
+cofactor with none, and the shift-based value at a dyadic point equals the
+general scaled value. Divisibility, content and rational roots come from
+the Fraction helpers of oracle_helpers, not from lapspec.
 """
 
 from math import gcd
@@ -15,7 +16,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from lapspec.polys import (  # noqa: E402
+    _dyadic_value,
     _poly_gcd,
+    _scaled_value,
     _squarefree_decomposition,
     poly_mul,
     split_integer_roots,
@@ -78,3 +81,14 @@ def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor
     roots, rest = split_integer_roots(c)
     assert roots == planted
     assert rest == cofactor
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-(10**15), 10**15), max_size=13),
+    st.integers(-(1 << 80), 1 << 80),
+    st.integers(0, 80),
+)
+def test_dyadic_value_is_the_scaled_value_at_a_power_of_two(c, p, k):
+    # isolation's values at p / 2^k, trailing zeros and the empty list included
+    assert _dyadic_value(c, p, k) == _scaled_value(c, p, 1 << k)

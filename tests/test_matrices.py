@@ -210,18 +210,34 @@ def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
     assert checked == 2191
 
 
-def test_value_tables_equal_the_folds_nine_to_twelve():
-    # every side and link set the sweep meets at 9..12: each table entry is
-    # the fold's coefficient list evaluated as sum(c_i k^i), and the flag
-    # says whether every repeated θ has only integer roots
+def assert_tables_equal_the_folds(sides, links, size):
+    """Each table entry of every side and link set is its polynomial fold
+    (_side, _links) evaluated as sum(c_i k^i) at k in range(size), and the
+    flag says whether every repeated θ has only integer roots."""
     from lapspec.matrices import _links, _side, links_table, side_table
 
     def values(poly):
-        return tuple(sum(c * k**i for i, c in enumerate(poly)) for k in range(13))
+        return tuple(sum(c * k**i for i, c in enumerate(poly)) for k in range(size))
 
     def integer_roots_only(repeated):
         return all(len(split_integer_roots(theta)[1]) <= 1 for theta, _ in repeated)
 
+    flags = Counter()
+    for side in sides:
+        p, n, repeated = _side(*side)
+        want = (values(p), values(n), integer_roots_only(repeated))
+        assert side_table(*side, size) == want, side
+        flags[integer_roots_only(repeated)] += 1
+    for paths, hub_edge in links:
+        p, n, t, repeated = _links(paths, hub_edge)
+        want = (values(p), values(n), values(t), integer_roots_only(repeated))
+        assert links_table(paths, hub_edge, size) == want, (paths, hub_edge)
+        flags[integer_roots_only(repeated)] += 1
+    assert flags[True] > 0 and flags[False] > 0
+
+
+def test_value_tables_equal_the_folds_nine_to_twelve():
+    # every side and link set the sweep meets at 9..12
     sides, links = set(), set()
     for n in range(9, 13):
         for family in ("G1", "G2"):
@@ -231,17 +247,51 @@ def test_value_tables_equal_the_folds_nine_to_twelve():
                     sides.add((cfg.pendants_v, cfg.cycles_v))
                     links.add((cfg.paths, cfg.hub_edge))
     assert (len(sides), len(links)) == (732, 262)
-    flags = Counter()
-    for side in sides:
-        p, n, repeated = _side(*side)
-        assert side_table(*side, 13) == (values(p), values(n), integer_roots_only(repeated)), side
-        flags[integer_roots_only(repeated)] += 1
-    for paths, hub_edge in links:
-        p, n, t, repeated = _links(paths, hub_edge)
-        want = (values(p), values(n), values(t), integer_roots_only(repeated))
-        assert links_table(paths, hub_edge, 13) == want, (paths, hub_edge)
-        flags[integer_roots_only(repeated)] += 1
-    assert flags[True] > 0 and flags[False] > 0
+    assert_tables_equal_the_folds(sides, links, 13)
+
+
+def test_value_tables_equal_the_folds_of_the_sixteen_fill():
+    # every side and link set _fill_tables(16) builds, at its size 17
+    from lapspec.enumeration import _g2_links, _sides
+
+    sides = [side for budget in range(16) for side in _sides(budget)]
+    links = [(paths, hub_edge) for hub_edge, paths in _g2_links(16)]
+    assert (len(sides), len(links)) == (3956, 1015)
+    assert_tables_equal_the_folds(sides, links, 17)
+
+
+def test_table_fill_builds_no_polynomial(monkeypatch):
+    # the fill folds values only: no polynomial fold and no product, with
+    # every cache of the table layer cleared first
+    from lapspec import matrices
+    from lapspec.enumeration import _fill_tables
+
+    for cached in (
+        matrices.side_table,
+        matrices.links_table,
+        matrices._side,
+        matrices._links,
+        matrices._continuants,
+        matrices._continuant_values,
+    ):
+        cached.cache_clear()
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(matrices, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("_side", "_links", "poly_mul"):
+        monkeypatch.setattr(matrices, name, counted(name))
+    _fill_tables(12)
+    assert matrices.side_table.cache_info().currsize == 752
+    assert matrices.links_table.cache_info().currsize == 277
+    assert not calls, calls
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
