@@ -56,6 +56,7 @@ from .polys import (
     divides,
     gap_points,
     integer_roots,
+    interpolate,
     isolate_lowest_root,
     isolate_roots,
     only_integer_roots,

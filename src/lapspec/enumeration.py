@@ -34,14 +34,14 @@ from .graphs import (
     to_graph6,
 )
 from .matrices import (
-    family_factors,
     links_table,
     one_hub_coupling,
+    quotient_values,
     side_sign_change,
     side_table,
     two_hub_coupling,
 )
-from .polys import only_integer_roots
+from .polys import interpolate, only_integer_roots
 
 DEFAULT_BUDGET = 12
 BUDGET_ENV = "LAPSPEC_BUDGET"
@@ -424,11 +424,12 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
     A member is not integral when a repeated chain factor θ has a
     non-integer root (a repeated exit) or when its equitable quotient
     changes sign between consecutive integers (a sign exit), both decided
-    with no polynomial built. Only the members left get a FamilyConfig, and
-    their quotient's integer-root test decides. The members are tallied
-    into row (graphs, integral, disagreements) and the exits and root-test
-    seconds into counts; only a disagreeing member's member_record is kept,
-    in mismatches. Given a text stream out, each member's record is
+    with no polynomial built. For the members left, the integer-root test
+    decides on the quotient interpolated from its values at 0..n. The
+    members are tallied into row (graphs, integral, disagreements) and the
+    exits and root-test seconds into counts; a member gets a FamilyConfig
+    only in its member_record, which is kept, in mismatches, only when the
+    member disagrees. Given a text stream out, each member's record is
     written to it as one JSON line as soon as the member is decided."""
     prefix, coupling, ok, base, v_sides = shard
     suffix = ((), ()) if prefix[0] == "G1" else ()
@@ -439,23 +440,26 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
         pendants, cycles = side
         key = prefix + side + suffix
         table = side_table(pendants, cycles, size)
+        degree = base + side_degree(pendants, cycles)
         if not (ok and table[2]):
             repeated += 1
             integral = False
-        elif side_sign_change(coupling, table, base + side_degree(pendants, cycles), n) is not None:
+        elif side_sign_change(coupling, table, degree, n) is not None:
             signs += 1
             integral = False
         else:
             t0 = clock()
-            integral = only_integer_roots(family_factors(FamilyConfig(*key))[1])
+            integral = only_integer_roots(interpolate(quotient_values(coupling, table, degree, n)))
             root_s += clock() - t0
         tag = _key_tag(*key)
         integrals += integral
-        if integral == (tag == TAG_NONE):
-            disagreements += 1
-            mismatches.append(member_record(n, key, integral, tag))
-        if out is not None:
-            out.write(json.dumps(member_record(n, key, integral, tag), ensure_ascii=False) + "\n")
+        if integral == (tag == TAG_NONE) or out is not None:
+            record = member_record(n, key, integral, tag)
+            if not record["agreement"]:
+                disagreements += 1
+                mismatches.append(record)
+            if out is not None:
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
     row[0] += len(v_sides)
     row[1] += integrals
     row[2] += disagreements
@@ -488,7 +492,7 @@ def verify_theorem(n_min: int, n_max: int, out=None) -> TheoremSummary:
 
     Disagreement means exact integrality and membership in the six listed
     families differ; at nine or more vertices the classification promises
-    there are none, below that the exceptions are reported as data.
+    there are none.
 
     The sweep fills the value tables of every hub side and link set up to
     n_max once, then walks the shards of _shard_groups order by order in

@@ -508,19 +508,13 @@ def to_graph6(g: Graph) -> str:
         head = chr(126) + "".join(
             chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)
         )
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return head + "".join(chars)
+    # the upper triangle column by column, pair (i, j) at bit j(j-1)/2 + i
+    # from the top, padded to whole 6-bit characters
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    bits = 0
+    for i, j in g.edges():
+        bits |= 1 << (width - 1 - j * (j - 1) // 2 - i)
+    return head + "".join(chr(63 + (bits >> shift & 63)) for shift in range(width - 6, -1, -6))
 
 
 def from_graph6(text: str) -> Graph:

@@ -7,28 +7,28 @@ family_factors and family_char_poly, which read the characteristic
 polynomial of a one- or two-hub family member off its block layout (a hub
 block plus one tridiagonal block per attached chain) without building a
 matrix, the first as an equitable quotient polynomial times repeated
-chain factors. side_table and links_table hold the values at
-k = 0, 1, ... of the same hub-side and link folds, folded in ints at each
-k from the continuants' values, and quotient_sign_change and the sweep
-read that quotient at consecutive integers off them: a sign change
-certifies a non-integer eigenvalue with no polynomial built, and a member
-costs a few products per k. The polynomial folds serve the root test
-(family_factors) and path_quotient, and are the tables' test oracle.
+chain factors. The quotient is folded as values only: side_table and
+links_table hold each hub side's and link set's fold at k = 0, 1, ...,
+in ints from the continuants' values. quotient_sign_change and the sweep
+scan the quotient at consecutive integers off them, where a sign change
+certifies a non-integer eigenvalue with no polynomial built and a member
+costs a few products per k, and family_factors interpolates the
+quotient's coefficients from its values at 0..n (polys.interpolate).
 path_quotient gives the same quotient for members with internal paths
-only, with counts that may be MPoly values: the catalog's polynomials in
-Z[s,t][λ] come from it, and Berkowitz over Z[s,t] is kept only as their
-test oracle.
+only, by the one polynomial fold left (_fold_links), with counts that
+may be MPoly values: the catalog's polynomials in Z[s,t][λ] come from
+it, and Berkowitz over Z[s,t] is kept only as their test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import mul
 
 from .graphs import FamilyConfig
-from .polys import only_integer_roots, poly_mul
+from .polys import interpolate, only_integer_roots, poly_mul
 
 
 class IntMatrix:
@@ -122,8 +122,9 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # chains (the Laplacian analogue of Schwenk's cut-vertex formulas) gives
 # det(λI - L) = ∏ θ_chain · det(S), S the Schur complement on the hubs. The
 # entries of S need only the end entries of each (λI - T_chain)^-1, which are
-# continuants over θ_chain, so everything below is integer polynomial
-# arithmetic on ascending coefficient lists.
+# continuants over θ_chain, so everything below is integer arithmetic: on
+# ascending coefficient lists for θ and the catalog's fold, on their values
+# at the integers for the value tables.
 #
 # c equal chains on one hub (or c equal internal paths) enter S as c times
 # one chain's share, so each distinct chain kind is folded once, weighted by
@@ -131,7 +132,7 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # by the equitable partition that merges the c copies position by position
 # (Haemers, Linear Algebra Appl. 226-228, 1995); the full polynomial is that
 # quotient times θ^(c-1) for every kind with c >= 2. One hub side or one set
-# of internal paths recurs in many members, so their folds are cached.
+# of internal paths recurs in many members, so their value tables are cached.
 
 
 def _add(a, b, scale=1):
@@ -162,30 +163,19 @@ def _continuants(k, last):
 
 
 def _kinds(lengths):
-    """(length, count) for each distinct length, ascending."""
-    return sorted(Counter(lengths).items())
+    """(length, count) for each distinct length of an ascending multiset."""
+    return [(length, len(list(run))) for length, run in groupby(lengths)]
 
 
-@lru_cache(maxsize=4096)
-def _side(pendants, cycles):
-    """(P, N, repeated) of the chains hanging from one hub: P = ∏ θ_i and
-    N / P = Σ c_i M_i / θ_i over the distinct chain kinds i, c_i copies
-    each, the hub's share of the quotient's Schur complement; repeated
-    holds (θ_i, c_i - 1) for each kind with c_i >= 2.
-
-    A pendant path on k vertices has M = t_{k-1}. A cycle through the hub
-    has k = length - 1 further vertices with both ends on the hub, so M is
-    the sum of both end entries and twice the corner: 2 t_{k-1} + 2 (-1)^(k+1).
-    """
-    kinds = [(_continuants(length, 1)[:2], c) for length, c in _kinds(pendants)]
-    for length, c in _kinds(cycles):
-        theta, minor, _ = _continuants(length - 1, 2)
-        kinds.append(((theta, [2 * x for x in _add(minor, (1,), (-1) ** length)]), c))
-    p, n = (1,), ()
-    for (theta, m), c in kinds:
-        p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m), c)
-    repeated = tuple((theta, c - 1) for (theta, _), c in kinds if c > 1)
-    return tuple(p), tuple(n), repeated
+def _thetas(pendant_kinds=(), cycle_kinds=(), path_kinds=()):
+    """(θ, c - 1) for each kind (length, c) with c >= 2 among these _kinds,
+    θ the chain's continuant: t_L (last = 1) for a pendant path on L
+    vertices, t_{L-1} (last = 2) for a cycle of length L and t_{i-2}
+    (last = 2) for an internal path of order i."""
+    thetas = [(_continuants(length, 1)[0], c - 1) for length, c in pendant_kinds if c > 1]
+    thetas += [(_continuants(length - 1, 2)[0], c - 1) for length, c in cycle_kinds if c > 1]
+    thetas += [(_continuants(order - 2, 2)[0], c - 1) for order, c in path_kinds if c > 1]
+    return tuple(thetas)
 
 
 def _fold_links(kinds, hub_edge):
@@ -219,73 +209,25 @@ def _fold_links(kinds, hub_edge):
     return p, n, d
 
 
-@lru_cache(maxsize=4096)
-def _links(paths, hub_edge):
-    """(P, N, T, repeated) of _fold_links at the concrete counts of paths;
-    repeated holds (θ_i, c_i - 1) for each order with c_i >= 2."""
-    kinds = _kinds(paths)
-    p, n, t = _fold_links(kinds, hub_edge)
-    repeated = tuple((_continuants(order - 2, 2)[0], c - 1) for order, c in kinds if c > 1)
-    return tuple(p), tuple(n), tuple(t), repeated
-
-
-def _hub(p, n, degree):
-    """(λ - degree) P - N: the hub's Schur complement entry times P."""
-    return _add(poly_mul((-degree, 1), p), n, -1)
-
-
 def repeated_factors(cfg: FamilyConfig) -> tuple:
     """(θ, exponent) for each chain kind that occurs c >= 2 times on one hub
     side or among the internal paths, with exponent c - 1: the factors of
     det(λI - L) beyond its equitable quotient (see family_factors). θ is
     the chain's continuant, an ascending coefficient tuple."""
-    repeated = _side(cfg.pendants_u, cfg.cycles_u)[2]
-    if cfg.family == "G2":
-        repeated += _side(cfg.pendants_v, cfg.cycles_v)[2]
-        repeated += _links(cfg.paths, cfg.hub_edge)[3]
-    return repeated
+    chains = (cfg.pendants_u, cfg.cycles_u, cfg.pendants_v, cfg.cycles_v, cfg.paths)
+    pu, cu, pv, cv, paths = map(_kinds, chains)
+    return _thetas(pu, cu) + _thetas(pv, cv, paths)
 
 
-def family_factors(cfg: FamilyConfig) -> tuple:
-    """(repeated_factors(cfg), quotient), the quotient an ascending
-    coefficient list, with det(λI - L) = quotient · ∏ θ^exponent over the
-    repeated factors.
-
-    The quotient is the monic characteristic polynomial of the quotient
-    matrix of L by the equitable partition with the hubs as singletons and
-    one cell per chain kind and position along the chain. With
-    X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub sides
-    and P, N, T from the internal paths (see _side and _links): G1 gives X,
-    and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B with
-    A = P X - N P_u and B = N X - P_u T, which is (A'B' - P_u P_v C'^2) / P
-    with A' = X P - P_u N, B' = Y P - P_v N and C' = hub_edge · P - U
-    multiplied out.
-    """
-    repeated = repeated_factors(cfg)
-    pu, nu, _ = _side(cfg.pendants_u, cfg.cycles_u)
-    x = _hub(pu, nu, cfg.hub_degree_u())
-    if cfg.family == "G1":
-        return repeated, x
-    pv, nv, _ = _side(cfg.pendants_v, cfg.cycles_v)
-    p, n, t, _ = _links(cfg.paths, cfg.hub_edge)
-    y = _hub(pv, nv, cfg.hub_degree_v())
-    a = _add(poly_mul(p, x), poly_mul(n, pu), -1)
-    b = _add(poly_mul(n, x), poly_mul(pu, t), -1)
-    return repeated, _add(poly_mul(y, a), poly_mul(pv, b), -1)
-
-
-# -- value tables of the sweep ---------------------------------------------------
+# -- value tables ---------------------------------------------------------------
 #
-# quotient_sign_change needs the quotient's values at the integers, not its
-# coefficients. So a table holds a side's or a link set's P, N (and T) at
-# k = 0..size-1, folded in plain ints at each k with the same updates as
-# _side and _fold_links, from the continuants' values t_j(k): no polynomial
-# is built, and a table costs a few products per chain kind and k. A member
-# then costs a few products per k: A and B below depend only on the internal
-# paths and the u side, so a walk that fixes both computes them once and pays
-# Q(k) = Y(k) A(k) - P_v(k) B(k) per v side. A table also records whether
-# every repeated θ of its chains has only integer roots, the other early
-# decision (see repeated_factors); only that flag reads a θ polynomial.
+# A table holds a side's or a link set's P, N (and T) at k = 0..size-1,
+# folded in plain ints at each k from the continuants' values t_j(k). A and
+# B below depend only on the internal paths and the u side, so a walk that
+# fixes both computes them once and pays Q(k) = Y(k) A(k) - P_v(k) B(k) per
+# v side: the sign scan reads Q(1..n), and Q(0..n) fix Q's coefficients. A
+# table also records whether every repeated θ of its chains has only
+# integer roots, the other early decision (see repeated_factors).
 
 
 @lru_cache(maxsize=None)
@@ -310,14 +252,16 @@ def _continuant_values(last, size, longest):
 
 @lru_cache(maxsize=1 << 16)
 def side_table(pendants, cycles, size):
-    """(P(k), N(k)) for k in range(size), P and N the folds of _side, and
-    whether every repeated θ of the side has only integer roots.
+    """(P(k), N(k)) for k in range(size) of the chains hanging from one hub,
+    and whether every repeated θ of the side has only integer roots.
 
-    The fold runs in ints at each k: a pendant path on L vertices has
-    θ = t_L and M = t_{L-1} (last = 1), a cycle of length L has θ = t_{L-1}
-    and M = 2 t_{L-2} + 2 (-1)^L (last = 2), and each kind of count c maps
-    (P, N) to (P θ, N θ + c P M).
-    """
+    P = ∏ θ_i and N / P = Σ c_i M_i / θ_i over the distinct chain kinds i,
+    c_i copies each, is the hub's share of the quotient's Schur complement,
+    folded in ints at each k: a pendant path on L vertices has θ = t_L and
+    M = t_{L-1} (last = 1); a cycle of length L has L - 1 further vertices
+    with both ends on the hub, so θ = t_{L-1} and M, both end entries plus
+    twice the corner, is 2 t_{L-2} + 2 (-1)^L (last = 2); each kind of
+    count c maps (P, N) to (P θ, N θ + c P M)."""
     pendant_kinds, cycle_kinds = _kinds(pendants), _kinds(cycles)
     kinds = []
     if pendants:
@@ -334,15 +278,14 @@ def side_table(pendants, cycles, size):
             [p_k * th for p_k, th in zip(p, theta)],
             [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
         )
-    repeated = [_continuants(length, 1)[0] for length, c in pendant_kinds if c > 1]
-    repeated += [_continuants(length - 1, 2)[0] for length, c in cycle_kinds if c > 1]
-    return tuple(p), tuple(n), all(map(_integer_roots_only, repeated))
+    ok = all(_integer_roots_only(theta) for theta, _ in _thetas(pendant_kinds, cycle_kinds))
+    return tuple(p), tuple(n), ok
 
 
 @lru_cache(maxsize=1 << 16)
 def links_table(paths, hub_edge, size):
     """(P(k), N(k), T(k)) for k in range(size), P, N and T the folds of
-    _links, and whether every repeated θ of the paths has only integer
+    _fold_links, and whether every repeated θ of the paths has only integer
     roots.
 
     The fold runs in ints at each k with _fold_links' update: a path of
@@ -366,8 +309,8 @@ def links_table(paths, hub_edge, size):
         )
     if hub_edge:
         d = [d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]
-    repeated = [_continuants(order - 2, 2)[0] for order, c in kinds if c > 1]
-    return tuple(p), tuple(n), tuple(d), all(map(_integer_roots_only, repeated))
+    ok = all(_integer_roots_only(theta) for theta, _ in _thetas(path_kinds=kinds))
+    return tuple(p), tuple(n), tuple(d), ok
 
 
 def one_hub_coupling(size) -> tuple:
@@ -391,10 +334,17 @@ def two_hub_coupling(links, side_u, degree_u) -> tuple:
     return a, b
 
 
+def quotient_values(coupling, side, degree, n) -> list:
+    """[Q(0), ..., Q(n)], Q(k) = Y(k) A(k) - P(k) B(k) with (A, B) a
+    coupling, (P, N) the side's table and Y(k) = (k - degree) P(k) - N(k)."""
+    a, b = coupling
+    p, nn, _ = side
+    return [((k - degree) * p[k] - nn[k]) * a[k] - p[k] * b[k] for k in range(n + 1)]
+
+
 def side_sign_change(coupling, side, degree, n):
-    """The first k in 1..n-1 at which Q(k) = Y(k) A(k) - P(k) B(k) and
-    Q(k + 1) are nonzero of opposite sign, or None; (A, B) is a coupling,
-    (P, N) the side's table and Y(k) = (k - degree) P(k) - N(k)."""
+    """The first k in 1..n-1 at which Q(k) and Q(k + 1) of quotient_values
+    are nonzero of opposite sign, or None; stops at the first such k."""
     a, b = coupling
     p, nn, _ = side
     last = 0
@@ -407,6 +357,38 @@ def side_sign_change(coupling, side, degree, n):
     return None
 
 
+def _member_tables(cfg: FamilyConfig) -> tuple:
+    """(coupling, side table, degree) of cfg's quotient at k = 0..n: the
+    u side of a G1 member, the v side of a G2 member."""
+    size = cfg.vertex_count() + 1
+    side_u = side_table(cfg.pendants_u, cfg.cycles_u, size)
+    if cfg.family == "G1":
+        return one_hub_coupling(size), side_u, cfg.hub_degree_u()
+    links = links_table(cfg.paths, cfg.hub_edge, size)
+    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
+    return coupling, side_table(cfg.pendants_v, cfg.cycles_v, size), cfg.hub_degree_v()
+
+
+def family_factors(cfg: FamilyConfig) -> tuple:
+    """(repeated_factors(cfg), quotient), the quotient an ascending
+    coefficient list, with det(λI - L) = quotient · ∏ θ^exponent over the
+    repeated factors.
+
+    The quotient is the monic characteristic polynomial of the quotient
+    matrix of L by the equitable partition with the hubs as singletons and
+    one cell per chain kind and position along the chain. With
+    X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub sides
+    and P, N, T from the internal paths (see side_table and links_table):
+    G1 gives X, and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T =
+    Y A - P_v B with A = P X - N P_u and B = N X - P_u T, which is
+    (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
+    C' = hub_edge · P - U multiplied out. Its degree is at most n, so its
+    coefficients are interpolated from its values at 0..n.
+    """
+    values = quotient_values(*_member_tables(cfg), cfg.vertex_count())
+    return repeated_factors(cfg), interpolate(values)
+
+
 def quotient_sign_change(cfg: FamilyConfig):
     """The first k in 1..n-1 at which the quotient Q of family_factors
     takes nonzero values of opposite sign at k and k + 1, or None.
@@ -415,17 +397,9 @@ def quotient_sign_change(cfg: FamilyConfig):
     polynomial of an equitable quotient), so such a k certifies one in the
     open interval (k, k + 1), a non-integer one. A zero Q(k) is an integer
     root, and no comparison spans it. The scan reads Q(1), Q(2), ... off
-    the value tables as the sweep does, stops at the first sign change and
-    builds no polynomial.
+    the value tables as the sweep does and builds no polynomial.
     """
-    n = cfg.vertex_count()
-    side_u = side_table(cfg.pendants_u, cfg.cycles_u, n + 1)
-    if cfg.family == "G1":
-        return side_sign_change(one_hub_coupling(n + 1), side_u, cfg.hub_degree_u(), n)
-    links = links_table(cfg.paths, cfg.hub_edge, n + 1)
-    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
-    side_v = side_table(cfg.pendants_v, cfg.cycles_v, n + 1)
-    return side_sign_change(coupling, side_v, cfg.hub_degree_v(), n)
+    return side_sign_change(*_member_tables(cfg), cfg.vertex_count())
 
 
 def family_char_poly(cfg: FamilyConfig) -> list:

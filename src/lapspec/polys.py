@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import sub
 
 LAMBDA = "λ"
 
@@ -668,6 +669,30 @@ def poly_value(c, x: int) -> int:
     for a in reversed(c):
         acc = acc * x + a
     return acc
+
+
+def interpolate(values) -> list:
+    """Ascending integer coefficients, trailing zeros trimmed, of the
+    polynomial of degree below len(values) that takes values[k] at k = 0,
+    1, ...; ValueError when no integer polynomial does.
+
+    Newton's forward differences give c = Σ_j b_j x(x - 1)···(x - j + 1)
+    with b_j = Δ^j c(0) / j!, all integers exactly when c has integer
+    coefficients; Horner over the falling factorials multiplies them out.
+    """
+    diffs, newton, factorial = list(values), [], 1
+    while any(diffs):  # the differences beyond the degree are 0
+        factorial *= len(newton) or 1
+        b, r = divmod(diffs[0], factorial)
+        if r:
+            raise ValueError("the values are not those of an integer polynomial")
+        newton.append(b)
+        diffs = list(map(sub, diffs[1:], diffs))
+    out = []
+    for j in reversed(range(len(newton))):
+        out = [x - j * y for x, y in zip([0] + out, out + [0])]  # out · (x - j)
+        out[0] += newton[j]
+    return out
 
 
 def _synthetic_div(c, r: int):

@@ -8,12 +8,15 @@ divided over Q and multiplied back one linear factor at a time, and
 matrices are read off adjacency tests one entry at a time. None of it shares
 code with the library paths it checks, except reference_sweep: it checks
 how verify_theorem walks, hoists and tallies, and makes the library's own
-decisions one member at a time.
+decisions one member at a time; and _side, the polynomial fold of a hub
+side that the value tables fold as values, which builds on the library's
+continuant polynomials.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
@@ -27,11 +30,13 @@ from lapspec import (
     family_factors,
     is_connected,
     join,
+    poly_mul,
     quotient_sign_change,
     repeated_factors,
     split_integer_roots,
 )
 from lapspec.enumeration import TAG_NONE
+from lapspec.matrices import _add, _continuants
 
 
 def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
@@ -354,3 +359,32 @@ def reference_sweep(n_min: int, n_max: int):
                 row[2] += integral != (tag != TAG_NONE)
     rows = tuple((n, family, *tally[n, family]) for n, family in sorted(tally))
     return rows, verdicts, repeated, signs
+
+
+# -- the polynomial fold of a hub side -------------------------------------------
+
+
+def _kinds(lengths):
+    """(length, count) for each distinct length, ascending."""
+    return sorted(Counter(lengths).items())
+
+
+def _side(pendants, cycles):
+    """(P, N, repeated) of the chains hanging from one hub: P = ∏ θ_i and
+    N / P = Σ c_i M_i / θ_i over the distinct chain kinds i, c_i copies
+    each, the hub's share of the quotient's Schur complement; repeated
+    holds (θ_i, c_i - 1) for each kind with c_i >= 2.
+
+    A pendant path on k vertices has M = t_{k-1}. A cycle through the hub
+    has k = length - 1 further vertices with both ends on the hub, so M is
+    the sum of both end entries and twice the corner: 2 t_{k-1} + 2 (-1)^(k+1).
+    """
+    kinds = [(_continuants(length, 1)[:2], c) for length, c in _kinds(pendants)]
+    for length, c in _kinds(cycles):
+        theta, minor, _ = _continuants(length - 1, 2)
+        kinds.append(((theta, [2 * x for x in _add(minor, (1,), (-1) ** length)]), c))
+    p, n = (1,), ()
+    for (theta, m), c in kinds:
+        p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m), c)
+    repeated = tuple((theta, c - 1) for (theta, _), c in kinds if c > 1)
+    return tuple(p), tuple(n), repeated

@@ -294,6 +294,23 @@ def test_sweep_summary_retains_no_memory_per_member(sweep_nine_to_thirteen, monk
         assert retained < 512 * 1024, (out, retained)
 
 
+def test_sweep_without_out_builds_no_family_config(monkeypatch):
+    # every member is decided from the value tables and its key(), the
+    # integer-root test included: with no out stream and no disagreeing
+    # member, the sweep never builds a FamilyConfig
+    built = []
+    post_init = FamilyConfig.__post_init__
+
+    def counted(self):
+        built.append(self.key())
+        post_init(self)
+
+    monkeypatch.setattr(FamilyConfig, "__post_init__", counted)
+    summary = verify_theorem(9, 12)
+    assert summary.stats["configs"] == 10422 and summary.disagreements == ()
+    assert built == []
+
+
 def test_verify_theorem_budget():
     with pytest.raises(BudgetExceededError):
         verify_theorem(9, 13)

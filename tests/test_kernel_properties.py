@@ -3,23 +3,26 @@
 The gcd divides both inputs and keeps a planted common factor, the
 square-free decomposition multiplies back to its input up to the content,
 split_integer_roots finds exactly the integer roots planted in front of a
-cofactor with none, and the shift-based value at a dyadic point equals the
-general scaled value. Divisibility, content and rational roots come from
-the Fraction helpers of oracle_helpers, not from lapspec.
+cofactor with none, the shift-based value at a dyadic point equals the
+general scaled value, and interpolate gives back an integer polynomial from
+its values at 0, 1, ... and rejects the values of a polynomial whose
+coefficients are not all integers. Divisibility, content and rational roots
+come from the Fraction helpers of oracle_helpers, not from lapspec.
 """
 
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from lapspec.polys import (  # noqa: E402
     _dyadic_value,
     _poly_gcd,
     _scaled_value,
     _squarefree_decomposition,
+    interpolate,
     poly_mul,
     split_integer_roots,
 )
@@ -92,3 +95,31 @@ def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor
 def test_dyadic_value_is_the_scaled_value_at_a_power_of_two(c, p, k):
     # isolation's values at p / 2^k, trailing zeros and the empty list included
     assert _dyadic_value(c, p, k) == _scaled_value(c, p, 1 << k)
+
+
+def values_at(c, size):
+    """c(0), ..., c(size - 1), each as sum(c_i k^i)."""
+    return [sum(a * k**i for i, a in enumerate(c)) for k in range(size)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=13), st.integers(0, 4))
+def test_interpolate_round_trips_integer_polynomials(c, extra):
+    # more values than the degree needs, trailing zeros and the empty list included
+    trimmed = list(c)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert interpolate(values_at(c, len(c) + extra)) == trimmed
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(polys, st.integers(2, 6), st.integers(1, 10**4), st.integers(0, 3))
+@example([0], 2, 1, 0)  # k(k - 1)/2 at k = 0, 1, 2
+def test_interpolate_rejects_values_of_no_integer_polynomial(c, j, r, extra):
+    # c + r C(x, j) takes integer values at the integers, but its x^j
+    # coefficient is not an integer unless j! divides r
+    assume(r % factorial(j))
+    size = max(len(c), j + 1) + extra
+    values = [v + r * comb(k, j) for k, v in enumerate(values_at(c, size))]
+    with pytest.raises(ValueError):
+        interpolate(values)

@@ -187,8 +187,15 @@ def test_family_factors_quotient_is_the_equitable_quotient_up_to_ten():
 
 def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
     # the sign scan's Q(k) = Y(k) A(k) - P_v(k) B(k) from the value tables,
-    # against the value of family_factors' coefficient list at every k in 0..n
-    from lapspec.matrices import links_table, one_hub_coupling, side_table, two_hub_coupling
+    # against Berkowitz on the quotient matrix of the realized Laplacian by
+    # quotient_cells, evaluated at every k in 0..n
+    from lapspec.matrices import (
+        links_table,
+        one_hub_coupling,
+        quotient_values,
+        side_table,
+        two_hub_coupling,
+    )
 
     checked = 0
     for n in range(4, 11):
@@ -196,43 +203,48 @@ def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
             for cfg in enumerate_family(family, n):
                 side_u = side_table(cfg.pendants_u, cfg.cycles_u, n + 1)
                 if family == "G1":
-                    (a, b), (p, nn, _), d = one_hub_coupling(n + 1), side_u, cfg.hub_degree_u()
+                    coupling, side, d = one_hub_coupling(n + 1), side_u, cfg.hub_degree_u()
                 else:
                     links = links_table(cfg.paths, cfg.hub_edge, n + 1)
-                    a, b = two_hub_coupling(links, side_u, cfg.hub_degree_u())
-                    p, nn, _ = side_table(cfg.pendants_v, cfg.cycles_v, n + 1)
+                    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
+                    side = side_table(cfg.pendants_v, cfg.cycles_v, n + 1)
                     d = cfg.hub_degree_v()
-                quotient = family_factors(cfg)[1]
-                for k in range(n + 1):
-                    at = ((k - d) * p[k] - nn[k]) * a[k] - p[k] * b[k]
-                    assert at == sum(c * k**i for i, c in enumerate(quotient)), (cfg, k)
+                quotient = char_poly(quotient_matrix(laplacian(realize(cfg)), quotient_cells(cfg)))
+                want = [sum(c * k**i for i, c in enumerate(quotient)) for k in range(n + 1)]
+                assert quotient_values(coupling, side, d, n) == want, cfg
                 checked += 1
     assert checked == 2191
 
 
 def assert_tables_equal_the_folds(sides, links, size):
     """Each table entry of every side and link set is its polynomial fold
-    (_side, _links) evaluated as sum(c_i k^i) at k in range(size), and the
-    flag says whether every repeated θ has only integer roots."""
-    from lapspec.matrices import _links, _side, links_table, side_table
+    (the oracle _side, and _fold_links) evaluated as sum(c_i k^i) at k in
+    range(size), and the flag says whether every repeated θ has only
+    integer roots."""
+    from lapspec.matrices import _continuants, _fold_links, links_table, side_table
+
+    from oracle_helpers import _side
 
     def values(poly):
         return tuple(sum(c * k**i for i, c in enumerate(poly)) for k in range(size))
 
-    def integer_roots_only(repeated):
-        return all(len(split_integer_roots(theta)[1]) <= 1 for theta, _ in repeated)
+    def integer_roots_only(thetas):
+        return all(len(split_integer_roots(theta)[1]) <= 1 for theta in thetas)
 
     flags = Counter()
     for side in sides:
         p, n, repeated = _side(*side)
-        want = (values(p), values(n), integer_roots_only(repeated))
+        ok = integer_roots_only(theta for theta, _ in repeated)
+        want = (values(p), values(n), ok)
         assert side_table(*side, size) == want, side
-        flags[integer_roots_only(repeated)] += 1
+        flags[ok] += 1
     for paths, hub_edge in links:
-        p, n, t, repeated = _links(paths, hub_edge)
-        want = (values(p), values(n), values(t), integer_roots_only(repeated))
+        kinds = sorted(Counter(paths).items())
+        p, n, t = _fold_links(kinds, hub_edge)
+        ok = integer_roots_only(_continuants(order - 2, 2)[0] for order, c in kinds if c > 1)
+        want = (values(p), values(n), values(t), ok)
         assert links_table(paths, hub_edge, size) == want, (paths, hub_edge)
-        flags[integer_roots_only(repeated)] += 1
+        flags[ok] += 1
     assert flags[True] > 0 and flags[False] > 0
 
 
@@ -269,8 +281,6 @@ def test_table_fill_builds_no_polynomial(monkeypatch):
     for cached in (
         matrices.side_table,
         matrices.links_table,
-        matrices._side,
-        matrices._links,
         matrices._continuants,
         matrices._continuant_values,
     ):
@@ -286,7 +296,7 @@ def test_table_fill_builds_no_polynomial(monkeypatch):
 
         return wrapper
 
-    for name in ("_side", "_links", "poly_mul"):
+    for name in ("_fold_links", "poly_mul"):
         monkeypatch.setattr(matrices, name, counted(name))
     _fill_tables(12)
     assert matrices.side_table.cache_info().currsize == 752
