@@ -64,7 +64,6 @@ from .polys import (
     poly_mul,
     poly_text,
     poly_value,
-    scaled_value_at,
     sign_at,
     split_integer_roots,
     sturm_count,

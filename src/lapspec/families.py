@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product, zip_longest
 from math import prod
 from operator import mul
 from importlib import resources
@@ -24,16 +25,7 @@ from importlib import resources
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, path_quotient
 from .partitions import quotient_matrix
-from .polys import (
-    LAMBDA,
-    MPoly,
-    divides,
-    integer_roots,
-    parse_poly,
-    scaled_value_at,
-    sign_at,
-    sturm_count,
-)
+from .polys import LAMBDA, MPoly, divides, integer_roots, parse_poly, sturm_count
 from .spectra import is_L_integral, laplacian, spectrum
 
 #: Locations where the transcription is known to disagree with the
@@ -68,10 +60,6 @@ class PropositionCase:
     sign_claims: tuple
     root_interval: tuple
     excluded_instances: tuple
-
-    @property
-    def dimension(self) -> int:
-        return 2 + sum(order - 2 for order, _ in self.path_counts)
 
 
 @lru_cache(maxsize=1)
@@ -216,6 +204,15 @@ def computed_symbolic_poly(case_id: str) -> MPoly:
     return MPoly.from_univariate(path_quotient(counts.items(), case.hub_edge))
 
 
+@lru_cache(maxsize=None)
+def _lambda_coefficients(case_id: str) -> tuple:
+    """computed_symbolic_poly split by powers of λ, ascending: one MPoly
+    over the case's params per λ-degree."""
+    case = get_case(case_id)
+    poly = computed_symbolic_poly(case_id).with_vars((LAMBDA,) + case.params)
+    return tuple(poly.coefficients_in(LAMBDA))
+
+
 def verify_printed_polynomial(case_id: str) -> dict:
     """Diff the computed symbolic polynomial against the transcription.
 
@@ -223,14 +220,11 @@ def verify_printed_polynomial(case_id: str) -> dict:
     an empty diff means the transcription is verified.
     """
     case = get_case(case_id)
-    computed = computed_symbolic_poly(case_id)
-    variables = (LAMBDA,) + case.params
-    printed = parse_poly(case.printed_poly, variables=variables)
+    printed = parse_poly(case.printed_poly, variables=(LAMBDA,) + case.params)
+    zero = MPoly.zero(case.params)
     diffs = []
-    degree = max(computed.degree(LAMBDA), printed.degree(LAMBDA))
-    for k in range(degree + 1):
-        got = computed.coefficient_in(LAMBDA, k)
-        want = printed.coefficient_in(LAMBDA, k)
+    pairs = zip_longest(_lambda_coefficients(case_id), printed.coefficients_in(LAMBDA), fillvalue=zero)
+    for k, (got, want) in enumerate(pairs):
         if got != want:
             diffs.append(
                 {"degree": k, "printed": want.to_text(), "computed": got.to_text()}
@@ -281,34 +275,22 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
         if overrides and name in overrides:
             olo, ohi = overrides[name]
             lo, hi = max(lo, olo), min(hi, ohi)
-        ranges.append([(name, v) for v in range(lo, hi + 1)])
-    if not ranges:
-        yield {}
-        return
-
-    def rec(i, acc):
-        if i == len(ranges):
-            point = dict(acc)
-            if case.min_param_total is not None:
-                if sum(point.values()) < case.min_param_total:
-                    return
-            if tuple(sorted(point.items())) in case.grid_exclude:
-                return
+        ranges.append(range(lo, hi + 1))
+    for combo in product(*ranges):
+        if case.min_param_total is not None and sum(combo) < case.min_param_total:
+            continue
+        point = dict(zip(case.params, combo))
+        if tuple(point.items()) not in case.grid_exclude:  # params are sorted
             yield point
-            return
-        for item in ranges[i]:
-            yield from rec(i + 1, acc + [item])
-
-    yield from rec(0, [])
 
 
-def _monomial_rows(polys, params) -> tuple:
-    """(monomials, rows): the exponent tuples over params that occur in
-    polys, and each poly as its integer coefficients over them, so that a
-    poly's value is the dot product of its row with the monomials' values."""
-    terms = [poly.with_vars(params).terms for poly in polys]
-    monomials = sorted({exps for t in terms for exps in t})
-    return monomials, [[t.get(exps, 0) for exps in monomials] for t in terms]
+def _monomial_rows(polys) -> tuple:
+    """(monomials, rows): the exponent tuples that occur in polys, which
+    share one variable tuple, and each poly as its integer coefficients over
+    them, so that a poly's value is the dot product of its row with the
+    monomials' values."""
+    monomials = sorted({exps for poly in polys for exps in poly.terms})
+    return monomials, [[poly.terms.get(exps, 0) for exps in monomials] for poly in polys]
 
 
 def verify_sign_claims(
@@ -316,21 +298,31 @@ def verify_sign_claims(
 ) -> dict:
     """Exact sign verification of every cited evaluation point on the grid.
 
-    The polynomial in Z[s,t][λ] is split once into integer rows over the
-    monomials in s and t, one per λ-degree and one per printed value, and
-    each grid point evaluates the monomials once and every row from them,
-    in ints. A claim point p/r is checked through the integer r^d · f(p/r),
-    which has the sign of f there; a printed closed-form value is checked
-    against it by cross-multiplying with r^d. Each grid point also gets a certificate of
-    a root strictly inside the claimed interval: nonzero opposite signs at
-    its ends, or else a Sturm count.
+    f in Z[s,t][λ] has degree d in λ. Each distinct point p/r among the
+    claim points and the ends lo, hi of the claimed root interval gets one
+    integer row over the monomials in s and t: the coefficients of
+    r^d · f(p/r) = Σ_k f_k · p^k · r^(d-k), which has the sign of f at p/r.
+    A printed closed-form value gets a row too. Each grid point evaluates
+    the monomials once and takes one dot product per row; a claim's sign is
+    read off its point's value, and a printed value is checked against it
+    by cross-multiplying with r^d. Each grid point also gets a certificate
+    of a root strictly inside the claimed interval: nonzero opposite signs
+    at lo and hi, or else a Sturm count on the λ-coefficients, which only
+    that fallback evaluates.
     """
     case = get_case(case_id)
-    poly = computed_symbolic_poly(case_id)
-    polys = [poly.coefficient_in(LAMBDA, k) for k in range(poly.degree(LAMBDA) + 1)]
-    d = len(polys) - 1
+    coeffs = _lambda_coefficients(case_id)
+    d = len(coeffs) - 1
     lo, hi = case.root_interval
-    claims = []  # (claim, r^d, index of the printed value's poly or None)
+    points = list(dict.fromkeys([claim.point for claim in case.sign_claims] + [lo, hi]))
+    polys = [
+        sum(
+            (f * (q.numerator**k * q.denominator ** (d - k)) for k, f in enumerate(coeffs)),
+            MPoly.zero(case.params),
+        )
+        for q in points
+    ]
+    claims = []  # (claim, r^d, row of its point, row of its printed value or None)
     for claim in case.sign_claims:
         at = None
         if (
@@ -339,8 +331,10 @@ def verify_sign_claims(
         ):
             at = len(polys)
             polys.append(parse_poly(claim.printed_value, variables=case.params))
-        claims.append((claim, claim.point.denominator**d, at))
-    monomials, rows = _monomial_rows(polys, case.params)
+        claims.append((claim, claim.point.denominator**d, points.index(claim.point), at))
+    monomials, rows = _monomial_rows(polys + list(coeffs))
+    rows, coeff_rows = rows[: len(polys)], rows[len(polys) :]
+    row_lo, row_hi = points.index(lo), points.index(hi)
     points_checked = 0
     sign_failures = []
     identity_failures = []
@@ -348,20 +342,20 @@ def verify_sign_claims(
     for point in grid_points(case, cap, overrides):
         points_checked += 1
         values = [point[name] for name in case.params]
-        powers = [prod(x**e for x, e in zip(values, exps)) for exps in monomials]
+        powers = [prod(map(pow, values, exps)) for exps in monomials]
         evaluated = [sum(map(mul, row, powers)) for row in rows]
-        coeffs = evaluated[: d + 1]
-        for claim, scale, at in claims:
-            value = scaled_value_at(coeffs, claim.point)
+        for claim, scale, i, at in claims:
+            value = evaluated[i]
             if (value > 0) - (value < 0) != claim.sign:
                 sign_failures.append(
                     {"point": point, "at": str(claim.point), "value": str(Fraction(value, scale))}
                 )
             if at is not None and evaluated[at] * scale != value:
                 identity_failures.append({"point": point, "at": str(claim.point)})
-        sign_hi = sign_at(coeffs, hi)
-        if sign_at(coeffs, lo) * sign_hi >= 0:
-            inside = sturm_count(coeffs, lo, hi) - (sign_hi == 0)
+        value_hi = evaluated[row_hi]
+        if evaluated[row_lo] * value_hi >= 0:
+            coeffs_at = [sum(map(mul, row, powers)) for row in coeff_rows]
+            inside = sturm_count(coeffs_at, lo, hi) - (value_hi == 0)
             if inside < 1:
                 root_failures.append({"point": point})
     return {

@@ -40,10 +40,11 @@ def _as_fraction(x) -> Fraction:
 
 
 def _normalize_coeff(c):
-    c = _as_fraction(c) if not isinstance(c, int) else c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    # int first: an isinstance test against Fraction goes through ABCMeta
+    if isinstance(c, int):
+        return c
+    c = _as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _power_text(name, e):
@@ -166,24 +167,21 @@ class MPoly:
             coeffs[exps[i]] = c
         return coeffs
 
-    def coefficient_in(self, name, k) -> "MPoly":
-        """Coefficient of name**k, as a polynomial in the other variables."""
+    def coefficients_in(self, name) -> list:
+        """Ascending coefficients of the powers of name, as polynomials in
+        the other variables, from one pass over the terms."""
         i = self.vars.index(name)
-        rest = tuple(v for j, v in enumerate(self.vars) if j != i)
-        out = {}
+        out = [{} for _ in range(self.degree(name) + 1)]
         for exps, c in self.terms.items():
-            if exps[i] == k:
-                key = tuple(e for j, e in enumerate(exps) if j != i)
-                out[key] = out.get(key, 0) + c
-        return MPoly(rest, out)
+            out[exps[i]][exps[:i] + exps[i + 1 :]] = c
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        return [MPoly(rest, terms) for terms in out]
 
     # -- variable alignment -------------------------------------------
 
     def _aligned(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
-        if self.vars == other.vars:
-            return self, other
+        """self and other over the union of their variables; callers skip it
+        when the variables already agree."""
         merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
         return self.with_vars(merged), other.with_vars(merged)
 
@@ -210,9 +208,11 @@ class MPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (MPoly, int, Fraction)):
-            return NotImplemented
-        a, b = self._aligned(other)
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other, self.vars)
+        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
         out = dict(a.terms)
         for exps, c in b.terms.items():
             out[exps] = out.get(exps, 0) + c
@@ -226,17 +226,17 @@ class MPoly:
     def __sub__(self, other):
         if not isinstance(other, (MPoly, int, Fraction)):
             return NotImplemented
-        return self + (-other if isinstance(other, MPoly) else MPoly.const(-other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MPoly):
-            return NotImplemented
-        a, b = self._aligned(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
         out = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
@@ -259,11 +259,11 @@ class MPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
         if not isinstance(other, MPoly):
-            return NotImplemented
-        a, b = self._aligned(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other, self.vars)
+        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
         return a.terms == b.terms
 
     def __hash__(self):
@@ -329,8 +329,11 @@ def parse_poly(text: str, variables=None) -> MPoly:
     """Parse '+ - * ^ ( )' expressions with integer literals and names.
 
     Multiplication must be explicit ('40*s*t'); exponentiation binds the
-    factor to its left, so '15^2' is the integer 225.
+    factor to its left, so '15^2' is the integer 225. With variables given,
+    every literal and name is built over them, so no operation realigns
+    variables; a name outside them is a ValueError.
     """
+    variables = None if variables is None else tuple(variables)
     tokens = _tokenize(text)
     pos = [0]
 
@@ -379,18 +382,14 @@ def parse_poly(text: str, variables=None) -> MPoly:
                 raise ValueError("unbalanced parentheses")
             return node
         if isinstance(tok, int):
-            return MPoly.const(tok)
+            return MPoly.const(tok, variables or ())
         if isinstance(tok, str) and tok.isidentifier():
-            if variables is not None and tok not in variables:
-                raise ValueError(f"unknown variable {tok!r}")
-            return MPoly.var(tok)
+            return MPoly.var(tok, variables)
         raise ValueError(f"unexpected token {tok!r}")
 
     node = parse_expr()
     if pos[0] != len(tokens):
         raise ValueError(f"trailing input at token {tokens[pos[0]]!r}")
-    if variables is not None:
-        node = node.with_vars(tuple(variables))
     return node
 
 
@@ -1020,18 +1019,6 @@ def divides(p, q):
 def sign_at(c, point) -> int:
     """Exact sign (-1, 0, 1) of a univariate polynomial at a rational point."""
     return _sign_at(c, _as_fraction(point))
-
-
-def scaled_value_at(c, point) -> int:
-    """The integer r^d * c(p/r) for point = p/r in lowest terms.
-
-    c is an ascending integer coefficient list and d = len(c) - 1, whether
-    or not the top coefficient is zero. The value of c at the point is the
-    result over r^d, so it has the sign of c there and compares with any
-    rational by cross-multiplying, without building a Fraction.
-    """
-    q = _as_fraction(point)
-    return _scaled_value(c, q.numerator, q.denominator)
 
 
 def poly_text(c) -> str:

@@ -57,9 +57,10 @@ def test_registry_shape():
     assert tuple(case_ids()) == ALL_CASES
     for cid in ALL_CASES:
         case = get_case(cid)
-        assert len(case.printed_matrix) == case.dimension
+        dimension = 2 + sum(order - 2 for order, _ in case.path_counts)
+        assert len(case.printed_matrix) == dimension
         poly = parse_poly(case.printed_poly, variables=(LAMBDA,) + case.params)
-        assert poly.degree(LAMBDA) == case.dimension
+        assert poly.degree(LAMBDA) == dimension
     with pytest.raises(KeyError):
         get_case("9.9")
 
@@ -199,8 +200,18 @@ def sturm_calls(monkeypatch):
 
 
 def test_sign_claims_equal_the_oracle_on_every_case(sturm_calls):
+    narrowed = {"s": (0, 3), "t": (2, 9)}
+    one_point = {"s": (3, 3), "t": (3, 3)}
     for cid in ALL_CASES:
         assert verify_sign_claims(cid) == _oracle_sign_claims(cid, 20), cid
+        report = verify_sign_claims(cid, overrides=narrowed)
+        assert report == _oracle_sign_claims(cid, 20, narrowed), cid
+        report = verify_sign_claims(cid, overrides=one_point)
+        assert report == _oracle_sign_claims(cid, 20, one_point), cid
+        assert report["points_checked"] == 1, cid
+    report = verify_sign_claims("4.7-c3.1", cap=30)
+    assert report == _oracle_sign_claims("4.7-c3.1", 30)
+    assert report["points_checked"] == 900
     # Every point of today's catalog is settled by the sign change at the
     # ends of the claimed interval.
     assert sturm_calls == []

@@ -6,8 +6,10 @@ split_integer_roots finds exactly the integer roots planted in front of a
 cofactor with none, the shift-based value at a dyadic point equals the
 general scaled value, and interpolate gives back an integer polynomial from
 its values at 0, 1, ... and rejects the values of a polynomial whose
-coefficients are not all integers. Divisibility, content and rational roots
-come from the Fraction helpers of oracle_helpers, not from lapspec.
+coefficients are not all integers. parse_poly reads MPoly's canonical text
+back to the same polynomial over the given variables. Divisibility, content
+and rational roots come from the Fraction helpers of oracle_helpers, not
+from lapspec.
 """
 
 from math import comb, factorial, gcd
@@ -18,11 +20,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from lapspec.polys import (  # noqa: E402
+    LAMBDA,
+    MPoly,
     _dyadic_value,
     _poly_gcd,
     _scaled_value,
     _squarefree_decomposition,
     interpolate,
+    parse_poly,
     poly_mul,
     split_integer_roots,
 )
@@ -123,3 +128,22 @@ def test_interpolate_rejects_values_of_no_integer_polynomial(c, j, r, extra):
     values = [v + r * comb(k, j) for k, v in enumerate(values_at(c, size))]
     with pytest.raises(ValueError):
         interpolate(values)
+
+
+CATALOG_VARS = (LAMBDA, "s", "t")
+catalog_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    st.integers(-(10**6), 10**6).filter(bool),
+    max_size=8,
+).map(lambda terms: MPoly(CATALOG_VARS, terms))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(catalog_polys, st.sampled_from(["u", "S", "x1", "λλ"]))
+def test_parse_poly_reads_the_canonical_text_back(p, stray):
+    # the zero polynomial ("0") and negative leading terms included
+    back = parse_poly(p.to_text(), variables=CATALOG_VARS)
+    assert back == p
+    assert back.vars == CATALOG_VARS and back.terms == p.terms
+    with pytest.raises(ValueError):
+        parse_poly(f"{p.to_text()} + {stray}", variables=CATALOG_VARS)

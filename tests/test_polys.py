@@ -14,7 +14,6 @@ from lapspec import (
     poly_mul,
     poly_text,
     poly_value,
-    scaled_value_at,
     sign_at,
     split_integer_roots,
     sturm_count,
@@ -24,6 +23,7 @@ from lapspec.polys import (
     _exact_quotient,
     _rational_roots,
     _root_bound,
+    _scaled_value,
     _sign_at,
     _square_free_part,
     _sturm_chain,
@@ -84,13 +84,13 @@ def test_symbolic_substitution_matches_printed_evaluations():
         p.substitute({"s": 0.5})
 
 
-def test_scaled_value_at_is_the_value_times_the_denominator_power():
+def test_scaled_value_is_the_value_times_the_denominator_power():
     c = [6, -6, 1, 0]  # λ^2 - 6λ + 6 with a zero top coefficient: d = 3
     for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 2), Fraction(1, 10**6)):
         value = Fraction(q.denominator**3) * (q * q - 6 * q + 6)
-        assert scaled_value_at(c, q) == value
+        assert _scaled_value(c, q.numerator, q.denominator) == value
         assert sign_at(c, q) == (value > 0) - (value < 0)
-    assert scaled_value_at([], Fraction(1, 3)) == 0
+    assert _scaled_value([], 1, 3) == 0
 
 
 def test_integer_roots_examples():
