@@ -73,11 +73,8 @@ from .spectra import (
     SpectrumReport,
     algebraic_connectivity,
     algebraic_connectivity_from_poly,
-    edge_interlacing_check,
-    gamma_101,
     is_L_integral,
     is_Q_integral,
-    kirkland_decomposition_check,
     laplacian,
     signless_laplacian,
     spectrum,

@@ -216,31 +216,19 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def remove_edges(g: Graph, edges) -> Graph:
-    keep = set(map(_norm_edge, g.edges()))
-    for e in edges:
-        e = _norm_edge(e)
-        if e not in keep:
-            raise ValueError(f"edge {e} not present")
-        keep.discard(e)
-    return Graph.from_edges(g.n, keep)
-
-
-def _norm_edge(e):
-    u, v = e
-    return (u, v) if u < v else (v, u)
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
     Disconnected input returns 0; complete graphs n-1. Otherwise the
-    minimum, over a few non-adjacent pairs, of the number of internally
-    vertex-disjoint paths (Menger), each found by unit-capacity max flow.
-    A minimum cut has at most deg(a) vertices for a vertex a of least
-    degree, so it misses a or one of a's neighbours b; the cut separates
-    that vertex from some vertex not adjacent to it. The pairs (a, t) and
-    (b, t), t not adjacent, therefore include one the cut separates.
+    minimum, over the vertex pairs of Esfahanian and Hakimi (Networks 14,
+    1984), of the number of internally vertex-disjoint paths (Menger), each
+    found by unit-capacity max flow. Take a vertex v and a minimum cut S.
+    If v is not in S, S separates v from some vertex not adjacent to it. If
+    v is in S, v has a neighbour in every component of G - S, or S - {v}
+    would be a smaller cut, so S separates two non-adjacent neighbours of
+    v. The pairs (v, w), w not adjacent to v, and (x, y), x and y
+    non-adjacent neighbours of v, therefore include one that S separates;
+    v of least degree keeps the second kind few.
     """
     n = g.n
     if n <= 1 or not is_connected(g):
@@ -250,33 +238,34 @@ def vertex_connectivity(g: Graph) -> int:
     best = n - 1
     anchor = min(range(n), key=g.degree)
     pairs = [(anchor, t) for t in range(n) if t != anchor and t not in g.adj[anchor]]
-    pairs += [(a, b) for a in g.adj[anchor] for b in range(n) if b != a and b not in g.adj[a]]
-    for s, t in pairs:
-        best = min(best, _max_vertex_disjoint_paths(g, s, t, best))
-        if best == 1:  # the floor of a connected graph
-            break
-    return best
-
-
-def _max_vertex_disjoint_paths(g: Graph, s: int, t: int, cap: int) -> int:
-    """Count internally vertex-disjoint s-t paths, stopping early at cap.
-
-    Unit-capacity max flow on the node-split digraph: v splits into
-    v_in = 2v and v_out = 2v+1 joined by a capacity-1 arc.
-    """
-    from collections import deque
-
-    out = [[] for _ in range(2 * g.n)]
+    nbrs = sorted(g.adj[anchor])
+    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in g.adj[a]]
+    # the node-split digraph: v splits into v_in = 2v and v_out = 2v+1
+    # joined by a capacity-1 arc, and an edge vw gives v_out -> w_in
+    out = [[] for _ in range(2 * n)]
     arcs = set()
-    for v in range(g.n):
+    for v in range(n):
         out[2 * v].append(2 * v + 1)
         arcs.add((2 * v, 2 * v + 1))
         for w in g.adj[v]:
             out[2 * v + 1].append(2 * w)
             arcs.add((2 * v + 1, 2 * w))
+    for s, t in pairs:
+        best = min(best, _max_vertex_disjoint_paths(out, arcs, s, t, best))
+        if best == 1:  # the floor of a connected graph
+            break
+    return best
+
+
+def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int) -> int:
+    """Count internally vertex-disjoint s-t paths, stopping early at cap,
+    by unit-capacity max flow on the node-split digraph with adjacency
+    lists out and arc set arcs (see vertex_connectivity)."""
+    from collections import deque
+
     src, snk = 2 * s + 1, 2 * t
     flow = set()
-    in_flow = [set() for _ in range(2 * g.n)]
+    in_flow = [set() for _ in range(len(out))]
     total = 0
     while total < cap:
         prev = {src: None}

@@ -69,6 +69,12 @@ def char_poly(m: IntMatrix) -> list:
     has n + 1 entries and ends in the leading 1. Each inner product is a
     sum(map(mul, ...)); sum starts from the int 0, which MPoly entries add
     through __radd__.
+
+    Step r needs row · A^j · v for j = 0..r-2, A the leading block, row
+    and v the new row and column. When M equals its transpose (checked on
+    the entries; every Laplacian does), row = v and A is symmetric, so over
+    a commutative ring v · A^(2i) v = |A^i v|² and v · A^(2i+1) v =
+    (A^i v) · (A^(i+1) v): half the matrix-vector products give them all.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -76,16 +82,27 @@ def char_poly(m: IntMatrix) -> list:
     if n == 0:
         return [1]
     a = m.entries
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     coeffs = [1, -a[0][0]]  # descending powers
     for r in range(2, n + 1):
         block = [a[i][: r - 1] for i in range(r - 1)]
-        row = a[r - 1][: r - 1]
         q = [1, -a[r - 1][r - 1]]
         v = [a[i][r - 1] for i in range(r - 1)]
-        for k in range(2, r + 1):
-            q.append(-sum(map(mul, row, v)))
-            if k < r:
-                v = [sum(map(mul, x, v)) for x in block]
+        if symmetric:
+            # v is A^(j // 2) times the column: even j take v · v, odd j v · Av
+            for j in range(r - 1):
+                if j % 2:
+                    w = [sum(map(mul, x, v)) for x in block]
+                    q.append(-sum(map(mul, v, w)))
+                    v = w
+                else:
+                    q.append(-sum(map(mul, v, v)))
+        else:
+            row = a[r - 1][: r - 1]
+            for k in range(2, r + 1):
+                q.append(-sum(map(mul, row, v)))
+                if k < r:
+                    v = [sum(map(mul, x, v)) for x in block]
         # the first r + 1 terms of the product q · coeffs
         coeffs = [sum(map(mul, q[i::-1], coeffs)) for i in range(r + 1)]
     return coeffs[::-1]

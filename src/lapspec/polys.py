@@ -13,7 +13,13 @@ bisection from the Cauchy bound builds, but starts at the deepest level
 whose two cells next to 0 cover the Fujiwara bound, and refines each
 single-root cell by secant jumps that are kept only when exact signs at
 both ends of the new cell differ; isolate_lowest_root refines the lowest
-root only. No floating point is used anywhere in a decision path; decimal
+root only. A polynomial isolated costs one remainder sequence when it is
+square-free: the sequence of it and its derivative is its Sturm chain when
+it ends in a constant, and otherwise ends in their gcd, which is divided
+out before the chain is built again. Rational roots are searched as
+fractions only when the leading coefficient is not 1, and not at all for
+integer_roots' residual when it is ±1: a monic polynomial's rational roots
+are integers. No floating point is used anywhere in a decision path; decimal
 output elsewhere in the library is display-only rounding of the rational
 intervals produced here.
 """
@@ -508,19 +514,46 @@ def _prem_pos(f, g):
     return r
 
 
-def _sturm_chain(c):
-    """Sturm chain of a square-free integer polynomial (primitive parts)."""
+def _remainder_chain(c):
+    """Primitive parts of c, c' and the negated pseudo-remainders after
+    them, up to the last nonzero one, which is ± the primitive gcd of c and
+    c'. When it is a constant, c is square-free and the chain is c's Sturm
+    chain."""
     chain = [_primitive(list(c))]
     d = _trim(_derivative(c))
     if d:
         chain.append(_primitive(d))
     while len(chain[-1]) > 1:
-        nxt = [-a for a in _prem_pos(chain[-2], chain[-1])]
-        _trim(nxt)
+        nxt = _trim([-a for a in _prem_pos(chain[-2], chain[-1])])
         if not nxt:
-            raise ValueError("polynomial is not square-free")
+            break
         chain.append(_primitive(nxt))
     return chain
+
+
+def _sturm_chain(c):
+    """Sturm chain of a square-free integer polynomial (primitive parts)."""
+    chain = _remainder_chain(c)
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial is not square-free")
+    return chain
+
+
+def _square_free_chain(c):
+    """(_square_free_part(c), its Sturm chain) for a trimmed nonzero c.
+
+    One remainder sequence serves when c is square-free: it is the Sturm
+    chain. Otherwise its last element is the gcd of c and c', and the chain
+    of c over the gcd is built once more.
+    """
+    c = _primitive(c)
+    if c[-1] < 0:
+        c = [-a for a in c]
+    chain = _remainder_chain(c)
+    if len(chain[-1]) > 1:
+        c = _exact_quotient(c, chain[-1])
+        chain = _sturm_chain(c)
+    return c, chain
 
 
 def _variations(values) -> int:
@@ -708,8 +741,16 @@ def _synthetic_div(c, r: int):
 
 
 def _rational_roots(c):
-    """Rational roots (as Fractions) with multiplicity, plus the rest over Z."""
+    """Rational roots (as Fractions) with multiplicity, plus the rest over Z.
+
+    The roots p/q in lowest terms have p dividing the constant and q the
+    leading coefficient, so a monic c has integer ones only and is searched
+    on ints as split_integer_roots searches.
+    """
     c = _trim(list(c))
+    if c and c[-1] == 1:
+        roots, rest = split_integer_roots(c)
+        return {Fraction(r): m for r, m in roots.items()}, rest
     roots = {}
     k = 0
     while c and not c[0]:
@@ -731,12 +772,12 @@ def _rational_roots(c):
     return roots, c
 
 
-def _root_cells(rest, precision: Fraction):
+def _root_cells(rest, chain, precision: Fraction):
     """Isolating cells of the dyadic grid for rest, lowest root first.
 
-    rest is square-free with no rational root. The grid is the one that
-    bisecting (-B, B], B the Cauchy bound, builds: level k has cells of
-    width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k, and
+    rest is square-free with no rational root, and chain is its Sturm
+    chain. The grid is the one that bisecting (-B, B], B the Cauchy bound,
+    builds: level k has cells of width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k, and
     0 is a grid point from level 1 on. The search starts at level s, the
     deeper of 1 and the deepest level whose two cells next to 0 still cover
     (-F, F), F the Fujiwara bound; it starts no deeper than the level at
@@ -747,7 +788,6 @@ def _root_cells(rest, precision: Fraction):
     refinement must go: the first level whose cells are at most precision
     wide, or k when the cell is that narrow already.
     """
-    chain = _sturm_chain(rest)
     bound = _root_bound(rest)
     width = 2 * bound
     q = -(-width * precision.denominator // precision.numerator)
@@ -813,12 +853,25 @@ def _refine(c, lo, hi, k, target):
     return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
-def _isolation(c, precision: Fraction):
-    """The rational roots of a square-free c, ascending, and an iterator of
-    isolating intervals of its other real roots, ascending, each refined
-    only when it is drawn."""
-    rational, rest = _rational_roots(c)
-    cells = _root_cells(rest, precision) if len(rest) > 1 else ()
+def _isolation(c, precision: Fraction, integer_free: bool = False):
+    """The distinct rational roots of a trimmed nonzero c, ascending,
+    and an iterator of isolating intervals of its other real roots,
+    ascending, each refined only when it is drawn.
+
+    The square-free part's remainder sequence is its Sturm chain (see
+    _square_free_chain), kept unless rational roots are divided out. When
+    c has no integer root (integer_free) and its leading coefficient is
+    ±1, no rational-root search runs: it would find integers only (see
+    _rational_roots).
+    """
+    sf, chain = _square_free_chain(c)
+    if integer_free and sf[-1] == 1:
+        rational, rest = {}, sf
+    else:
+        rational, rest = _rational_roots(sf)
+        if rest != sf and len(rest) > 1:
+            chain = _sturm_chain(rest)
+    cells = _root_cells(rest, chain, precision) if len(rest) > 1 else ()
     return sorted(rational), (_refine(rest, *cell) for cell in cells)
 
 
@@ -826,14 +879,15 @@ def _midpoint(iv):
     return (iv[0] + iv[1]) / 2
 
 
-def _isolate_squarefree(c, precision: Fraction):
-    """Disjoint rational intervals, one per real root of a square-free poly.
+def _isolate(c, precision: Fraction, integer_free: bool = False):
+    """Disjoint rational intervals, one per distinct real root of a
+    trimmed nonzero c (integer_free as in _isolation).
 
     Rational roots come back as degenerate point intervals; the remaining
     roots get half-open (lo, hi] intervals of the dyadic grid of _root_cells
     refined down to the requested width, all sorted by midpoint.
     """
-    points, cells = _isolation(c, precision)
+    points, cells = _isolation(c, precision, integer_free)
     intervals = [(r, r) for r in points]
     intervals.extend(cells)
     intervals.sort(key=_midpoint)
@@ -904,7 +958,7 @@ def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     return RootReport(
         integer_roots=tuple(sorted(roots.items(), key=lambda kv: -kv[0])),
         residual=tuple(residual),
-        isolating_intervals=tuple(_isolate_squarefree(_square_free_part(residual), precision)),
+        isolating_intervals=tuple(_isolate(residual, precision, integer_free=True)),
     )
 
 
@@ -919,21 +973,17 @@ def sturm_count(c, a, b) -> int:
     c = _trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
-    sf = _square_free_part(c)
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _count_halfopen(chain, a, b)
+    return _count_halfopen(_square_free_chain(c)[1], a, b)
 
 
-def _checked_square_free(c, precision):
+def _checked(c, precision):
     c = _trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    return _square_free_part(c), precision
+    return c, precision
 
 
 def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
@@ -945,7 +995,7 @@ def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
     width is at most the requested precision: the cells plain bisection
     reaches (see _root_cells and _refine). Sorted by midpoint.
     """
-    return _isolate_squarefree(*_checked_square_free(c, precision))
+    return _isolate(*_checked(c, precision))
 
 
 def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
@@ -955,7 +1005,7 @@ def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
     the first cell holding a single root, so the other roots cost no
     refinement.
     """
-    points, cells = _isolation(*_checked_square_free(c, precision))
+    points, cells = _isolation(*_checked(c, precision))
     first = next(cells, None)
     candidates = [(r, r) for r in points[:1]] + ([first] if first else [])
     return min(candidates, key=_midpoint, default=None)
@@ -976,7 +1026,7 @@ def gap_points(*polys):
     bound = Fraction(_root_bound(sf))
     precision = Fraction(1, 16)
     while True:
-        intervals = _isolate_squarefree(sf, precision)
+        intervals = _isolate(sf, precision)
         if all(a[1] < b[0] for a, b in zip(intervals, intervals[1:])):
             break
         precision /= 16

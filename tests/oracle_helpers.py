@@ -8,32 +8,47 @@ divided over Q and multiplied back one linear factor at a time, and
 matrices are read off adjacency tests one entry at a time. None of it shares
 code with the library paths it checks, except reference_sweep: it checks
 how verify_theorem walks, hoists and tallies, and makes the library's own
-decisions one member at a time; and _side, the polynomial fold of a hub
+decisions one member at a time; _side, the polynomial fold of a hub
 side that the value tables fold as values, which builds on the library's
-continuant polynomials.
+continuant polynomials; and the spectral checks at the end (the join
+criterion for a(G) = k(G), edge-removal interlacing, the graph Γ_101),
+which decide with the library's exact kernels and have only tests as
+callers.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, gcd, isqrt, lcm
 
 from lapspec import (
     Graph,
     IntMatrix,
+    RootCounter,
+    SpectralValue,
+    algebraic_connectivity_from_poly,
+    char_poly,
     complete,
     config_tag,
+    connected_components,
     disjoint_union,
     enumerate_family,
     family_factors,
+    gap_points,
     is_connected,
     join,
+    laplacian,
     poly_mul,
     quotient_sign_change,
     repeated_factors,
+    sign_at,
     split_integer_roots,
+    sturm_count,
+    vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
 from lapspec.matrices import _add, _continuants
@@ -388,3 +403,129 @@ def _side(pendants, cycles):
         p, n = poly_mul(p, theta), _add(poly_mul(n, theta), poly_mul(p, m), c)
     repeated = tuple((theta, c - 1) for (theta, _), c in kinds if c > 1)
     return tuple(p), tuple(n), repeated
+
+
+# -- spectral checks ------------------------------------------------------------
+
+
+# join-decomposition criterion for a(G) = k(G)
+
+
+@dataclass(frozen=True)
+class JoinDecompositionReport:
+    """Outcome of the a(G) = k(G) test with its certificate.
+
+    When equality holds the report exhibits a join split: a cut set S of
+    size k whose vertices are adjacent to everything else, with G - S
+    disconnected. Otherwise the Sturm certificate counts an eigenvalue
+    strictly inside (0, k).
+    """
+
+    k: int
+    a_equals_k: bool
+    cut_vertices: tuple | None
+    components: tuple | None
+    a_value: SpectralValue
+    roots_below_k: int
+
+
+def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
+    n = g.n
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    if g.edge_count == n * (n - 1) // 2:
+        raise ValueError("complete graphs are excluded")
+    k = vertex_connectivity(g)
+    p = char_poly(laplacian(g))
+    in_0k = sturm_count(p, 0, k)
+    at_k = sign_at(p, k) == 0
+    a_equals_k = at_k and in_0k == 1
+    strictly_inside = in_0k - (1 if at_k else 0)
+    a_val = algebraic_connectivity_from_poly(p)
+    if not a_equals_k:
+        return JoinDecompositionReport(k, False, None, None, a_val, strictly_inside)
+    for cut in combinations(range(n), k):
+        cut_set = set(cut)
+        if any(len(g.adj[v]) < n - k for v in cut):
+            continue
+        if not all(g.adj[v] >= (set(range(n)) - cut_set - {v}) for v in cut):
+            continue
+        comps = connected_components(g, cut_set)
+        if len(comps) < 2:
+            continue
+        if 2 * k > n and not _small_side_bound_ok(g, cut, 2 * k - n):
+            continue
+        return JoinDecompositionReport(
+            k, True, tuple(sorted(cut)), tuple(tuple(c) for c in comps), a_val, 0
+        )
+    # a(G)=k(G) certified spectrally but no join split found: the join
+    # criterion promises one, so surface the contradiction loudly.
+    raise AssertionError("a(G)=k(G) but no join decomposition exists")
+
+
+def _small_side_bound_ok(g: Graph, cut, threshold: int) -> bool:
+    """Check a(G[cut]) >= threshold for the k-vertex side, exactly."""
+    sub = _induced(g, cut)
+    if sub.n < 2:
+        return threshold <= 0
+    if not is_connected(sub):
+        return threshold <= 0
+    p = char_poly(laplacian(sub))
+    inside = sturm_count(p, 0, threshold) - (1 if sign_at(p, threshold) == 0 else 0)
+    return inside == 0
+
+
+def _induced(g: Graph, vertices):
+    vs = sorted(vertices)
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return Graph.from_edges(len(vs), edges)
+
+
+# edge-removal interlacing
+
+
+def remove_edges(g: Graph, edges) -> Graph:
+    keep = {tuple(sorted(e)) for e in g.edges()}
+    for e in edges:
+        e = tuple(sorted(e))
+        if e not in keep:
+            raise ValueError(f"edge {e} not present")
+        keep.discard(e)
+    return Graph.from_edges(g.n, keep)
+
+
+def edge_interlacing_check(g: Graph, edges_to_remove) -> bool:
+    """Exact check that removing r edges interlaces the Laplacian spectra.
+
+    Both statements (old above new, new above shifted old) are equivalent
+    to threshold inequalities between multiplicity-weighted root counts,
+    checked at one rational point per gap of the combined root set.
+    """
+    edges_to_remove = list(edges_to_remove)
+    h = remove_edges(g, edges_to_remove)
+    r = g.edge_count - h.edge_count
+    if r == 0:
+        return True
+    return _interlaces(char_poly(laplacian(g)), char_poly(laplacian(h)), r)
+
+
+def _interlaces(pg, ph, r: int) -> bool:
+    cg = RootCounter(pg)
+    ch = RootCounter(ph)
+    for theta in gap_points(pg, ph):
+        above_g = cg.count_above(theta)
+        above_h = ch.count_above(theta)
+        if not (above_h <= above_g <= above_h + r):
+            return False
+    return True
+
+
+# fixed six-vertex Q-integral reference graph
+
+
+def gamma_101() -> Graph:
+    """Two adjacent degree-3 hubs, each carrying a triangle through a K2."""
+    return Graph.from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
+    )

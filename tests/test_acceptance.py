@@ -19,7 +19,6 @@ from lapspec import (
     char_poly,
     coarsest_equitable_refinement,
     det_gauss,
-    edge_interlacing_check,
     enumerate_family,
     is_L_integral,
     laplacian,
@@ -40,7 +39,13 @@ from lapspec.families import (
 )
 from lapspec.graphs import complete_bipartite, cycle, is_bipartite, is_connected, path
 from lapspec.polys import divides, sign_at
-from oracle_helpers import principal_submatrix, random_cograph, random_connected_graph, spanning_tree_count
+from oracle_helpers import (
+    edge_interlacing_check,
+    principal_submatrix,
+    random_cograph,
+    random_connected_graph,
+    spanning_tree_count,
+)
 
 
 def _report(num, label, elapsed, detail=""):

@@ -37,7 +37,7 @@ from lapspec.enumeration import (
     TAG_STAR,
     BudgetExceededError,
 )
-from oracle_helpers import reference_sweep, scrambled_fields
+from oracle_helpers import kirkland_decomposition_check, reference_sweep, scrambled_fields
 
 
 def test_enumerate_family_small_cases():
@@ -342,7 +342,7 @@ def test_disagreeing_members_are_kept_as_records(monkeypatch):
 
 
 def test_integral_nonbipartite_two_hub_members_have_a_equal_k():
-    from lapspec import from_graph6, kirkland_decomposition_check
+    from lapspec import from_graph6
 
     _, records = sweep_records(9, 10)
     checked = 0

@@ -9,18 +9,18 @@ equal, in the same order; isolate_lowest_root must return the first.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import gap_points, isolate_lowest_root, isolate_roots, poly_mul
+from lapspec.polys import gap_points, integer_roots, isolate_lowest_root, isolate_roots, poly_mul
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
     fraction_isolate_roots,
-    fraction_isolate_squarefree,
     fraction_square_free_part,
     random_connected_graph,
 )
@@ -111,10 +111,24 @@ def test_gap_points_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
         out = []
         for g in GRAPHS:
             lc, qc = char_poly(laplacian(g)), char_poly(signless_laplacian(g))
-            out.append((gap_points(lc), gap_points(lc, qc), algebraic_connectivity(g)))
+            intervals = integer_roots(qc).isolating_intervals
+            out.append((gap_points(lc), gap_points(lc, qc), algebraic_connectivity(g), intervals))
         return out
 
     expected = results()
-    monkeypatch.setattr(polys, "_isolate_squarefree", fraction_isolate_squarefree)
-    monkeypatch.setattr(spectra, "isolate_lowest_root", lambda c, p: fraction_isolate_roots(c, p)[0])
+    # the helpers integer_roots, gap_points and algebraic_connectivity call,
+    # replaced by the oracle; the counts show that every patch was reached
+    calls = Counter()
+
+    def isolate(c, precision, integer_free=False):
+        calls["isolate", integer_free] += 1
+        return fraction_isolate_roots(c, precision)
+
+    def isolate_lowest(c, precision):
+        calls["lowest"] += 1
+        return fraction_isolate_roots(c, precision)[0]
+
+    monkeypatch.setattr(polys, "_isolate", isolate)
+    monkeypatch.setattr(spectra, "isolate_lowest_root", isolate_lowest)
     assert results() == expected
+    assert set(calls) == {("isolate", False), ("isolate", True), "lowest"}, calls

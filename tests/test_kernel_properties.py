@@ -7,9 +7,12 @@ cofactor with none, the shift-based value at a dyadic point equals the
 general scaled value, and interpolate gives back an integer polynomial from
 its values at 0, 1, ... and rejects the values of a polynomial whose
 coefficients are not all integers. parse_poly reads MPoly's canonical text
-back to the same polynomial over the given variables. Divisibility, content
-and rational roots come from the Fraction helpers of oracle_helpers, not
-from lapspec.
+back to the same polynomial over the given variables. char_poly, on
+symmetric and on other matrices, takes the values det(kI - M) of the
+Gaussian determinant at k = 0..n, and over Z[s,t] it gives at integer
+(s, t) what it gives for the matrix with the values put in. Divisibility,
+content and rational roots come from the Fraction helpers of
+oracle_helpers, not from lapspec.
 """
 
 from math import comb, factorial, gcd
@@ -19,6 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
     MPoly,
@@ -29,6 +33,7 @@ from lapspec.polys import (  # noqa: E402
     interpolate,
     parse_poly,
     poly_mul,
+    poly_value,
     split_integer_roots,
 )
 
@@ -147,3 +152,49 @@ def test_parse_poly_reads_the_canonical_text_back(p, stray):
     assert back.vars == CATALOG_VARS and back.terms == p.terms
     with pytest.raises(ValueError):
         parse_poly(f"{p.to_text()} + {stray}", variables=CATALOG_VARS)
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n <= 9, entries -3..3, made symmetric in about
+    half the draws."""
+    n = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(square_matrices())
+def test_char_poly_takes_the_gaussian_determinant_values(rows):
+    # the symmetric branch (half the Krylov products) and the general loop
+    n = len(rows)
+    c = char_poly(IntMatrix(rows))
+    assert len(c) == n + 1 and c[-1] == 1
+    for k in range(n + 1):
+        shifted = [[k * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        assert poly_value(c, k) == det_gauss(IntMatrix(shifted))
+
+
+S, T = MPoly.var("s", ("s", "t")), MPoly.var("t", ("s", "t"))
+# a symmetric matrix over Z[s,t] with integer, linear and quadratic entries
+SYMBOLIC = [
+    [S + T, -S, 1, 0, T],
+    [-S, 2 * S, S * T - 1, 0, 0],
+    [1, S * T - 1, 3, -T, 2],
+    [0, 0, -T, S * S, S - T],
+    [T, 0, 2, S - T, 0],
+]
+
+
+def _at(x, s, t):
+    return x.substitute({"s": s, "t": t}).constant_value() if isinstance(x, MPoly) else x
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(-4, 4), st.integers(-4, 4))
+def test_symbolic_char_poly_agrees_with_the_integer_path(s, t):
+    symbolic = char_poly(IntMatrix(SYMBOLIC))
+    at_point = char_poly(IntMatrix([[_at(x, s, t) for x in row] for row in SYMBOLIC]))
+    assert [_at(x, s, t) for x in symbolic] == at_point
