@@ -38,7 +38,6 @@ from .matrices import (
     family_char_poly,
     family_factors,
     path_quotient,
-    quotient_sign_change,
     repeated_factors,
 )
 from .partitions import (
@@ -51,10 +50,8 @@ from .polys import (
     DEFAULT_PRECISION,
     LAMBDA,
     MPoly,
-    RootCounter,
     RootReport,
     divides,
-    gap_points,
     integer_roots,
     interpolate,
     isolate_lowest_root,
@@ -64,7 +61,6 @@ from .polys import (
     poly_mul,
     poly_text,
     poly_value,
-    sign_at,
     split_integer_roots,
     sturm_count,
 )

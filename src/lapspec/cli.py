@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import enumeration, families, graphs, partitions, spectra
 from .matrices import char_poly
-from .polys import divides, only_integer_roots, poly_text
+from .polys import divides, poly_text, split_integer_roots
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -265,7 +265,7 @@ def cmd_classify(args) -> int:
     out = []
     for g in _graphs_from_args(args):
         member = graphs.family_membership(g)
-        l_poly = char_poly(spectra.laplacian(g))
+        l_split = split_integer_roots(char_poly(spectra.laplacian(g)))
         doc = {
             "graph6": graphs.to_graph6(g),
             "n": g.n,
@@ -273,12 +273,12 @@ def cmd_classify(args) -> int:
             "connected": graphs.is_connected(g),
             "bipartite": graphs.is_bipartite(g),
             "family": member,
-            "L_integral": only_integer_roots(l_poly),
+            "L_integral": len(l_split[1]) <= 1,
             "Q_integral": spectra.is_Q_integral(g),
             "tag": enumeration.theorem_tag(g),
         }
         if g.n >= 2:
-            doc["algebraic_connectivity"] = spectra.algebraic_connectivity_from_poly(l_poly).to_json()
+            doc["algebraic_connectivity"] = spectra.algebraic_connectivity_from_poly(l_split).to_json()
             doc["vertex_connectivity"] = graphs.vertex_connectivity(g)
         out.append(doc)
     _emit(map(_dump, out), args.out)

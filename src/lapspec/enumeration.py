@@ -419,7 +419,7 @@ def _shard_groups(n, size):
 
 def _decide_shard(n, shard, size, row, counts, mismatches, out):
     """Decide, tag and tally every member of one shard of order n from the
-    value tables of size entries (see quotient_sign_change).
+    value tables of size entries (see matrices.side_sign_change).
 
     A member is not integral when a repeated chain factor θ has a
     non-integer root (a repeated exit) or when its equitable quotient

@@ -3,8 +3,9 @@
 Each catalog case fixes a hub adjacency flag and a multiset of internal
 path orders with symbolic counts (s, t). The quotient matrix over the
 position-pooled partition is generated structurally, and its polynomial
-in Z[s,t][λ] comes from the sweep's internal-path fold
-(matrices.path_quotient); the source text's printed matrix and
+in Z[s,t][λ] is interpolated from the sweep's internal-path fold at int
+counts (matrices.path_quotient at the points of {0, 1, 2}^params, see
+computed_symbolic_poly); the source text's printed matrix and
 characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
 data rather than being silently corrected. Two misprints are
@@ -25,7 +26,7 @@ from importlib import resources
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, path_quotient
 from .partitions import quotient_matrix
-from .polys import LAMBDA, MPoly, divides, integer_roots, parse_poly, sturm_count
+from .polys import LAMBDA, MPoly, divides, integer_roots, interpolate, parse_poly, sturm_count
 from .spectra import is_L_integral, laplacian, spectrum
 
 #: Locations where the transcription is known to disagree with the
@@ -195,22 +196,51 @@ def case_config(case_id: str, s=None, t=None) -> FamilyConfig:
     return FamilyConfig(family="G2", hub_edge=case.hub_edge, paths=tuple(paths))
 
 
+def _grid_quotient(path_counts, hub_edge) -> MPoly:
+    """The equitable quotient polynomial in Z[params][λ] of a two-hub member
+    with internal paths only, path_counts holding (order, count) pairs whose
+    counts are digit strings or parameter names; params are the names,
+    sorted, and follow λ among the variables.
+
+    matrices.path_quotient gives the quotient for int counts. The counts
+    enter N, U and X = λ - d linearly and D at most quadratically (see
+    matrices._fold_paths), and P not at all, so each λ-coefficient of
+    Q = P X² - 2 N X + T has total degree at most 2 in the counts, and so at
+    most 2 in each parameter: its values at the points of {0, 1, 2}^params
+    fix it. They are interpolated along one parameter axis after another
+    (polys.interpolate).
+    """
+    params = tuple(sorted({c for _, c in path_counts if not c.isdigit()}))
+    table = {}  # (λ exponent, then a point's values or exponents) -> coefficient
+    for point in product(range(3), repeat=len(params)):
+        values = dict(zip(params, point))
+        counts = [(order, int(c) if c.isdigit() else values[c]) for order, c in path_counts]
+        for e, a in enumerate(path_quotient(counts, hub_edge)):
+            table[(e,) + point] = a
+    for axis in range(1, len(params) + 1):
+        out = {}
+        for rest in {key[:axis] + key[axis + 1 :] for key in table}:
+            line = [table.get(rest[:axis] + (x,) + rest[axis:], 0) for x in range(3)]
+            for e, a in enumerate(interpolate(line)):
+                out[rest[:axis] + (e,) + rest[axis:]] = a
+        table = out
+    return MPoly((LAMBDA,) + params, table)
+
+
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
-    """The case's quotient polynomial in Z[s,t][λ]: the structural fold of
-    matrices.path_quotient at the symbolic counts, no matrix built."""
+    """The case's quotient polynomial in Z[s,t][λ], interpolated from the
+    sweep's internal-path fold at int counts (_grid_quotient), no matrix
+    built."""
     case = get_case(case_id)
-    counts = _resolve_counts(case, {}, symbolic=True)
-    return MPoly.from_univariate(path_quotient(counts.items(), case.hub_edge))
+    return _grid_quotient(case.path_counts, case.hub_edge)
 
 
 @lru_cache(maxsize=None)
 def _lambda_coefficients(case_id: str) -> tuple:
     """computed_symbolic_poly split by powers of λ, ascending: one MPoly
     over the case's params per λ-degree."""
-    case = get_case(case_id)
-    poly = computed_symbolic_poly(case_id).with_vars((LAMBDA,) + case.params)
-    return tuple(poly.coefficients_in(LAMBDA))
+    return tuple(computed_symbolic_poly(case_id).coefficients_in(LAMBDA))
 
 
 def verify_printed_polynomial(case_id: str) -> dict:

@@ -9,15 +9,16 @@ block plus one tridiagonal block per attached chain) without building a
 matrix, the first as an equitable quotient polynomial times repeated
 chain factors. The quotient is folded as values only: side_table and
 links_table hold each hub side's and link set's fold at k = 0, 1, ...,
-in ints from the continuants' values. quotient_sign_change and the sweep
-scan the quotient at consecutive integers off them, where a sign change
+in ints from the continuants' values. The sweep scans the quotient at
+consecutive integers off them (side_sign_change), where a sign change
 certifies a non-integer eigenvalue with no polynomial built and a member
 costs a few products per k, and family_factors interpolates the
 quotient's coefficients from its values at 0..n (polys.interpolate).
 path_quotient gives the same quotient for members with internal paths
-only, by the one polynomial fold left (_fold_links), with counts that
-may be MPoly values: the catalog's polynomials in Z[s,t][λ] come from
-it, and Berkowitz over Z[s,t] is kept only as their test oracle.
+only, from the same fold of the paths as links_table (_fold_paths), with
+int counts; the catalog builds its polynomials in Z[s,t][λ] from it (see
+families.computed_symbolic_poly), and Berkowitz over Z[s,t] is kept only
+as their test oracle.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # det(λI - L) = ∏ θ_chain · det(S), S the Schur complement on the hubs. The
 # entries of S need only the end entries of each (λI - T_chain)^-1, which are
 # continuants over θ_chain, so everything below is integer arithmetic: on
-# ascending coefficient lists for θ and the catalog's fold, on their values
-# at the integers for the value tables.
+# ascending coefficient lists for θ, on their values at the integers for the
+# folds.
 #
 # c equal chains on one hub (or c equal internal paths) enter S as c times
 # one chain's share, so each distinct chain kind is folded once, weighted by
@@ -193,37 +194,6 @@ def _thetas(pendant_kinds=(), cycle_kinds=(), path_kinds=()):
     thetas += [(_continuants(length - 1, 2)[0], c - 1) for length, c in cycle_kinds if c > 1]
     thetas += [(_continuants(order - 2, 2)[0], c - 1) for order, c in path_kinds if c > 1]
     return tuple(thetas)
-
-
-def _fold_links(kinds, hub_edge):
-    """(P, N, T) of the internal paths joining the two hubs, folding each
-    (order, count) pair of kinds once; a count is an int or an MPoly.
-
-    P = ∏ θ_i; N / P = Σ c_i t_{k_i - 1} / θ_i is each hub's share of the
-    Schur complement (the same at u and at v, a path being symmetric), and
-    U / P = Σ c_i (-1)^(k_i + 1) / θ_i is the paths' part of the off-diagonal
-    entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
-    in one kind keeps D = (N² - U²) / P exact as θ D + 2c (N m - U s) + c² P e,
-    because m² - s² = θ e (Cassini's identity for continuants), with
-    m = t_{k-1}, s = (-1)^(k+1) and e = t_{k-2}.
-    """
-    p, n, u, d = (1,), (), (), ()
-    for order, c in kinds:
-        theta, m, e = _continuants(order - 2, 2)
-        s = (-((-1) ** order),)
-        p, n, u, d = (
-            poly_mul(p, theta),
-            _add(poly_mul(n, theta), poly_mul(p, m), c),
-            _add(poly_mul(u, theta), poly_mul(p, s), c),
-            _add(
-                _add(poly_mul(d, theta), poly_mul(p, e), c * c),
-                _add(poly_mul(n, m), poly_mul(u, s), -1),
-                2 * c,
-            ),
-        )
-    if hub_edge:
-        d = _add(_add(d, u, 2), p, -1)
-    return p, n, d
 
 
 def repeated_factors(cfg: FamilyConfig) -> tuple:
@@ -299,18 +269,21 @@ def side_table(pendants, cycles, size):
     return tuple(p), tuple(n), ok
 
 
-@lru_cache(maxsize=1 << 16)
-def links_table(paths, hub_edge, size):
-    """(P(k), N(k), T(k)) for k in range(size), P, N and T the folds of
-    _fold_links, and whether every repeated θ of the paths has only integer
-    roots.
+def _fold_paths(kinds, hub_edge, size):
+    """(P(k), N(k), T(k)) for k in range(size) of the internal paths joining
+    the two hubs, folding each (order, count) pair of kinds once in ints at
+    each k; a count may be 0, and its θ still multiplies into P.
 
-    The fold runs in ints at each k with _fold_links' update: a path of
-    order i has θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} (last = 2) and
-    s = (-1)^(i+1), and the hub edge adds 2U - P to T.
+    P = ∏ θ_i; N / P = Σ c_i t_{i-3} / θ_i is each hub's share of the
+    Schur complement (the same at u and at v, a path being symmetric), and
+    U / P = Σ c_i (-1)^(i+1) / θ_i is the paths' part of the off-diagonal
+    entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
+    in one kind keeps D = (N² - U²) / P exact as θ D + 2c (N m - U s) + c² P e,
+    because m² - s² = θ e (Cassini's identity for continuants), with a path
+    of order i having θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} (last = 2) and
+    s = (-1)^(i+1).
     """
-    kinds = _kinds(paths)
-    t = _continuant_values(2, size, max(paths, default=2) - 2)
+    t = _continuant_values(2, size, max((order for order, _ in kinds), default=2) - 2)
     p, n, u, d = (1,) * size, (0,) * size, (0,) * size, (0,) * size
     for order, c in kinds:
         theta, m, e = t[order - 1], t[order - 2], t[order - 3]
@@ -326,8 +299,18 @@ def links_table(paths, hub_edge, size):
         )
     if hub_edge:
         d = [d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]
+    return p, n, d
+
+
+@lru_cache(maxsize=1 << 16)
+def links_table(paths, hub_edge, size):
+    """(P(k), N(k), T(k)) for k in range(size) of the internal paths, as
+    _fold_paths folds them, and whether every repeated θ of the paths has
+    only integer roots."""
+    kinds = _kinds(paths)
+    p, n, t = _fold_paths(kinds, hub_edge, size)
     ok = all(_integer_roots_only(theta) for theta, _ in _thetas(path_kinds=kinds))
-    return tuple(p), tuple(n), tuple(d), ok
+    return tuple(p), tuple(n), tuple(t), ok
 
 
 def one_hub_coupling(size) -> tuple:
@@ -361,7 +344,13 @@ def quotient_values(coupling, side, degree, n) -> list:
 
 def side_sign_change(coupling, side, degree, n):
     """The first k in 1..n-1 at which Q(k) and Q(k + 1) of quotient_values
-    are nonzero of opposite sign, or None; stops at the first such k."""
+    are nonzero of opposite sign, or None; stops at the first such k.
+
+    Q's roots are Laplacian eigenvalues (Q is the characteristic polynomial
+    of an equitable quotient), so such a k certifies one in the open
+    interval (k, k + 1), a non-integer one. A zero Q(k) is an integer root,
+    and no comparison spans it.
+    """
     a, b = coupling
     p, nn, _ = side
     last = 0
@@ -406,19 +395,6 @@ def family_factors(cfg: FamilyConfig) -> tuple:
     return repeated_factors(cfg), interpolate(values)
 
 
-def quotient_sign_change(cfg: FamilyConfig):
-    """The first k in 1..n-1 at which the quotient Q of family_factors
-    takes nonzero values of opposite sign at k and k + 1, or None.
-
-    Q's roots are Laplacian eigenvalues (Q is the characteristic
-    polynomial of an equitable quotient), so such a k certifies one in the
-    open interval (k, k + 1), a non-integer one. A zero Q(k) is an integer
-    root, and no comparison spans it. The scan reads Q(1), Q(2), ... off
-    the value tables as the sweep does and builds no polynomial.
-    """
-    return side_sign_change(*_member_tables(cfg), cfg.vertex_count())
-
-
 def family_char_poly(cfg: FamilyConfig) -> list:
     """Ascending coefficients of det(λI - L) of a G1/G2 member, no matrix
     built: the product of family_factors(cfg). Equal to char_poly(laplacian(
@@ -435,13 +411,16 @@ def path_quotient(counts, hub_edge) -> list:
     """Ascending coefficients of the equitable quotient polynomial of a G2
     member whose hubs carry only internal paths, c_i paths of each order i.
 
-    counts holds (order, c_i) pairs; each c_i is an int or an MPoly, so
-    symbolic counts give the polynomial in Z[s,t][λ]. With X = λ - d for
-    the hub degree d = hub_edge + Σ c_i and P, N, T from the paths (see
-    _fold_links), it is P X² - 2 N X + T, family_factors' quotient with
-    empty hub sides. Every order's θ divides P, also where c_i = 0.
+    counts holds (order, c_i) pairs with int c_i. With X = λ - d for the
+    hub degree d = hub_edge + Σ c_i and P, N, T from the paths (see
+    _fold_paths), it is Q = P X² - 2 N X + T, family_factors' quotient with
+    empty hub sides, interpolated from its values at 0..deg Q. Every
+    order's θ divides P, also where c_i = 0.
     """
     counts = tuple(counts)
-    p, n, t = _fold_links(counts, hub_edge)
-    x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)
-    return _add(poly_mul(x, _add(poly_mul(p, x), n, -2)), t)
+    size = 3 + sum(order - 2 for order, _ in counts)
+    p, n, t = _fold_paths(counts, hub_edge, size)
+    d = int(hub_edge) + sum(c for _, c in counts)
+    return interpolate(
+        [p[k] * (k - d) ** 2 - 2 * n[k] * (k - d) + t[k] for k in range(size)]
+    )

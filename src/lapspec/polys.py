@@ -3,8 +3,9 @@
 Two representations, one per job. MPoly is a sparse multivariate
 polynomial (integer or exact-rational coefficients) and serves only the
 symbolic Z[s,t][λ] catalog. Every single-graph decision works on ascending
-integer coefficient lists in one univariate kernel: primitive-PRS gcd,
-exact division in Z[λ], square-free decomposition, integer-root extraction
+integer coefficient lists in one univariate kernel: the gcd with the
+derivative by a primitive remainder sequence, exact division in Z[λ],
+square-free parts, integer-root extraction
 with multiplicities (candidates bounded by a root bound, not by the size
 of the constant term), Sturm-sequence root counting over half-open
 rational intervals, isolating intervals, and poly_text, which prints a
@@ -110,29 +111,6 @@ class MPoly:
         if sum(exps) != 1:
             raise ValueError(f"unknown variable {name!r}")
         return cls(variables, {exps: 1})
-
-    @classmethod
-    def from_univariate(cls, coeffs, name=LAMBDA):
-        """Lift an ascending coefficient list (index = exponent) to name.
-
-        Coefficients are exact numbers or MPoly values in other variables;
-        those variables follow name, in order of first appearance from the
-        leading coefficient down.
-        """
-        variables = [name]
-        for c in reversed(coeffs):
-            if isinstance(c, MPoly) and c.terms:
-                variables += [v for v in c.vars if v not in variables]
-        pad = (0,) * (len(variables) - 1)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if isinstance(c, MPoly):
-                for exps, a in c.with_vars(variables).terms.items():
-                    key = (exps[0] + i,) + exps[1:]
-                    terms[key] = terms.get(key, 0) + a
-            elif c:
-                terms[(i,) + pad] = terms.get((i,) + pad, 0) + c
-        return cls(variables, terms)
 
     # -- inspection ---------------------------------------------------
 
@@ -518,7 +496,8 @@ def _remainder_chain(c):
     """Primitive parts of c, c' and the negated pseudo-remainders after
     them, up to the last nonzero one, which is ± the primitive gcd of c and
     c'. When it is a constant, c is square-free and the chain is c's Sturm
-    chain."""
+    chain. Cutting each pseudo-remainder to its primitive part (Collins
+    1967; Brown and Traub 1971) keeps the coefficients small and in Z."""
     chain = [_primitive(list(c))]
     d = _trim(_derivative(c))
     if d:
@@ -540,7 +519,8 @@ def _sturm_chain(c):
 
 
 def _square_free_chain(c):
-    """(_square_free_part(c), its Sturm chain) for a trimmed nonzero c.
+    """(the primitive square-free part of c, leading coefficient positive,
+    its Sturm chain) for a trimmed nonzero c.
 
     One remainder sequence serves when c is square-free: it is the Sturm
     chain. Otherwise its last element is the gcd of c and c', and the chain
@@ -598,22 +578,6 @@ def _fujiwara_bound(c) -> int:
     return 2 << e
 
 
-def _poly_gcd(a, b):
-    """Primitive gcd of integer polynomials, leading coefficient positive.
-
-    Primitive polynomial remainder sequence (Collins 1967; Brown and Traub
-    1971): each pseudo-remainder is cut to its primitive part, so the
-    coefficients stay small and never leave Z.
-    """
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_trim(_prem_pos(a, b)))
-    return [-x for x in a] if a and a[-1] < 0 else a
-
-
 def _quotient(a, b):
     """a / b for trimmed integer lists, or None when it is not in Z[λ].
 
@@ -642,34 +606,6 @@ def _exact_quotient(a, b):
     assert q is not None, "divisor does not divide"
     q = _primitive(q)
     return [-x for x in q] if q[-1] < 0 else q
-
-
-def _square_free_part(c):
-    """Primitive square-free part, leading coefficient positive."""
-    c = _trim(list(c))
-    if len(c) <= 1:
-        return c
-    return _exact_quotient(c, _poly_gcd(c, _derivative(c)))
-
-
-def _squarefree_decomposition(c):
-    """Yun decomposition: list of (primitive square-free factor, multiplicity)."""
-    c = _trim(list(c))
-    if len(c) <= 1:
-        return []
-    out = []
-    rest = _poly_gcd(c, _derivative(c))
-    w = _exact_quotient(c, rest)
-    mult = 1
-    while len(w) > 1:
-        g = _poly_gcd(w, rest)
-        factor = _exact_quotient(w, g)
-        if len(factor) > 1:
-            out.append((factor, mult))
-        w = g
-        rest = _exact_quotient(rest, g)
-        mult += 1
-    return out
 
 
 def poly_mul(a, b):
@@ -1011,48 +947,6 @@ def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
     return min(candidates, key=_midpoint, default=None)
 
 
-def gap_points(*polys):
-    """Rational points separating the distinct real roots of all polys.
-
-    One point lies strictly inside each gap between consecutive roots of
-    the union, plus one below and one above every root.
-    """
-    prod = [1]
-    for c in polys:
-        prod = poly_mul(prod, _trim(list(c)))
-    sf = _square_free_part(prod)
-    if len(sf) <= 1:
-        return [Fraction(0)]
-    bound = Fraction(_root_bound(sf))
-    precision = Fraction(1, 16)
-    while True:
-        intervals = _isolate(sf, precision)
-        if all(a[1] < b[0] for a, b in zip(intervals, intervals[1:])):
-            break
-        precision /= 16
-    return [-bound] + [(a[1] + b[0]) / 2 for a, b in zip(intervals, intervals[1:])] + [bound]
-
-
-class RootCounter:
-    """Real roots of c above rational thresholds, counted with multiplicity.
-
-    One Sturm chain per square-free factor is built once and reused for
-    every threshold.
-    """
-
-    def __init__(self, c):
-        self._parts = [
-            (_sturm_chain(factor), Fraction(_root_bound(factor)), mult)
-            for factor, mult in _squarefree_decomposition(c)
-        ]
-
-    def count_above(self, theta: Fraction) -> int:
-        return sum(
-            mult * _count_halfopen(chain, theta, max(bound, theta + 1))
-            for chain, bound, mult in self._parts
-        )
-
-
 def divides(p, q):
     """Exact divisibility in Z[λ]; returns (flag, quotient).
 
@@ -1064,11 +958,6 @@ def divides(p, q):
         raise ValueError("division by the zero polynomial")
     quo = _quotient(_trim(list(q)), p)
     return quo is not None, quo
-
-
-def sign_at(c, point) -> int:
-    """Exact sign (-1, 0, 1) of a univariate polynomial at a rational point."""
-    return _sign_at(c, _as_fraction(point))
 
 
 def poly_text(c) -> str:

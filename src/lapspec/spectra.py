@@ -1,11 +1,12 @@
 """Laplacian spectra and exact integrality decisions.
 
 Every decision here is exact: integrality is decided by trial division of
-the characteristic polynomial. The algebraic connectivity is read off a
-Laplacian polynomial (algebraic_connectivity_from_poly, so a caller that
-has the polynomial builds it once) by isolating only its lowest
-non-integer root. Floating point appears only in display strings derived
-from isolating intervals.
+the characteristic polynomial. The algebraic connectivity is read off the
+integer-root split of a Laplacian polynomial
+(algebraic_connectivity_from_poly, so a caller that has the split, as
+classify has it for L_integral, searches for integer roots once) by
+isolating only its lowest non-integer root. Floating point appears only in
+display strings derived from isolating intervals.
 """
 
 from __future__ import annotations
@@ -144,22 +145,22 @@ def algebraic_connectivity(g: Graph, precision: Fraction = DEFAULT_PRECISION) ->
     """Second-smallest Laplacian eigenvalue, exact when integer."""
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    return algebraic_connectivity_from_poly(char_poly(laplacian(g)), precision)
+    return algebraic_connectivity_from_poly(split_integer_roots(char_poly(laplacian(g))), precision)
 
 
-def algebraic_connectivity_from_poly(coeffs, precision: Fraction = DEFAULT_PRECISION) -> SpectralValue:
-    """The second-smallest root of a graph's Laplacian polynomial coeffs
-    (ascending, as char_poly gives it, n >= 2), exact when integer.
+def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECISION) -> SpectralValue:
+    """The second-smallest root of a graph's Laplacian polynomial (n >= 2),
+    exact when integer, from the polynomial's split_integer_roots: split is
+    its integer roots with multiplicities and its integer-root-free rest.
 
     Only the lowest residual root is isolated (isolate_lowest_root), and
     each halving of the precision isolates that one root again.
     """
-    # The constant term is always zero (L is singular); a zero linear term
-    # makes 0 a double root, so the graph is disconnected.
-    if not coeffs[1]:
+    roots, residual = split
+    # 0 is always a root (L is singular); a double 0 means a disconnected graph.
+    if roots.get(0, 0) >= 2:
         return SpectralValue(is_integer=True, value=0)
-    roots, residual = split_integer_roots(coeffs[1:])
-    int_min = min(roots) if roots else None
+    int_min = min((r for r in roots if r), default=None)
     if len(residual) <= 1:
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision

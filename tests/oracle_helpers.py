@@ -3,17 +3,18 @@
 Everything here is deliberately naive: spanning trees are enumerated one
 by one, random graphs are built from explicit edge lists, cographs come
 from literal union/join trees, real roots are isolated by bisection on
-Fractions with polynomials evaluated as sum(c_i * x**i), polynomials are
-divided over Q and multiplied back one linear factor at a time, and
-matrices are read off adjacency tests one entry at a time. None of it shares
-code with the library paths it checks, except reference_sweep: it checks
-how verify_theorem walks, hoists and tallies, and makes the library's own
-decisions one member at a time; _side, the polynomial fold of a hub
-side that the value tables fold as values, which builds on the library's
-continuant polynomials; and the spectral checks at the end (the join
-criterion for a(G) = k(G), edge-removal interlacing, the graph Γ_101),
-which decide with the library's exact kernels and have only tests as
-callers.
+Fractions and counted with multiplicity over the chain of repeated gcds,
+signs at rational points come from Horner's rule, polynomials are divided
+over Q and multiplied back one linear factor at a time, and matrices are
+read off adjacency tests one entry at a time. None of it shares code with the library paths it checks,
+except reference_sweep: it checks how verify_theorem walks, hoists and
+tallies, and makes the library's own decisions one member at a time, all
+but the sign scan, which it reads off the quotient's values one by one;
+_side and _fold_links, the polynomial folds of a hub side and of the
+internal paths that the library folds as values, which build on the
+library's continuant polynomials; and the join criterion for a(G) = k(G)
+and the graph Γ_101 at the end, which decide with the library's exact
+kernels and have only tests as callers.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from itertools import combinations
 from math import ceil, gcd, isqrt, lcm
 
 from lapspec import (
+    LAMBDA,
     Graph,
     IntMatrix,
-    RootCounter,
+    MPoly,
     SpectralValue,
     algebraic_connectivity_from_poly,
     char_poly,
@@ -38,20 +40,25 @@ from lapspec import (
     disjoint_union,
     enumerate_family,
     family_factors,
-    gap_points,
     is_connected,
     join,
     laplacian,
     poly_mul,
-    quotient_sign_change,
     repeated_factors,
-    sign_at,
     split_integer_roots,
     sturm_count,
     vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
 from lapspec.matrices import _add, _continuants
+
+
+def lift(coeffs) -> MPoly:
+    """Σ c_i λ^i as an MPoly, for an ascending coefficient list whose
+    entries are numbers or MPoly values in other variables, summed by MPoly
+    arithmetic."""
+    lam = MPoly.var(LAMBDA)
+    return sum((c * lam**i for i, c in enumerate(coeffs)), MPoly.zero((LAMBDA,)))
 
 
 def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
@@ -159,9 +166,16 @@ def fraction_value(c, x: Fraction) -> Fraction:
     return sum(a * x**i for i, a in enumerate(c))
 
 
-def _q_sign(c, x: Fraction) -> int:
-    v = fraction_value(c, x)
-    return (v > 0) - (v < 0)
+def fraction_sign(c, x) -> int:
+    """Exact sign of c at the rational x = p / q, q > 0, which is the sign
+    of q^d c(x), d = len(c) - 1: Horner's rule on p with the coefficient
+    of x^i scaled by q^(d-i)."""
+    x = Fraction(x)
+    acc, scale = 0, 1
+    for a in reversed(c):
+        acc = acc * x.numerator + a * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
 
 
 def _q_trim(c):
@@ -200,15 +214,19 @@ def _q_derivative(c):
     return [i * a for i, a in enumerate(c)][1:]
 
 
+def _q_gcd(a, b):
+    """A gcd of a and b over Q, by Euclid's algorithm."""
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return a
+
+
 def fraction_square_free_part(c):
     """c / gcd(c, c') by Euclid's algorithm over Q, as primitive integers."""
     c = _q_trim(list(c))
     if len(c) <= 1:
         return c
-    a, b = c, _q_derivative(c)
-    while b:
-        a, b = b, _q_divmod(a, b)[1]
-    return _q_primitive(_q_divmod(c, a)[0])
+    return _q_primitive(_q_divmod(c, _q_gcd(c, _q_derivative(c)))[0])
 
 
 def _q_root_bound(c) -> int:
@@ -269,7 +287,7 @@ def _q_sturm_chain(c):
 
 def _q_count_halfopen(chain, a: Fraction, b: Fraction) -> int:
     def variations(x):
-        signs = [s for s in (_q_sign(c, x) for c in chain) if s]
+        signs = [s for s in (fraction_sign(c, x) for c in chain) if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
     return variations(a) - variations(b)
@@ -297,10 +315,10 @@ def fraction_isolate_squarefree(c, precision: Fraction):
             if count == 1:
                 # rest has no rational root, so no dyadic point is a root and
                 # the one simple root in (lo, hi] shows as a change of sign.
-                sign_lo = _q_sign(rest, lo)
+                sign_lo = fraction_sign(rest, lo)
                 while hi - lo > precision:
                     mid = (lo + hi) / 2
-                    if _q_sign(rest, mid) != sign_lo:
+                    if fraction_sign(rest, mid) != sign_lo:
                         hi = mid
                     else:
                         lo = mid
@@ -318,6 +336,65 @@ def fraction_isolate_squarefree(c, precision: Fraction):
 def fraction_isolate_roots(c, precision: Fraction):
     """The oracle for isolate_roots: isolation of the square-free part."""
     return fraction_isolate_squarefree(fraction_square_free_part(c), precision)
+
+
+def fraction_counts_above(c, thetas):
+    """For each θ in thetas, the real roots of c above θ counted with
+    multiplicity. A root of multiplicity m is a distinct root of each of the
+    first m polynomials of the chain c, gcd(c, c'), the gcd of that and its
+    derivative, ...; each one's distinct roots in (θ, B], B a root bound,
+    are counted by a Sturm chain of its square-free part."""
+    counts = [0] * len(thetas)
+    c = _q_trim([Fraction(x) for x in c])
+    while len(c) > 1:
+        g = _q_gcd(c, _q_derivative(c))
+        square_free = _q_primitive(_q_divmod(c, g)[0])
+        chain = _q_sturm_chain(square_free)
+        bound = Fraction(_q_root_bound(square_free))
+        for i, theta in enumerate(thetas):
+            counts[i] += _q_count_halfopen(chain, theta, max(bound, theta + 1))
+        c = g
+    return counts
+
+
+def fraction_gap_points(*polys):
+    """Rational points separating the distinct real roots of all polys: one
+    strictly inside each gap between consecutive roots of their product,
+    plus one below and one above every root.
+
+    Bisection by Sturm counts splits (-B, B], B past the Fujiwara bound,
+    until each cell holds at most one root. The lower end of each occupied
+    cell but the lowest lies in the gap below its root, once halving the
+    cell has moved it off the root of the cell before.
+    """
+    product = [Fraction(1)]
+    for c in polys:
+        out = [Fraction(0)] * (len(product) + len(c) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(c):
+                out[i + j] += a * b
+        product = out
+    square_free = fraction_square_free_part(product)
+    if len(square_free) <= 1:
+        return [Fraction(0)]
+    chain = _q_sturm_chain(square_free)
+    bound = Fraction(_q_fujiwara_bound(square_free) + 1)
+    work, cells = [(-bound, bound)], []
+    while work:
+        lo, hi = work.pop()
+        count = _q_count_halfopen(chain, lo, hi)
+        if count == 1:
+            cells.append((lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            work += [(lo, mid), (mid, hi)]
+    points = [-bound]
+    for lo, hi in sorted(cells)[1:]:
+        while fraction_sign(square_free, lo) == 0:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _q_count_halfopen(chain, mid, hi) else (lo, mid)
+        points.append(lo)
+    return points + [bound]
 
 
 def fraction_divides(p, q):
@@ -346,12 +423,20 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
 # -- the classification sweep one member at a time ------------------------------
 
 
+def has_quotient_sign_change(cfg) -> bool:
+    """Whether family_factors' quotient takes nonzero values of opposite sign
+    at some k and k + 1 in 1..n, its signs read one by one."""
+    quotient, n = family_factors(cfg)[1], cfg.vertex_count()
+    signs = [fraction_sign(quotient, k) for k in range(1, n + 1)]
+    return any(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+
 def reference_sweep(n_min: int, n_max: int):
     """The sweep as a loop over enumerate_family, one FamilyConfig per
     member, the reference for verify_theorem's shard walk: a repeated chain
     factor θ with a non-integer root, else a sign change of the quotient
-    (quotient_sign_change), else the quotient's integer-root test decides,
-    and config_tag tags. Returns the TSV rows, one (family, n, key,
+    (has_quotient_sign_change), else the quotient's integer-root test
+    decides, and config_tag tags. Returns the TSV rows, one (family, n, key,
     integral, tag) per member in order, and the repeated and sign exits."""
     verdicts, tally = [], {}
     repeated = signs = 0
@@ -361,7 +446,7 @@ def reference_sweep(n_min: int, n_max: int):
                 if any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg)):
                     repeated += 1
                     integral = False
-                elif quotient_sign_change(cfg) is not None:
+                elif has_quotient_sign_change(cfg):
                     signs += 1
                     integral = False
                 else:
@@ -405,6 +490,42 @@ def _side(pendants, cycles):
     return tuple(p), tuple(n), repeated
 
 
+# -- the polynomial fold of the internal paths ------------------------------------
+
+
+def _fold_links(kinds, hub_edge):
+    """(P, N, T) of the internal paths joining the two hubs as polynomials,
+    folding each (order, count) pair of kinds once; a count is an int or an
+    MPoly. The update is _fold_paths' (see its Cassini argument), run on
+    the continuants' coefficient lists instead of their values."""
+    p, n, u, d = (1,), (), (), ()
+    for order, c in kinds:
+        theta, m, e = _continuants(order - 2, 2)
+        s = (-((-1) ** order),)
+        p, n, u, d = (
+            poly_mul(p, theta),
+            _add(poly_mul(n, theta), poly_mul(p, m), c),
+            _add(poly_mul(u, theta), poly_mul(p, s), c),
+            _add(
+                _add(poly_mul(d, theta), poly_mul(p, e), c * c),
+                _add(poly_mul(n, m), poly_mul(u, s), -1),
+                2 * c,
+            ),
+        )
+    if hub_edge:
+        d = _add(_add(d, u, 2), p, -1)
+    return p, n, d
+
+
+def fold_path_quotient(counts, hub_edge) -> MPoly:
+    """path_quotient's P X² - 2 N X + T multiplied out from _fold_links,
+    with counts that may be MPoly values, lifted to an MPoly in λ."""
+    counts = tuple(counts)
+    p, n, t = _fold_links(counts, hub_edge)
+    x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)
+    return lift(_add(poly_mul(x, _add(poly_mul(p, x), n, -2)), t))
+
+
 # -- spectral checks ------------------------------------------------------------
 
 
@@ -438,10 +559,10 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
     k = vertex_connectivity(g)
     p = char_poly(laplacian(g))
     in_0k = sturm_count(p, 0, k)
-    at_k = sign_at(p, k) == 0
+    at_k = fraction_sign(p, k) == 0
     a_equals_k = at_k and in_0k == 1
     strictly_inside = in_0k - (1 if at_k else 0)
-    a_val = algebraic_connectivity_from_poly(p)
+    a_val = algebraic_connectivity_from_poly(split_integer_roots(p))
     if not a_equals_k:
         return JoinDecompositionReport(k, False, None, None, a_val, strictly_inside)
     for cut in combinations(range(n), k):
@@ -471,7 +592,7 @@ def _small_side_bound_ok(g: Graph, cut, threshold: int) -> bool:
     if not is_connected(sub):
         return threshold <= 0
     p = char_poly(laplacian(sub))
-    inside = sturm_count(p, 0, threshold) - (1 if sign_at(p, threshold) == 0 else 0)
+    inside = sturm_count(p, 0, threshold) - (1 if fraction_sign(p, threshold) == 0 else 0)
     return inside == 0
 
 
@@ -511,14 +632,9 @@ def edge_interlacing_check(g: Graph, edges_to_remove) -> bool:
 
 
 def _interlaces(pg, ph, r: int) -> bool:
-    cg = RootCounter(pg)
-    ch = RootCounter(ph)
-    for theta in gap_points(pg, ph):
-        above_g = cg.count_above(theta)
-        above_h = ch.count_above(theta)
-        if not (above_h <= above_g <= above_h + r):
-            return False
-    return True
+    thetas = fraction_gap_points(pg, ph)
+    above = zip(fraction_counts_above(pg, thetas), fraction_counts_above(ph, thetas))
+    return all(above_h <= above_g <= above_h + r for above_g, above_h in above)
 
 
 # fixed six-vertex Q-integral reference graph

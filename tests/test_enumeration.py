@@ -37,7 +37,12 @@ from lapspec.enumeration import (
     TAG_STAR,
     BudgetExceededError,
 )
-from oracle_helpers import kirkland_decomposition_check, reference_sweep, scrambled_fields
+from oracle_helpers import (
+    has_quotient_sign_change,
+    kirkland_decomposition_check,
+    reference_sweep,
+    scrambled_fields,
+)
 
 
 def test_enumerate_family_small_cases():
@@ -194,15 +199,6 @@ def has_non_integral_repeated_factor(cfg):
     from lapspec import repeated_factors, split_integer_roots
 
     return any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg))
-
-
-def has_quotient_sign_change(cfg):
-    # oracle: signs of the multiplied-out quotient at consecutive integers
-    from lapspec import family_factors, sign_at
-
-    quotient = family_factors(cfg)[1]
-    n = cfg.vertex_count()
-    return any(sign_at(quotient, k) * sign_at(quotient, k + 1) < 0 for k in range(1, n))
 
 
 def test_verify_theorem_stats():

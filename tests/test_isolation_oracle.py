@@ -4,8 +4,10 @@ isolate_roots starts its search at a level fixed by the Fujiwara bound and
 refines by sign-checked secant jumps on integer numerators over powers of
 two. The oracle in oracle_helpers runs plain bisection from the Cauchy
 bound on Fractions, with its own gcd, Sturm chain, rational roots and
-plain sum(c_i * x**i) evaluation, so every interval must come back exactly
-equal, in the same order; isolate_lowest_root must return the first.
+plain Horner signs (fraction_sign), so every interval must come back
+exactly equal, in the same order; isolate_lowest_root must return the
+first. algebraic_connectivity must give the same value with the oracle
+patched in for the isolation it calls.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import gap_points, integer_roots, isolate_lowest_root, isolate_roots, poly_mul
+from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots, poly_mul
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
@@ -106,17 +108,17 @@ def test_isolate_roots_equals_the_oracle_on_graph_polynomials(kind):
             assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), (g.n, precision)
 
 
-def test_gap_points_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
+def test_isolation_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
     def results():
         out = []
         for g in GRAPHS:
             lc, qc = char_poly(laplacian(g)), char_poly(signless_laplacian(g))
             intervals = integer_roots(qc).isolating_intervals
-            out.append((gap_points(lc), gap_points(lc, qc), algebraic_connectivity(g), intervals))
+            out.append((isolate_roots(lc), algebraic_connectivity(g), intervals))
         return out
 
     expected = results()
-    # the helpers integer_roots, gap_points and algebraic_connectivity call,
+    # the helpers isolate_roots, integer_roots and algebraic_connectivity call,
     # replaced by the oracle; the counts show that every patch was reached
     calls = Counter()
 

@@ -1,18 +1,21 @@
 """Properties of the integer univariate kernel (needs Hypothesis).
 
-The gcd divides both inputs and keeps a planted common factor, the
-square-free decomposition multiplies back to its input up to the content,
-split_integer_roots finds exactly the integer roots planted in front of a
-cofactor with none, the shift-based value at a dyadic point equals the
-general scaled value, and interpolate gives back an integer polynomial from
-its values at 0, 1, ... and rejects the values of a polynomial whose
-coefficients are not all integers. parse_poly reads MPoly's canonical text
-back to the same polynomial over the given variables. char_poly, on
-symmetric and on other matrices, takes the values det(kI - M) of the
-Gaussian determinant at k = 0..n, and over Z[s,t] it gives at integer
-(s, t) what it gives for the matrix with the values put in. Divisibility,
-content and rational roots come from the Fraction helpers of
-oracle_helpers, not from lapspec.
+The square-free part of a polynomial with a planted repeated factor leaves
+a gcd with the derivative that divides both and keeps the factor, the
+square-free parts along the chain of repeated gcds multiply back to the
+input up to the content, split_integer_roots finds exactly the integer
+roots planted in front of a cofactor with none, the shift-based value at a
+dyadic point equals the general scaled value, and interpolate gives back an
+integer polynomial from its values at 0, 1, ... and rejects the values of a
+polynomial whose coefficients are not all integers. parse_poly reads
+MPoly's canonical text back to the same polynomial over the given
+variables. char_poly, on symmetric and on other matrices, takes the values
+det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
+gives at integer (s, t) what it gives for the matrix with the values put
+in. The catalog's polynomial interpolated from the integer fold on the
+{0, 1, 2} grid equals the polynomial fold with symbolic counts, on random
+path-count lists. Divisibility, content and rational roots come from the
+Fraction helpers of oracle_helpers, not from lapspec.
 """
 
 from math import comb, factorial, gcd
@@ -22,14 +25,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from lapspec.families import _grid_quotient  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
     MPoly,
     _dyadic_value,
-    _poly_gcd,
     _scaled_value,
-    _squarefree_decomposition,
+    _square_free_chain,
     interpolate,
     parse_poly,
     poly_mul,
@@ -37,7 +40,13 @@ from lapspec.polys import (  # noqa: E402
     split_integer_roots,
 )
 
-from oracle_helpers import _q_divmod, _q_rational_roots  # noqa: E402
+from oracle_helpers import (  # noqa: E402
+    _q_derivative,
+    _q_divmod,
+    _q_primitive,
+    _q_rational_roots,
+    fold_path_quotient,
+)
 
 polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)
 nonconstant = polys.filter(lambda c: len(c) > 1)
@@ -54,28 +63,40 @@ def content(c) -> int:
     return g
 
 
+def square_free(c):
+    """The square-free part _square_free_chain gives, checked to be
+    primitive with a positive leading coefficient, and its chain to end in
+    a constant, as a Sturm chain does."""
+    part, chain = _square_free_chain(c)
+    assert part[-1] > 0 and content(part) == 1
+    assert chain[0] == part and len(chain[-1]) == 1
+    return part
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(polys, polys, polys)
-def test_gcd_divides_both_inputs_and_keeps_a_common_factor(common, a, b):
-    a, b = poly_mul(common, a), poly_mul(common, b)
-    g = _poly_gcd(a, b)
-    assert g and g[-1] > 0 and content(g) == 1
-    assert divides(g, a) and divides(g, b)
+@given(polys, polys)
+def test_gcd_divides_both_inputs_and_keeps_a_common_factor(common, a):
+    # c over its square-free part is gcd(c, c'), which keeps the planted
+    # square's factor
+    c = poly_mul(poly_mul(common, common), a)
+    g = _q_divmod(c, square_free(c))[0]
+    assert divides(g, c) and divides(g, _q_derivative(c))
     assert divides(common, g)
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(st.tuples(nonconstant, st.integers(1, 3)), max_size=3), polys)
 def test_squarefree_decomposition_multiplies_back_up_to_content(factors, cofactor):
+    # c = ∏ square-free parts of c, gcd(c, c'), ..., up to the content
     c = cofactor
     for f, m in factors:
         for _ in range(m):
             c = poly_mul(c, f)
-    product = [1]
-    for f, m in _squarefree_decomposition(c):
-        assert m >= 1 and f[-1] > 0 and content(f) == 1
-        for _ in range(m):
-            product = poly_mul(product, f)
+    product, rest = [1], c
+    while len(rest) > 1:
+        part = square_free(rest)
+        product = poly_mul(product, part)
+        rest = _q_primitive(_q_divmod(rest, part)[0])
     sign = 1 if c[-1] > 0 else -1
     assert [sign * content(c) * x for x in product] == c
 
@@ -198,3 +219,19 @@ def test_symbolic_char_poly_agrees_with_the_integer_path(s, t):
     symbolic = char_poly(IntMatrix(SYMBOLIC))
     at_point = char_poly(IntMatrix([[_at(x, s, t) for x in row] for row in SYMBOLIC]))
     assert [_at(x, s, t) for x in symbolic] == at_point
+
+
+path_counts = st.lists(
+    st.tuples(st.integers(3, 8), st.sampled_from(["0", "1", "2", "3", "s", "t"])),
+    max_size=4,
+    unique_by=lambda kind: kind[0],
+).map(sorted)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(path_counts, st.booleans())
+def test_grid_interpolation_equals_the_symbolic_fold(counts, hub_edge):
+    # the same parameter on several orders and zero counts included
+    params = tuple(sorted({c for _, c in counts if not c.isdigit()}))
+    symbolic = [(order, int(c) if c.isdigit() else MPoly.var(c, params)) for order, c in counts]
+    assert _grid_quotient(counts, hub_edge) == fold_path_quotient(symbolic, hub_edge)

@@ -1,7 +1,7 @@
 """The integer polynomial kernel against sympy, an independent oracle.
 
 Seeded random integer polynomials are built as products of small factors,
-some raised to powers, so that gcds, square-free decompositions and root
+some raised to powers, so that square-free parts, Sturm chains and root
 counts all see repeated roots. sympy is only a test-time oracle; the
 library does not depend on it.
 """
@@ -22,8 +22,8 @@ from lapspec import (  # noqa: E402
     split_integer_roots,
     sturm_count,
 )
-from lapspec.polys import _fujiwara_bound, _poly_gcd, _root_bound, _squarefree_decomposition  # noqa: E402
-from oracle_helpers import random_connected_graph  # noqa: E402
+from lapspec.polys import _fujiwara_bound, _root_bound, _square_free_chain  # noqa: E402
+from oracle_helpers import _q_primitive, random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -49,21 +49,30 @@ def _normalized(poly):
 
 
 def test_gcd_matches_sympy():
+    # the square-free part is p over sympy's gcd of p and p'
     rng = random.Random(1967)
     for _ in range(40):
         common = _random_poly(rng, (0, 2))
-        a = _random_poly(rng) * common
-        b = _random_poly(rng) * common
-        assert _poly_gcd(_coeffs(a), _coeffs(b)) == _normalized(sympy.gcd(a, b))
+        p = _random_poly(rng) * common**2
+        part, _ = _square_free_chain(_coeffs(p))
+        assert part == _normalized(p.quo(p.gcd(p.diff(X))))
 
 
 def test_squarefree_decomposition_matches_sqf_list():
+    # the square-free part is the product of sympy's square-free factors,
+    # and its chain is sympy's Sturm sequence, term by term up to a
+    # positive factor
     rng = random.Random(1971)
     for _ in range(40):
         p = _random_poly(rng)
         _, factors = p.sqf_list()
-        expected = sorted((_normalized(f), m) for f, m in factors)
-        assert sorted(_squarefree_decomposition(_coeffs(p))) == expected
+        part, chain = _square_free_chain(_coeffs(p))
+        product = sympy.Poly(1, X)
+        for f, _ in factors:
+            product *= f
+        assert part == _normalized(product)
+        sturm = sympy.Poly(list(reversed(part)), X).sturm()
+        assert chain == [_q_primitive([Fraction(str(a)) for a in reversed(q.all_coeffs())]) for q in sturm]
 
 
 def test_real_root_counts_match_count_roots():

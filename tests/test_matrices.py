@@ -19,15 +19,19 @@ from lapspec import (
     poly_mul,
     quotient_cells,
     quotient_matrix,
-    quotient_sign_change,
     realize,
     repeated_factors,
-    sign_at,
     split_integer_roots,
     sturm_count,
 )
+from lapspec.matrices import _member_tables, side_sign_change
 
-from oracle_helpers import principal_submatrix
+from oracle_helpers import fraction_counts_above, fraction_sign, lift, principal_submatrix
+
+
+def sign_change(cfg):
+    """The sweep's sign scan (side_sign_change) of cfg's quotient."""
+    return side_sign_change(*_member_tables(cfg), cfg.vertex_count())
 
 
 def interior_blocks(*sizes):
@@ -49,7 +53,7 @@ def test_char_poly_small():
     assert char_poly(IntMatrix([[2]])) == [-2, 1]
     assert char_poly(interior_blocks(3)) == [-4, 10, -6, 1]
     assert char_poly(IntMatrix([[5, -5], [-1, 1]])) == [0, -6, 1]
-    assert MPoly.from_univariate(char_poly(interior_blocks(3))) == parse_poly(
+    assert lift(char_poly(interior_blocks(3))) == parse_poly(
         "λ^3 - 6*λ^2 + 10*λ - 4"
     )
     with pytest.raises(ValueError):
@@ -76,7 +80,7 @@ def test_char_poly_cross_oracle_gaussian():
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-4, 4)
         M = IntMatrix(m)
-        p = MPoly.from_univariate(char_poly(M))
+        p = lift(char_poly(M))
         for _ in range(5):
             x = rng.randint(-6, 6)
             shifted = IntMatrix(
@@ -104,7 +108,7 @@ def test_symbolic_char_poly_printed_six_by_six():
     )
     coeffs = char_poly(m)
     assert len(coeffs) == 7 and coeffs[-1] == 1
-    assert MPoly.from_univariate(coeffs) == expected
+    assert lift(coeffs) == expected
 
 
 def test_principal_submatrix():
@@ -218,12 +222,12 @@ def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
 
 def assert_tables_equal_the_folds(sides, links, size):
     """Each table entry of every side and link set is its polynomial fold
-    (the oracle _side, and _fold_links) evaluated as sum(c_i k^i) at k in
+    (the oracles _side and _fold_links) evaluated as sum(c_i k^i) at k in
     range(size), and the flag says whether every repeated θ has only
     integer roots."""
-    from lapspec.matrices import _continuants, _fold_links, links_table, side_table
+    from lapspec.matrices import _continuants, links_table, side_table
 
-    from oracle_helpers import _side
+    from oracle_helpers import _fold_links, _side
 
     def values(poly):
         return tuple(sum(c * k**i for i, c in enumerate(poly)) for k in range(size))
@@ -273,8 +277,8 @@ def test_value_tables_equal_the_folds_of_the_sixteen_fill():
 
 
 def test_table_fill_builds_no_polynomial(monkeypatch):
-    # the fill folds values only: no polynomial fold and no product, with
-    # every cache of the table layer cleared first
+    # the fill folds values only: no polynomial product, with every cache
+    # of the table layer cleared first
     from lapspec import matrices
     from lapspec.enumeration import _fill_tables
 
@@ -296,8 +300,7 @@ def test_table_fill_builds_no_polynomial(monkeypatch):
 
         return wrapper
 
-    for name in ("_fold_links", "poly_mul"):
-        monkeypatch.setattr(matrices, name, counted(name))
+    monkeypatch.setattr(matrices, "poly_mul", counted("poly_mul"))
     _fill_tables(12)
     assert matrices.side_table.cache_info().currsize == 752
     assert matrices.links_table.cache_info().currsize == 277
@@ -311,9 +314,9 @@ def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
         for family in ("G1", "G2"):
             for cfg in enumerate_family(family, n):
                 quotient = family_factors(cfg)[1]
-                signs = [sign_at(quotient, k) for k in range(1, n + 1)]
+                signs = [fraction_sign(quotient, k) for k in range(1, n + 1)]
                 changes = [k for k in range(1, n) if signs[k - 1] * signs[k] < 0]
-                k = quotient_sign_change(cfg)
+                k = sign_change(cfg)
                 assert k == (changes[0] if changes else None), cfg
                 if k is not None:
                     assert sturm_count(quotient, k, k + 1) >= 1, cfg
@@ -329,8 +332,8 @@ def test_sign_scan_restarts_after_an_integer_root():
         cfg = FamilyConfig("G2", False, (3,) * (n - 2))
         quotient = family_factors(cfg)[1]
         assert split_integer_roots(quotient) == ({0: 1, n - 2: 1, n: 1}, [1])
-        assert sign_at(quotient, n - 3) * sign_at(quotient, n - 1) < 0
-        assert quotient_sign_change(cfg) is None
+        assert fraction_sign(quotient, n - 3) * fraction_sign(quotient, n - 1) < 0
+        assert sign_change(cfg) is None
     # no member with an integral quotient is rejected, 62 of the 68 at 9..11
     # with an odd-multiplicity integer root strictly between 1 and n
     integral = odd_inside = 0
@@ -340,16 +343,17 @@ def test_sign_scan_restarts_after_an_integer_root():
                 roots, rest = split_integer_roots(family_factors(cfg)[1])
                 if len(rest) > 1:
                     continue
-                assert quotient_sign_change(cfg) is None, cfg
+                assert sign_change(cfg) is None, cfg
                 integral += 1
                 odd_inside += any(m % 2 and 1 < r < n for r, m in roots.items())
     assert (integral, odd_inside) == (68, 62)
 
 
 def test_path_quotient_over_symbolic_and_absent_counts():
-    s = MPoly.var("s", ("s",))
+    from lapspec.families import _grid_quotient
+
     # K_2 joined with s isolated vertices: Laplacian quotient λ (λ - s - 2)^2
-    assert MPoly.from_univariate(path_quotient([(3, s)], True)) == parse_poly(
+    assert _grid_quotient([(3, "s")], True) == parse_poly(
         "λ*(λ - s - 2)^2", variables=(LAMBDA, "s")
     )
     # an order with count 0 still contributes its θ, here λ - 2 for order 3
@@ -400,8 +404,6 @@ def test_family_char_poly_rejects_invalid_configs():
 def test_interlacing_as_root_counts_random_principal_submatrices():
     from fractions import Fraction
 
-    from lapspec import RootCounter
-
     rng = random.Random(17)
     for _ in range(25):
         n = rng.randint(3, 7)
@@ -413,10 +415,9 @@ def test_interlacing_as_root_counts_random_principal_submatrices():
         drop = rng.sample(range(n), rng.randint(1, n - 2))
         sub = principal_submatrix(M, drop)
         r = len(drop)
-        cm, cs = RootCounter(char_poly(M)), RootCounter(char_poly(sub))
         bound = 1 + max(abs(x) for row in m for x in row) * n
-        for step in range(-2 * bound, 2 * bound + 1):
-            theta = Fraction(step, 2)
-            above_m = cm.count_above(theta)
-            above_s = cs.count_above(theta)
+        thetas = [Fraction(step, 2) for step in range(-2 * bound, 2 * bound + 1)]
+        counts_m = fraction_counts_above(char_poly(M), thetas)
+        counts_s = fraction_counts_above(char_poly(sub), thetas)
+        for above_m, above_s in zip(counts_m, counts_s):
             assert above_s <= above_m <= above_s + r

@@ -32,10 +32,10 @@ from lapspec import (
     to_graph6,
     vertex_connectivity,
 )
-from lapspec.polys import sign_at
 from oracle_helpers import (
     _interlaces,
     edge_interlacing_check,
+    fraction_sign,
     gamma_101,
     kirkland_decomposition_check,
     principal_submatrix,
@@ -244,7 +244,7 @@ def test_path_interior_root_counts():
     # at least two small Laplacian eigenvalues once the path is long enough
     for n in range(7, 13):
         p = char_poly(laplacian(path(n)))
-        inside = sturm_count(p, 0, 1) - (1 if sign_at(p, 1) == 0 else 0)
+        inside = sturm_count(p, 0, 1) - (1 if fraction_sign(p, 1) == 0 else 0)
         assert inside >= 2
     # the seven-vertex path has exactly two in the half-open unit interval
     assert sturm_count(char_poly(laplacian(path(7))), 0, 1) == 2
