@@ -35,10 +35,7 @@ from .matrices import (
     IntMatrix,
     char_poly,
     det_gauss,
-    family_char_poly,
-    family_factors,
     path_quotient,
-    repeated_factors,
 )
 from .partitions import (
     coarsest_equitable_refinement,
@@ -58,7 +55,6 @@ from .polys import (
     isolate_roots,
     only_integer_roots,
     parse_poly,
-    poly_mul,
     poly_text,
     poly_value,
     split_integer_roots,

@@ -400,9 +400,11 @@ def _shard_groups(n, size):
     coupling, ok, base, v sides), one member per v side: its key() is
     prefix + side + suffix (suffix () for G2, the empty v side for G1),
     and the hub carrying the side has degree base +
-    FamilyConfig.side_degree(*side). ok is false when a repeated θ of the
-    chains the shard fixes (the links and the u side) has a non-integer
-    root. A shard with no member is skipped."""
+    FamilyConfig.side_degree(*side). ok is false when the chains the shard
+    fixes (the links and the u side) repeat a kind whose θ has a
+    non-integer root, any kind but the pendant edge, the triangle and the
+    internal paths of order 3 and 4 (see matrices.side_table). A shard
+    with no member is skipped."""
     g1_sides = list(_g1_sides(n))
     if g1_sides:
         yield ("G1", False, ()), one_hub_coupling(size), True, 0, g1_sides
@@ -421,10 +423,11 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
     """Decide, tag and tally every member of one shard of order n from the
     value tables of size entries (see matrices.side_sign_change).
 
-    A member is not integral when a repeated chain factor θ has a
-    non-integer root (a repeated exit) or when its equitable quotient
-    changes sign between consecutive integers (a sign exit), both decided
-    with no polynomial built. For the members left, the integer-root test
+    A member is not integral when it repeats a chain kind whose θ has a
+    non-integer root, which the tables' flags read off the chain kinds by
+    rule (a repeated exit), or when its equitable quotient changes sign
+    between consecutive integers (a sign exit), both decided with no
+    polynomial built. For the members left, the integer-root test
     decides on the quotient interpolated from its values at 0..n. The
     members are tallied into row (graphs, integral, disagreements) and the
     exits and root-test seconds into counts; a member gets a FamilyConfig

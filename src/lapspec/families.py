@@ -134,8 +134,11 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
     """Quotient matrix of the case under its position-pooled partition.
 
     Symbolic mode keeps the counts as variables (all position classes
-    present); concrete mode drops classes whose count is zero. Concrete
-    parameters are range-checked against the case's declared grid.
+    present); concrete mode drops classes whose count is zero. Each
+    concrete parameter must be given, non-negative and at most its grid's
+    upper end, if the grid has one. The grid's lower end is not enforced:
+    a count below it still realizes a member, such as s = 2 of 4.7-c1.2,
+    whose closed forms cover it.
     """
     case = get_case(case_id)
     values = {"s": s, "t": t}
@@ -178,7 +181,7 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
 
 def _check_range(case: PropositionCase, values: dict):
     for name in case.params:
-        lo, hi = case.grid[name]
+        hi = case.grid[name][1]
         val = values.get(name)
         if val is None:
             raise ValueError(f"case {case.id} needs a value for {name}")

@@ -9,9 +9,9 @@ degree at least three, every other vertex of degree one or two.
 A member is its hubs plus a list of chains (internal paths, pendant paths
 and cycles), each a bare path of non-hub vertices with one or two hub
 edges at its ends. That one chain layout (_chains) gives realize its
-labelling, FamilyConfig.vertex_count its order and quotient_cells its
-equitable partition, and graph_to_config reads it back off a graph from
-the hub edges of each component left when the hubs are removed.
+labelling and quotient_cells its equitable partition, and
+graph_to_config reads it back off a graph from the hub edges of each
+component left when the hubs are removed.
 """
 
 from __future__ import annotations
@@ -374,9 +374,6 @@ class FamilyConfig:
         """The degree each hub gets from the internal paths and hub edge."""
         return len(self.paths) + bool(self.hub_edge)
 
-    def vertex_count(self) -> int:
-        return _hub_count(self) + sum(k for k, _, _ in _chains(self))
-
     def key(self):
         return (
             self.family,
@@ -428,9 +425,10 @@ def realize(cfg: FamilyConfig) -> Graph:
 
 
 def quotient_cells(cfg: FamilyConfig) -> tuple:
-    """The equitable partition of realize(cfg) whose quotient polynomial
-    family_factors returns: each hub alone, then one cell per run of equal
-    chains and position along the chain, ordered by smallest vertex."""
+    """The equitable partition of realize(cfg) whose quotient's
+    characteristic polynomial the value tables give (see
+    matrices.quotient_values): each hub alone, then one cell per run of
+    equal chains and position along the chain, ordered by smallest vertex."""
     cells = [(hub,) for hub in range(_hub_count(cfg))]
     nxt = len(cells)
     for (k, _, _), run in groupby(_chains(cfg)):

@@ -1,22 +1,22 @@
-"""Dense matrices and the structural polynomials of the two families.
+"""Dense matrices and the value tables of the two families' quotients.
 
 The characteristic polynomial of a dense matrix is computed by the
 Berkowitz scheme, which is division-free, with an exact-fraction
-Gaussian determinant as a cross-oracle. Both are the oracles of
-family_factors and family_char_poly, which read the characteristic
-polynomial of a one- or two-hub family member off its block layout (a hub
-block plus one tridiagonal block per attached chain) without building a
-matrix, the first as an equitable quotient polynomial times repeated
-chain factors. The quotient is folded as values only: side_table and
+Gaussian determinant as a cross-oracle. A one- or two-hub family member
+needs no matrix: det(λI - L) is an equitable quotient polynomial times a
+factor θ^(c-1) for each chain kind repeated c >= 2 times, and the sweep
+decides from both without multiplying either out. side_table and
 links_table hold each hub side's and link set's fold at k = 0, 1, ...,
-in ints from the continuants' values. The sweep scans the quotient at
-consecutive integers off them (side_sign_change), where a sign change
-certifies a non-integer eigenvalue with no polynomial built and a member
-costs a few products per k, and family_factors interpolates the
-quotient's coefficients from its values at 0..n (polys.interpolate).
-path_quotient gives the same quotient for members with internal paths
-only, from the same fold of the paths as links_table (_fold_paths), with
-int counts; the catalog builds its polynomials in Z[s,t][λ] from it (see
+in ints from the continuants' values, and whether every repeated θ of
+their chains has only integer roots, which a closed-form rule on the
+chain kinds answers (_repeats_integral). The sweep scans the quotient at
+consecutive integers off the tables (side_sign_change), where a sign
+change certifies a non-integer eigenvalue with no polynomial built and a
+member costs a few products per k; quotient_values gives Q(0..n), which
+fix the quotient's coefficients (polys.interpolate). path_quotient gives
+the same quotient for members with internal paths only, from the same
+fold of the paths as links_table (_fold_paths), with int counts; the
+catalog builds its polynomials in Z[s,t][λ] from it (see
 families.computed_symbolic_poly), and Berkowitz over Z[s,t] is kept only
 as their test oracle.
 """
@@ -28,8 +28,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import mul
 
-from .graphs import FamilyConfig
-from .polys import interpolate, only_integer_roots, poly_mul
+from .polys import interpolate
 
 
 class IntMatrix:
@@ -133,51 +132,31 @@ def det_gauss(m: IntMatrix) -> Fraction:
     return sign * det
 
 
-# -- structural characteristic polynomial of the one- and two-hub families -----
+# -- the quotient of a one- or two-hub member, as values ----------------------
 #
 # λI - L of a G1/G2 member is a 1x1 or 2x2 hub block bordered by one
 # tridiagonal block per chain, and chains meet only at hubs. Eliminating the
 # chains (the Laplacian analogue of Schwenk's cut-vertex formulas) gives
 # det(λI - L) = ∏ θ_chain · det(S), S the Schur complement on the hubs. The
 # entries of S need only the end entries of each (λI - T_chain)^-1, which are
-# continuants over θ_chain, so everything below is integer arithmetic: on
-# ascending coefficient lists for θ, on their values at the integers for the
-# folds.
+# continuants over θ_chain, so everything below is integer arithmetic on the
+# continuants' values at the integers.
 #
 # c equal chains on one hub (or c equal internal paths) enter S as c times
 # one chain's share, so each distinct chain kind is folded once, weighted by
 # its count. What comes out is the characteristic polynomial of the quotient
 # by the equitable partition that merges the c copies position by position
 # (Haemers, Linear Algebra Appl. 226-228, 1995); the full polynomial is that
-# quotient times θ^(c-1) for every kind with c >= 2. One hub side or one set
-# of internal paths recurs in many members, so their value tables are cached.
-
-
-def _add(a, b, scale=1):
-    """a + scale * b, trailing zeros trimmed."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] += scale * x
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-@lru_cache(maxsize=None)
-def _continuants(k, last):
-    """(t_k, t_{k-1}, t_{k-2}) for the k x k tridiagonal T with -1 off the
-    diagonal and diagonal 2, ..., 2, last.
-
-    t_j = det(λI - T_j) with T_j the trailing j x j block of T, so t_k = θ,
-    t_{k-1} leaves out the first vertex and, when last = 2, t_{k-2} leaves
-    out both end vertices; t_{-1} = 0. The corner entry of (λI - T)^-1 is
-    (-1)^(k+1) / θ.
-    """
-    older, old, cur = (), (1,), (-last, 1)
-    for _ in range(k - 1):
-        # (λ - 2) t_{j-1} - t_{j-2}, the product by λ - 2 as a shift
-        older, old, cur = old, cur, tuple(_add(_add((0,) + cur, cur, -2), old, -1))
-    return cur, old, older
+# quotient times θ^(c-1) for every kind with c >= 2.
+#
+# A table holds a side's or a link set's P, N (and T) at k = 0..size-1,
+# folded in plain ints at each k from the continuants' values t_j(k). One
+# hub side or one set of internal paths recurs in many members, so the
+# tables are cached. A and B below depend only on the internal paths and the
+# u side, so a walk that fixes both computes them once and pays
+# Q(k) = Y(k) A(k) - P_v(k) B(k) per v side: the sign scan reads Q(1..n),
+# and Q(0..n) fix Q's coefficients. A table also records whether every
+# repeated θ of its chains has only integer roots, the other early decision.
 
 
 def _kinds(lengths):
@@ -185,50 +164,37 @@ def _kinds(lengths):
     return [(length, len(list(run))) for length, run in groupby(lengths)]
 
 
-def _thetas(pendant_kinds=(), cycle_kinds=(), path_kinds=()):
-    """(θ, c - 1) for each kind (length, c) with c >= 2 among these _kinds,
-    θ the chain's continuant: t_L (last = 1) for a pendant path on L
-    vertices, t_{L-1} (last = 2) for a cycle of length L and t_{i-2}
-    (last = 2) for an internal path of order i."""
-    thetas = [(_continuants(length, 1)[0], c - 1) for length, c in pendant_kinds if c > 1]
-    thetas += [(_continuants(length - 1, 2)[0], c - 1) for length, c in cycle_kinds if c > 1]
-    thetas += [(_continuants(order - 2, 2)[0], c - 1) for order, c in path_kinds if c > 1]
-    return tuple(thetas)
+def _repeats_integral(pendant_kinds=(), cycle_kinds=(), path_kinds=()) -> bool:
+    """Whether θ has only integer roots for every kind (length, c) with
+    c >= 2 among these _kinds: true exactly when each repeated kind is a
+    pendant edge, a triangle or an internal path of order 3 or 4.
 
-
-def repeated_factors(cfg: FamilyConfig) -> tuple:
-    """(θ, exponent) for each chain kind that occurs c >= 2 times on one hub
-    side or among the internal paths, with exponent c - 1: the factors of
-    det(λI - L) beyond its equitable quotient (see family_factors). θ is
-    the chain's continuant, an ascending coefficient tuple."""
-    chains = (cfg.pendants_u, cfg.cycles_u, cfg.pendants_v, cfg.cycles_v, cfg.paths)
-    pu, cu, pv, cv, paths = map(_kinds, chains)
-    return _thetas(pu, cu) + _thetas(pv, cv, paths)
-
-
-# -- value tables ---------------------------------------------------------------
-#
-# A table holds a side's or a link set's P, N (and T) at k = 0..size-1,
-# folded in plain ints at each k from the continuants' values t_j(k). A and
-# B below depend only on the internal paths and the u side, so a walk that
-# fixes both computes them once and pays Q(k) = Y(k) A(k) - P_v(k) B(k) per
-# v side: the sign scan reads Q(1..n), and Q(0..n) fix Q's coefficients. A
-# table also records whether every repeated θ of its chains has only
-# integer roots, the other early decision (see repeated_factors).
-
-
-@lru_cache(maxsize=None)
-def _integer_roots_only(theta) -> bool:
-    """One entry per distinct repeated θ: a few dozen at the orders swept."""
-    return only_integer_roots(theta)
+    θ = det(λI - T) for the chain's tridiagonal block T, the Laplacian rows
+    of its non-hub vertices: 2 on the diagonal and -1 beside it, except a
+    1 at a pendant path's leaf. For j vertices between hubs (a cycle of
+    length j + 1, an internal path of order j + 2) θ's roots are
+    2 - 2cos(mπ/(j + 1)), m = 1..j; for a pendant path on L vertices they
+    are 2 - 2cos((2m - 1)π/(2L + 1)), m = 1..L. The least root,
+    2 - 2cos(π/(j + 1)) or 2 - 2cos(π/(2L + 1)), lies in (0, 1) once its
+    angle is below π/3, that is unless j <= 2 or L = 1; there every root is
+    an integer: {2} for j = 1, {1, 3} for j = 2 and {1} for L = 1.
+    """
+    return (
+        all(length == 1 for length, c in pendant_kinds if c > 1)
+        and all(length == 3 for length, c in cycle_kinds if c > 1)
+        and all(order <= 4 for order, c in path_kinds if c > 1)
+    )
 
 
 @lru_cache(maxsize=256)
 def _continuant_values(last, size, longest):
-    """The values of _continuants' t_j at λ = k for j = -1..longest, as
+    """The values of the continuants t_j at λ = k for j = -1..longest, as
     rows over k in range(size): row j + 1 holds t_j(0), ..., t_j(size - 1).
 
-    t_{-1} = 0, t_0 = 1, t_1 = k - last and t_j = (k - 2) t_{j-1} - t_{j-2}.
+    t_j = det(λI - T_j) for T_j the trailing j x j block of the tridiagonal
+    T with -1 off the diagonal and diagonal 2, ..., 2, last, so t_{-1} = 0,
+    t_0 = 1, t_1 = k - last and t_j = (k - 2) t_{j-1} - t_{j-2}. The corner
+    entry of (λI - T_j)^-1 is (-1)^(j+1) / t_j.
     """
     ks = range(size)
     rows = [(0,) * size, (1,) * size, tuple(k - last for k in ks)]
@@ -240,7 +206,8 @@ def _continuant_values(last, size, longest):
 @lru_cache(maxsize=1 << 16)
 def side_table(pendants, cycles, size):
     """(P(k), N(k)) for k in range(size) of the chains hanging from one hub,
-    and whether every repeated θ of the side has only integer roots.
+    and whether every repeated θ of the side has only integer roots
+    (_repeats_integral).
 
     P = ∏ θ_i and N / P = Σ c_i M_i / θ_i over the distinct chain kinds i,
     c_i copies each, is the hub's share of the quotient's Schur complement,
@@ -265,8 +232,7 @@ def side_table(pendants, cycles, size):
             [p_k * th for p_k, th in zip(p, theta)],
             [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
         )
-    ok = all(_integer_roots_only(theta) for theta, _ in _thetas(pendant_kinds, cycle_kinds))
-    return tuple(p), tuple(n), ok
+    return tuple(p), tuple(n), _repeats_integral(pendant_kinds, cycle_kinds)
 
 
 def _fold_paths(kinds, hub_edge, size):
@@ -306,11 +272,10 @@ def _fold_paths(kinds, hub_edge, size):
 def links_table(paths, hub_edge, size):
     """(P(k), N(k), T(k)) for k in range(size) of the internal paths, as
     _fold_paths folds them, and whether every repeated θ of the paths has
-    only integer roots."""
+    only integer roots (_repeats_integral)."""
     kinds = _kinds(paths)
     p, n, t = _fold_paths(kinds, hub_edge, size)
-    ok = all(_integer_roots_only(theta) for theta, _ in _thetas(path_kinds=kinds))
-    return tuple(p), tuple(n), tuple(t), ok
+    return tuple(p), tuple(n), tuple(t), _repeats_integral(path_kinds=kinds)
 
 
 def one_hub_coupling(size) -> tuple:
@@ -336,7 +301,15 @@ def two_hub_coupling(links, side_u, degree_u) -> tuple:
 
 def quotient_values(coupling, side, degree, n) -> list:
     """[Q(0), ..., Q(n)], Q(k) = Y(k) A(k) - P(k) B(k) with (A, B) a
-    coupling, (P, N) the side's table and Y(k) = (k - degree) P(k) - N(k)."""
+    coupling, (P, N) the side's table and Y(k) = (k - degree) P(k) - N(k).
+
+    Q, of degree at most n, is the monic characteristic polynomial of the
+    quotient of L by the equitable partition with the hubs as singletons
+    and one cell per chain kind and position along the chain. A G1
+    member's is X = (λ - d_u) P_u - N_u. A G2 member's is
+    P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B, which is
+    (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
+    C' = hub_edge · P - U multiplied out (see _fold_paths for U)."""
     a, b = coupling
     p, nn, _ = side
     return [((k - degree) * p[k] - nn[k]) * a[k] - p[k] * b[k] for k in range(n + 1)]
@@ -363,58 +336,14 @@ def side_sign_change(coupling, side, degree, n):
     return None
 
 
-def _member_tables(cfg: FamilyConfig) -> tuple:
-    """(coupling, side table, degree) of cfg's quotient at k = 0..n: the
-    u side of a G1 member, the v side of a G2 member."""
-    size = cfg.vertex_count() + 1
-    side_u = side_table(cfg.pendants_u, cfg.cycles_u, size)
-    if cfg.family == "G1":
-        return one_hub_coupling(size), side_u, cfg.hub_degree_u()
-    links = links_table(cfg.paths, cfg.hub_edge, size)
-    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
-    return coupling, side_table(cfg.pendants_v, cfg.cycles_v, size), cfg.hub_degree_v()
-
-
-def family_factors(cfg: FamilyConfig) -> tuple:
-    """(repeated_factors(cfg), quotient), the quotient an ascending
-    coefficient list, with det(λI - L) = quotient · ∏ θ^exponent over the
-    repeated factors.
-
-    The quotient is the monic characteristic polynomial of the quotient
-    matrix of L by the equitable partition with the hubs as singletons and
-    one cell per chain kind and position along the chain. With
-    X = (λ - d_u) P_u - N_u and Y = (λ - d_v) P_v - N_v from the hub sides
-    and P, N, T from the internal paths (see side_table and links_table):
-    G1 gives X, and G2 gives P X Y - N (X P_v + Y P_u) + P_u P_v T =
-    Y A - P_v B with A = P X - N P_u and B = N X - P_u T, which is
-    (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
-    C' = hub_edge · P - U multiplied out. Its degree is at most n, so its
-    coefficients are interpolated from its values at 0..n.
-    """
-    values = quotient_values(*_member_tables(cfg), cfg.vertex_count())
-    return repeated_factors(cfg), interpolate(values)
-
-
-def family_char_poly(cfg: FamilyConfig) -> list:
-    """Ascending coefficients of det(λI - L) of a G1/G2 member, no matrix
-    built: the product of family_factors(cfg). Equal to char_poly(laplacian(
-    realize(cfg))), which the tests use as its oracle.
-    """
-    repeated, out = family_factors(cfg)
-    for theta, exponent in repeated:
-        for _ in range(exponent):
-            out = poly_mul(out, theta)
-    return out
-
-
 def path_quotient(counts, hub_edge) -> list:
     """Ascending coefficients of the equitable quotient polynomial of a G2
     member whose hubs carry only internal paths, c_i paths of each order i.
 
     counts holds (order, c_i) pairs with int c_i. With X = λ - d for the
     hub degree d = hub_edge + Σ c_i and P, N, T from the paths (see
-    _fold_paths), it is Q = P X² - 2 N X + T, family_factors' quotient with
-    empty hub sides, interpolated from its values at 0..deg Q. Every
+    _fold_paths), it is Q = P X² - 2 N X + T, quotient_values' Q with empty
+    hub sides, interpolated from its values at 0..deg Q. Every
     order's θ divides P, also where c_i = 0.
     """
     counts = tuple(counts)

@@ -608,15 +608,6 @@ def _exact_quotient(a, b):
     return [-x for x in q] if q[-1] < 0 else q
 
 
-def poly_mul(a, b):
-    """Product of two ascending integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _divisors(n: int, limit: int):
     """Positive divisors of n that are at most limit, ascending.
 

@@ -6,15 +6,20 @@ from literal union/join trees, real roots are isolated by bisection on
 Fractions and counted with multiplicity over the chain of repeated gcds,
 signs at rational points come from Horner's rule, polynomials are divided
 over Q and multiplied back one linear factor at a time, and matrices are
-read off adjacency tests one entry at a time. None of it shares code with the library paths it checks,
-except reference_sweep: it checks how verify_theorem walks, hoists and
-tallies, and makes the library's own decisions one member at a time, all
-but the sign scan, which it reads off the quotient's values one by one;
-_side and _fold_links, the polynomial folds of a hub side and of the
-internal paths that the library folds as values, which build on the
-library's continuant polynomials; and the join criterion for a(G) = k(G)
-and the graph Γ_101 at the end, which decide with the library's exact
-kernels and have only tests as callers.
+read off adjacency tests one entry at a time. The chain continuants are
+built here as polynomials (_continuants), and _side and _fold_links fold
+a hub side and the internal paths over them, as polynomials where the
+library folds values. None of it shares code with the library paths it
+checks, with three exceptions. family_factors and family_char_poly
+assemble a member's quotient from the library's value tables, through
+quotient_values and interpolate, and multiply in the repeated chain
+factors θ^(c-1); the tests check both against Berkowitz on the realized
+Laplacian. reference_sweep checks how verify_theorem walks, hoists and
+tallies: it decides one member at a time, a repeated θ by its integer
+roots, the sign scan from the quotient's values one by one, and the rest
+by split_integer_roots of family_factors' quotient. And the join criterion for a(G) = k(G) and
+the graph Γ_101 at the end decide with the library's exact kernels and
+have only tests as callers.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, gcd, isqrt, lcm
 
@@ -39,18 +45,22 @@ from lapspec import (
     connected_components,
     disjoint_union,
     enumerate_family,
-    family_factors,
+    interpolate,
     is_connected,
     join,
     laplacian,
-    poly_mul,
-    repeated_factors,
     split_integer_roots,
     sturm_count,
     vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
-from lapspec.matrices import _add, _continuants
+from lapspec.matrices import (
+    links_table,
+    one_hub_coupling,
+    quotient_values,
+    side_table,
+    two_hub_coupling,
+)
 
 
 def lift(coeffs) -> MPoly:
@@ -420,13 +430,123 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     return IntMatrix([[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)])
 
 
+# -- the characteristic polynomial of a family member, assembled --------------
+
+
+def _add(a, b, scale=1):
+    """a + scale * b, trailing zeros trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += scale * x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_mul(a, b):
+    """Product of two ascending coefficient lists, by the schoolbook sum."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _continuants(k, last):
+    """(t_k, t_{k-1}, t_{k-2}) as polynomials for the k x k tridiagonal T
+    with -1 off the diagonal and diagonal 2, ..., 2, last.
+
+    t_j = det(λI - T_j) with T_j the trailing j x j block of T, so t_k = θ,
+    t_{k-1} leaves out the first vertex and, when last = 2, t_{k-2} leaves
+    out both end vertices; t_{-1} = 0. The corner entry of (λI - T)^-1 is
+    (-1)^(k+1) / θ.
+    """
+    older, old, cur = (), (1,), (-last, 1)
+    for _ in range(k - 1):
+        # (λ - 2) t_{j-1} - t_{j-2}, the product by λ - 2 as a shift
+        older, old, cur = old, cur, tuple(_add(_add((0,) + cur, cur, -2), old, -1))
+    return cur, old, older
+
+
+def _kinds(lengths):
+    """(length, count) for each distinct length, ascending."""
+    return sorted(Counter(lengths).items())
+
+
+def continuant_theta(kind, length):
+    """θ of a chain: the continuant t_L (last = 1) of a pendant path on L
+    vertices, t_{L-1} (last = 2) of a cycle of length L and t_{i-2}
+    (last = 2) of an internal path of order i."""
+    if kind == "pendant":
+        return _continuants(length, 1)[0]
+    return _continuants(length - (1 if kind == "cycle" else 2), 2)[0]
+
+
+def vertex_count(cfg) -> int:
+    """The order of cfg's member from its fields: the hubs, every vertex
+    of a pendant path, a cycle's vertices but its hub and an internal
+    path's but its two hubs."""
+    hubs = 1 if cfg.family == "G1" else 2
+    pendants = sum(cfg.pendants_u) + sum(cfg.pendants_v)
+    cycles = sum(length - 1 for length in cfg.cycles_u + cfg.cycles_v)
+    return hubs + pendants + cycles + sum(order - 2 for order in cfg.paths)
+
+
+def repeated_factors(cfg) -> tuple:
+    """(θ, c - 1) for each chain kind that occurs c >= 2 times on one hub
+    side or among the internal paths: the factors of det(λI - L) beyond
+    its equitable quotient, θ the chain's continuant as an ascending
+    coefficient tuple, u's pendants and cycles first, then v's, then the
+    internal paths."""
+    chains = [("pendant", cfg.pendants_u), ("cycle", cfg.cycles_u)]
+    chains += [("pendant", cfg.pendants_v), ("cycle", cfg.cycles_v), ("path", cfg.paths)]
+    return tuple(
+        (continuant_theta(kind, length), c - 1)
+        for kind, lengths in chains
+        for length, c in _kinds(lengths)
+        if c > 1
+    )
+
+
+def member_tables(cfg) -> tuple:
+    """(coupling, side table, degree) of cfg's quotient at k = 0..n, the
+    arguments of quotient_values and side_sign_change: the u side of a G1
+    member, the v side of a G2 member."""
+    size = vertex_count(cfg) + 1
+    side_u = side_table(cfg.pendants_u, cfg.cycles_u, size)
+    if cfg.family == "G1":
+        return one_hub_coupling(size), side_u, cfg.hub_degree_u()
+    links = links_table(cfg.paths, cfg.hub_edge, size)
+    coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
+    return coupling, side_table(cfg.pendants_v, cfg.cycles_v, size), cfg.hub_degree_v()
+
+
+def family_factors(cfg) -> tuple:
+    """(repeated_factors(cfg), quotient), with det(λI - L) = quotient ·
+    ∏ θ^exponent over the repeated factors: the quotient, of degree at
+    most n, interpolated from its values at 0..n (quotient_values)."""
+    values = quotient_values(*member_tables(cfg), vertex_count(cfg))
+    return repeated_factors(cfg), interpolate(values)
+
+
+def family_char_poly(cfg) -> list:
+    """det(λI - L) of a G1/G2 member as the product of family_factors(cfg),
+    no matrix built."""
+    repeated, out = family_factors(cfg)
+    for theta, exponent in repeated:
+        for _ in range(exponent):
+            out = poly_mul(out, theta)
+    return out
+
+
 # -- the classification sweep one member at a time ------------------------------
 
 
 def has_quotient_sign_change(cfg) -> bool:
     """Whether family_factors' quotient takes nonzero values of opposite sign
     at some k and k + 1 in 1..n, its signs read one by one."""
-    quotient, n = family_factors(cfg)[1], cfg.vertex_count()
+    quotient, n = family_factors(cfg)[1], vertex_count(cfg)
     signs = [fraction_sign(quotient, k) for k in range(1, n + 1)]
     return any(a * b < 0 for a, b in zip(signs, signs[1:]))
 
@@ -462,11 +582,6 @@ def reference_sweep(n_min: int, n_max: int):
 
 
 # -- the polynomial fold of a hub side -------------------------------------------
-
-
-def _kinds(lengths):
-    """(length, count) for each distinct length, ascending."""
-    return sorted(Counter(lengths).items())
 
 
 def _side(pendants, cycles):

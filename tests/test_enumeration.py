@@ -23,6 +23,7 @@ from lapspec import (
     firefly,
     join,
     realize,
+    split_integer_roots,
     star,
     theorem_tag,
     verify_theorem,
@@ -38,9 +39,11 @@ from lapspec.enumeration import (
     BudgetExceededError,
 )
 from oracle_helpers import (
+    family_char_poly,
     has_quotient_sign_change,
     kirkland_decomposition_check,
     reference_sweep,
+    repeated_factors,
     scrambled_fields,
 )
 
@@ -176,7 +179,7 @@ def test_verify_theorem_nine():
 
 def test_verdicts_match_dense_path_at_eleven():
     # every record field against realize -> Berkowitz -> split_integer_roots
-    from lapspec import char_poly, is_bipartite, laplacian, split_integer_roots, to_graph6
+    from lapspec import char_poly, is_bipartite, laplacian, to_graph6
 
     summary, records = sweep_records(11, 11)
     assert len(records) == 2768
@@ -196,8 +199,6 @@ def test_verdicts_match_dense_path_at_eleven():
 
 
 def has_non_integral_repeated_factor(cfg):
-    from lapspec import repeated_factors, split_integer_roots
-
     return any(len(split_integer_roots(t)[1]) > 1 for t, _ in repeated_factors(cfg))
 
 
@@ -249,8 +250,6 @@ def test_shard_walk_matches_the_reference_sweep_nine_to_thirteen(sweep_nine_to_t
 
 def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen(sweep_nine_to_thirteen):
     # oracle: integer roots of the whole det(λI - L), with no early exit
-    from lapspec import family_char_poly, split_integer_roots
-
     summary, records = sweep_nine_to_thirteen
     counts = [0, 0, 0]  # members, integral, decided by a repeated factor
     for r in records:

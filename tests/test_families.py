@@ -14,7 +14,6 @@ from lapspec import (
     closed_form_root_check,
     cross_check_with_realization,
     erratum_entries,
-    family_factors,
     is_L_integral,
     parse_poly,
     quotient_cells,
@@ -36,7 +35,7 @@ from lapspec.families import (
     load_cases,
 )
 
-from oracle_helpers import fraction_sign, lift
+from oracle_helpers import family_factors, fraction_sign, lift
 
 ALL_CASES = (
     "4.4",

@@ -18,12 +18,13 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots, poly_mul
+from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
     fraction_isolate_roots,
     fraction_square_free_part,
+    poly_mul,
     random_connected_graph,
 )
 

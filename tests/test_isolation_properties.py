@@ -17,9 +17,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lapspec.polys import integer_roots, isolate_roots, poly_mul  # noqa: E402
+from lapspec.polys import integer_roots, isolate_roots  # noqa: E402
 
-from oracle_helpers import fraction_isolate_roots  # noqa: E402
+from oracle_helpers import fraction_isolate_roots, poly_mul  # noqa: E402
 
 coefficients = st.lists(
     st.one_of(st.integers(-20, 20), st.integers(-10**12, 10**12)), min_size=2, max_size=10

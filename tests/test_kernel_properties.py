@@ -35,7 +35,6 @@ from lapspec.polys import (  # noqa: E402
     _square_free_chain,
     interpolate,
     parse_poly,
-    poly_mul,
     poly_value,
     split_integer_roots,
 )
@@ -46,6 +45,7 @@ from oracle_helpers import (  # noqa: E402
     _q_primitive,
     _q_rational_roots,
     fold_path_quotient,
+    poly_mul,
 )
 
 polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)

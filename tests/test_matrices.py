@@ -11,27 +11,35 @@ from lapspec import (
     char_poly,
     det_gauss,
     enumerate_family,
-    family_char_poly,
-    family_factors,
     laplacian,
     parse_poly,
     path_quotient,
-    poly_mul,
     quotient_cells,
     quotient_matrix,
     realize,
-    repeated_factors,
     split_integer_roots,
     sturm_count,
 )
-from lapspec.matrices import _member_tables, side_sign_change
+from lapspec.matrices import _repeats_integral, side_sign_change
 
-from oracle_helpers import fraction_counts_above, fraction_sign, lift, principal_submatrix
+from oracle_helpers import (
+    continuant_theta,
+    family_char_poly,
+    family_factors,
+    fraction_counts_above,
+    fraction_sign,
+    lift,
+    member_tables,
+    poly_mul,
+    principal_submatrix,
+    repeated_factors,
+    vertex_count,
+)
 
 
 def sign_change(cfg):
     """The sweep's sign scan (side_sign_change) of cfg's quotient."""
-    return side_sign_change(*_member_tables(cfg), cfg.vertex_count())
+    return side_sign_change(*member_tables(cfg), vertex_count(cfg))
 
 
 def interior_blocks(*sizes):
@@ -225,7 +233,7 @@ def assert_tables_equal_the_folds(sides, links, size):
     (the oracles _side and _fold_links) evaluated as sum(c_i k^i) at k in
     range(size), and the flag says whether every repeated θ has only
     integer roots."""
-    from lapspec.matrices import _continuants, links_table, side_table
+    from lapspec.matrices import links_table, side_table
 
     from oracle_helpers import _fold_links, _side
 
@@ -245,7 +253,7 @@ def assert_tables_equal_the_folds(sides, links, size):
     for paths, hub_edge in links:
         kinds = sorted(Counter(paths).items())
         p, n, t = _fold_links(kinds, hub_edge)
-        ok = integer_roots_only(_continuants(order - 2, 2)[0] for order, c in kinds if c > 1)
+        ok = integer_roots_only(continuant_theta("path", order) for order, c in kinds if c > 1)
         want = (values(p), values(n), values(t), ok)
         assert links_table(paths, hub_edge, size) == want, (paths, hub_edge)
         flags[ok] += 1
@@ -277,34 +285,20 @@ def test_value_tables_equal_the_folds_of_the_sixteen_fill():
 
 
 def test_table_fill_builds_no_polynomial(monkeypatch):
-    # the fill folds values only: no polynomial product, with every cache
-    # of the table layer cleared first
+    # the fill folds values only: with every cache of the table layer
+    # cleared first, it never interpolates, the one polys function
+    # matrices imports (see test_layering)
     from lapspec import matrices
     from lapspec.enumeration import _fill_tables
 
-    for cached in (
-        matrices.side_table,
-        matrices.links_table,
-        matrices._continuants,
-        matrices._continuant_values,
-    ):
+    for cached in (matrices.side_table, matrices.links_table, matrices._continuant_values):
         cached.cache_clear()
-    calls = Counter()
-
-    def counted(name):
-        inner = getattr(matrices, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(matrices, "poly_mul", counted("poly_mul"))
+    calls, inner = [], matrices.interpolate
+    monkeypatch.setattr(matrices, "interpolate", lambda values: calls.append(values) or inner(values))
     _fill_tables(12)
     assert matrices.side_table.cache_info().currsize == 752
     assert matrices.links_table.cache_info().currsize == 277
-    assert not calls, calls
+    assert calls == []
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
@@ -380,13 +374,33 @@ def chain_theta(kind, length):
     return theta
 
 
+def repeats_integral(kind, length):
+    """The tables' rule (_repeats_integral) on two chains of one kind."""
+    field = {"pendant": "pendant_kinds", "cycle": "cycle_kinds", "path": "path_kinds"}[kind]
+    return _repeats_integral(**{field: [(length, 2)]})
+
+
+def chain_kinds(longest):
+    """(kind, length) of every chain with length at most longest."""
+    kinds = [("pendant", k) for k in range(1, longest + 1)]
+    return kinds + [(kind, k) for kind in ("cycle", "path") for k in range(3, longest + 1)]
+
+
 def test_integral_chain_kinds_up_to_sixteen():
-    kinds = [("pendant", k) for k in range(1, 17)]
-    kinds += [("cycle", k) for k in range(3, 17)] + [("path", k) for k in range(3, 17)]
+    # Berkowitz on each chain's block of a realized Laplacian is the oracle
+    # of the rule the tables apply to repeated chain kinds
     integral = {
-        kind for kind in kinds if len(split_integer_roots(chain_theta(*kind))[1]) <= 1
+        kind for kind in chain_kinds(16) if len(split_integer_roots(chain_theta(*kind))[1]) <= 1
     }
     assert integral == {("pendant", 1), ("cycle", 3), ("path", 3), ("path", 4)}
+    assert integral == {kind for kind in chain_kinds(16) if repeats_integral(*kind)}
+    # and up to 64, the polynomial continuants are
+    for kind in chain_kinds(64):
+        theta = continuant_theta(*kind)
+        assert repeats_integral(*kind) == (len(split_integer_roots(theta)[1]) <= 1), kind
+    # a kind that occurs once puts no θ beyond the quotient
+    assert _repeats_integral([(2, 1)], [(4, 1)], [(5, 1)])
+    assert not _repeats_integral([(1, 3)], [(3, 2)], [(4, 2), (5, 2)])
 
 
 def test_family_char_poly_rejects_invalid_configs():

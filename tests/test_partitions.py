@@ -11,12 +11,11 @@ from lapspec import (
     laplacian,
     parse_partition,
     path,
-    poly_mul,
     quotient_matrix,
     realize,
     star,
 )
-from oracle_helpers import adjacency_matrix
+from oracle_helpers import adjacency_matrix, poly_mul
 
 
 def test_star_center_leaves_partition():

@@ -11,7 +11,6 @@ from lapspec import (
     integer_roots,
     isolate_roots,
     parse_poly,
-    poly_mul,
     poly_text,
     poly_value,
     split_integer_roots,
@@ -28,7 +27,7 @@ from lapspec.polys import (
     _sturm_chain,
     _synthetic_div,
 )
-from oracle_helpers import fraction_divides, lift, reconstructs
+from oracle_helpers import fraction_divides, lift, poly_mul, reconstructs
 
 
 def lam():
