@@ -8,11 +8,13 @@ enumerate_family turns the walk into FamilyConfig records. An independent
 vertex-augmentation generator with canonical-form deduplication guards
 completeness at small orders. The verification sweep walks the same
 members in one process, shard by shard (the G1 members, then each G2 link
-set and u side), with no FamilyConfig per member: it decides exact
-integrality from the value tables of the hub-side and link folds (see
-matrices.side_table), compares against structural recognition of the six
-closed families and tallies, member by member in place, keeping nothing
-per member; given a text stream, it writes each member's record to it.
+set and u side), with no FamilyConfig per member: it reads each member's
+hub side, value table and degree off cached per-budget side records,
+decides exact integrality from the value tables of the hub-side and link
+folds (see matrices.side_table), compares against structural recognition
+of the six closed families and tallies, member by member in place,
+keeping nothing per member; given a text stream, it writes each member's
+record to it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .matrices import (
     side_table,
     two_hub_coupling,
 )
-from .polys import interpolate, only_integer_roots
+from .polys import deflate, interpolate
 
 DEFAULT_BUDGET = 12
 BUDGET_ENV = "LAPSPEC_BUDGET"
@@ -107,65 +109,86 @@ def _sides(budget: int) -> tuple:
     )
 
 
-def _g1_sides(n: int):
-    """The hub sides (pendants, cycles) of the G1 members on n vertices."""
-    budget = n - 1
-    for cyc_used in range(budget + 1):
-        for cycles in _cycle_multisets(cyc_used):
-            for pendants in _partitions(budget - cyc_used, 1):
-                if FamilyConfig.side_degree(pendants, cycles) >= 3:
-                    yield pendants, cycles
+@lru_cache(maxsize=None)
+def _side_records(budget: int, size: int, min_degree: int) -> tuple:
+    """(side, table, degree) for each hub side of _sides(budget), in that
+    order, whose degree (FamilyConfig.side_degree) is at least min_degree:
+    table is the side's side_table of size entries, or None for size 0, a
+    walk that decides nothing. The records of one budget and size are
+    built once and shared by every min_degree, and they reference the
+    cached tables, so the walk reads a member's table and degree with no
+    lookup."""
+    if min_degree:
+        return tuple(r for r in _side_records(budget, size, 0) if r[2] >= min_degree)
+    return tuple(
+        (side, side_table(*side, size) if size else None, FamilyConfig.side_degree(*side))
+        for side in _sides(budget)
+    )
 
 
-def _g2_links(n: int):
+@lru_cache(maxsize=None)
+def _g1_records(n: int, size: int) -> tuple:
+    """The side records (see _side_records) of the G1 members on n
+    vertices, each hub side of degree at least 3 one member, cycles before
+    pendants: by cycle budget, then cycles, then pendants."""
+    by_side = {record[0]: record for record in _side_records(n - 1, size, 3)}
+    return tuple(
+        by_side[pendants, cycles]
+        for cyc_used in range(n)
+        for cycles in _cycle_multisets(cyc_used)
+        for pendants in _partitions(n - 1 - cyc_used, 1)
+        if (pendants, cycles) in by_side
+    )
+
+
+@lru_cache(maxsize=None)
+def _g2_links(n: int) -> tuple:
     """The (hub edge, internal paths) pairs of the G2 members on n vertices."""
     budget = n - 2
+    links = []
     for hub_edge in (False, True):
         for path_used in range(budget + 1):
             for parts in _partitions(path_used, 1):
                 paths = tuple(p + 2 for p in parts)
                 if hub_edge or paths:
-                    yield hub_edge, paths
+                    links.append((hub_edge, paths))
+    return tuple(links)
 
 
-def _g2_sides(n: int, hub_edge: bool, paths: tuple):
-    """(u side, [v sides]) for the G2 members on n vertices with these
-    links, each pair of sides one member: every hub has degree at least 3
-    and the u side is the lighter (see FamilyConfig)."""
+def _g2_sides(n: int, hub_edge: bool, paths: tuple, size: int):
+    """(u record, [v records]) for the G2 members on n vertices with these
+    links, records as _side_records gives them, each pair of sides one
+    member: every hub has degree at least 3 and the u side is the lighter
+    (see FamilyConfig). The one u/v-side loop of the walk."""
     rem = n - 2 - sum(p - 2 for p in paths)
-    base = hub_edge + len(paths)
+    min_degree = max(0, 3 - hub_edge - len(paths))
     for bu in range(rem + 1):
-        for side_u in _sides(bu):
-            pu, cu = side_u
-            if base + FamilyConfig.side_degree(pu, cu) < 3:
-                continue
-            v_sides = [
-                side_v
-                for side_v in _sides(rem - bu)
-                if side_u <= side_v and base + FamilyConfig.side_degree(*side_v) >= 3
-            ]
-            if v_sides:
-                yield side_u, v_sides
+        v_all = _side_records(rem - bu, size, min_degree)
+        for record_u in _side_records(bu, size, min_degree) if v_all else ():
+            side_u = record_u[0]
+            v_records = [record for record in v_all if side_u <= record[0]]
+            if v_records:
+                yield record_u, v_records
 
 
 def enumerate_family(family: str, n: int):
     """Every family member on n vertices, one config per iso class.
 
-    The walk is the sweep's (see verify_theorem): G1 members by hub side,
-    G2 members by links, then u side, then v side. It builds each config
-    already normalized (multisets ascending, the lighter hub side first),
-    so FamilyConfig keeps the walk's shared tuples rather than sorting
-    copies.
+    The walk is the sweep's (see verify_theorem), with no value tables:
+    G1 members by hub side, G2 members by links, then u side, then v side.
+    It builds each config already normalized (multisets ascending, the
+    lighter hub side first), so FamilyConfig keeps the walk's shared
+    tuples rather than sorting copies.
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
     if family == "G1":
-        for pendants, cycles in _g1_sides(n):
+        for (pendants, cycles), _, _ in _g1_records(n, 0):
             yield FamilyConfig("G1", pendants_u=pendants, cycles_u=cycles)
     elif family == "G2":
         for hub_edge, paths in _g2_links(n):
-            for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
-                for pv, cv in v_sides:
+            for ((pu, cu), _, _), v_records in _g2_sides(n, hub_edge, paths, 0):
+                for (pv, cv), _, _ in v_records:
                     yield FamilyConfig("G2", hub_edge, paths, pu, cu, pv, cv)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -397,53 +420,68 @@ class TheoremSummary:
 def _shard_groups(n, size):
     """The sweep's shards at order n in walk order: the G1 members as one
     shard, then one per G2 link set and u side. Each is (key prefix,
-    coupling, ok, base, v sides), one member per v side: its key() is
-    prefix + side + suffix (suffix () for G2, the empty v side for G1),
-    and the hub carrying the side has degree base +
-    FamilyConfig.side_degree(*side). ok is false when the chains the shard
-    fixes (the links and the u side) repeat a kind whose θ has a
-    non-integer root, any kind but the pendant edge, the triangle and the
-    internal paths of order 3 and 4 (see matrices.side_table). A shard
-    with no member is skipped."""
-    g1_sides = list(_g1_sides(n))
-    if g1_sides:
-        yield ("G1", False, ()), one_hub_coupling(size), True, 0, g1_sides
+    coupling, ok, base, u record, v records), with the side records of
+    _side_records (u record None for G1), one member per v record (side,
+    table, degree): its key() is prefix + side + suffix (suffix () for G2,
+    the empty v side for G1), and the hub carrying the side has degree
+    base + degree. ok is false when the chains the shard fixes (the links
+    and the u side) repeat a kind whose θ has a non-integer root, any kind
+    but the pendant edge, the triangle and the internal paths of order 3
+    and 4 (see matrices.side_table). A shard with no member is skipped."""
+    g1_records = _g1_records(n, size)
+    if g1_records:
+        yield ("G1", False, ()), one_hub_coupling(size), True, 0, None, g1_records
     for hub_edge, paths in _g2_links(n):
         links = links_table(paths, hub_edge, size)
         base = hub_edge + len(paths)
-        for (pu, cu), v_sides in _g2_sides(n, hub_edge, paths):
-            side_u = side_table(pu, cu, size)
-            ok = links[3] and side_u[2]
-            degree_u = base + FamilyConfig.side_degree(pu, cu)
-            coupling = two_hub_coupling(links, side_u, degree_u) if ok else None
-            yield ("G2", hub_edge, paths, pu, cu), coupling, ok, base, v_sides
+        for record_u, v_records in _g2_sides(n, hub_edge, paths, size):
+            side_u, table_u, degree_u = record_u
+            ok = links[3] and table_u[2]
+            coupling = two_hub_coupling(links, table_u, base + degree_u) if ok else None
+            yield ("G2", hub_edge, paths) + side_u, coupling, ok, base, record_u, v_records
+
+
+def _integral_from_values(values) -> bool:
+    """Whether the quotient Q of an n-vertex member, given as its values
+    [Q(0), ..., Q(n)], has only integer roots.
+
+    Q's roots are eigenvalues of the member's Laplacian L(G) (Q is the
+    characteristic polynomial of an equitable quotient of L(G)), and they
+    lie in [0, n]: L(G) + L(Ḡ) = nI - J for the complement Ḡ, and L(Ḡ)
+    and J are positive semidefinite, so 0 ≼ L(G) ≼ nI - J ≼ nI. Q's
+    integer roots are therefore exactly the k in 0..n with Q(k) = 0, and
+    deflating Q by each of them, as often as it is a root (polys.deflate),
+    leaves a constant exactly when Q has no other root. No divisor search
+    runs."""
+    zeros = [k for k, q in enumerate(values) if not q]
+    return len(deflate(interpolate(values), zeros)[1]) <= 1
 
 
 def _decide_shard(n, shard, size, row, counts, mismatches, out):
     """Decide, tag and tally every member of one shard of order n from the
-    value tables of size entries (see matrices.side_sign_change).
+    value tables of size entries (see matrices.side_sign_change), reading
+    each member's table and degree off its v record.
 
     A member is not integral when it repeats a chain kind whose θ has a
     non-integer root, which the tables' flags read off the chain kinds by
     rule (a repeated exit), or when its equitable quotient changes sign
     between consecutive integers (a sign exit), both decided with no
     polynomial built. For the members left, the integer-root test
-    decides on the quotient interpolated from its values at 0..n. The
-    members are tallied into row (graphs, integral, disagreements) and the
-    exits and root-test seconds into counts; a member gets a FamilyConfig
-    only in its member_record, which is kept, in mismatches, only when the
-    member disagrees. Given a text stream out, each member's record is
-    written to it as one JSON line as soon as the member is decided."""
-    prefix, coupling, ok, base, v_sides = shard
+    decides on the quotient's values at 0..n (see _integral_from_values).
+    The members are tallied into row (graphs, integral, disagreements) and
+    the exits and root-test seconds into counts; a member gets a
+    FamilyConfig only in its member_record, which is kept, in mismatches,
+    only when the member disagrees. Given a text stream out, each member's
+    record is written to it as one JSON line as soon as the member is
+    decided."""
+    prefix, coupling, ok, base, _, v_records = shard
     suffix = ((), ()) if prefix[0] == "G1" else ()
-    clock, side_degree = time.perf_counter, FamilyConfig.side_degree
+    clock = time.perf_counter
     integrals = disagreements = repeated = signs = 0
     root_s = 0.0
-    for side in v_sides:
-        pendants, cycles = side
+    for side, table, degree in v_records:
         key = prefix + side + suffix
-        table = side_table(pendants, cycles, size)
-        degree = base + side_degree(pendants, cycles)
+        degree += base
         if not (ok and table[2]):
             repeated += 1
             integral = False
@@ -452,7 +490,7 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
             integral = False
         else:
             t0 = clock()
-            integral = only_integer_roots(interpolate(quotient_values(coupling, table, degree, n)))
+            integral = _integral_from_values(quotient_values(coupling, table, degree, n))
             root_s += clock() - t0
         tag = _key_tag(*key)
         integrals += integral
@@ -463,7 +501,7 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
                 mismatches.append(record)
             if out is not None:
                 out.write(json.dumps(record, ensure_ascii=False) + "\n")
-    row[0] += len(v_sides)
+    row[0] += len(v_records)
     row[1] += integrals
     row[2] += disagreements
     counts["repeated_exits"] += repeated
@@ -515,19 +553,27 @@ def verify_theorem(n_min: int, n_max: int, out=None) -> TheoremSummary:
     _fill_tables(n_max)
     t1 = clock()
     size = n_max + 1
-    mismatches, tally, sides, links = [], {}, set(), set()
+    mismatches, tally, met, links = [], {}, set(), set()
     counts = {"repeated_exits": 0, "sign_exits": 0, "root_test_s": 0.0}
     for n in range(n_min, n_max + 1):
         for shard in _shard_groups(n, size):
-            prefix, v_sides = shard[0], shard[4]
-            if prefix[0] == "G2":
+            prefix, record_u, v_records = shard[0], shard[4], shard[5]
+            if record_u is not None:
                 links.add(prefix[1:3])
-                sides.add(prefix[3:])
-            sides.update(v_sides)
+                met.add(id(record_u))
+            met.update(map(id, v_records))
             row = tally.setdefault((n, prefix[0]), [0, 0, 0])
             _decide_shard(n, shard, size, row, counts, mismatches, out)
     t2 = clock()
     rows = tuple((n, family, *tally[(n, family)]) for n, family in sorted(tally))
+    # every record is one of _side_records(budget, size, 0)'s, so the sides
+    # met are those whose record's identity the walk noted
+    sides = [
+        record[0]
+        for budget in range(n_max)
+        for record in _side_records(budget, size, 0)
+        if id(record) in met
+    ]
     chains = {("path", order) for _, paths in links for order in paths}
     for pendants, cycles in sides:
         chains.update(("pendant", length) for length in pendants)

@@ -215,24 +215,35 @@ def side_table(pendants, cycles, size):
     M = t_{L-1} (last = 1); a cycle of length L has L - 1 further vertices
     with both ends on the hub, so θ = t_{L-1} and M, both end entries plus
     twice the corner, is 2 t_{L-2} + 2 (-1)^L (last = 2); each kind of
-    count c maps (P, N) to (P θ, N θ + c P M)."""
-    pendant_kinds, cycle_kinds = _kinds(pendants), _kinds(cycles)
-    kinds = []
-    if pendants:
-        t = _continuant_values(1, size, max(pendants))
-        kinds += [(t[length + 1], t[length], c) for length, c in pendant_kinds]
+    count c maps (P, N) to (P θ, N θ + c P M).
+
+    The table is the cached table of its prefix, the side without its last
+    kind (the longest cycles, or with no cycle the longest pendant paths),
+    folded once with that kind: a side costs one fold, not one per kind,
+    since its prefix is a side of a smaller budget the walk meets too. The
+    flag is the prefix's and _repeats_integral of the last kind."""
+    if not (pendants or cycles):
+        return (1,) * size, (0,) * size, True
+    lengths = cycles or pendants
+    length = lengths[-1]
+    start = lengths.index(length)
+    c = len(lengths) - start
     if cycles:
-        t = _continuant_values(2, size, max(cycles) - 1)
-        for length, c in cycle_kinds:
-            sign = (-1) ** length
-            kinds.append((t[length], [2 * (x + sign) for x in t[length - 1]], c))
-    p, n = (1,) * size, (0,) * size
-    for theta, m, c in kinds:
-        p, n = (
-            [p_k * th for p_k, th in zip(p, theta)],
-            [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
-        )
-    return tuple(p), tuple(n), _repeats_integral(pendant_kinds, cycle_kinds)
+        p, n, ok = side_table(pendants, cycles[:start], size)
+        t = _continuant_values(2, size, length - 1)
+        sign = (-1) ** length
+        theta, m = t[length], [2 * (x + sign) for x in t[length - 1]]
+        ok = ok and _repeats_integral(cycle_kinds=[(length, c)])
+    else:
+        p, n, ok = side_table(pendants[:start], (), size)
+        t = _continuant_values(1, size, length)
+        theta, m = t[length + 1], t[length]
+        ok = ok and _repeats_integral(pendant_kinds=[(length, c)])
+    return (
+        tuple([p_k * th for p_k, th in zip(p, theta)]),
+        tuple([n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)]),
+        ok,
+    )
 
 
 def _fold_paths(kinds, hub_edge, size):
@@ -292,7 +303,7 @@ def two_hub_coupling(links, side_u, degree_u) -> tuple:
     p, n, t, _ = links
     pu, nu, _ = side_u
     a, b = [], []
-    for k, (p_k, n_k, t_k, pu_k, nu_k) in enumerate(zip(p, n, t, pu, nu)):
+    for k, p_k, n_k, t_k, pu_k, nu_k in zip(range(len(p)), p, n, t, pu, nu):
         x = (k - degree_u) * pu_k - nu_k
         a.append(p_k * x - n_k * pu_k)
         b.append(n_k * x - pu_k * t_k)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import sub
+from operator import add, sub
 
 LAMBDA = "λ"
 
@@ -314,49 +314,55 @@ def parse_poly(text: str, variables=None) -> MPoly:
 
     Multiplication must be explicit ('40*s*t'); exponentiation binds the
     factor to its left, so '15^2' is the integer 225. With variables given,
-    every literal and name is built over them, so no operation realigns
-    variables; a name outside them is a ValueError.
+    the polynomial is over them, and a name outside them is a ValueError;
+    without, its variables are the names in order of first appearance.
+    The parser computes on term dicts (exponent tuple -> int) over those
+    variables and builds one MPoly, at the end.
     """
-    variables = None if variables is None else tuple(variables)
     tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    if variables is None:
+        variables = dict.fromkeys(tok for tok in tokens if isinstance(tok, str) and tok.isidentifier())
+    variables = tuple(variables)
+    zero = (0,) * len(variables)
+    rest = tokens[::-1]  # the tokens still to read, the next one last
 
     def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
+        return rest.pop() if rest else None
 
     def parse_expr():
         node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
+        while rest and rest[-1] in ("+", "-"):
+            op = rest.pop()
             rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = _terms_sum(node, rhs if op == "+" else _terms_neg(rhs))
         return node
 
     def parse_term():
         node = parse_factor()
-        while peek() == "*":
-            take()
-            node = node * parse_factor()
+        while rest and rest[-1] == "*":
+            rest.pop()
+            node = _terms_product(node, parse_factor())
         return node
 
     def parse_factor():
         negate = False
-        while peek() in ("+", "-"):
-            if take() == "-":
+        while rest and rest[-1] in ("+", "-"):
+            if rest.pop() == "-":
                 negate = not negate
         node = parse_primary()
-        if peek() == "^":
-            take()
+        if rest and rest[-1] == "^":
+            rest.pop()
             exp = take()
             if not isinstance(exp, int):
                 raise ValueError("exponent must be an integer literal")
-            node = node**exp
-        return -node if negate else node
+            power, node = node, {zero: 1}
+            while exp:  # by squaring
+                if exp & 1:
+                    node = _terms_product(node, power)
+                exp >>= 1
+                if exp:
+                    power = _terms_product(power, power)
+        return _terms_neg(node) if negate else node
 
     def parse_primary():
         tok = take()
@@ -366,15 +372,38 @@ def parse_poly(text: str, variables=None) -> MPoly:
                 raise ValueError("unbalanced parentheses")
             return node
         if isinstance(tok, int):
-            return MPoly.const(tok, variables or ())
+            return {zero: tok}
         if isinstance(tok, str) and tok.isidentifier():
-            return MPoly.var(tok, variables)
+            exps = tuple(1 if v == tok else 0 for v in variables)
+            if sum(exps) != 1:
+                raise ValueError(f"unknown variable {tok!r}")
+            return {exps: 1}
         raise ValueError(f"unexpected token {tok!r}")
 
     node = parse_expr()
-    if pos[0] != len(tokens):
-        raise ValueError(f"trailing input at token {tokens[pos[0]]!r}")
-    return node
+    if rest:
+        raise ValueError(f"trailing input at token {rest[-1]!r}")
+    return MPoly(variables, node)
+
+
+def _terms_sum(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return out
+
+
+def _terms_neg(a):
+    return {exps: -c for exps, c in a.items()}
+
+
+def _terms_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return out
 
 
 def _tokenize(text):
@@ -850,8 +879,10 @@ def split_integer_roots(c):
     divisors of the trailing coefficient (after the power of the variable
     is factored out) up to the smaller of the Cauchy and Fujiwara root
     bounds, so the search is bounded by the size of the roots, not of the
-    trailing coefficient. The polynomial has only integer roots exactly
-    when the cofactor is a constant.
+    trailing coefficient. Those candidates, ±d, hold every integer root r:
+    with c(0) != 0, r divides c(0) (c = (λ - r) g over Z gives c(0) =
+    -r g(0)), and |r| is at most either bound; so deflate by them leaves
+    a constant cofactor exactly when the polynomial has only integer roots.
     """
     c = _trim(list(c))
     if not c:
@@ -863,12 +894,29 @@ def split_integer_roots(c):
         k += 1
     if k:
         roots[0] = k
-    candidates = _divisors(c[0], min(_root_bound(c), _fujiwara_bound(c))) if len(c) > 1 else []
-    for d in candidates:
-        for r in (d, -d):
-            while len(c) > 1 and poly_value(c, r) == 0:
-                c = _synthetic_div(c, r)
-                roots[r] = roots.get(r, 0) + 1
+    divisors = _divisors(c[0], min(_root_bound(c), _fujiwara_bound(c))) if len(c) > 1 else []
+    found, c = deflate(c, [r for d in divisors for r in (d, -d)])
+    roots.update(found)
+    return roots, c
+
+
+def deflate(c, candidates):
+    """({root: multiplicity}, cofactor) of the integer polynomial c (a
+    trimmed ascending list, not zero) divided by (λ - r) for each integer
+    r of candidates in turn, as often as r is a root of what is left.
+
+    Each division is exact (r is a root), so the cofactor keeps integer
+    coefficients, and r's multiplicity in c is the number of divisions: a
+    root of multiplicity m leaves a cofactor with r as a root m - 1 times.
+    A candidate that is not a root leaves c unchanged. So when the
+    candidates hold every integer root of c, c has only integer roots
+    exactly when the cofactor is a constant.
+    """
+    roots = {}
+    for r in candidates:
+        while len(c) > 1 and poly_value(c, r) == 0:
+            c = _synthetic_div(c, r)
+            roots[r] = roots.get(r, 0) + 1
     return roots, c
 
 

@@ -4,10 +4,14 @@ The square-free part of a polynomial with a planted repeated factor leaves
 a gcd with the derivative that divides both and keeps the factor, the
 square-free parts along the chain of repeated gcds multiply back to the
 input up to the content, split_integer_roots finds exactly the integer
-roots planted in front of a cofactor with none, the shift-based value at a
-dyadic point equals the general scaled value, and interpolate gives back an
-integer polynomial from its values at 0, 1, ... and rejects the values of a
-polynomial whose coefficients are not all integers. parse_poly reads
+roots planted in front of a cofactor with none, deflate by the zeros in
+0..N of planted (λ - k)^m, times 1 or a monic factor with no integer
+root, finds the planted roots and leaves split_integer_roots' cofactor
+(and every other candidate leaves the polynomial as it is), the
+shift-based value at a dyadic point equals the general scaled value, and
+interpolate gives back an integer polynomial from its values at 0, 1, ...
+and rejects the values of a polynomial whose coefficients are not all
+integers. parse_poly reads
 MPoly's canonical text back to the same polynomial over the given
 variables. char_poly, on symmetric and on other matrices, takes the values
 det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
@@ -33,6 +37,7 @@ from lapspec.polys import (  # noqa: E402
     _dyadic_value,
     _scaled_value,
     _square_free_chain,
+    deflate,
     interpolate,
     parse_poly,
     poly_value,
@@ -115,6 +120,29 @@ def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor
     roots, rest = split_integer_roots(c)
     assert roots == planted
     assert rest == cofactor
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.dictionaries(st.integers(0, 16), st.integers(1, 4), max_size=5),
+    st.one_of(st.just([1]), st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(lambda c: c + [1])),
+)
+@example({3: 3}, [1])
+@example({0: 1, 2: 2}, [-2, 0, 1])
+def test_deflating_by_the_zeros_in_range_leaves_the_split_cofactor(planted, factor):
+    # the sweep's root test: every integer root lies in 0..16 and is
+    # found as a zero there; factor is 1 or monic with no integer root
+    assume(not split_integer_roots(factor)[0])
+    c = factor
+    for r, m in planted.items():
+        for _ in range(m):
+            c = poly_mul(c, [-r, 1])
+    zeros = [k for k in range(17) if poly_value(c, k) == 0]
+    roots, rest = deflate(c, zeros)
+    assert roots == planted
+    assert rest == split_integer_roots(c)[1] == factor
+    others = [k for k in range(-3, 20) if k not in planted]
+    assert deflate(c, others) == ({}, c)
 
 
 @settings(max_examples=200, deadline=None, database=None)

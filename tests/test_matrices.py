@@ -284,6 +284,27 @@ def test_value_tables_equal_the_folds_of_the_sixteen_fill():
     assert_tables_equal_the_folds(sides, links, 17)
 
 
+def test_side_tables_fold_from_their_prefix_in_any_order():
+    # side_table folds each side's last kind onto its prefix's cached
+    # table; from cleared caches, in shuffled order, every side of the
+    # _fill_tables(14) fill still equals its polynomial fold, and the
+    # cache holds as many tables as a fill leaves
+    from lapspec import matrices
+    from lapspec.enumeration import _fill_tables, _sides
+
+    for cached in (matrices.side_table, matrices._continuant_values):
+        cached.cache_clear()
+    _fill_tables(14)
+    filled = matrices.side_table.cache_info().currsize
+    sides = [side for budget in range(14) for side in _sides(budget)]
+    assert filled == len(sides) == 1770
+    random.Random(14).shuffle(sides)
+    for cached in (matrices.side_table, matrices._continuant_values):
+        cached.cache_clear()
+    assert_tables_equal_the_folds(sides, [], 15)
+    assert matrices.side_table.cache_info().currsize == filled
+
+
 def test_table_fill_builds_no_polynomial(monkeypatch):
     # the fill folds values only: with every cache of the table layer
     # cleared first, it never interpolates, the one polys function
