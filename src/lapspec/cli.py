@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .matrices import char_poly
 from .polys import divides, poly_text, split_integer_roots
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN_CASE = 3
 EXIT_BAD_PARTITION = 4
@@ -519,7 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point stdout at devnull,
+        # so that the interpreter's last flush does not raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -468,19 +468,21 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
     between consecutive integers (a sign exit), both decided with no
     polynomial built. For the members left, the integer-root test
     decides on the quotient's values at 0..n (see _integral_from_values).
-    The members are tallied into row (graphs, integral, disagreements) and
-    the exits and root-test seconds into counts; a member gets a
-    FamilyConfig only in its member_record, which is kept, in mismatches,
-    only when the member disagrees. Given a text stream out, each member's
-    record is written to it as one JSON line as soon as the member is
-    decided."""
+    Each member is tagged by _key_tag, except in a G2 shard with a
+    non-empty u side, whose members all tag none. The members are tallied
+    into row (graphs, integral, disagreements) and the exits and
+    root-test seconds into counts; a member gets a FamilyConfig only in
+    its member_record, which is kept, in mismatches, only when the member
+    disagrees. Given a text stream out, each member's record is written to
+    it as one JSON line as soon as the member is decided."""
     prefix, coupling, ok, base, _, v_records = shard
     suffix = ((), ()) if prefix[0] == "G1" else ()
+    # a G2 member with a non-empty u side can only tag none (see _key_tag)
+    tag_none = prefix[0] == "G2" and bool(prefix[3] or prefix[4])
     clock = time.perf_counter
     integrals = disagreements = repeated = signs = 0
     root_s = 0.0
     for side, table, degree in v_records:
-        key = prefix + side + suffix
         degree += base
         if not (ok and table[2]):
             repeated += 1
@@ -492,10 +494,10 @@ def _decide_shard(n, shard, size, row, counts, mismatches, out):
             t0 = clock()
             integral = _integral_from_values(quotient_values(coupling, table, degree, n))
             root_s += clock() - t0
-        tag = _key_tag(*key)
+        tag = TAG_NONE if tag_none else _key_tag(*prefix, *side, *suffix)
         integrals += integral
         if integral == (tag == TAG_NONE) or out is not None:
-            record = member_record(n, key, integral, tag)
+            record = member_record(n, prefix + side + suffix, integral, tag)
             if not record["agreement"]:
                 disagreements += 1
                 mismatches.append(record)

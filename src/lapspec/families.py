@@ -275,17 +275,14 @@ def verify_printed_matrix(case_id: str) -> dict:
     """Entrywise diff between the generated quotient and the transcription."""
     case = get_case(case_id)
     generated = build_quotient(case_id, symbolic=True)
-    variables = case.params
     diffs = []
     for i, row in enumerate(case.printed_matrix):
         for j, text in enumerate(row):
-            want = parse_poly(text, variables=variables)
+            want = parse_poly(text, variables=case.params)
             got = generated.entries[i][j]
-            got = got if isinstance(got, MPoly) else MPoly.const(got, variables)
             if got != want:
-                diffs.append(
-                    {"entry": (i, j), "printed": text, "computed": got.to_text()}
-                )
+                computed = got.to_text() if isinstance(got, MPoly) else str(got)
+                diffs.append({"entry": (i, j), "printed": text, "computed": computed})
     allowed = MATRIX_TYPO_LEDGER.get(case_id, set())
     return {
         "case": case_id,

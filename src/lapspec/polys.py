@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic over the integers.
 
 Two representations, one per job. MPoly is a sparse multivariate
-polynomial (integer or exact-rational coefficients) and serves only the
-symbolic Z[s,t][λ] catalog. Every single-graph decision works on ascending
+polynomial (integer or exact-rational coefficients) over one fixed
+variable tuple, and serves only the symbolic Z[s,t][λ] catalog; its ring
+and parse_poly compute on the same term-dict sum, negation, product and
+power. Every single-graph decision works on ascending
 integer coefficient lists in one univariate kernel: the gcd with the
 derivative by a primitive remainder sequence, exact division in Z[λ],
 square-free parts, integer-root extraction
@@ -76,8 +78,10 @@ class MPoly:
     """Sparse polynomial: map from exponent vectors to exact coefficients.
 
     Variables are an ordered tuple of names; term keys are exponent tuples
-    of the same length. Zero coefficients are never stored, so equality is
-    plain dict equality after variable alignment.
+    of the same length. Zero coefficients are never stored. Every MPoly in
+    the catalog is built over one fixed tuple, so the ring works over one
+    tuple only: a binary operation on two MPolys over different tuples is a
+    ValueError, and they are never equal. A number acts as a constant term.
     """
 
     __slots__ = ("vars", "terms")
@@ -99,10 +103,6 @@ class MPoly:
     @classmethod
     def zero(cls, variables=()):
         return cls(variables, {})
-
-    @classmethod
-    def const(cls, value, variables=()):
-        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def var(cls, name, variables=None):
@@ -139,17 +139,13 @@ class MPoly:
 
     def univariate_coeffs(self, name=LAMBDA):
         """Ascending coefficient list; requires all other variables absent."""
-        i = self.vars.index(name) if name in self.vars else None
-        if i is None:
-            if not self.is_constant():
-                raise ValueError(f"polynomial is not univariate in {name!r}")
-            return [self.constant_value()] if self.terms else []
-        coeffs = [0] * (self.degree(name) + 1)
-        for exps, c in self.terms.items():
-            if any(e and j != i for j, e in enumerate(exps)):
-                raise ValueError(f"polynomial is not univariate in {name!r}")
-            coeffs[exps[i]] = c
-        return coeffs
+        if name in self.vars:
+            coeffs = self.coefficients_in(name)
+        else:
+            coeffs = [self] if self.terms else []
+        if not all(c.is_constant() for c in coeffs):
+            raise ValueError(f"polynomial is not univariate in {name!r}")
+        return [c.constant_value() for c in coeffs]
 
     def coefficients_in(self, name) -> list:
         """Ascending coefficients of the powers of name, as polynomials in
@@ -161,103 +157,61 @@ class MPoly:
         rest = self.vars[:i] + self.vars[i + 1 :]
         return [MPoly(rest, terms) for terms in out]
 
-    # -- variable alignment -------------------------------------------
-
-    def _aligned(self, other):
-        """self and other over the union of their variables; callers skip it
-        when the variables already agree."""
-        merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
-        return self.with_vars(merged), other.with_vars(merged)
-
-    def with_vars(self, variables) -> "MPoly":
-        variables = tuple(variables)
-        idx = []
-        for v in self.vars:
-            if v not in variables:
-                if self.degree(v) > 0:
-                    raise ValueError(f"cannot drop live variable {v!r}")
-                idx.append(None)
-            else:
-                idx.append(variables.index(v))
-        out = {}
-        for exps, c in self.terms.items():
-            key = [0] * len(variables)
-            for j, e in enumerate(exps):
-                if e:
-                    key[idx[j]] = e
-            key = tuple(key)
-            out[key] = out.get(key, 0) + c
-        return MPoly(variables, out)
-
     # -- ring operations ----------------------------------------------
 
+    def _terms_of(self, other):
+        """other's term dict over self's variables: a number as a constant
+        term, an MPoly's own terms when its variables are self's; None for
+        any other type."""
+        if isinstance(other, MPoly):
+            if other.vars != self.vars:
+                raise ValueError(f"MPoly over {other.vars} meets MPoly over {self.vars}")
+            return other.terms
+        if isinstance(other, (int, Fraction)):
+            return {(0,) * len(self.vars): other} if other else {}
+        return None
+
     def __add__(self, other):
-        if not isinstance(other, MPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MPoly.const(other, self.vars)
-        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
-        out = dict(a.terms)
-        for exps, c in b.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return MPoly(a.vars, out)
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return MPoly(self.vars, _terms_sum(self.terms, terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.vars, _terms_neg(self.terms))
 
     def __sub__(self, other):
-        if not isinstance(other, (MPoly, int, Fraction)):
+        terms = self._terms_of(other)
+        if terms is None:
             return NotImplemented
-        return self + (-other)
+        return MPoly(self.vars, _terms_sum(self.terms, _terms_neg(terms)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
-        out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MPoly(a.vars, out)
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return MPoly(self.vars, _terms_product(self.terms, terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MPoly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return MPoly(self.vars, _terms_power(self.terms, k, len(self.vars)))
 
     def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MPoly.const(other, self.vars)
-        a, b = (self, other) if self.vars == other.vars else self._aligned(other)
-        return a.terms == b.terms
+        if isinstance(other, MPoly):
+            return self.vars == other.vars and self.terms == other.terms
+        terms = self._terms_of(other)
+        return NotImplemented if terms is None else self.terms == terms
 
     def __hash__(self):
-        # Project out dead variables so hashing agrees with equality.
-        live_idx = [i for i, v in enumerate(self.vars) if self.degree(v) > 0]
-        live = tuple(self.vars[i] for i in live_idx)
-        terms = frozenset(
-            (tuple(e[i] for i in live_idx), c) for e, c in self.terms.items()
-        )
-        return hash((live, terms))
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------
 
@@ -355,13 +309,7 @@ def parse_poly(text: str, variables=None) -> MPoly:
             exp = take()
             if not isinstance(exp, int):
                 raise ValueError("exponent must be an integer literal")
-            power, node = node, {zero: 1}
-            while exp:  # by squaring
-                if exp & 1:
-                    node = _terms_product(node, power)
-                exp >>= 1
-                if exp:
-                    power = _terms_product(power, power)
+            node = _terms_power(node, exp, len(variables))
         return _terms_neg(node) if negate else node
 
     def parse_primary():
@@ -403,6 +351,18 @@ def _terms_product(a, b):
         for e2, c2 in b.items():
             exps = tuple(map(add, e1, e2))
             out[exps] = out.get(exps, 0) + c1 * c2
+    return out
+
+
+def _terms_power(a, k, nvars):
+    """a to the power k >= 0 by squaring; nvars is the length of a key."""
+    out, power = {(0,) * nvars: 1}, a
+    while k:
+        if k & 1:
+            out = _terms_product(out, power)
+        k >>= 1
+        if k:
+            power = _terms_product(power, power)
     return out
 
 
@@ -929,6 +889,7 @@ def only_integer_roots(c) -> bool:
 def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     """Every integer root with multiplicity (see split_integer_roots), and
     isolating intervals for the real roots of the integer-root-free rest."""
+    c, precision = _checked(c, precision)
     roots, residual = split_integer_roots(c)
     return RootReport(
         integer_roots=tuple(sorted(roots.items(), key=lambda kv: -kv[0])),

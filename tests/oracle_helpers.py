@@ -64,11 +64,16 @@ from lapspec.matrices import (
 
 
 def lift(coeffs) -> MPoly:
-    """Σ c_i λ^i as an MPoly, for an ascending coefficient list whose
-    entries are numbers or MPoly values in other variables, summed by MPoly
-    arithmetic."""
-    lam = MPoly.var(LAMBDA)
-    return sum((c * lam**i for i, c in enumerate(coeffs)), MPoly.zero((LAMBDA,)))
+    """Σ c_i λ^i as an MPoly over (λ, *params), for an ascending coefficient
+    list whose entries are numbers or MPoly values over one tuple params
+    (empty when every entry is a number), read off the entries' terms."""
+    (params,) = {c.vars for c in coeffs if isinstance(c, MPoly)} or {()}
+    terms = {}
+    for i, c in enumerate(coeffs):
+        c_terms = c.terms if isinstance(c, MPoly) else {(0,) * len(params): c}
+        for exps, a in c_terms.items():
+            terms[(i,) + exps] = a
+    return MPoly((LAMBDA,) + params, terms)
 
 
 def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lapspec
 from lapspec import from_graph6, to_graph6, star
 from lapspec.cli import (
     EXIT_BAD_PARTITION,
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_UNKNOWN_CASE,
@@ -111,6 +115,21 @@ def test_enumerate_command(capsys):
     # graph6 round-trips for every emitted graph
     for ln in lines:
         assert to_graph6(from_graph6(ln["graph6"])) == ln["graph6"]
+
+
+def test_closed_pipe_ends_quietly_with_its_exit_code():
+    # `lapspec enumerate --family G2 --n 12 | head -1`: the reader closes
+    # the pipe after one line, long before the 5,567 lines are written
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lapspec.__file__))}
+    argv = [sys.executable, "-m", "lapspec", "enumerate", "--family", "G2", "--n", "12"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""
+    assert (first["family"], first["n"]) == ("G2", 12)
 
 
 def test_verify_theorem_command(capsys, tmp_path):

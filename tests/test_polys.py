@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import isqrt
+from operator import add, mul, sub
 
 import pytest
 
@@ -11,8 +12,10 @@ from lapspec import (
     integer_roots,
     isolate_roots,
     parse_poly,
+    path,
     poly_text,
     poly_value,
+    spectrum,
     split_integer_roots,
     sturm_count,
 )
@@ -43,7 +46,7 @@ def test_ring_arithmetic_basics():
     x = lam()
     assert (x - 1) * (x - 1) == parse_poly("λ^2 - 2*λ + 1")
     assert (x + 2) ** 3 == parse_poly("λ^3 + 6*λ^2 + 12*λ + 8")
-    assert x and x - 0 and not x - x and not MPoly.zero(("s",)) and MPoly.const(-1)
+    assert x and x - 0 and not x - x and not MPoly.zero(("s",)) and MPoly((), {(): -1})
     p = parse_poly("λ^2 - 6*λ + 6")
     assert p.eval_at({LAMBDA: 1}) == 1
     assert p.eval_at({LAMBDA: Fraction(1, 2)}) == Fraction(13, 4)
@@ -61,7 +64,7 @@ def test_parser_round_trip_and_literal_powers():
     for _ in range(40):
         c = [rng.choice([0, 0, 1, -1, 2, -7, 12]) for _ in range(rng.randint(0, 6))]
         assert poly_text(c) == lift(c).to_text(), c
-        assert parse_poly(poly_text(c)) == lift(c)
+        assert parse_poly(poly_text(c), variables=(LAMBDA,)) == lift(c)
 
 
 def test_symbolic_substitution_matches_printed_evaluations():
@@ -316,6 +319,21 @@ def test_isolation_handles_repeated_and_rational_roots():
     assert sturm_count(p, -4, 4) == 4
 
 
+def test_precision_must_be_positive_everywhere():
+    # integer_roots and spectrum check precision as isolate_roots does: a
+    # zero width would divide by zero, a negative one still give intervals
+    c = coeffs("λ^2 - 2")
+    for bad in (0, Fraction(-1, 10)):
+        for call in (
+            lambda: integer_roots(c, bad),
+            lambda: isolate_roots(c, bad),
+            lambda: spectrum(path(4), "L", precision=bad),
+        ):
+            with pytest.raises(ValueError, match="precision must be positive"):
+                call()
+    assert len(integer_roots(c, Fraction(1, 10)).isolating_intervals) == 2
+
+
 def test_divides():
     ok, quo = divides(coeffs("λ - 1"), coeffs("λ^2 - 1"))
     assert ok and quo == coeffs("λ + 1")
@@ -391,9 +409,22 @@ def test_big_coefficient_isolation_is_fast_and_bounded():
         assert 0 <= sturm_count(c, -bound, bound) <= 12
 
 
-def test_equality_and_hash_ignore_dead_variables():
+def test_one_variable_tuple_per_ring():
     a = parse_poly("s^2 - 1", variables=("s",))
     b = parse_poly("s^2 - 1", variables=("λ", "s", "t"))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert MPoly.const(3, ()) == 3 and hash(MPoly.const(3, ("s",))) == hash(MPoly.const(3, ()))
+    # arithmetic across variable tuples is an error, in either order
+    for op in (add, sub, mul):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    # equality across tuples is False, even for the same constant
+    assert a != b and b != a
+    assert MPoly((), {(): 3}) != MPoly(("s",), {(0,): 3})
+    # over one tuple, hash agrees with equality, and a number is a constant
+    c = parse_poly("(s + 1)*(s - 1)", variables=("s",))
+    assert c == a and hash(c) == hash(a)
+    s2 = parse_poly("s^2", variables=("s",))
+    assert (a + 1) ** 2 == s2 * s2 and hash((a + 1) ** 2) == hash(a * a + 2 * a + 1)
+    assert MPoly((), {(): 3}) == 3 and 1 - a == 2 - s2 and a != 0
+    assert len({a, b, c, MPoly(("s",), {(0,): -1}), a - s2}) == 3
