@@ -372,8 +372,8 @@ def _case_report(case_id: str, cap: int, overrides: dict | None = None) -> dict:
 
 def cmd_families(args) -> int:
     cap = args.grid_cap
-    if cap < 1:
-        raise CliError("--grid-cap must be at least 1")
+    if not 1 <= cap <= families.GRID_CAP_MAX:
+        raise CliError(f"--grid-cap must be from 1 to {families.GRID_CAP_MAX}")
     overrides = {}
     if args.s:
         overrides["s"] = _parse_range(args.s)
@@ -491,7 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="verify a catalog case (or all)")
     p.add_argument("--case", required=True, help='case id like 4.4, or "all"')
-    p.add_argument("--grid-cap", type=int, default=families.GRID_CAP_DEFAULT)
+    p.add_argument(
+        "--grid-cap",
+        type=int,
+        default=families.GRID_CAP_DEFAULT,
+        help=f"largest parameter value on the grid, 1 to {families.GRID_CAP_MAX} "
+        f"(default {families.GRID_CAP_DEFAULT})",
+    )
     p.add_argument("--s", help='parameter range like "2..10" or a single value')
     p.add_argument("--t", help='parameter range like "1..5" or a single value')
     p.add_argument("--out")

@@ -10,6 +10,14 @@ characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
 data rather than being silently corrected. Two misprints are
 pre-registered; everything else must diff empty.
+
+The printed sign claims are checked exactly on the parameter grid
+(verify_sign_claims). Each claim's polynomial in the parameters is first
+shifted to the grid floor, the least value of each parameter on the grid.
+Every grid point lies in the orthant above that corner, so a shift whose
+coefficients all have one sign, with a nonzero constant term, proves that
+sign at every grid point at any cap (Collins & Akritas, 1976). Only the
+claims this certificate leaves open are evaluated point by point.
 """
 
 from __future__ import annotations
@@ -26,7 +34,16 @@ from importlib import resources
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, path_quotient
 from .partitions import quotient_matrix
-from .polys import LAMBDA, MPoly, divides, integer_roots, interpolate, parse_poly, sturm_count
+from .polys import (
+    LAMBDA,
+    MPoly,
+    divides,
+    integer_roots,
+    interpolate,
+    parse_poly,
+    sign_above,
+    sturm_count,
+)
 from .spectra import is_L_integral, laplacian, spectrum
 
 #: Locations where the transcription is known to disagree with the
@@ -37,6 +54,9 @@ MATRIX_TYPO_LEDGER = {"4.6-c2.1": {(0, 0), (1, 1)}}  # hub diagonal printed s+1
 SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
+#: The largest grid cap the CLI accepts: a two-parameter case walks cap²
+#: points, and `families --case all` at this cap takes a few seconds.
+GRID_CAP_MAX = 500
 
 
 @dataclass(frozen=True)
@@ -292,12 +312,8 @@ def verify_printed_matrix(case_id: str) -> dict:
     }
 
 
-def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None):
-    """Deterministic stream of in-range parameter assignments.
-
-    overrides maps a parameter name to an (lo, hi) pair narrowing the
-    declared range; the declared minimum still applies.
-    """
+def _grid_ranges(case: PropositionCase, cap: int, overrides: dict | None) -> list:
+    """The range of each parameter on the grid, in case.params order."""
     ranges = []
     for name in case.params:
         lo, hi = case.grid[name]
@@ -306,7 +322,16 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
             olo, ohi = overrides[name]
             lo, hi = max(lo, olo), min(hi, ohi)
         ranges.append(range(lo, hi + 1))
-    for combo in product(*ranges):
+    return ranges
+
+
+def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None):
+    """Deterministic stream of in-range parameter assignments.
+
+    overrides maps a parameter name to an (lo, hi) pair narrowing the
+    declared range; the declared minimum still applies.
+    """
+    for combo in product(*_grid_ranges(case, cap, overrides)):
         if case.min_param_total is not None and sum(combo) < case.min_param_total:
             continue
         point = dict(zip(case.params, combo))
@@ -314,13 +339,20 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
             yield point
 
 
-def _monomial_rows(polys) -> tuple:
-    """(monomials, rows): the exponent tuples that occur in polys, which
-    share one variable tuple, and each poly as its integer coefficients over
-    them, so that a poly's value is the dot product of its row with the
-    monomials' values."""
+def _evaluator(polys, params):
+    """A function from a grid point to the values there of polys, which
+    share the variable tuple params: the monomials that occur in polys are
+    evaluated once per point, and each poly's value is the dot product of
+    its integer coefficients with theirs."""
     monomials = sorted({exps for poly in polys for exps in poly.terms})
-    return monomials, [[poly.terms.get(exps, 0) for exps in monomials] for poly in polys]
+    rows = [[poly.terms.get(exps, 0) for exps in monomials] for poly in polys]
+
+    def values(point):
+        xs = [point[name] for name in params]
+        powers = [prod(map(pow, xs, exps)) for exps in monomials]
+        return [sum(map(mul, row, powers)) for row in rows]
+
+    return values
 
 
 def verify_sign_claims(
@@ -330,15 +362,30 @@ def verify_sign_claims(
 
     f in Z[s,t][λ] has degree d in λ. Each distinct point p/r among the
     claim points and the ends lo, hi of the claimed root interval gets one
-    integer row over the monomials in s and t: the coefficients of
-    r^d · f(p/r) = Σ_k f_k · p^k · r^(d-k), which has the sign of f at p/r.
-    A printed closed-form value gets a row too. Each grid point evaluates
-    the monomials once and takes one dot product per row; a claim's sign is
-    read off its point's value, and a printed value is checked against it
-    by cross-multiplying with r^d. Each grid point also gets a certificate
-    of a root strictly inside the claimed interval: nonzero opposite signs
-    at lo and hi, or else a Sturm count on the λ-coefficients, which only
-    that fallback evaluates.
+    row, a polynomial in s and t: r^d · f(p/r) = Σ_k f_k · p^k · r^(d-k),
+    which has the sign of f at p/r.
+
+    Each row is first certified once for the whole grid. Its Taylor shift
+    to the grid floor, each parameter's least value on the grid (the
+    declared lower end, raised by an override's), is a polynomial in
+    x = s - s₀, y = t - t₀, and every grid point has x, y >= 0. If every
+    coefficient of the shift has one sign and the constant term is nonzero,
+    the row has that sign at every point with x, y >= 0, so at every grid
+    point at any cap (polys.sign_above; Collins & Akritas, 1976). A claim
+    whose row certifies its claimed sign holds everywhere; a printed value
+    whose polynomial times r^d equals its point's row holds everywhere; and
+    rows at lo and hi certified with opposite signs put a root strictly
+    inside the interval at every point.
+
+    The grid loop checks only what the certificates leave open. It
+    evaluates the monomials in s and t once per point and takes one dot
+    product per open row; a claim's sign is read off its point's value, and
+    a printed value is checked against it by cross-multiplying with r^d.
+    Where lo and hi are not certified opposite, a root strictly inside the
+    interval is certified at each point by nonzero opposite signs at its
+    ends, or else by a Sturm count on the λ-coefficients, which only that
+    fallback evaluates. The report is the one the point-by-point check of
+    every claim gives.
     """
     case = get_case(case_id)
     coeffs = _lambda_coefficients(case_id)
@@ -352,42 +399,56 @@ def verify_sign_claims(
         )
         for q in points
     ]
-    claims = []  # (claim, r^d, row of its point, row of its printed value or None)
+    floors = {name: r.start for name, r in zip(case.params, _grid_ranges(case, cap, overrides))}
+    signs = [sign_above(poly, floors) for poly in polys]  # 0 where not certified
+    live = set()  # the rows evaluated at each grid point
+    sign_checks = []  # (claim, r^d, row of its point) whose certificate does not settle it
+    identity_checks = []  # (claim, r^d, row of its point, row of its printed value)
     for claim in case.sign_claims:
-        at = None
+        scale = claim.point.denominator**d
+        i = points.index(claim.point)
+        if signs[i] != claim.sign:
+            sign_checks.append((claim, scale, i))
+            live.add(i)
         if (
             claim.printed_value is not None
             and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
         ):
-            at = len(polys)
-            polys.append(parse_poly(claim.printed_value, variables=case.params))
-        claims.append((claim, claim.point.denominator**d, points.index(claim.point), at))
-    monomials, rows = _monomial_rows(polys + list(coeffs))
-    rows, coeff_rows = rows[: len(polys)], rows[len(polys) :]
+            printed = parse_poly(claim.printed_value, variables=case.params)
+            if printed * scale != polys[i]:
+                identity_checks.append((claim, scale, i, len(polys)))
+                live |= {i, len(polys)}
+                polys.append(printed)
     row_lo, row_hi = points.index(lo), points.index(hi)
+    root_open = signs[row_lo] * signs[row_hi] != -1
+    if root_open:
+        live |= {i for i in (row_lo, row_hi) if not signs[i]}
+    live = sorted(live)
+    live_values = _evaluator([polys[i] for i in live], case.params)
+    coeff_values = _evaluator(coeffs, case.params)
     points_checked = 0
     sign_failures = []
     identity_failures = []
     root_failures = []
     for point in grid_points(case, cap, overrides):
         points_checked += 1
-        values = [point[name] for name in case.params]
-        powers = [prod(map(pow, values, exps)) for exps in monomials]
-        evaluated = [sum(map(mul, row, powers)) for row in rows]
-        for claim, scale, i, at in claims:
-            value = evaluated[i]
-            if (value > 0) - (value < 0) != claim.sign:
+        if not (live or root_open):
+            continue
+        value = dict(zip(live, live_values(point)))
+        for claim, scale, i in sign_checks:
+            if (value[i] > 0) - (value[i] < 0) != claim.sign:
                 sign_failures.append(
-                    {"point": point, "at": str(claim.point), "value": str(Fraction(value, scale))}
+                    {"point": point, "at": str(claim.point), "value": str(Fraction(value[i], scale))}
                 )
-            if at is not None and evaluated[at] * scale != value:
+        for claim, scale, i, at in identity_checks:
+            if value[at] * scale != value[i]:
                 identity_failures.append({"point": point, "at": str(claim.point)})
-        value_hi = evaluated[row_hi]
-        if evaluated[row_lo] * value_hi >= 0:
-            coeffs_at = [sum(map(mul, row, powers)) for row in coeff_rows]
-            inside = sturm_count(coeffs_at, lo, hi) - (value_hi == 0)
-            if inside < 1:
-                root_failures.append({"point": point})
+        if root_open:
+            sign_lo, sign_hi = (signs[i] or (value[i] > 0) - (value[i] < 0) for i in (row_lo, row_hi))
+            if sign_lo * sign_hi >= 0:
+                inside = sturm_count(coeff_values(point), lo, hi) - (sign_hi == 0)
+                if inside < 1:
+                    root_failures.append({"point": point})
     return {
         "case": case_id,
         "grid_cap": cap,

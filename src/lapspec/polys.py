@@ -4,7 +4,9 @@ Two representations, one per job. MPoly is a sparse multivariate
 polynomial (integer or exact-rational coefficients) over one fixed
 variable tuple, and serves only the symbolic Z[s,t][λ] catalog; its ring
 and parse_poly compute on the same term-dict sum, negation, product and
-power. Every single-graph decision works on ascending
+power, and taylor_shift on the term-dict binomial expansion, from which
+sign_above certifies one sign of a polynomial at every point above a
+corner. Every single-graph decision works on ascending
 integer coefficient lists in one univariate kernel: the gcd with the
 derivative by a primitive remainder sequence, exact division in Z[λ],
 square-free parts, integer-root extraction
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import add, sub
 
 LAMBDA = "λ"
@@ -364,6 +366,47 @@ def _terms_power(a, k, nvars):
         if k:
             power = _terms_product(power, power)
     return out
+
+
+def _terms_shift(a, offsets):
+    """a with each variable x_i replaced by x_i + offsets[i]: the binomial
+    expansion c·x^e = Σ_j C(e, j)·o^(e-j)·c·x^j, one variable at a time."""
+    for i, o in enumerate(offsets):
+        if not o:
+            continue
+        out = {}
+        for exps, c in a.items():
+            e = exps[i]
+            for j in range(e + 1):
+                key = exps[:i] + (j,) + exps[i + 1 :]
+                out[key] = out.get(key, 0) + comb(e, j) * o ** (e - j) * c
+        a = out
+    return a
+
+
+def taylor_shift(poly: MPoly, floors) -> MPoly:
+    """poly with each variable v replaced by v + floors[v] (0 when v is not
+    in floors), expanded: the Taylor shift to the corner floors."""
+    return MPoly(poly.vars, _terms_shift(poly.terms, [floors.get(v, 0) for v in poly.vars]))
+
+
+def sign_above(poly: MPoly, floors) -> int:
+    """1 or -1 when poly has that sign at every real point whose variables
+    v are each at least floors[v]; 0 when the certificate fails.
+
+    The certificate (Collins & Akritas, 1976): shift poly to the corner
+    (taylor_shift), so that the point v = floors[v] + x_v has every x_v >= 0.
+    If the shift has a nonzero constant term and every coefficient has its
+    sign, each other term is such a coefficient times powers of the x_v,
+    which are >= 0, so it has that sign or is 0; the constant term is not 0,
+    so the sum has that sign. A shift with mixed signs, or with no constant
+    term, certifies nothing, though poly may still keep one sign there.
+    """
+    terms = taylor_shift(poly, floors).terms
+    const = terms.get((0,) * len(poly.vars), 0)
+    if const and all((c > 0) == (const > 0) for c in terms.values()):
+        return 1 if const > 0 else -1
+    return 0
 
 
 def _tokenize(text):

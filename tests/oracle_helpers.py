@@ -6,10 +6,11 @@ from literal union/join trees, real roots are isolated by bisection on
 Fractions and counted with multiplicity over the chain of repeated gcds,
 signs at rational points come from Horner's rule, polynomials are divided
 over Q and multiplied back one linear factor at a time, and matrices are
-read off adjacency tests one entry at a time. The chain continuants are
-built here as polynomials (_continuants), and _side and _fold_links fold
-a hub side and the internal paths over them, as polynomials where the
-library folds values. None of it shares code with the library paths it
+read off adjacency tests one entry at a time; a polynomial is shifted to
+a corner by multiplying out each of its terms in MPoly's ring. The chain
+continuants are built here as polynomials (_continuants), and _side and
+_fold_links fold a hub side and the internal paths over them, as
+polynomials where the library folds values. None of it shares code with the library paths it
 checks, with three exceptions. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
@@ -74,6 +75,19 @@ def lift(coeffs) -> MPoly:
         for exps, a in c_terms.items():
             terms[(i,) + exps] = a
     return MPoly((LAMBDA,) + params, terms)
+
+
+def taylor_shift_oracle(poly: MPoly, floors) -> MPoly:
+    """Σ c · ∏ (v + floors[v])^e over the terms c · ∏ v^e of poly, built by
+    MPoly ring arithmetic one factor at a time; a variable missing from
+    floors is not moved."""
+    total = MPoly.zero(poly.vars)
+    for exps, c in poly.terms.items():
+        term = MPoly.zero(poly.vars) + c
+        for v, e in zip(poly.vars, exps):
+            term = term * (MPoly.var(v, poly.vars) + floors.get(v, 0)) ** e
+        total = total + term
+    return total
 
 
 def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import lapspec
-from lapspec import from_graph6, to_graph6, star
+from lapspec import families, from_graph6, to_graph6, star
 from lapspec.cli import (
     EXIT_BAD_PARTITION,
     EXIT_BROKEN_PIPE,
@@ -226,6 +226,18 @@ def test_families_rejects_an_empty_grid(capsys):
     code, out, _ = run(capsys, "families", "--case", "4.4", "--grid-cap", "2")
     assert code == EXIT_OK
     assert json.loads(out)["sign_claims"]["points_checked"] == 1
+
+
+def test_families_bounds_the_grid_cap(capsys):
+    # a two-parameter case walks cap² points: a cap above the maximum is a
+    # usage error, found before any point is walked
+    for cap in (families.GRID_CAP_MAX + 1, 10**8):
+        code, out, err = run(capsys, "families", "--case", "4.4", "--grid-cap", str(cap))
+        assert code == EXIT_USAGE, cap
+        assert out == "" and err == f"error: --grid-cap must be from 1 to {families.GRID_CAP_MAX}\n"
+    code, out, _ = run(capsys, "families", "--case", "4.4", "--grid-cap", str(families.GRID_CAP_MAX))
+    assert code == EXIT_OK
+    assert json.loads(out)["sign_claims"]["points_checked"] == families.GRID_CAP_MAX - 1
 
 
 def test_families_rejects_a_parameter_no_selected_case_has(capsys):

@@ -24,6 +24,7 @@ from lapspec import (
     verify_sign_claims,
 )
 from lapspec import families
+from lapspec.polys import sign_above, taylor_shift
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
@@ -285,6 +286,40 @@ def test_two_roots_between_equal_signs_take_the_sturm_fallback(monkeypatch, stur
         inst = computed_symbolic_poly("4.4").substitute(point).univariate_coeffs()
         assert fraction_sign(inst, Fraction(1, 2)) == fraction_sign(inst, 2) != 0
         assert sturm_count(inst, Fraction(1, 2), 2) == 2
+
+
+def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
+    # Each claim's sign holds on the whole orthant above the declared lower
+    # ends, by the signs of its Taylor shift, except 4.7-c2.2 at λ = 1,
+    # whose shift to (s, t) = (0, 1) has mixed signs.
+    open_rows = []
+    for cid in ALL_CASES:
+        case = get_case(cid)
+        floors = {name: case.grid[name][0] for name in case.params}
+        for claim in case.sign_claims:
+            row = computed_symbolic_poly(cid).substitute({LAMBDA: claim.point})
+            if sign_above(row, floors) != claim.sign:
+                open_rows.append((cid, claim.point))
+                residual = taylor_shift(row, floors)
+    assert open_rows == [("4.7-c2.2", Fraction(1))]
+    assert residual == parse_poly("2*s*t + t^2 + 2*s - 1", variables=("s", "t"))
+    # so the grid loop evaluates that one row and no other: the first
+    # evaluator verify_sign_claims builds is the one for the open rows
+    calls = []
+    evaluator = families._evaluator
+
+    def recording(polys, params):
+        calls.append(list(polys))
+        return evaluator(polys, params)
+
+    monkeypatch.setattr(families, "_evaluator", recording)
+    live = {}
+    for cid in ALL_CASES:
+        calls.clear()
+        verify_sign_claims(cid)
+        if calls[0]:
+            live[cid] = calls[0]
+    assert live == {"4.7-c2.2": [computed_symbolic_poly("4.7-c2.2").substitute({LAMBDA: 1})]}
 
 
 def test_grid_respects_constraints():

@@ -18,11 +18,16 @@ det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
 gives at integer (s, t) what it gives for the matrix with the values put
 in. The catalog's polynomial interpolated from the integer fold on the
 {0, 1, 2} grid equals the polynomial fold with symbolic counts, on random
-path-count lists. Divisibility, content and rational roots come from the
+path-count lists. taylor_shift of a polynomial in one or two parameters
+equals its terms multiplied out at the shifted variables, and a sign that
+sign_above certifies holds at every point of a box above the floors; a
+polynomial shifted back from one whose coefficients and nonzero constant
+term share a sign always certifies. Divisibility, content and rational roots come from the
 Fraction helpers of oracle_helpers, not from lapspec.
 """
 
-from math import comb, factorial, gcd
+from itertools import product
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -41,7 +46,9 @@ from lapspec.polys import (  # noqa: E402
     interpolate,
     parse_poly,
     poly_value,
+    sign_above,
     split_integer_roots,
+    taylor_shift,
 )
 
 from oracle_helpers import (  # noqa: E402
@@ -51,6 +58,7 @@ from oracle_helpers import (  # noqa: E402
     _q_rational_roots,
     fold_path_quotient,
     poly_mul,
+    taylor_shift_oracle,
 )
 
 polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)
@@ -263,3 +271,58 @@ def test_grid_interpolation_equals_the_symbolic_fold(counts, hub_edge):
     params = tuple(sorted({c for _, c in counts if not c.isdigit()}))
     symbolic = [(order, int(c) if c.isdigit() else MPoly.var(c, params)) for order, c in counts]
     assert _grid_quotient(counts, hub_edge) == fold_path_quotient(symbolic, hub_edge)
+
+
+PARAMS = st.sampled_from([("s",), ("s", "t")])
+
+
+@st.composite
+def param_polys(draw, coefficients=st.integers(-20, 20)):
+    """An integer polynomial in one or two parameters, of degree at most 4 in
+    each, with up to six terms."""
+    params = draw(PARAMS)
+    exps = st.tuples(*[st.integers(0, 4)] * len(params))
+    return MPoly(params, draw(st.dictionaries(exps, coefficients, max_size=6)))
+
+
+@st.composite
+def floors_of(draw, poly):
+    return {v: draw(st.integers(0, 3)) for v in poly.vars}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(param_polys().flatmap(lambda p: st.tuples(st.just(p), floors_of(p))))
+def test_taylor_shift_equals_the_multiplied_out_terms(case):
+    poly, floors = case
+    assert taylor_shift(poly, floors) == taylor_shift_oracle(poly, floors)
+
+
+@st.composite
+def shifted_back(draw):
+    """(poly, floors, sign): poly is g(v - floors[v]) for a g whose
+    coefficients all have the sign ±1 and whose constant term is that sign
+    times 0..5, so sign_above must certify it exactly when that constant is
+    nonzero; or (poly, floors, None) for any poly."""
+    if draw(st.booleans()):
+        poly = draw(param_polys())
+        return poly, draw(floors_of(poly)), None
+    sign = draw(st.sampled_from([1, -1]))
+    g = draw(param_polys(st.integers(1, 20)))
+    zero = (0,) * len(g.vars)
+    g = MPoly(g.vars, {**g.terms, zero: draw(st.integers(0, 5))}) * sign
+    floors = draw(floors_of(g))
+    return taylor_shift_oracle(g, {v: -f for v, f in floors.items()}), floors, sign
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(shifted_back(), st.lists(st.integers(0, 3), min_size=2, max_size=2))
+def test_a_certified_sign_holds_on_a_box_above_the_floors(case, widths):
+    poly, floors, sign = case
+    got = sign_above(poly, floors)
+    if sign is not None:
+        constant = taylor_shift_oracle(poly, floors).terms.get((0,) * len(poly.vars), 0)
+        assert got == (sign if constant else 0)
+    box = [range(floors[v], floors[v] + w + 1) for v, w in zip(poly.vars, widths)]
+    for point in product(*box):
+        value = sum(c * prod(map(pow, point, exps)) for exps, c in poly.terms.items())
+        assert got == 0 or (value > 0) - (value < 0) == got, point
