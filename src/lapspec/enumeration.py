@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .graphs import (
@@ -338,11 +338,11 @@ def config_tag(cfg: FamilyConfig) -> str:
     here: triangles-only hubs (no pendant edge) and joins with a single
     extra component are integral members; see the erratum report.
     """
-    return _key_tag(*cfg.key())
+    return _key_tag(*cfg)
 
 
 def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v) -> str:
-    """config_tag of the config with this key(), so that the sweep tags a
+    """config_tag of the config with these fields, so that the sweep tags a
     member with no FamilyConfig built."""
     if family == "G1":
         if not cycles_u and all(p == 1 for p in pendants_u):
@@ -384,9 +384,9 @@ def theorem_tag(g: Graph) -> str:
 
 
 def member_record(n: int, key: tuple, integral: bool, tag: str) -> dict:
-    """The --out record of the member with this FamilyConfig.key(), its
-    integrality and its tag; the only place the sweep realizes a graph."""
-    g = realize(FamilyConfig(*key))
+    """The --out record of the member whose FamilyConfig has the fields key,
+    its integrality and its tag; the only place the sweep realizes a graph."""
+    g = realize(FamilyConfig._make(key))
     return {
         "graph6": to_graph6(g),
         "family": key[0],
@@ -399,16 +399,29 @@ def member_record(n: int, key: tuple, integral: bool, tag: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TheoremSummary:
-    n_min: int
-    n_max: int
-    rows: tuple  # (n, family, graphs, integral, disagreements)
-    # member_record of each member, of any order, whose integrality and
-    # tag disagree
-    disagreements: tuple
-    # counts and stage seconds of the run, see verify_theorem
-    stats: dict = field(default_factory=dict, compare=False)
+class TheoremSummary(namedtuple("TheoremSummary", "n_min n_max rows disagreements stats")):
+    """The tally of a classification sweep over the orders n_min..n_max.
+
+    rows holds (n, family, graphs, integral, disagreements) per order and
+    family; disagreements, the member_record of each member, of any order,
+    whose integrality and tag disagree; stats, the counts and stage seconds
+    of the run (see verify_theorem). Equality and hashing leave stats out,
+    so two runs of one range are equal whatever their timings.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def to_tsv(self) -> str:
         lines = ["n\tfamily\tgraphs\tintegral\tdisagreements"]
@@ -422,7 +435,7 @@ def _shard_groups(n, size):
     shard, then one per G2 link set and u side. Each is (key prefix,
     coupling, ok, base, u record, v records), with the side records of
     _side_records (u record None for G1), one member per v record (side,
-    table, degree): its key() is prefix + side + suffix (suffix () for G2,
+    table, degree): its fields are prefix + side + suffix (suffix () for G2,
     the empty v side for G1), and the hub carrying the side has degree
     base + degree. ok is false when the chains the shard fixes (the links
     and the u side) repeat a kind whose θ has a non-integer root, any kind

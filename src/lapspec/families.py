@@ -23,13 +23,13 @@ claims this certificate leaves open are evaluated point by point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import prod
 from operator import mul
-from importlib import resources
 
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, path_quotient
@@ -59,35 +59,26 @@ GRID_CAP_DEFAULT = 20
 GRID_CAP_MAX = 500
 
 
-@dataclass(frozen=True)
-class SignClaim:
-    point: Fraction
-    sign: int
-    printed_value: str | None
+#: The transcribed catalog, installed beside this module as package data.
+_CASES_PATH = os.path.join(os.path.dirname(__file__), "data", "proposition_cases.json")
 
+#: A printed sign claim: the sign of the case's polynomial at the Fraction
+#: point, and its printed value there (None when none is printed).
+SignClaim = namedtuple("SignClaim", "point sign printed_value")
 
-@dataclass(frozen=True)
-class PropositionCase:
-    id: str
-    title: str
-    hub_edge: bool
-    path_counts: tuple  # ((order, count-expression), ...) ascending orders
-    params: tuple
-    grid: dict
-    min_param_total: int | None
-    grid_exclude: tuple
-    printed_matrix: tuple
-    printed_poly: str
-    sign_claims: tuple
-    root_interval: tuple
-    excluded_instances: tuple
+#: One catalog case. path_counts holds ((order, count-expression), ...) in
+#: ascending orders; params, the parameters the counts name, sorted.
+PropositionCase = namedtuple(
+    "PropositionCase",
+    "id title hub_edge path_counts params grid min_param_total grid_exclude"
+    " printed_matrix printed_poly sign_claims root_interval excluded_instances",
+)
 
 
 @lru_cache(maxsize=1)
 def load_cases() -> dict:
-    raw = json.loads(
-        resources.files("lapspec").joinpath("data/proposition_cases.json").read_text("utf-8")
-    )
+    with open(_CASES_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
     cases = {}
     for cid, entry in raw.items():
         paths = tuple(sorted((int(o), c) for o, c in entry["paths"].items()))
@@ -339,6 +330,31 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
             yield point
 
 
+def _grid_size(case: PropositionCase, cap: int, overrides: dict | None) -> int:
+    """The number of points grid_points yields, with no point built.
+
+    For each combination of the other parameters, the last one's values
+    that reach min_param_total form one run at the top of its range; the
+    excluded points on the grid are then taken off.
+    """
+    ranges = _grid_ranges(case, cap, overrides)
+    total = case.min_param_total
+    *outer, last = ranges
+    count = 0
+    for combo in product(*outer):
+        floor = last.start if total is None else max(last.start, total - sum(combo))
+        count += len(range(floor, last.stop))
+    for excluded in set(case.grid_exclude):
+        names, values = zip(*excluded)
+        if (
+            names == case.params
+            and all(v in r for v, r in zip(values, ranges))
+            and (total is None or sum(values) >= total)
+        ):
+            count -= 1
+    return count
+
+
 def _evaluator(polys, params):
     """A function from a grid point to the values there of polys, which
     share the variable tuple params: the monomials that occur in polys are
@@ -384,8 +400,9 @@ def verify_sign_claims(
     Where lo and hi are not certified opposite, a root strictly inside the
     interval is certified at each point by nonzero opposite signs at its
     ends, or else by a Sturm count on the λ-coefficients, which only that
-    fallback evaluates. The report is the one the point-by-point check of
-    every claim gives.
+    fallback evaluates. A case with no open row walks no grid point:
+    points_checked is counted from the ranges (_grid_size). The report is
+    the one the point-by-point check of every claim gives.
     """
     case = get_case(case_id)
     coeffs = _lambda_coefficients(case_id)
@@ -426,14 +443,10 @@ def verify_sign_claims(
     live = sorted(live)
     live_values = _evaluator([polys[i] for i in live], case.params)
     coeff_values = _evaluator(coeffs, case.params)
-    points_checked = 0
     sign_failures = []
     identity_failures = []
     root_failures = []
-    for point in grid_points(case, cap, overrides):
-        points_checked += 1
-        if not (live or root_open):
-            continue
+    for point in grid_points(case, cap, overrides) if live or root_open else ():
         value = dict(zip(live, live_values(point)))
         for claim, scale, i in sign_checks:
             if (value[i] > 0) - (value[i] < 0) != claim.sign:
@@ -452,7 +465,7 @@ def verify_sign_claims(
     return {
         "case": case_id,
         "grid_cap": cap,
-        "points_checked": points_checked,
+        "points_checked": _grid_size(case, cap, overrides),
         "signs_ok": not sign_failures,
         "value_identities_ok": not identity_failures,
         "root_in_interval_ok": not root_failures,

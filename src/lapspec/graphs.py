@@ -16,7 +16,7 @@ component left when the hubs are removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import combinations, groupby
 
 
@@ -261,8 +261,6 @@ def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int) -> int:
     """Count internally vertex-disjoint s-t paths, stopping early at cap,
     by unit-capacity max flow on the node-split digraph with adjacency
     lists out and arc set arcs (see vertex_connectivity)."""
-    from collections import deque
-
     src, snk = 2 * s + 1, 2 * t
     flow = set()
     in_flow = [set() for _ in range(len(out))]
@@ -305,8 +303,18 @@ def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int) -> int:
 # -- family configurations --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
+def _ordered(value) -> tuple:
+    """value as a sorted tuple: value itself when it is one already."""
+    ordered = tuple(sorted(value))
+    return value if ordered == value else ordered
+
+
+class FamilyConfig(
+    namedtuple(
+        "FamilyConfig",
+        "family hub_edge paths pendants_u cycles_u pendants_v cycles_v",
+    )
+):
     """Structural description of a G1 or G2 family member.
 
     G1: a single hub carrying pendant paths (lengths >= 1) and cycles
@@ -318,46 +326,42 @@ class FamilyConfig:
     G2 member's lighter hub side comes first, so equal configs are
     isomorphic members, and a config that is no family member raises
     ValueError. A field given sorted keeps its tuple, so configs can share
-    them.
+    them. An immutable named tuple: tuple(cfg) is its key, and _make and
+    _replace normalize and validate as construction does.
     """
 
-    family: str
-    hub_edge: bool = False
-    paths: tuple = ()
-    pendants_u: tuple = ()
-    cycles_u: tuple = ()
-    pendants_v: tuple = ()
-    cycles_v: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        sides = ("pendants_u", "cycles_u", "pendants_v", "cycles_v")
-        for name in ("paths",) + sides:
-            value = getattr(self, name)
-            ordered = tuple(sorted(value))
-            if ordered != value:
-                object.__setattr__(self, name, ordered)
-        pu, cu, pv, cv = (getattr(self, name) for name in sides)
-        if self.family == "G2" and (pv, cv) < (pu, cu):
-            for name, value in zip(sides, (pv, cv, pu, cu)):
-                object.__setattr__(self, name, value)
-        if self.family not in ("G1", "G2"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if any(p < 1 for p in self.pendants_u + self.pendants_v):
+    def __new__(
+        cls, family, hub_edge=False, paths=(), pendants_u=(), cycles_u=(), pendants_v=(), cycles_v=()
+    ):
+        paths, pu, cu, pv, cv = map(_ordered, (paths, pendants_u, cycles_u, pendants_v, cycles_v))
+        if family == "G2" and (pv, cv) < (pu, cu):
+            pu, cu, pv, cv = pv, cv, pu, cu
+        self = super().__new__(cls, family, hub_edge, paths, pu, cu, pv, cv)
+        if family not in ("G1", "G2"):
+            raise ValueError(f"unknown family {family!r}")
+        if any(p < 1 for p in pu + pv):
             raise ValueError("pendant path lengths must be >= 1")
-        if any(c < 3 for c in self.cycles_u + self.cycles_v):
+        if any(c < 3 for c in cu + cv):
             raise ValueError("cycle lengths must be >= 3")
-        if self.family == "G1":
-            if self.hub_edge or self.paths or self.pendants_v or self.cycles_v:
+        if family == "G1":
+            if hub_edge or paths or pv or cv:
                 raise ValueError("G1 configs use only the hub-side fields")
             if self.hub_degree_u() < 3:
                 raise ValueError("hub degree must be >= 3")
         else:
-            if any(p < 3 for p in self.paths):
+            if any(p < 3 for p in paths):
                 raise ValueError("internal path orders must be >= 3")
-            if not self.hub_edge and not self.paths:
+            if not hub_edge and not paths:
                 raise ValueError("disconnected: need the hub edge or an internal path")
             if self.hub_degree_u() < 3 or self.hub_degree_v() < 3:
                 raise ValueError("both hub degrees must be >= 3")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def side_degree(pendants, cycles) -> int:
@@ -373,17 +377,6 @@ class FamilyConfig:
     def _link_degree(self) -> int:
         """The degree each hub gets from the internal paths and hub edge."""
         return len(self.paths) + bool(self.hub_edge)
-
-    def key(self):
-        return (
-            self.family,
-            self.hub_edge,
-            self.paths,
-            self.pendants_u,
-            self.cycles_u,
-            self.pendants_v,
-            self.cycles_v,
-        )
 
 
 def _chains(cfg: FamilyConfig) -> list:

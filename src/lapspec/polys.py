@@ -31,7 +31,7 @@ intervals produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, isqrt
 from operator import add, sub
@@ -704,7 +704,9 @@ def _rational_roots(c):
 
     The roots p/q in lowest terms have p dividing the constant and q the
     leading coefficient, so a monic c has integer ones only and is searched
-    on ints as split_integer_roots searches.
+    on ints as split_integer_roots searches. Otherwise each rational root is
+    one of the roots of c's square-free part found by _rational_points, and
+    c is divided by it as often as it is a root.
     """
     c = _trim(list(c))
     if c and c[-1] == 1:
@@ -719,33 +721,59 @@ def _rational_roots(c):
         roots[Fraction(0)] = k
     if len(c) <= 1:
         return roots, c
-    bound = min(_root_bound(c), _fujiwara_bound(c))
-    dens = _divisors(c[-1], abs(c[-1]))
-    nums = _divisors(c[0], bound * abs(c[-1]))
-    cands = sorted({Fraction(p, q) for p in nums for q in dens if Fraction(p, q) <= bound})
-    for cand in cands:
-        for r in (cand, -cand):
-            while len(c) > 1 and _sign_at(c, r) == 0:
-                c = _exact_quotient(c, [-r.numerator, r.denominator])
-                roots[r] = roots.get(r, 0) + 1
+    for r in _rational_points(*_square_free_chain(c)):
+        while len(c) > 1 and _sign_at(c, r) == 0:
+            c = _exact_quotient(c, [-r.numerator, r.denominator])
+            roots[r] = roots.get(r, 0) + 1
     return roots, c
+
+
+def _rational_points(sf, chain):
+    """The rational roots of sf, ascending; sf is square-free and primitive
+    with leading coefficient a > 0, and chain is its Sturm chain.
+
+    A root p/q in lowest terms has q dividing a, so it is a multiple of 1/a.
+    Each cell of _root_cells, which holds one root, is halved by Sturm
+    counts until it is at most 1/a wide; the half-open cell then holds one
+    multiple of 1/a at most, its highest, m/a with m = floor(a·hi), and the
+    root is rational exactly when it is m/a. The halving counts roots, not
+    sign changes, so a root on a cell end (a dyadic root) is found as well.
+    No divisor of a or of the constant term is searched for.
+    """
+    a = sf[-1]
+    points = []
+    for lo, hi, k, level in _root_cells(sf, chain, Fraction(1, a)):
+        v_lo = _variations(_dyadic_value(p, lo, k) for p in chain)
+        while k < level:
+            lo, hi, k = lo << 1, hi << 1, k + 1
+            mid = (lo + hi) >> 1
+            v_mid = _variations(_dyadic_value(p, mid, k) for p in chain)
+            if v_lo - v_mid:
+                hi = mid
+            else:
+                lo, v_lo = mid, v_mid
+        m = (a * hi) >> k
+        if m << k > a * lo and _scaled_value(sf, m, a) == 0:
+            points.append(Fraction(m, a))
+    return points
 
 
 def _root_cells(rest, chain, precision: Fraction):
     """Isolating cells of the dyadic grid for rest, lowest root first.
 
-    rest is square-free with no rational root, and chain is its Sturm
-    chain. The grid is the one that bisecting (-B, B], B the Cauchy bound,
-    builds: level k has cells of width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k, and
-    0 is a grid point from level 1 on. The search starts at level s, the
-    deeper of 1 and the deepest level whose two cells next to 0 still cover
-    (-F, F), F the Fujiwara bound; it starts no deeper than the level at
-    which bisection would stop refining, so every root's cell is the one
-    plain bisection from (-B, B] reaches. Cells holding several roots are
-    halved by Sturm counts, the lower half first. Yields (lo, hi, k, level)
-    for each cell holding exactly one root, where level is how deep its
-    refinement must go: the first level whose cells are at most precision
-    wide, or k when the cell is that narrow already.
+    rest is square-free, and chain is its Sturm chain; the cells are
+    counted by Sturm counts, so a root may lie on a cell end. The grid is
+    the one that bisecting (-B, B], B the Cauchy bound, builds: level k has
+    cells of width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over
+    2^k, and 0 is a grid point from level 1 on. The search starts at level
+    s, the deeper of 1 and the deepest level whose two cells next to 0
+    still cover (-F, F), F the Fujiwara bound; it starts no deeper than
+    the level at which bisection would stop refining, so every root's cell
+    is the one plain bisection from (-B, B] reaches. Cells holding several
+    roots are halved by Sturm counts, the lower half first. Yields (lo, hi,
+    k, level) for each cell holding exactly one root, where level is how
+    deep its refinement must go: the first level whose cells are at most
+    precision wide, or k when the cell is that narrow already.
     """
     bound = _root_bound(rest)
     width = 2 * bound
@@ -860,8 +888,7 @@ def _isolate(c, precision: Fraction, integer_free: bool = False):
 # through MPoly.univariate_coeffs once its parameters are substituted.
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(namedtuple("RootReport", "integer_roots residual isolating_intervals")):
     """Exact factorization data for a univariate integer polynomial.
 
     integer_roots lists (root, multiplicity) in descending root order;
@@ -870,9 +897,7 @@ class RootReport:
     residual root each (residual taken square-free).
     """
 
-    integer_roots: tuple
-    residual: tuple
-    isolating_intervals: tuple
+    __slots__ = ()
 
 
 def split_integer_roots(c):

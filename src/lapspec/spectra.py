@@ -11,14 +11,13 @@ display strings derived from isolating intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import Graph, to_graph6
 from .matrices import IntMatrix, char_poly
 from .polys import (
     DEFAULT_PRECISION,
-    RootReport,
     integer_roots,
     isolate_lowest_root,
     only_integer_roots,
@@ -56,15 +55,11 @@ def signless_laplacian(g: Graph) -> IntMatrix:
 _KIND_MATRIX = {"L": laplacian, "Q": signless_laplacian}
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Exact spectrum of L(G) or Q(G): integer part plus isolated residue."""
+class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report precision")):
+    """Exact spectrum of L(G) or Q(G): integer part plus isolated residue,
+    root_report a RootReport."""
 
-    graph6: str
-    kind: str
-    n: int
-    root_report: RootReport
-    precision: Fraction
+    __slots__ = ()
 
     @property
     def integer_spectrum(self):
@@ -121,14 +116,11 @@ def is_Q_integral(g: Graph) -> bool:
 # -- algebraic connectivity ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralValue:
-    """Exact eigenvalue descriptor: an integer, or an isolating interval."""
+class SpectralValue(namedtuple("SpectralValue", "is_integer value lo hi", defaults=(None, None, None))):
+    """Exact eigenvalue descriptor: an integer value, or an isolating
+    interval (lo, hi] of Fractions."""
 
-    is_integer: bool
-    value: int | None = None
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+    __slots__ = ()
 
     def to_json(self):
         if self.is_integer:

@@ -63,8 +63,8 @@ def test_enumerated_configs_are_normalized_members():
     for n in range(4, 9):
         for family in ("G1", "G2"):
             for cfg in enumerate_family(family, n):
-                assert all(list(m) == sorted(m) for m in cfg.key()[2:])
-                assert family == "G1" or cfg.key()[3:5] <= cfg.key()[5:]
+                assert all(list(m) == sorted(m) for m in cfg[2:])
+                assert family == "G1" or cfg[3:5] <= cfg[5:]
                 g = realize(cfg)
                 assert g.n == n
                 member = family_membership(g)
@@ -189,7 +189,7 @@ def test_verdicts_match_dense_path_at_eleven():
         assert list(r) == [
             "graph6", "family", "n", "config", "bipartite", "integral", "tag", "agreement",
         ]
-        assert r["config"] == json.loads(json.dumps(cfg.key()))
+        assert r["config"] == json.loads(json.dumps(cfg))
         assert r["family"] == cfg.family and r["n"] == g.n == 11
         assert r["graph6"] == to_graph6(g)
         assert r["bipartite"] == is_bipartite(g)
@@ -241,7 +241,7 @@ def test_shard_walk_matches_the_reference_sweep_nine_to_thirteen(sweep_nine_to_t
     assert summary.rows == rows
     assert len(records) == len(verdicts) == 10422 + 11837
     for r, want in zip(records, verdicts):
-        got = (r["family"], r["n"], record_config(r).key(), r["integral"], r["tag"])
+        got = (r["family"], r["n"], tuple(record_config(r)), r["integral"], r["tag"])
         assert got == want
     assert (summary.stats["repeated_exits"], summary.stats["sign_exits"]) == (repeated, signs)
     assert summary.stats["configs"] == len(records)
@@ -290,17 +290,17 @@ def test_sweep_summary_retains_no_memory_per_member(sweep_nine_to_thirteen, monk
 
 
 def test_sweep_without_out_builds_no_family_config(monkeypatch):
-    # every member is decided from the value tables and its key(), the
+    # every member is decided from the value tables and its fields, the
     # integer-root test included: with no out stream and no disagreeing
     # member, the sweep never builds a FamilyConfig
     built = []
-    post_init = FamilyConfig.__post_init__
+    new = FamilyConfig.__new__
 
-    def counted(self):
-        built.append(self.key())
-        post_init(self)
+    def counted(cls, *fields, **named):
+        built.append((fields, named))
+        return new(cls, *fields, **named)
 
-    monkeypatch.setattr(FamilyConfig, "__post_init__", counted)
+    monkeypatch.setattr(FamilyConfig, "__new__", counted)
     summary = verify_theorem(9, 12)
     assert summary.stats["configs"] == 10422 and summary.disagreements == ()
     assert built == []

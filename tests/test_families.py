@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -219,7 +218,7 @@ def test_sign_claims_equal_the_oracle_on_every_case(sturm_calls):
 
 
 def _mutate(monkeypatch, case_id, **changes):
-    case = dataclasses.replace(get_case(case_id), **changes)
+    case = get_case(case_id)._replace(**changes)
     monkeypatch.setitem(load_cases(), case_id, case)
     return case
 
@@ -228,7 +227,7 @@ def _claims(case_id, **printed):
     """The case's claims, with the printed values given here (keyed by the
     text of the claim point) in place of the transcribed ones."""
     return tuple(
-        dataclasses.replace(cl, printed_value=printed.get(str(cl.point), cl.printed_value))
+        cl._replace(printed_value=printed.get(str(cl.point), cl.printed_value))
         for cl in get_case(case_id).sign_claims
     )
 
@@ -258,9 +257,9 @@ MUTATIONS = [
 def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, change, failures):
     claims = get_case(case_id).sign_claims
     if kind == "signs":
-        _mutate(monkeypatch, case_id, sign_claims=tuple(dataclasses.replace(cl, sign=-cl.sign) for cl in claims))
+        _mutate(monkeypatch, case_id, sign_claims=tuple(cl._replace(sign=-cl.sign) for cl in claims))
     elif kind == "zero":
-        moved = dataclasses.replace(claims[0], point=Fraction(0))
+        moved = claims[0]._replace(point=Fraction(0))
         _mutate(monkeypatch, case_id, sign_claims=(moved,) + claims[1:])
     elif kind == "values":
         _mutate(monkeypatch, case_id, sign_claims=_claims(case_id, **change))
@@ -329,6 +328,34 @@ def test_grid_respects_constraints():
     assert all(p["s"] + p["t"] >= 2 for p in pts)
     case = get_case("4.4")
     assert [p["s"] for p in grid_points(case, cap=5)] == [2, 3, 4, 5]
+
+
+def test_points_checked_is_counted_without_walking_the_grid(monkeypatch):
+    # points_checked is the number of points grid_points yields. A case
+    # with no open row counts them from the ranges, min_param_total and
+    # grid_exclude, and never walks the grid; only 4.7-c2.2 does.
+    overrides = [None, {"s": (0, 3)}, {"t": (2, 9)}, {"s": (5, 9), "t": (0, 1)}, {"s": (0, 0)}, {"t": (3, 2)}]
+    # an exclusion takes a point off only when it is on the grid: s=t=1
+    # is; s=0, t=1 is below 4.6-c1.1's floor and 4.7-c2.2's
+    # min_param_total, and s=2 alone names too few parameters
+    extra = {"4.6-c1.1": [{"s": 1, "t": 1}, {"s": 0, "t": 1}, {"s": 2}], "4.7-c2.2": [{"s": 0, "t": 1}]}
+    for cid, points in extra.items():
+        more = tuple(tuple(sorted(p.items())) for p in points)
+        _mutate(monkeypatch, cid, grid_exclude=get_case(cid).grid_exclude + more)
+    runs = [(cid, cap, o) for cid in ALL_CASES for cap in (3, 20) for o in overrides]
+    expected = [sum(1 for _ in grid_points(get_case(cid), cap, o)) for cid, cap, o in runs]
+    assert 0 in expected and len(set(expected)) > 20
+    walked = []
+    walk = families.grid_points
+
+    def recording(case, *args):
+        walked.append(case.id)
+        return walk(case, *args)
+
+    monkeypatch.setattr(families, "grid_points", recording)
+    got = [verify_sign_claims(cid, cap, o)["points_checked"] for cid, cap, o in runs]
+    assert got == expected
+    assert set(walked) == {"4.7-c2.2"}
 
 
 def test_closed_forms():

@@ -140,9 +140,13 @@ def test_construction_normalizes_every_member_up_to_nine():
             for cfg in enumerate_family(family, n):
                 g6 = to_graph6(realize(cfg))
                 for swap in (False, True) if family == "G2" else (False,):
-                    other = FamilyConfig(*scrambled_fields(cfg, rng, swap))
+                    fields = scrambled_fields(cfg, rng, swap)
+                    other = FamilyConfig(*fields)
                     assert other == cfg and hash(other) == hash(cfg), other
                     assert to_graph6(realize(other)) == g6, other
+                    # _make and _replace normalize as construction does
+                    assert FamilyConfig._make(fields) == cfg, fields
+                    assert cfg._replace(**dict(zip(cfg._fields, fields))) == cfg, fields
                 checked += 1
     assert checked == 921
 
@@ -167,10 +171,17 @@ def test_construction_normalizes_every_member_up_to_nine():
     ],
 )
 def test_construction_rejects_each_membership_rule(family, fields, message):
-    # each config breaks one rule only, so a dropped rule lets it build
-    with pytest.raises(ValueError) as exc:
-        FamilyConfig(family, **fields)
-    assert str(exc.value) == message
+    # each config breaks one rule only, so a dropped rule lets it build;
+    # _replace on a valid config validates as construction does
+    valid = FamilyConfig("G1", pendants_u=(1, 1, 1))
+    unset = dict(hub_edge=False, paths=(), pendants_u=(), cycles_u=(), pendants_v=(), cycles_v=())
+    for build in (
+        lambda: FamilyConfig(family, **fields),
+        lambda: valid._replace(family=family, **{**unset, **fields}),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_config_round_trip():

@@ -15,10 +15,14 @@ and build no polynomial. And no function, class or method defined in a
 module is dead: each is referenced by code elsewhere in the package, as
 a name or an attribute, outside its own body. Imports, and so the
 package's re-exports, and docstrings are not references. The entry
-points and oracles named in UNREFERENCED are exempt.
+points and oracles named in UNREFERENCED are exempt. Importing the CLI
+and loading the catalog in a fresh interpreter loads none of the heavy
+standard modules in COLD_START_EXCLUDED.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +31,18 @@ MPOLY_MODULES = {"polys.py", "families.py", "__init__.py"}
 EXACT_MODULES = ("polys.py", "matrices.py")
 # the math functions that take and return only integers
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+# modules a one-shot CLI call does not run, but that dataclasses (inspect,
+# ast, dis, tokenize) or importlib.resources (zipfile, tempfile) would load
+COLD_START_EXCLUDED = (
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
+    "importlib.resources",
+    "zipfile",
+    "tempfile",
+)
 # defined in the package with no caller in it: the dense-path oracles
 # det_gauss and brute_force_oracle, the library entry points isolate_roots
 # and algebraic_connectivity, and MPoly.eval_at, which the benchmark's
@@ -302,3 +318,16 @@ def test_dead_code_checker_skips_own_body_imports_and_docstrings():
         "a:Box.grow",
         "b:imported_only",
     ]
+
+
+def test_cold_start_loads_no_unused_standard_modules():
+    # -S skips site, whose .pth files may import any of these first
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import lapspec.cli\n"
+        "lapspec.families.load_cases()\n"
+        f"print(sorted(m for m in {COLD_START_EXCLUDED!r} if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout

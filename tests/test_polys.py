@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
@@ -30,7 +31,7 @@ from lapspec.polys import (
     _sturm_chain,
     _synthetic_div,
 )
-from oracle_helpers import fraction_divides, lift, poly_mul, reconstructs
+from oracle_helpers import divisor_search_rational_roots, fraction_divides, lift, poly_mul, reconstructs
 
 
 def lam():
@@ -230,6 +231,54 @@ def test_bounded_root_search_equals_full_search():
         c = _random_factored_poly(rng)
         assert split_integer_roots(c) == _full_search_integer_roots(c), c
         assert _rational_roots(c) == _full_search_rational_roots(c), c
+
+
+def _random_non_monic_poly(rng):
+    """A non-monic integer polynomial: linear factors q·x - p, some
+    repeated, with q up to 25 and often a power of two, so that some roots
+    are dyadic and can lie on the ends of the dyadic cells, times a random
+    factor with a leading coefficient up to 1000. The sizes keep the
+    divisor search affordable."""
+    c = [rng.choice([2, -3, 5])]
+    for _ in range(rng.randint(0, 3)):
+        linear = [-rng.randint(-40, 40), rng.choice([1, 2, 4, 8, 9, 16, 25])]
+        for _ in range(rng.choice([1, 1, 2])):
+            c = poly_mul(c, linear)
+    if rng.random() < 0.8:
+        rest = [rng.randint(-1000, 1000) for _ in range(rng.randint(1, 4))]
+        c = poly_mul(c, rest + [rng.randint(1, 1000)])
+    return c
+
+
+def test_rational_roots_equal_the_divisor_search():
+    rng = random.Random(1768)
+    found = 0
+    for _ in range(80):
+        c = _random_non_monic_poly(rng)
+        rational = _rational_roots(c)
+        assert rational == divisor_search_rational_roots(c), c
+        found += sum(r.denominator > 1 for r in rational[0])
+    assert found > 40  # the search meets many roots that are not integers
+
+
+def test_rational_root_time_does_not_follow_the_leading_coefficient():
+    # degree 11, coefficients near 10^12 and a leading coefficient near
+    # 7·10^12: the divisor search trial-divided it up to its square root,
+    # 0.25 s on a 2-core host. The lead of 10^30 puts that search out of
+    # reach; its rational roots are the dyadic 1/8 and -3/4.
+    rng = random.Random(11)
+    c = [rng.randint(-(10**12), 10**12) for _ in range(11)] + [7 * 10**12 + 3]
+    with_root = poly_mul([-5, 42], c)
+    tail = [rng.randint(-(10**30), 10**30) for _ in range(8)] + [10**30 + 7]
+    dyadic = poly_mul([-1, 8], poly_mul([3, 4], tail))
+    start = time.perf_counter()
+    got = [_rational_roots(p) for p in (c, with_root, dyadic)]
+    elapsed = time.perf_counter() - start
+    assert got[0] == divisor_search_rational_roots(c) == ({}, c)
+    assert got[1] == divisor_search_rational_roots(with_root)
+    assert got[1][0] == {Fraction(5, 42): 1}
+    assert got[2][0] == {Fraction(1, 8): 1, Fraction(-3, 4): 1}
+    assert elapsed < 0.2, elapsed
 
 
 def test_isolation_equals_sturm_bisection():
