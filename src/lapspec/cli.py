@@ -323,7 +323,9 @@ def cmd_refine(args) -> int:
     matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
     refined = partitions.coarsest_equitable_refinement(matrix, seed)
     quotient = partitions.quotient_matrix(matrix, refined)
-    ok, cofactor = divides(char_poly(quotient), char_poly(matrix))
+    poly = char_poly(matrix)
+    # a discrete partition's quotient is the matrix relabelled: same polynomial
+    ok, cofactor = divides(poly if len(refined) == g.n else char_poly(quotient), poly)
     doc = {
         "graph6": graphs.to_graph6(g),
         "kind": args.kind,

@@ -205,16 +205,19 @@ def canonical_form(g: Graph) -> str:
     best = [None, None]  # (key, permutation)
 
     def refine(colors):
+        # A round that splits no class leaves the partition equitable; its
+        # colouring is the one the next round would return unchanged.
+        classes = len(set(colors))
         while True:
             sig = [
                 (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
                 for v in range(n)
             ]
             order = {s: i for i, s in enumerate(sorted(set(sig)))}
-            new = tuple(order[sig[v]] for v in range(n))
-            if new == colors:
+            colors = tuple(order[sig[v]] for v in range(n))
+            if len(order) == classes:
                 return colors
-            colors = new
+            classes = len(order)
 
     def branch_reps(cell):
         # Vertices joined by a twin transposition give automorphic

@@ -16,8 +16,13 @@ The printed sign claims are checked exactly on the parameter grid
 shifted to the grid floor, the least value of each parameter on the grid.
 Every grid point lies in the orthant above that corner, so a shift whose
 coefficients all have one sign, with a nonzero constant term, proves that
-sign at every grid point at any cap (Collins & Akritas, 1976). Only the
-claims this certificate leaves open are evaluated point by point.
+sign at every grid point at any cap (Collins & Akritas, 1976). Where the
+shift has mixed signs, the orthant is split along its first parameter v
+into v = floor and v >= floor + 1, and each part is certified the same
+way; parts and points that hold no grid point (above the grid's top, below
+min_param_total or excluded) drop out. The split settles every claim row of
+the catalog, so no grid is walked; only a row that does not settle, as a
+misprinted claim's, is evaluated point by point.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from .polys import (
     LAMBDA,
     MPoly,
     divides,
-    integer_roots,
     interpolate,
     parse_poly,
-    sign_above,
+    shift_certificate,
+    split_integer_roots,
     sturm_count,
 )
 from .spectra import is_L_integral, laplacian, spectrum
@@ -54,8 +59,9 @@ MATRIX_TYPO_LEDGER = {"4.6-c2.1": {(0, 0), (1, 1)}}  # hub diagonal printed s+1
 SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
-#: The largest grid cap the CLI accepts: a two-parameter case walks cap²
-#: points, and `families --case all` at this cap takes a few seconds.
+#: The largest grid cap the CLI accepts: a two-parameter claim that the
+#: certificates leave open walks cap² points. The catalog's claims all
+#: settle, and `families --case all` at this cap takes about 0.1 s.
 GRID_CAP_MAX = 500
 
 
@@ -286,10 +292,13 @@ def verify_printed_matrix(case_id: str) -> dict:
     """Entrywise diff between the generated quotient and the transcription."""
     case = get_case(case_id)
     generated = build_quotient(case_id, symbolic=True)
+    parsed = {}  # entry text -> its polynomial; most texts repeat
     diffs = []
     for i, row in enumerate(case.printed_matrix):
         for j, text in enumerate(row):
-            want = parse_poly(text, variables=case.params)
+            if text not in parsed:
+                parsed[text] = parse_poly(text, variables=case.params)
+            want = parsed[text]
             got = generated.entries[i][j]
             if got != want:
                 computed = got.to_text() if isinstance(got, MPoly) else str(got)
@@ -330,14 +339,16 @@ def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: d
             yield point
 
 
-def _grid_size(case: PropositionCase, cap: int, overrides: dict | None) -> int:
-    """The number of points grid_points yields, with no point built.
+def _box_size(case: PropositionCase, ranges) -> int:
+    """The number of grid points of the case in the box ranges, one range
+    per parameter in case.params order: the points of the box that meet
+    min_param_total and are not in grid_exclude. Over the ranges of
+    _grid_ranges it is the number of points grid_points yields.
 
-    For each combination of the other parameters, the last one's values
-    that reach min_param_total form one run at the top of its range; the
-    excluded points on the grid are then taken off.
+    No point is built. For each combination of the other parameters, the
+    last one's values that reach min_param_total form one run at the top of
+    its range; the excluded points in the box are then taken off.
     """
-    ranges = _grid_ranges(case, cap, overrides)
     total = case.min_param_total
     *outer, last = ranges
     count = 0
@@ -381,28 +392,38 @@ def verify_sign_claims(
     row, a polynomial in s and t: r^d · f(p/r) = Σ_k f_k · p^k · r^(d-k),
     which has the sign of f at p/r.
 
-    Each row is first certified once for the whole grid. Its Taylor shift
-    to the grid floor, each parameter's least value on the grid (the
-    declared lower end, raised by an override's), is a polynomial in
-    x = s - s₀, y = t - t₀, and every grid point has x, y >= 0. If every
-    coefficient of the shift has one sign and the constant term is nonzero,
-    the row has that sign at every point with x, y >= 0, so at every grid
-    point at any cap (polys.sign_above; Collins & Akritas, 1976). A claim
-    whose row certifies its claimed sign holds everywhere; a printed value
-    whose polynomial times r^d equals its point's row holds everywhere; and
-    rows at lo and hi certified with opposite signs put a root strictly
-    inside the interval at every point.
+    Each row is first settled once for the whole grid by a split
+    certificate (polys.shift_certificate). Its Taylor shift to the grid
+    floor, each parameter's least value on the grid (the declared lower
+    end, raised by an override's), is a polynomial in x = s - s₀, y = t - t₀,
+    and every grid point has x, y >= 0. If every coefficient of the shift
+    has one sign and the constant term is nonzero, the row has that sign at
+    every point with x, y >= 0 (Collins & Akritas, 1976). A part of the
+    orthant that does not certify is split along its first free parameter
+    v into v = floor, substituted, and v >= floor + 1, until every part
+    certifies or holds no grid point; a part whose floor is above the
+    grid's top holds none, and a point holds one only when grid_points
+    yields it (in the ranges, at least min_param_total, not in
+    grid_exclude; _box_size). A zero part, or a part or point of the other
+    sign that holds a grid point, ends the search unsettled. The parts
+    cover the orthant, so a row is settled for a sign exactly when it has
+    that sign at every grid point, and a grid with no point settles every
+    row. A claim whose row is settled for its claimed sign holds at every
+    grid point; a printed value whose polynomial times r^d equals its
+    point's row holds everywhere; and rows at lo and hi settled for
+    opposite signs put a root strictly inside the interval at every point.
 
     The grid loop checks only what the certificates leave open. It
     evaluates the monomials in s and t once per point and takes one dot
     product per open row; a claim's sign is read off its point's value, and
     a printed value is checked against it by cross-multiplying with r^d.
-    Where lo and hi are not certified opposite, a root strictly inside the
+    Where lo and hi are not settled opposite, a root strictly inside the
     interval is certified at each point by nonzero opposite signs at its
     ends, or else by a Sturm count on the λ-coefficients, which only that
-    fallback evaluates. A case with no open row walks no grid point:
-    points_checked is counted from the ranges (_grid_size). The report is
-    the one the point-by-point check of every claim gives.
+    fallback evaluates. A case with no open row, or a grid with no point,
+    walks no grid point, and no case of the catalog has an open row at any
+    cap: points_checked is counted from the ranges (_box_size). The report
+    is the one the point-by-point check of every claim gives.
     """
     case = get_case(case_id)
     coeffs = _lambda_coefficients(case_id)
@@ -416,15 +437,22 @@ def verify_sign_claims(
         )
         for q in points
     ]
-    floors = {name: r.start for name, r in zip(case.params, _grid_ranges(case, cap, overrides))}
-    signs = [sign_above(poly, floors) for poly in polys]  # 0 where not certified
+    ranges = _grid_ranges(case, cap, overrides)
+
+    def holds(box):
+        return _box_size(case, box) > 0
+
+    @lru_cache(maxsize=None)
+    def settles(i, sign):  # whether row i has that sign at every grid point
+        return shift_certificate(polys[i], ranges, sign, holds)
+
     live = set()  # the rows evaluated at each grid point
     sign_checks = []  # (claim, r^d, row of its point) whose certificate does not settle it
     identity_checks = []  # (claim, r^d, row of its point, row of its printed value)
     for claim in case.sign_claims:
         scale = claim.point.denominator**d
         i = points.index(claim.point)
-        if signs[i] != claim.sign:
+        if not settles(i, claim.sign):
             sign_checks.append((claim, scale, i))
             live.add(i)
         if (
@@ -437,35 +465,39 @@ def verify_sign_claims(
                 live |= {i, len(polys)}
                 polys.append(printed)
     row_lo, row_hi = points.index(lo), points.index(hi)
-    root_open = signs[row_lo] * signs[row_hi] != -1
+    root_open = not any(settles(row_lo, sign) and settles(row_hi, -sign) for sign in (1, -1))
     if root_open:
-        live |= {i for i in (row_lo, row_hi) if not signs[i]}
+        # the sign each end's row is settled for, 0 where the grid loop reads it
+        signs = {i: next((sign for sign in (1, -1) if settles(i, sign)), 0) for i in (row_lo, row_hi)}
+        live |= {i for i in signs if not signs[i]}
     live = sorted(live)
-    live_values = _evaluator([polys[i] for i in live], case.params)
-    coeff_values = _evaluator(coeffs, case.params)
     sign_failures = []
     identity_failures = []
     root_failures = []
-    for point in grid_points(case, cap, overrides) if live or root_open else ():
-        value = dict(zip(live, live_values(point)))
-        for claim, scale, i in sign_checks:
-            if (value[i] > 0) - (value[i] < 0) != claim.sign:
-                sign_failures.append(
-                    {"point": point, "at": str(claim.point), "value": str(Fraction(value[i], scale))}
-                )
-        for claim, scale, i, at in identity_checks:
-            if value[at] * scale != value[i]:
-                identity_failures.append({"point": point, "at": str(claim.point)})
-        if root_open:
-            sign_lo, sign_hi = (signs[i] or (value[i] > 0) - (value[i] < 0) for i in (row_lo, row_hi))
-            if sign_lo * sign_hi >= 0:
-                inside = sturm_count(coeff_values(point), lo, hi) - (sign_hi == 0)
-                if inside < 1:
-                    root_failures.append({"point": point})
+    size = _box_size(case, ranges)
+    if (live or root_open) and size:  # the grid loop, for what the certificates leave open
+        live_values = _evaluator([polys[i] for i in live], case.params)
+        coeff_values = _evaluator(coeffs, case.params)
+        for point in grid_points(case, cap, overrides):
+            value = dict(zip(live, live_values(point)))
+            for claim, scale, i in sign_checks:
+                if (value[i] > 0) - (value[i] < 0) != claim.sign:
+                    sign_failures.append(
+                        {"point": point, "at": str(claim.point), "value": str(Fraction(value[i], scale))}
+                    )
+            for claim, scale, i, at in identity_checks:
+                if value[at] * scale != value[i]:
+                    identity_failures.append({"point": point, "at": str(claim.point)})
+            if root_open:
+                sign_lo, sign_hi = (signs[i] or (value[i] > 0) - (value[i] < 0) for i in (row_lo, row_hi))
+                if sign_lo * sign_hi >= 0:
+                    inside = sturm_count(coeff_values(point), lo, hi) - (sign_hi == 0)
+                    if inside < 1:
+                        root_failures.append({"point": point})
     return {
         "case": case_id,
         "grid_cap": cap,
-        "points_checked": _grid_size(case, cap, overrides),
+        "points_checked": size,
         "signs_ok": not sign_failures,
         "value_identities_ok": not identity_failures,
         "root_in_interval_ok": not root_failures,
@@ -521,7 +553,7 @@ def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
             brackets.append(t * t < disc < (t + 1) * (t + 1))
         quad = parse_poly("λ^2 - (4+t)*λ + 3 + 2*t", variables=(LAMBDA, "t"))
         quad_ok = all(
-            integer_roots(quad.substitute({"t": t}).univariate_coeffs()).integer_roots == ()
+            not split_integer_roots(quad.substitute({"t": t}).univariate_coeffs())[0]
             for t in range(2, cap + 1)
         )
         return {
@@ -565,7 +597,7 @@ def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
             disc = t * t + 2 * t + 9
             brackets.append((t + 1) ** 2 < disc < (t + 2) ** 2)
             quad_t = quad.substitute({"t": t}).univariate_coeffs()
-            quad_ok = quad_ok and integer_roots(quad_t).integer_roots == ()
+            quad_ok = quad_ok and not split_integer_roots(quad_t)[0]
         return {
             "subcase": "iv",
             "printed_instance_ok": inst == printed_s2,

@@ -409,6 +409,51 @@ def sign_above(poly: MPoly, floors) -> int:
     return 0
 
 
+def shift_certificate(poly: MPoly, ranges, sign: int, holds) -> bool:
+    """Whether poly has the sign `sign` (1 or -1) at every point of a grid:
+    the integer points of the box `ranges` (one range per variable, in
+    poly.vars order) that the grid keeps. holds(box) tells whether a
+    sub-box, given the same way, keeps a grid point; a grid that keeps none
+    is settled for either sign.
+
+    The search starts with the whole orthant above the box's floor, the
+    least value of each variable, and certifies each part with sign_above
+    at the part's floor (Collins & Akritas, 1976). A part that certifies
+    `sign` is settled. A part whose polynomial is zero, or that certifies
+    the other sign, ends the search with False when it holds a grid point:
+    that point does not have `sign`. A part that certifies nothing and
+    holds a grid point is split along its first free variable v into
+    v = floor, substituted, and v >= floor + 1; a part whose floor is above
+    the box's top holds no grid point and is dropped. The parts cover the
+    orthant, and every one that holds a grid point has been settled with
+    `sign`, so every grid point has it. Conversely the search ends False
+    only at a grid point without `sign`, so the answer is exact. It ends
+    because each split fixes a variable or raises a floor towards the box's
+    top: the box bounds the number of parts.
+    """
+    n = len(poly.vars)
+    # (the part's polynomial in its free variables, which are poly.vars[k:]
+    # with the first k fixed at their floors, and the floor of each variable)
+    work = [(poly, [r.start for r in ranges])]
+    while work:
+        part, floors = work.pop()
+        k = n - len(part.vars)
+        part_sign = sign_above(part, dict(zip(part.vars, floors[k:])))
+        if part_sign == sign:
+            continue
+        box = [range(f, f + 1) for f in floors[:k]] + [
+            range(f, r.stop) for f, r in zip(floors[k:], ranges[k:])
+        ]
+        if not holds(box):
+            continue
+        if part_sign or not part:
+            return False
+        if floors[k] + 1 < ranges[k].stop:
+            work.append((part, floors[:k] + [floors[k] + 1] + floors[k + 1 :]))
+        work.append((part.substitute({part.vars[0]: floors[k]}), floors))
+    return True
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -699,14 +744,17 @@ def _synthetic_div(c, r: int):
     return out
 
 
-def _rational_roots(c):
+def _rational_roots(c, chain=None):
     """Rational roots (as Fractions) with multiplicity, plus the rest over Z.
 
     The roots p/q in lowest terms have p dividing the constant and q the
     leading coefficient, so a monic c has integer ones only and is searched
     on ints as split_integer_roots searches. Otherwise each rational root is
     one of the roots of c's square-free part found by _rational_points, and
-    c is divided by it as often as it is a root.
+    c is divided by it as often as it is a root. A caller that holds c's
+    Sturm chain passes it as chain, c then being square-free and primitive
+    with a positive leading coefficient, and the chain is not built again
+    unless c has the root 0.
     """
     c = _trim(list(c))
     if c and c[-1] == 1:
@@ -721,7 +769,7 @@ def _rational_roots(c):
         roots[Fraction(0)] = k
     if len(c) <= 1:
         return roots, c
-    for r in _rational_points(*_square_free_chain(c)):
+    for r in _rational_points(*((c, chain) if chain and not k else _square_free_chain(c))):
         while len(c) > 1 and _sign_at(c, r) == 0:
             c = _exact_quotient(c, [-r.numerator, r.denominator])
             roots[r] = roots.get(r, 0) + 1
@@ -855,7 +903,7 @@ def _isolation(c, precision: Fraction, integer_free: bool = False):
     if integer_free and sf[-1] == 1:
         rational, rest = {}, sf
     else:
-        rational, rest = _rational_roots(sf)
+        rational, rest = _rational_roots(sf, chain)
         if rest != sf and len(rest) > 1:
             chain = _sturm_chain(rest)
     cells = _root_cells(rest, chain, precision) if len(rest) > 1 else ()

@@ -23,7 +23,7 @@ from lapspec import (
     verify_sign_claims,
 )
 from lapspec import families
-from lapspec.polys import sign_above, taylor_shift
+from lapspec.polys import shift_certificate, sign_above, taylor_shift
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
@@ -302,8 +302,16 @@ def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
                 residual = taylor_shift(row, floors)
     assert open_rows == [("4.7-c2.2", Fraction(1))]
     assert residual == parse_poly("2*s*t + t^2 + 2*s - 1", variables=("s", "t"))
-    # so the grid loop evaluates that one row and no other: the first
-    # evaluator verify_sign_claims builds is the one for the open rows
+    # The split certificate settles that row on the grid at every cap: s >= 1
+    # and s = 0, t >= 3 certify +, (0, 1) is below min_param_total and
+    # (0, 2) is excluded. So the grid loop evaluates no row of any case.
+    case = get_case("4.7-c2.2")
+    row = computed_symbolic_poly("4.7-c2.2").substitute({LAMBDA: 1})
+    for cap in (3, 20, 500):
+        ranges = families._grid_ranges(case, cap, None)
+        holds = lambda box: families._box_size(case, box) > 0  # noqa: E731
+        assert shift_certificate(row, ranges, 1, holds)
+        assert not shift_certificate(row, ranges, -1, holds)
     calls = []
     evaluator = families._evaluator
 
@@ -312,13 +320,9 @@ def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
         return evaluator(polys, params)
 
     monkeypatch.setattr(families, "_evaluator", recording)
-    live = {}
     for cid in ALL_CASES:
-        calls.clear()
         verify_sign_claims(cid)
-        if calls[0]:
-            live[cid] = calls[0]
-    assert live == {"4.7-c2.2": [computed_symbolic_poly("4.7-c2.2").substitute({LAMBDA: 1})]}
+    assert calls == []
 
 
 def test_grid_respects_constraints():
@@ -333,7 +337,7 @@ def test_grid_respects_constraints():
 def test_points_checked_is_counted_without_walking_the_grid(monkeypatch):
     # points_checked is the number of points grid_points yields. A case
     # with no open row counts them from the ranges, min_param_total and
-    # grid_exclude, and never walks the grid; only 4.7-c2.2 does.
+    # grid_exclude, and never walks the grid; no case has an open row.
     overrides = [None, {"s": (0, 3)}, {"t": (2, 9)}, {"s": (5, 9), "t": (0, 1)}, {"s": (0, 0)}, {"t": (3, 2)}]
     # an exclusion takes a point off only when it is on the grid: s=t=1
     # is; s=0, t=1 is below 4.6-c1.1's floor and 4.7-c2.2's
@@ -355,7 +359,46 @@ def test_points_checked_is_counted_without_walking_the_grid(monkeypatch):
     monkeypatch.setattr(families, "grid_points", recording)
     got = [verify_sign_claims(cid, cap, o)["points_checked"] for cid, cap, o in runs]
     assert got == expected
-    assert set(walked) == {"4.7-c2.2"}
+    assert walked == []
+
+
+def test_a_zero_row_and_an_emptied_range_settle_without_walking(monkeypatch):
+    walked = []
+    walk = families.grid_points
+
+    def recording(case, *args):
+        walked.append(case.id)
+        return walk(case, *args)
+
+    monkeypatch.setattr(families, "grid_points", recording)
+    case = get_case("4.4")
+    holds_calls = []
+
+    def holds(box):
+        holds_calls.append(box)
+        return families._box_size(case, box) > 0
+
+    # λ = 0 is a root of every quotient, so its row is the zero polynomial:
+    # the whole orthant is a zero part, settled for neither sign with no split
+    zero = computed_symbolic_poly("4.4").substitute({LAMBDA: 0})
+    assert not zero
+    ranges = families._grid_ranges(case, 20, None)
+    assert not shift_certificate(zero, ranges, 1, holds)
+    assert not shift_certificate(zero, ranges, -1, holds)
+    assert holds_calls == [ranges, ranges]
+    # an override that empties a range leaves a grid with no point, which
+    # settles every row, the zero row too
+    emptied = families._grid_ranges(case, 20, {"s": (5, 4)})
+    assert shift_certificate(zero, emptied, 1, holds) and shift_certificate(zero, emptied, -1, holds)
+    claims = case.sign_claims
+    _mutate(monkeypatch, "4.4", sign_claims=(claims[0]._replace(point=Fraction(0)),) + claims[1:])
+    for cid in ALL_CASES:
+        for overrides in ({"s": (5, 4)}, {"t": (3, 2)}):
+            if set(overrides) <= set(get_case(cid).params):
+                report = verify_sign_claims(cid, overrides=overrides)
+                assert report == _oracle_sign_claims(cid, 20, overrides), cid
+                assert report["points_checked"] == 0
+    assert walked == []
 
 
 def test_closed_forms():

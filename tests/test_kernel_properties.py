@@ -22,7 +22,11 @@ path-count lists. taylor_shift of a polynomial in one or two parameters
 equals its terms multiplied out at the shifted variables, and a sign that
 sign_above certifies holds at every point of a box above the floors; a
 polynomial shifted back from one whose coefficients and nonzero constant
-term share a sign always certifies. Divisibility, content and rational roots come from the
+term share a sign always certifies. shift_certificate settles a sign on a
+small catalog grid (floors 0..2, tops up to 6, a random least parameter sum
+and random exclusions) exactly when every grid point has that sign, checked
+point by point; and _box_size counts the points grid_points yields.
+Divisibility, content and rational roots come from the
 Fraction helpers of oracle_helpers, not from lapspec.
 """
 
@@ -34,7 +38,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from lapspec.families import _grid_quotient  # noqa: E402
+from lapspec.families import _box_size, _grid_quotient, _grid_ranges, get_case, grid_points  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
@@ -46,6 +50,7 @@ from lapspec.polys import (  # noqa: E402
     interpolate,
     parse_poly,
     poly_value,
+    shift_certificate,
     sign_above,
     split_integer_roots,
     taylor_shift,
@@ -326,3 +331,59 @@ def test_a_certified_sign_holds_on_a_box_above_the_floors(case, widths):
     for point in product(*box):
         value = sum(c * prod(map(pow, point, exps)) for exps, c in poly.terms.items())
         assert got == 0 or (value > 0) - (value < 0) == got, point
+
+
+@st.composite
+def grid_rows(draw):
+    """(poly, grid, min_param_total, exclusions) over one or two parameters:
+    poly is one of shifted_back's, a square of a linear form plus a constant
+    (one sign on most points, with no certificate at most floors), or a
+    product of two linear forms plus a constant, as 4.7-c2.2's row at
+    λ = 1, t(2s + t - 2), is; negated or not. The grid maps each parameter
+    to [floor, top], floor in 0..2 and top in floor - 1..6, so a range may
+    be empty; the exclusions are points of {0..6}^params."""
+    kind = draw(st.sampled_from(["shifted", "square", "product"]))
+    if kind == "shifted":
+        poly = draw(shifted_back())[0]
+    else:
+        params = draw(PARAMS)
+
+        def linear():
+            total = MPoly.zero(params) + draw(st.integers(-3, 3))
+            for v in params:
+                total = total + draw(st.integers(-2, 2)) * MPoly.var(v, params)
+            return total
+
+        first = linear()
+        poly = first * (first if kind == "square" else linear()) + draw(st.integers(-2, 2))
+    poly = poly * draw(st.sampled_from([1, -1]))
+    grid = {}
+    for v in poly.vars:
+        floor = draw(st.integers(0, 2))
+        grid[v] = [floor, draw(st.integers(floor - 1, 6))]
+    total = draw(st.none() | st.integers(0, 8))
+    point = st.tuples(*[st.integers(0, 6)] * len(poly.vars))
+    return poly, grid, total, draw(st.lists(point, max_size=4))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(grid_rows())
+def test_the_split_certificate_settles_a_sign_exactly_when_every_grid_point_has_it(row):
+    poly, grid, total, excluded = row
+    case = get_case("4.7-c2.2")._replace(
+        params=poly.vars,
+        grid=grid,
+        min_param_total=total,
+        grid_exclude=tuple(tuple(zip(poly.vars, p)) for p in excluded),
+    )
+    ranges = _grid_ranges(case, 6, None)
+    points = [tuple(p[v] for v in poly.vars) for p in grid_points(case, 6)]
+    assert _box_size(case, ranges) == len(points)
+    values = [sum(c * prod(map(pow, p, exps)) for exps, c in poly.terms.items()) for p in points]
+    signs = {(value > 0) - (value < 0) for value in values}
+
+    def holds(box):
+        return _box_size(case, box) > 0
+
+    for sign in (1, -1):
+        assert shift_certificate(poly, ranges, sign, holds) == (signs <= {sign}), sign

@@ -20,6 +20,7 @@ from lapspec import (
     split_integer_roots,
     sturm_count,
 )
+from lapspec import polys
 from lapspec.polys import (
     _count_halfopen,
     _exact_quotient,
@@ -279,6 +280,26 @@ def test_rational_root_time_does_not_follow_the_leading_coefficient():
     assert got[1][0] == {Fraction(5, 42): 1}
     assert got[2][0] == {Fraction(1, 8): 1, Fraction(-3, 4): 1}
     assert elapsed < 0.2, elapsed
+
+
+def test_non_monic_isolation_builds_one_remainder_sequence(monkeypatch):
+    # 3λ³ - 4λ - 2 is square-free, has no rational root and a nonzero
+    # constant term: the chain _isolation builds for its square-free part
+    # is the one the rational-root search halves cells with, so one
+    # remainder sequence serves both.
+    c = [-2, -4, 0, 3]
+    assert _rational_roots(c) == ({}, c)
+    calls = []
+    chain = polys._remainder_chain
+
+    def counting(p):
+        calls.append(list(p))
+        return chain(p)
+
+    monkeypatch.setattr(polys, "_remainder_chain", counting)
+    intervals = isolate_roots(c)
+    assert calls == [c]
+    assert len(intervals) == sturm_count(c, -2, 2) == 1
 
 
 def test_isolation_equals_sturm_bisection():
