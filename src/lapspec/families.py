@@ -4,12 +4,15 @@ Each catalog case fixes a hub adjacency flag and a multiset of internal
 path orders with symbolic counts (s, t). The quotient matrix over the
 position-pooled partition is generated structurally, and its polynomial
 in Z[s,t][λ] is interpolated from the sweep's internal-path fold at int
-counts (matrices.path_quotient at the points of {0, 1, 2}^params, see
+counts (matrices.path_quotient at the points of {0, 1, 2}^params, whose
+coefficient lists one polys.grid_interpolate call interpolates; see
 computed_symbolic_poly); the source text's printed matrix and
 characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
-data rather than being silently corrected. Two misprints are
-pre-registered; everything else must diff empty.
+data rather than being silently corrected. parse_poly reads the printed
+texts with one compiled tokenizer pattern, and a printed polynomial is
+split by λ-degree only when it differs from the computed one. Two
+misprints are pre-registered; everything else must diff empty.
 
 The printed sign claims are checked exactly on the parameter grid
 (verify_sign_claims). Each claim's polynomial in the parameters is first
@@ -43,7 +46,7 @@ from .polys import (
     LAMBDA,
     MPoly,
     divides,
-    interpolate,
+    grid_interpolate,
     parse_poly,
     shift_certificate,
     split_integer_roots,
@@ -227,24 +230,19 @@ def _grid_quotient(path_counts, hub_edge) -> MPoly:
     matrices._fold_paths), and P not at all, so each λ-coefficient of
     Q = P X² - 2 N X + T has total degree at most 2 in the counts, and so at
     most 2 in each parameter: its values at the points of {0, 1, 2}^params
-    fix it. They are interpolated along one parameter axis after another
-    (polys.interpolate).
+    fix it. polys.grid_interpolate interpolates the coefficient lists of
+    path_quotient at those points, whole lists at a time.
     """
     params = tuple(sorted({c for _, c in path_counts if not c.isdigit()}))
-    table = {}  # (λ exponent, then a point's values or exponents) -> coefficient
+    table = {}  # a point of {0, 1, 2}^params -> Q's coefficients there
     for point in product(range(3), repeat=len(params)):
         values = dict(zip(params, point))
         counts = [(order, int(c) if c.isdigit() else values[c]) for order, c in path_counts]
-        for e, a in enumerate(path_quotient(counts, hub_edge)):
-            table[(e,) + point] = a
-    for axis in range(1, len(params) + 1):
-        out = {}
-        for rest in {key[:axis] + key[axis + 1 :] for key in table}:
-            line = [table.get(rest[:axis] + (x,) + rest[axis:], 0) for x in range(3)]
-            for e, a in enumerate(interpolate(line)):
-                out[rest[:axis] + (e,) + rest[axis:]] = a
-        table = out
-    return MPoly((LAMBDA,) + params, table)
+        table[point] = path_quotient(counts, hub_edge)
+    return MPoly(
+        (LAMBDA,) + params,
+        {(e,) + exps: a for exps, coeffs in grid_interpolate(table).items() for e, a in enumerate(coeffs)},
+    )
 
 
 @lru_cache(maxsize=None)
@@ -256,29 +254,23 @@ def computed_symbolic_poly(case_id: str) -> MPoly:
     return _grid_quotient(case.path_counts, case.hub_edge)
 
 
-@lru_cache(maxsize=None)
-def _lambda_coefficients(case_id: str) -> tuple:
-    """computed_symbolic_poly split by powers of λ, ascending: one MPoly
-    over the case's params per λ-degree."""
-    return tuple(computed_symbolic_poly(case_id).coefficients_in(LAMBDA))
-
-
 def verify_printed_polynomial(case_id: str) -> dict:
     """Diff the computed symbolic polynomial against the transcription.
 
     Mismatches are reported per λ-degree with both coefficient values;
-    an empty diff means the transcription is verified.
+    an empty diff means the transcription is verified. The two are split
+    by λ-degree only when they differ.
     """
     case = get_case(case_id)
     printed = parse_poly(case.printed_poly, variables=(LAMBDA,) + case.params)
-    zero = MPoly.zero(case.params)
+    computed = computed_symbolic_poly(case_id)
     diffs = []
-    pairs = zip_longest(_lambda_coefficients(case_id), printed.coefficients_in(LAMBDA), fillvalue=zero)
-    for k, (got, want) in enumerate(pairs):
-        if got != want:
-            diffs.append(
-                {"degree": k, "printed": want.to_text(), "computed": got.to_text()}
-            )
+    if printed != computed:
+        zero = MPoly.zero(case.params)
+        pairs = zip_longest(computed.coefficients_in(LAMBDA), printed.coefficients_in(LAMBDA), fillvalue=zero)
+        for k, (got, want) in enumerate(pairs):
+            if got != want:
+                diffs.append({"degree": k, "printed": want.to_text(), "computed": got.to_text()})
     allowed = POLY_TYPO_LEDGER.get(case_id, set())
     return {
         "case": case_id,
@@ -426,17 +418,18 @@ def verify_sign_claims(
     is the one the point-by-point check of every claim gives.
     """
     case = get_case(case_id)
-    coeffs = _lambda_coefficients(case_id)
+    coeffs = computed_symbolic_poly(case_id).coefficients_in(LAMBDA)
     d = len(coeffs) - 1
     lo, hi = case.root_interval
     points = list(dict.fromkeys([claim.point for claim in case.sign_claims] + [lo, hi]))
-    polys = [
-        sum(
-            (f * (q.numerator**k * q.denominator ** (d - k)) for k, f in enumerate(coeffs)),
-            MPoly.zero(case.params),
-        )
-        for q in points
-    ]
+    polys = []  # each point's row, summed on one term dict
+    for q in points:
+        terms = {}
+        for k, f in enumerate(coeffs):
+            scale = q.numerator**k * q.denominator ** (d - k)
+            for exps, c in f.terms.items():
+                terms[exps] = terms.get(exps, 0) + c * scale
+        polys.append(MPoly(case.params, terms))
     ranges = _grid_ranges(case, cap, overrides)
 
     def holds(box):

@@ -31,6 +31,7 @@ intervals produced here.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, isqrt
@@ -213,6 +214,8 @@ class MPoly:
         return NotImplemented if terms is None else self.terms == terms
 
     def __hash__(self):
+        if self.is_constant():  # equal to its value, so hashed as it
+            return hash(self.constant_value())
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------
@@ -273,13 +276,15 @@ def parse_poly(text: str, variables=None) -> MPoly:
     the polynomial is over them, and a name outside them is a ValueError;
     without, its variables are the names in order of first appearance.
     The parser computes on term dicts (exponent tuple -> int) over those
-    variables and builds one MPoly, at the end.
+    variables and builds one MPoly, at the end. Every term dict a rule
+    returns is its own, so a sum adds each operand into the left one.
     """
     tokens = _tokenize(text)
     if variables is None:
         variables = dict.fromkeys(tok for tok in tokens if isinstance(tok, str) and tok.isidentifier())
     variables = tuple(variables)
     zero = (0,) * len(variables)
+    units = {v: zero[:i] + (1,) + zero[i + 1 :] for i, v in enumerate(variables) if variables.count(v) == 1}
     rest = tokens[::-1]  # the tokens still to read, the next one last
 
     def take():
@@ -288,9 +293,9 @@ def parse_poly(text: str, variables=None) -> MPoly:
     def parse_expr():
         node = parse_term()
         while rest and rest[-1] in ("+", "-"):
-            op = rest.pop()
-            rhs = parse_term()
-            node = _terms_sum(node, rhs if op == "+" else _terms_neg(rhs))
+            sign = 1 if rest.pop() == "+" else -1
+            for exps, c in parse_term().items():
+                node[exps] = node.get(exps, 0) + sign * c
         return node
 
     def parse_term():
@@ -311,7 +316,11 @@ def parse_poly(text: str, variables=None) -> MPoly:
             exp = take()
             if not isinstance(exp, int):
                 raise ValueError("exponent must be an integer literal")
-            node = _terms_power(node, exp, len(variables))
+            if len(node) == 1:  # c·x^e to the power k is c^k·x^(k·e); 0^0 = 1
+                ((exps, c),) = node.items()
+                node = {tuple(e * exp for e in exps): c**exp}
+            else:
+                node = _terms_power(node, exp, len(variables))
         return _terms_neg(node) if negate else node
 
     def parse_primary():
@@ -324,10 +333,9 @@ def parse_poly(text: str, variables=None) -> MPoly:
         if isinstance(tok, int):
             return {zero: tok}
         if isinstance(tok, str) and tok.isidentifier():
-            exps = tuple(1 if v == tok else 0 for v in variables)
-            if sum(exps) != 1:
+            if tok not in units:
                 raise ValueError(f"unknown variable {tok!r}")
-            return {exps: 1}
+            return {units[tok]: 1}
         raise ValueError(f"unexpected token {tok!r}")
 
     node = parse_expr()
@@ -454,30 +462,24 @@ def shift_certificate(poly: MPoly, ranges, sign: int, holds) -> bool:
     return True
 
 
+#: One token after any white space: an integer literal; a name, which starts
+#: with any character but white space and the ASCII ones that are no letter
+#: or '_', then any but the ASCII ones that are no letter, digit or '_'; an
+#: operator; or a bad character. (A class over the non-ASCII range takes
+#: milliseconds to compile, so the classes are negated.)
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|([^\x00-\x40\x5b-\x5e\x60\x7b-\x7f\s][^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]*)|([-+*^()])|(\S))"
+)
+
+
 def _tokenize(text):
+    """The tokens of polynomial text: ints, names and operators. A digit
+    that is no decimal digit, such as '²', starts no literal and no name."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_" or ord(ch) > 127:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_" or ord(text[j]) > 127):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"bad character {ch!r} in polynomial text")
+    for number, name, op, bad in _TOKEN.findall(text):
+        if bad or name[:1].isdigit():
+            raise ValueError(f"bad character {(bad or name[0])!r} in polynomial text")
+        tokens.append(int(number) if number else name or op)
     return tokens
 
 
@@ -729,6 +731,32 @@ def interpolate(values) -> list:
         out = [x - j * y for x, y in zip([0] + out, out + [0])]  # out · (x - j)
         out[0] += newton[j]
     return out
+
+
+def grid_interpolate(table) -> dict:
+    """The integer polynomial of degree at most 2 in each of p variables
+    that takes table[x] at each point x of {0, 1, 2}^p, as a map from
+    exponent tuples to coefficients; ValueError when there is none. The
+    table's values are lists of one length, interpolated entrywise, one
+    variable after another: a line v0, v1, v2 is c0 + c1·x + c2·x² with
+    c0 = v0, c2 = (v2 - 2·v1 + v0) / 2, an integer exactly when that second
+    difference is even (interpolate's Newton form), and c1 = v1 - v0 - c2.
+    """
+    for axis in range(len(next(iter(table)))):
+        out = {}
+        for point, v0 in table.items():
+            if point[axis]:
+                continue
+            v1, v2 = (table[point[:axis] + (x,) + point[axis + 1 :]] for x in (1, 2))
+            second = [a - 2 * b + c for a, b, c in zip(v0, v1, v2)]
+            if any(x & 1 for x in second):
+                raise ValueError("the values are not those of an integer polynomial")
+            c2 = [x >> 1 for x in second]
+            out[point] = v0
+            out[point[:axis] + (1,) + point[axis + 1 :]] = [b - a - c for a, b, c in zip(v0, v1, c2)]
+            out[point[:axis] + (2,) + point[axis + 1 :]] = c2
+        table = out
+    return table
 
 
 def _synthetic_div(c, r: int):

@@ -12,7 +12,8 @@ continuants are built here as polynomials (_continuants), and _side and
 _fold_links fold a hub side and the internal paths over them, as
 polynomials where the library folds values. divisor_search_rational_roots
 is the rational-root search the library ran before it bisected root
-cells, over Q. None of it shares code with the library paths it
+cells, over Q, and scan_tokens is the one-character-at-a-time scanner
+that polys._tokenize replaced with one compiled pattern. None of it shares code with the library paths it
 checks, with three exceptions. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
@@ -689,6 +690,42 @@ def fold_path_quotient(counts, hub_edge) -> MPoly:
     p, n, t = _fold_links(counts, hub_edge)
     x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)
     return lift(_add(poly_mul(x, _add(poly_mul(p, x), n, -2)), t))
+
+
+# -- the polynomial text scanner ----------------------------------------------
+
+
+def scan_tokens(text):
+    """The tokens of polynomial text, one character at a time: white space
+    (str.isspace) is skipped, a run of str.isdigit characters is an int
+    literal (int() raises ValueError on a digit that is no decimal digit,
+    such as '²'), a name starts with a letter, '_' or a non-ASCII character
+    and goes on over letters, digits, '_' and non-ASCII characters, and
+    '+-*^()' are operators; any other character is a ValueError."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(int(text[i:j]))
+            i = j
+        elif ch.isalpha() or ch == "_" or ord(ch) > 127:
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_" or ord(text[j]) > 127):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            i += 1
+        else:
+            raise ValueError(f"bad character {ch!r} in polynomial text")
+    return tokens
 
 
 # -- spectral checks ------------------------------------------------------------

@@ -11,7 +11,12 @@ root, finds the planted roots and leaves split_integer_roots' cofactor
 shift-based value at a dyadic point equals the general scaled value, and
 interpolate gives back an integer polynomial from its values at 0, 1, ...
 and rejects the values of a polynomial whose coefficients are not all
-integers. parse_poly reads
+integers; grid_interpolate on {0, 1, 2}^p, p = 1 or 2, gives back the
+polynomial a table was made from, as interpolate does line by line, and
+rejects a table changed by an odd amount at a point with a coordinate 0 or
+2. The compiled tokenizer gives the tokens, or the ValueError, of the
+character-at-a-time scanner of oracle_helpers on short mixed texts.
+parse_poly reads
 MPoly's canonical text back to the same polynomial over the given
 variables. char_poly, on symmetric and on other matrices, takes the values
 det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
@@ -46,7 +51,9 @@ from lapspec.polys import (  # noqa: E402
     _dyadic_value,
     _scaled_value,
     _square_free_chain,
+    _tokenize,
     deflate,
+    grid_interpolate,
     interpolate,
     parse_poly,
     poly_value,
@@ -63,6 +70,7 @@ from oracle_helpers import (  # noqa: E402
     _q_rational_roots,
     fold_path_quotient,
     poly_mul,
+    scan_tokens,
     taylor_shift_oracle,
 )
 
@@ -214,6 +222,77 @@ def test_parse_poly_reads_the_canonical_text_back(p, stray):
     assert back.vars == CATALOG_VARS and back.terms == p.terms
     with pytest.raises(ValueError):
         parse_poly(f"{p.to_text()} + {stray}", variables=CATALOG_VARS)
+
+
+# non-ASCII name characters, a digit that is no decimal one (²), a decimal
+# digit that is not ASCII (٣), white space and the bad characters . / =
+TOKEN_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_λé²·٣+-*^() \t\n./="
+TOKEN_TEXT = st.text(alphabet=st.sampled_from(TOKEN_CHARS), max_size=16)
+
+
+def _tokens_or_error(scan, text):
+    try:
+        return scan(text)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(TOKEN_TEXT)
+@example("3²")
+@example("s²+٣٣")
+@example("λ_1é·2 ^ (t)\n")
+def test_the_compiled_tokenizer_equals_the_character_scanner(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(scan_tokens, text)
+
+
+def interpolate_line_by_line(table):
+    """grid_interpolate's table interpolated one line of one value at a time
+    along one axis after another, with polys.interpolate: a map from
+    (list index, exponents) to the nonzero coefficients."""
+    flat = {(k,) + point: a for point, values in table.items() for k, a in enumerate(values)}
+    for axis in range(1, len(next(iter(table))) + 1):
+        out = {}
+        for rest in {key[:axis] + key[axis + 1 :] for key in flat}:
+            line = [flat.get(rest[:axis] + (x,) + rest[axis:], 0) for x in range(3)]
+            for e, a in enumerate(interpolate(line)):
+                out[rest[:axis] + (e,) + rest[axis:]] = a
+        flat = out
+    return {key: a for key, a in flat.items() if a}
+
+
+@st.composite
+def grid_tables(draw):
+    """A table of grid_interpolate over {0, 1, 2}^p, p = 1 or 2: the values
+    there of lists of integer polynomials of degree at most 2 in each
+    variable, and those polynomials as a map from (list index, exponents)
+    to their nonzero coefficients."""
+    p, size = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    grid = list(product(range(3), repeat=p))
+    coeffs = {exps: draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)) for exps in grid}
+    table = {
+        point: [sum(coeffs[exps][k] * prod(map(pow, point, exps)) for exps in grid) for k in range(size)]
+        for point in grid
+    }
+    return table, {(k,) + exps: c[k] for exps, c in coeffs.items() for k in range(size) if c[k]}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(grid_tables(), st.data())
+def test_grid_interpolation_equals_interpolate_one_line_at_a_time(case, data):
+    table, planted = case
+    got = {(k,) + exps: a for exps, c in grid_interpolate(table).items() for k, a in enumerate(c) if a}
+    assert got == interpolate_line_by_line(table) == planted
+    # an odd change at a point with a coordinate 0 or 2 adds an odd multiple
+    # of a product of Lagrange basis polynomials with the factor x(x - 1)/2
+    # or (x - 1)(x - 2)/2 on that axis: no integer polynomial takes the values
+    point = data.draw(st.sampled_from([x for x in table if set(x) & {0, 2}]))
+    k = data.draw(st.integers(0, len(table[point]) - 1))
+    table[point][k] += data.draw(st.sampled_from([-3, -1, 1, 5]))
+    with pytest.raises(ValueError):
+        grid_interpolate(table)
+    with pytest.raises(ValueError):
+        interpolate_line_by_line(table)
 
 
 @st.composite

@@ -59,6 +59,12 @@ def test_parser_round_trip_and_literal_powers():
     assert parse_poly(p.to_text()) == p
     # an integer raised to a power is just an integer
     assert parse_poly("15^2").constant_value() == 225
+    # a single term to a power, 0^0 = 1 included, and a sum to a power
+    variables = (LAMBDA, "s")
+    assert parse_poly("(-2*s*λ^2)^3", variables=variables) == parse_poly("-8*s^3*λ^6", variables=variables)
+    assert parse_poly("(3*s)^0", variables=variables) == 1 and parse_poly("0^0") == 1
+    assert parse_poly("(0*s)^0 + 0^2", variables=variables) == 1
+    assert parse_poly("-(s - s)^2 - 0^1", variables=variables) == 0
     with pytest.raises(ValueError):
         parse_poly("λ +* 2")
     # poly_text prints a coefficient list as MPoly.to_text prints its lift
@@ -498,3 +504,15 @@ def test_one_variable_tuple_per_ring():
     assert (a + 1) ** 2 == s2 * s2 and hash((a + 1) ** 2) == hash(a * a + 2 * a + 1)
     assert MPoly((), {(): 3}) == 3 and 1 - a == 2 - s2 and a != 0
     assert len({a, b, c, MPoly(("s",), {(0,): -1}), a - s2}) == 3
+
+
+def test_a_constant_hashes_as_the_number_it_equals():
+    # a == b must give hash(a) == hash(b), or set and dict lookups miss
+    for value in (3, 0, -1, Fraction(1, 2)):
+        for variables in ((), ("s",), (LAMBDA, "s", "t")):
+            const = MPoly(variables, {(0,) * len(variables): value})
+            assert const == value and hash(const) == hash(value)
+            assert value in {const} and const in {value}
+            assert {const: "p"}[value] == "p" and {value: "n"}[const] == "n"
+    zero = MPoly.zero(("s",))
+    assert 0 in {zero} and zero in {0} and {0: 1}[zero] == 1 and {zero: 1}[0] == 1
