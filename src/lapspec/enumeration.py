@@ -43,7 +43,7 @@ from .matrices import (
     side_table,
     two_hub_coupling,
 )
-from .polys import deflate, interpolate
+from .polys import deflate_values
 
 DEFAULT_BUDGET = 12
 BUDGET_ENV = "LAPSPEC_BUDGET"
@@ -75,21 +75,19 @@ def check_budget(n_max: int) -> None:
 # -- structural enumeration ---------------------------------------------------
 
 
-def _partitions(total: int, min_part: int):
-    """Nondecreasing tuples with the given sum; parts at least min_part."""
+@lru_cache(maxsize=None)
+def _partitions(total: int, min_part: int) -> tuple:
+    """Nondecreasing tuples with the given sum, parts at least min_part, by
+    first part, then the rest in this order: each first part joins the
+    cached partitions of what it leaves, so a sub-partition is built once
+    for every budget split that meets it."""
     if total == 0:
-        yield ()
-        return
-
-    def rec(rem, lo):
-        if rem == 0:
-            yield ()
-            return
-        for part in range(lo, rem + 1):
-            for rest in rec(rem - part, part):
-                yield (part,) + rest
-
-    yield from rec(total, min_part)
+        return ((),)
+    return tuple(
+        (part,) + rest
+        for part in range(min_part, total + 1)
+        for rest in _partitions(total - part, part)
+    )
 
 
 def _cycle_multisets(budget: int):
@@ -466,11 +464,14 @@ def _integral_from_values(values) -> bool:
     lie in [0, n]: L(G) + L(Ḡ) = nI - J for the complement Ḡ, and L(Ḡ)
     and J are positive semidefinite, so 0 ≼ L(G) ≼ nI - J ≼ nI. Q's
     integer roots are therefore exactly the k in 0..n with Q(k) = 0, and
-    deflating Q by each of them, as often as it is a root (polys.deflate),
-    leaves a constant exactly when Q has no other root. No divisor search
-    runs."""
+    deflating Q by each of them, as often as it is a root, leaves a
+    constant exactly when Q has no other root. polys.deflate_values
+    deflates on the values, with no coefficient built and no divisor
+    search: the cofactor is a constant exactly when its values at 0..n
+    are all equal (to 1, Q being monic)."""
     zeros = [k for k, q in enumerate(values) if not q]
-    return len(deflate(interpolate(values), zeros)[1]) <= 1
+    rest = deflate_values(values, zeros)[1]
+    return rest.count(rest[0]) == len(rest)
 
 
 def _decide_shard(n, shard, size, row, counts, mismatches, out):

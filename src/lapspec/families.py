@@ -227,7 +227,7 @@ def _grid_quotient(path_counts, hub_edge) -> MPoly:
 
     matrices.path_quotient gives the quotient for int counts. The counts
     enter N, U and X = λ - d linearly and D at most quadratically (see
-    matrices._fold_paths), and P not at all, so each λ-coefficient of
+    matrices._fold_path_kind), and P not at all, so each λ-coefficient of
     Q = P X² - 2 N X + T has total degree at most 2 in the counts, and so at
     most 2 in each parameter: its values at the points of {0, 1, 2}^params
     fix it. polys.grid_interpolate interpolates the coefficient lists of

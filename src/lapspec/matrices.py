@@ -7,25 +7,26 @@ needs no matrix: det(λI - L) is an equitable quotient polynomial times a
 factor θ^(c-1) for each chain kind repeated c >= 2 times, and the sweep
 decides from both without multiplying either out. side_table and
 links_table hold each hub side's and link set's fold at k = 0, 1, ...,
-in ints from the continuants' values, and whether every repeated θ of
-their chains has only integer roots, which a closed-form rule on the
-chain kinds answers (_repeats_integral). The sweep scans the quotient at
-consecutive integers off the tables (side_sign_change), where a sign
-change certifies a non-integer eigenvalue with no polynomial built and a
-member costs a few products per k; quotient_values gives Q(0..n), which
-fix the quotient's coefficients (polys.interpolate). path_quotient gives
-the same quotient for members with internal paths only, from the same
-fold of the paths as links_table (_fold_paths), with int counts; the
-catalog builds its polynomials in Z[s,t][λ] from it (see
-families.computed_symbolic_poly), and Berkowitz over Z[s,t] is kept only
-as their test oracle.
+in ints from the continuants' values, each folded once from the cached
+table of its prefix, and whether every repeated θ of their chains has
+only integer roots, which a closed-form rule on the chain kinds answers
+(_repeats_integral). The sweep scans the quotient at consecutive
+integers off the tables (side_sign_change), where a sign change
+certifies a non-integer eigenvalue with no polynomial built and a member
+costs a few products per k; quotient_values gives Q(0..n), on which the
+root test deflates (polys.deflate_values) and which fix the quotient's
+coefficients (polys.interpolate). path_quotient gives the same quotient
+for members with internal paths only, from the same one-kind update of
+the paths as links_table (_fold_path_kind), uncached and with int counts
+(_fold_paths); the catalog builds its polynomials in Z[s,t][λ] from it
+(see families.computed_symbolic_poly), and Berkowitz over Z[s,t] is kept
+only as their test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from operator import mul
 
 from .polys import interpolate
@@ -155,19 +156,15 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # tables are cached. A and B below depend only on the internal paths and the
 # u side, so a walk that fixes both computes them once and pays
 # Q(k) = Y(k) A(k) - P_v(k) B(k) per v side: the sign scan reads Q(1..n),
-# and Q(0..n) fix Q's coefficients. A table also records whether every
+# and the root test deflates Q on Q(0..n). A table also records whether every
 # repeated θ of its chains has only integer roots, the other early decision.
-
-
-def _kinds(lengths):
-    """(length, count) for each distinct length of an ascending multiset."""
-    return [(length, len(list(run))) for length, run in groupby(lengths)]
 
 
 def _repeats_integral(pendant_kinds=(), cycle_kinds=(), path_kinds=()) -> bool:
     """Whether θ has only integer roots for every kind (length, c) with
-    c >= 2 among these _kinds: true exactly when each repeated kind is a
-    pendant edge, a triangle or an internal path of order 3 or 4.
+    c >= 2 among these (length, count) pairs: true exactly when each
+    repeated kind is a pendant edge, a triangle or an internal path of
+    order 3 or 4.
 
     θ = det(λI - T) for the chain's tridiagonal block T, the Laplacian rows
     of its non-hub vertices: 2 on the diagonal and -1 beside it, except a
@@ -246,47 +243,83 @@ def side_table(pendants, cycles, size):
     )
 
 
-def _fold_paths(kinds, hub_edge, size):
-    """(P(k), N(k), T(k)) for k in range(size) of the internal paths joining
-    the two hubs, folding each (order, count) pair of kinds once in ints at
-    each k; a count may be 0, and its θ still multiplies into P.
+def _fold_path_kind(fold, t, order, c):
+    """(P, N, U, D) of internal paths folded with c further paths of order
+    i, in ints at each k, t the _continuant_values rows (last = 2) up to
+    t_{i-2}; with c = 0 the paths' θ still multiplies into P.
 
     P = ∏ θ_i; N / P = Σ c_i t_{i-3} / θ_i is each hub's share of the
     Schur complement (the same at u and at v, a path being symmetric), and
     U / P = Σ c_i (-1)^(i+1) / θ_i is the paths' part of the off-diagonal
-    entry. T = (N² - U²) / P + hub_edge · (2U - P) is a polynomial: folding
-    in one kind keeps D = (N² - U²) / P exact as θ D + 2c (N m - U s) + c² P e,
-    because m² - s² = θ e (Cassini's identity for continuants), with a path
-    of order i having θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} (last = 2) and
-    s = (-1)^(i+1).
+    entry. D = (N² - U²) / P is a polynomial: folding in one kind keeps it
+    exact as θ D + 2c (N m - U s) + c² P e, because m² - s² = θ e
+    (Cassini's identity for continuants), with a path of order i having
+    θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} and s = (-1)^(i+1). The table's
+    T = D + hub_edge · (2U - P) follows with the hub edge (_hub_edge_term).
     """
-    t = _continuant_values(2, size, max((order for order, _ in kinds), default=2) - 2)
-    p, n, u, d = (1,) * size, (0,) * size, (0,) * size, (0,) * size
-    for order, c in kinds:
-        theta, m, e = t[order - 1], t[order - 2], t[order - 3]
-        s = -((-1) ** order)
-        p, n, u, d = (
-            [p_k * th for p_k, th in zip(p, theta)],
-            [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
-            [u_k * th + c * s * p_k for u_k, th, p_k in zip(u, theta, p)],
-            [
-                d_k * th + c * c * p_k * e_k + 2 * c * (n_k * m_k - u_k * s)
-                for d_k, th, p_k, e_k, n_k, m_k, u_k in zip(d, theta, p, e, n, m, u)
-            ],
-        )
+    p, n, u, d = fold
+    theta, m, e = t[order - 1], t[order - 2], t[order - 3]
+    s = -((-1) ** order)
+    return (
+        [p_k * th for p_k, th in zip(p, theta)],
+        [n_k * th + c * p_k * m_k for n_k, th, p_k, m_k in zip(n, theta, p, m)],
+        [u_k * th + c * s * p_k for u_k, th, p_k in zip(u, theta, p)],
+        [
+            d_k * th + c * c * p_k * e_k + 2 * c * (n_k * m_k - u_k * s)
+            for d_k, th, p_k, e_k, n_k, m_k, u_k in zip(d, theta, p, e, n, m, u)
+        ],
+    )
+
+
+def _hub_edge_term(fold, hub_edge):
+    """(P, N, T) from a fold (P, N, U, D): T = D + hub_edge · (2U - P)."""
+    p, n, u, d = fold
     if hub_edge:
         d = [d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]
     return p, n, d
 
 
+def _fold_paths(kinds, hub_edge, size):
+    """(P(k), N(k), T(k)) for k in range(size) of the internal paths joining
+    the two hubs, folding each (order, count) pair of kinds once in ints at
+    each k (_fold_path_kind), uncached; a count may be 0, and its θ still
+    multiplies into P. links_table folds the same way from its cached
+    prefix."""
+    t = _continuant_values(2, size, max((order for order, _ in kinds), default=2) - 2)
+    fold = (1,) * size, (0,) * size, (0,) * size, (0,) * size
+    for order, c in kinds:
+        fold = _fold_path_kind(fold, t, order, c)
+    return _hub_edge_term(fold, hub_edge)
+
+
+@lru_cache(maxsize=1 << 16)
+def _paths_table(paths, size):
+    """(P(k), N(k), U(k), D(k)) for k in range(size) of the internal paths
+    with no hub edge (see _fold_path_kind), and whether every repeated θ of
+    the paths has only integer roots (_repeats_integral).
+
+    As side_table does, it folds the cached table of its prefix, the paths
+    without their longest kind, once with that kind; the prefix is a link
+    set of a smaller budget the walk meets too."""
+    if not paths:
+        zero = (0,) * size
+        return (1,) * size, zero, zero, zero, True
+    order = paths[-1]
+    start = paths.index(order)
+    c = len(paths) - start
+    *fold, ok = _paths_table(paths[:start], size)
+    fold = _fold_path_kind(fold, _continuant_values(2, size, order - 2), order, c)
+    return (*map(tuple, fold), ok and _repeats_integral(path_kinds=[(order, c)]))
+
+
 @lru_cache(maxsize=1 << 16)
 def links_table(paths, hub_edge, size):
-    """(P(k), N(k), T(k)) for k in range(size) of the internal paths, as
-    _fold_paths folds them, and whether every repeated θ of the paths has
-    only integer roots (_repeats_integral)."""
-    kinds = _kinds(paths)
-    p, n, t = _fold_paths(kinds, hub_edge, size)
-    return tuple(p), tuple(n), tuple(t), _repeats_integral(path_kinds=kinds)
+    """(P(k), N(k), T(k)) for k in range(size) of the internal paths (an
+    ascending tuple of orders) and the hub edge, the hub-edge term applied
+    last to the cached fold of the paths (_paths_table), and whether every
+    repeated θ of the paths has only integer roots (_repeats_integral)."""
+    *fold, ok = _paths_table(paths, size)
+    return (*map(tuple, _hub_edge_term(fold, hub_edge)), ok)
 
 
 def one_hub_coupling(size) -> tuple:
@@ -320,7 +353,7 @@ def quotient_values(coupling, side, degree, n) -> list:
     member's is X = (λ - d_u) P_u - N_u. A G2 member's is
     P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B, which is
     (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
-    C' = hub_edge · P - U multiplied out (see _fold_paths for U)."""
+    C' = hub_edge · P - U multiplied out (see _fold_path_kind for U)."""
     a, b = coupling
     p, nn, _ = side
     return [((k - degree) * p[k] - nn[k]) * a[k] - p[k] * b[k] for k in range(n + 1)]

@@ -34,8 +34,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, isqrt
-from operator import add, sub
+from operator import add, mul, sub
 
 LAMBDA = "λ"
 
@@ -1022,6 +1023,54 @@ def deflate(c, candidates):
             c = _synthetic_div(c, r)
             roots[r] = roots.get(r, 0) + 1
     return roots, c
+
+
+@lru_cache(maxsize=None)
+def _difference_weights(n: int) -> tuple:
+    """(-1)^k C(n, k) for k = 0..n: Σ w_k h(k) is (-1)^n times the n-th
+    forward difference of h at 0, which is 0 for every h of degree below n."""
+    return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
+
+
+def deflate_values(values, candidates):
+    """deflate in value space: ({root: multiplicity}, the cofactor's values
+    at 0..n) for g given as its values g(0), ..., g(n), g an integer
+    polynomial, not zero, and candidates integers in 0..n.
+
+    Any n + 1 values are those of one polynomial g of degree at most n. A
+    candidate r is a root of what is left exactly when its value at r is
+    0; then the cofactor h = g / (λ - r) has integer coefficients (division
+    by a monic factor), so h(k) = g(k) / (k - r) is an exact integer
+    division at each k != r. h has degree below n, so its n-th forward
+    difference vanishes, and with it Σ (-1)^k C(n, k) h(k), which is that
+    difference up to sign; h(r) is the one unknown of the sum: one more
+    exact division, by (-1)^r C(n, r). As in deflate,
+    r's multiplicity is the number of divisions, each cofactor keeps the
+    n + 1 values, and with every integer root among the candidates g has
+    only integer roots exactly when the cofactor's values are all equal.
+    A remainder in any division means g has a non-integer coefficient, a
+    ValueError, as in interpolate.
+    """
+    values = list(values)
+    if not any(values):
+        raise ValueError("zero polynomial")
+    n = len(values) - 1
+    weights = _difference_weights(n)
+    roots = {}
+    for r in candidates:
+        if not 0 <= r <= n:
+            raise ValueError(f"candidate {r} outside 0..{n}")
+        while not values[r]:
+            for k in range(n + 1):
+                if k != r:
+                    values[k], rest = divmod(values[k], k - r)
+                    if rest:
+                        raise ValueError("the values are not those of an integer polynomial")
+            values[r], rest = divmod(-sum(map(mul, weights, values)), weights[r])
+            if rest:
+                raise ValueError("the values are not those of an integer polynomial")
+            roots[r] = roots.get(r, 0) + 1
+    return roots, values
 
 
 def only_integer_roots(c) -> bool:

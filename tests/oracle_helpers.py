@@ -12,8 +12,10 @@ continuants are built here as polynomials (_continuants), and _side and
 _fold_links fold a hub side and the internal paths over them, as
 polynomials where the library folds values. divisor_search_rational_roots
 is the rational-root search the library ran before it bisected root
-cells, over Q, and scan_tokens is the one-character-at-a-time scanner
-that polys._tokenize replaced with one compiled pattern. None of it shares code with the library paths it
+cells, over Q, scan_tokens is the one-character-at-a-time scanner
+that polys._tokenize replaced with one compiled pattern, and
+recursive_partitions is the generator that enumeration._partitions
+replaced with cached tuples. None of it shares code with the library paths it
 checks, with three exceptions. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
@@ -662,7 +664,7 @@ def _side(pendants, cycles):
 def _fold_links(kinds, hub_edge):
     """(P, N, T) of the internal paths joining the two hubs as polynomials,
     folding each (order, count) pair of kinds once; a count is an int or an
-    MPoly. The update is _fold_paths' (see its Cassini argument), run on
+    MPoly. The update is _fold_path_kind's (see its Cassini argument), run on
     the continuants' coefficient lists instead of their values."""
     p, n, u, d = (1,), (), (), ()
     for order, c in kinds:
@@ -726,6 +728,28 @@ def scan_tokens(text):
         else:
             raise ValueError(f"bad character {ch!r} in polynomial text")
     return tokens
+
+
+# -- integer partitions, by recursion -------------------------------------------
+
+
+def recursive_partitions(total: int, min_part: int):
+    """Nondecreasing tuples with the given sum, parts at least min_part, as
+    the generator enumeration._partitions memoized: each call regenerates
+    every sub-partition."""
+    if total == 0:
+        yield ()
+        return
+
+    def rec(rem, lo):
+        if rem == 0:
+            yield ()
+            return
+        for part in range(lo, rem + 1):
+            for rest in rec(rem - part, part):
+                yield (part,) + rest
+
+    yield from rec(total, min_part)
 
 
 # -- spectral checks ------------------------------------------------------------

@@ -19,6 +19,7 @@ from lapspec import (
     disjoint_union,
     empty_graph,
     enumerate_family,
+    enumeration,
     family_membership,
     firefly,
     join,
@@ -37,15 +38,27 @@ from lapspec.enumeration import (
     TAG_PRODUCT,
     TAG_STAR,
     BudgetExceededError,
+    _partitions,
 )
+from lapspec.polys import deflate, interpolate
 from oracle_helpers import (
     family_char_poly,
     has_quotient_sign_change,
     kirkland_decomposition_check,
+    recursive_partitions,
     reference_sweep,
     repeated_factors,
     scrambled_fields,
 )
+
+
+def test_memoized_partitions_equal_the_recursive_generator():
+    # the cached tuples, built from cached sub-results, hold the same
+    # partitions in the same order, which fixes the walk's order
+    for total in range(25):
+        for min_part in (1, 2, 3):
+            assert _partitions(total, min_part) == tuple(recursive_partitions(total, min_part))
+    assert len(_partitions(24, 1)) == 1575
 
 
 def test_enumerate_family_small_cases():
@@ -261,6 +274,26 @@ def test_quotient_decision_equals_full_polynomial_decision_nine_to_thirteen(swee
         counts[2] += has_non_integral_repeated_factor(cfg)
     assert counts[0] == 10422 + 11837 and 0 < counts[1] and 1294 < counts[2] < counts[0]
     assert counts[2] == summary.stats["repeated_exits"]
+
+
+def test_root_test_on_values_takes_the_coefficient_decision_nine_to_fourteen(monkeypatch):
+    # every member that reaches the root test at 9..14: deflating on the
+    # values decides as deflating the interpolated coefficients by the
+    # same zeros does
+    monkeypatch.setenv("LAPSPEC_BUDGET", "14")
+    decide = enumeration._integral_from_values
+    seen = []
+    monkeypatch.setattr(enumeration, "_integral_from_values", lambda values: seen.append(values) or decide(values))
+    summary = verify_theorem(9, 14)
+    stats = summary.stats
+    assert len(seen) == stats["configs"] - stats["repeated_exits"] - stats["sign_exits"] == 959
+    integral = 0
+    for values in seen:
+        zeros = [k for k, q in enumerate(values) if not q]
+        want = len(deflate(interpolate(values), zeros)[1]) <= 1
+        assert decide(values) == want, values
+        integral += want
+    assert integral == sum(row[3] for row in summary.rows) == 184
 
 
 class _Discard:

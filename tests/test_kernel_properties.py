@@ -7,8 +7,10 @@ input up to the content, split_integer_roots finds exactly the integer
 roots planted in front of a cofactor with none, deflate by the zeros in
 0..N of planted (λ - k)^m, times 1 or a monic factor with no integer
 root, finds the planted roots and leaves split_integer_roots' cofactor
-(and every other candidate leaves the polynomial as it is), the
-shift-based value at a dyadic point equals the general scaled value, and
+(and every other candidate leaves the polynomial as it is),
+deflate_values on the values at 0..n of a·∏(λ - r)^m·g, with planted
+roots in 0..n, finds deflate's roots on the interpolated coefficients and
+gives its cofactor's values, the shift-based value at a dyadic point equals the general scaled value, and
 interpolate gives back an integer polynomial from its values at 0, 1, ...
 and rejects the values of a polynomial whose coefficients are not all
 integers; grid_interpolate on {0, 1, 2}^p, p = 1 or 2, gives back the
@@ -53,6 +55,7 @@ from lapspec.polys import (  # noqa: E402
     _square_free_chain,
     _tokenize,
     deflate,
+    deflate_values,
     grid_interpolate,
     interpolate,
     parse_poly,
@@ -164,6 +167,47 @@ def test_deflating_by_the_zeros_in_range_leaves_the_split_cofactor(planted, fact
     assert rest == split_integer_roots(c)[1] == factor
     others = [k for k in range(-3, 20) if k not in planted]
     assert deflate(c, others) == ({}, c)
+
+
+@st.composite
+def planted_values(draw):
+    """(values, order): a·∏(λ - r)^m·g at 0..n, n at least its degree, with
+    planted roots r in 0..n (at times 0 and n among them) of multiplicity
+    up to 3, a not ±1 and g with or without integer roots of its own; and
+    0..n shuffled."""
+    a = draw(st.integers(-6, 6).filter(lambda a: a not in (-1, 0, 1)))
+    g = draw(polys)
+    for r in draw(st.lists(st.integers(-3, 14), max_size=2)):
+        g = poly_mul(g, [-r, 1])
+    planted = draw(st.dictionaries(st.integers(0, 14), st.integers(1, 3), max_size=4))
+    c = [a * x for x in g]
+    for r, m in planted.items():
+        for _ in range(m):
+            c = poly_mul(c, [-r, 1])
+    n = max(len(c) - 1, *planted, 0) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # a root at each end of 0..n
+        n = max(len(c) + 1, *planted, 1)
+        c = poly_mul(poly_mul(c, [0, 1]), [-n, 1])
+    return [poly_value(c, k) for k in range(n + 1)], draw(st.permutations(range(n + 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(planted_values())
+@example(([poly_value([0, 0, 12, 0, -9, 3], k) for k in range(6)], [5, 4, 3, 2, 1, 0]))
+def test_deflating_on_values_equals_deflating_the_interpolated_coefficients(case):
+    # deflate_values against deflate(interpolate(values), candidates): the
+    # same roots and multiplicities, and the cofactor's values at 0..n, for
+    # the sweep's candidates (the zeros) and for every k in 0..n in a
+    # shuffled order, non-roots included; the example is 3λ²(λ - 2)²(λ + 1)
+    # at 0..5: double roots at 0 and 2, and a root outside 0..n
+    values, order = case
+    zeros = [k for k, q in enumerate(values) if not q]
+    for candidates in (zeros, order):
+        roots, rest = deflate_values(values, candidates)
+        want_roots, want_rest = deflate(interpolate(values), candidates)
+        assert roots == want_roots
+        assert rest == [poly_value(want_rest, k) for k in range(len(values))]
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -305,6 +305,22 @@ def test_side_tables_fold_from_their_prefix_in_any_order():
     assert matrices.side_table.cache_info().currsize == filled
 
 
+def test_link_tables_fold_from_their_prefix_in_any_order():
+    # links_table applies the hub edge to _paths_table, which folds the
+    # longest kind onto its prefix's cached fold; from cleared caches, in
+    # shuffled order, every link set of the _fill_tables(14) fill still
+    # equals its polynomial fold, with one fold per multiset of paths
+    from lapspec import matrices
+    from lapspec.enumeration import _g2_links
+
+    links = [(paths, hub_edge) for hub_edge, paths in _g2_links(14)]
+    random.Random(14).shuffle(links)
+    for cached in (matrices.links_table, matrices._paths_table, matrices._continuant_values):
+        cached.cache_clear()
+    assert_tables_equal_the_folds([], links, 15)
+    assert matrices._paths_table.cache_info().currsize == len({paths for paths, _ in links}) == 272
+
+
 def test_table_fill_builds_no_polynomial(monkeypatch):
     # the fill folds values only: with every cache of the table layer
     # cleared first, it never interpolates, the one polys function
@@ -312,7 +328,12 @@ def test_table_fill_builds_no_polynomial(monkeypatch):
     from lapspec import matrices
     from lapspec.enumeration import _fill_tables
 
-    for cached in (matrices.side_table, matrices.links_table, matrices._continuant_values):
+    for cached in (
+        matrices.side_table,
+        matrices.links_table,
+        matrices._paths_table,
+        matrices._continuant_values,
+    ):
         cached.cache_clear()
     calls, inner = [], matrices.interpolate
     monkeypatch.setattr(matrices, "interpolate", lambda values: calls.append(values) or inner(values))
