@@ -86,7 +86,9 @@ def char_poly(m: IntMatrix) -> list:
     symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     coeffs = [1, -a[0][0]]  # descending powers
     for r in range(2, n + 1):
-        block = [a[i][: r - 1] for i in range(r - 1)]
+        # full rows: each sum(map(mul, x, v)) stops at len(v) = r - 1, so
+        # it reads only the leading block's part of a row
+        block = a[: r - 1]
         q = [1, -a[r - 1][r - 1]]
         v = [a[i][r - 1] for i in range(r - 1)]
         if symmetric:
@@ -99,7 +101,7 @@ def char_poly(m: IntMatrix) -> list:
                 else:
                     q.append(-sum(map(mul, v, v)))
         else:
-            row = a[r - 1][: r - 1]
+            row = a[r - 1]
             for k in range(2, r + 1):
                 q.append(-sum(map(mul, row, v)))
                 if k < r:

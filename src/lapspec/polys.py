@@ -18,10 +18,20 @@ prints a list in MPoly's canonical text. Isolation keeps the dyadic grid
 that bisection from the Cauchy bound builds, but starts at the deepest
 level whose two cells next to 0 cover the Fujiwara bound, with the Sturm
 variations at its start ends read off the chain's leading and constant
-coefficients, and refines each single-root cell by secant jumps that are
-kept only when exact signs at both ends of the new cell differ. The cells
-come ascending, and are merged with rational roots' point intervals only
-when there are some. isolate_lowest_root refines the lowest root only.
+coefficients. When all d roots are real (the variations at ∓∞ differ by
+d, as for every L and Q residual), Samuelson's inequality on the top
+three coefficients bounds them strictly by integers, and a midpoint
+outside that range takes the variations at ∓∞ with no evaluation. A cell
+holding two roots is split 1/1 when the polynomial's sign at its midpoint
+differs from the sign at its lower end, with no chain evaluated. The
+polynomial's values at each cell's ends are handed to the refinement,
+which runs Illinois regula-falsi steps on the target level's grid
+indices, each point clamped strictly inside the bracket, and bisects
+whenever three steps have not halved it: every four evaluations halve
+the bracket, and the cell found is the grid cell bisection reaches. The
+cells come ascending, and are merged with rational roots' point intervals
+only when there are some. isolate_lowest_root refines the lowest root
+only.
 A polynomial isolated costs one remainder sequence when it is
 square-free: the sequence of it and its derivative is its Sturm chain when
 it ends in a constant, and otherwise ends in their gcd, which is divided
@@ -843,7 +853,7 @@ def _rational_points(sf, chain):
     """
     a = sf[-1]
     points = []
-    for lo, hi, k, level in _root_cells(sf, chain, Fraction(1, a)):
+    for lo, hi, k, level, _, _ in _root_cells(sf, chain, Fraction(1, a)):
         v_lo = _variations(_dyadic_value(p, lo, k) for p in chain)
         while k < level:
             lo, hi, k = lo << 1, hi << 1, k + 1
@@ -859,95 +869,178 @@ def _rational_points(sf, chain):
     return points
 
 
+def _real_root_range(c) -> tuple:
+    """Integers lo, hi with lo < every root < hi, for c of degree d >= 1
+    with a positive leading coefficient and only real roots.
+
+    Samuelson's inequality (1968): the d real numbers r_i with mean m and
+    variance σ² = Σ (r_i - m)² / d each satisfy |r_i - m| <= σ·√(d - 1).
+    With c = a λ^d + b λ^(d-1) + e λ^(d-2) + ..., Vieta's formulas give
+    Σ r_i = -b/a and Σ r_i² = (b² - 2ae)/a², so d·a·m = -b and
+    (d·a·σ)²·(d - 1) = N with N = (d - 1)·((d - 1)·b² - 2·d·a·e): every
+    root lies in [(-b - √N) / (d·a), (-b + √N) / (d·a)]. With R the ceiling
+    of √N, lo is the ceiling of the lower end minus 1 and hi the floor of
+    the upper end plus 1, so both are strict; at d = 2 the inequality is
+    tight (the two roots are m ± σ), and without the margin an integer
+    root could equal lo or hi.
+    """
+    d = len(c) - 1
+    a, b = c[-1], c[-2]
+    e = c[-3] if d > 1 else 0
+    n = (d - 1) * ((d - 1) * b * b - 2 * d * a * e)
+    root = isqrt(n)
+    root += root * root < n
+    return -((b + root) // (d * a)) - 1, (root - b) // (d * a) + 1
+
+
 def _root_cells(rest, chain, precision: Fraction):
     """Isolating cells of the dyadic grid for rest, lowest root first.
 
-    rest is square-free, and chain is its Sturm chain; the cells are
-    counted by Sturm counts, so a root may lie on a cell end. The grid is
-    the one that bisecting (-B, B], B the Cauchy bound, builds: level k has
-    cells of width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over
-    2^k, and 0 is a grid point from level 1 on. The search starts at level
-    s, the deeper of 1 and the deepest level whose two cells next to 0
-    still cover (-F, F), F the Fujiwara bound; it starts no deeper than
-    the level at which bisection would stop refining, so every root's cell
-    is the one plain bisection from (-B, B] reaches. Cells holding several
-    roots are halved by Sturm counts, the lower half first. Yields (lo, hi,
-    k, level) for each cell holding exactly one root, where level is how
-    deep its refinement must go: the first level whose cells are at most
-    precision wide, or k when the cell is that narrow already.
+    rest is square-free with a positive leading coefficient, and chain is
+    its Sturm chain, chain[0] = rest; the cells are counted by Sturm
+    counts, so a root may lie on a cell end. The grid is the one that
+    bisecting (-B, B], B the Cauchy bound, builds: level k has cells of
+    width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k,
+    and 0 is a grid point from level 1 on. The search starts at level s,
+    the deeper of 1 and the deepest level whose two cells next to 0 still
+    cover (-F, F), F the Fujiwara bound; it starts no deeper than the level
+    at which bisection would stop refining, so every root's cell is the one
+    plain bisection from (-B, B] reaches. Cells holding several roots are
+    halved, the lower half first. Yields (lo, hi, k, level, f_lo, f_hi)
+    for each cell holding exactly one root, where level is how deep its
+    refinement must go (the first level whose cells are at most precision
+    wide, or k when the cell is that narrow already) and f_lo, f_hi are
+    2^(kd)·rest at the cell's ends, d the degree, or None for an end that
+    was never evaluated: a lower end below every root or an upper end above
+    every root.
 
     The start ends are not evaluated. The outer ones lie at ±B or at or
     beyond ±F, and every root of rest lies strictly inside both (-B, B)
     and (-F, F). So no root lies between an outer end and ∓∞, and the
     Sturm variations there are those at ∓∞: the signs of the chain's
     leading coefficients, each times (-1)^degree at -∞. At 0 they are the
-    signs of its constant coefficients.
+    signs of its constant coefficients, and rest's value at level s is
+    c_0·2^(sd).
+
+    A midpoint is evaluated only when it can split the roots:
+    - Real-root range. When the variations at ∓∞ differ by d, all d roots
+      are real, and _real_root_range gives integers lo < every root < hi.
+      A midpoint at or below lo has the variations at -∞ and one at or
+      above hi those at +∞, with no evaluation. (Without that range the
+      start ends (-B, B) serve, and every midpoint lies strictly inside.)
+    - Parity split. In a cell holding exactly two roots rest alone is
+      evaluated at the midpoint first. rest is square-free, so when its
+      sign there differs from its sign at the cell's lower end (neither
+      being 0), the lower half holds an odd number of the two roots: one,
+      and the upper half the other, with no chain evaluated. Otherwise the
+      rest of the chain is evaluated there, and the count decides.
     """
+    d = len(rest) - 1
     bound = _root_bound(rest)
     width = 2 * bound
     q = -(-width * precision.denominator // precision.numerator)
     target = (q - 1).bit_length()  # least level with width / 2^level <= precision
     f = _fujiwara_bound(rest).bit_length() - 1  # F = 2^f
     s = min(max(1, width.bit_length() - 1 - f), target)
-    ends = (-bound, bound) if s == 0 else (-width, 0, width)
     v_neg = _variations([c[-1] if len(c) & 1 else -c[-1] for c in chain])
     v_pos = _variations([c[-1] for c in chain])
-    v = (v_neg, v_pos) if s == 0 else (v_neg, _variations([c[0] for c in chain]), v_pos)
-    # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k)
-    work = [(lo, hi, s, v_lo - v_hi, v_lo) for lo, hi, v_lo, v_hi in zip(ends, ends[1:], v, v[1:])]
-    work.reverse()
+    low, high = _real_root_range(rest) if v_neg - v_pos == d else (-bound, bound)
+    neg_positive = d % 2 == 0  # the sign of rest below every root
+    # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k, the
+    # values 2^(kd)·rest at lo/2^k and hi/2^k or None)
+    if s == 0:
+        work = [(-bound, bound, 0, v_neg - v_pos, v_neg, None, None)]
+    else:
+        v_zero = _variations([c[0] for c in chain])
+        f_zero = rest[0] << s * d
+        work = [
+            (0, width, s, v_zero - v_pos, v_zero, f_zero, None),
+            (-width, 0, s, v_neg - v_zero, v_neg, None, f_zero),
+        ]
     while work:
-        lo, hi, k, count, v_lo = work.pop()
+        lo, hi, k, count, v_lo, f_lo, f_hi = work.pop()
         if count == 1:
-            yield lo, hi, k, max(k, target)
-        elif count > 1:
-            lo, hi, k = lo << 1, hi << 1, k + 1
-            mid = (lo + hi) >> 1
-            v_mid = _variations(_dyadic_value(c, mid, k) for c in chain)
-            work.append((mid, hi, k, count - (v_lo - v_mid), v_mid))
-            work.append((lo, mid, k, v_lo - v_mid, v_lo))
+            yield lo, hi, k, max(k, target), f_lo, f_hi
+            continue
+        if not count:
+            continue
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        f_lo = None if f_lo is None else f_lo << d
+        f_hi = None if f_hi is None else f_hi << d
+        mid = (lo + hi) >> 1
+        if mid <= low << k:
+            v_mid, f_mid = v_neg, None
+        elif mid >= high << k:
+            v_mid, f_mid = v_pos, None
+        else:
+            f_mid = _dyadic_value(rest, mid, k)
+            lo_positive = neg_positive if f_lo is None else f_lo > 0
+            if count == 2 and f_mid and f_lo != 0 and (f_mid > 0) != lo_positive:
+                work.append((mid, hi, k, 1, None, f_mid, f_hi))
+                work.append((lo, mid, k, 1, v_lo, f_lo, f_mid))
+                continue
+            v_mid = _variations([f_mid] + [_dyadic_value(c, mid, k) for c in chain[1:]])
+        work.append((mid, hi, k, count - (v_lo - v_mid), v_mid, f_mid, f_hi))
+        work.append((lo, mid, k, v_lo - v_mid, v_lo, f_lo, f_mid))
 
 
-def _refine(c, lo, hi, k, target):
+def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
     """The cell at level target of the dyadic grid inside (lo, hi] over 2^k
-    that holds the one root of c there, as a pair of Fractions.
+    that holds the one root of c there, as a pair of Fractions; f_lo and
+    f_hi are 2^(kd)·c at the ends, d the degree, or None to evaluate them.
 
     c has no rational root, so the root shows as a change of sign between
-    cell ends. A secant step jumps 2^m levels at once: it takes the
-    sub-cell holding the zero of the chord through the cell's ends, and
-    keeps it only when the exact signs at its two ends differ. A hit
-    doubles the jump; a miss halves it and takes one bisection step. The
-    values are r^d·c(p/r) at the ends p/r of the current level, computed
-    in integers (an end shared with the cell is rescaled, not evaluated
-    again), so every cell kept is a grid cell that holds the root: the one
-    bisection reaches.
+    grid points. At levels k >= 1 every grid point's numerator is a
+    multiple of the cell width 2B, so the search runs on target-level grid
+    indices, numerator / 2B: the bracket (L, H] starts as the cell's
+    2^(target - k) target cells, and each step evaluates 2^(target·d)·c at
+    one index x strictly inside it and keeps the half-open part whose ends
+    have opposite exact signs. The step is an Illinois regula-falsi step
+    (Dowell & Jarratt, 1971): x is the chord's zero through the ends'
+    weights, rounded down and clamped to L + 1..H - 1, a weight being the
+    end's value, halved each time the other end is replaced twice in a row.
+    A bisection step replaces it whenever the bracket is not at most half
+    as wide as it was three steps before. So every four steps at least
+    halve the bracket, and a root costs at most 4·(target - k) evaluations,
+    plus one for each end value not handed over. The weights only choose x;
+    the bracket is kept by exact signs, so the cell returned is the grid
+    cell that holds the root, the one bisection reaches.
     """
+    if k >= target:
+        return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
     d = len(c) - 1
-    f_lo = _dyadic_value(c, lo, k)
-    f_hi = _dyadic_value(c, hi, k)
-    m = 0
-    while k < target:
-        j = min(1 << m, target - k)
-        # the chord's zero is lo + t (hi - lo), t = f_lo / (f_lo - f_hi) in (0, 1)
-        i = (f_lo << j) // (f_lo - f_hi)
-        a = (lo << j) + i * (hi - lo)
-        b = a + hi - lo
-        f_a = f_lo << d * j if i == 0 else _dyadic_value(c, a, k + j)
-        if (f_a > 0) == (f_lo > 0):
-            f_b = f_hi << d * j if i == (1 << j) - 1 else _dyadic_value(c, b, k + j)
-            if (f_b > 0) != (f_lo > 0):
-                lo, hi, k, f_lo, f_hi = a, b, k + j, f_a, f_b
-                m += 1
-                continue
-        m = max(0, m - 1)
-        lo, hi, k = lo << 1, hi << 1, k + 1
-        mid = (lo + hi) >> 1
-        f_mid = _dyadic_value(c, mid, k)
-        if (f_mid > 0) != (f_lo > 0):
-            hi, f_lo, f_hi = mid, f_lo << d, f_mid
+    width = hi - lo
+    shift = target - k
+    w_lo = (_dyadic_value(c, lo, k) if f_lo is None else f_lo) << shift * d
+    w_hi = (_dyadic_value(c, hi, k) if f_hi is None else f_hi) << shift * d
+    positive = w_lo > 0  # the sign at L; the sign at H is the other one
+    L, H = lo // width << shift, hi // width << shift
+    # the bracket's width before the last three steps, the oldest first;
+    # twice the start width before the first ones, which never bisect
+    w3 = w2 = w1 = 2 << shift
+    last = 0  # the end the last step replaced: -1 for L, 1 for H
+    while H - L > 1:
+        if 2 * (H - L) > w3:
+            x = (L + H) >> 1
         else:
-            lo, f_lo, f_hi = mid, f_mid, f_hi << d
-    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+            x = L + w_lo * (H - L) // (w_lo - w_hi)
+            if x <= L:
+                x = L + 1
+            elif x >= H:
+                x = H - 1
+        w3, w2, w1 = w2, w1, H - L
+        f_x = _dyadic_value(c, x * width, target)
+        if (f_x > 0) == positive:
+            L, w_lo = x, f_x
+            if last < 0:
+                w_hi >>= 1
+            last = -1
+        else:
+            H, w_hi = x, f_x
+            if last > 0:
+                w_lo >>= 1
+            last = 1
+    return Fraction(L * width, 1 << target), Fraction(H * width, 1 << target)
 
 
 def _isolation(c, precision: Fraction, integer_free: bool = False):
@@ -1165,9 +1258,9 @@ def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
 
     Rational roots are returned as exact point intervals [r, r]; all other
     intervals are cells of a dyadic grid, found from a start level fixed by
-    the Fujiwara bound and refined by sign-checked secant jumps until their
-    width is at most the requested precision: the cells plain bisection
-    reaches (see _root_cells and _refine). Sorted by midpoint.
+    the Fujiwara bound and refined by Illinois regula-falsi steps until
+    their width is at most the requested precision: the cells plain
+    bisection reaches (see _root_cells and _refine). Sorted by midpoint.
     """
     return _isolate(*_checked(c, precision))
 

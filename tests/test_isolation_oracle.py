@@ -1,8 +1,9 @@
 """Root isolation on integer dyadic endpoints against the Fraction oracle.
 
-isolate_roots starts its search at a level fixed by the Fujiwara bound and
-refines by sign-checked secant jumps on integer numerators over powers of
-two. The oracle in oracle_helpers runs plain bisection from the Cauchy
+isolate_roots starts its search at a level fixed by the Fujiwara bound,
+skips the midpoints outside the real-root range, splits two-root cells
+by the sign at their midpoint, and refines by Illinois regula-falsi steps
+on integer grid indices at the target level. The oracle in oracle_helpers runs plain bisection from the Cauchy
 bound on Fractions, with its own gcd, Sturm chain, rational roots and
 plain Horner signs (fraction_sign), so every interval must come back
 exactly equal, in the same order; isolate_lowest_root must return the

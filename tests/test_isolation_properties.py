@@ -17,8 +17,15 @@ rule rules them out), and isolates the residual as the oracle does. On
 those reports SpectrumReport.display, which merges the integer roots
 with the interval midpoints by exact integer comparisons, prints what
 the Fraction sort it replaced prints, also where a midpoint lies within
-the precision of an integer root or equals it. The examples are
-derandomized, so every run draws the same ones.
+the precision of an integer root or equals it.
+
+The cell search's shortcuts: the real-root range is strict on products
+of distinct rational linear factors, degree 2 included, where
+Samuelson's inequality is tight; a polynomial with a non-real pair of
+roots does not use it and still isolates as the oracle does; and every
+end value the search hands to the refinement is the polynomial's scaled
+value at that end. The examples are derandomized, so every run draws
+the same ones.
 """
 
 from fractions import Fraction
@@ -29,8 +36,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from lapspec import polys  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly  # noqa: E402
-from lapspec.polys import integer_roots, isolate_roots  # noqa: E402
+from lapspec.polys import (  # noqa: E402
+    _dyadic_value,
+    _real_root_range,
+    _root_bound,
+    _root_cells,
+    _square_free_chain,
+    integer_roots,
+    isolate_roots,
+    sturm_count,
+)
 from lapspec.spectra import SpectrumReport  # noqa: E402
 
 from oracle_helpers import (  # noqa: E402
@@ -170,3 +187,64 @@ def test_display_equals_the_fraction_sorted_display(c, roots, precision):
     c = _with_roots(c, roots)
     spectrum = SpectrumReport("", "L", len(c) - 1, integer_roots(c, precision), precision)
     assert spectrum.display() == fraction_sorted_display(spectrum)
+
+
+# q λ - p for distinct roots p / q, q >= 1: a positive leading coefficient
+distinct_rational_roots = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(1, 5)), min_size=1, max_size=8
+).map(lambda pqs: sorted({Fraction(p, q) for p, q in pqs}))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(distinct_rational_roots, st.integers(1, 3))
+# degree 2 with integer roots: the roots are exactly the mean ± σ
+@example([Fraction(1), Fraction(3)], 1)
+@example([Fraction(-2)], 1)
+def test_real_root_range_is_strict(roots, unit):
+    c = [unit]
+    for r in roots:
+        c = poly_mul(c, [-r.numerator, r.denominator])
+    lo, hi = _real_root_range(c)
+    assert all(lo < r < hi for r in roots), (lo, hi, roots)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        distinct_rational_roots.map(lambda roots: [[-r.numerator, r.denominator] for r in roots]),
+        st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda f: f[-1] > 0), max_size=3),
+    ),
+    precisions,
+)
+def test_a_non_real_pair_does_not_use_the_range(factors, precision):
+    g = [1]
+    for f in factors:
+        g = poly_mul(g, f)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_real_root_range", lambda c: calls.append(c) or _real_root_range(c))
+        c = poly_mul([1, 0, 1], g)  # (λ² + 1)·g
+        assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
+        assert calls == []
+        # (λ² - 2)·g has only real roots when g is a product of linear factors
+        if all(len(f) == 2 for f in factors):
+            isolate_roots(poly_mul([-2, 0, 1], g), precision)
+            assert calls
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.one_of(symmetric_char_polys(), coefficients), precisions)
+def test_end_values_handed_to_the_refinement_are_the_values_at_the_ends(c, precision):
+    rest, chain = _square_free_chain(c)
+    if len(rest) < 2:
+        return
+    bound = Fraction(_root_bound(rest))
+    for lo, hi, k, _, f_lo, f_hi in _root_cells(rest, chain, precision):
+        for end, value in ((lo, f_lo), (hi, f_hi)):
+            if value is not None:
+                assert value == _dyadic_value(rest, end, k)
+        # an end never evaluated lies beyond every root on its side
+        if f_lo is None and Fraction(lo, 1 << k) > -bound:
+            assert sturm_count(rest, -bound, Fraction(lo, 1 << k)) == 0
+        if f_hi is None and Fraction(hi, 1 << k) < bound:
+            assert sturm_count(rest, Fraction(hi, 1 << k), bound) == 0

@@ -1,8 +1,10 @@
+import importlib.util
 import random
 import time
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from lapspec import (
     sturm_count,
 )
 from lapspec import polys
+from lapspec.graphs import from_graph6
+from lapspec.matrices import char_poly
 from lapspec.polys import (
     _count_halfopen,
     _exact_quotient,
@@ -32,6 +36,7 @@ from lapspec.polys import (
     _sturm_chain,
     _synthetic_div,
 )
+from lapspec.spectra import laplacian, signless_laplacian
 from oracle_helpers import divisor_search_rational_roots, fraction_divides, lift, poly_mul, reconstructs
 
 
@@ -318,6 +323,93 @@ def test_isolation_equals_sturm_bisection():
         c = _square_free_chain(c)[0]
         precision = rng.choice([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**20)])
         assert isolate_roots(c, precision) == _sturm_bisection(c, precision), c
+
+
+def _refinement_evaluations(monkeypatch, c, precision):
+    """isolate_roots(c, precision), and (evaluations, 4·(target - k) + 5)
+    for each root _refine refines meanwhile; asserts that every point a
+    refinement evaluates is new and strictly inside its cell, or an end
+    whose value the cell search did not hand over, and stops a refinement
+    that exceeds the bound."""
+    dyadic_value, refine = polys._dyadic_value, polys._refine
+    per_root = []
+    current = None  # (cell ends, ends to evaluate, points so far, bound)
+
+    def counting_value(p, point, level):
+        if current is not None:
+            ends, open_ends, seen, bound = current
+            x = Fraction(point, 1 << level)
+            assert x not in seen, "a point evaluated twice"
+            assert ends[0] < x < ends[1] or x in open_ends, "a point outside the cell"
+            seen.append(x)
+            assert len(seen) <= bound, "the refinement exceeds its bound"
+        return dyadic_value(p, point, level)
+
+    def counting_refine(p, lo, hi, k, target, f_lo=None, f_hi=None):
+        nonlocal current
+        ends = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+        open_ends = [x for x, f in zip(ends, (f_lo, f_hi)) if f is None]
+        current = (ends, open_ends, [], 4 * (target - k) + 5)
+        out = refine(p, lo, hi, k, target, f_lo, f_hi)
+        per_root.append((len(current[2]), current[3]))
+        current = None
+        return out
+
+    monkeypatch.setattr(polys, "_dyadic_value", counting_value)
+    monkeypatch.setattr(polys, "_refine", counting_refine)
+    intervals = isolate_roots(c, precision)
+    monkeypatch.undo()
+    return intervals, per_root
+
+
+def test_refinement_takes_at_most_four_evaluations_per_level(monkeypatch):
+    # Illinois steps bisect whenever three steps have not halved the
+    # bracket, so a root costs at most 4 evaluations per level below the
+    # cell's, plus its ends. 2^122·λ² - 2^122·λ + 2^120 - 3 has two roots
+    # 1/2 ± √3·2^-61, on either side of the grid point 1/2: each chord
+    # lands next to 1/2, so nearly every level costs a bisection after
+    # three chord steps (about 240 evaluations per root, of at most 401).
+    wilkinson = [2]
+    for i in range(1, 13):
+        wilkinson = poly_mul(wilkinson, [-i, 1])
+    wilkinson[0] += 1
+    fine = Fraction(1, 10**30)
+    for c, precision in (
+        ([2**120 - 3, -(2**122), 2**122], fine),
+        (wilkinson, polys.DEFAULT_PRECISION),
+        ([-2, 0, 1], fine),
+    ):
+        intervals, per_root = _refinement_evaluations(monkeypatch, c, precision)
+        assert intervals == _sturm_bisection(c, precision)
+        assert per_root and all(n <= bound for n, bound in per_root), per_root
+
+
+def _queries_pool_residuals():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+    queries = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(queries)
+    residuals = []
+    for variants in queries.pool().values():
+        for g6 in variants:
+            g = from_graph6(g6)
+            for m in (laplacian(g), signless_laplacian(g)):
+                rest = split_integer_roots(char_poly(m))[1]
+                if len(rest) > 1:
+                    residuals.append(rest)
+    return residuals
+
+
+def test_pool_residual_roots_take_at_most_ten_evaluations_on_average(monkeypatch):
+    # the L and Q residuals of the benchmark's 72 query graphs (n = 6..13)
+    # at the default precision: about 9.5 evaluations per refined root,
+    # most end values handed over by the cell search
+    residuals = _queries_pool_residuals()
+    assert len(residuals) == 117
+    counts = [
+        n for c in residuals for n, _ in _refinement_evaluations(monkeypatch, c, polys.DEFAULT_PRECISION)[1]
+    ]
+    assert sum(counts) <= 10 * len(counts), sum(counts) / len(counts)
 
 
 def test_sturm_counts():
