@@ -6,43 +6,31 @@ variable tuple, and serves only the symbolic Z[s,t][λ] catalog; its ring
 and parse_poly compute on the same term-dict sum, negation, product and
 power, and taylor_shift on the term-dict binomial expansion, from which
 sign_above certifies one sign of a polynomial at every point above a
-corner. Every single-graph decision works on ascending
-integer coefficient lists in one univariate kernel: the gcd with the
-derivative by a primitive remainder sequence, exact division in Z[λ],
-square-free parts, integer-root extraction
-with multiplicities (candidates bounded by a root bound, not by the size
-of the constant term, and negative ones tried only when Descartes' rule
-of signs allows a negative root), Sturm-sequence root counting over
-half-open rational intervals, isolating intervals, and poly_text, which
-prints a list in MPoly's canonical text. Isolation keeps the dyadic grid
-that bisection from the Cauchy bound builds, but starts at the deepest
-level whose two cells next to 0 cover the Fujiwara bound, with the Sturm
-variations at its start ends read off the chain's leading and constant
-coefficients. When all d roots are real (the variations at ∓∞ differ by
-d, as for every L and Q residual), Samuelson's inequality on the top
-three coefficients bounds them strictly by integers, and a midpoint
-outside that range takes the variations at ∓∞ with no evaluation. A cell
-holding two roots is split 1/1 when the polynomial's sign at its midpoint
-differs from the sign at its lower end, with no chain evaluated. The
-polynomial's values at each cell's ends are handed to the refinement,
-which runs Illinois regula-falsi steps on the target level's grid
-indices, each point clamped strictly inside the bracket, and bisects
-whenever three steps have not halved it: every four evaluations halve
-the bracket, and the cell found is the grid cell bisection reaches. The
-cells come ascending, and are merged with rational roots' point intervals
-only when there are some. isolate_lowest_root refines the lowest root
-only.
-A polynomial isolated costs one remainder sequence when it is
-square-free: the sequence of it and its derivative is its Sturm chain when
-it ends in a constant, and otherwise ends in their gcd, which is divided
-out before the chain is built again. Rational roots are searched as
-fractions only when the leading coefficient is not 1, and not at all for
-a residual with no integer root when it is ±1 (integer_roots, and
-isolate_lowest_root with integer_free): a monic polynomial's rational
-roots are integers. So a classify request searches each of its two characteristic polynomials
-for integer roots once. No floating point is used anywhere in a decision
-path; decimal output elsewhere in the library is display-only rounding of
-the rational intervals produced here.
+corner. Every single-graph decision works on ascending integer
+coefficient lists in one univariate kernel: the gcd with the derivative
+by a primitive remainder sequence, exact division in Z[λ], square-free
+parts, integer-root extraction with multiplicities (candidates bounded by
+a root bound, not by the size of the constant term, and negative ones
+tried only when Descartes' rule of signs allows a negative root),
+Sturm-sequence root counting over half-open rational intervals,
+isolating intervals, and poly_text, which prints a list in MPoly's
+canonical text.
+
+Isolation (integer_roots, isolate_roots, isolate_lowest_root) takes only
+a polynomial whose leading coefficient divides its content, so that its
+primitive part is monic, as every characteristic polynomial's is; any
+other input is a ValueError. Its rational roots are then the integer
+roots split_integer_roots finds, and no other rational root is searched
+for. The square-free part of what is isolated costs one remainder
+sequence, two when it is not square-free. The cells are the ones plain
+bisection from the Cauchy bound reaches, found with fewer evaluations
+(see _root_cells and _refine), ascending, and merged with the integer
+roots' point intervals only when there are some. isolate_lowest_root
+refines the lowest root only and splits no integer root off. So a
+classify request searches each of its two characteristic polynomials for
+integer roots once. No floating point is used anywhere in a decision
+path; decimal output elsewhere in the library is display-only rounding
+of the rational intervals produced here.
 """
 
 from __future__ import annotations
@@ -552,12 +540,6 @@ def _dyadic_value(c, p: int, k: int) -> int:
     return acc
 
 
-def _sign_at(c, q: Fraction) -> int:
-    """Exact sign of the polynomial at a rational point."""
-    acc = _scaled_value(c, q.numerator, q.denominator)
-    return (acc > 0) - (acc < 0)
-
-
 def _prem_pos(f, g):
     """Pseudo-remainder of f by g scaled by a positive constant."""
     r = list(f)
@@ -603,21 +585,13 @@ def _remainder_chain(c):
     return chain
 
 
-def _sturm_chain(c):
-    """Sturm chain of a square-free integer polynomial (primitive parts)."""
-    chain = _remainder_chain(c)
-    if len(chain[-1]) > 1:
-        raise ValueError("polynomial is not square-free")
-    return chain
-
-
 def _square_free_chain(c):
     """(the primitive square-free part of c, leading coefficient positive,
     its Sturm chain) for a trimmed nonzero c.
 
     One remainder sequence serves when c is square-free: it is the Sturm
-    chain. Otherwise its last element is the gcd of c and c', and the chain
-    of c over the gcd is built once more.
+    chain. Otherwise its last element is the gcd of c and c', and the
+    sequence of c over the gcd, which is square-free, is its Sturm chain.
     """
     c = _primitive(c)
     if c[-1] < 0:
@@ -625,7 +599,7 @@ def _square_free_chain(c):
     chain = _remainder_chain(c)
     if len(chain[-1]) > 1:
         c = _exact_quotient(c, chain[-1])
-        chain = _sturm_chain(c)
+        chain = _remainder_chain(c)
     return c, chain
 
 
@@ -807,68 +781,6 @@ def _synthetic_div(c, r: int):
     return out
 
 
-def _rational_roots(c, chain=None):
-    """Rational roots (as Fractions) with multiplicity, plus the rest over Z.
-
-    The roots p/q in lowest terms have p dividing the constant and q the
-    leading coefficient, so a monic c has integer ones only and is searched
-    on ints as split_integer_roots searches. Otherwise each rational root is
-    one of the roots of c's square-free part found by _rational_points, and
-    c is divided by it as often as it is a root. A caller that holds c's
-    Sturm chain passes it as chain, c then being square-free and primitive
-    with a positive leading coefficient, and the chain is not built again
-    unless c has the root 0.
-    """
-    c = _trim(list(c))
-    if c and c[-1] == 1:
-        roots, rest = split_integer_roots(c)
-        return {Fraction(r): m for r, m in roots.items()}, rest
-    roots = {}
-    k = 0
-    while c and not c[0]:
-        c = c[1:]
-        k += 1
-    if k:
-        roots[Fraction(0)] = k
-    if len(c) <= 1:
-        return roots, c
-    for r in _rational_points(*((c, chain) if chain and not k else _square_free_chain(c))):
-        while len(c) > 1 and _sign_at(c, r) == 0:
-            c = _exact_quotient(c, [-r.numerator, r.denominator])
-            roots[r] = roots.get(r, 0) + 1
-    return roots, c
-
-
-def _rational_points(sf, chain):
-    """The rational roots of sf, ascending; sf is square-free and primitive
-    with leading coefficient a > 0, and chain is its Sturm chain.
-
-    A root p/q in lowest terms has q dividing a, so it is a multiple of 1/a.
-    Each cell of _root_cells, which holds one root, is halved by Sturm
-    counts until it is at most 1/a wide; the half-open cell then holds one
-    multiple of 1/a at most, its highest, m/a with m = floor(a·hi), and the
-    root is rational exactly when it is m/a. The halving counts roots, not
-    sign changes, so a root on a cell end (a dyadic root) is found as well.
-    No divisor of a or of the constant term is searched for.
-    """
-    a = sf[-1]
-    points = []
-    for lo, hi, k, level, _, _ in _root_cells(sf, chain, Fraction(1, a)):
-        v_lo = _variations(_dyadic_value(p, lo, k) for p in chain)
-        while k < level:
-            lo, hi, k = lo << 1, hi << 1, k + 1
-            mid = (lo + hi) >> 1
-            v_mid = _variations(_dyadic_value(p, mid, k) for p in chain)
-            if v_lo - v_mid:
-                hi = mid
-            else:
-                lo, v_lo = mid, v_mid
-        m = (a * hi) >> k
-        if m << k > a * lo and _scaled_value(sf, m, a) == 0:
-            points.append(Fraction(m, a))
-    return points
-
-
 def _real_root_range(c) -> tuple:
     """Integers lo, hi with lo < every root < hi, for c of degree d >= 1
     with a positive leading coefficient and only real roots.
@@ -989,22 +901,25 @@ def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
     that holds the one root of c there, as a pair of Fractions; f_lo and
     f_hi are 2^(kd)·c at the ends, d the degree, or None to evaluate them.
 
-    c has no rational root, so the root shows as a change of sign between
-    grid points. At levels k >= 1 every grid point's numerator is a
-    multiple of the cell width 2B, so the search runs on target-level grid
-    indices, numerator / 2B: the bracket (L, H] starts as the cell's
-    2^(target - k) target cells, and each step evaluates 2^(target·d)·c at
-    one index x strictly inside it and keeps the half-open part whose ends
-    have opposite exact signs. The step is an Illinois regula-falsi step
-    (Dowell & Jarratt, 1971): x is the chord's zero through the ends'
-    weights, rounded down and clamped to L + 1..H - 1, a weight being the
-    end's value, halved each time the other end is replaced twice in a row.
-    A bisection step replaces it whenever the bracket is not at most half
-    as wide as it was three steps before. So every four steps at least
-    halve the bracket, and a root costs at most 4·(target - k) evaluations,
-    plus one for each end value not handed over. The weights only choose x;
-    the bracket is kept by exact signs, so the cell returned is the grid
-    cell that holds the root, the one bisection reaches.
+    At levels k >= 1 every grid point's numerator is a multiple of the cell
+    width 2B, so the search runs on target-level grid indices, numerator /
+    2B: the bracket (L, H] starts as the cell's 2^(target - k) target
+    cells, and each step evaluates 2^(target·d)·c at one index x strictly
+    inside it and keeps the half-open part that holds the root. The root
+    may lie on a grid point: a value 0 at H or at x makes that point the
+    root, and the cell just below it is returned. L may be a root as well,
+    one outside the bracket, so the sign c has between L and the root is
+    read from H's value, whose opposite it is. The step is an Illinois
+    regula-falsi step (Dowell & Jarratt, 1971): x is the chord's zero
+    through the ends' weights, rounded down and clamped to L + 1..H - 1, a
+    weight being the end's value, halved each time the other end is
+    replaced twice in a row. A bisection step replaces it whenever the
+    bracket is not at most half as wide as it was three steps before. So
+    every four steps at least halve the bracket, and a root costs at most
+    4·(target - k) evaluations, plus one for each end value not handed
+    over. The weights only choose x; the bracket is kept by exact signs,
+    so the cell returned is the grid cell that holds the root, the one
+    bisection reaches.
     """
     if k >= target:
         return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
@@ -1013,8 +928,10 @@ def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
     shift = target - k
     w_lo = (_dyadic_value(c, lo, k) if f_lo is None else f_lo) << shift * d
     w_hi = (_dyadic_value(c, hi, k) if f_hi is None else f_hi) << shift * d
-    positive = w_lo > 0  # the sign at L; the sign at H is the other one
     L, H = lo // width << shift, hi // width << shift
+    if not w_hi:  # the root is H
+        L = H - 1
+    positive = w_hi < 0  # the sign between L and the root
     # the bracket's width before the last three steps, the oldest first;
     # twice the start width before the first ones, which never bisect
     w3 = w2 = w1 = 2 << shift
@@ -1030,7 +947,9 @@ def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
                 x = H - 1
         w3, w2, w1 = w2, w1, H - L
         f_x = _dyadic_value(c, x * width, target)
-        if (f_x > 0) == positive:
+        if not f_x:  # the root is x
+            L, H = x - 1, x
+        elif (f_x > 0) == positive:
             L, w_lo = x, f_x
             if last < 0:
                 w_hi >>= 1
@@ -1043,49 +962,23 @@ def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
     return Fraction(L * width, 1 << target), Fraction(H * width, 1 << target)
 
 
-def _isolation(c, precision: Fraction, integer_free: bool = False):
-    """The distinct rational roots of a trimmed nonzero c, ascending,
-    and an iterator of isolating intervals of its other real roots,
-    ascending, each refined only when it is drawn.
+def _cells(c, precision: Fraction):
+    """An iterator of isolating cells of the distinct real roots of a
+    trimmed nonzero c, ascending, each refined only when it is drawn;
+    ValueError unless c's primitive part is monic.
 
-    The square-free part's remainder sequence is its Sturm chain (see
-    _square_free_chain), kept unless rational roots are divided out. When
-    c has no integer root (integer_free) and its leading coefficient is
-    ±1, no rational-root search runs: it would find integers only (see
-    _rational_roots).
+    The primitive square-free part of c, leading coefficient 1, and its
+    Sturm chain come from one remainder sequence when c is square-free
+    (see _square_free_chain), and the cells are those of _root_cells,
+    refined by _refine. A root that lies on a grid point, such as an
+    integer root, gets the cell (x - w, x] below it that bisection
+    reaches, not a point interval.
     """
     sf, chain = _square_free_chain(c)
-    if integer_free and sf[-1] == 1:
-        rational, rest = {}, sf
-    else:
-        rational, rest = _rational_roots(sf, chain)
-        if rest != sf and len(rest) > 1:
-            chain = _sturm_chain(rest)
-    cells = _root_cells(rest, chain, precision) if len(rest) > 1 else ()
-    return sorted(rational), (_refine(rest, *cell) for cell in cells)
-
-
-def _midpoint(iv):
-    return (iv[0] + iv[1]) / 2
-
-
-def _isolate(c, precision: Fraction, integer_free: bool = False):
-    """Disjoint rational intervals, one per distinct real root of a
-    trimmed nonzero c (integer_free as in _isolation).
-
-    Rational roots come back as degenerate point intervals; the remaining
-    roots get half-open (lo, hi] intervals of the dyadic grid of _root_cells
-    refined down to the requested width, all sorted by midpoint. The cells
-    come ascending and lie apart, so they are merged with the points only
-    when there are points.
-    """
-    points, cells = _isolation(c, precision, integer_free)
-    if not points:
-        return list(cells)
-    intervals = [(r, r) for r in points]
-    intervals.extend(cells)
-    intervals.sort(key=_midpoint)
-    return intervals
+    if sf[-1] != 1:
+        raise ValueError("the polynomial's leading coefficient does not divide its content")
+    cells = _root_cells(sf, chain, precision) if len(sf) > 1 else ()
+    return (_refine(sf, *cell) for cell in cells)
 
 
 # -- public operations ----------------------------------------------------
@@ -1219,13 +1112,20 @@ def only_integer_roots(c) -> bool:
 
 def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     """Every integer root with multiplicity (see split_integer_roots), and
-    isolating intervals for the real roots of the integer-root-free rest."""
+    isolating intervals for the real roots of the integer-root-free rest.
+
+    c must be a nonzero integer polynomial whose leading coefficient
+    divides its content, that is, whose primitive part is monic, as every
+    characteristic polynomial's is; any other c is a ValueError. The rest
+    then has no rational root, so each interval is a half-open cell (lo,
+    hi] of the dyadic grid (see isolate_roots).
+    """
     c, precision = _checked(c, precision)
     roots, residual = split_integer_roots(c)
     return RootReport(
         integer_roots=tuple(sorted(roots.items(), key=lambda kv: -kv[0])),
         residual=tuple(residual),
-        isolating_intervals=tuple(_isolate(residual, precision, integer_free=True)),
+        isolating_intervals=tuple(_cells(residual, precision)),
     )
 
 
@@ -1254,30 +1154,38 @@ def _checked(c, precision):
 
 
 def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
-    """Isolating rational intervals for all distinct real roots of c.
+    """Isolating rational intervals for all distinct real roots of c,
+    sorted by midpoint; c as in integer_roots, any other c a ValueError.
 
-    Rational roots are returned as exact point intervals [r, r]; all other
-    intervals are cells of a dyadic grid, found from a start level fixed by
-    the Fujiwara bound and refined by Illinois regula-falsi steps until
-    their width is at most the requested precision: the cells plain
-    bisection reaches (see _root_cells and _refine). Sorted by midpoint.
+    The integer roots are split off first (integer_roots) and come back
+    as exact point intervals [r, r]; they are c's only rational roots,
+    c's primitive part being monic. Every other interval is a cell
+    of a dyadic grid, found from a start level fixed by the Fujiwara bound
+    and refined by Illinois regula-falsi steps until its width is at most
+    the requested precision: the cell plain bisection reaches (see
+    _root_cells and _refine).
     """
-    return _isolate(*_checked(c, precision))
+    report = integer_roots(c, precision)
+    if not report.integer_roots:
+        return list(report.isolating_intervals)
+    intervals = [(Fraction(r), Fraction(r)) for r, _ in report.integer_roots]
+    intervals += report.isolating_intervals
+    intervals.sort(key=sum)  # lo + hi: the order of the midpoints
+    return intervals
 
 
-def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION, integer_free: bool = False):
-    """isolate_roots(c, precision)[0], or None when c has no real root.
+def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
+    """The isolating cell of the lowest real root of c, or None when c has
+    no real root; c as in integer_roots, any other c a ValueError.
 
     The search visits the lower half of every cell first and refines only
     the first cell holding a single root, so the other roots cost no
-    refinement. integer_free=True tells it that c has no integer root, as
-    split_integer_roots leaves its residual; then no rational-root search
-    runs when the leading coefficient is ±1, as in integer_roots.
+    refinement. No integer root is split off: an integer lowest root gets
+    the grid cell (r - w, r] that holds it, not [r, r]. So on c with no
+    integer root, such as split_integer_roots' residual, the result is
+    isolate_roots(c, precision)[0].
     """
-    points, cells = _isolation(*_checked(c, precision), integer_free)
-    first = next(cells, None)
-    candidates = [(r, r) for r in points[:1]] + ([first] if first else [])
-    return min(candidates, key=_midpoint, default=None)
+    return next(_cells(*_checked(c, precision)), None)
 
 
 def divides(p, q):

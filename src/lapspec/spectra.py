@@ -153,9 +153,8 @@ def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECIS
     exact when integer, from the polynomial's split_integer_roots: split is
     its integer roots with multiplicities and its integer-root-free rest.
 
-    Only the lowest residual root is isolated (isolate_lowest_root, told
-    that the residual has no integer root), and each halving of the
-    precision isolates that one root again.
+    Only the lowest residual root is isolated (isolate_lowest_root), and
+    each halving of the precision isolates that one root again.
     """
     roots, residual = split
     # 0 is always a root (L is singular); a double 0 means a disconnected graph.
@@ -165,16 +164,16 @@ def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECIS
     if len(residual) <= 1:
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision
-    lo, hi = isolate_lowest_root(residual, prec, integer_free=True)
+    lo, hi = isolate_lowest_root(residual, prec)
     if int_min is not None:
         # The residual has no integer roots, so a finer precision separates them.
         while lo < int_min < hi:
             prec = prec / 2
-            lo, hi = isolate_lowest_root(residual, prec, integer_free=True)
+            lo, hi = isolate_lowest_root(residual, prec)
         if int_min <= lo:
             return SpectralValue(is_integer=True, value=int_min)
     while lo < 0:
         # Connected graph: the root is strictly positive, so tighten.
         prec = prec / 2
-        lo, hi = isolate_lowest_root(residual, prec, integer_free=True)
+        lo, hi = isolate_lowest_root(residual, prec)
     return SpectralValue(is_integer=False, lo=lo, hi=hi)

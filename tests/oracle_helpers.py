@@ -10,14 +10,13 @@ read off adjacency tests one entry at a time; a polynomial is shifted to
 a corner by multiplying out each of its terms in MPoly's ring. The chain
 continuants are built here as polynomials (_continuants), and _side and
 _fold_links fold a hub side and the internal paths over them, as
-polynomials where the library folds values. divisor_search_rational_roots
-is the rational-root search the library ran before it bisected root
-cells, over Q, scan_tokens is the one-character-at-a-time scanner
-that polys._tokenize replaced with one compiled pattern,
-recursive_partitions is the generator that enumeration._partitions
-replaced with cached tuples, and fraction_sorted_display is the
-Fraction sort that SpectrumReport.display replaced with an exact merge. None of it shares code with the library paths it
-checks, with three exceptions. family_factors and family_char_poly
+polynomials where the library folds values. scan_tokens is the
+one-character-at-a-time scanner that polys._tokenize replaced with one
+compiled pattern, recursive_partitions is the generator that
+enumeration._partitions replaced with cached tuples, and
+fraction_sorted_display is the Fraction sort that SpectrumReport.display
+replaced with an exact merge. None of it shares code with the library
+paths it checks, with three exceptions. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
 factors θ^(c-1); the tests check both against Berkowitz on the realized
@@ -307,35 +306,6 @@ def _q_rational_roots(c):
         if fraction_value(c, r) == 0:
             roots.add(r)
             rest = _q_divmod(rest, [-r, 1])[0]
-    return roots, rest
-
-
-def divisor_search_rational_roots(c):
-    """The rational roots of c with their multiplicities, and the rest, as
-    lapspec's _rational_roots returns them, by the search it ran before it
-    bisected root cells: every p/q up to the Cauchy bound, p a divisor of
-    the constant term and q one of the leading coefficient, each of ±p/q
-    divided out over Q as often as it is a root. The rest is c with its
-    zero roots stripped; once a root is divided out, the quotient as
-    primitive integers with a positive leading coefficient. Trial division
-    runs to the square root of each coefficient, so its time grows with
-    the leading coefficient."""
-    c = _q_trim(list(c))
-    roots = {}
-    while c and not c[0]:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        c = c[1:]
-    if len(c) <= 1:
-        return roots, c
-    bound, lead = _q_root_bound(c), abs(c[-1])
-    nums, dens = _q_divisors(c[0], bound * lead), _q_divisors(lead, lead)
-    rest = c
-    for cand in sorted({Fraction(p, q) for p in nums for q in dens if p <= bound * q}):
-        for r in (cand, -cand):
-            while len(rest) > 1 and fraction_sign(rest, r) == 0:
-                rest = _q_primitive(_q_divmod(rest, [-r, 1])[0])
-                rest = [-a for a in rest] if rest[-1] < 0 else rest
-                roots[r] = roots.get(r, 0) + 1
     return roots, rest
 
 

@@ -6,12 +6,16 @@ by the sign at their midpoint, and refines by Illinois regula-falsi steps
 on integer grid indices at the target level. The oracle in oracle_helpers runs plain bisection from the Cauchy
 bound on Fractions, with its own gcd, Sturm chain, rational roots and
 plain Horner signs (fraction_sign), so every interval must come back
-exactly equal, in the same order; isolate_lowest_root must return the
-first. algebraic_connectivity must give the same value with the oracle
-patched in for the isolation it calls.
+exactly equal, in the same order. Every input is monic, as isolation
+requires, so the oracle's rational roots are integers. On a polynomial
+with no integer root isolate_lowest_root must return the first interval;
+an integer lowest root must lie in the cell it returns.
+algebraic_connectivity must give the same value with the oracle patched
+in for the isolation it calls.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +23,7 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots
+from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots, split_integer_roots, sturm_count
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
@@ -40,20 +44,19 @@ PRECISIONS = [
 
 
 def _seeded_square_free(seed=20261018):
-    """Square-free integer polynomials of degree 3..14 with coefficients up
-    to 10^3, 10^6, 10^9 or 10^12 in size, the i-th with i % 3 planted
-    rational roots p/q."""
+    """Square-free monic integer polynomials of degree 3..14 with
+    coefficients up to 10^3, 10^6, 10^9 or 10^12 in size, the i-th with
+    i % 3 planted integer roots."""
     rng = random.Random(seed)
     out = []
     for i in range(12):
         planted = i % 3
-        # a factor (q x - p) with |p| <= 12, q <= 6 grows coefficients by <= 18
-        mag = 10 ** (3 * (1 + i % 4)) // 18**planted
+        # a factor (x - p) with |p| <= 12 grows coefficients by <= 13
+        mag = 10 ** (3 * (1 + i % 4)) // 13**planted
         while True:
-            c = [rng.randint(-mag, mag) for _ in range(3 + i - planted + 1)]
-            c[-1] = c[-1] or 1
+            c = [rng.randint(-mag, mag) for _ in range(3 + i - planted)] + [1]
             for _ in range(planted):
-                c = poly_mul(c, [-rng.randint(-12, 12), rng.randint(1, 6)])
+                c = poly_mul(c, [-rng.randint(-12, 12), 1])
             if len(fraction_square_free_part(c)) == len(c):
                 out.append(c)
                 break
@@ -83,7 +86,7 @@ EXTRA = _close_pairs() + [[-1, -1, 0, 1]]
 def test_seeded_polynomials_reach_the_stated_sizes():
     assert max(len(c) for c in SQUARE_FREE) - 1 == 14
     assert max(abs(a) for c in SQUARE_FREE for a in c) > 10**11
-    # some rational roots come back as point intervals
+    # some integer roots come back as point intervals
     assert any(lo == hi for c in SQUARE_FREE for lo, hi in isolate_roots(c, Fraction(2)))
 
 
@@ -96,8 +99,22 @@ def test_isolate_roots_equals_the_oracle_on_seeded_polynomials(precision):
 @pytest.mark.parametrize("precision", PRECISIONS, ids=str)
 def test_isolate_lowest_root_is_the_first_interval(precision):
     graph_polys = [char_poly(m(g)) for g in GRAPHS for m in (laplacian, signless_laplacian)]
+    integer_free = 0
     for c in SQUARE_FREE + EXTRA + graph_polys:
-        assert isolate_lowest_root(c, precision) == isolate_roots(c, precision)[0], c
+        roots, rest = split_integer_roots(c)
+        lo, hi = isolate_lowest_root(c, precision)
+        first = isolate_roots(c, precision)[0]
+        if not roots:
+            assert (lo, hi) == first, c
+            integer_free += 1
+        else:
+            # the cell of c's own grid holds the lowest root, an integer
+            # one included, which no point interval replaces
+            assert sturm_count(c, lo, hi) == 1 and sturm_count(c, lo - 2**64, lo) == 0, c
+            assert first[0] != first[1] or lo < first[0] <= hi, c
+        if len(rest) > 1:
+            assert isolate_lowest_root(rest, precision) == isolate_roots(rest, precision)[0], c
+    assert integer_free == 7
     assert isolate_lowest_root([1, 0, 1], precision) is None
 
 
@@ -120,19 +137,16 @@ def test_isolation_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
         return out
 
     expected = results()
-    # the helpers isolate_roots, integer_roots and algebraic_connectivity call,
-    # replaced by the oracle; the counts show that every patch was reached
+    # the cells that integer_roots (which isolate_roots calls) and
+    # isolate_lowest_root (which algebraic_connectivity calls) draw,
+    # replaced by the oracle's; the counts, by caller, show that both were
+    # reached
     calls = Counter()
 
-    def isolate(c, precision, integer_free=False):
-        calls["isolate", integer_free] += 1
-        return fraction_isolate_roots(c, precision)
+    def cells(c, precision):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return iter(fraction_isolate_roots(c, precision))
 
-    def isolate_lowest(c, precision, integer_free=False):
-        calls["lowest", integer_free] += 1
-        return fraction_isolate_roots(c, precision)[0]
-
-    monkeypatch.setattr(polys, "_isolate", isolate)
-    monkeypatch.setattr(spectra, "isolate_lowest_root", isolate_lowest)
+    monkeypatch.setattr(polys, "_cells", cells)
     assert results() == expected
-    assert set(calls) == {("isolate", False), ("isolate", True), ("lowest", True)}, calls
+    assert set(calls) == {"integer_roots", "isolate_lowest_root"}, calls

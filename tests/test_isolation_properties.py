@@ -1,12 +1,12 @@
 """Property version of the isolation oracle test (needs Hypothesis).
 
-Any nonzero integer polynomial, square-free or not, and any positive
-precision: isolate_roots returns exactly the Fraction oracle's intervals.
-So does integer_roots for the residual it leaves once the integer roots
-are split off, on products of integer and non-monic linear factors and
-irreducible quadratics, repeated ones included: its non-integer rational
-roots come back as point intervals, found by the search a residual with
-leading coefficient ±1 skips.
+Any monic integer polynomial, square-free or not, and any positive
+precision: isolate_roots returns exactly the Fraction oracle's intervals
+(isolation takes only polynomials whose primitive part is monic). So
+does integer_roots for the residual it leaves once the integer roots are
+split off, on a unit times products of monic linear factors and
+irreducible monic quadratics, repeated ones included: the residual has
+no rational root, so no interval is a point.
 
 Characteristic polynomials of random symmetric integer matrices, whose
 roots are all real, and their products with planted integer roots of
@@ -21,15 +21,16 @@ the precision of an integer root or equals it.
 
 The cell search's shortcuts: the real-root range is strict on products
 of distinct rational linear factors, degree 2 included, where
-Samuelson's inequality is tight; a polynomial with a non-real pair of
-roots does not use it and still isolates as the oracle does; and every
+Samuelson's inequality is tight; a monic polynomial with a non-real pair
+of roots does not use it and still isolates as the oracle does; and every
 end value the search hands to the refinement is the polynomial's scaled
 value at that end. The examples are derandomized, so every run draws
 the same ones.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 
@@ -57,9 +58,10 @@ from oracle_helpers import (  # noqa: E402
     reconstructs,
 )
 
+# monic: the leading coefficient 1 follows one to nine drawn ones
 coefficients = st.lists(
-    st.one_of(st.integers(-20, 20), st.integers(-10**12, 10**12)), min_size=2, max_size=10
-).filter(lambda c: c[-1] != 0)
+    st.one_of(st.integers(-20, 20), st.integers(-10**12, 10**12)), min_size=1, max_size=9
+).map(lambda c: c + [1])
 
 precisions = st.one_of(
     st.sampled_from([Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 7), Fraction(2)]),
@@ -75,15 +77,16 @@ def test_isolate_roots_equals_the_fraction_oracle(c, precision):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(
-    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 8)), min_size=1, max_size=5),
-    st.lists(st.integers(-1000, 1000), min_size=1, max_size=5).filter(lambda c: c[-1] != 0),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+    st.lists(st.integers(-1000, 1000), max_size=4).map(lambda c: c + [1]),
     precisions,
 )
 def test_planted_rational_roots_equal_the_fraction_oracle(roots, cofactor, precision):
-    # products of (q x - p) factors, repeated ones included, times a cofactor
+    # products of (x - p) factors, repeated ones included, times a monic
+    # cofactor: a monic polynomial's rational roots are integers
     c = cofactor
-    for p, q in roots:
-        c = poly_mul(c, [-p, q])
+    for p in roots:
+        c = poly_mul(c, [-p, 1])
     assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
 
 
@@ -93,16 +96,8 @@ def _irreducible(quadratic) -> bool:
     return disc < 0 or isqrt(disc) ** 2 != disc
 
 
-linear_factor = st.one_of(
-    st.integers(-12, 12).map(lambda r: [-r, 1]),
-    # q λ - p with q >= 2 and p / q in lowest terms: a non-integer rational root
-    st.tuples(st.integers(-12, 12), st.integers(2, 6))
-    .filter(lambda pq: gcd(*pq) == 1)
-    .map(lambda pq: [-pq[0], pq[1]]),
-)
-quadratic_factor = st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(
-    lambda c: c[2] > 0 and _irreducible(c)
-)
+linear_factor = st.integers(-12, 12).map(lambda r: [-r, 1])
+quadratic_factor = st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(lambda c: c + [1]).filter(_irreducible)
 factors = st.lists(
     st.tuples(st.one_of(linear_factor, quadratic_factor), st.integers(1, 3)), min_size=1, max_size=5
 )
@@ -111,14 +106,19 @@ factors = st.lists(
 @settings(max_examples=60, deadline=None, database=None)
 @given(factors, st.sampled_from([1, -1, 2]), precisions)
 def test_integer_roots_isolates_the_residual_as_the_oracle_does(factors, unit, precision):
+    # a unit times a monic product: the leading coefficient divides the content
     c = [unit]
     for f, m in factors:
         for _ in range(m):
             c = poly_mul(c, f)
     report = integer_roots(c, precision)
     assert report.isolating_intervals == tuple(fraction_isolate_roots(list(report.residual), precision))
-    rational = {Fraction(-f[0], f[1]) for f, _ in factors if len(f) == 2 and f[1] > 1}
-    assert {lo for lo, hi in report.isolating_intervals if lo == hi} == rational
+    assert all(lo < hi for lo, hi in report.isolating_intervals)
+    planted = Counter()
+    for f, m in factors:
+        if len(f) == 2:
+            planted[-f[0]] += m
+    assert dict(report.integer_roots) == planted
 
 
 @st.composite
@@ -211,8 +211,8 @@ def test_real_root_range_is_strict(roots, unit):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     st.one_of(
-        distinct_rational_roots.map(lambda roots: [[-r.numerator, r.denominator] for r in roots]),
-        st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda f: f[-1] > 0), max_size=3),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True).map(lambda roots: [[-r, 1] for r in roots]),
+        st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(lambda f: f + [1]), max_size=3),
     ),
     precisions,
 )

@@ -1,6 +1,5 @@
 import importlib.util
 import random
-import time
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
@@ -13,7 +12,9 @@ from lapspec import (
     MPoly,
     divides,
     integer_roots,
+    isolate_lowest_root,
     isolate_roots,
+    only_integer_roots,
     parse_poly,
     path,
     poly_text,
@@ -26,18 +27,15 @@ from lapspec import polys
 from lapspec.graphs import from_graph6
 from lapspec.matrices import char_poly
 from lapspec.polys import (
+    _cells,
     _count_halfopen,
-    _exact_quotient,
-    _rational_roots,
     _root_bound,
     _scaled_value,
-    _sign_at,
     _square_free_chain,
-    _sturm_chain,
     _synthetic_div,
 )
 from lapspec.spectra import laplacian, signless_laplacian
-from oracle_helpers import divisor_search_rational_roots, fraction_divides, lift, poly_mul, reconstructs
+from oracle_helpers import fraction_divides, lift, poly_mul, reconstructs
 
 
 def lam():
@@ -103,7 +101,6 @@ def test_scaled_value_is_the_value_times_the_denominator_power():
     for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 2), Fraction(1, 10**6)):
         value = Fraction(q.denominator**3) * (q * q - 6 * q + 6)
         assert _scaled_value(c, q.numerator, q.denominator) == value
-        assert _sign_at(c, q) == (value > 0) - (value < 0)
     assert _scaled_value([], 1, 3) == 0
 
 
@@ -152,10 +149,11 @@ def test_root_report_reconstruction_invariant():
 
 # -- reference implementations ------------------------------------------------
 #
-# The full root searches try every divisor of the trailing coefficient found
-# by trial division up to isqrt(|c0|), kept when below the Cauchy bound. Their
-# cost grows with sqrt(|c0|), so they serve only as oracles for the kernel's
-# search, whose candidates stop at the Fujiwara bound.
+# The full integer-root search tries every divisor of the trailing
+# coefficient found by trial division up to isqrt(|c0|), kept when below the
+# Cauchy bound. Its cost grows with sqrt(|c0|), so it serves only as an
+# oracle for the kernel's search, whose candidates stop at the Fujiwara
+# bound. Bisection by Sturm counts on Fractions is the oracle for isolation.
 
 
 def _all_divisors(n):
@@ -182,35 +180,34 @@ def _full_search_integer_roots(c):
     return roots, c
 
 
-def _full_search_rational_roots(c):
-    k, c = _strip_zero_roots(c)
-    roots = {Fraction(0): k} if k else {}
-    nums, dens, bound = _all_divisors(c[0]), _all_divisors(c[-1]), _root_bound(c)
-    for cand in sorted({Fraction(p, q) for p in nums for q in dens if Fraction(p, q) <= bound}):
-        for r in (cand, -cand):
-            while len(c) > 1 and _sign_at(c, r) == 0:
-                c = _exact_quotient(c, [-r.numerator, r.denominator])
-                roots[r] = roots.get(r, 0) + 1
-    return roots, c
+def _bisection_cells(c, precision):
+    """The half-open cells (lo, hi] that plain bisection of (-B, B], B the
+    Cauchy bound of c's square-free part, reaches by Sturm counts on
+    Fractions: each cell is split until it holds one root and is at most
+    precision wide. Ascending; a root on a grid point x gets the cell
+    below x, integer roots included."""
+    sf, chain = _square_free_chain(c)
+    bound = Fraction(_root_bound(sf))
+    cells, work = [], [(-bound, bound)]
+    while work:
+        lo, hi = work.pop()
+        count = _count_halfopen(chain, lo, hi)
+        if count == 1 and hi - lo <= precision:
+            cells.append((lo, hi))
+        elif count:
+            mid = (lo + hi) / 2
+            work += [(mid, hi), (lo, mid)]
+    return cells
 
 
 def _sturm_bisection(c, precision):
-    """Isolating intervals by Sturm counts alone: every interval is split until
-    it holds one root and is at most precision wide."""
-    rational, rest = _rational_roots(c)
-    intervals = [(r, r) for r in rational]
+    """Isolating intervals by Sturm counts alone: the integer roots as
+    point intervals, and the bisection cells of the integer-root-free
+    rest, sorted by midpoint."""
+    roots, rest = split_integer_roots(c)
+    intervals = [(Fraction(r), Fraction(r)) for r in roots]
     if len(rest) > 1:
-        chain = _sturm_chain(rest)
-        bound = Fraction(_root_bound(rest))
-        work = [(-bound, bound)]
-        while work:
-            lo, hi = work.pop()
-            count = _count_halfopen(chain, lo, hi)
-            if count == 1 and hi - lo <= precision:
-                intervals.append((lo, hi))
-            elif count:
-                mid = (lo + hi) / 2
-                work += [(lo, mid), (mid, hi)]
+        intervals += _bisection_cells(rest, precision)
     return sorted(intervals, key=lambda iv: (iv[0] + iv[1]) / 2)
 
 
@@ -242,64 +239,15 @@ def test_bounded_root_search_equals_full_search():
     for _ in range(60):
         c = _random_factored_poly(rng)
         assert split_integer_roots(c) == _full_search_integer_roots(c), c
-        assert _rational_roots(c) == _full_search_rational_roots(c), c
 
 
-def _random_non_monic_poly(rng):
-    """A non-monic integer polynomial: linear factors q·x - p, some
-    repeated, with q up to 25 and often a power of two, so that some roots
-    are dyadic and can lie on the ends of the dyadic cells, times a random
-    factor with a leading coefficient up to 1000. The sizes keep the
-    divisor search affordable."""
-    c = [rng.choice([2, -3, 5])]
-    for _ in range(rng.randint(0, 3)):
-        linear = [-rng.randint(-40, 40), rng.choice([1, 2, 4, 8, 9, 16, 25])]
-        for _ in range(rng.choice([1, 1, 2])):
-            c = poly_mul(c, linear)
-    if rng.random() < 0.8:
-        rest = [rng.randint(-1000, 1000) for _ in range(rng.randint(1, 4))]
-        c = poly_mul(c, rest + [rng.randint(1, 1000)])
-    return c
-
-
-def test_rational_roots_equal_the_divisor_search():
-    rng = random.Random(1768)
-    found = 0
-    for _ in range(80):
-        c = _random_non_monic_poly(rng)
-        rational = _rational_roots(c)
-        assert rational == divisor_search_rational_roots(c), c
-        found += sum(r.denominator > 1 for r in rational[0])
-    assert found > 40  # the search meets many roots that are not integers
-
-
-def test_rational_root_time_does_not_follow_the_leading_coefficient():
-    # degree 11, coefficients near 10^12 and a leading coefficient near
-    # 7·10^12: the divisor search trial-divided it up to its square root,
-    # 0.25 s on a 2-core host. The lead of 10^30 puts that search out of
-    # reach; its rational roots are the dyadic 1/8 and -3/4.
-    rng = random.Random(11)
-    c = [rng.randint(-(10**12), 10**12) for _ in range(11)] + [7 * 10**12 + 3]
-    with_root = poly_mul([-5, 42], c)
-    tail = [rng.randint(-(10**30), 10**30) for _ in range(8)] + [10**30 + 7]
-    dyadic = poly_mul([-1, 8], poly_mul([3, 4], tail))
-    start = time.perf_counter()
-    got = [_rational_roots(p) for p in (c, with_root, dyadic)]
-    elapsed = time.perf_counter() - start
-    assert got[0] == divisor_search_rational_roots(c) == ({}, c)
-    assert got[1] == divisor_search_rational_roots(with_root)
-    assert got[1][0] == {Fraction(5, 42): 1}
-    assert got[2][0] == {Fraction(1, 8): 1, Fraction(-3, 4): 1}
-    assert elapsed < 0.2, elapsed
-
-
-def test_non_monic_isolation_builds_one_remainder_sequence(monkeypatch):
-    # 3λ³ - 4λ - 2 is square-free, has no rational root and a nonzero
-    # constant term: the chain _isolation builds for its square-free part
-    # is the one the rational-root search halves cells with, so one
-    # remainder sequence serves both.
-    c = [-2, -4, 0, 3]
-    assert _rational_roots(c) == ({}, c)
+def test_isolation_builds_one_remainder_sequence(monkeypatch):
+    # (λ - 1)²(λ + 2)(λ³ - 4λ - 2): the integer roots are split off before
+    # the square-free part is taken, and the rest, λ³ - 4λ - 2, is
+    # square-free, so its one remainder sequence is its Sturm chain and no
+    # chain is built again
+    rest = [-2, -4, 0, 1]
+    c = poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], rest))
     calls = []
     chain = polys._remainder_chain
 
@@ -309,8 +257,9 @@ def test_non_monic_isolation_builds_one_remainder_sequence(monkeypatch):
 
     monkeypatch.setattr(polys, "_remainder_chain", counting)
     intervals = isolate_roots(c)
-    assert calls == [c]
-    assert len(intervals) == sturm_count(c, -2, 2) == 1
+    assert calls == [rest]
+    assert integer_roots(c).residual == tuple(rest) and calls == [rest, rest]
+    assert len(intervals) == 2 + sturm_count(rest, -3, 3) == 5
 
 
 def test_isolation_equals_sturm_bisection():
@@ -319,7 +268,7 @@ def test_isolation_equals_sturm_bisection():
         c = [1]
         for _ in range(rng.randint(1, 3)):
             deg = rng.randint(1, 4)
-            c = poly_mul(c, [rng.randint(-20, 20) for _ in range(deg)] + [rng.randint(1, 3)])
+            c = poly_mul(c, [rng.randint(-20, 20) for _ in range(deg)] + [1])
         c = _square_free_chain(c)[0]
         precision = rng.choice([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**20)])
         assert isolate_roots(c, precision) == _sturm_bisection(c, precision), c
@@ -365,17 +314,19 @@ def _refinement_evaluations(monkeypatch, c, precision):
 def test_refinement_takes_at_most_four_evaluations_per_level(monkeypatch):
     # Illinois steps bisect whenever three steps have not halved the
     # bracket, so a root costs at most 4 evaluations per level below the
-    # cell's, plus its ends. 2^122·λ² - 2^122·λ + 2^120 - 3 has two roots
-    # 1/2 ± √3·2^-61, on either side of the grid point 1/2: each chord
-    # lands next to 1/2, so nearly every level costs a bisection after
-    # three chord steps (about 240 evaluations per root, of at most 401).
-    wilkinson = [2]
+    # cell's, plus its ends. The Mignotte polynomial λ⁴ - 2(2^20·λ - 1)²
+    # has two roots near 2^-20, about 2^-59 apart: the chords through
+    # their cells land near the cells' ends, and each of the two costs
+    # about 167 evaluations (of at most 325), against 16-22 for the other
+    # roots.
+    mignotte = [-2, 4 * 2**20, -2 * 2**40, 0, 1]
+    wilkinson = [1]
     for i in range(1, 13):
         wilkinson = poly_mul(wilkinson, [-i, 1])
     wilkinson[0] += 1
     fine = Fraction(1, 10**30)
     for c, precision in (
-        ([2**120 - 3, -(2**122), 2**122], fine),
+        (mignotte, fine),
         (wilkinson, polys.DEFAULT_PRECISION),
         ([-2, 0, 1], fine),
     ):
@@ -479,12 +430,54 @@ def test_isolate_roots():
 
 
 def test_isolation_handles_repeated_and_rational_roots():
-    p = coeffs("(2*λ-1)^2*(λ-3)*(λ^2-2)")
+    # a monic polynomial's rational roots are its integer roots
+    p = coeffs("(λ+1)^2*(λ-3)*(λ^2-2)")
     ivs = isolate_roots(p, Fraction(1, 1000))
     assert len(ivs) == len(set(ivs)) == 4
-    assert (Fraction(1, 2), Fraction(1, 2)) in ivs
-    assert (3, 3) in ivs
+    assert ivs[1] == (-1, -1) and ivs[3] == (3, 3)
+    assert all(type(end) is Fraction for iv in ivs for end in iv)
     assert sturm_count(p, -4, 4) == 4
+
+
+def test_isolation_takes_only_a_monic_primitive_part():
+    # the leading coefficient must divide the content: 2λ² - 4 = 2(λ² - 2)
+    # and -λ³ + λ are taken; 2λ - 1, (2λ - 1)(λ² - 2) and (λ - 3)(3λ² + 1)
+    # are not, the last one also once its integer root is split off
+    assert len(isolate_roots([-4, 0, 2])) == 2 and len(isolate_roots([0, 1, 0, -1])) == 3
+    non_monic = [[-1, 2], poly_mul([-1, 2], [-2, 0, 1]), poly_mul([-3, 1], [1, 0, 3])]
+    for c, real_roots in zip(non_monic, (1, 3, 1)):
+        for call in (isolate_roots, isolate_lowest_root, integer_roots):
+            with pytest.raises(ValueError, match="leading coefficient does not divide its content"):
+                call(c)
+        # the integer-root search and the Sturm count take any polynomial
+        assert len(split_integer_roots(c)[1]) > 1 and not only_integer_roots(c)
+        assert sturm_count(c, -4, 4) == real_roots
+
+
+def test_a_root_on_a_grid_point_gets_the_bisection_cell():
+    # λ³ - 3λ² - 3λ + 1 = (λ + 1)(λ² - 4λ + 1) has Cauchy bound 4, so its
+    # root -1 is a grid point. isolate_lowest_root splits no integer root
+    # off, and refining the cell (-4, 0] hits -1 itself: the cell is the
+    # one below it, as bisection reaches
+    c = [1, -3, -3, 1]
+    assert isolate_lowest_root(c) == (Fraction(-1048577, 1048576), -1)
+    for precision in (polys.DEFAULT_PRECISION, Fraction(1, 3), Fraction(1), Fraction(5)):
+        assert isolate_lowest_root(c, precision) == _bisection_cells(c, precision)[0]
+    assert isolate_roots(c)[0] == (-1, -1)
+    # every cell of polynomials with integer roots at grid points: the
+    # root 0 lies on the upper end of the cell (-w, 0] next to it, and is
+    # the lower end of the cell above it, which holds another root; and
+    # planted integer roots times random monic factors
+    rng = random.Random(1829)
+    cases = [c, poly_mul([0, 1], [2, -4, 1]), poly_mul([0, 1], [-1, 0, 1]), poly_mul([0, 1, -1], [-17, 0, 1])]
+    for _ in range(30):
+        g = [1]
+        for _ in range(rng.randint(1, 3)):
+            g = poly_mul(g, [-rng.randint(-4, 4), 1])
+        cases.append(poly_mul(g, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1]))
+    for c in cases:
+        for precision in (polys.DEFAULT_PRECISION, Fraction(1, 3), Fraction(1), Fraction(5)):
+            assert list(_cells(c, precision)) == _bisection_cells(c, precision), (c, precision)
 
 
 def test_precision_must_be_positive_everywhere():
@@ -544,20 +537,15 @@ def test_divides_equals_the_fraction_oracle_on_seeded_monic_pairs():
     assert flags == {True, False}
 
 
-def test_sign_at():
-    p = coeffs("λ^2 - 2")
-    assert _sign_at(p, Fraction(1)) == -1
-    assert _sign_at(p, Fraction(3, 2)) == 1
-    assert _sign_at(coeffs("λ - 5"), Fraction(5)) == 0
-
-
 def test_close_roots_are_separated():
-    # 1 and 1 + 2^-20: both rational, both recovered exactly
-    p = coeffs("(λ - 1)*(1048576*λ - 1048577)")
-    ivs = isolate_roots(p, Fraction(1, 2**30))
-    assert ivs == [(1, 1), (Fraction(1048577, 1048576), Fraction(1048577, 1048576))]
-    assert sturm_count(p, Fraction(1, 2), 1) == 1
-    assert sturm_count(p, 1, 2) == 1
+    # λ^5 - 2(16λ - 1)² has two roots near 1/16 about 2·16^-3.5 apart, and
+    # (λ - 1) adds an integer root, recovered exactly
+    mignotte = [-2, 64, -512, 0, 0, 1]
+    ivs = isolate_roots(poly_mul([-1, 1], mignotte), Fraction(1, 2**30))
+    assert (1, 1) in ivs and len(ivs) == 4
+    close = [iv for iv in ivs if Fraction(1, 32) < iv[0] < Fraction(1, 8)]
+    assert len(close) == 2 and close[0][1] <= close[1][0]
+    assert all(sturm_count(mignotte, lo, hi) == 1 for lo, hi in close)
 
 
 def test_negative_leading_coefficient():
