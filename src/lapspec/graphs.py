@@ -466,7 +466,11 @@ def graph_to_config(g: Graph):
 
 def family_membership(g: Graph) -> str:
     """One of 'G1', 'G2', 'G2_nonbipartite', 'neither'."""
-    cfg = graph_to_config(g)
+    return config_family(graph_to_config(g), g)
+
+
+def config_family(cfg, g: Graph) -> str:
+    """family_membership of g, read off cfg, its graph_to_config."""
     if cfg is None:
         return "neither"
     if cfg.family == "G1":

@@ -83,15 +83,15 @@ def char_poly(m: IntMatrix) -> list:
     if n == 0:
         return [1]
     a = m.entries
-    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
+    symmetric = a == tuple(zip(*a))
     coeffs = [1, -a[0][0]]  # descending powers
     for r in range(2, n + 1):
         # full rows: each sum(map(mul, x, v)) stops at len(v) = r - 1, so
         # it reads only the leading block's part of a row
         block = a[: r - 1]
         q = [1, -a[r - 1][r - 1]]
-        v = [a[i][r - 1] for i in range(r - 1)]
         if symmetric:
+            v = a[r - 1][: r - 1]  # the column, read as the row
             # v is A^(j // 2) times the column: even j take v · v, odd j v · Av
             for j in range(r - 1):
                 if j % 2:
@@ -101,13 +101,14 @@ def char_poly(m: IntMatrix) -> list:
                 else:
                     q.append(-sum(map(mul, v, v)))
         else:
+            v = [a[i][r - 1] for i in range(r - 1)]
             row = a[r - 1]
             for k in range(2, r + 1):
                 q.append(-sum(map(mul, row, v)))
                 if k < r:
                     v = [sum(map(mul, x, v)) for x in block]
-        # the first r + 1 terms of the product q · coeffs
-        coeffs = [sum(map(mul, q[i::-1], coeffs)) for i in range(r + 1)]
+        q.reverse()  # term i of q · coeffs pairs q[i], ..., q[0] with coeffs
+        coeffs = [sum(map(mul, q[r - i :], coeffs)) for i in range(r + 1)]
     return coeffs[::-1]
 
 

@@ -25,12 +25,15 @@ for. The square-free part of what is isolated costs one remainder
 sequence, two when it is not square-free. The cells are the ones plain
 bisection from the Cauchy bound reaches, found with fewer evaluations
 (see _root_cells and _refine), ascending, and merged with the integer
-roots' point intervals only when there are some. isolate_lowest_root
-refines the lowest root only and splits no integer root off. So a
-classify request searches each of its two characteristic polynomials for
-integer roots once. No floating point is used anywhere in a decision
-path; decimal output elsewhere in the library is display-only rounding
-of the rational intervals produced here.
+roots' point intervals only when there are some. Every evaluation is one
+Horner pass on coefficients pre-scaled once for a dyadic level
+(_prescaled): the cell search's at most a few levels above the cell's,
+re-scaled in steps as it descends, the refinement's at the target level.
+isolate_lowest_root refines the lowest root only and splits no integer
+root off, so a classify request searches each characteristic polynomial
+it builds for integer roots once. No floating point is used anywhere in
+a decision path; decimal output elsewhere in the library is display-only
+rounding of the rational intervals produced here.
 """
 
 from __future__ import annotations
@@ -527,16 +530,17 @@ def _scaled_value(c, p: int, r: int) -> int:
     return acc
 
 
-def _dyadic_value(c, p: int, k: int) -> int:
-    """_scaled_value(c, p, 1 << k): 2^(kd) * c(p / 2^k), the powers of
-    r = 2^k applied as shifts of the coefficients."""
-    if not c:
-        return 0
-    acc = c[-1]
-    shift = 0
-    for i in range(len(c) - 2, -1, -1):
-        shift += k
-        acc = acc * p + (c[i] << shift)
+def _prescaled(c, level: int) -> list:
+    """c_i·2^(level·(d - i)), d = len(c) - 1, highest power first: _horner
+    on it at x gives 2^(level·d)·c(x / 2^level) with no shift."""
+    return [a << level * j for j, a in enumerate(reversed(c))]
+
+
+def _horner(scaled, x: int) -> int:
+    """The value at x of a polynomial given highest power first."""
+    acc = 0
+    for a in scaled:
+        acc = acc * x + a
     return acc
 
 
@@ -816,23 +820,30 @@ def _root_cells(rest, chain, precision: Fraction):
     and 0 is a grid point from level 1 on. The search starts at level s,
     the deeper of 1 and the deepest level whose two cells next to 0 still
     cover (-F, F), F the Fujiwara bound; it starts no deeper than the level
-    at which bisection would stop refining, so every root's cell is the one
-    plain bisection from (-B, B] reaches. Cells holding several roots are
-    halved, the lower half first. Yields (lo, hi, k, level, f_lo, f_hi)
-    for each cell holding exactly one root, where level is how deep its
-    refinement must go (the first level whose cells are at most precision
-    wide, or k when the cell is that narrow already) and f_lo, f_hi are
-    2^(kd)·rest at the cell's ends, d the degree, or None for an end that
-    was never evaluated: a lower end below every root or an upper end above
-    every root.
+    at which bisection would stop refining (the target level, the first
+    whose cells are at most precision wide), so every root's cell is the
+    one plain bisection from (-B, B] reaches. Cells holding several roots
+    are halved, the lower half first. Yields (scaled, lo, hi, k, level,
+    f_lo, f_hi) for each cell holding exactly one root: scaled is rest
+    pre-scaled once at the target level, level how deep the refinement
+    must go (the target level, or k when the cell is that narrow already),
+    and f_lo, f_hi the values 2^(target·d)·rest at the cell's ends, d the
+    degree, or None for an end never evaluated: a lower end below every
+    root or an upper end above every root. Both are None when level is k.
+
+    Each evaluation at mid / 2^k = mid·2^(t - k) / 2^t is one Horner pass
+    on the chain pre-scaled at level t, k rounded up to a multiple of 8
+    and not past the target level unless k is; rest's value is shifted to
+    the target level, the others give signs. One target-level scale would
+    lengthen every operand by (target - k)·d bits: slower on long ones.
 
     The start ends are not evaluated. The outer ones lie at ±B or at or
     beyond ±F, and every root of rest lies strictly inside both (-B, B)
     and (-F, F). So no root lies between an outer end and ∓∞, and the
     Sturm variations there are those at ∓∞: the signs of the chain's
     leading coefficients, each times (-1)^degree at -∞. At 0 they are the
-    signs of its constant coefficients, and rest's value at level s is
-    c_0·2^(sd).
+    signs of its constant coefficients, and rest's value there at the
+    target level is c_0·2^(target·d).
 
     A midpoint is evaluated only when it can split the roots:
     - Real-root range. When the variations at ∓∞ differ by d, all d roots
@@ -858,13 +869,15 @@ def _root_cells(rest, chain, precision: Fraction):
     v_pos = _variations([c[-1] for c in chain])
     low, high = _real_root_range(rest) if v_neg - v_pos == d else (-bound, bound)
     neg_positive = d % 2 == 0  # the sign of rest below every root
+    top = _prescaled(rest, target)
+    scaled = {}  # t -> the chain pre-scaled at level t
     # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k, the
-    # values 2^(kd)·rest at lo/2^k and hi/2^k or None)
+    # values 2^(target·d)·rest at lo/2^k and hi/2^k or None)
     if s == 0:
         work = [(-bound, bound, 0, v_neg - v_pos, v_neg, None, None)]
     else:
         v_zero = _variations([c[0] for c in chain])
-        f_zero = rest[0] << s * d
+        f_zero = rest[0] << target * d
         work = [
             (0, width, s, v_zero - v_pos, v_zero, f_zero, None),
             (-width, 0, s, v_neg - v_zero, v_neg, None, f_zero),
@@ -872,62 +885,63 @@ def _root_cells(rest, chain, precision: Fraction):
     while work:
         lo, hi, k, count, v_lo, f_lo, f_hi = work.pop()
         if count == 1:
-            yield lo, hi, k, max(k, target), f_lo, f_hi
+            yield (top, lo, hi, k, target, f_lo, f_hi) if k < target else (top, lo, hi, k, k, None, None)
             continue
         if not count:
             continue
         lo, hi, k = lo << 1, hi << 1, k + 1
-        f_lo = None if f_lo is None else f_lo << d
-        f_hi = None if f_hi is None else f_hi << d
         mid = (lo + hi) >> 1
         if mid <= low << k:
             v_mid, f_mid = v_neg, None
         elif mid >= high << k:
             v_mid, f_mid = v_pos, None
         else:
-            f_mid = _dyadic_value(rest, mid, k)
+            t = max(k, min(target, -(-k // 8) * 8))
+            lists = scaled.get(t) or scaled.setdefault(t, [_prescaled(c, t) for c in chain])
+            x = mid << t - k
+            f_mid = _horner(lists[0], x) << max(0, target - t) * d
             lo_positive = neg_positive if f_lo is None else f_lo > 0
             if count == 2 and f_mid and f_lo != 0 and (f_mid > 0) != lo_positive:
                 work.append((mid, hi, k, 1, None, f_mid, f_hi))
                 work.append((lo, mid, k, 1, v_lo, f_lo, f_mid))
                 continue
-            v_mid = _variations([f_mid] + [_dyadic_value(c, mid, k) for c in chain[1:]])
+            v_mid = _variations([f_mid] + [_horner(c, x) for c in lists[1:]])
         work.append((mid, hi, k, count - (v_lo - v_mid), v_mid, f_mid, f_hi))
         work.append((lo, mid, k, v_lo - v_mid, v_lo, f_lo, f_mid))
 
 
-def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
+def _refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
     """The cell at level target of the dyadic grid inside (lo, hi] over 2^k
-    that holds the one root of c there, as a pair of Fractions; f_lo and
-    f_hi are 2^(kd)·c at the ends, d the degree, or None to evaluate them.
+    that holds the one root there of c, given as scaled, c pre-scaled at
+    level target, as a pair of Fractions; f_lo and f_hi are
+    2^(target·d)·c at the ends, d the degree, or None to evaluate them.
 
     At levels k >= 1 every grid point's numerator is a multiple of the cell
     width 2B, so the search runs on target-level grid indices, numerator /
     2B: the bracket (L, H] starts as the cell's 2^(target - k) target
     cells, and each step evaluates 2^(target·d)·c at one index x strictly
-    inside it and keeps the half-open part that holds the root. The root
-    may lie on a grid point: a value 0 at H or at x makes that point the
-    root, and the cell just below it is returned. L may be a root as well,
-    one outside the bracket, so the sign c has between L and the root is
-    read from H's value, whose opposite it is. The step is an Illinois
-    regula-falsi step (Dowell & Jarratt, 1971): x is the chord's zero
-    through the ends' weights, rounded down and clamped to L + 1..H - 1, a
-    weight being the end's value, halved each time the other end is
-    replaced twice in a row. A bisection step replaces it whenever the
-    bracket is not at most half as wide as it was three steps before. So
-    every four steps at least halve the bracket, and a root costs at most
-    4·(target - k) evaluations, plus one for each end value not handed
-    over. The weights only choose x; the bracket is kept by exact signs,
-    so the cell returned is the grid cell that holds the root, the one
-    bisection reaches.
+    inside it, one Horner pass on scaled, and keeps the half-open part that
+    holds the root. The root may lie on a grid point: a value 0 at H or at
+    x makes that point the root, and the cell just below it is returned. L
+    may be a root as well, one outside the bracket, so the sign c has
+    between L and the root is read from H's value, whose opposite it is.
+    The step is an Illinois regula-falsi step (Dowell & Jarratt, 1971): x
+    is the chord's zero through the ends' weights, rounded down and clamped
+    to L + 1..H - 1, a weight being the end's value, halved each time the
+    other end is replaced twice in a row. A bisection step replaces it
+    whenever the bracket is not at most half as wide as it was three steps
+    before. So every four steps at least halve the bracket, and a root
+    costs at most 4·(target - k) evaluations, plus one for each end value
+    not handed over. The weights only choose x; the bracket is kept by
+    exact signs, so the cell returned is the grid cell that holds the root,
+    the one bisection reaches.
     """
     if k >= target:
         return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
-    d = len(c) - 1
     width = hi - lo
     shift = target - k
-    w_lo = (_dyadic_value(c, lo, k) if f_lo is None else f_lo) << shift * d
-    w_hi = (_dyadic_value(c, hi, k) if f_hi is None else f_hi) << shift * d
+    w_lo = _horner(scaled, lo << shift) if f_lo is None else f_lo
+    w_hi = _horner(scaled, hi << shift) if f_hi is None else f_hi
     L, H = lo // width << shift, hi // width << shift
     if not w_hi:  # the root is H
         L = H - 1
@@ -946,7 +960,7 @@ def _refine(c, lo, hi, k, target, f_lo=None, f_hi=None):
             elif x >= H:
                 x = H - 1
         w3, w2, w1 = w2, w1, H - L
-        f_x = _dyadic_value(c, x * width, target)
+        f_x = _horner(scaled, x * width)
         if not f_x:  # the root is x
             L, H = x - 1, x
         elif (f_x > 0) == positive:
@@ -970,7 +984,8 @@ def _cells(c, precision: Fraction):
     The primitive square-free part of c, leading coefficient 1, and its
     Sturm chain come from one remainder sequence when c is square-free
     (see _square_free_chain), and the cells are those of _root_cells,
-    refined by _refine. A root that lies on a grid point, such as an
+    refined by _refine from the target-level list and end values the cell
+    search hands over. A root that lies on a grid point, such as an
     integer root, gets the cell (x - w, x] below it that bisection
     reaches, not a point interval.
     """
@@ -978,7 +993,7 @@ def _cells(c, precision: Fraction):
     if sf[-1] != 1:
         raise ValueError("the polynomial's leading coefficient does not divide its content")
     cells = _root_cells(sf, chain, precision) if len(sf) > 1 else ()
-    return (_refine(sf, *cell) for cell in cells)
+    return (_refine(*cell) for cell in cells)
 
 
 # -- public operations ----------------------------------------------------

@@ -30,6 +30,7 @@ have only tests as callers.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, gcd, isqrt, lcm
+from pathlib import Path
 
 from lapspec import (
     LAMBDA,
@@ -51,6 +53,7 @@ from lapspec import (
     connected_components,
     disjoint_union,
     enumerate_family,
+    from_graph6,
     interpolate,
     is_connected,
     join,
@@ -160,6 +163,15 @@ def scrambled_fields(cfg, rng: random.Random, swap: bool = False) -> tuple:
     if swap:
         pu, cu, pv, cv = pv, cv, pu, cu
     return family, hub_edge, paths, pu, cu, pv, cv
+
+
+def queries_pool_graphs() -> list:
+    """The 72 graphs (n = 6..13) of the benchmark's queries workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+    queries = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(queries)
+    return [from_graph6(g6) for variants in queries.pool().values() for g6 in variants]
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 8, density: float = 0.45) -> Graph:

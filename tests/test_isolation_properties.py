@@ -24,7 +24,8 @@ of distinct rational linear factors, degree 2 included, where
 Samuelson's inequality is tight; a monic polynomial with a non-real pair
 of roots does not use it and still isolates as the oracle does; and every
 end value the search hands to the refinement is the polynomial's scaled
-value at that end. The examples are derandomized, so every run draws
+value at that end at the target level, and none is handed for a cell
+already at least as narrow as the precision. The examples are derandomized, so every run draws
 the same ones.
 """
 
@@ -40,10 +41,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from lapspec import polys  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly  # noqa: E402
 from lapspec.polys import (  # noqa: E402
-    _dyadic_value,
     _real_root_range,
     _root_bound,
     _root_cells,
+    _scaled_value,
     _square_free_chain,
     integer_roots,
     isolate_roots,
@@ -239,10 +240,13 @@ def test_end_values_handed_to_the_refinement_are_the_values_at_the_ends(c, preci
     if len(rest) < 2:
         return
     bound = Fraction(_root_bound(rest))
-    for lo, hi, k, _, f_lo, f_hi in _root_cells(rest, chain, precision):
+    for _, lo, hi, k, target, f_lo, f_hi in _root_cells(rest, chain, precision):
+        if k >= target:  # nothing to refine, nothing handed over
+            assert f_lo is None and f_hi is None
+            continue
         for end, value in ((lo, f_lo), (hi, f_hi)):
             if value is not None:
-                assert value == _dyadic_value(rest, end, k)
+                assert value == _scaled_value(rest, end << (target - k), 1 << target)
         # an end never evaluated lies beyond every root on its side
         if f_lo is None and Fraction(lo, 1 << k) > -bound:
             assert sturm_count(rest, -bound, Fraction(lo, 1 << k)) == 0

@@ -10,7 +10,8 @@ root, finds the planted roots and leaves split_integer_roots' cofactor
 (and every other candidate leaves the polynomial as it is),
 deflate_values on the values at 0..n of a·∏(λ - r)^m·g, with planted
 roots in 0..n, finds deflate's roots on the interpolated coefficients and
-gives its cofactor's values, the shift-based value at a dyadic point equals the general scaled value, and
+gives its cofactor's values, one Horner pass on coefficients pre-scaled
+at a dyadic level gives the general scaled value at a point of it, and
 interpolate gives back an integer polynomial from its values at 0, 1, ...
 and rejects the values of a polynomial whose coefficients are not all
 integers; grid_interpolate on {0, 1, 2}^p, p = 1 or 2, gives back the
@@ -50,7 +51,8 @@ from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
     MPoly,
-    _dyadic_value,
+    _horner,
+    _prescaled,
     _scaled_value,
     _square_free_chain,
     _tokenize,
@@ -210,15 +212,16 @@ def test_deflating_on_values_equals_deflating_the_interpolated_coefficients(case
         assert rest == [poly_value(want_rest, k) for k in range(len(values))]
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(
-    st.lists(st.integers(-(10**15), 10**15), max_size=13),
-    st.integers(-(1 << 80), 1 << 80),
-    st.integers(0, 80),
+    st.lists(st.integers(-(10**15), 10**15), max_size=41),
+    st.integers(-(1 << 250), 1 << 250),
+    st.integers(0, 200),
 )
-def test_dyadic_value_is_the_scaled_value_at_a_power_of_two(c, p, k):
-    # isolation's values at p / 2^k, trailing zeros and the empty list included
-    assert _dyadic_value(c, p, k) == _scaled_value(c, p, 1 << k)
+def test_dyadic_value_is_the_scaled_value_at_a_power_of_two(c, x, t):
+    # isolation's values at x / 2^t, degree up to 40, trailing zeros and
+    # the empty list included
+    assert _horner(_prescaled(c, t), x) == _scaled_value(c, x, 1 << t)
 
 
 def values_at(c, size):

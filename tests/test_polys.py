@@ -1,9 +1,7 @@
-import importlib.util
 import random
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +22,6 @@ from lapspec import (
     sturm_count,
 )
 from lapspec import polys
-from lapspec.graphs import from_graph6
 from lapspec.matrices import char_poly
 from lapspec.polys import (
     _cells,
@@ -35,7 +32,7 @@ from lapspec.polys import (
     _synthetic_div,
 )
 from lapspec.spectra import laplacian, signless_laplacian
-from oracle_helpers import fraction_divides, lift, poly_mul, reconstructs
+from oracle_helpers import fraction_divides, lift, poly_mul, queries_pool_graphs, reconstructs
 
 
 def lam():
@@ -280,31 +277,31 @@ def _refinement_evaluations(monkeypatch, c, precision):
     refinement evaluates is new and strictly inside its cell, or an end
     whose value the cell search did not hand over, and stops a refinement
     that exceeds the bound."""
-    dyadic_value, refine = polys._dyadic_value, polys._refine
+    horner, refine = polys._horner, polys._refine
     per_root = []
-    current = None  # (cell ends, ends to evaluate, points so far, bound)
+    current = None  # (cell ends, ends to evaluate, points so far, bound, target)
 
-    def counting_value(p, point, level):
+    def counting_value(scaled, point):
         if current is not None:
-            ends, open_ends, seen, bound = current
-            x = Fraction(point, 1 << level)
+            ends, open_ends, seen, bound, target = current
+            x = Fraction(point, 1 << target)
             assert x not in seen, "a point evaluated twice"
             assert ends[0] < x < ends[1] or x in open_ends, "a point outside the cell"
             seen.append(x)
             assert len(seen) <= bound, "the refinement exceeds its bound"
-        return dyadic_value(p, point, level)
+        return horner(scaled, point)
 
-    def counting_refine(p, lo, hi, k, target, f_lo=None, f_hi=None):
+    def counting_refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
         nonlocal current
         ends = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
         open_ends = [x for x, f in zip(ends, (f_lo, f_hi)) if f is None]
-        current = (ends, open_ends, [], 4 * (target - k) + 5)
-        out = refine(p, lo, hi, k, target, f_lo, f_hi)
+        current = (ends, open_ends, [], 4 * (target - k) + 5, target)
+        out = refine(scaled, lo, hi, k, target, f_lo, f_hi)
         per_root.append((len(current[2]), current[3]))
         current = None
         return out
 
-    monkeypatch.setattr(polys, "_dyadic_value", counting_value)
+    monkeypatch.setattr(polys, "_horner", counting_value)
     monkeypatch.setattr(polys, "_refine", counting_refine)
     intervals = isolate_roots(c, precision)
     monkeypatch.undo()
@@ -336,18 +333,12 @@ def test_refinement_takes_at_most_four_evaluations_per_level(monkeypatch):
 
 
 def _queries_pool_residuals():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "queries.py"
-    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
-    queries = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(queries)
     residuals = []
-    for variants in queries.pool().values():
-        for g6 in variants:
-            g = from_graph6(g6)
-            for m in (laplacian(g), signless_laplacian(g)):
-                rest = split_integer_roots(char_poly(m))[1]
-                if len(rest) > 1:
-                    residuals.append(rest)
+    for g in queries_pool_graphs():
+        for m in (laplacian(g), signless_laplacian(g)):
+            rest = split_integer_roots(char_poly(m))[1]
+            if len(rest) > 1:
+                residuals.append(rest)
     return residuals
 
 
