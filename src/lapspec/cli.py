@@ -266,21 +266,18 @@ def cmd_spectrum(args) -> int:
 def cmd_classify(args) -> int:
     out = []
     for g in _graphs_from_args(args):
-        cfg = graphs.graph_to_config(g)
-        bipartite = graphs.is_bipartite(g)
+        member = graphs.family_membership(g)
         l_split = split_integer_roots(char_poly(spectra.laplacian(g)))
-        l_integral = len(l_split[1]) <= 1
         doc = {
             "graph6": graphs.to_graph6(g),
             "n": g.n,
             "degree_sequence": list(graphs.degree_sequence(g)),
             "connected": graphs.is_connected(g),
-            "bipartite": bipartite,
-            "family": graphs.config_family(cfg, g),
-            "L_integral": l_integral,
-            # bipartite: Q = S·L·S for S = diag(±1) by side, so Q has L's spectrum
-            "Q_integral": l_integral if bipartite else spectra.is_Q_integral(g),
-            "tag": enumeration.TAG_NONE if cfg is None else enumeration.config_tag(cfg),
+            "bipartite": graphs.is_bipartite(g),
+            "family": member,
+            "L_integral": len(l_split[1]) <= 1,
+            "Q_integral": spectra.is_Q_integral(g),
+            "tag": enumeration.theorem_tag(g),
         }
         if g.n >= 2:
             doc["algebraic_connectivity"] = spectra.algebraic_connectivity_from_poly(l_split).to_json()

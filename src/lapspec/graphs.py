@@ -466,11 +466,7 @@ def graph_to_config(g: Graph):
 
 def family_membership(g: Graph) -> str:
     """One of 'G1', 'G2', 'G2_nonbipartite', 'neither'."""
-    return config_family(graph_to_config(g), g)
-
-
-def config_family(cfg, g: Graph) -> str:
-    """family_membership of g, read off cfg, its graph_to_config."""
+    cfg = graph_to_config(g)
     if cfg is None:
         return "neither"
     if cfg.family == "G1":

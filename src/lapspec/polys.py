@@ -833,9 +833,11 @@ def _root_cells(rest, chain, precision: Fraction):
 
     Each evaluation at mid / 2^k = mid·2^(t - k) / 2^t is one Horner pass
     on the chain pre-scaled at level t, k rounded up to a multiple of 8
-    and not past the target level unless k is; rest's value is shifted to
-    the target level, the others give signs. One target-level scale would
-    lengthen every operand by (target - k)·d bits: slower on long ones.
+    and not past the target level unless k is, built once per t (rest's at
+    the target level is the refinement's list); below the target level
+    rest's value is shifted to it, and the other values give signs. One
+    target-level scale would lengthen every operand by (target - k)·d
+    bits: slower on long ones.
 
     The start ends are not evaluated. The outer ones lie at ±B or at or
     beyond ±F, and every root of rest lies strictly inside both (-B, B)
@@ -896,8 +898,12 @@ def _root_cells(rest, chain, precision: Fraction):
         elif mid >= high << k:
             v_mid, f_mid = v_pos, None
         else:
-            t = max(k, min(target, -(-k // 8) * 8))
-            lists = scaled.get(t) or scaled.setdefault(t, [_prescaled(c, t) for c in chain])
+            t = -(-k // 8) * 8
+            if k <= target:
+                t = min(t, target)
+            if t not in scaled:
+                scaled[t] = [top if t == target else _prescaled(rest, t)] + [_prescaled(c, t) for c in chain[1:]]
+            lists = scaled[t]
             x = mid << t - k
             f_mid = _horner(lists[0], x) << max(0, target - t) * d
             lo_positive = neg_positive if f_lo is None else f_lo > 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .graphs import Graph, is_connected, to_graph6
+from .graphs import Graph, to_graph6
 from .matrices import IntMatrix, char_poly
 from .polys import (
     DEFAULT_PRECISION,
@@ -118,32 +118,6 @@ def is_L_integral(g: Graph) -> bool:
 
 
 def is_Q_integral(g: Graph) -> bool:
-    """Whether every eigenvalue of Q = D + A is an integer.
-
-    On a connected graph (n >= 2) Q is irreducible with a positive
-    diagonal, so x <- Qx from x = 1 stays positive, and by Collatz-Wielandt
-    min (Qx)_i/x_i <= q1 <= max (Qx)_i/x_i for the largest eigenvalue q1
-    (compared by cross-multiplying). Both strictly inside one (m, m + 1):
-    q1 is no integer, so False, with no polynomial built. Once min = max
-    (x is q1's eigenvector, as 1 is on a regular graph), after 2n rounds,
-    or on any other graph: whether Q's polynomial has only integer roots.
-    """
-    if g.n >= 2 and is_connected(g):
-        x = [1] * g.n
-        for _ in range(2 * g.n):
-            y = [len(nbrs) * a + sum(x[j] for j in nbrs) for a, nbrs in zip(x, g.adj)]
-            lo = hi = 0  # the indices of the least and the largest ratio
-            for i in range(1, g.n):
-                if y[i] * x[lo] < y[lo] * x[i]:
-                    lo = i
-                elif y[i] * x[hi] > y[hi] * x[i]:
-                    hi = i
-            if y[lo] * x[hi] == y[hi] * x[lo]:
-                break
-            m, r = divmod(y[lo], x[lo])
-            if r and y[hi] < (m + 1) * x[hi]:
-                return False
-            x = y
     return only_integer_roots(char_poly(signless_laplacian(g)))
 
 

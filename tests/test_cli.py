@@ -90,10 +90,7 @@ def test_classify_command(capsys):
 def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkeypatch):
     # IH~U~qO|G is neither L- nor Q-integral, so its algebraic connectivity
     # is isolated from the L residual, which has no integer root to search
-    # for: one integer-root search for L, and Q's largest eigenvalue is
-    # certified non-integer with no polynomial built. EtPG is Q-integral,
-    # neither regular nor bipartite: no certificate, and Q's polynomial is
-    # searched once.
+    # for: one integer-root search for L and one for Q
     calls = []
     search = polys.split_integer_roots
 
@@ -103,17 +100,12 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
 
     for module in (polys, cli, spectra):
         monkeypatch.setattr(module, "split_integer_roots", counting)
-    for g6, q_integral, kinds in (
-        ("IH~U~qO|G", False, (spectra.laplacian,)),
-        ("EtPG", True, (spectra.laplacian, spectra.signless_laplacian)),
-    ):
-        calls.clear()
-        code, out, _ = run(capsys, "classify", "--g6", g6)
-        doc = json.loads(out)
-        assert code == EXIT_OK and not doc["L_integral"] and doc["Q_integral"] == q_integral
-        assert "interval" in doc["algebraic_connectivity"] and not doc["bipartite"]
-        g = from_graph6(g6)
-        assert calls == [char_poly(kind(g)) for kind in kinds]
+    code, out, _ = run(capsys, "classify", "--g6", "IH~U~qO|G")
+    doc = json.loads(out)
+    assert code == EXIT_OK and not doc["L_integral"] and not doc["Q_integral"]
+    assert "interval" in doc["algebraic_connectivity"]
+    g = from_graph6("IH~U~qO|G")
+    assert calls == [char_poly(laplacian(g)), char_poly(signless_laplacian(g))]
 
 
 def test_quotient_command(capsys):

@@ -44,16 +44,14 @@ COLD_START_EXCLUDED = (
     "tempfile",
 )
 # defined in the package with no caller in it: the dense-path oracles
-# det_gauss and brute_force_oracle, the library entry points isolate_roots,
-# algebraic_connectivity and theorem_tag (classify reads the tag off the
-# graph_to_config it reads the family off), and MPoly.eval_at, which the
-# benchmark's tracer wraps
+# det_gauss and brute_force_oracle, the library entry points isolate_roots
+# and algebraic_connectivity, and MPoly.eval_at, which the benchmark's
+# tracer wraps
 UNREFERENCED = {
     "det_gauss",
     "brute_force_oracle",
     "isolate_roots",
     "algebraic_connectivity",
-    "theorem_tag",
     "MPoly.eval_at",
 }
 

@@ -259,6 +259,28 @@ def test_isolation_builds_one_remainder_sequence(monkeypatch):
     assert len(intervals) == 2 + sturm_count(rest, -3, 3) == 5
 
 
+def test_the_cell_search_scales_each_chain_element_once_per_eight_levels(monkeypatch):
+    # the Mignotte pair of λ⁴ − 2(2^20·λ − 1)², about 2^-59 apart, is split
+    # some 15 levels past the target level 44 of precision 1/2; there, as
+    # above it, the chain is scaled at multiples of 8 only, and each element
+    # once per level (rest once at the target level, for the chain and the
+    # refinement)
+    a = 1 << 20
+    c = [-2, 4 * a, -2 * a * a, 0, 1]
+    calls = []
+    prescaled = polys._prescaled
+
+    def counting(p, level):
+        calls.append((tuple(p), level))
+        return prescaled(p, level)
+
+    monkeypatch.setattr(polys, "_prescaled", counting)
+    assert len(isolate_roots(c, Fraction(1, 2))) == 4
+    levels = sorted({level for _, level in calls})
+    assert levels == [24, 32, 40, 44, 48, 56, 64]
+    assert len(calls) == len(set(calls))
+
+
 def test_isolation_equals_sturm_bisection():
     rng = random.Random(1829)
     for _ in range(40):

@@ -9,8 +9,6 @@ from lapspec import (
     FamilyConfig,
     Graph,
     algebraic_connectivity,
-    canonical_form,
-    cartesian_product,
     char_poly,
     complete,
     complete_bipartite,
@@ -19,13 +17,11 @@ from lapspec import (
     disjoint_union,
     empty_graph,
     firefly,
-    from_graph6,
     is_L_integral,
     is_Q_integral,
     is_connected,
     join,
     laplacian,
-    only_integer_roots,
     parse_poly,
     path,
     realize,
@@ -36,7 +32,6 @@ from lapspec import (
     to_graph6,
     vertex_connectivity,
 )
-from lapspec import spectra
 from oracle_helpers import (
     _interlaces,
     edge_interlacing_check,
@@ -44,7 +39,6 @@ from oracle_helpers import (
     gamma_101,
     kirkland_decomposition_check,
     principal_submatrix,
-    queries_pool_graphs,
     random_cograph,
     random_connected_graph,
     reconstructs,
@@ -117,49 +111,6 @@ def test_integrality_decisions():
     assert is_L_integral(firefly(4, 0, 0))
     # one lone vertex plus a star under a join: integral two-hub member
     assert is_L_integral(join(complete(1), disjoint_union(empty_graph(1), star(7))))
-
-
-def _graph_classes(n_max):
-    """One graph of each isomorphism class on 1..n_max vertices: every
-    graph on n vertices is a graph on n - 1 vertices plus a vertex."""
-    level, out = {canonical_form(Graph(1, [()]))}, []
-    for n in range(2, n_max + 2):
-        out += map(from_graph6, level)
-        if n > n_max:
-            return out
-        level = {
-            canonical_form(Graph.from_edges(n, g.edges() + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]))
-            for g in map(from_graph6, level)
-            for mask in range(1 << (n - 1))
-        }
-
-
-def test_Q_integral_certificate_agrees_with_the_polynomial(monkeypatch):
-    graphs = [g for g in _graph_classes(6) if is_connected(g)]
-    assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112
-    graphs += queries_pool_graphs()
-    rng = random.Random(3303)
-    for _ in range(200):
-        n, p = rng.randint(2, 24), rng.random()
-        graphs.append(Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
-    calls = []
-    monkeypatch.setattr(spectra, "only_integer_roots", lambda c: calls.append(c) or only_integer_roots(c))
-    for g in graphs:
-        assert is_Q_integral(g) == only_integer_roots(char_poly(signless_laplacian(g)))
-    # the certificate settles most of them with no polynomial built
-    assert len(calls) < len(graphs) / 2
-
-
-def test_Q_integral_certificate_never_fires_on_a_Q_integral_graph(monkeypatch):
-    # Kn is regular (min = max at once), K3,5 bipartite, K3 x K3 regular,
-    # EtPG neither: each is decided by its polynomial
-    calls = []
-    monkeypatch.setattr(spectra, "only_integer_roots", lambda c: calls.append(c) or only_integer_roots(c))
-    graphs = [complete(n) for n in range(1, 9)]
-    graphs += [complete_bipartite(3, 5), cartesian_product(complete(3), complete(3)), from_graph6("EtPG")]
-    for g in graphs:
-        assert is_Q_integral(g)
-    assert len(calls) == len(graphs)
 
 
 def _integer_spectrum_by_scan(coeffs, top):
