@@ -15,17 +15,19 @@ split by λ-degree only when it differs from the computed one. Two
 misprints are pre-registered; everything else must diff empty.
 
 The printed sign claims are checked exactly on the parameter grid
-(verify_sign_claims). Each claim's polynomial in the parameters is first
-shifted to the grid floor, the least value of each parameter on the grid.
-Every grid point lies in the orthant above that corner, so a shift whose
-coefficients all have one sign, with a nonzero constant term, proves that
-sign at every grid point at any cap (Collins & Akritas, 1976). Where the
-shift has mixed signs, the orthant is split along its first parameter v
-into v = floor and v >= floor + 1, and each part is certified the same
-way; parts and points that hold no grid point (above the grid's top, below
-min_param_total or excluded) drop out. The split settles every claim row of
-the catalog, so no grid is walked; only a row that does not settle, as a
-misprinted claim's, is evaluated point by point.
+(verify_sign_claims) by one search, polys.sign_exceptions, which yields
+the grid points where a polynomial's sign is not an allowed one. Each
+claim's polynomial in the parameters is first shifted to the grid floor,
+the least value of each parameter on the grid. Every grid point lies in
+the orthant above that corner, so a shift whose coefficients all have one
+sign, with a nonzero constant term, proves that sign at every grid point
+at any cap (Collins & Akritas, 1976). Where the shift has mixed signs, the
+orthant is split along its first parameter v into v = floor and
+v >= floor + 1, and each part is certified the same way, down to single
+points, which are constants; parts and points that hold no grid point
+(above the grid's top, below min_param_total or excluded) drop out. The
+split settles every claim row of the catalog, and a misprinted claim's
+failures are the points it decides against, so no grid is walked.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
-from math import prod
-from operator import mul
+from itertools import islice, product, zip_longest
 
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, path_quotient
@@ -48,7 +48,7 @@ from .polys import (
     divides,
     grid_interpolate,
     parse_poly,
-    shift_certificate,
+    sign_exceptions,
     split_integer_roots,
     sturm_count,
 )
@@ -62,9 +62,9 @@ MATRIX_TYPO_LEDGER = {"4.6-c2.1": {(0, 0), (1, 1)}}  # hub diagonal printed s+1
 SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
-#: The largest grid cap the CLI accepts: a two-parameter claim that the
-#: certificates leave open walks cap² points. The catalog's claims all
-#: settle, and `families --case all` at this cap takes about 0.1 s.
+#: The largest grid cap the CLI accepts: a root bracket whose ends' signs
+#: do not settle it takes a Sturm count at up to cap² points. The catalog's
+#: claims all settle, and `families --case all` at this cap takes about 0.1 s.
 GRID_CAP_MAX = 500
 
 
@@ -358,22 +358,6 @@ def _box_size(case: PropositionCase, ranges) -> int:
     return count
 
 
-def _evaluator(polys, params):
-    """A function from a grid point to the values there of polys, which
-    share the variable tuple params: the monomials that occur in polys are
-    evaluated once per point, and each poly's value is the dot product of
-    its integer coefficients with theirs."""
-    monomials = sorted({exps for poly in polys for exps in poly.terms})
-    rows = [[poly.terms.get(exps, 0) for exps in monomials] for poly in polys]
-
-    def values(point):
-        xs = [point[name] for name in params]
-        powers = [prod(map(pow, xs, exps)) for exps in monomials]
-        return [sum(map(mul, row, powers)) for row in rows]
-
-    return values
-
-
 def verify_sign_claims(
     case_id: str, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None
 ) -> dict:
@@ -384,119 +368,95 @@ def verify_sign_claims(
     row, a polynomial in s and t: r^d · f(p/r) = Σ_k f_k · p^k · r^(d-k),
     which has the sign of f at p/r.
 
-    Each row is first settled once for the whole grid by a split
-    certificate (polys.shift_certificate). Its Taylor shift to the grid
-    floor, each parameter's least value on the grid (the declared lower
-    end, raised by an override's), is a polynomial in x = s - s₀, y = t - t₀,
-    and every grid point has x, y >= 0. If every coefficient of the shift
-    has one sign and the constant term is nonzero, the row has that sign at
-    every point with x, y >= 0 (Collins & Akritas, 1976). A part of the
-    orthant that does not certify is split along its first free parameter
-    v into v = floor, substituted, and v >= floor + 1, until every part
-    certifies or holds no grid point; a part whose floor is above the
-    grid's top holds none, and a point holds one only when grid_points
-    yields it (in the ranges, at least min_param_total, not in
-    grid_exclude; _box_size). A zero part, or a part or point of the other
-    sign that holds a grid point, ends the search unsettled. The parts
-    cover the orthant, so a row is settled for a sign exactly when it has
-    that sign at every grid point, and a grid with no point settles every
-    row. A claim whose row is settled for its claimed sign holds at every
-    grid point; a printed value whose polynomial times r^d equals its
-    point's row holds everywhere; and rows at lo and hi settled for
-    opposite signs put a root strictly inside the interval at every point.
+    Every check is one search of polys.sign_exceptions on the grid: the
+    orthant above the grid floor (each parameter's least value on the grid,
+    the declared lower end raised by an override's), certified by Taylor
+    shifts and split along its first free parameter down to single points
+    where they do not certify (see the module docstring), with the parts and
+    points that hold no grid point dropped (_box_size). It yields, in grid
+    order, the points at which a polynomial's sign is not an allowed one, so
+    no grid is walked, and each failure list holds the first five points of
+    its searches:
 
-    The grid loop checks only what the certificates leave open. It
-    evaluates the monomials in s and t once per point and takes one dot
-    product per open row; a claim's sign is read off its point's value, and
-    a printed value is checked against it by cross-multiplying with r^d.
-    Where lo and hi are not settled opposite, a root strictly inside the
-    interval is certified at each point by nonzero opposite signs at its
-    ends, or else by a Sturm count on the λ-coefficients, which only that
-    fallback evaluates. A case with no open row, or a grid with no point,
-    walks no grid point, and no case of the catalog has an open row at any
-    cap: points_checked is counted from the ranges (_box_size). The report
-    is the one the point-by-point check of every claim gives.
+    - a claim fails where its point's row has not the claimed sign, its
+      value read there with MPoly.eval_at;
+    - a printed value fails where r^d times it differs from its point's
+      row, unless their difference is the zero polynomial;
+    - unless the rows at lo and hi have opposite signs at every grid point,
+      each point where their product is not negative is decided by a Sturm
+      count on the λ-coefficients: a root strictly inside the interval.
+
+    A row's search for a sign serves both its claim and the root check.
+    Every claim row of the catalog settles at every cap, so no search yields
+    a point, and points_checked is counted from the ranges. The report is
+    the one the point-by-point check of every claim gives.
     """
     case = get_case(case_id)
-    coeffs = computed_symbolic_poly(case_id).coefficients_in(LAMBDA)
+    poly = computed_symbolic_poly(case_id)
+    coeffs = poly.coefficients_in(LAMBDA)
     d = len(coeffs) - 1
     lo, hi = case.root_interval
     points = list(dict.fromkeys([claim.point for claim in case.sign_claims] + [lo, hi]))
-    polys = []  # each point's row, summed on one term dict
+    rows = []  # each point's row, summed on one term dict
     for q in points:
         terms = {}
         for k, f in enumerate(coeffs):
             scale = q.numerator**k * q.denominator ** (d - k)
             for exps, c in f.terms.items():
                 terms[exps] = terms.get(exps, 0) + c * scale
-        polys.append(MPoly(case.params, terms))
+        rows.append(MPoly(case.params, terms))
     ranges = _grid_ranges(case, cap, overrides)
 
     def holds(box):
         return _box_size(case, box) > 0
 
-    @lru_cache(maxsize=None)
-    def settles(i, sign):  # whether row i has that sign at every grid point
-        return shift_certificate(polys[i], ranges, sign, holds)
+    def exceptions(row, signs):  # the grid points where row's sign is not in signs
+        for point in sign_exceptions(row, ranges, signs, holds):
+            yield dict(zip(case.params, point))
 
-    live = set()  # the rows evaluated at each grid point
-    sign_checks = []  # (claim, r^d, row of its point) whose certificate does not settle it
-    identity_checks = []  # (claim, r^d, row of its point, row of its printed value)
-    for claim in case.sign_claims:
-        scale = claim.point.denominator**d
-        i = points.index(claim.point)
-        if not settles(i, claim.sign):
-            sign_checks.append((claim, scale, i))
-            live.add(i)
-        if (
-            claim.printed_value is not None
-            and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER
-        ):
-            printed = parse_poly(claim.printed_value, variables=case.params)
-            if printed * scale != polys[i]:
-                identity_checks.append((claim, scale, i, len(polys)))
-                live |= {i, len(polys)}
-                polys.append(printed)
-    row_lo, row_hi = points.index(lo), points.index(hi)
-    root_open = not any(settles(row_lo, sign) and settles(row_hi, -sign) for sign in (1, -1))
-    if root_open:
-        # the sign each end's row is settled for, 0 where the grid loop reads it
-        signs = {i: next((sign for sign in (1, -1) if settles(i, sign)), 0) for i in (row_lo, row_hi)}
-        live |= {i for i in signs if not signs[i]}
-    live = sorted(live)
+    @lru_cache(maxsize=None)
+    def misses(i, sign):  # the first five grid points where row i has not that sign
+        return list(islice(exceptions(rows[i], {sign}), 5))
+
+    # (point, claim index, failure): each claim's first five, merged in
+    # grid order, then claim order, as the point-by-point check lists them
     sign_failures = []
     identity_failures = []
+    for index, claim in enumerate(case.sign_claims):
+        scale = claim.point.denominator**d
+        i = points.index(claim.point)
+        for at in misses(i, claim.sign):
+            value = Fraction(rows[i].eval_at(at), scale)
+            sign_failures.append((at, index, {"point": at, "at": str(claim.point), "value": str(value)}))
+        if claim.printed_value is not None and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER:
+            difference = parse_poly(claim.printed_value, variables=case.params) * scale - rows[i]
+            if difference:
+                for at in islice(exceptions(difference, {0}), 5):
+                    identity_failures.append((at, index, {"point": at, "at": str(claim.point)}))
+    row_lo, row_hi = points.index(lo), points.index(hi)
     root_failures = []
-    size = _box_size(case, ranges)
-    if (live or root_open) and size:  # the grid loop, for what the certificates leave open
-        live_values = _evaluator([polys[i] for i in live], case.params)
-        coeff_values = _evaluator(coeffs, case.params)
-        for point in grid_points(case, cap, overrides):
-            value = dict(zip(live, live_values(point)))
-            for claim, scale, i in sign_checks:
-                if (value[i] > 0) - (value[i] < 0) != claim.sign:
-                    sign_failures.append(
-                        {"point": point, "at": str(claim.point), "value": str(Fraction(value[i], scale))}
-                    )
-            for claim, scale, i, at in identity_checks:
-                if value[at] * scale != value[i]:
-                    identity_failures.append({"point": point, "at": str(claim.point)})
-            if root_open:
-                sign_lo, sign_hi = (signs[i] or (value[i] > 0) - (value[i] < 0) for i in (row_lo, row_hi))
-                if sign_lo * sign_hi >= 0:
-                    inside = sturm_count(coeff_values(point), lo, hi) - (sign_hi == 0)
-                    if inside < 1:
-                        root_failures.append({"point": point})
+    if not any(not misses(row_lo, sign) and not misses(row_hi, -sign) for sign in (1, -1)):
+        for at in exceptions(rows[row_lo] * rows[row_hi], {-1}):
+            inside = sturm_count(poly.substitute(at).univariate_coeffs(), lo, hi)
+            if inside - (rows[row_hi].eval_at(at) == 0) < 1:  # a root at hi is not inside
+                root_failures.append({"point": at})
+                if len(root_failures) == 5:
+                    break
+
+    def first_five(failures):
+        failures.sort(key=lambda f: (tuple(f[0].values()), f[1]))
+        return [failure for _, _, failure in failures[:5]]
+
     return {
         "case": case_id,
         "grid_cap": cap,
-        "points_checked": size,
+        "points_checked": _box_size(case, ranges),
         "signs_ok": not sign_failures,
         "value_identities_ok": not identity_failures,
         "root_in_interval_ok": not root_failures,
-        "sign_failures": sign_failures[:5],
-        "identity_failures": identity_failures[:5],
-        "root_failures": root_failures[:5],
+        "sign_failures": first_five(sign_failures),
+        "identity_failures": first_five(identity_failures),
+        "root_failures": root_failures,
     }
 
 

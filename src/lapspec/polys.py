@@ -6,10 +6,12 @@ variable tuple, and serves only the symbolic Z[s,t][λ] catalog; its ring
 and parse_poly compute on the same term-dict sum, negation, product and
 power, and taylor_shift on the term-dict binomial expansion, from which
 sign_above certifies one sign of a polynomial at every point above a
-corner. Every single-graph decision works on ascending integer
-coefficient lists in one univariate kernel: the gcd with the derivative
-by a primitive remainder sequence, exact division in Z[λ], square-free
-parts, integer-root extraction with multiplicities (candidates bounded by
+corner, and sign_exceptions finds, by splitting where that fails, the
+points of a grid at which a polynomial's sign is not an allowed one.
+Every single-graph decision works on ascending integer coefficient lists
+in one univariate kernel: the gcd with the derivative by a primitive
+remainder sequence, exact division in Z[λ], square-free parts,
+integer-root extraction with multiplicities (candidates bounded by
 a root bound, not by the size of the constant term, and negative ones
 tried only when Descartes' rule of signs allows a negative root),
 Sturm-sequence root counting over half-open rational intervals,
@@ -42,6 +44,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, gcd, isqrt
 from operator import add, mul
 
@@ -425,27 +428,27 @@ def sign_above(poly: MPoly, floors) -> int:
     return 0
 
 
-def shift_certificate(poly: MPoly, ranges, sign: int, holds) -> bool:
-    """Whether poly has the sign `sign` (1 or -1) at every point of a grid:
-    the integer points of the box `ranges` (one range per variable, in
-    poly.vars order) that the grid keeps. holds(box) tells whether a
-    sub-box, given the same way, keeps a grid point; a grid that keeps none
-    is settled for either sign.
+def sign_exceptions(poly: MPoly, ranges, signs, holds):
+    """The points of a grid at which poly's sign (1, -1, or 0 where it
+    vanishes) is not in `signs`, each a tuple of ints in poly.vars order,
+    in lexicographic order. The grid is the integer points of the box
+    `ranges` (one range per variable, in poly.vars order) that it keeps:
+    holds(box) tells whether a sub-box, given the same way, keeps a grid
+    point.
 
     The search starts with the whole orthant above the box's floor, the
     least value of each variable, and certifies each part with sign_above
-    at the part's floor (Collins & Akritas, 1976). A part that certifies
-    `sign` is settled. A part whose polynomial is zero, or that certifies
-    the other sign, ends the search with False when it holds a grid point:
-    that point does not have `sign`. A part that certifies nothing and
-    holds a grid point is split along its first free variable v into
-    v = floor, substituted, and v >= floor + 1; a part whose floor is above
-    the box's top holds no grid point and is dropped. The parts cover the
-    orthant, and every one that holds a grid point has been settled with
-    `sign`, so every grid point has it. Conversely the search ends False
-    only at a grid point without `sign`, so the answer is exact. It ends
-    because each split fixes a variable or raises a floor towards the box's
-    top: the box bounds the number of parts.
+    at the part's floor (Collins & Akritas, 1976); a zero part has sign 0.
+    A part whose sign is certified is settled when the sign is in `signs`,
+    and otherwise every grid point in it is an exception. A part that
+    certifies nothing and holds a grid point is split along its first free
+    variable v into v = floor, substituted, and v >= floor + 1; a part
+    whose floor is above the box's top holds no grid point and is dropped.
+    A part with every variable substituted is a constant, so the split
+    decides every grid point exactly. It ends because each split fixes a
+    variable or raises a floor towards the box's top: the box bounds the
+    number of parts. The v = floor part is searched first, so the parts,
+    and the points, come in lexicographic order.
     """
     n = len(poly.vars)
     # (the part's polynomial in its free variables, which are poly.vars[k:]
@@ -455,19 +458,20 @@ def shift_certificate(poly: MPoly, ranges, sign: int, holds) -> bool:
         part, floors = work.pop()
         k = n - len(part.vars)
         part_sign = sign_above(part, dict(zip(part.vars, floors[k:])))
-        if part_sign == sign:
+        certified = part_sign or not part
+        if certified and part_sign in signs:
             continue
         box = [range(f, f + 1) for f in floors[:k]] + [
             range(f, r.stop) for f, r in zip(floors[k:], ranges[k:])
         ]
         if not holds(box):
             continue
-        if part_sign or not part:
-            return False
+        if certified:
+            yield from (point for point in product(*box) if holds([range(x, x + 1) for x in point]))
+            continue
         if floors[k] + 1 < ranges[k].stop:
             work.append((part, floors[:k] + [floors[k] + 1] + floors[k + 1 :]))
         work.append((part.substitute({part.vars[0]: floors[k]}), floors))
-    return True
 
 
 #: One token after any white space: an integer literal; a name, which starts

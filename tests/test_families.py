@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -23,7 +26,7 @@ from lapspec import (
     verify_sign_claims,
 )
 from lapspec import families
-from lapspec.polys import shift_certificate, sign_above, taylor_shift
+from lapspec.polys import sign_above, sign_exceptions, taylor_shift
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
@@ -253,8 +256,8 @@ MUTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
-def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, change, failures):
+def _mutate_claims(monkeypatch, case_id, kind, change):
+    """Apply one MUTATIONS entry to the catalog."""
     claims = get_case(case_id).sign_claims
     if kind == "signs":
         _mutate(monkeypatch, case_id, sign_claims=tuple(cl._replace(sign=-cl.sign) for cl in claims))
@@ -265,12 +268,55 @@ def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, ch
         _mutate(monkeypatch, case_id, sign_claims=_claims(case_id, **change))
     else:
         _mutate(monkeypatch, case_id, root_interval=change)
+
+
+@pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
+def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, change, failures):
+    _mutate_claims(monkeypatch, case_id, kind, change)
     for cap in (6, 20):
         assert verify_sign_claims(case_id, cap) == _oracle_sign_claims(case_id, cap)
     report = verify_sign_claims(case_id, 20)
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
     if case_id == "4.7-c2.1":
         assert {f["at"] for f in report["identity_failures"]} == {"1/2"}
+
+
+# the sha256 of each mutated case's report at cap 500, as JSON in the CLI's
+# form, read from the grid walk that checked every point before the split
+# search decided them; keyed by MUTATIONS' case and kind
+MUTATED_DIGESTS_500 = {
+    ("4.4", "signs"): "2266ff7a874bcd72e3e377ab0c93fb1abd6123504419517492b7352fe2d9aa72",
+    ("4.7-c3.1", "signs"): "3132388ab3cdf00aaef26702c048c5f7b12eb2b0a3365acc0c663a1a372366af",
+    ("4.4", "zero"): "7bed6306598d0245318c8fde44aecbf098585d6245040c53c3fd40f730cc4916",
+    ("4.6-c1.1", "values"): "3f76f9d19de0c8485e5d0464112fde87feb3285144337bc1e5d6273ff9cb0f11",
+    ("4.7-c2.2", "values"): "32efe9d42599bc2d183efc951d33374a3c51fff9973d1481d5b428fde2d9476e",
+    ("4.7-c2.1", "values"): "a676608b364e57062edfa54d95f13f0e708df626f6411f91e63733a9fe8f5408",
+    ("4.4", "interval"): "7f70a644eb5b4c37b0a83c3a1eaf61a85e7fa12114952e6bec44b60c359e2b80",
+    ("4.7-c1.2", "interval"): "e4d64613befaacaf686c633822bab635e6c4fb2425e10658b21a075782756fd0",
+    ("4.5", "interval"): "af60743c66234efd09436aa018d1797e2c884c95d262345c30c6125db2286aab",
+    ("4.6-c2.1", "interval"): "3d4922daea738bae177d7b404f24801bbe7cc1bacd5707801aab7e807555c151",
+}
+
+
+@pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
+def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_id, kind, change, failures):
+    # A misprinted claim's failures come from the split search, which
+    # decides single points as constants: the grid is never walked, and
+    # the report is byte for byte the grid walk's.
+    _mutate_claims(monkeypatch, case_id, kind, change)
+    walked = []
+    walk = families.grid_points
+
+    def recording(case, *args):
+        walked.append(case.id)
+        return walk(case, *args)
+
+    monkeypatch.setattr(families, "grid_points", recording)
+    report = verify_sign_claims(case_id, families.GRID_CAP_MAX)
+    assert walked == []
+    text = json.dumps(report, ensure_ascii=False).encode()
+    assert hashlib.sha256(text).hexdigest() == MUTATED_DIGESTS_500[case_id, kind]
+    assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
 
 
 def test_two_roots_between_equal_signs_take_the_sturm_fallback(monkeypatch, sturm_calls):
@@ -302,24 +348,27 @@ def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
                 residual = taylor_shift(row, floors)
     assert open_rows == [("4.7-c2.2", Fraction(1))]
     assert residual == parse_poly("2*s*t + t^2 + 2*s - 1", variables=("s", "t"))
-    # The split certificate settles that row on the grid at every cap: s >= 1
+    # The split search settles that row on the grid at every cap: s >= 1
     # and s = 0, t >= 3 certify +, (0, 1) is below min_param_total and
-    # (0, 2) is excluded. So the grid loop evaluates no row of any case.
+    # (0, 2) is excluded. So it yields no exception for +, and for - the
+    # grid's points in grid order, the first five read here.
     case = get_case("4.7-c2.2")
     row = computed_symbolic_poly("4.7-c2.2").substitute({LAMBDA: 1})
     for cap in (3, 20, 500):
         ranges = families._grid_ranges(case, cap, None)
         holds = lambda box: families._box_size(case, box) > 0  # noqa: E731
-        assert shift_certificate(row, ranges, 1, holds)
-        assert not shift_certificate(row, ranges, -1, holds)
+        assert next(sign_exceptions(row, ranges, {1}, holds), None) is None
+        grid = [tuple(p.values()) for p in islice(grid_points(case, cap), 5)]
+        assert list(islice(sign_exceptions(row, ranges, {-1}, holds), 5)) == grid
+    # so no case's report evaluates a claim row at a grid point
     calls = []
-    evaluator = families._evaluator
+    eval_at = MPoly.eval_at
 
-    def recording(polys, params):
-        calls.append(list(polys))
-        return evaluator(polys, params)
+    def recording(self, assignment):
+        calls.append(assignment)
+        return eval_at(self, assignment)
 
-    monkeypatch.setattr(families, "_evaluator", recording)
+    monkeypatch.setattr(MPoly, "eval_at", recording)
     for cid in ALL_CASES:
         verify_sign_claims(cid)
     assert calls == []
@@ -379,17 +428,24 @@ def test_a_zero_row_and_an_emptied_range_settle_without_walking(monkeypatch):
         return families._box_size(case, box) > 0
 
     # λ = 0 is a root of every quotient, so its row is the zero polynomial:
-    # the whole orthant is a zero part, settled for neither sign with no split
+    # the whole orthant is a zero part, of sign 0, settled for {0} with no
+    # box asked about, and for either other sign it yields every grid
+    # point, each asked about once, with no split
     zero = computed_symbolic_poly("4.4").substitute({LAMBDA: 0})
     assert not zero
     ranges = families._grid_ranges(case, 20, None)
-    assert not shift_certificate(zero, ranges, 1, holds)
-    assert not shift_certificate(zero, ranges, -1, holds)
-    assert holds_calls == [ranges, ranges]
+    assert next(sign_exceptions(zero, ranges, {0}, holds), None) is None
+    assert holds_calls == []
+    grid = [(p["s"],) for p in grid_points(case, 20)]
+    for sign in (1, -1):
+        holds_calls.clear()
+        assert list(sign_exceptions(zero, ranges, {sign}, holds)) == grid
+        assert holds_calls == [ranges] + [[range(s, s + 1)] for s, in grid]
     # an override that empties a range leaves a grid with no point, which
     # settles every row, the zero row too
     emptied = families._grid_ranges(case, 20, {"s": (5, 4)})
-    assert shift_certificate(zero, emptied, 1, holds) and shift_certificate(zero, emptied, -1, holds)
+    for signs in ({1}, {-1}):
+        assert next(sign_exceptions(zero, emptied, signs, holds), None) is None
     claims = case.sign_claims
     _mutate(monkeypatch, "4.4", sign_claims=(claims[0]._replace(point=Fraction(0)),) + claims[1:])
     for cid in ALL_CASES:

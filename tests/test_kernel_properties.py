@@ -30,10 +30,11 @@ path-count lists. taylor_shift of a polynomial in one or two parameters
 equals its terms multiplied out at the shifted variables, and a sign that
 sign_above certifies holds at every point of a box above the floors; a
 polynomial shifted back from one whose coefficients and nonzero constant
-term share a sign always certifies. shift_certificate settles a sign on a
-small catalog grid (floors 0..2, tops up to 6, a random least parameter sum
-and random exclusions) exactly when every grid point has that sign, checked
-point by point; and _box_size counts the points grid_points yields.
+term share a sign always certifies. sign_exceptions yields, on a small
+catalog grid (floors 0..2, tops up to 6, a random least parameter sum and
+random exclusions), exactly the grid points whose sign (1, -1 or 0) is not
+the allowed one, in grid_points' order, checked point by point; and
+_box_size counts the points grid_points yields.
 Divisibility, content and rational roots come from the
 Fraction helpers of oracle_helpers, not from lapspec.
 """
@@ -62,8 +63,8 @@ from lapspec.polys import (  # noqa: E402
     interpolate,
     parse_poly,
     poly_value,
-    shift_certificate,
     sign_above,
+    sign_exceptions,
     split_integer_roots,
     taylor_shift,
 )
@@ -494,7 +495,7 @@ def grid_rows(draw):
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(grid_rows())
-def test_the_split_certificate_settles_a_sign_exactly_when_every_grid_point_has_it(row):
+def test_split_search_yields_the_grid_points_whose_sign_is_not_allowed(row):
     poly, grid, total, excluded = row
     case = get_case("4.7-c2.2")._replace(
         params=poly.vars,
@@ -506,10 +507,10 @@ def test_the_split_certificate_settles_a_sign_exactly_when_every_grid_point_has_
     points = [tuple(p[v] for v in poly.vars) for p in grid_points(case, 6)]
     assert _box_size(case, ranges) == len(points)
     values = [sum(c * prod(map(pow, p, exps)) for exps, c in poly.terms.items()) for p in points]
-    signs = {(value > 0) - (value < 0) for value in values}
 
     def holds(box):
         return _box_size(case, box) > 0
 
-    for sign in (1, -1):
-        assert shift_certificate(poly, ranges, sign, holds) == (signs <= {sign}), sign
+    for sign in (1, -1, 0):
+        want = [p for p, value in zip(points, values) if (value > 0) - (value < 0) != sign]
+        assert list(sign_exceptions(poly, ranges, {sign}, holds)) == want, sign

@@ -44,15 +44,13 @@ COLD_START_EXCLUDED = (
     "tempfile",
 )
 # defined in the package with no caller in it: the dense-path oracles
-# det_gauss and brute_force_oracle, the library entry points isolate_roots
-# and algebraic_connectivity, and MPoly.eval_at, which the benchmark's
-# tracer wraps
+# det_gauss and brute_force_oracle, and the library entry points
+# isolate_roots and algebraic_connectivity
 UNREFERENCED = {
     "det_gauss",
     "brute_force_oracle",
     "isolate_roots",
     "algebraic_connectivity",
-    "MPoly.eval_at",
 }
 
 
