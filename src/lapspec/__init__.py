@@ -35,7 +35,6 @@ from .matrices import (
     IntMatrix,
     char_poly,
     det_gauss,
-    path_quotient,
 )
 from .partitions import (
     coarsest_equitable_refinement,

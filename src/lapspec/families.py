@@ -3,10 +3,10 @@
 Each catalog case fixes a hub adjacency flag and a multiset of internal
 path orders with symbolic counts (s, t). The quotient matrix over the
 position-pooled partition is generated structurally, and its polynomial
-in Z[s,t][λ] is interpolated from the sweep's internal-path fold at int
-counts (matrices.path_quotient at the points of {0, 1, 2}^params, whose
-coefficient lists one polys.grid_interpolate call interpolates; see
-computed_symbolic_poly); the source text's printed matrix and
+in Z[s,t][λ] is read off the sweep's value tables (matrices.links_table
+and quotient_values) at the counts 1..3 of each parameter, interpolated by
+one polys.grid_interpolate call and Taylor-shifted back to the counts (see
+_grid_quotient); the source text's printed matrix and
 characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
 data rather than being silently corrected. parse_poly reads the printed
@@ -40,17 +40,19 @@ from functools import lru_cache
 from itertools import islice, product, zip_longest
 
 from .graphs import FamilyConfig, quotient_cells, realize
-from .matrices import IntMatrix, char_poly, path_quotient
+from .matrices import IntMatrix, char_poly, links_table, quotient_values, side_table, two_hub_coupling
 from .partitions import quotient_matrix
 from .polys import (
     LAMBDA,
     MPoly,
     divides,
     grid_interpolate,
+    interpolate,
     parse_poly,
     sign_exceptions,
     split_integer_roots,
     sturm_count,
+    taylor_shift,
 )
 from .spectra import is_L_integral, laplacian, spectrum
 
@@ -91,6 +93,8 @@ def load_cases() -> dict:
     cases = {}
     for cid, entry in raw.items():
         paths = tuple(sorted((int(o), c) for o, c in entry["paths"].items()))
+        if any(c.isdigit() and not int(c) for _, c in paths):
+            raise ValueError(f"case {cid} has a fixed path count of 0")
         params = tuple(sorted({c for _, c in paths if not c.isdigit()}))
         claims = tuple(
             SignClaim(
@@ -222,34 +226,42 @@ def case_config(case_id: str, s=None, t=None) -> FamilyConfig:
 def _grid_quotient(path_counts, hub_edge) -> MPoly:
     """The equitable quotient polynomial in Z[params][λ] of a two-hub member
     with internal paths only, path_counts holding (order, count) pairs whose
-    counts are digit strings or parameter names; params are the names,
-    sorted, and follow λ among the variables.
+    counts are positive digit strings or parameter names; params are the
+    names, sorted, and follow λ among the variables.
 
-    matrices.path_quotient gives the quotient for int counts. The counts
-    enter N, U and X = λ - d linearly and D at most quadratically (see
-    matrices._fold_path_kind), and P not at all, so each λ-coefficient of
-    Q = P X² - 2 N X + T has total degree at most 2 in the counts, and so at
-    most 2 in each parameter: its values at the points of {0, 1, 2}^params
-    fix it. polys.grid_interpolate interpolates the coefficient lists of
-    path_quotient at those points, whole lists at a time.
+    At positive int counts it is the sweep's quotient_values with empty hub
+    sides, off links_table. The counts enter N, U and X = λ - d linearly and
+    D at most quadratically (see matrices._fold_path_kind), and P not at
+    all, so each λ-coefficient of Q = P X² - 2 N X + T has degree at most 2
+    in each parameter: the counts 1, 2, 3 fix it. polys.grid_interpolate
+    interpolates the coefficient lists at the counts x + 1, x in
+    {0, 1, 2}^params, and a Taylor shift by -1 maps the result back to the
+    counts. As a polynomial identity it keeps a parameter's θ in P at 0 too;
+    a fixed count of 0 would drop its θ, and load_cases rejects one.
     """
     params = tuple(sorted({c for _, c in path_counts if not c.isdigit()}))
-    table = {}  # a point of {0, 1, 2}^params -> Q's coefficients there
+    size = 3 + sum(order - 2 for order, _ in path_counts)
+    empty = side_table((), (), size)
+    table = {}  # a point x of {0, 1, 2}^params -> Q's coefficients at x + 1
     for point in product(range(3), repeat=len(params)):
         values = dict(zip(params, point))
-        counts = [(order, int(c) if c.isdigit() else values[c]) for order, c in path_counts]
-        table[point] = path_quotient(counts, hub_edge)
-    return MPoly(
+        counts = [(order, int(c) if c.isdigit() else values[c] + 1) for order, c in path_counts]
+        paths = tuple(order for order, c in counts for _ in range(c))
+        d = int(hub_edge) + len(paths)
+        coupling = two_hub_coupling(links_table(paths, hub_edge, size), empty, d)
+        table[point] = interpolate(quotient_values(coupling, empty, d, size - 1))
+    poly = MPoly(
         (LAMBDA,) + params,
         {(e,) + exps: a for exps, coeffs in grid_interpolate(table).items() for e, a in enumerate(coeffs)},
     )
+    return taylor_shift(poly, dict.fromkeys(params, -1))
 
 
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
-    """The case's quotient polynomial in Z[s,t][λ], interpolated from the
-    sweep's internal-path fold at int counts (_grid_quotient), no matrix
-    built."""
+    """The case's quotient polynomial in Z[s,t][λ], read off the sweep's
+    value tables at the counts 1..3 and Taylor-shifted back to the counts
+    (_grid_quotient), no matrix built."""
     case = get_case(case_id)
     return _grid_quotient(case.path_counts, case.hub_edge)
 

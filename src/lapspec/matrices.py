@@ -15,12 +15,9 @@ integers off the tables (side_sign_change), where a sign change
 certifies a non-integer eigenvalue with no polynomial built and a member
 costs a few products per k; quotient_values gives Q(0..n), on which the
 root test deflates (polys.deflate_values) and which fix the quotient's
-coefficients (polys.interpolate). path_quotient gives the same quotient
-for members with internal paths only, from the same one-kind update of
-the paths as links_table (_fold_path_kind), uncached and with int counts
-(_fold_paths); the catalog builds its polynomials in Z[s,t][λ] from it
-(see families.computed_symbolic_poly), and Berkowitz over Z[s,t] is kept
-only as their test oracle.
+coefficients (polys.interpolate). The catalog reads its polynomials off
+the same tables (families._grid_quotient), Berkowitz over Z[s,t] being
+their test oracle; matrices imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-
-from .polys import interpolate
 
 
 class IntMatrix:
@@ -249,7 +244,7 @@ def side_table(pendants, cycles, size):
 def _fold_path_kind(fold, t, order, c):
     """(P, N, U, D) of internal paths folded with c further paths of order
     i, in ints at each k, t the _continuant_values rows (last = 2) up to
-    t_{i-2}; with c = 0 the paths' θ still multiplies into P.
+    t_{i-2}.
 
     P = ∏ θ_i; N / P = Σ c_i t_{i-3} / θ_i is each hub's share of the
     Schur complement (the same at u and at v, a path being symmetric), and
@@ -258,7 +253,7 @@ def _fold_path_kind(fold, t, order, c):
     exact as θ D + 2c (N m - U s) + c² P e, because m² - s² = θ e
     (Cassini's identity for continuants), with a path of order i having
     θ = t_{i-2}, m = t_{i-3}, e = t_{i-4} and s = (-1)^(i+1). The table's
-    T = D + hub_edge · (2U - P) follows with the hub edge (_hub_edge_term).
+    T = D + hub_edge · (2U - P) follows with the hub edge (links_table).
     """
     p, n, u, d = fold
     theta, m, e = t[order - 1], t[order - 2], t[order - 3]
@@ -272,27 +267,6 @@ def _fold_path_kind(fold, t, order, c):
             for d_k, th, p_k, e_k, n_k, m_k, u_k in zip(d, theta, p, e, n, m, u)
         ],
     )
-
-
-def _hub_edge_term(fold, hub_edge):
-    """(P, N, T) from a fold (P, N, U, D): T = D + hub_edge · (2U - P)."""
-    p, n, u, d = fold
-    if hub_edge:
-        d = [d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]
-    return p, n, d
-
-
-def _fold_paths(kinds, hub_edge, size):
-    """(P(k), N(k), T(k)) for k in range(size) of the internal paths joining
-    the two hubs, folding each (order, count) pair of kinds once in ints at
-    each k (_fold_path_kind), uncached; a count may be 0, and its θ still
-    multiplies into P. links_table folds the same way from its cached
-    prefix."""
-    t = _continuant_values(2, size, max((order for order, _ in kinds), default=2) - 2)
-    fold = (1,) * size, (0,) * size, (0,) * size, (0,) * size
-    for order, c in kinds:
-        fold = _fold_path_kind(fold, t, order, c)
-    return _hub_edge_term(fold, hub_edge)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -318,11 +292,14 @@ def _paths_table(paths, size):
 @lru_cache(maxsize=1 << 16)
 def links_table(paths, hub_edge, size):
     """(P(k), N(k), T(k)) for k in range(size) of the internal paths (an
-    ascending tuple of orders) and the hub edge, the hub-edge term applied
-    last to the cached fold of the paths (_paths_table), and whether every
-    repeated θ of the paths has only integer roots (_repeats_integral)."""
-    *fold, ok = _paths_table(paths, size)
-    return (*map(tuple, _hub_edge_term(fold, hub_edge)), ok)
+    ascending tuple of orders) and the hub edge, T = D + 2U - P with the
+    edge applied last to the cached fold of the paths (_paths_table), T = D
+    without it, and whether every repeated θ of the paths has only integer
+    roots (_repeats_integral)."""
+    p, n, u, d, ok = _paths_table(paths, size)
+    if hub_edge:
+        d = tuple([d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)])
+    return p, n, d, ok
 
 
 def one_hub_coupling(size) -> tuple:
@@ -381,22 +358,3 @@ def side_sign_change(coupling, side, degree, n):
             return k - 1
         last = q
     return None
-
-
-def path_quotient(counts, hub_edge) -> list:
-    """Ascending coefficients of the equitable quotient polynomial of a G2
-    member whose hubs carry only internal paths, c_i paths of each order i.
-
-    counts holds (order, c_i) pairs with int c_i. With X = λ - d for the
-    hub degree d = hub_edge + Σ c_i and P, N, T from the paths (see
-    _fold_paths), it is Q = P X² - 2 N X + T, quotient_values' Q with empty
-    hub sides, interpolated from its values at 0..deg Q. Every
-    order's θ divides P, also where c_i = 0.
-    """
-    counts = tuple(counts)
-    size = 3 + sum(order - 2 for order, _ in counts)
-    p, n, t = _fold_paths(counts, hub_edge, size)
-    d = int(hub_edge) + sum(c for _, c in counts)
-    return interpolate(
-        [p[k] * (k - d) ** 2 - 2 * n[k] * (k - d) + t[k] for k in range(size)]
-    )

@@ -682,8 +682,10 @@ def _fold_links(kinds, hub_edge):
 
 
 def fold_path_quotient(counts, hub_edge) -> MPoly:
-    """path_quotient's P X² - 2 N X + T multiplied out from _fold_links,
-    with counts that may be MPoly values, lifted to an MPoly in λ."""
+    """The equitable quotient P X² - 2 N X + T of a two-hub member with
+    internal paths only, multiplied out from _fold_links, with counts that
+    may be MPoly values, lifted to an MPoly in λ: the oracle of
+    families._grid_quotient."""
     counts = tuple(counts)
     p, n, t = _fold_links(counts, hub_edge)
     x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)

@@ -68,6 +68,20 @@ def test_registry_shape():
         get_case("9.9")
 
 
+def test_a_fixed_path_count_of_0_is_rejected(monkeypatch, tmp_path):
+    # the catalog's quotients are read off link tables at counts >= 1, and a
+    # fixed 0 would drop its kind's θ, which the symbolic matrix keeps
+    with open(families._CASES_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["4.4"]["paths"]["5"] = "0"
+    data = tmp_path / "cases.json"
+    data.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(families, "_CASES_PATH", str(data))
+    load_cases.cache_clear()
+    with pytest.raises(ValueError, match="case 4.4"):
+        load_cases()
+
+
 def test_build_quotient_golden_rows():
     q = build_quotient("4.4", symbolic=True)
     s = MPoly.var("s", ("s",))

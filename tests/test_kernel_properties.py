@@ -390,7 +390,7 @@ def test_symbolic_char_poly_agrees_with_the_integer_path(s, t):
 
 
 path_counts = st.lists(
-    st.tuples(st.integers(3, 8), st.sampled_from(["0", "1", "2", "3", "s", "t"])),
+    st.tuples(st.integers(3, 8), st.sampled_from(["1", "2", "3", "s", "t"])),
     max_size=4,
     unique_by=lambda kind: kind[0],
 ).map(sorted)
@@ -399,7 +399,9 @@ path_counts = st.lists(
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(path_counts, st.booleans())
 def test_grid_interpolation_equals_the_symbolic_fold(counts, hub_edge):
-    # the same parameter on several orders and zero counts included
+    # the same parameter on several orders; fixed counts are positive (see
+    # load_cases), and a parameter stays symbolic, so the identity covers
+    # its every value, 0 included
     params = tuple(sorted({c for _, c in counts if not c.isdigit()}))
     symbolic = [(order, int(c) if c.isdigit() else MPoly.var(c, params)) for order, c in counts]
     assert _grid_quotient(counts, hub_edge) == fold_path_quotient(symbolic, hub_edge)

@@ -10,10 +10,10 @@ works on integer coefficient lists, so a `from .polys import MPoly` or a
 the classification sweep runs in one process. The exact kernels, polys
 and matrices, use no floating point: a float literal, a use of float, or
 any math name other than its integer functions fails the test. matrices
-imports nothing from polys but interpolate: the value tables fold ints
-and build no polynomial. And no function, class or method defined in a
-module is dead: each is referenced by code elsewhere in the package, as
-a name or an attribute, outside its own body. Imports, and so the
+imports nothing from polys: the value tables fold ints and build no
+polynomial. And no function, class or method defined in a module is
+dead: each is referenced by code elsewhere in the package, as a name or
+an attribute, outside its own body. Imports, and so the
 package's re-exports, and docstrings are not references. The entry
 points and oracles named in UNREFERENCED are exempt. Importing the CLI
 and loading the catalog in a fresh interpreter loads none of the heavy
@@ -266,9 +266,9 @@ def test_float_checker_sees_literals_calls_and_math_functions():
     ]
 
 
-def test_matrices_imports_only_interpolate_from_polys():
+def test_matrices_imports_nothing_from_polys():
     source = (SRC / "matrices.py").read_text(encoding="utf-8")
-    assert imports_from(source, "polys", "matrices.py") == ["interpolate"]
+    assert imports_from(source, "polys", "matrices.py") == []
 
 
 def test_polys_import_checker_sees_names_and_module_imports():

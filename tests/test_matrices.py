@@ -13,7 +13,6 @@ from lapspec import (
     enumerate_family,
     laplacian,
     parse_poly,
-    path_quotient,
     quotient_cells,
     quotient_matrix,
     realize,
@@ -321,10 +320,10 @@ def test_link_tables_fold_from_their_prefix_in_any_order():
     assert matrices._paths_table.cache_info().currsize == len({paths for paths, _ in links}) == 272
 
 
-def test_table_fill_builds_no_polynomial(monkeypatch):
-    # the fill folds values only: with every cache of the table layer
-    # cleared first, it never interpolates, the one polys function
-    # matrices imports (see test_layering)
+def test_table_fill_builds_no_polynomial():
+    # the fill folds values only: matrices imports nothing from polys (see
+    # test_layering), and from cleared caches it fills one table per side
+    # and per link set of the walk
     from lapspec import matrices
     from lapspec.enumeration import _fill_tables
 
@@ -335,12 +334,9 @@ def test_table_fill_builds_no_polynomial(monkeypatch):
         matrices._continuant_values,
     ):
         cached.cache_clear()
-    calls, inner = [], matrices.interpolate
-    monkeypatch.setattr(matrices, "interpolate", lambda values: calls.append(values) or inner(values))
     _fill_tables(12)
     assert matrices.side_table.cache_info().currsize == 752
     assert matrices.links_table.cache_info().currsize == 277
-    assert calls == []
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
@@ -385,18 +381,19 @@ def test_sign_scan_restarts_after_an_integer_root():
     assert (integral, odd_inside) == (68, 62)
 
 
-def test_path_quotient_over_symbolic_and_absent_counts():
+def test_grid_quotient_over_symbolic_counts_and_a_parameter_at_0():
     from lapspec.families import _grid_quotient
 
     # K_2 joined with s isolated vertices: Laplacian quotient λ (λ - s - 2)^2
     assert _grid_quotient([(3, "s")], True) == parse_poly(
         "λ*(λ - s - 2)^2", variables=(LAMBDA, "s")
     )
-    # an order with count 0 still contributes its θ, here λ - 2 for order 3
+    # a parameter at 0 still contributes its kind's θ, here λ - 2 for order 3
     for paths, hub_edge in (((4, 4, 4), False), ((4, 5, 5), True)):
         _, quotient = family_factors(FamilyConfig("G2", hub_edge, paths))
-        counts = [(3, 0)] + sorted(Counter(paths).items())
-        assert path_quotient(counts, hub_edge) == poly_mul((-2, 1), quotient)
+        counts = [(3, "s")] + [(order, str(c)) for order, c in sorted(Counter(paths).items())]
+        at_0 = _grid_quotient(counts, hub_edge).substitute({"s": 0})
+        assert at_0.univariate_coeffs() == poly_mul((-2, 1), quotient)
 
 
 def chain_theta(kind, length):
