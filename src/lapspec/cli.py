@@ -8,6 +8,13 @@ pass their checks. Outputs are deterministic for a fixed invocation. The
 sweep runs in one process; its --jobs option is accepted for
 compatibility and has no effect.
 
+Arguments are read by parse_args from one table, COMMANDS, with no
+argparse imported or built: `--opt value` or `--opt=value`, the last of a
+repeated option winning, and -h for help. An option must be spelled in
+full: a prefix such as --grid for --grid-cap is an unrecognized argument.
+A usage error prints a usage line and a `lapspec: error:` line on stderr
+and raises SystemExit(2).
+
 Graph sources: --g6 takes a graph6 string, --file reads either the
 adjacency-list text format (first line a vertex count) or graph6 lines,
 and --builder takes a small construction expression:
@@ -22,13 +29,12 @@ and --builder takes a small construction expression:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 
 from . import enumeration, families, graphs, partitions, spectra
@@ -403,19 +409,10 @@ def cmd_families(args) -> int:
 
 def _member_line(config) -> str:
     g = graphs.realize(config)
-    return _dump(
-        {
-            "family": config.family,
-            "n": g.n,
-            "graph6": graphs.to_graph6(g),
-            "hub_edge": config.hub_edge,
-            "paths": list(config.paths),
-            "pendants_u": list(config.pendants_u),
-            "cycles_u": list(config.cycles_u),
-            "pendants_v": list(config.pendants_v),
-            "cycles_v": list(config.cycles_v),
-        }
-    )
+    doc = {"family": config.family, "n": g.n, "graph6": graphs.to_graph6(g), "hub_edge": config.hub_edge}
+    for name in ("paths", "pendants_u", "cycles_u", "pendants_v", "cycles_v"):
+        doc[name] = list(getattr(config, name))
+    return _dump(doc)
 
 
 def cmd_enumerate(args) -> int:
@@ -445,91 +442,125 @@ def cmd_erratum_report(args) -> int:
     return EXIT_OK
 
 
-# -- argument wiring -------------------------------------------------------------
+# -- argument parsing ------------------------------------------------------------
+
+_SOURCE = {"g6": (None, "graph6 string"), "builder": (None, "builder expression (see module docstring)"),
+           "file": (None, "file with adjacency text or graph6 lines")}
+_KIND = {"kind": ("L", "the Laplacian L or the signless Laplacian Q")}
+_OUT = {"out": (None, "write the output to this file instead of stdout")}
+_RANGE = 'parameter range like "2..10" or a single value'
+
+#: Each command's handler, one-line help and options: an option's attribute
+#: name (--grid-cap sets args.grid_cap) mapped to its default and its help.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "exact spectrum report of one or more graphs", {
+        **_SOURCE, **_KIND, "precision": ("1/1000000", "interval width, e.g. 1/1000000"), **_OUT}),
+    "classify": (cmd_classify, "family membership, integrality, tag", {**_SOURCE, **_OUT}),
+    "quotient": (cmd_quotient, "quotient matrix over an equitable partition", {
+        **_SOURCE, "partition": (None, 'cells like "0 | 1 | 2 3 4" or "0 | 1 | *"'), **_KIND, **_OUT}),
+    "refine": (cmd_refine, "coarsest equitable refinement of a seed partition", {
+        **_SOURCE, "partition": (None, 'seed cells like "0 | 1 | *"'), **_KIND, **_OUT}),
+    "families": (cmd_families, "verify a catalog case (or all)", {
+        "case": (None, 'case id like 4.4, or "all"'),
+        "grid_cap": (families.GRID_CAP_DEFAULT, f"largest grid value, 1 to {families.GRID_CAP_MAX}"),
+        "s": (None, _RANGE), "t": (None, _RANGE), **_OUT}),
+    "enumerate": (cmd_enumerate, "stream every family member of one order", {
+        "family": (None, "the one-hub family G1 or the two-hub family G2"), "n": (None, "vertex count"), **_OUT}),
+    "verify-theorem": (cmd_verify_theorem, "exhaustive classification sweep", {
+        "min": (9, "least vertex count"), "max": (12, "largest vertex count"),
+        "jobs": (1, "accepted for compatibility; has no effect"),
+        "out": (None, "write the verdict stream (JSON lines) here"),
+        "stats": (False, "print stage counts and seconds as JSON on stderr")}),
+    "erratum-report": (cmd_erratum_report, "documented discrepancies of the source text", _OUT),
+}
+INT_OPTIONS = frozenset({"grid_cap", "n", "min", "max", "jobs"})
+CHOICES = {"kind": ("L", "Q"), "family": ("G1", "G2")}
+REQUIRED = frozenset({"partition", "case", "family", "n"})
+FLAGS = frozenset({"stats"})  # each sets True when given, and takes no value
+ALIASES = {"--max-n": "max"}
 
 
-def _add_source_flags(p):
-    p.add_argument("--g6", help="graph6 string")
-    p.add_argument("--builder", help="builder expression (see module docstring)")
-    p.add_argument("--file", help="file with adjacency text or graph6 lines")
+def _spelling(dest: str) -> str:
+    """The option with its value's placeholder, like --grid-cap GRID_CAP."""
+    flag = "--" + dest.replace("_", "-")
+    if dest in FLAGS:
+        return flag
+    return f"{flag} {'{' + ','.join(CHOICES[dest]) + '}' if dest in CHOICES else dest.upper()}"
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every
-    main call; parse_args fills a fresh Namespace each time, so no state
-    passes from one call to the next."""
-    parser = argparse.ArgumentParser(
-        prog="lapspec",
-        description="Exact integral-spectrum decisions for sparse graph families",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: lapspec {{{','.join(COMMANDS)}}} ..."
+    spelled = (_spelling(d) if d in REQUIRED else f"[{_spelling(d)}]" for d in COMMANDS[name][2])
+    return " ".join([f"usage: lapspec {name}", *spelled])
 
-    p = sub.add_parser("spectrum", help="exact spectrum report of one or more graphs")
-    _add_source_flags(p)
-    p.add_argument("--kind", choices=("L", "Q"), default="L")
-    p.add_argument("--precision", default="1/1000000", help="interval width, e.g. 1/1000000")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("classify", help="family membership, integrality, tag")
-    _add_source_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_classify)
+def _help(name: str | None) -> str:
+    if name is None:
+        lines = [_usage(None), "", "Exact integral-spectrum decisions for sparse graph families", "", "commands:"]
+        lines += [f"  {cmd:<16}{text}" for cmd, (_, text, _) in COMMANDS.items()]
+        return "\n".join(lines + ["", "lapspec <command> -h lists the options of a command."])
+    _, text, options = COMMANDS[name]
+    lines = [_usage(name), "", text, "", "options:"]
+    for dest, (default, what) in options.items():
+        spelled = ", ".join([_spelling(dest)] + [f"{a} {dest.upper()}" for a, d in ALIASES.items() if d == dest])
+        shown = " (required)" if dest in REQUIRED else "" if default in (None, False) else f" (default {default})"
+        lines.append(f"  {spelled:<26}{what}{shown}")
+    return "\n".join(lines)
 
-    p = sub.add_parser("quotient", help="quotient matrix over an equitable partition")
-    _add_source_flags(p)
-    p.add_argument("--partition", required=True, help='cells like "0 | 1 | 2 3 4" or "0 | 1 | *"')
-    p.add_argument("--kind", choices=("L", "Q"), default="L")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_quotient)
 
-    p = sub.add_parser("refine", help="coarsest equitable refinement of a seed partition")
-    _add_source_flags(p)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--kind", choices=("L", "Q"), default="L")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_refine)
+def _fail(name: str | None, message: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    print(_usage(name), f"lapspec: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p = sub.add_parser("families", help="verify a catalog case (or all)")
-    p.add_argument("--case", required=True, help='case id like 4.4, or "all"')
-    p.add_argument(
-        "--grid-cap",
-        type=int,
-        default=families.GRID_CAP_DEFAULT,
-        help=f"largest parameter value on the grid, 1 to {families.GRID_CAP_MAX} "
-        f"(default {families.GRID_CAP_DEFAULT})",
-    )
-    p.add_argument("--s", help='parameter range like "2..10" or a single value')
-    p.add_argument("--t", help='parameter range like "1..5" or a single value')
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_families)
 
-    p = sub.add_parser("enumerate", help="stream every family member of one order")
-    p.add_argument("--family", choices=("G1", "G2"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("verify-theorem", help="exhaustive classification sweep")
-    p.add_argument("--min", type=int, default=9)
-    p.add_argument("--max", "--max-n", dest="max", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
-    p.add_argument("--out", help="write the verdict stream (JSON lines) here")
-    p.add_argument("--stats", action="store_true", help="print stage counts and seconds as JSON on stderr")
-    p.set_defaults(fn=cmd_verify_theorem)
-
-    p = sub.add_parser("erratum-report", help="documented discrepancies of the source text")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_erratum_report)
-
-    return parser
+def parse_args(argv: list):
+    """The handler of the command argv names, and a namespace holding each
+    of its options' last given value or its default. An option's value is
+    the next token, whatever it starts with, or the text after the first
+    "=" of --opt=value. -h or --help prints help and exits 0; a usage error
+    exits 2 (_fail)."""
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    if name is None and argv[:1] not in (["-h"], ["--help"]):
+        _fail(None, f"choose a command from {', '.join(COMMANDS)}" + (f", not {argv[0]!r}" if argv else ""))
+    # with no command, the one token left to read is -h or --help
+    handler, _, options = COMMANDS[name] if name else (None, None, {})
+    values = {dest: default for dest, (default, _) in options.items()}
+    spellings = {"--" + dest.replace("_", "-"): dest for dest in options}
+    spellings.update((a, d) for a, d in ALIASES.items() if d in options)
+    tokens = iter(argv[1:] if name else argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(name))
+            raise SystemExit(EXIT_OK)
+        flag, eq, value = token.partition("=")
+        dest = spellings.get(flag)
+        if dest is None or (dest in FLAGS and eq):
+            _fail(name, f"{flag} takes no value" if dest else f"unrecognized argument {token!r}")
+        if dest in FLAGS:
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            _fail(name, f"{flag} expects a value")
+        elif dest in INT_OPTIONS:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(name, f"{flag}: invalid int value {value!r}")
+        elif value not in CHOICES.get(dest, (value,)):
+            _fail(name, f"{flag}: invalid choice {value!r} (choose from {', '.join(CHOICES[dest])})")
+        values[dest] = value
+    # every default of a required option is None, and no given value is
+    missing = [_spelling(dest) for dest in options if dest in REQUIRED and values[dest] is None]
+    if missing:
+        _fail(name, f"the following options are required: {', '.join(missing)}")
+    return handler, types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.fn(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -5,7 +5,7 @@ path orders with symbolic counts (s, t). The quotient matrix over the
 position-pooled partition is generated structurally, and its polynomial
 in Z[s,t][λ] is read off the sweep's value tables (matrices.links_table
 and quotient_values) at the counts 1..3 of each parameter, interpolated by
-one polys.grid_interpolate call and Taylor-shifted back to the counts (see
+one polys.grid_interpolate call and mapped back to the counts (see
 _grid_quotient); the source text's printed matrix and
 characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
@@ -52,7 +52,6 @@ from .polys import (
     sign_exceptions,
     split_integer_roots,
     sturm_count,
-    taylor_shift,
 )
 from .spectra import is_L_integral, laplacian, spectrum
 
@@ -65,8 +64,9 @@ SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
 #: The largest grid cap the CLI accepts: a root bracket whose ends' signs
-#: do not settle it takes a Sturm count at up to cap² points. The catalog's
-#: claims all settle, and `families --case all` at this cap takes about 0.1 s.
+#: do not settle it takes a Sturm count at up to cap² points (an end that is
+#: a root at every point is divided out first). The catalog's claims all
+#: settle, and `families --case all` at this cap takes about 0.1 s.
 GRID_CAP_MAX = 500
 
 
@@ -235,8 +235,9 @@ def _grid_quotient(path_counts, hub_edge) -> MPoly:
     all, so each λ-coefficient of Q = P X² - 2 N X + T has degree at most 2
     in each parameter: the counts 1, 2, 3 fix it. polys.grid_interpolate
     interpolates the coefficient lists at the counts x + 1, x in
-    {0, 1, 2}^params, and a Taylor shift by -1 maps the result back to the
-    counts. As a polynomial identity it keeps a parameter's θ in P at 0 too;
+    {0, 1, 2}^params, and each quadratic in one x is rewritten in place as
+    one in its count, axis by axis, before the one MPoly is built. As a
+    polynomial identity it keeps a parameter's θ in P at 0 too;
     a fixed count of 0 would drop its θ, and load_cases rejects one.
     """
     params = tuple(sorted({c for _, c in path_counts if not c.isdigit()}))
@@ -250,17 +251,20 @@ def _grid_quotient(path_counts, hub_edge) -> MPoly:
         d = int(hub_edge) + len(paths)
         coupling = two_hub_coupling(links_table(paths, hub_edge, size), empty, d)
         table[point] = interpolate(quotient_values(coupling, empty, d, size - 1))
-    poly = MPoly(
-        (LAMBDA,) + params,
-        {(e,) + exps: a for exps, coeffs in grid_interpolate(table).items() for e, a in enumerate(coeffs)},
-    )
-    return taylor_shift(poly, dict.fromkeys(params, -1))
+    coeffs = grid_interpolate(table)  # in x = count - 1 on each axis
+    for axis in range(len(params)):
+        # c0 + c1·x + c2·x² = (c0 - c1 + c2) + (c1 - 2·c2)·count + c2·count²
+        for exps in [exps for exps in coeffs if not exps[axis]]:
+            c0, c1, c2 = (coeffs[exps[:axis] + (j,) + exps[axis + 1 :]] for j in range(3))
+            coeffs[exps] = [a - b + c for a, b, c in zip(c0, c1, c2)]
+            coeffs[exps[:axis] + (1,) + exps[axis + 1 :]] = [b - 2 * c for b, c in zip(c1, c2)]
+    return MPoly((LAMBDA,) + params, {(e,) + exps: a for exps, c in coeffs.items() for e, a in enumerate(c)})
 
 
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
     """The case's quotient polynomial in Z[s,t][λ], read off the sweep's
-    value tables at the counts 1..3 and Taylor-shifted back to the counts
+    value tables at the counts 1..3 and mapped back to the counts
     (_grid_quotient), no matrix built."""
     case = get_case(case_id)
     return _grid_quotient(case.path_counts, case.hub_edge)
@@ -370,6 +374,30 @@ def _box_size(case: PropositionCase, ranges) -> int:
     return count
 
 
+def _row(coeffs, q: Fraction, params) -> MPoly:
+    """r^d · f(p/r) for q = p/r, a polynomial in params with the sign of f
+    at q, f having the ascending λ-coefficients coeffs (polynomials in
+    params) and degree d; the sum is taken on one term dict."""
+    d = len(coeffs) - 1
+    terms = {}
+    for k, f in enumerate(coeffs):
+        scale = q.numerator**k * q.denominator ** (d - k)
+        for exps, c in f.terms.items():
+            terms[exps] = terms.get(exps, 0) + c * scale
+    return MPoly(params, terms)
+
+
+def _divide_root(coeffs, e: int) -> list:
+    """The ascending λ-coefficients of f / (λ - e), by synthetic division
+    over the coefficients' ring; e must be a root of f = Σ coeffs[k]·λ^k."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        out.append(c + e * out[-1])
+    if coeffs[0] + e * out[-1]:
+        raise ValueError(f"{e} is not a root")
+    return out[::-1]
+
+
 def verify_sign_claims(
     case_id: str, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None
 ) -> dict:
@@ -394,6 +422,11 @@ def verify_sign_claims(
       value read there with MPoly.eval_at;
     - a printed value fails where r^d times it differs from its point's
       row, unless their difference is the zero polynomial;
+    - an end e whose row is the zero polynomial is a root at every grid
+      point, and an integer, f being monic in λ: (λ - e) is divided out of
+      f (_divide_root) until neither end's row is zero. The cofactor has
+      f's roots strictly inside the interval, and its rows at lo and hi
+      stand for f's below;
     - unless the rows at lo and hi have opposite signs at every grid point,
       each point where their product is not negative is decided by a Sturm
       count on the λ-coefficients: a root strictly inside the interval.
@@ -404,19 +437,11 @@ def verify_sign_claims(
     the one the point-by-point check of every claim gives.
     """
     case = get_case(case_id)
-    poly = computed_symbolic_poly(case_id)
-    coeffs = poly.coefficients_in(LAMBDA)
+    coeffs = computed_symbolic_poly(case_id).coefficients_in(LAMBDA)
     d = len(coeffs) - 1
     lo, hi = case.root_interval
     points = list(dict.fromkeys([claim.point for claim in case.sign_claims] + [lo, hi]))
-    rows = []  # each point's row, summed on one term dict
-    for q in points:
-        terms = {}
-        for k, f in enumerate(coeffs):
-            scale = q.numerator**k * q.denominator ** (d - k)
-            for exps, c in f.terms.items():
-                terms[exps] = terms.get(exps, 0) + c * scale
-        rows.append(MPoly(case.params, terms))
+    rows = [_row(coeffs, q, case.params) for q in points]
     ranges = _grid_ranges(case, cap, overrides)
 
     def holds(box):
@@ -446,10 +471,16 @@ def verify_sign_claims(
                 for at in islice(exceptions(difference, {0}), 5):
                     identity_failures.append((at, index, {"point": at, "at": str(claim.point)}))
     row_lo, row_hi = points.index(lo), points.index(hi)
+    cofactor = coeffs  # f with each end that is a root at every grid point divided out
+    while not (rows[row_lo] and rows[row_hi]):
+        # f is monic in λ, so a rational root of f at every point is an integer
+        cofactor = _divide_root(cofactor, (lo if not rows[row_lo] else hi).numerator)
+        row_lo, row_hi = len(rows), len(rows) + 1
+        rows += [_row(cofactor, lo, case.params), _row(cofactor, hi, case.params)]
     root_failures = []
     if not any(not misses(row_lo, sign) and not misses(row_hi, -sign) for sign in (1, -1)):
         for at in exceptions(rows[row_lo] * rows[row_hi], {-1}):
-            inside = sturm_count(poly.substitute(at).univariate_coeffs(), lo, hi)
+            inside = sturm_count([f.eval_at(at) for f in cofactor], lo, hi)
             if inside - (rows[row_hi].eval_at(at) == 0) < 1:  # a root at hi is not inside
                 root_failures.append({"point": at})
                 if len(root_failures) == 5:

@@ -2,7 +2,7 @@
 
 Builder expressions, graph6 strings, adjacency text, partitions and
 precisions are mutated a few characters at a time and sent to main in one
-process. Every call must return 0, 2 or 4, or stop in argparse's
+process. Every call must return 0, 2 or 4, or stop in the parser's
 SystemExit(2); any other exception is a defect of the input handling.
 """
 

@@ -265,8 +265,10 @@ MUTATIONS = [
     ("4.7-c1.2", "interval", (Fraction(7, 3), Fraction(10, 3)), {ROOT}),
     # a root at the upper end does not count as inside
     ("4.5", "interval", (Fraction(-1), Fraction(0)), {ROOT}),
-    # a root at the lower end leaves the signs inconclusive; Sturm decides
+    # the lower end is a root at every point: λ is divided out, and the
+    # cofactor's signs at the ends settle every point
     ("4.6-c2.1", "interval", (Fraction(0), Fraction(1)), set()),
+    ("4.7-c2.2", "interval", (Fraction(0), Fraction(1)), set()),
 ]
 
 
@@ -309,6 +311,8 @@ MUTATED_DIGESTS_500 = {
     ("4.7-c1.2", "interval"): "e4d64613befaacaf686c633822bab635e6c4fb2425e10658b21a075782756fd0",
     ("4.5", "interval"): "af60743c66234efd09436aa018d1797e2c884c95d262345c30c6125db2286aab",
     ("4.6-c2.1", "interval"): "3d4922daea738bae177d7b404f24801bbe7cc1bacd5707801aab7e807555c151",
+    # read from the Sturm count at each of the 250,498 points, which took 56 s
+    ("4.7-c2.2", "interval"): "394c7b45a5b1e398cf3615f68a76589113916ee628ecc97566807c474b4e16ef",
 }
 
 
@@ -331,6 +335,26 @@ def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_i
     text = json.dumps(report, ensure_ascii=False).encode()
     assert hashlib.sha256(text).hexdigest() == MUTATED_DIGESTS_500[case_id, kind]
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
+
+
+@pytest.mark.parametrize("case_id", ["4.6-c2.1", "4.7-c2.2"])
+def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, sturm_calls, case_id):
+    # 0 is a root of every quotient, so the row at the end 0 is the zero
+    # polynomial; λ is divided out, and the cofactor's rows at 0 and 1 have
+    # opposite signs at every point, up to the largest cap
+    _mutate(monkeypatch, case_id, root_interval=(Fraction(0), Fraction(1)))
+    for cap in (20, families.GRID_CAP_MAX):
+        assert verify_sign_claims(case_id, cap)["root_in_interval_ok"]
+    assert sturm_calls == []
+
+
+def test_divide_root_is_exact_synthetic_division():
+    cofactor = [parse_poly(text, variables=("s", "t")) for text in ("s^2 + 3", "-2*s", "1")]
+    # (λ - 4)·(c0 + c1·λ + c2·λ²), ascending in λ
+    f = [-4 * cofactor[0], cofactor[0] - 4 * cofactor[1], cofactor[1] - 4 * cofactor[2], cofactor[2]]
+    assert families._divide_root(f, 4) == cofactor
+    with pytest.raises(ValueError):
+        families._divide_root(f, 3)
 
 
 def test_two_roots_between_equal_signs_take_the_sturm_fallback(monkeypatch, sturm_calls):

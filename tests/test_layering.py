@@ -15,9 +15,9 @@ polynomial. And no function, class or method defined in a module is
 dead: each is referenced by code elsewhere in the package, as a name or
 an attribute, outside its own body. Imports, and so the
 package's re-exports, and docstrings are not references. The entry
-points and oracles named in UNREFERENCED are exempt. Importing the CLI
-and loading the catalog in a fresh interpreter loads none of the heavy
-standard modules in COLD_START_EXCLUDED.
+points and oracles named in UNREFERENCED are exempt. Importing the CLI,
+loading the catalog and running two commands in a fresh interpreter loads
+none of the heavy standard modules in COLD_START_EXCLUDED.
 """
 
 import ast
@@ -32,7 +32,8 @@ EXACT_MODULES = ("polys.py", "matrices.py")
 # the math functions that take and return only integers
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
 # modules a one-shot CLI call does not run, but that dataclasses (inspect,
-# ast, dis, tokenize) or importlib.resources (zipfile, tempfile) would load
+# ast, dis, tokenize), importlib.resources (zipfile, tempfile) or argparse
+# (gettext, locale) would load
 COLD_START_EXCLUDED = (
     "dataclasses",
     "inspect",
@@ -42,6 +43,9 @@ COLD_START_EXCLUDED = (
     "importlib.resources",
     "zipfile",
     "tempfile",
+    "argparse",
+    "gettext",
+    "locale",
 )
 # defined in the package with no caller in it: the dense-path oracles
 # det_gauss and brute_force_oracle, and the library entry points
@@ -319,12 +323,16 @@ def test_dead_code_checker_skips_own_body_imports_and_docstrings():
 
 
 def test_cold_start_loads_no_unused_standard_modules():
-    # -S skips site, whose .pth files may import any of these first
+    # -S skips site, whose .pth files may import any of these first; two
+    # whole commands run, their stdout sent to a buffer
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
         "import lapspec.cli\n"
         "lapspec.families.load_cases()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert lapspec.cli.main(['families', '--case', '4.4']) == 0\n"
+        "    assert lapspec.cli.main(['spectrum', '--builder', 'star 6']) == 0\n"
         f"print(sorted(m for m in {COLD_START_EXCLUDED!r} if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
