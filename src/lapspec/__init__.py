@@ -47,6 +47,7 @@ from .polys import (
     LAMBDA,
     MPoly,
     RootReport,
+    count_roots,
     divides,
     integer_roots,
     interpolate,
@@ -57,7 +58,6 @@ from .polys import (
     poly_text,
     poly_value,
     split_integer_roots,
-    sturm_count,
 )
 from .spectra import (
     SpectralValue,

@@ -45,13 +45,13 @@ from .partitions import quotient_matrix
 from .polys import (
     LAMBDA,
     MPoly,
+    count_roots,
     divides,
     grid_interpolate,
     interpolate,
     parse_poly,
     sign_exceptions,
     split_integer_roots,
-    sturm_count,
 )
 from .spectra import is_L_integral, laplacian, spectrum
 
@@ -64,7 +64,7 @@ SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
 #: The largest grid cap the CLI accepts: a root bracket whose ends' signs
-#: do not settle it takes a Sturm count at up to cap² points (an end that is
+#: do not settle it takes a root count at up to cap² points (an end that is
 #: a root at every point is divided out first). The catalog's claims all
 #: settle, and `families --case all` at this cap takes about 0.1 s.
 GRID_CAP_MAX = 500
@@ -428,8 +428,11 @@ def verify_sign_claims(
       f's roots strictly inside the interval, and its rows at lo and hi
       stand for f's below;
     - unless the rows at lo and hi have opposite signs at every grid point,
-      each point where their product is not negative is decided by a Sturm
-      count on the λ-coefficients: a root strictly inside the interval.
+      each point where their product is not negative is decided by
+      count_roots on the λ-coefficients, exact because f is the
+      characteristic polynomial of an equitable quotient, whose roots are
+      the Laplacian's and so all real: a root strictly inside the
+      interval.
 
     A row's search for a sign serves both its claim and the root check.
     Every claim row of the catalog settles at every cap, so no search yields
@@ -480,7 +483,7 @@ def verify_sign_claims(
     root_failures = []
     if not any(not misses(row_lo, sign) and not misses(row_hi, -sign) for sign in (1, -1)):
         for at in exceptions(rows[row_lo] * rows[row_hi], {-1}):
-            inside = sturm_count([f.eval_at(at) for f in cofactor], lo, hi)
+            inside = count_roots([f.eval_at(at) for f in cofactor], lo, hi)
             if inside - (rows[row_hi].eval_at(at) == 0) < 1:  # a root at hi is not inside
                 root_failures.append({"point": at})
                 if len(root_failures) == 5:

@@ -14,28 +14,28 @@ remainder sequence, exact division in Z[λ], square-free parts,
 integer-root extraction with multiplicities (candidates bounded by
 a root bound, not by the size of the constant term, and negative ones
 tried only when Descartes' rule of signs allows a negative root),
-Sturm-sequence root counting over half-open rational intervals,
+root counting over half-open rational intervals by Budan–Fourier,
 isolating intervals, and poly_text, which prints a list in MPoly's
 canonical text.
 
-Isolation (integer_roots, isolate_roots, isolate_lowest_root) takes only
-a polynomial whose leading coefficient divides its content, so that its
-primitive part is monic, as every characteristic polynomial's is; any
-other input is a ValueError. Its rational roots are then the integer
-roots split_integer_roots finds, and no other rational root is searched
-for. The square-free part of what is isolated costs one remainder
-sequence, two when it is not square-free. The cells are the ones plain
-bisection from the Cauchy bound reaches, found with fewer evaluations
-(see _root_cells and _refine), ascending, and merged with the integer
-roots' point intervals only when there are some. Every evaluation is one
-Horner pass on coefficients pre-scaled once for a dyadic level
-(_prescaled): the cell search's at most a few levels above the cell's,
-re-scaled in steps as it descends, the refinement's at the target level.
-isolate_lowest_root refines the lowest root only and splits no integer
-root off, so a classify request searches each characteristic polynomial
-it builds for integer roots once. No floating point is used anywhere in
-a decision path; decimal output elsewhere in the library is display-only
-rounding of the rational intervals produced here.
+Root counting and isolation take only real-rooted polynomials, as the
+characteristic polynomial of a symmetric matrix is, and count the roots
+above a point by the sign variations of the Taylor shift to it
+(Budan–Fourier). Isolation (integer_roots, isolate_roots,
+isolate_lowest_root) also takes only a polynomial whose primitive part
+is monic; integer_roots and isolate_roots find out any other input, a
+ValueError, in bounded time. Its rational roots are then the integer roots split_integer_roots finds.
+The square-free part costs one remainder sequence. The cells are the
+ones plain bisection from the Cauchy bound reaches, found with fewer
+evaluations (see _root_cells and _refine), ascending, and merged with
+the integer roots' point intervals only when there are some. Every
+evaluation runs on coefficients pre-scaled once for a dyadic level
+(_prescaled). isolate_lowest_root refines the lowest root only and
+splits no integer root off, so a classify request searches each
+characteristic polynomial it builds for integer roots once. No floating
+point is used anywhere in a decision path; decimal output elsewhere in
+the library is display-only rounding of the rational intervals produced
+here.
 """
 
 from __future__ import annotations
@@ -518,22 +518,6 @@ def _primitive(c):
     return out
 
 
-def _scaled_value(c, p: int, r: int) -> int:
-    """r^d * c(p/r) for integers p and r > 0, with d = len(c) - 1.
-
-    Evaluates the homogenized form sum(c_i * p^i * r^(d-i)) in integers;
-    the factor r^d is positive, so the result has the sign of c(p/r).
-    """
-    if not c:
-        return 0
-    acc = c[-1]
-    rp = 1
-    for i in range(len(c) - 2, -1, -1):
-        rp *= r
-        acc = acc * p + c[i] * rp
-    return acc
-
-
 def _prescaled(c, level: int) -> list:
     """c_i·2^(level·(d - i)), d = len(c) - 1, highest power first: _horner
     on it at x gives 2^(level·d)·c(x / 2^level) with no shift."""
@@ -548,81 +532,51 @@ def _horner(scaled, x: int) -> int:
     return acc
 
 
-def _prem_pos(f, g):
-    """Pseudo-remainder of f by g scaled by a positive constant."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    df = len(r) - 1
-    if df < dg:
-        return r
-    steps = df - dg + 1
-    done = 0
-    while len(r) - 1 >= dg and any(r):
-        d = len(r) - 1
-        c = r[-1]
-        r = [lg * a for a in r]
-        for i, b in enumerate(g):
-            r[i + d - dg] -= c * b
-        _trim(r)
-        done += 1
-    rem_mult = steps - done
-    if rem_mult > 0:
-        m = lg**rem_mult
-        r = [m * a for a in r]
-    if lg < 0 and steps % 2 == 1:
-        r = [-a for a in r]
-    return r
-
-
-def _remainder_chain(c):
-    """Primitive parts of c, c' and the negated pseudo-remainders after
-    them, up to the last nonzero one, which is ± the primitive gcd of c and
-    c'. When it is a constant, c is square-free and the chain is c's Sturm
-    chain. Cutting each pseudo-remainder to its primitive part (Collins
-    1967; Brown and Traub 1971) keeps the coefficients small and in Z."""
-    chain = [_primitive(list(c))]
-    d = _trim(_derivative(c))
-    if d:
-        chain.append(_primitive(d))
-    while len(chain[-1]) > 1:
-        nxt = _trim([-a for a in _prem_pos(chain[-2], chain[-1])])
-        if not nxt:
-            break
-        chain.append(_primitive(nxt))
-    return chain
-
-
-def _square_free_chain(c):
-    """(the primitive square-free part of c, leading coefficient positive,
-    its Sturm chain) for a trimmed nonzero c.
-
-    One remainder sequence serves when c is square-free: it is the Sturm
-    chain. Otherwise its last element is the gcd of c and c', and the
-    sequence of c over the gcd, which is square-free, is its Sturm chain.
-    """
-    c = _primitive(c)
-    if c[-1] < 0:
-        c = [-a for a in c]
-    chain = _remainder_chain(c)
-    if len(chain[-1]) > 1:
-        c = _exact_quotient(c, chain[-1])
-        chain = _remainder_chain(c)
-    return c, chain
+def _taylor_shift(scaled, x: int) -> list:
+    """The coefficients of P(x + y) in y, highest power first, for P given
+    highest power first: d Horner passes, each dividing by y - x and leaving
+    one coefficient; the last entry is P(x), the one before it P'(x)."""
+    a = list(scaled)
+    for m in range(len(a) - 1, 0, -1):
+        acc = a[0]
+        for j in range(1, m + 1):
+            acc = a[j] = acc * x + a[j]
+    return a
 
 
 def _variations(values) -> int:
-    """Sign changes along a Sturm chain's values at one point, zeros
-    skipped."""
+    """Sign changes along a sequence of numbers, zeros skipped."""
     signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _count_halfopen(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b] of the chain's square-free polynomial."""
-    v_a = _variations(_scaled_value(c, a.numerator, a.denominator) for c in chain)
-    v_b = _variations(_scaled_value(c, b.numerator, b.denominator) for c in chain)
-    return v_a - v_b
+def _prem(f, g):
+    """A nonzero multiple of the remainder of f by g that lies in Z[λ]."""
+    r = list(f)
+    while len(r) >= len(g):
+        top = r[-1]
+        r = [g[-1] * a for a in r]
+        for i, b in enumerate(g, len(r) - len(g)):
+            r[i] -= top * b
+        _trim(r)
+    return r
+
+
+def _square_free(c):
+    """The primitive square-free part of a trimmed nonzero c, leading
+    coefficient positive: c over its gcd with c', the last nonzero element
+    of a primitive remainder sequence (Collins 1967; Brown and Traub 1971)
+    of which only the last two elements are kept."""
+    c = _primitive(c)
+    if c[-1] < 0:
+        c = [-a for a in c]
+    f, g = c, _primitive(_trim(_derivative(c)))
+    while len(g) > 1:
+        r = _trim(_prem(f, g))
+        if not r:
+            return _exact_quotient(c, g)
+        f, g = g, _primitive(r)
+    return c
 
 
 def _root_bound(c) -> int:
@@ -791,7 +745,8 @@ def _synthetic_div(c, r: int):
 
 def _real_root_range(c) -> tuple:
     """Integers lo, hi with lo < every root < hi, for c of degree d >= 1
-    with a positive leading coefficient and only real roots.
+    with a positive leading coefficient and only real roots; ValueError
+    when N below is negative, which no real-rooted c gives.
 
     Samuelson's inequality (1968): the d real numbers r_i with mean m and
     variance σ² = Σ (r_i - m)² / d each satisfy |r_i - m| <= σ·√(d - 1).
@@ -808,61 +763,66 @@ def _real_root_range(c) -> tuple:
     a, b = c[-1], c[-2]
     e = c[-3] if d > 1 else 0
     n = (d - 1) * ((d - 1) * b * b - 2 * d * a * e)
+    if n < 0:
+        raise ValueError("the polynomial is not real-rooted")
     root = isqrt(n)
     root += root * root < n
     return -((b + root) // (d * a)) - 1, (root - b) // (d * a) + 1
 
 
-def _root_cells(rest, chain, precision: Fraction):
+def _separation_bits(c) -> int:
+    """b with any two roots of a square-free integer c of degree d more than
+    2^-b apart: by Mahler (1964) more than √3·d^(-(d + 2)/2)·‖c‖^(1 - d),
+    the discriminant being a nonzero integer and the Mahler measure at most
+    ‖c‖, the Euclidean norm (Landau), whose log2 is at most half the bit
+    length of Σ c_i²."""
+    d = len(c) - 1
+    norm_bits = sum(a * a for a in c).bit_length()
+    return ((d + 2) * d.bit_length() + (d - 1) * norm_bits + 1) // 2
+
+
+def _root_cells(rest, precision: Fraction):
     """Isolating cells of the dyadic grid for rest, lowest root first.
 
-    rest is square-free with a positive leading coefficient, and chain is
-    its Sturm chain, chain[0] = rest; the cells are counted by Sturm
-    counts, so a root may lie on a cell end. The grid is the one that
-    bisecting (-B, B], B the Cauchy bound, builds: level k has cells of
-    width 2B/2^k, kept as integer numerators lo, hi = lo + 2B over 2^k,
-    and 0 is a grid point from level 1 on. The search starts at level s,
-    the deeper of 1 and the deepest level whose two cells next to 0 still
-    cover (-F, F), F the Fujiwara bound; it starts no deeper than the level
-    at which bisection would stop refining (the target level, the first
-    whose cells are at most precision wide), so every root's cell is the
-    one plain bisection from (-B, B] reaches. Cells holding several roots
-    are halved, the lower half first. Yields (scaled, lo, hi, k, level,
-    f_lo, f_hi) for each cell holding exactly one root: scaled is rest
-    pre-scaled once at the target level, level how deep the refinement
-    must go (the target level, or k when the cell is that narrow already),
-    and f_lo, f_hi the values 2^(target·d)·rest at the cell's ends, d the
-    degree, or None for an end never evaluated: a lower end below every
-    root or an upper end above every root. Both are None when level is k.
+    rest is square-free with a positive leading coefficient and, as a
+    precondition, only real roots. The grid is the one that bisecting
+    (-B, B], B the Cauchy bound, builds: level k has cells of width 2B/2^k,
+    kept as integer numerators lo, hi = lo + 2B over 2^k, and 0 is a grid
+    point from level 1 on. The search starts at level s, the deeper of 1
+    and the deepest level whose two cells next to 0 still cover (-F, F), F
+    the Fujiwara bound, and no deeper than the target level, the first
+    whose cells are at most precision wide; so every root's cell is the one
+    plain bisection from (-B, B] reaches. Cells holding several roots are
+    halved, the lower half first. Yields (scaled, lo, hi, k, level, f_lo,
+    f_hi) for each cell holding one root: scaled is rest pre-scaled at the
+    target level, level how deep the refinement must go (the target level,
+    or k when the cell is that narrow already), and f_lo, f_hi the values
+    2^(target·d)·rest at the cell's ends, d the degree, or None when level
+    is k.
 
-    Each evaluation at mid / 2^k = mid·2^(t - k) / 2^t is one Horner pass
-    on the chain pre-scaled at level t, k rounded up to a multiple of 8
-    and not past the target level unless k is, built once per t (rest's at
-    the target level is the refinement's list); below the target level
-    rest's value is shifted to it, and the other values give signs. One
-    target-level scale would lengthen every operand by (target - k)·d
-    bits: slower on long ones.
+    A cell holds var(lo) - var(hi) roots, var(x) the sign variations of the
+    coefficients of rest(x + y) in y, which count the roots above x
+    (Budan–Fourier; exact, every root being real). A point mid / 2^k is
+    evaluated on rest pre-scaled at level t, k rounded up to a multiple of
+    8 and not past the target level unless k is, built once per t: its
+    value is one Horner pass, shifted to the target level below it, and
+    var the variations of the list's integer Taylor shift to mid·2^(t - k).
+    The outer start ends lie beyond every root of rest and, by Gauss–Lucas,
+    of its derivatives, so var is d at the lower one and 0 at the upper
+    one; at 0 it is the variations of rest's coefficients. A midpoint at or
+    below _real_root_range's lo has var d, and one at or above its hi var
+    0, with no evaluation. In a cell holding two roots rest's value alone
+    is taken at the midpoint first: when its sign differs from rest's at
+    the lower end (neither being 0), each half holds one root, and no
+    Taylor shift is made.
 
-    The start ends are not evaluated. The outer ones lie at ±B or at or
-    beyond ±F, and every root of rest lies strictly inside both (-B, B)
-    and (-F, F). So no root lies between an outer end and ∓∞, and the
-    Sturm variations there are those at ∓∞: the signs of the chain's
-    leading coefficients, each times (-1)^degree at -∞. At 0 they are the
-    signs of its constant coefficients, and rest's value there at the
-    target level is c_0·2^(target·d).
-
-    A midpoint is evaluated only when it can split the roots:
-    - Real-root range. When the variations at ∓∞ differ by d, all d roots
-      are real, and _real_root_range gives integers lo < every root < hi.
-      A midpoint at or below lo has the variations at -∞ and one at or
-      above hi those at +∞, with no evaluation. (Without that range the
-      start ends (-B, B) serve, and every midpoint lies strictly inside.)
-    - Parity split. In a cell holding exactly two roots rest alone is
-      evaluated at the midpoint first. rest is square-free, so when its
-      sign there differs from its sign at the cell's lower end (neither
-      being 0), the lower half holds an odd number of the two roots: one,
-      and the upper half the other, with no chain evaluated. Otherwise the
-      rest of the chain is evaluated there, and the count decides.
+    Any other rest ends in a ValueError or in cells that each show a root.
+    A cell not counted 0 or 1 that is narrower than 2^-b, b from
+    _separation_bits, cannot hold two real roots, and is a ValueError; so
+    is a cell counted 1 whose upper end is no root and where rest has the
+    sign it has just above the lower end (the sign of its value there, or
+    of its derivative's where the value is 0). So d cells come out only
+    when d sign changes prove rest real-rooted.
     """
     d = len(rest) - 1
     bound = _root_bound(rest)
@@ -871,60 +831,75 @@ def _root_cells(rest, chain, precision: Fraction):
     target = (q - 1).bit_length()  # least level with width / 2^level <= precision
     f = _fujiwara_bound(rest).bit_length() - 1  # F = 2^f
     s = min(max(1, width.bit_length() - 1 - f), target)
-    v_neg = _variations([c[-1] if len(c) & 1 else -c[-1] for c in chain])
-    v_pos = _variations([c[-1] for c in chain])
-    low, high = _real_root_range(rest) if v_neg - v_pos == d else (-bound, bound)
+    low, high = _real_root_range(rest)
+    deepest = width.bit_length() + _separation_bits(rest)  # cells narrower than any two roots are apart
     neg_positive = d % 2 == 0  # the sign of rest below every root
     top = _prescaled(rest, target)
-    scaled = {}  # t -> the chain pre-scaled at level t
-    # (lo, hi, k, roots in (lo/2^k, hi/2^k], variations at lo/2^k, the
-    # values 2^(target·d)·rest at lo/2^k and hi/2^k or None)
+    scaled = {target: top}  # t -> rest pre-scaled at level t
+
+    def at(x, k):  # rest pre-scaled at level t, x / 2^k on it, the shift to the target level
+        t = -(-k // 8) * 8
+        if k <= target:
+            t = min(t, target)
+        if t not in scaled:
+            scaled[t] = _prescaled(rest, t)
+        return scaled[t], x << t - k, max(0, target - t) * d
+
+    def value(x, k):
+        lists, point, shift = at(x, k)
+        return _horner(lists, point) << shift
+
+    # (lo, hi, k, roots in (lo/2^k, hi/2^k], var at lo/2^k, the values
+    # 2^(target·d)·rest at lo/2^k and hi/2^k or None)
     if s == 0:
-        work = [(-bound, bound, 0, v_neg - v_pos, v_neg, None, None)]
+        work = [(-bound, bound, 0, d, d, None, None)]
     else:
-        v_zero = _variations([c[0] for c in chain])
+        v_zero = _variations(rest)
         f_zero = rest[0] << target * d
         work = [
-            (0, width, s, v_zero - v_pos, v_zero, f_zero, None),
-            (-width, 0, s, v_neg - v_zero, v_neg, None, f_zero),
+            (0, width, s, v_zero, v_zero, f_zero, None),
+            (-width, 0, s, d - v_zero, d, None, f_zero),
         ]
     while work:
         lo, hi, k, count, v_lo, f_lo, f_hi = work.pop()
         if count == 1:
+            f_lo = value(lo, k) if f_lo is None else f_lo
+            f_hi = value(hi, k) if f_hi is None else f_hi
+            above = f_lo or _taylor_shift(*at(lo, k)[:2])[-2]  # rest's sign just above lo
+            if f_hi and (f_hi > 0) == (above > 0):
+                raise ValueError("the polynomial is not real-rooted")
             yield (top, lo, hi, k, target, f_lo, f_hi) if k < target else (top, lo, hi, k, k, None, None)
             continue
         if not count:
             continue
+        if k >= deepest:
+            raise ValueError("the polynomial is not real-rooted")
         lo, hi, k = lo << 1, hi << 1, k + 1
         mid = (lo + hi) >> 1
         if mid <= low << k:
-            v_mid, f_mid = v_neg, None
+            v_mid, f_mid = d, None
         elif mid >= high << k:
-            v_mid, f_mid = v_pos, None
+            v_mid, f_mid = 0, None
         else:
-            t = -(-k // 8) * 8
-            if k <= target:
-                t = min(t, target)
-            if t not in scaled:
-                scaled[t] = [top if t == target else _prescaled(rest, t)] + [_prescaled(c, t) for c in chain[1:]]
-            lists = scaled[t]
-            x = mid << t - k
-            f_mid = _horner(lists[0], x) << max(0, target - t) * d
-            lo_positive = neg_positive if f_lo is None else f_lo > 0
-            if count == 2 and f_mid and f_lo != 0 and (f_mid > 0) != lo_positive:
-                work.append((mid, hi, k, 1, None, f_mid, f_hi))
-                work.append((lo, mid, k, 1, v_lo, f_lo, f_mid))
-                continue
-            v_mid = _variations([f_mid] + [_horner(c, x) for c in lists[1:]])
+            lists, point, shift = at(mid, k)
+            if count == 2:
+                f_mid = _horner(lists, point) << shift
+                lo_positive = neg_positive if f_lo is None else f_lo > 0
+                if f_mid and f_lo != 0 and (f_mid > 0) != lo_positive:
+                    work.append((mid, hi, k, 1, None, f_mid, f_hi))
+                    work.append((lo, mid, k, 1, v_lo, f_lo, f_mid))
+                    continue
+            shifted = _taylor_shift(lists, point)
+            f_mid, v_mid = shifted[-1] << shift, _variations(shifted)
         work.append((mid, hi, k, count - (v_lo - v_mid), v_mid, f_mid, f_hi))
         work.append((lo, mid, k, v_lo - v_mid, v_lo, f_lo, f_mid))
 
 
-def _refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
+def _refine(scaled, lo, hi, k, target, w_lo, w_hi):
     """The cell at level target of the dyadic grid inside (lo, hi] over 2^k
     that holds the one root there of c, given as scaled, c pre-scaled at
-    level target, as a pair of Fractions; f_lo and f_hi are
-    2^(target·d)·c at the ends, d the degree, or None to evaluate them.
+    level target, as a pair of Fractions; w_lo and w_hi are
+    2^(target·d)·c at the ends, d the degree.
 
     At levels k >= 1 every grid point's numerator is a multiple of the cell
     width 2B, so the search runs on target-level grid indices, numerator /
@@ -941,17 +916,14 @@ def _refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
     other end is replaced twice in a row. A bisection step replaces it
     whenever the bracket is not at most half as wide as it was three steps
     before. So every four steps at least halve the bracket, and a root
-    costs at most 4·(target - k) evaluations, plus one for each end value
-    not handed over. The weights only choose x; the bracket is kept by
-    exact signs, so the cell returned is the grid cell that holds the root,
-    the one bisection reaches.
+    costs at most 4·(target - k) evaluations. The weights only choose x;
+    the bracket is kept by exact signs, so the cell returned is the grid
+    cell that holds the root, the one bisection reaches.
     """
     if k >= target:
         return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
     width = hi - lo
     shift = target - k
-    w_lo = _horner(scaled, lo << shift) if f_lo is None else f_lo
-    w_hi = _horner(scaled, hi << shift) if f_hi is None else f_hi
     L, H = lo // width << shift, hi // width << shift
     if not w_hi:  # the root is H
         L = H - 1
@@ -987,22 +959,19 @@ def _refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
 
 
 def _cells(c, precision: Fraction):
-    """An iterator of isolating cells of the distinct real roots of a
-    trimmed nonzero c, ascending, each refined only when it is drawn;
-    ValueError unless c's primitive part is monic.
-
-    The primitive square-free part of c, leading coefficient 1, and its
-    Sturm chain come from one remainder sequence when c is square-free
-    (see _square_free_chain), and the cells are those of _root_cells,
-    refined by _refine from the target-level list and end values the cell
-    search hands over. A root that lies on a grid point, such as an
-    integer root, gets the cell (x - w, x] below it that bisection
-    reaches, not a point interval.
+    """An iterator of isolating cells of the distinct roots of a trimmed
+    nonzero real-rooted c, ascending, each refined only when it is drawn;
+    ValueError unless c's primitive part is monic, and on a c that is not
+    real-rooted once the cell search finds it out. The cells are those of
+    _root_cells on c's square-free part (_square_free), refined by _refine
+    from the target-level list and end values the cell search hands over.
+    A root that lies on a grid point, such as an integer root, gets the
+    cell (x - w, x] below it that bisection reaches, not a point interval.
     """
-    sf, chain = _square_free_chain(c)
+    sf = _square_free(c)
     if sf[-1] != 1:
         raise ValueError("the polynomial's leading coefficient does not divide its content")
-    cells = _root_cells(sf, chain, precision) if len(sf) > 1 else ()
+    cells = _root_cells(sf, precision) if len(sf) > 1 else ()
     return (_refine(*cell) for cell in cells)
 
 
@@ -1139,11 +1108,15 @@ def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     """Every integer root with multiplicity (see split_integer_roots), and
     isolating intervals for the real roots of the integer-root-free rest.
 
-    c must be a nonzero integer polynomial whose leading coefficient
-    divides its content, that is, whose primitive part is monic, as every
-    characteristic polynomial's is; any other c is a ValueError. The rest
-    then has no rational root, so each interval is a half-open cell (lo,
-    hi] of the dyadic grid (see isolate_roots).
+    c must be a nonzero integer polynomial with only real roots, as the
+    characteristic polynomial of a symmetric matrix has, whose leading
+    coefficient divides its content, that is, whose primitive part is
+    monic, as every characteristic polynomial's is. Any other c is a
+    ValueError: a primitive part that is not monic at once, and a rest that
+    is not real-rooted once the cell search finds it out, which it does
+    before it returns (see _root_cells). The rest then has no rational
+    root, so each interval is a half-open cell (lo, hi] of the dyadic grid
+    (see isolate_roots).
     """
     c, precision = _checked(c, precision)
     roots, residual = split_integer_roots(c)
@@ -1154,10 +1127,15 @@ def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     )
 
 
-def sturm_count(c, a, b) -> int:
-    """Exact number of distinct real roots in the half-open interval (a, b].
+def count_roots(c, a, b) -> int:
+    """The number of distinct real roots in the half-open interval (a, b]
+    of c, a nonzero integer polynomial with only real roots.
 
-    The square-free part is taken internally, so repeated roots count once.
+    With s the square-free part of c, the count is var(a) - var(b), var(x)
+    the sign variations of the coefficients of s(x + y) in y: the number of
+    roots of s above x, by Descartes' rule of signs, which is exact when
+    every root is real (Budan–Fourier). At x = p/q the coefficients are
+    positive multiples of those: the Taylor shift to p of q^d·s(y / q).
     """
     a, b = _as_fraction(a), _as_fraction(b)
     if a >= b:
@@ -1165,7 +1143,13 @@ def sturm_count(c, a, b) -> int:
     c = _trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
-    return _count_halfopen(_square_free_chain(c)[1], a, b)
+    sf = _square_free(c)
+
+    def above(x):
+        scaled = [v * x.denominator**j for j, v in enumerate(reversed(sf))]
+        return _variations(_taylor_shift(scaled, x.numerator))
+
+    return above(a) - above(b)
 
 
 def _checked(c, precision):
@@ -1180,7 +1164,8 @@ def _checked(c, precision):
 
 def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
     """Isolating rational intervals for all distinct real roots of c,
-    sorted by midpoint; c as in integer_roots, any other c a ValueError.
+    sorted by midpoint; c real-rooted as in integer_roots, any other c a
+    ValueError.
 
     The integer roots are split off first (integer_roots) and come back
     as exact point intervals [r, r]; they are c's only rational roots,
@@ -1200,8 +1185,12 @@ def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
 
 
 def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
-    """The isolating cell of the lowest real root of c, or None when c has
-    no real root; c as in integer_roots, any other c a ValueError.
+    """The isolating cell of the lowest root of c, or None when c is a
+    constant; c real-rooted as in integer_roots (its one caller,
+    algebraic_connectivity_from_poly, passes a Laplacian residual), a
+    primitive part that is not monic a ValueError. Only the cells up to the
+    lowest one are searched, so a c that is not real-rooted is a ValueError
+    only when that search finds it out.
 
     The search visits the lower half of every cell first and refines only
     the first cell holding a single root, so the other roots cost no

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: spanning trees are enumerated one
 by one, random graphs are built from explicit edge lists, cographs come
 from literal union/join trees, real roots are isolated by bisection on
-Fractions and counted with multiplicity over the chain of repeated gcds,
+Fractions, counted by Sturm chains over Q (sturm_count_oracle, the
+reference for the library's Budan–Fourier count_roots) and counted with
+multiplicity over the chain of repeated gcds,
 signs at rational points come from Horner's rule, polynomials are divided
 over Q and multiplied back one linear factor at a time, and matrices are
 read off adjacency tests one entry at a time; a polynomial is shifted to
@@ -51,6 +53,7 @@ from lapspec import (
     complete,
     config_tag,
     connected_components,
+    count_roots,
     disjoint_union,
     enumerate_family,
     from_graph6,
@@ -59,7 +62,6 @@ from lapspec import (
     join,
     laplacian,
     split_integer_roots,
-    sturm_count,
     vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
@@ -337,6 +339,23 @@ def _q_count_halfopen(chain, a: Fraction, b: Fraction) -> int:
         return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
     return variations(a) - variations(b)
+
+
+def sturm_count_oracle(c, a, b) -> int:
+    """The distinct real roots of any nonzero c in (a, b], by a Sturm chain
+    of its square-free part over Q: the reference for count_roots, which
+    counts by Budan–Fourier and takes only real-rooted c."""
+    return _q_count_halfopen(_q_sturm_chain(fraction_square_free_part(c)), Fraction(a), Fraction(b))
+
+
+def random_symmetric_char_poly(rng: random.Random, n: int, bound: int):
+    """det(λI - M) for a seeded random symmetric integer matrix M of order n
+    with entries in -bound..bound: monic, and every root real."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return char_poly(IntMatrix(rows))
 
 
 def fraction_isolate_squarefree(c, precision: Fraction):
@@ -762,7 +781,7 @@ class JoinDecompositionReport:
 
     When equality holds the report exhibits a join split: a cut set S of
     size k whose vertices are adjacent to everything else, with G - S
-    disconnected. Otherwise the Sturm certificate counts an eigenvalue
+    disconnected. Otherwise the root count certifies an eigenvalue
     strictly inside (0, k).
     """
 
@@ -782,7 +801,7 @@ def kirkland_decomposition_check(g: Graph) -> JoinDecompositionReport:
         raise ValueError("complete graphs are excluded")
     k = vertex_connectivity(g)
     p = char_poly(laplacian(g))
-    in_0k = sturm_count(p, 0, k)
+    in_0k = count_roots(p, 0, k)
     at_k = fraction_sign(p, k) == 0
     a_equals_k = at_k and in_0k == 1
     strictly_inside = in_0k - (1 if at_k else 0)
@@ -816,7 +835,7 @@ def _small_side_bound_ok(g: Graph, cut, threshold: int) -> bool:
     if not is_connected(sub):
         return threshold <= 0
     p = char_poly(laplacian(sub))
-    inside = sturm_count(p, 0, threshold) - (1 if fraction_sign(p, threshold) == 0 else 0)
+    inside = count_roots(p, 0, threshold) - (1 if fraction_sign(p, threshold) == 0 else 0)
     return inside == 0
 
 

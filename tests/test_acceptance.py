@@ -18,6 +18,7 @@ from lapspec import (
     case_ids,
     char_poly,
     coarsest_equitable_refinement,
+    count_roots,
     det_gauss,
     enumerate_family,
     is_L_integral,
@@ -28,7 +29,6 @@ from lapspec import (
     signless_laplacian,
     spectrum,
     star,
-    sturm_count,
     vertex_connectivity,
     verify_theorem,
 )
@@ -117,7 +117,7 @@ def test_acceptance_5_property_suites():
     # (a) long paths have at least two small Laplacian eigenvalues
     for n in range(7, 13):
         p = char_poly(laplacian(path(n)))
-        inside = sturm_count(p, 0, 1) - (1 if fraction_sign(p, 1) == 0 else 0)
+        inside = count_roots(p, 0, 1) - (1 if fraction_sign(p, 1) == 0 else 0)
         assert inside >= 2, n
 
     # (b) edge-removal interlacing on 200 random instances
@@ -142,7 +142,7 @@ def test_acceptance_5_property_suites():
                 assert ok
                 k = vertex_connectivity(g)
                 assert k <= min(g.degrees())
-                assert sturm_count(p, 0, k) >= 1  # a(G) <= k(G), exactly
+                assert count_roots(p, 0, k) >= 1  # a(G) <= k(G), exactly
 
     # (e) 200 random union/join trees are integral
     rng = random.Random(77)

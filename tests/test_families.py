@@ -14,13 +14,13 @@ from lapspec import (
     case_ids,
     char_poly,
     closed_form_root_check,
+    count_roots,
     cross_check_with_realization,
     erratum_entries,
     is_L_integral,
     parse_poly,
     quotient_cells,
     realize,
-    sturm_count,
     verify_printed_matrix,
     verify_printed_polynomial,
     verify_sign_claims,
@@ -38,7 +38,7 @@ from lapspec.families import (
     load_cases,
 )
 
-from oracle_helpers import family_factors, fraction_sign, lift
+from oracle_helpers import family_factors, fraction_sign, lift, sturm_count_oracle
 
 ALL_CASES = (
     "4.4",
@@ -158,7 +158,7 @@ def test_sign_claims_small_grid():
 def _oracle_sign_claims(case_id, cap, overrides=None):
     """Oracle: the sign-claim check on MPoly values, substituting each grid
     point into Z[s,t][λ], evaluating every claim as an exact rational and
-    certifying the root by a Sturm count at every point."""
+    certifying the root by a root count at every point."""
     case = get_case(case_id)
     poly = computed_symbolic_poly(case_id)
     lo, hi = case.root_interval
@@ -185,7 +185,7 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
             ):
                 identity_failures.append({"point": point, "at": str(claim.point)})
         coeffs = inst.univariate_coeffs()
-        inside = sturm_count(coeffs, lo, hi)
+        inside = count_roots(coeffs, lo, hi)
         if fraction_sign(coeffs, hi) == 0:
             inside -= 1
         if inside < 1:
@@ -204,19 +204,19 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
 
 
 @pytest.fixture
-def sturm_calls(monkeypatch):
-    """Count the Sturm fallbacks of verify_sign_claims."""
+def root_count_calls(monkeypatch):
+    """Count the root-count fallbacks of verify_sign_claims."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return sturm_count(*args, **kwargs)
+        return count_roots(*args, **kwargs)
 
-    monkeypatch.setattr(families, "sturm_count", counting)
+    monkeypatch.setattr(families, "count_roots", counting)
     return calls
 
 
-def test_sign_claims_equal_the_oracle_on_every_case(sturm_calls):
+def test_sign_claims_equal_the_oracle_on_every_case(root_count_calls):
     narrowed = {"s": (0, 3), "t": (2, 9)}
     one_point = {"s": (3, 3), "t": (3, 3)}
     for cid in ALL_CASES:
@@ -231,7 +231,7 @@ def test_sign_claims_equal_the_oracle_on_every_case(sturm_calls):
     assert report["points_checked"] == 900
     # Every point of today's catalog is settled by the sign change at the
     # ends of the claimed interval.
-    assert sturm_calls == []
+    assert root_count_calls == []
 
 
 def _mutate(monkeypatch, case_id, **changes):
@@ -338,14 +338,14 @@ def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_i
 
 
 @pytest.mark.parametrize("case_id", ["4.6-c2.1", "4.7-c2.2"])
-def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, sturm_calls, case_id):
+def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, root_count_calls, case_id):
     # 0 is a root of every quotient, so the row at the end 0 is the zero
     # polynomial; λ is divided out, and the cofactor's rows at 0 and 1 have
     # opposite signs at every point, up to the largest cap
     _mutate(monkeypatch, case_id, root_interval=(Fraction(0), Fraction(1)))
     for cap in (20, families.GRID_CAP_MAX):
         assert verify_sign_claims(case_id, cap)["root_in_interval_ok"]
-    assert sturm_calls == []
+    assert root_count_calls == []
 
 
 def test_divide_root_is_exact_synthetic_division():
@@ -357,18 +357,20 @@ def test_divide_root_is_exact_synthetic_division():
         families._divide_root(f, 3)
 
 
-def test_two_roots_between_equal_signs_take_the_sturm_fallback(monkeypatch, sturm_calls):
+def test_two_roots_between_equal_signs_take_the_root_count_fallback(monkeypatch, root_count_calls):
     # (1/2, 2) holds two roots of every 4.4 quotient, and the quotient has
-    # the same sign at both ends, so only the Sturm count certifies a root.
+    # the same sign at both ends, so only the root count certifies a root;
+    # the quotient is real-rooted, so count_roots' Budan–Fourier count is
+    # the Sturm oracle's
     _mutate(monkeypatch, "4.4", root_interval=(Fraction(1, 2), Fraction(2)))
     report = verify_sign_claims("4.4")
     assert report == _oracle_sign_claims("4.4", 20)
     assert report["root_in_interval_ok"]
-    assert len(sturm_calls) == report["points_checked"] == 19
+    assert len(root_count_calls) == report["points_checked"] == 19
     for point in grid_points(get_case("4.4"), 20):
         inst = computed_symbolic_poly("4.4").substitute(point).univariate_coeffs()
         assert fraction_sign(inst, Fraction(1, 2)) == fraction_sign(inst, 2) != 0
-        assert sturm_count(inst, Fraction(1, 2), 2) == 2
+        assert count_roots(inst, Fraction(1, 2), 2) == sturm_count_oracle(inst, Fraction(1, 2), 2) == 2
 
 
 def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):

@@ -1,17 +1,20 @@
 """Root isolation on integer dyadic endpoints against the Fraction oracle.
 
-isolate_roots starts its search at a level fixed by the Fujiwara bound,
-skips the midpoints outside the real-root range, splits two-root cells
-by the sign at their midpoint, and refines by Illinois regula-falsi steps
-on integer grid indices at the target level. The oracle in oracle_helpers runs plain bisection from the Cauchy
+isolate_roots counts roots by Budan–Fourier, starts its search at a level
+fixed by the Fujiwara bound, skips the midpoints outside the real-root
+range, splits two-root cells by the sign at their midpoint, and refines
+by Illinois regula-falsi steps on integer grid indices at the target
+level. The oracle in oracle_helpers runs plain bisection from the Cauchy
 bound on Fractions, with its own gcd, Sturm chain, rational roots and
 plain Horner signs (fraction_sign), so every interval must come back
-exactly equal, in the same order. Every input is monic, as isolation
-requires, so the oracle's rational roots are integers. On a polynomial
-with no integer root isolate_lowest_root must return the first interval;
-an integer lowest root must lie in the cell it returns.
-algebraic_connectivity must give the same value with the oracle patched
-in for the isolation it calls.
+exactly equal, in the same order. Every input is monic and real-rooted,
+as isolation requires: seeded characteristic polynomials of symmetric
+integer matrices, some times planted integer roots, products of real
+quadratics, and graph polynomials; so the oracle's rational roots are
+integers. On a polynomial with no integer root isolate_lowest_root must
+return the first interval; an integer lowest root must lie in the cell
+it returns. algebraic_connectivity must give the same value with the
+oracle patched in for the isolation it calls.
 """
 
 import random
@@ -23,7 +26,7 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import integer_roots, isolate_lowest_root, isolate_roots, split_integer_roots, sturm_count
+from lapspec.polys import count_roots, integer_roots, isolate_lowest_root, isolate_roots, split_integer_roots
 from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
 
 from oracle_helpers import (
@@ -31,6 +34,7 @@ from oracle_helpers import (
     fraction_square_free_part,
     poly_mul,
     random_connected_graph,
+    random_symmetric_char_poly,
 )
 
 PRECISIONS = [
@@ -44,17 +48,16 @@ PRECISIONS = [
 
 
 def _seeded_square_free(seed=20261018):
-    """Square-free monic integer polynomials of degree 3..14 with
-    coefficients up to 10^3, 10^6, 10^9 or 10^12 in size, the i-th with
-    i % 3 planted integer roots."""
+    """Square-free monic real-rooted integer polynomials of degree 3..14:
+    characteristic polynomials of seeded symmetric integer matrices with
+    entries up to 10, 10^2, 10^3 or 10^4 in size, the i-th of order
+    3 + i - i % 3 times i % 3 planted integer roots."""
     rng = random.Random(seed)
     out = []
     for i in range(12):
         planted = i % 3
-        # a factor (x - p) with |p| <= 12 grows coefficients by <= 13
-        mag = 10 ** (3 * (1 + i % 4)) // 13**planted
         while True:
-            c = [rng.randint(-mag, mag) for _ in range(3 + i - planted)] + [1]
+            c = random_symmetric_char_poly(rng, 3 + i - planted, 10 ** (1 + i % 4))
             for _ in range(planted):
                 c = poly_mul(c, [-rng.randint(-12, 12), 1])
             if len(fraction_square_free_part(c)) == len(c):
@@ -78,9 +81,9 @@ def _close_pairs():
 
 GRAPHS = _graphs()
 SQUARE_FREE = _seeded_square_free()
-# x^3 - x - 1 has one real root and Cauchy bound 2: at precision 5 the
-# root's cell is the whole (-2, 2], coarser than the cells next to 0
-EXTRA = _close_pairs() + [[-1, -1, 0, 1]]
+# x^2 - x - 1 has Cauchy bound 2: at precision 5 the search starts from
+# the whole (-2, 2], coarser than the cells next to 0
+EXTRA = _close_pairs() + [[-1, -1, 1]]
 
 
 def test_seeded_polynomials_reach_the_stated_sizes():
@@ -110,12 +113,14 @@ def test_isolate_lowest_root_is_the_first_interval(precision):
         else:
             # the cell of c's own grid holds the lowest root, an integer
             # one included, which no point interval replaces
-            assert sturm_count(c, lo, hi) == 1 and sturm_count(c, lo - 2**64, lo) == 0, c
+            assert count_roots(c, lo, hi) == 1 and count_roots(c, lo - 2**64, lo) == 0, c
             assert first[0] != first[1] or lo < first[0] <= hi, c
         if len(rest) > 1:
             assert isolate_lowest_root(rest, precision) == isolate_roots(rest, precision)[0], c
     assert integer_free == 7
-    assert isolate_lowest_root([1, 0, 1], precision) is None
+    assert isolate_lowest_root([5], precision) is None
+    with pytest.raises(ValueError, match="not real-rooted"):
+        isolate_lowest_root([1, 0, 1], precision)
 
 
 @pytest.mark.parametrize("kind", ["L", "Q"])

@@ -1,12 +1,19 @@
 """Property version of the isolation oracle test (needs Hypothesis).
 
-Any monic integer polynomial, square-free or not, and any positive
-precision: isolate_roots returns exactly the Fraction oracle's intervals
-(isolation takes only polynomials whose primitive part is monic). So
-does integer_roots for the residual it leaves once the integer roots are
-split off, on a unit times products of monic linear factors and
-irreducible monic quadratics, repeated ones included: the residual has
-no rational root, so no interval is a point.
+Any monic real-rooted integer polynomial, square-free or not, and any
+positive precision: isolate_roots returns exactly the Fraction oracle's
+intervals (isolation takes only real-rooted polynomials whose primitive
+part is monic). The inputs are characteristic polynomials of symmetric
+integer matrices with small or large entries, times monic quadratics
+with two real roots and large coefficients. So does integer_roots for
+the residual it leaves once the integer roots are split off, on a unit
+times products of monic linear factors and monic quadratics with two
+irrational real roots, repeated ones included: the residual has no
+rational root, so no interval is a point. count_roots, by Budan–Fourier,
+equals the Sturm oracle's count on real-rooted polynomials with repeated
+roots, at rational ends and at roots. A monic quadratic with a non-real
+pair of roots times a real-rooted polynomial is a ValueError for
+integer_roots and isolate_roots, in bounded time.
 
 Characteristic polynomials of random symmetric integer matrices, whose
 roots are all real, and their products with planted integer roots of
@@ -21,14 +28,15 @@ the precision of an integer root or equals it.
 
 The cell search's shortcuts: the real-root range is strict on products
 of distinct rational linear factors, degree 2 included, where
-Samuelson's inequality is tight; a monic polynomial with a non-real pair
-of roots does not use it and still isolates as the oracle does; and every
-end value the search hands to the refinement is the polynomial's scaled
-value at that end at the target level, and none is handed for a cell
-already at least as narrow as the precision. The examples are derandomized, so every run draws
-the same ones.
+Samuelson's inequality is tight; and every cell the search yields holds
+one root, by the Sturm oracle, with the end values it hands to the
+refinement the polynomial's scaled values at its ends at the target
+level, and none handed for a cell already at least as narrow as the
+precision. The examples are derandomized, so every run draws the same
+ones.
 """
 
+import time
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -38,17 +46,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from lapspec import polys  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     _real_root_range,
-    _root_bound,
     _root_cells,
-    _scaled_value,
-    _square_free_chain,
+    _square_free,
+    count_roots,
     integer_roots,
     isolate_roots,
-    sturm_count,
 )
 from lapspec.spectra import SpectrumReport  # noqa: E402
 
@@ -57,12 +62,8 @@ from oracle_helpers import (  # noqa: E402
     fraction_sorted_display,
     poly_mul,
     reconstructs,
+    sturm_count_oracle,
 )
-
-# monic: the leading coefficient 1 follows one to nine drawn ones
-coefficients = st.lists(
-    st.one_of(st.integers(-20, 20), st.integers(-10**12, 10**12)), min_size=1, max_size=9
-).map(lambda c: c + [1])
 
 precisions = st.one_of(
     st.sampled_from([Fraction(1, 10**6), Fraction(1, 3), Fraction(5, 7), Fraction(2)]),
@@ -70,41 +71,74 @@ precisions = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(coefficients, precisions)
+@st.composite
+def symmetric_char_polys(draw, entries=st.integers(-6, 6)):
+    """det(λI - M) for a random symmetric integer matrix M: monic, and every
+    root real."""
+    n = draw(st.integers(1, 6))
+    upper = iter(draw(st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    return char_poly(IntMatrix(rows))
+
+
+def _product(factors):
+    c = [1]
+    for f in factors:
+        c = poly_mul(c, f)
+    return c
+
+
+# λ² + bλ + e with b² > 4e: two real roots
+real_quadratic = (
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**12), 10**12))
+    .filter(lambda be: be[0] ** 2 > 4 * be[1])
+    .map(lambda be: [be[1], be[0], 1])
+)
+# monic and real-rooted, coefficients up to about 10^12 and beyond
+real_rooted = st.tuples(
+    symmetric_char_polys(st.one_of(st.integers(-20, 20), st.integers(-(10**6), 10**6))),
+    st.lists(real_quadratic, max_size=2),
+).map(lambda cf: _product([cf[0], *cf[1]]))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(real_rooted, precisions)
 def test_isolate_roots_equals_the_fraction_oracle(c, precision):
     assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     st.lists(st.integers(-30, 30), min_size=1, max_size=5),
-    st.lists(st.integers(-1000, 1000), max_size=4).map(lambda c: c + [1]),
+    symmetric_char_polys(),
     precisions,
 )
 def test_planted_rational_roots_equal_the_fraction_oracle(roots, cofactor, precision):
     # products of (x - p) factors, repeated ones included, times a monic
-    # cofactor: a monic polynomial's rational roots are integers
+    # real-rooted cofactor: a monic polynomial's rational roots are integers
     c = cofactor
     for p in roots:
         c = poly_mul(c, [-p, 1])
     assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
 
 
-def _irreducible(quadratic) -> bool:
+def _irrational_real(quadratic) -> bool:
     c, b, a = quadratic
     disc = b * b - 4 * a * c
-    return disc < 0 or isqrt(disc) ** 2 != disc
+    return disc > 0 and isqrt(disc) ** 2 != disc
 
 
 linear_factor = st.integers(-12, 12).map(lambda r: [-r, 1])
-quadratic_factor = st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(lambda c: c + [1]).filter(_irreducible)
+quadratic_factor = st.lists(st.integers(-9, 9), min_size=2, max_size=2).map(lambda c: c + [1]).filter(_irrational_real)
 factors = st.lists(
     st.tuples(st.one_of(linear_factor, quadratic_factor), st.integers(1, 3)), min_size=1, max_size=5
 )
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(factors, st.sampled_from([1, -1, 2]), precisions)
 def test_integer_roots_isolates_the_residual_as_the_oracle_does(factors, unit, precision):
     # a unit times a monic product: the leading coefficient divides the content
@@ -120,19 +154,6 @@ def test_integer_roots_isolates_the_residual_as_the_oracle_does(factors, unit, p
         if len(f) == 2:
             planted[-f[0]] += m
     assert dict(report.integer_roots) == planted
-
-
-@st.composite
-def symmetric_char_polys(draw):
-    """det(λI - M) for a random symmetric integer matrix M: monic, and every
-    root real."""
-    n = draw(st.integers(1, 6))
-    upper = iter(draw(st.lists(st.integers(-6, 6), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = next(upper)
-    return char_poly(IntMatrix(rows))
 
 
 planted_integer_roots = st.lists(
@@ -209,46 +230,63 @@ def test_real_root_range_is_strict(roots, unit):
     assert all(lo < r < hi for r in roots), (lo, hi, roots)
 
 
+# λ² + bλ + e with b² < 4e: a non-real pair of roots
+complex_quadratic = (
+    st.tuples(st.integers(-9, 9), st.integers(1, 100)).filter(lambda be: be[0] ** 2 < 4 * be[1]).map(lambda be: [be[1], be[0], 1])
+)
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
+    complex_quadratic,
     st.one_of(
         st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True).map(lambda roots: [[-r, 1] for r in roots]),
-        st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(lambda f: f + [1]), max_size=3),
+        symmetric_char_polys().map(lambda c: [c]),
+        st.lists(real_quadratic, min_size=1, max_size=2),
     ),
     precisions,
 )
-def test_a_non_real_pair_does_not_use_the_range(factors, precision):
-    g = [1]
-    for f in factors:
-        g = poly_mul(g, f)
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polys, "_real_root_range", lambda c: calls.append(c) or _real_root_range(c))
-        c = poly_mul([1, 0, 1], g)  # (λ² + 1)·g
-        assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
-        assert calls == []
-        # (λ² - 2)·g has only real roots when g is a product of linear factors
-        if all(len(f) == 2 for f in factors):
-            isolate_roots(poly_mul([-2, 0, 1], g), precision)
-            assert calls
+@example([1, 0, 1], [[1]], Fraction(1, 10**6))
+@example([1, 0, 1], [[-3, 1]], Fraction(1, 10**6))
+@example([3, 0, 1], [[-50, 0, 1]], Fraction(1, 3))
+def test_a_non_real_pair_is_a_value_error(pair, factors, precision):
+    # a real-rooted polynomial times a quadratic with a non-real pair of
+    # roots: isolation of the whole polynomial, or of the residual its
+    # integer roots leave, ends in a ValueError, in bounded time
+    c = _product([pair, *factors])
+    for call in (integer_roots, isolate_roots):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not real-rooted"):
+            call(c, precision)
+        assert time.perf_counter() - start < 2
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(symmetric_char_polys(), real_rooted),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), max_size=3),
+    st.lists(st.one_of(st.integers(-12, 12).map(Fraction), st.fractions(-40, 40, max_denominator=64)), min_size=2, max_size=2, unique=True),
+)
+def test_count_roots_equals_the_sturm_oracle(c, roots, ends):
+    # real-rooted, with planted roots repeated up to three times; ends at
+    # integers, where the planted roots lie, and at other rationals
+    c = _with_roots(c, roots)
+    a, b = sorted(ends)
+    assert count_roots(c, a, b) == sturm_count_oracle(c, a, b)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(st.one_of(symmetric_char_polys(), coefficients), precisions)
+@given(st.one_of(symmetric_char_polys(), real_rooted), precisions)
 def test_end_values_handed_to_the_refinement_are_the_values_at_the_ends(c, precision):
-    rest, chain = _square_free_chain(c)
+    rest = _square_free(c)
     if len(rest) < 2:
         return
-    bound = Fraction(_root_bound(rest))
-    for _, lo, hi, k, target, f_lo, f_hi in _root_cells(rest, chain, precision):
+    d = len(rest) - 1
+    for _, lo, hi, k, target, f_lo, f_hi in _root_cells(rest, precision):
+        assert sturm_count_oracle(rest, Fraction(lo, 1 << k), Fraction(hi, 1 << k)) == 1
         if k >= target:  # nothing to refine, nothing handed over
             assert f_lo is None and f_hi is None
             continue
         for end, value in ((lo, f_lo), (hi, f_hi)):
-            if value is not None:
-                assert value == _scaled_value(rest, end << (target - k), 1 << target)
-        # an end never evaluated lies beyond every root on its side
-        if f_lo is None and Fraction(lo, 1 << k) > -bound:
-            assert sturm_count(rest, -bound, Fraction(lo, 1 << k)) == 0
-        if f_hi is None and Fraction(hi, 1 << k) < bound:
-            assert sturm_count(rest, Fraction(hi, 1 << k), bound) == 0
+            x = end << (target - k)
+            assert value == sum(a * x**i << target * (d - i) for i, a in enumerate(rest))

@@ -11,7 +11,8 @@ root, finds the planted roots and leaves split_integer_roots' cofactor
 deflate_values on the values at 0..n of a·∏(λ - r)^m·g, with planted
 roots in 0..n, finds deflate's roots on the interpolated coefficients and
 gives its cofactor's values, one Horner pass on coefficients pre-scaled
-at a dyadic level gives the general scaled value at a point of it, and
+at a dyadic level gives the general scaled value at a point of it, the
+Taylor shift of such a list is its binomial expansion at the point, and
 interpolate gives back an integer polynomial from its values at 0, 1, ...
 and rejects the values of a polynomial whose coefficients are not all
 integers; grid_interpolate on {0, 1, 2}^p, p = 1 or 2, gives back the
@@ -54,8 +55,8 @@ from lapspec.polys import (  # noqa: E402
     MPoly,
     _horner,
     _prescaled,
-    _scaled_value,
-    _square_free_chain,
+    _square_free,
+    _taylor_shift,
     _tokenize,
     deflate,
     deflate_values,
@@ -96,12 +97,10 @@ def content(c) -> int:
 
 
 def square_free(c):
-    """The square-free part _square_free_chain gives, checked to be
-    primitive with a positive leading coefficient, and its chain to end in
-    a constant, as a Sturm chain does."""
-    part, chain = _square_free_chain(c)
+    """The square-free part _square_free gives, checked to be primitive with
+    a positive leading coefficient."""
+    part = _square_free(c)
     assert part[-1] > 0 and content(part) == 1
-    assert chain[0] == part and len(chain[-1]) == 1
     return part
 
 
@@ -221,8 +220,24 @@ def test_deflating_on_values_equals_deflating_the_interpolated_coefficients(case
 )
 def test_dyadic_value_is_the_scaled_value_at_a_power_of_two(c, x, t):
     # isolation's values at x / 2^t, degree up to 40, trailing zeros and
-    # the empty list included
-    assert _horner(_prescaled(c, t), x) == _scaled_value(c, x, 1 << t)
+    # the empty list included: 2^(t·d)·c(x / 2^t) = Σ c_i·x^i·2^(t·(d - i))
+    d = len(c) - 1
+    assert _horner(_prescaled(c, t), x) == sum(a * x**i << t * (d - i) for i, a in enumerate(c))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(st.integers(-(10**15), 10**15), max_size=21),
+    st.integers(-(1 << 80), 1 << 80),
+    st.integers(0, 60),
+)
+def test_taylor_shift_of_a_prescaled_list_is_its_binomial_expansion(c, x, t):
+    # P(x + y) = Σ_i P_i·(x + y)^i, so its coefficient of y^j is
+    # Σ_i C(i, j)·P_i·x^(i - j); the lists run highest power first
+    scaled = _prescaled(c, t)
+    ascending = scaled[::-1]
+    expansion = [sum(comb(i, j) * a * x ** (i - j) for i, a in enumerate(ascending) if i >= j) for j in range(len(c))]
+    assert _taylor_shift(scaled, x) == expansion[::-1]
 
 
 def values_at(c, size):

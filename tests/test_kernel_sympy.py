@@ -1,8 +1,9 @@
 """The integer polynomial kernel against sympy, an independent oracle.
 
 Seeded random integer polynomials are built as products of small factors,
-some raised to powers, so that square-free parts, Sturm chains and root
-counts all see repeated roots. sympy is only a test-time oracle; the
+some raised to powers, so that square-free parts and root counts see
+repeated roots; the root counts take products of factors with only real
+roots, as count_roots requires. sympy is only a test-time oracle; the
 library does not depend on it.
 """
 
@@ -17,23 +18,28 @@ from lapspec import (  # noqa: E402
     Graph,
     char_poly,
     complete,
+    count_roots,
     laplacian,
     signless_laplacian,
     split_integer_roots,
-    sturm_count,
 )
-from lapspec.polys import _fujiwara_bound, _root_bound, _square_free_chain  # noqa: E402
-from oracle_helpers import _q_primitive, random_connected_graph  # noqa: E402
+from lapspec.polys import _fujiwara_bound, _root_bound, _square_free  # noqa: E402
+from oracle_helpers import random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
 
 
-def _random_poly(rng, factors=(1, 4)):
-    """sympy Poly over ZZ: a unit times products of powers of small factors."""
+def _random_poly(rng, factors=(1, 4), real_rooted=False):
+    """sympy Poly over ZZ: a unit times products of powers of small factors;
+    with real_rooted, each factor of degree 2 or 3 is redrawn until its
+    roots are all real."""
     p = sympy.Integer(rng.choice([1, -1, 2, -6]))
     for _ in range(rng.randint(*factors)):
         deg = rng.randint(1, 3)
-        f = sum(rng.randint(-5, 5) * X**i for i in range(deg)) + rng.randint(1, 3) * X**deg
+        while True:
+            f = sum(rng.randint(-5, 5) * X**i for i in range(deg)) + rng.randint(1, 3) * X**deg
+            if not real_rooted or len(sympy.real_roots(f)) == deg:
+                break
         p *= f ** rng.choice([1, 1, 2, 3])
     return sympy.Poly(p, X)
 
@@ -54,41 +60,36 @@ def test_gcd_matches_sympy():
     for _ in range(40):
         common = _random_poly(rng, (0, 2))
         p = _random_poly(rng) * common**2
-        part, _ = _square_free_chain(_coeffs(p))
+        part = _square_free(_coeffs(p))
         assert part == _normalized(p.quo(p.gcd(p.diff(X))))
 
 
 def test_squarefree_decomposition_matches_sqf_list():
-    # the square-free part is the product of sympy's square-free factors,
-    # and its chain is sympy's Sturm sequence, term by term up to a
-    # positive factor
+    # the square-free part is the product of sympy's square-free factors
     rng = random.Random(1971)
     for _ in range(40):
         p = _random_poly(rng)
         _, factors = p.sqf_list()
-        part, chain = _square_free_chain(_coeffs(p))
         product = sympy.Poly(1, X)
         for f, _ in factors:
             product *= f
-        assert part == _normalized(product)
-        sturm = sympy.Poly(list(reversed(part)), X).sturm()
-        assert chain == [_q_primitive([Fraction(str(a)) for a in reversed(q.all_coeffs())]) for q in sturm]
+        assert _square_free(_coeffs(p)) == _normalized(product)
 
 
 def test_real_root_counts_match_count_roots():
     rng = random.Random(2009)
     for _ in range(40):
-        p = _random_poly(rng)
+        p = _random_poly(rng, real_rooted=True)
         sqf = p.sqf_part()
         c = _coeffs(p)
         # every real root lies strictly inside the Cauchy bound
         bound = _root_bound(c)
-        assert sturm_count(c, -bound, bound) == sqf.count_roots()
+        assert count_roots(c, -bound, bound) == sqf.count_roots() == sqf.degree()
         a = Fraction(rng.randint(-12, 8), rng.randint(1, 3))
         b = a + Fraction(rng.randint(1, 12), rng.randint(1, 3))
-        # sympy counts on [a, b]; sturm_count on (a, b]
+        # sympy counts on [a, b]; count_roots on (a, b]
         expected = sqf.count_roots(a, b) - (1 if sqf.eval(a) == 0 else 0)
-        assert sturm_count(c, a, b) == expected
+        assert count_roots(c, a, b) == expected
 
 
 def _dense_char_polys(rng, orders):

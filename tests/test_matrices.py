@@ -9,6 +9,7 @@ from lapspec import (
     LAMBDA,
     MPoly,
     char_poly,
+    count_roots,
     det_gauss,
     enumerate_family,
     laplacian,
@@ -17,7 +18,6 @@ from lapspec import (
     quotient_matrix,
     realize,
     split_integer_roots,
-    sturm_count,
 )
 from lapspec.matrices import _repeats_integral, side_sign_change
 
@@ -340,7 +340,7 @@ def test_table_fill_builds_no_polynomial():
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
-    # oracle: signs of the multiplied-out quotient and its Sturm count
+    # oracle: signs of the multiplied-out quotient, and its root count
     members = decided = 0
     for n in range(9, 12):
         for family in ("G1", "G2"):
@@ -351,7 +351,7 @@ def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():
                 k = sign_change(cfg)
                 assert k == (changes[0] if changes else None), cfg
                 if k is not None:
-                    assert sturm_count(quotient, k, k + 1) >= 1, cfg
+                    assert count_roots(quotient, k, k + 1) >= 1, cfg
                     decided += 1
                 members += 1
     assert members == 553 + 1270 + 2768 and 0 < decided < members

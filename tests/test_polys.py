@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
@@ -8,6 +9,7 @@ import pytest
 from lapspec import (
     LAMBDA,
     MPoly,
+    count_roots,
     divides,
     integer_roots,
     isolate_lowest_root,
@@ -19,20 +21,23 @@ from lapspec import (
     poly_value,
     spectrum,
     split_integer_roots,
-    sturm_count,
 )
 from lapspec import polys
 from lapspec.matrices import char_poly
-from lapspec.polys import (
-    _cells,
-    _count_halfopen,
-    _root_bound,
-    _scaled_value,
-    _square_free_chain,
-    _synthetic_div,
-)
+from lapspec.polys import _cells, _root_bound, _synthetic_div
 from lapspec.spectra import laplacian, signless_laplacian
-from oracle_helpers import fraction_divides, lift, poly_mul, queries_pool_graphs, reconstructs
+from oracle_helpers import (
+    _q_count_halfopen,
+    _q_sturm_chain,
+    fraction_divides,
+    fraction_square_free_part,
+    lift,
+    poly_mul,
+    queries_pool_graphs,
+    random_symmetric_char_poly,
+    reconstructs,
+    sturm_count_oracle,
+)
 
 
 def lam():
@@ -93,14 +98,6 @@ def test_symbolic_substitution_matches_printed_evaluations():
         p.substitute({"s": 0.5})
 
 
-def test_scaled_value_is_the_value_times_the_denominator_power():
-    c = [6, -6, 1, 0]  # λ^2 - 6λ + 6 with a zero top coefficient: d = 3
-    for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 2), Fraction(1, 10**6)):
-        value = Fraction(q.denominator**3) * (q * q - 6 * q + 6)
-        assert _scaled_value(c, q.numerator, q.denominator) == value
-    assert _scaled_value([], 1, 3) == 0
-
-
 def test_integer_roots_examples():
     rep = integer_roots(coeffs("λ^3 - 4*λ^2 + 3*λ"))
     assert rep.integer_roots == ((3, 1), (1, 1), (0, 1))
@@ -108,9 +105,12 @@ def test_integer_roots_examples():
     rep = integer_roots(coeffs("λ^4 - 12*λ^3 + 50*λ^2 - 84*λ + 48"))
     assert dict(rep.integer_roots) == {2: 1, 4: 1}
     assert rep.residual == (6, -6, 1)
-    rep = integer_roots(coeffs("λ^2 + 1"))
-    assert rep.integer_roots == () and rep.residual == (1, 0, 1)
-    assert rep.isolating_intervals == ()
+    rep = integer_roots(coeffs("λ^2 - 2"))
+    assert rep.integer_roots == () and rep.residual == (-2, 0, 1)
+    assert len(rep.isolating_intervals) == 2
+    # a residual that is not real-rooted has no isolating intervals to give
+    with pytest.raises(ValueError, match="not real-rooted"):
+        integer_roots(coeffs("λ^2 + 1"))
     with pytest.raises(ValueError):
         integer_roots([])
     with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ def test_root_report_reconstruction_invariant():
         for _ in range(rng.randint(1, 3)):
             c = poly_mul(c, [-rng.randint(-4, 4), 1])
         if rng.random() < 0.6:
-            c = poly_mul(c, [1, 1, 1])
+            c = poly_mul(c, [-1, -1, 1])  # λ² - λ - 1: two irrational real roots
         rep = integer_roots(c)
         assert reconstructs(rep, c)
 
@@ -150,7 +150,8 @@ def test_root_report_reconstruction_invariant():
 # coefficient found by trial division up to isqrt(|c0|), kept when below the
 # Cauchy bound. Its cost grows with sqrt(|c0|), so it serves only as an
 # oracle for the kernel's search, whose candidates stop at the Fujiwara
-# bound. Bisection by Sturm counts on Fractions is the oracle for isolation.
+# bound. Bisection by Sturm counts on Fractions (oracle_helpers' Sturm chain
+# over Q) is the oracle for isolation.
 
 
 def _all_divisors(n):
@@ -183,12 +184,13 @@ def _bisection_cells(c, precision):
     Fractions: each cell is split until it holds one root and is at most
     precision wide. Ascending; a root on a grid point x gets the cell
     below x, integer roots included."""
-    sf, chain = _square_free_chain(c)
+    sf = fraction_square_free_part(c)
+    chain = _q_sturm_chain(sf)
     bound = Fraction(_root_bound(sf))
     cells, work = [], [(-bound, bound)]
     while work:
         lo, hi = work.pop()
-        count = _count_halfopen(chain, lo, hi)
+        count = _q_count_halfopen(chain, lo, hi)
         if count == 1 and hi - lo <= precision:
             cells.append((lo, hi))
         elif count:
@@ -239,31 +241,36 @@ def test_bounded_root_search_equals_full_search():
 
 
 def test_isolation_builds_one_remainder_sequence(monkeypatch):
-    # (λ - 1)²(λ + 2)(λ³ - 4λ - 2): the integer roots are split off before
-    # the square-free part is taken, and the rest, λ³ - 4λ - 2, is
-    # square-free, so its one remainder sequence is its Sturm chain and no
-    # chain is built again
-    rest = [-2, -4, 0, 1]
+    # (λ - 1)²(λ + 2)(λ² - 2)²(λ² - 3): the integer roots are split off
+    # before the square-free part is taken, and the rest, (λ² - 2)²(λ² - 3),
+    # is not square-free. Its gcd with its derivative comes from one
+    # remainder sequence that starts at the rest: each pseudo-remainder
+    # after the first is taken of the divisor before it, so no second
+    # sequence starts, neither on the rest nor on its square-free part
+    rest = poly_mul(poly_mul([-2, 0, 1], [-2, 0, 1]), [-3, 0, 1])
     c = poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], rest))
     calls = []
-    chain = polys._remainder_chain
+    prem = polys._prem
 
-    def counting(p):
-        calls.append(list(p))
-        return chain(p)
+    def counting(f, g):
+        calls.append((list(f), list(g)))
+        return prem(f, g)
 
-    monkeypatch.setattr(polys, "_remainder_chain", counting)
-    intervals = isolate_roots(c)
-    assert calls == [rest]
-    assert integer_roots(c).residual == tuple(rest) and calls == [rest, rest]
-    assert len(intervals) == 2 + sturm_count(rest, -3, 3) == 5
+    monkeypatch.setattr(polys, "_prem", counting)
+    for call in (isolate_roots, integer_roots):
+        calls.clear()
+        result = call(c)
+        assert calls[0][0] == rest
+        assert all(f == g for (_, g), (f, _) in zip(calls, calls[1:])), calls
+    assert result.residual == tuple(rest)
+    assert len(isolate_roots(c)) == 2 + count_roots(rest, -3, 3) == 6
 
 
-def test_the_cell_search_scales_each_chain_element_once_per_eight_levels(monkeypatch):
-    # the Mignotte pair of λ⁴ − 2(2^20·λ − 1)², about 2^-59 apart, is split
+def test_the_cell_search_scales_the_residual_once_per_eight_levels(monkeypatch):
+    # the close pair of λ⁴ − 2(2^20·λ − 1)², about 2^-59 apart, is split
     # some 15 levels past the target level 44 of precision 1/2; there, as
-    # above it, the chain is scaled at multiples of 8 only, and each element
-    # once per level (rest once at the target level, for the chain and the
+    # above it, the residual is scaled at multiples of 8 only, and once per
+    # level (at the target level once, for the cell search and the
     # refinement)
     a = 1 << 20
     c = [-2, 4 * a, -2 * a * a, 0, 1]
@@ -282,44 +289,43 @@ def test_the_cell_search_scales_each_chain_element_once_per_eight_levels(monkeyp
 
 
 def test_isolation_equals_sturm_bisection():
+    # square-free parts of characteristic polynomials of seeded symmetric
+    # integer matrices, some times planted integer roots
     rng = random.Random(1829)
     for _ in range(40):
-        c = [1]
-        for _ in range(rng.randint(1, 3)):
-            deg = rng.randint(1, 4)
-            c = poly_mul(c, [rng.randint(-20, 20) for _ in range(deg)] + [1])
-        c = _square_free_chain(c)[0]
+        c = random_symmetric_char_poly(rng, rng.randint(1, 6), rng.choice([3, 20, 1000]))
+        for _ in range(rng.randint(0, 2)):
+            c = poly_mul(c, [-rng.randint(-20, 20), 1])
+        c = fraction_square_free_part(c)
         precision = rng.choice([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**20)])
         assert isolate_roots(c, precision) == _sturm_bisection(c, precision), c
 
 
 def _refinement_evaluations(monkeypatch, c, precision):
-    """isolate_roots(c, precision), and (evaluations, 4·(target - k) + 5)
-    for each root _refine refines meanwhile; asserts that every point a
-    refinement evaluates is new and strictly inside its cell, or an end
-    whose value the cell search did not hand over, and stops a refinement
-    that exceeds the bound."""
+    """isolate_roots(c, precision), and (evaluations, 4·(target - k)) for
+    each root _refine refines meanwhile; asserts that every point a
+    refinement evaluates is new and strictly inside its cell (the cell
+    search hands over both end values), and stops a refinement that
+    exceeds the bound."""
     horner, refine = polys._horner, polys._refine
     per_root = []
-    current = None  # (cell ends, ends to evaluate, points so far, bound, target)
+    current = None  # (cell ends, points so far, bound, target)
 
     def counting_value(scaled, point):
         if current is not None:
-            ends, open_ends, seen, bound, target = current
+            ends, seen, bound, target = current
             x = Fraction(point, 1 << target)
             assert x not in seen, "a point evaluated twice"
-            assert ends[0] < x < ends[1] or x in open_ends, "a point outside the cell"
+            assert ends[0] < x < ends[1], "a point outside the cell"
             seen.append(x)
             assert len(seen) <= bound, "the refinement exceeds its bound"
         return horner(scaled, point)
 
-    def counting_refine(scaled, lo, hi, k, target, f_lo=None, f_hi=None):
+    def counting_refine(scaled, lo, hi, k, target, w_lo, w_hi):
         nonlocal current
-        ends = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
-        open_ends = [x for x, f in zip(ends, (f_lo, f_hi)) if f is None]
-        current = (ends, open_ends, [], 4 * (target - k) + 5, target)
-        out = refine(scaled, lo, hi, k, target, f_lo, f_hi)
-        per_root.append((len(current[2]), current[3]))
+        current = ((Fraction(lo, 1 << k), Fraction(hi, 1 << k)), [], 4 * (target - k), target)
+        out = refine(scaled, lo, hi, k, target, w_lo, w_hi)
+        per_root.append((len(current[1]), current[2]))
         current = None
         return out
 
@@ -333,11 +339,11 @@ def _refinement_evaluations(monkeypatch, c, precision):
 def test_refinement_takes_at_most_four_evaluations_per_level(monkeypatch):
     # Illinois steps bisect whenever three steps have not halved the
     # bracket, so a root costs at most 4 evaluations per level below the
-    # cell's, plus its ends. The Mignotte polynomial λ⁴ - 2(2^20·λ - 1)²
-    # has two roots near 2^-20, about 2^-59 apart: the chords through
-    # their cells land near the cells' ends, and each of the two costs
-    # about 167 evaluations (of at most 325), against 16-22 for the other
-    # roots.
+    # cell's; the cell search hands over both end values. The Mignotte
+    # polynomial λ⁴ - 2(2^20·λ - 1)² has two roots near 2^-20, about 2^-59
+    # apart: the chords through their cells land near the cells' ends, and
+    # each of the two costs about 167 evaluations (of at most 320), against
+    # 16-22 for the other roots.
     mignotte = [-2, 4 * 2**20, -2 * 2**40, 0, 1]
     wilkinson = [1]
     for i in range(1, 13):
@@ -377,22 +383,22 @@ def test_pool_residual_roots_take_at_most_ten_evaluations_on_average(monkeypatch
 
 
 def test_sturm_counts():
+    # count_roots on literal examples, beside the Sturm oracle: repeated
+    # roots count once, and the half-open end includes its root
     p = coeffs("λ^2 - 6*λ + 6")
-    assert sturm_count(p, 1, 2) == 1
-    assert sturm_count(p, 4, 5) == 1
-    assert sturm_count(p, 2, 4) == 0
-    assert sturm_count(coeffs("λ^2 + 1"), -10, 10) == 0
-    with pytest.raises(ValueError):
-        sturm_count(p, 2, 2)
-    # repeated roots count once; the half-open end includes its root
     q = coeffs("(λ-2)^2*(λ-1)")
-    assert sturm_count(q, 0, 2) == 2
-    assert sturm_count(q, 1, 2) == 1
-    assert sturm_count(q, 2, 3) == 0
+    for c, a, b, expected in ((p, 1, 2, 1), (p, 4, 5, 1), (p, 2, 4, 0), (q, 0, 2, 2), (q, 1, 2, 1), (q, 2, 3, 0)):
+        assert count_roots(c, a, b) == sturm_count_oracle(c, a, b) == expected
+    assert count_roots(p, Fraction(-7, 3), Fraction(9, 7)) == 1
+    with pytest.raises(ValueError):
+        count_roots(p, 2, 2)
+    with pytest.raises(ValueError):
+        count_roots([0], 0, 1)
 
 
 def test_sturm_against_known_root_multisets():
-    # polynomials with fully known roots: counts are literal comparisons
+    # polynomials with fully known roots: counts are literal comparisons,
+    # for count_roots and the Sturm oracle alike
     rng = random.Random(61)
     for _ in range(50):
         roots = sorted(rng.randint(-6, 6) for _ in range(rng.randint(1, 6)))
@@ -402,7 +408,7 @@ def test_sturm_against_known_root_multisets():
         a = Fraction(rng.randint(-16, 12), 2)
         b = a + Fraction(rng.randint(1, 16), 2)
         expected = len({r for r in roots if a < r <= b})
-        assert sturm_count(poly, a, b) == expected, (roots, a, b)
+        assert count_roots(poly, a, b) == sturm_count_oracle(poly, a, b) == expected, (roots, a, b)
 
 
 def test_sturm_partition_additivity():
@@ -413,9 +419,9 @@ def test_sturm_partition_additivity():
             poly = poly_mul(poly, [-rng.randint(-5, 5), 1])
         pts = sorted(rng.sample(range(-8, 9), 4))
         a, m1, m2, b = (Fraction(p, 2) for p in pts)
-        total = sturm_count(poly, a, b)
-        parts = sturm_count(poly, a, m1) + sturm_count(poly, m1, m2) + sturm_count(poly, m2, b)
-        assert total == parts
+        total = count_roots(poly, a, b)
+        parts = count_roots(poly, a, m1) + count_roots(poly, m1, m2) + count_roots(poly, m2, b)
+        assert total == parts == sturm_count_oracle(poly, a, b)
 
 
 def test_eval_mul_homomorphism():
@@ -449,7 +455,7 @@ def test_isolation_handles_repeated_and_rational_roots():
     assert len(ivs) == len(set(ivs)) == 4
     assert ivs[1] == (-1, -1) and ivs[3] == (3, 3)
     assert all(type(end) is Fraction for iv in ivs for end in iv)
-    assert sturm_count(p, -4, 4) == 4
+    assert count_roots(p, -4, 4) == 4
 
 
 def test_isolation_takes_only_a_monic_primitive_part():
@@ -458,13 +464,14 @@ def test_isolation_takes_only_a_monic_primitive_part():
     # are not, the last one also once its integer root is split off
     assert len(isolate_roots([-4, 0, 2])) == 2 and len(isolate_roots([0, 1, 0, -1])) == 3
     non_monic = [[-1, 2], poly_mul([-1, 2], [-2, 0, 1]), poly_mul([-3, 1], [1, 0, 3])]
-    for c, real_roots in zip(non_monic, (1, 3, 1)):
+    for c in non_monic:
         for call in (isolate_roots, isolate_lowest_root, integer_roots):
             with pytest.raises(ValueError, match="leading coefficient does not divide its content"):
                 call(c)
-        # the integer-root search and the Sturm count take any polynomial
+        # the integer-root search takes any polynomial
         assert len(split_integer_roots(c)[1]) > 1 and not only_integer_roots(c)
-        assert sturm_count(c, -4, 4) == real_roots
+    # and count_roots any real-rooted one, monic or not
+    assert [count_roots(c, -4, 4) for c in non_monic[:2]] == [1, 3]
 
 
 def test_a_root_on_a_grid_point_gets_the_bisection_cell():
@@ -480,14 +487,15 @@ def test_a_root_on_a_grid_point_gets_the_bisection_cell():
     # every cell of polynomials with integer roots at grid points: the
     # root 0 lies on the upper end of the cell (-w, 0] next to it, and is
     # the lower end of the cell above it, which holds another root; and
-    # planted integer roots times random monic factors
+    # planted integer roots times characteristic polynomials of seeded
+    # symmetric integer matrices
     rng = random.Random(1829)
     cases = [c, poly_mul([0, 1], [2, -4, 1]), poly_mul([0, 1], [-1, 0, 1]), poly_mul([0, 1, -1], [-17, 0, 1])]
     for _ in range(30):
         g = [1]
         for _ in range(rng.randint(1, 3)):
             g = poly_mul(g, [-rng.randint(-4, 4), 1])
-        cases.append(poly_mul(g, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1]))
+        cases.append(poly_mul(g, random_symmetric_char_poly(rng, rng.randint(1, 3), 9)))
     for c in cases:
         for precision in (polys.DEFAULT_PRECISION, Fraction(1, 3), Fraction(1), Fraction(5)):
             assert list(_cells(c, precision)) == _bisection_cells(c, precision), (c, precision)
@@ -551,14 +559,32 @@ def test_divides_equals_the_fraction_oracle_on_seeded_monic_pairs():
 
 
 def test_close_roots_are_separated():
-    # λ^5 - 2(16λ - 1)² has two roots near 1/16 about 2·16^-3.5 apart, and
-    # (λ - 1) adds an integer root, recovered exactly
-    mignotte = [-2, 64, -512, 0, 0, 1]
-    ivs = isolate_roots(poly_mul([-1, 1], mignotte), Fraction(1, 2**30))
-    assert (1, 1) in ivs and len(ivs) == 4
-    close = [iv for iv in ivs if Fraction(1, 32) < iv[0] < Fraction(1, 8)]
+    # λ⁴ - 2(2^20·λ - 1)², whose four roots are real, has two near 2^-20
+    # about 2^-59 apart, and (λ - 1) adds an integer root, recovered exactly
+    a = 1 << 20
+    quartic = [-2, 4 * a, -2 * a * a, 0, 1]
+    ivs = isolate_roots(poly_mul([-1, 1], quartic), Fraction(1, 2**30))
+    assert (1, 1) in ivs and len(ivs) == 5
+    close = [iv for iv in ivs if Fraction(1, 2**21) < iv[0] < Fraction(1, 2**19)]
     assert len(close) == 2 and close[0][1] <= close[1][0]
-    assert all(sturm_count(mignotte, lo, hi) == 1 for lo, hi in close)
+    assert all(count_roots(quartic, lo, hi) == 1 for lo, hi in close)
+
+
+@pytest.mark.parametrize("text", ["λ^2 + 1", "λ^5 - 2*(16*λ - 1)^2", "(λ^2 + 1)*(λ - 3)", "(λ^2 - 401)*(λ^2 + 200)"])
+def test_isolation_of_a_polynomial_with_complex_roots_is_a_value_error(text):
+    # λ² + 1 and the residual λ² + 1 of (λ² + 1)(λ - 3) fail Samuelson's
+    # range; λ⁵ - 2(16λ - 1)² has three real roots, two of them close, and
+    # a complex pair, which leaves a cell counted 2 narrower than Mahler's
+    # root separation. The range (-18, 18) of (λ² - 401)(λ² + 200) misses
+    # its real roots ±√401, and the lowest cell counted 1, (-19.6, -9.8],
+    # holds no root: only its sign check finds that out before
+    # isolate_lowest_root refines it. Each ends in well under a second
+    c = coeffs(text)
+    for call in (integer_roots, isolate_roots, isolate_lowest_root):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not real-rooted"):
+            call(c)
+        assert time.perf_counter() - start < 1
 
 
 def test_negative_leading_coefficient():
@@ -570,12 +596,18 @@ def test_negative_leading_coefficient():
 
 
 def test_big_coefficient_isolation_is_fast_and_bounded():
+    # monic polynomials of degree 12 with random coefficients up to 10^9
+    # have complex roots, as the Sturm oracle counts; isolation finds that
+    # out, a ValueError, in well under two seconds each
     rng = random.Random(1)
     for _ in range(10):
-        c = [rng.randint(-(10**9), 10**9) for _ in range(13)]
-        c[-1] = abs(c[-1]) or 1
+        c = [rng.randint(-(10**9), 10**9) for _ in range(12)] + [1]
         bound = _root_bound(c)
-        assert 0 <= sturm_count(c, -bound, bound) <= 12
+        assert sturm_count_oracle(c, -bound, bound) < 12
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not real-rooted"):
+            isolate_roots(c)
+        assert time.perf_counter() - start < 2
 
 
 def test_one_variable_tuple_per_ring():

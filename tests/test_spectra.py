@@ -12,6 +12,7 @@ from lapspec import (
     char_poly,
     complete,
     complete_bipartite,
+    count_roots,
     cycle,
     det_gauss,
     disjoint_union,
@@ -28,7 +29,6 @@ from lapspec import (
     signless_laplacian,
     spectrum,
     star,
-    sturm_count,
     to_graph6,
     vertex_connectivity,
 )
@@ -244,10 +244,10 @@ def test_path_interior_root_counts():
     # at least two small Laplacian eigenvalues once the path is long enough
     for n in range(7, 13):
         p = char_poly(laplacian(path(n)))
-        inside = sturm_count(p, 0, 1) - (1 if fraction_sign(p, 1) == 0 else 0)
+        inside = count_roots(p, 0, 1) - (1 if fraction_sign(p, 1) == 0 else 0)
         assert inside >= 2
     # the seven-vertex path has exactly two in the half-open unit interval
-    assert sturm_count(char_poly(laplacian(path(7))), 0, 1) == 2
+    assert count_roots(char_poly(laplacian(path(7))), 0, 1) == 2
 
 
 def test_cycle_six_connectivity_gap():
@@ -352,4 +352,4 @@ def test_connectivity_bounds_chain():
         delta = min(g.degrees())
         assert k <= delta
         p = char_poly(laplacian(g))
-        assert sturm_count(p, 0, k) >= 1  # an eigenvalue in (0, k]
+        assert count_roots(p, 0, k) >= 1  # an eigenvalue in (0, k]
