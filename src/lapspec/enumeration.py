@@ -474,10 +474,10 @@ def _integral_from_values(values) -> bool:
     return rest.count(rest[0]) == len(rest)
 
 
-def _decide_shard(n, shard, size, row, counts, mismatches, out):
-    """Decide, tag and tally every member of one shard of order n from the
-    value tables of size entries (see matrices.side_sign_change), reading
-    each member's table and degree off its v record.
+def _decide_shard(n, shard, row, counts, mismatches, out):
+    """Decide, tag and tally every member of one shard of order n from its
+    value tables (see matrices.side_sign_change), reading each member's
+    table and degree off its v record.
 
     A member is not integral when it repeats a chain kind whose θ has a
     non-integer root, which the tables' flags read off the chain kinds by
@@ -582,7 +582,7 @@ def verify_theorem(n_min: int, n_max: int, out=None) -> TheoremSummary:
                 met.add(id(record_u))
             met.update(map(id, v_records))
             row = tally.setdefault((n, prefix[0]), [0, 0, 0])
-            _decide_shard(n, shard, size, row, counts, mismatches, out)
+            _decide_shard(n, shard, row, counts, mismatches, out)
     t2 = clock()
     rows = tuple((n, family, *tally[(n, family)]) for n, family in sorted(tally))
     # every record is one of _side_records(budget, size, 0)'s, so the sides

@@ -46,6 +46,7 @@ from .polys import (
     LAMBDA,
     MPoly,
     count_roots,
+    divide_root,
     divides,
     grid_interpolate,
     interpolate,
@@ -387,17 +388,6 @@ def _row(coeffs, q: Fraction, params) -> MPoly:
     return MPoly(params, terms)
 
 
-def _divide_root(coeffs, e: int) -> list:
-    """The ascending λ-coefficients of f / (λ - e), by synthetic division
-    over the coefficients' ring; e must be a root of f = Σ coeffs[k]·λ^k."""
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[1:-1]):
-        out.append(c + e * out[-1])
-    if coeffs[0] + e * out[-1]:
-        raise ValueError(f"{e} is not a root")
-    return out[::-1]
-
-
 def verify_sign_claims(
     case_id: str, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None
 ) -> dict:
@@ -424,7 +414,7 @@ def verify_sign_claims(
       row, unless their difference is the zero polynomial;
     - an end e whose row is the zero polynomial is a root at every grid
       point, and an integer, f being monic in λ: (λ - e) is divided out of
-      f (_divide_root) until neither end's row is zero. The cofactor has
+      f (divide_root) until neither end's row is zero. The cofactor has
       f's roots strictly inside the interval, and its rows at lo and hi
       stand for f's below;
     - unless the rows at lo and hi have opposite signs at every grid point,
@@ -477,7 +467,7 @@ def verify_sign_claims(
     cofactor = coeffs  # f with each end that is a root at every grid point divided out
     while not (rows[row_lo] and rows[row_hi]):
         # f is monic in λ, so a rational root of f at every point is an integer
-        cofactor = _divide_root(cofactor, (lo if not rows[row_lo] else hi).numerator)
+        cofactor = divide_root(cofactor, (lo if not rows[row_lo] else hi).numerator)
         row_lo, row_hi = len(rows), len(rows) + 1
         rows += [_row(cofactor, lo, case.params), _row(cofactor, hi, case.params)]
     root_failures = []

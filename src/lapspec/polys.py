@@ -11,20 +11,23 @@ points of a grid at which a polynomial's sign is not an allowed one.
 Every single-graph decision works on ascending integer coefficient lists
 in one univariate kernel: the gcd with the derivative by a primitive
 remainder sequence, exact division in Z[λ], square-free parts,
-integer-root extraction with multiplicities (candidates bounded by
-a root bound, not by the size of the constant term, and negative ones
-tried only when Descartes' rule of signs allows a negative root),
-root counting over half-open rational intervals by Budan–Fourier,
-isolating intervals, and poly_text, which prints a list in MPoly's
-canonical text.
+integer-root extraction with multiplicities (the candidates are the
+divisors of the constant term and their negatives that lie inside
+Samuelson's interval, so they are bounded by the size of the roots, not
+of the constant term), root counting over half-open rational intervals
+by Budan–Fourier, isolating intervals, and poly_text, which prints a
+list in MPoly's canonical text.
 
-Root counting and isolation take only real-rooted polynomials, as the
-characteristic polynomial of a symmetric matrix is, and count the roots
-above a point by the sign variations of the Taylor shift to it
-(Budan–Fourier). Isolation (integer_roots, isolate_roots,
-isolate_lowest_root) also takes only a polynomial whose primitive part
-is monic; integer_roots and isolate_roots find out any other input, a
-ValueError, in bounded time. Its rational roots are then the integer roots split_integer_roots finds.
+The integer-root search, root counting and isolation take only
+real-rooted polynomials, as the characteristic polynomial of a symmetric
+matrix is. Samuelson's interval (_real_root_range) is the one range both
+root searches take: it bounds the integer-root candidates and fixes the
+level where the cell search starts. The roots above a point are counted
+by the sign variations of the Taylor shift to it (Budan–Fourier).
+Isolation (integer_roots, isolate_roots, isolate_lowest_root) also takes
+only a polynomial whose primitive part is monic; integer_roots and
+isolate_roots find out any other input, a ValueError, in bounded time.
+Its rational roots are then the integer roots split_integer_roots finds.
 The square-free part costs one remainder sequence. The cells are the
 ones plain bisection from the Cauchy bound reaches, found with fewer
 evaluations (see _root_cells and _refine), ascending, and merged with
@@ -586,27 +589,6 @@ def _root_bound(c) -> int:
     return 1 + (m + lead - 1) // lead if m else 1
 
 
-def _fujiwara_bound(c) -> int:
-    """Fujiwara's bound (1916), rounded up to a power of two.
-
-    Every complex root has absolute value below the result. Fujiwara bounds
-    the roots by 2·max_k |a_{d-k} / a_d|^(1/k); with q_k the ceiling of the
-    ratio, q_k^(1/k) < 2^ceil(bitlength(q_k) / k), so only integer bit
-    lengths and shifts are needed. By Vieta's formulas
-    |a_{d-k} / a_d| <= C(d, k)·R^k for the largest root modulus R, so the
-    result stays within a factor O(d) of R, whereas the Cauchy bound grows
-    with the largest coefficient (binomially, for a characteristic
-    polynomial); it keeps the candidate search short.
-    """
-    lead = abs(c[-1])
-    d = len(c) - 1
-    e = 0
-    for k in range(1, d + 1):
-        q = -(-abs(c[d - k]) // lead)
-        e = max(e, -(-q.bit_length() // k))
-    return 2 << e
-
-
 def _quotient(a, b):
     """a / b for trimmed integer lists, or None when it is not in Z[λ].
 
@@ -653,10 +635,7 @@ def _divisors(n: int, limit: int):
 
 def poly_value(c, x: int) -> int:
     """c(x) for ascending integer coefficients c and an integer x (Horner)."""
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
+    return _horner(reversed(c), x)
 
 
 @lru_cache(maxsize=None)
@@ -730,19 +709,6 @@ def grid_interpolate(table) -> dict:
     return table
 
 
-def _synthetic_div(c, r: int):
-    """Divide by (x - r) assuming r is a root; integer coefficients preserved."""
-    d = len(c) - 1
-    out = [0] * d
-    carry = c[d]
-    for i in range(d - 1, 0, -1):
-        out[i] = carry
-        carry = c[i] + r * carry
-    out[0] = carry
-    assert c[0] + r * carry == 0, "not a root"
-    return out
-
-
 def _real_root_range(c) -> tuple:
     """Integers lo, hi with lo < every root < hi, for c of degree d >= 1
     with a positive leading coefficient and only real roots; ValueError
@@ -789,14 +755,15 @@ def _root_cells(rest, precision: Fraction):
     (-B, B], B the Cauchy bound, builds: level k has cells of width 2B/2^k,
     kept as integer numerators lo, hi = lo + 2B over 2^k, and 0 is a grid
     point from level 1 on. The search starts at level s, the deeper of 1
-    and the deepest level whose two cells next to 0 still cover (-F, F), F
-    the Fujiwara bound, and no deeper than the target level, the first
-    whose cells are at most precision wide; so every root's cell is the one
-    plain bisection from (-B, B] reaches. Cells holding several roots are
-    halved, the lower half first. Yields (scaled, lo, hi, k, level, f_lo,
-    f_hi) for each cell holding one root: scaled is rest pre-scaled at the
-    target level, level how deep the refinement must go (the target level,
-    or k when the cell is that narrow already), and f_lo, f_hi the values
+    and the deepest level whose two cells next to 0 still cover (lo, hi),
+    the range _real_root_range gives, which holds every root, and no
+    deeper than the target level, the first whose cells are at most
+    precision wide; so every root's cell is the one plain bisection from
+    (-B, B] reaches. Cells holding several roots are halved, the lower
+    half first. Yields (scaled, lo, hi, k, level, f_lo, f_hi) for each
+    cell holding one root: scaled is rest pre-scaled at the target level,
+    level how deep the refinement must go (the target level, or k when the
+    cell is that narrow already), and f_lo, f_hi the values
     2^(target·d)·rest at the cell's ends, d the degree, or None when level
     is k.
 
@@ -825,13 +792,12 @@ def _root_cells(rest, precision: Fraction):
     when d sign changes prove rest real-rooted.
     """
     d = len(rest) - 1
+    low, high = _real_root_range(rest)
     bound = _root_bound(rest)
     width = 2 * bound
     q = -(-width * precision.denominator // precision.numerator)
     target = (q - 1).bit_length()  # least level with width / 2^level <= precision
-    f = _fujiwara_bound(rest).bit_length() - 1  # F = 2^f
-    s = min(max(1, width.bit_length() - 1 - f), target)
-    low, high = _real_root_range(rest)
+    s = min(max(1, (width // max(-low, high)).bit_length() - 1), target)
     deepest = width.bit_length() + _separation_bits(rest)  # cells narrower than any two roots are apart
     neg_positive = d % 2 == 0  # the sign of rest below every root
     top = _prescaled(rest, target)
@@ -999,18 +965,19 @@ class RootReport(namedtuple("RootReport", "integer_roots residual isolating_inte
 def split_integer_roots(c):
     """Integer roots of c, and the integer-root-free rest as coefficients.
 
-    Returns ({root: multiplicity}, cofactor) by trial division with the
-    divisors of the trailing coefficient (after the power of the variable
-    is factored out) up to the smaller of the Cauchy and Fujiwara root
-    bounds, so the search is bounded by the size of the roots, not of the
-    trailing coefficient. Those candidates, ±d, hold every integer root r:
-    with c(0) != 0, r divides c(0) (c = (λ - r) g over Z gives c(0) =
-    -r g(0)), and |r| is at most either bound; so deflate by them leaves
-    a constant cofactor exactly when the polynomial has only integer roots.
-    The -d are left out when the coefficients of c(-λ), (-1)^i c_i, have
-    no sign variation: by Descartes' rule of signs c(-λ) then has no
-    positive root, so c has no negative one. An L or Q polynomial, whose
-    roots are all at least 0, is always such a c.
+    c must be a nonzero integer polynomial with only real roots, as in
+    integer_roots; a c that _real_root_range finds not real-rooted is a
+    ValueError. Returns ({root: multiplicity}, cofactor) by trial division
+    with the ±divisors of the trailing coefficient (after the power of the
+    variable is factored out) that lie strictly inside _real_root_range,
+    Samuelson's interval, so the search is bounded by the size of the
+    roots, not of the trailing coefficient. Those candidates hold every
+    integer root r: with c(0) != 0, r divides c(0) (c = (λ - r) g over Z
+    gives c(0) = -r g(0)), and every root lies inside the interval; so
+    deflate by them leaves a constant cofactor exactly when c has only
+    integer roots. A c with a non-real root that the range does not reject
+    may keep an integer root outside it in the cofactor, which is not a
+    constant all the same.
     """
     c = _trim(list(c))
     if not c:
@@ -1022,12 +989,26 @@ def split_integer_roots(c):
         k += 1
     if k:
         roots[0] = k
-    divisors = _divisors(c[0], min(_root_bound(c), _fujiwara_bound(c))) if len(c) > 1 else []
-    if len({(a > 0) == (i % 2 == 0) for i, a in enumerate(c) if a}) > 1:
-        divisors = [r for d in divisors for r in (d, -d)]
-    found, c = deflate(c, divisors)
+    candidates = []
+    if len(c) > 1:
+        lo, hi = _real_root_range(c if c[-1] > 0 else [-a for a in c])
+        candidates = [r for d in _divisors(c[0], max(-lo, hi)) for r in (d, -d) if lo < r < hi]
+    found, c = deflate(c, candidates)
     roots.update(found)
     return roots, c
+
+
+def divide_root(c, r):
+    """The ascending λ-coefficients of c / (λ - r), by synthetic division
+    over the coefficients' ring (ints, or the catalog's MPolys); c has
+    degree at least 1, and r must be a root of c = Σ c[k]·λ^k, or the
+    result is a ValueError."""
+    out = [c[-1]]
+    for a in reversed(c[1:-1]):
+        out.append(a + r * out[-1])
+    if c[0] + r * out[-1]:
+        raise ValueError(f"{r} is not a root")
+    return out[::-1]
 
 
 def deflate(c, candidates):
@@ -1045,7 +1026,7 @@ def deflate(c, candidates):
     roots = {}
     for r in candidates:
         while len(c) > 1 and poly_value(c, r) == 0:
-            c = _synthetic_div(c, r)
+            c = divide_root(c, r)
             roots[r] = roots.get(r, 0) + 1
     return roots, c
 
@@ -1100,7 +1081,8 @@ def deflate_values(values, candidates):
 
 def only_integer_roots(c) -> bool:
     """Whether every root of c is an integer: split_integer_roots leaves a
-    constant cofactor."""
+    constant cofactor. A c with a non-real root gives False, or the
+    ValueError of split_integer_roots."""
     return len(split_integer_roots(c)[1]) <= 1
 
 
@@ -1170,10 +1152,10 @@ def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
     The integer roots are split off first (integer_roots) and come back
     as exact point intervals [r, r]; they are c's only rational roots,
     c's primitive part being monic. Every other interval is a cell
-    of a dyadic grid, found from a start level fixed by the Fujiwara bound
-    and refined by Illinois regula-falsi steps until its width is at most
-    the requested precision: the cell plain bisection reaches (see
-    _root_cells and _refine).
+    of a dyadic grid, found from a start level fixed by Samuelson's
+    interval (_real_root_range) and refined by Illinois regula-falsi steps
+    until its width is at most the requested precision: the cell plain
+    bisection reaches (see _root_cells and _refine).
     """
     report = integer_roots(c, precision)
     if not report.integer_roots:

@@ -1,13 +1,15 @@
 """Laplacian spectra and exact integrality decisions.
 
-Every decision here is exact: integrality is decided by trial division of
-the characteristic polynomial. The algebraic connectivity is read off the
-integer-root split of a Laplacian polynomial
-(algebraic_connectivity_from_poly, so a caller that has the split, as
-classify has it for L_integral, searches for integer roots once) by
-isolating only its lowest non-integer root, on a residual known to have
-no integer root. Floating point appears only in display strings derived
-from isolating intervals.
+Every decision here is exact: integrality is decided by dividing the
+characteristic polynomial by λ - r for each divisor r of its constant
+term, or its negative, inside Samuelson's interval, which holds every
+root of a real-rooted polynomial (polys.split_integer_roots). The
+algebraic connectivity is read off the integer-root split of a Laplacian
+polynomial (algebraic_connectivity_from_poly, so a caller that has the
+split, as classify has it for L_integral, searches for integer roots
+once) by isolating only its lowest non-integer root, on a residual known
+to have no integer root. Floating point appears only in display strings
+derived from isolating intervals.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from lapspec import (
     verify_sign_claims,
 )
 from lapspec import families
-from lapspec.polys import sign_above, sign_exceptions, taylor_shift
+from lapspec.polys import divide_root, sign_above, sign_exceptions, taylor_shift
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
@@ -349,12 +349,15 @@ def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatc
 
 
 def test_divide_root_is_exact_synthetic_division():
+    # over the catalog's Z[s,t] and over Z, as deflate divides
     cofactor = [parse_poly(text, variables=("s", "t")) for text in ("s^2 + 3", "-2*s", "1")]
     # (λ - 4)·(c0 + c1·λ + c2·λ²), ascending in λ
     f = [-4 * cofactor[0], cofactor[0] - 4 * cofactor[1], cofactor[1] - 4 * cofactor[2], cofactor[2]]
-    assert families._divide_root(f, 4) == cofactor
-    with pytest.raises(ValueError):
-        families._divide_root(f, 3)
+    assert divide_root(f, 4) == cofactor
+    assert divide_root([12, -7, 1], 4) == [-3, 1] and divide_root([-4, 1], 4) == [1]
+    for c in (f, [12, -7, 1]):
+        with pytest.raises(ValueError, match="5 is not a root"):
+            divide_root(c, 5)
 
 
 def test_two_roots_between_equal_signs_take_the_root_count_fallback(monkeypatch, root_count_calls):

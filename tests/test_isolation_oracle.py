@@ -1,7 +1,7 @@
 """Root isolation on integer dyadic endpoints against the Fraction oracle.
 
 isolate_roots counts roots by Budan–Fourier, starts its search at a level
-fixed by the Fujiwara bound, skips the midpoints outside the real-root
+fixed by Samuelson's interval, skips the midpoints outside that real-root
 range, splits two-root cells by the sign at their midpoint, and refines
 by Illinois regula-falsi steps on integer grid indices at the target
 level. The oracle in oracle_helpers runs plain bisection from the Cauchy

@@ -4,10 +4,12 @@ The square-free part of a polynomial with a planted repeated factor leaves
 a gcd with the derivative that divides both and keeps the factor, the
 square-free parts along the chain of repeated gcds multiply back to the
 input up to the content, split_integer_roots finds exactly the integer
-roots planted in front of a cofactor with none, deflate by the zeros in
-0..N of planted (λ - k)^m, times 1 or a monic factor with no integer
-root, finds the planted roots and leaves split_integer_roots' cofactor
-(and every other candidate leaves the polynomial as it is),
+roots planted in front of a real-rooted cofactor with none (a seeded
+symmetric-matrix polynomial times rational linear factors), deflate by
+the zeros in 0..N of planted (λ - k)^m, times 1 or a seeded
+symmetric-matrix polynomial with no integer root, finds the planted
+roots and leaves split_integer_roots' cofactor (and every other
+candidate leaves the polynomial as it is),
 deflate_values on the values at 0..n of a·∏(λ - r)^m·g, with planted
 roots in 0..n, finds deflate's roots on the interpolated coefficients and
 gives its cofactor's values, one Horner pass on coefficients pre-scaled
@@ -40,6 +42,8 @@ Divisibility, content and rational roots come from the
 Fraction helpers of oracle_helpers, not from lapspec.
 """
 
+import random
+from functools import reduce
 from itertools import product
 from math import comb, factorial, gcd, prod
 
@@ -77,6 +81,7 @@ from oracle_helpers import (  # noqa: E402
     _q_rational_roots,
     fold_path_quotient,
     poly_mul,
+    random_symmetric_char_poly,
     scan_tokens,
     taylor_shift_oracle,
 )
@@ -132,10 +137,27 @@ def test_squarefree_decomposition_multiplies_back_up_to_content(factors, cofacto
     assert [sign * content(c) * x for x in product] == c
 
 
+def seeded_char_polys(orders, bound):
+    """det(λI - M) for a symmetric integer matrix M of an order drawn from
+    orders with entries in -bound..bound, from random_symmetric_char_poly
+    with a drawn seed: monic and real-rooted; [1] at order 0."""
+    return st.tuples(st.sampled_from(orders), st.integers(0, 2**32)).map(
+        lambda ns: random_symmetric_char_poly(random.Random(ns[1]), ns[0], bound) if ns[0] else [1]
+    )
+
+
+# a·det(λI - M)·∏ (q·λ - p), with p/q no integer: real-rooted, monic or not
+real_rooted_cofactors = st.tuples(
+    st.sampled_from([1, -1, 2, -3]),
+    seeded_char_polys(range(5), 6),
+    st.lists(st.tuples(st.integers(-7, 7), st.integers(2, 5)).filter(lambda pq: pq[0] % pq[1]), max_size=2),
+).map(lambda t: reduce(poly_mul, ([-p, q] for p, q in t[2]), [t[0] * a for a in t[1]]))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     st.dictionaries(st.integers(-12, 12), st.integers(1, 3), max_size=4),
-    polys,
+    real_rooted_cofactors,
 )
 def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor):
     assume(all(r.denominator != 1 for r in _q_rational_roots(cofactor)[0]))
@@ -151,13 +173,14 @@ def test_split_integer_roots_returns_exactly_the_planted_roots(planted, cofactor
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     st.dictionaries(st.integers(0, 16), st.integers(1, 4), max_size=5),
-    st.one_of(st.just([1]), st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(lambda c: c + [1])),
+    st.one_of(st.just([1]), seeded_char_polys(range(2, 5), 9)),
 )
 @example({3: 3}, [1])
 @example({0: 1, 2: 2}, [-2, 0, 1])
 def test_deflating_by_the_zeros_in_range_leaves_the_split_cofactor(planted, factor):
     # the sweep's root test: every integer root lies in 0..16 and is
-    # found as a zero there; factor is 1 or monic with no integer root
+    # found as a zero there; factor is 1 or a symmetric-matrix polynomial
+    # with no integer root
     assume(not split_integer_roots(factor)[0])
     c = factor
     for r, m in planted.items():

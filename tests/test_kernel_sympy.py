@@ -2,9 +2,10 @@
 
 Seeded random integer polynomials are built as products of small factors,
 some raised to powers, so that square-free parts and root counts see
-repeated roots; the root counts take products of factors with only real
-roots, as count_roots requires. sympy is only a test-time oracle; the
-library does not depend on it.
+repeated roots; the root counts and the integer-root search take products
+of factors with only real roots, as count_roots and split_integer_roots
+require. sympy is only a test-time oracle; the library does not depend on
+it.
 """
 
 import random
@@ -23,7 +24,7 @@ from lapspec import (  # noqa: E402
     signless_laplacian,
     split_integer_roots,
 )
-from lapspec.polys import _fujiwara_bound, _root_bound, _square_free  # noqa: E402
+from lapspec.polys import _root_bound, _square_free  # noqa: E402
 from oracle_helpers import random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -105,7 +106,7 @@ def _dense_char_polys(rng, orders):
 
 def test_integer_roots_match_sympy_roots():
     rng = random.Random(11985)
-    polys = [_random_poly(rng) for _ in range(40)]
+    polys = [_random_poly(rng, real_rooted=True) for _ in range(40)]
     # Characteristic polynomials with constant terms up to 20^19, out of
     # reach of a search over all divisors of the constant term.
     polys += list(_dense_char_polys(rng, range(13, 21)))
@@ -113,15 +114,6 @@ def test_integer_roots_match_sympy_roots():
         roots, residual = split_integer_roots(_coeffs(p))
         assert roots == {int(r): m for r, m in sympy.roots(p, filter="Z").items()}
         assert len(residual) - 1 == p.degree() - sum(roots.values())
-
-
-def test_fujiwara_bound_exceeds_every_real_root():
-    rng = random.Random(1916)
-    polys = [_random_poly(rng) for _ in range(40)]
-    polys += list(_dense_char_polys(rng, (6, 9, 12)))
-    for p in polys:
-        bound = _fujiwara_bound(_coeffs(p))
-        assert all(-bound < r < bound for r in sympy.real_roots(p)), p
 
 
 def test_char_poly_matches_sympy_charpoly():

@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 from operator import add, mul, sub
 
 import pytest
@@ -9,6 +8,8 @@ import pytest
 from lapspec import (
     LAMBDA,
     MPoly,
+    complete,
+    complete_bipartite,
     count_roots,
     divides,
     integer_roots,
@@ -24,7 +25,7 @@ from lapspec import (
 )
 from lapspec import polys
 from lapspec.matrices import char_poly
-from lapspec.polys import _cells, _root_bound, _synthetic_div
+from lapspec.polys import _cells, _root_bound, divide_root
 from lapspec.spectra import laplacian, signless_laplacian
 from oracle_helpers import (
     _q_count_halfopen,
@@ -147,16 +148,29 @@ def test_root_report_reconstruction_invariant():
 # -- reference implementations ------------------------------------------------
 #
 # The full integer-root search tries every divisor of the trailing
-# coefficient found by trial division up to isqrt(|c0|), kept when below the
-# Cauchy bound. Its cost grows with sqrt(|c0|), so it serves only as an
-# oracle for the kernel's search, whose candidates stop at the Fujiwara
-# bound. Bisection by Sturm counts on Fractions (oracle_helpers' Sturm chain
-# over Q) is the oracle for isolation.
+# coefficient, kept when below the Cauchy bound. The divisors come from the
+# coefficient's factorization by trial division, whose cost grows with the
+# square root of its second-largest prime factor, so it serves only as an
+# oracle for the kernel's search, whose candidates stop at Samuelson's
+# interval. Bisection by Sturm counts on Fractions (oracle_helpers' Sturm
+# chain over Q) is the oracle for isolation.
 
 
 def _all_divisors(n):
-    n = abs(n)
-    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+    """Every positive divisor of n != 0, ascending, from its prime
+    factorization by trial division."""
+    n, divisors, p = abs(n), [1], 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        p += 1
+    return sorted(divisors)
 
 
 def _strip_zero_roots(c):
@@ -173,7 +187,7 @@ def _full_search_integer_roots(c):
     for d in [d for d in _all_divisors(c[0]) if d <= bound]:
         for r in (d, -d):
             while len(c) > 1 and poly_value(c, r) == 0:
-                c = _synthetic_div(c, r)
+                c = divide_root(c, r)
                 roots[r] = roots.get(r, 0) + 1
     return roots, c
 
@@ -211,11 +225,12 @@ def _sturm_bisection(c, precision):
 
 
 def _random_factored_poly(rng):
-    """Ascending integer coefficients: a unit times repeated integer roots,
-    non-monic rational factors (q·x - p), a random quadratic, and often one
-    factor with a huge constant term (a huge integer root, or x^2 + K).
-    The huge constant is drawn only up to |c0| <= 10^11, so the full search
-    above stays affordable."""
+    """Ascending integer coefficients of a real-rooted polynomial: a unit
+    times repeated integer roots, non-monic rational factors (q·x - p),
+    often the characteristic polynomial of a seeded symmetric integer
+    matrix, and often one factor with a huge constant term (a huge integer
+    root, or x^2 - K). The huge constant is drawn only up to |c0| <= 10^11,
+    so the full search above stays affordable."""
     c = [rng.choice([1, -1, 2, -3, 6])]
     for _ in range(rng.randint(0, 3)):
         r = rng.randint(-12, 12)
@@ -225,19 +240,39 @@ def _random_factored_poly(rng):
         q = rng.randint(2, 5)
         c = poly_mul(c, [-rng.choice([p for p in range(-7, 8) if p % q]), q])
     if rng.random() < 0.5:
-        c = poly_mul(c, [rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 3)])
+        c = poly_mul(c, random_symmetric_char_poly(rng, rng.randint(1, 3), 5))
     c0 = abs(_strip_zero_roots(c)[1][0])
     if rng.random() < 0.7 and c0 * 10**6 <= 10**11:
         big = rng.randint(10**6, 10**11 // c0)
-        c = poly_mul(c, rng.choice([[-big, 1], [big, 1], [big, 0, 1]]))
+        c = poly_mul(c, rng.choice([[-big, 1], [big, 1], [-big, 0, 1]]))
     return c
 
 
 def test_bounded_root_search_equals_full_search():
+    # seeded real-rooted products, and the L and Q polynomials of K2..K30
+    # and of K_{a,b} with a + b <= 30: integer spectra of high multiplicity,
+    # with constant terms up to 30^29
     rng = random.Random(1916)
-    for _ in range(60):
-        c = _random_factored_poly(rng)
+    cases = [_random_factored_poly(rng) for _ in range(60)]
+    graphs = [complete(n) for n in range(2, 31)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 16) for b in range(a, 31 - a)]
+    cases += [char_poly(m(g)) for g in graphs for m in (laplacian, signless_laplacian)]
+    for c in cases:
         assert split_integer_roots(c) == _full_search_integer_roots(c), c
+
+
+def test_the_integer_root_search_takes_only_real_rooted_input():
+    # λ² + 1 has a negative Samuelson variance
+    for call in (split_integer_roots, only_integer_roots):
+        with pytest.raises(ValueError, match="not real-rooted"):
+            call([1, 0, 1])
+    # (λ - 5)(λ² + 1) passes that test, N = 88 >= 0: its integer root is
+    # split off, and the cell search finds the rest out
+    c = poly_mul([-5, 1], [1, 0, 1])
+    assert split_integer_roots(c) == ({5: 1}, [1, 0, 1])
+    assert not only_integer_roots(c)
+    with pytest.raises(ValueError, match="not real-rooted"):
+        integer_roots(c)
 
 
 def test_isolation_builds_one_remainder_sequence(monkeypatch):
@@ -468,7 +503,8 @@ def test_isolation_takes_only_a_monic_primitive_part():
         for call in (isolate_roots, isolate_lowest_root, integer_roots):
             with pytest.raises(ValueError, match="leading coefficient does not divide its content"):
                 call(c)
-        # the integer-root search takes any polynomial
+        # the integer-root search takes a primitive part that is not monic;
+        # the last c is not real-rooted, and has a non-constant cofactor
         assert len(split_integer_roots(c)[1]) > 1 and not only_integer_roots(c)
     # and count_roots any real-rooted one, monic or not
     assert [count_roots(c, -4, 4) for c in non_monic[:2]] == [1, 3]
