@@ -17,7 +17,7 @@ component left when the hubs are removed.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice
 
 
 class Graph:
@@ -228,15 +228,16 @@ def vertex_connectivity(g: Graph) -> int:
     would be a smaller cut, so S separates two non-adjacent neighbours of
     v. The pairs (v, w), w not adjacent to v, and (x, y), x and y
     non-adjacent neighbours of v, therefore include one that S separates;
-    v of least degree keeps the second kind few.
+    v of least degree keeps the second kind few, and its degree, which
+    bounds the minimum (κ ≤ δ), caps every flow.
     """
     n = g.n
     if n <= 1 or not is_connected(g):
         return 0
     if g.edge_count == n * (n - 1) // 2:
         return n - 1
-    best = n - 1
     anchor = min(range(n), key=g.degree)
+    best = g.degree(anchor)
     pairs = [(anchor, t) for t in range(n) if t != anchor and t not in g.adj[anchor]]
     nbrs = sorted(g.adj[anchor])
     pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in g.adj[a]]
@@ -251,20 +252,28 @@ def vertex_connectivity(g: Graph) -> int:
             out[2 * v + 1].append(2 * w)
             arcs.add((2 * v + 1, 2 * w))
     for s, t in pairs:
-        best = min(best, _max_vertex_disjoint_paths(out, arcs, s, t, best))
         if best == 1:  # the floor of a connected graph
             break
+        best = _max_vertex_disjoint_paths(out, arcs, s, t, best, g.adj[s] & g.adj[t])
     return best
 
 
-def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int) -> int:
+def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int, common) -> int:
     """Count internally vertex-disjoint s-t paths, stopping early at cap,
     by unit-capacity max flow on the node-split digraph with adjacency
-    lists out and arc set arcs (see vertex_connectivity)."""
+    lists out and arc set arcs (see vertex_connectivity). The flow starts
+    from the paths s -> c -> t through the common neighbours c of s and t,
+    which are disjoint; augmenting from a feasible flow still reaches the
+    maximum."""
     src, snk = 2 * s + 1, 2 * t
     flow = set()
     in_flow = [set() for _ in range(len(out))]
     total = 0
+    for c in islice(common, cap):
+        for x, y in ((src, 2 * c), (2 * c, 2 * c + 1), (2 * c + 1, snk)):
+            flow.add((x, y))
+            in_flow[y].add(x)
+        total += 1
     while total < cap:
         prev = {src: None}
         queue = deque([src])
@@ -497,37 +506,43 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chr(63 + (bits >> shift & 63)) for shift in range(width - 6, -1, -6))
 
 
+#: The six bits, highest first, that a graph6 character stands for.
+_GRAPH6_BITS = {63 + d: format(d, "06b") for d in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
     text = text.strip()
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
     if not text:
         raise ValueError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in text]
-    if any(d < 0 or d > 63 for d in data):
+    if min(text) < "?" or max(text) > "~":
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        if len(data) < 4:
+    if text[0] == "~":
+        if len(text) < 4:
             raise ValueError("truncated graph6 size")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = int(text[1:4].translate(_GRAPH6_BITS), 2)
+        body = text[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(text[0]) - 63
+        body = text[1:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError("graph6 body length does not match the vertex count")
-    bits = []
-    for d in body:
-        bits.extend((d >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    edges = []
-    k = 0
+    # column j of the upper triangle is the j bits of the pairs (0, j), ...,
+    # (j - 1, j), read as one int whose bit j - 1 - i is the pair (i, j)
+    bits = body.translate(_GRAPH6_BITS)
+    adj = [set() for _ in range(n)]
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+        column = int(bits[start : start + j], 2)
+        start += j
+        while column:
+            k = column.bit_length() - 1
+            adj[j - 1 - k].add(j)
+            adj[j].add(j - 1 - k)
+            column ^= 1 << k
+    return Graph(n, adj)
 
 
 # -- adjacency-list text format ----------------------------------------------

@@ -9,8 +9,9 @@ sign_above certifies one sign of a polynomial at every point above a
 corner, and sign_exceptions finds, by splitting where that fails, the
 points of a grid at which a polynomial's sign is not an allowed one.
 Every single-graph decision works on ascending integer coefficient lists
-in one univariate kernel: the gcd with the derivative by a primitive
-remainder sequence, exact division in Z[λ], square-free parts,
+in one univariate kernel: the gcd of two primitive lists by evaluation at
+one integer (the heuristic gcd, with a primitive remainder sequence as its
+fallback), exact division in Z[λ], square-free parts,
 integer-root extraction with multiplicities (the candidates are the
 divisors of the constant term and their negatives that lie inside
 Samuelson's interval, so they are bounded by the size of the roots, not
@@ -28,10 +29,12 @@ Isolation (integer_roots, isolate_roots, isolate_lowest_root) also takes
 only a polynomial whose primitive part is monic; integer_roots and
 isolate_roots find out any other input, a ValueError, in bounded time.
 Its rational roots are then the integer roots split_integer_roots finds.
-The square-free part costs one remainder sequence. The cells are the
-ones plain bisection from the Cauchy bound reaches, found with fewer
-evaluations (see _root_cells and _refine), ascending, and merged with
-the integer roots' point intervals only when there are some. Every
+The square-free part is c over its gcd with c', read off the integer gcd
+of their values at one point and checked by exact division (_gcd); a
+remainder sequence takes over only when _GCD_TRIES points fail. The cells
+are the ones plain bisection from the Cauchy bound reaches, found with
+fewer evaluations (see _root_cells and _refine), ascending, and merged
+with the integer roots' point intervals only when there are some. Every
 evaluation runs on coefficients pre-scaled once for a dyadic level
 (_prescaled). isolate_lowest_root refines the lowest root only and
 splits no integer root off, so a classify request searches each
@@ -565,21 +568,77 @@ def _prem(f, g):
     return r
 
 
+#: How many evaluation points _gcd tries before it falls back to the
+#: remainder sequence (_remainder_gcd).
+_GCD_TRIES = 6
+
+
+def _gcd(a, b):
+    """The gcd of primitive trimmed nonconstant integer lists a and b,
+    primitive with a positive leading coefficient, by the heuristic gcd
+    (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).
+
+    Both lists are evaluated at one integer ξ, and the integer gcd γ of the
+    two values is read back as the polynomial h whose coefficients are γ's
+    symmetric ξ-adic digits, so h(ξ) = γ. When ξ > 2·min(‖a‖∞, ‖b‖∞) + 2 and
+    h's primitive part divides both lists exactly, it is their gcd. The gcd
+    is then h's primitive part times a common factor k of a and b, and k(ξ)
+    divides h's content, which is at most ξ/2. A nonconstant k would have
+    |k(ξ)| > ξ/2, its roots lying below min‖·‖∞ + 1 in absolute value
+    (Cauchy), so k is ±1. A failed try multiplies ξ by about 2.7·ξ^(1/4);
+    after _GCD_TRIES tries the gcd comes from the remainder sequence
+    (_remainder_gcd).
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_GCD_TRIES):
+        gamma = gcd(_horner(reversed(a), xi), _horner(reversed(b), xi))
+        h = []
+        while gamma:
+            digit = gamma % xi
+            if digit > xi // 2:
+                digit -= xi
+            h.append(digit)
+            gamma = (gamma - digit) // xi
+        h = _primitive(h)
+        if h[-1] < 0:
+            h = [-x for x in h]
+        if len(h) == 1 or _quotient(a, h) is not None and _quotient(b, h) is not None:
+            return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return _remainder_gcd(a, b)
+
+
+def _remainder_gcd(a, b):
+    """_gcd's fallback: the same gcd, as the last nonzero element of a
+    primitive remainder sequence (Collins 1967; Brown and Traub 1971), of
+    which only the last two elements are kept.
+
+    It takes at most min(deg a, deg b) pseudo-remainders, O(d²) big-integer
+    operations in all for d = max(deg a, deg b). Each primitive remainder
+    is the primitive part of a subresultant, so its coefficients have
+    O(d·(log ‖·‖∞ + log d)) bits by Hadamard's bound, and so does every
+    operand: the fallback ends in bounded time on any input.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _trim(_prem(a, b))
+        if not r:
+            return b if b[-1] > 0 else [-x for x in b]
+        a, b = b, _primitive(r)
+    return [1]
+
+
 def _square_free(c):
     """The primitive square-free part of a trimmed nonzero c, leading
-    coefficient positive: c over its gcd with c', the last nonzero element
-    of a primitive remainder sequence (Collins 1967; Brown and Traub 1971)
-    of which only the last two elements are kept."""
+    coefficient positive: c over its gcd with c' (_gcd)."""
     c = _primitive(c)
     if c[-1] < 0:
         c = [-a for a in c]
-    f, g = c, _primitive(_trim(_derivative(c)))
-    while len(g) > 1:
-        r = _trim(_prem(f, g))
-        if not r:
-            return _exact_quotient(c, g)
-        f, g = g, _primitive(r)
-    return c
+    if len(c) < 3:
+        return c
+    g = _gcd(c, _primitive(_derivative(c)))
+    return c if len(g) == 1 else _exact_quotient(c, g)
 
 
 def _root_bound(c) -> int:

@@ -3,8 +3,10 @@
 The square-free part of a polynomial with a planted repeated factor leaves
 a gcd with the derivative that divides both and keeps the factor, the
 square-free parts along the chain of repeated gcds multiply back to the
-input up to the content, split_integer_roots finds exactly the integer
-roots planted in front of a real-rooted cofactor with none (a seeded
+input up to the content, the gcd by evaluation of two products with
+planted common factors and multiplicities is the remainder sequence's,
+split_integer_roots finds exactly the integer roots planted in front of
+a real-rooted cofactor with none (a seeded
 symmetric-matrix polynomial times rational linear factors), deflate by
 the zeros in 0..N of planted (λ - k)^m, times 1 or a seeded
 symmetric-matrix polynomial with no integer root, finds the planted
@@ -57,8 +59,10 @@ from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
     MPoly,
+    _gcd,
     _horner,
     _prescaled,
+    _remainder_gcd,
     _square_free,
     _taylor_shift,
     _tokenize,
@@ -135,6 +139,36 @@ def test_squarefree_decomposition_multiplies_back_up_to_content(factors, cofacto
         rest = _q_primitive(_q_divmod(rest, part)[0])
     sign = 1 if c[-1] > 0 else -1
     assert [sign * content(c) * x for x in product] == c
+
+
+small_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(small_factors, st.integers(0, 3), st.integers(0, 3)), max_size=3), polys, polys)
+# (λ + 4)(7 - λ) and (λ + 4)(λ + 1): at the first point, ξ = 39, the values
+# -1376 and 1720 have the gcd 344 = 9·39 - 7, whose digits 9λ - 7 divide
+# neither list, so the gcd (λ + 4) comes from the second point
+@example([([4, 1], 1, 1)], [7, -1], [1, 1])
+# (3λ + 8)(λ - 1) and -(3λ + 8)(λ² + λ + 2): at ξ = 45 the gcd 572 of the
+# values reads back as 13λ - 13, whose primitive part divides only the first
+@example([([8, 3], 1, 1)], [-1, 1], [-2, -1, -1])
+def test_heuristic_gcd_equals_the_remainder_sequence_gcd(common, cofactor_a, cofactor_b):
+    # a = ∏ f^m·cofactor_a and b = ∏ f^k·cofactor_b, each planted f at its
+    # own multiplicities (0 plants it in one list only); their gcd by
+    # evaluation (_gcd) is the remainder sequence's (_remainder_gcd), divides
+    # both and keeps every factor planted in both
+    a, b, shared = cofactor_a, cofactor_b, [1]
+    for f, m, k in common:
+        a = reduce(poly_mul, [f] * m, a)
+        b = reduce(poly_mul, [f] * k, b)
+        shared = reduce(poly_mul, [f] * min(m, k), shared)
+    a, b = _q_primitive(a), _q_primitive(b)
+    assume(len(a) > 1 and len(b) > 1)
+    g = _gcd(a, b)
+    assert g == _remainder_gcd(a, b)
+    assert g[-1] > 0 and content(g) == 1
+    assert divides(g, a) and divides(g, b) and divides(shared, g)
 
 
 def seeded_char_polys(orders, bound):

@@ -275,13 +275,12 @@ def test_the_integer_root_search_takes_only_real_rooted_input():
         integer_roots(c)
 
 
-def test_isolation_builds_one_remainder_sequence(monkeypatch):
+def test_isolation_builds_no_remainder_sequence(monkeypatch):
     # (λ - 1)²(λ + 2)(λ² - 2)²(λ² - 3): the integer roots are split off
     # before the square-free part is taken, and the rest, (λ² - 2)²(λ² - 3),
-    # is not square-free. Its gcd with its derivative comes from one
-    # remainder sequence that starts at the rest: each pseudo-remainder
-    # after the first is taken of the divisor before it, so no second
-    # sequence starts, neither on the rest nor on its square-free part
+    # is not square-free. Its gcd with its derivative, λ² - 2, is read off
+    # one evaluation point (_gcd), so no pseudo-remainder is taken, as on
+    # none of the L and Q polynomials of the benchmark's query pool
     rest = poly_mul(poly_mul([-2, 0, 1], [-2, 0, 1]), [-3, 0, 1])
     c = poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], rest))
     calls = []
@@ -292,13 +291,39 @@ def test_isolation_builds_one_remainder_sequence(monkeypatch):
         return prem(f, g)
 
     monkeypatch.setattr(polys, "_prem", counting)
-    for call in (isolate_roots, integer_roots):
-        calls.clear()
-        result = call(c)
-        assert calls[0][0] == rest
-        assert all(f == g for (_, g), (f, _) in zip(calls, calls[1:])), calls
-    assert result.residual == tuple(rest)
+    assert integer_roots(c).residual == tuple(rest)
     assert len(isolate_roots(c)) == 2 + count_roots(rest, -3, 3) == 6
+    assert isolate_lowest_root(rest) == isolate_roots(rest)[0]
+    for g in queries_pool_graphs():
+        for matrix in (laplacian(g), signless_laplacian(g)):
+            integer_roots(char_poly(matrix))
+    assert not calls
+
+
+def test_the_gcd_falls_back_to_the_remainder_sequence_when_its_tries_run_out(monkeypatch):
+    # (λ - 1)³(λ - 3)(λ + 2) and its derivative, and (λ + 4)(7 - λ) and
+    # (λ + 4)(λ + 1), have gcds that the first evaluation point does not
+    # give: the second one does, and with one try allowed the remainder
+    # sequence gives the same gcd, so the same square-free part and count
+    c = [6, -17, 14, 0, -4, 1]
+    pairs = [([28, 3, -1], [4, 5, 1]), (c, polys._primitive(polys._derivative(c)))]
+    assert polys._square_free(c) == [6, -5, -2, 1]
+    assert count_roots(c, -3, 3) == 3
+    calls = []
+    fallback = polys._remainder_gcd
+
+    def recording(a, b):
+        calls.append((a, b))
+        return fallback(a, b)
+
+    monkeypatch.setattr(polys, "_remainder_gcd", recording)
+    assert [polys._gcd(a, b) for a, b in pairs] == [[4, 1], [1, -2, 1]]
+    assert not calls
+    monkeypatch.setattr(polys, "_GCD_TRIES", 1)
+    assert [polys._gcd(a, b) for a, b in pairs] == [[4, 1], [1, -2, 1]]
+    assert polys._square_free(c) == [6, -5, -2, 1]
+    assert count_roots(c, -3, 3) == 3
+    assert len(calls) == 4
 
 
 def test_the_cell_search_scales_the_residual_once_per_eight_levels(monkeypatch):
