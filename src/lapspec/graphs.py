@@ -532,6 +532,8 @@ def from_graph6(text: str) -> Graph:
     # column j of the upper triangle is the j bits of the pairs (0, j), ...,
     # (j - 1, j), read as one int whose bit j - 1 - i is the pair (i, j)
     bits = body.translate(_GRAPH6_BITS)
+    if "1" in bits[n * (n - 1) // 2 :]:
+        raise ValueError("nonzero graph6 padding bits")
     adj = [set() for _ in range(n)]
     start = 0
     for j in range(1, n):

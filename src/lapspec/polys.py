@@ -32,12 +32,15 @@ Its rational roots are then the integer roots split_integer_roots finds.
 The square-free part is c over its gcd with c', read off the integer gcd
 of their values at one point and checked by exact division (_gcd); a
 remainder sequence takes over only when _GCD_TRIES points fail. The cells
-are the ones plain bisection from the Cauchy bound reaches, found with
+are the ones plain bisection from the Cauchy bound B reaches, found with
 fewer evaluations (see _root_cells and _refine), ascending, and merged
-with the integer roots' point intervals only when there are some. Every
-evaluation runs on coefficients pre-scaled once for a dyadic level
-(_prescaled). isolate_lowest_root refines the lowest root only and
-splits no integer root off, so a classify request searches each
+with the integer roots' point intervals only when there are some. The
+search and the refinement run on integer grid indices of r(2B·y), r the
+square-free part, and evaluate on one list, r(2B·y) pre-scaled once at
+the target level (_prescaled); only a cell past that level, which holds
+roots closer together than the precision, gets a list pre-scaled at its
+own level. isolate_lowest_root refines the lowest root only and splits
+no integer root off, so a classify request searches each
 characteristic polynomial it builds for integer roots once. No floating
 point is used anywhere in a decision path; decimal output elsewhere in
 the library is display-only rounding of the rational intervals produced
@@ -807,40 +810,43 @@ def _separation_bits(c) -> int:
 
 
 def _root_cells(rest, precision: Fraction):
-    """Isolating cells of the dyadic grid for rest, lowest root first.
+    """Isolating cells of the dyadic grid for rest, lowest root first, as
+    pairs of Fractions (lo, hi], each at most precision wide.
 
     rest is square-free with a positive leading coefficient and, as a
     precondition, only real roots. The grid is the one that bisecting
-    (-B, B], B the Cauchy bound, builds: level k has cells of width 2B/2^k,
-    kept as integer numerators lo, hi = lo + 2B over 2^k, and 0 is a grid
-    point from level 1 on. The search starts at level s, the deeper of 1
-    and the deepest level whose two cells next to 0 still cover (lo, hi),
-    the range _real_root_range gives, which holds every root, and no
-    deeper than the target level, the first whose cells are at most
-    precision wide; so every root's cell is the one plain bisection from
-    (-B, B] reaches. Cells holding several roots are halved, the lower
-    half first. Yields (scaled, lo, hi, k, level, f_lo, f_hi) for each
-    cell holding one root: scaled is rest pre-scaled at the target level,
-    level how deep the refinement must go (the target level, or k when the
-    cell is that narrow already), and f_lo, f_hi the values
-    2^(target·d)·rest at the cell's ends, d the degree, or None when level
-    is k.
+    (-B, B], B the Cauchy bound, builds, kept on unit = rest(2B·y), whose
+    roots lie in (-1/2, 1/2]: a cell of level k >= 1 is one integer j,
+    standing for (j / 2^k, (j + 1) / 2^k], which is (j·2B / 2^k, (j + 1)·2B
+    / 2^k] for rest. The search starts at level s, the deeper of 1 and the
+    deepest level whose two cells next to 0 still cover (lo, hi), the range
+    _real_root_range gives, which holds every root, and no deeper than the
+    target level, the first whose cells are at most precision wide, unless
+    that is level 0; so every root's cell is the one plain bisection from
+    (-B, B] reaches. Only a degree-1 rest at target level 0 yields (-B, B]
+    itself. Cells holding several roots are halved, the lower half first;
+    each cell holding one root is refined to the target level by _refine,
+    when it is drawn.
 
-    A cell holds var(lo) - var(hi) roots, var(x) the sign variations of the
-    coefficients of rest(x + y) in y, which count the roots above x
-    (Budan–Fourier; exact, every root being real). A point mid / 2^k is
-    evaluated on rest pre-scaled at level t, k rounded up to a multiple of
-    8 and not past the target level unless k is, built once per t: its
-    value is one Horner pass, shifted to the target level below it, and
-    var the variations of the list's integer Taylor shift to mid·2^(t - k).
-    The outer start ends lie beyond every root of rest and, by Gauss–Lucas,
-    of its derivatives, so var is d at the lower one and 0 at the upper
-    one; at 0 it is the variations of rest's coefficients. A midpoint at or
-    below _real_root_range's lo has var d, and one at or above its hi var
-    0, with no evaluation. In a cell holding two roots rest's value alone
-    is taken at the midpoint first: when its sign differs from rest's at
-    the lower end (neither being 0), each half holds one root, and no
-    Taylor shift is made.
+    Every evaluation at a level k up to the target runs on one list, unit
+    pre-scaled at the target level (_prescaled), at the point j·2^(target -
+    k): its value there, one Horner pass, is 2^(target·d)·rest at the cell
+    end, d the degree, and the variations of its integer Taylor shift to
+    that point are var(j / 2^k), the sign variations of the coefficients of
+    unit(j / 2^k + y) in y, which count the roots above the point
+    (Budan–Fourier; exact, every root being real). Cell j holds var(j /
+    2^k) - var((j + 1) / 2^k) roots. A cell past the target level holds two
+    or more roots
+    closer together than the precision; only there is unit pre-scaled at
+    the cell's own level, once per level. The outer start ends lie beyond
+    every root of rest and, by Gauss–Lucas, of its derivatives, so var is d
+    at the lower one and 0 at the upper one; at 0 it is the variations of
+    rest's coefficients. A midpoint at or below _real_root_range's lo has
+    var d, and one at or above its hi var 0, with no evaluation. In a cell
+    holding two roots unit's value alone is taken at the midpoint first:
+    when its sign differs from unit's at the lower end (neither being 0),
+    each half holds one root, and no Taylor shift is made. A cell holding
+    one root hands _refine the values at both its ends.
 
     Any other rest ends in a ValueError or in cells that each show a root.
     A cell not counted 0 or 1 that is narrower than 2^-b, b from
@@ -856,100 +862,91 @@ def _root_cells(rest, precision: Fraction):
     width = 2 * bound
     q = -(-width * precision.denominator // precision.numerator)
     target = (q - 1).bit_length()  # least level with width / 2^level <= precision
-    s = min(max(1, (width // max(-low, high)).bit_length() - 1), target)
+    if d == 1 and not target:
+        yield Fraction(-bound), Fraction(bound)
+        return
+    s = max(1, min((width // max(-low, high)).bit_length() - 1, target))
     deepest = width.bit_length() + _separation_bits(rest)  # cells narrower than any two roots are apart
     neg_positive = d % 2 == 0  # the sign of rest below every root
-    top = _prescaled(rest, target)
-    scaled = {target: top}  # t -> rest pre-scaled at level t
+    unit = [a * width**i for i, a in enumerate(rest)]
+    top = _prescaled(unit, target)
+    beyond = {}  # k -> unit pre-scaled at level k, past the target level
 
-    def at(x, k):  # rest pre-scaled at level t, x / 2^k on it, the shift to the target level
-        t = -(-k // 8) * 8
+    def at(j, k):  # the list and the point that evaluate unit at j / 2^k
         if k <= target:
-            t = min(t, target)
-        if t not in scaled:
-            scaled[t] = _prescaled(rest, t)
-        return scaled[t], x << t - k, max(0, target - t) * d
+            return top, j << target - k
+        if k not in beyond:
+            beyond[k] = _prescaled(unit, k)
+        return beyond[k], j
 
-    def value(x, k):
-        lists, point, shift = at(x, k)
-        return _horner(lists, point) << shift
-
-    # (lo, hi, k, roots in (lo/2^k, hi/2^k], var at lo/2^k, the values
-    # 2^(target·d)·rest at lo/2^k and hi/2^k or None)
-    if s == 0:
-        work = [(-bound, bound, 0, d, d, None, None)]
-    else:
-        v_zero = _variations(rest)
-        f_zero = rest[0] << target * d
-        work = [
-            (0, width, s, v_zero, v_zero, f_zero, None),
-            (-width, 0, s, d - v_zero, d, None, f_zero),
-        ]
+    # (j, k, roots in cell j of level k, var at its lower end, the values at
+    # its ends or None)
+    v_zero = _variations(rest)
+    f_zero = rest[0] << target * d
+    work = [(0, s, v_zero, v_zero, f_zero, None), (-1, s, d - v_zero, d, None, f_zero)]
     while work:
-        lo, hi, k, count, v_lo, f_lo, f_hi = work.pop()
+        j, k, count, v_lo, f_lo, f_hi = work.pop()
         if count == 1:
-            f_lo = value(lo, k) if f_lo is None else f_lo
-            f_hi = value(hi, k) if f_hi is None else f_hi
-            above = f_lo or _taylor_shift(*at(lo, k)[:2])[-2]  # rest's sign just above lo
+            f_lo = _horner(*at(j, k)) if f_lo is None else f_lo
+            f_hi = _horner(*at(j + 1, k)) if f_hi is None else f_hi
+            above = f_lo or _taylor_shift(*at(j, k))[-2]  # rest's sign just above the lower end
             if f_hi and (f_hi > 0) == (above > 0):
                 raise ValueError("the polynomial is not real-rooted")
-            yield (top, lo, hi, k, target, f_lo, f_hi) if k < target else (top, lo, hi, k, k, None, None)
+            lo, hi = _refine(top, j, k, target, f_lo, f_hi) if k < target else (j, j + 1)
+            level = max(k, target)
+            yield Fraction(lo * width, 1 << level), Fraction(hi * width, 1 << level)
             continue
         if not count:
             continue
         if k >= deepest:
             raise ValueError("the polynomial is not real-rooted")
-        lo, hi, k = lo << 1, hi << 1, k + 1
-        mid = (lo + hi) >> 1
-        if mid <= low << k:
+        j, k = j << 1, k + 1
+        mid = j + 1
+        if mid * width <= low << k:
             v_mid, f_mid = d, None
-        elif mid >= high << k:
+        elif mid * width >= high << k:
             v_mid, f_mid = 0, None
         else:
-            lists, point, shift = at(mid, k)
+            scaled, point = at(mid, k)
             if count == 2:
-                f_mid = _horner(lists, point) << shift
+                f_mid = _horner(scaled, point)
                 lo_positive = neg_positive if f_lo is None else f_lo > 0
                 if f_mid and f_lo != 0 and (f_mid > 0) != lo_positive:
-                    work.append((mid, hi, k, 1, None, f_mid, f_hi))
-                    work.append((lo, mid, k, 1, v_lo, f_lo, f_mid))
+                    work.append((mid, k, 1, None, f_mid, f_hi))
+                    work.append((j, k, 1, v_lo, f_lo, f_mid))
                     continue
-            shifted = _taylor_shift(lists, point)
-            f_mid, v_mid = shifted[-1] << shift, _variations(shifted)
-        work.append((mid, hi, k, count - (v_lo - v_mid), v_mid, f_mid, f_hi))
-        work.append((lo, mid, k, v_lo - v_mid, v_lo, f_lo, f_mid))
+            shifted = _taylor_shift(scaled, point)
+            f_mid, v_mid = shifted[-1], _variations(shifted)
+        work.append((mid, k, count - (v_lo - v_mid), v_mid, f_mid, f_hi))
+        work.append((j, k, v_lo - v_mid, v_lo, f_lo, f_mid))
 
 
-def _refine(scaled, lo, hi, k, target, w_lo, w_hi):
-    """The cell at level target of the dyadic grid inside (lo, hi] over 2^k
-    that holds the one root there of c, given as scaled, c pre-scaled at
-    level target, as a pair of Fractions; w_lo and w_hi are
-    2^(target·d)·c at the ends, d the degree.
+def _refine(scaled, j, k, target, w_lo, w_hi):
+    """The grid indices L, H = L + 1 of the cell at level target inside
+    cell j of level k < target that holds the one root there of c, given as
+    scaled, c pre-scaled at level target; w_lo and w_hi are the values of
+    scaled at the ends, 2^(target·d)·c there, d the degree.
 
-    At levels k >= 1 every grid point's numerator is a multiple of the cell
-    width 2B, so the search runs on target-level grid indices, numerator /
-    2B: the bracket (L, H] starts as the cell's 2^(target - k) target
-    cells, and each step evaluates 2^(target·d)·c at one index x strictly
-    inside it, one Horner pass on scaled, and keeps the half-open part that
-    holds the root. The root may lie on a grid point: a value 0 at H or at
-    x makes that point the root, and the cell just below it is returned. L
-    may be a root as well, one outside the bracket, so the sign c has
-    between L and the root is read from H's value, whose opposite it is.
-    The step is an Illinois regula-falsi step (Dowell & Jarratt, 1971): x
-    is the chord's zero through the ends' weights, rounded down and clamped
-    to L + 1..H - 1, a weight being the end's value, halved each time the
-    other end is replaced twice in a row. A bisection step replaces it
-    whenever the bracket is not at most half as wide as it was three steps
-    before. So every four steps at least halve the bracket, and a root
-    costs at most 4·(target - k) evaluations. The weights only choose x;
-    the bracket is kept by exact signs, so the cell returned is the grid
-    cell that holds the root, the one bisection reaches.
+    The bracket (L, H] starts as the cell's 2^(target - k) target cells,
+    j·2^(target - k) to (j + 1)·2^(target - k), and each step evaluates
+    scaled at one index x strictly inside it, one Horner pass, and keeps
+    the half-open part that holds the root. The root may lie on a grid
+    point: a value 0 at H or at x makes that point the root, and the cell
+    just below it is returned. L may be a root as well, one outside the
+    bracket, so the sign c has between L and the root is read from H's
+    value, whose opposite it is. The step is an Illinois regula-falsi step
+    (Dowell & Jarratt, 1971): x is the chord's zero through the ends'
+    weights, rounded down and clamped to L + 1..H - 1, a weight being the
+    end's value, halved each time the other end is replaced twice in a
+    row. A bisection step replaces it whenever the bracket is not at most
+    half as wide as it was three steps before. So every four steps at least
+    halve the bracket, and a root costs at most 4·(target - k) evaluations.
+    The weights only choose x; the bracket is kept by exact signs, so the
+    cell returned is the grid cell that holds the root, the one bisection
+    reaches.
     """
-    if k >= target:
-        return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
-    width = hi - lo
     shift = target - k
-    L, H = lo // width << shift, hi // width << shift
+    L, H = j << shift, j + 1 << shift
     if not w_hi:  # the root is H
         L = H - 1
     positive = w_hi < 0  # the sign between L and the root
@@ -967,7 +964,7 @@ def _refine(scaled, lo, hi, k, target, w_lo, w_hi):
             elif x >= H:
                 x = H - 1
         w3, w2, w1 = w2, w1, H - L
-        f_x = _horner(scaled, x * width)
+        f_x = _horner(scaled, x)
         if not f_x:  # the root is x
             L, H = x - 1, x
         elif (f_x > 0) == positive:
@@ -980,24 +977,22 @@ def _refine(scaled, lo, hi, k, target, w_lo, w_hi):
             if last > 0:
                 w_lo >>= 1
             last = 1
-    return Fraction(L * width, 1 << target), Fraction(H * width, 1 << target)
+    return L, H
 
 
 def _cells(c, precision: Fraction):
     """An iterator of isolating cells of the distinct roots of a trimmed
     nonzero real-rooted c, ascending, each refined only when it is drawn;
     ValueError unless c's primitive part is monic, and on a c that is not
-    real-rooted once the cell search finds it out. The cells are those of
-    _root_cells on c's square-free part (_square_free), refined by _refine
-    from the target-level list and end values the cell search hands over.
-    A root that lies on a grid point, such as an integer root, gets the
-    cell (x - w, x] below it that bisection reaches, not a point interval.
+    real-rooted once the cell search finds it out. The cells are those
+    _root_cells yields for c's square-free part (_square_free). A root that
+    lies on a grid point, such as an integer root, gets the cell (x - w, x]
+    below it that bisection reaches, not a point interval.
     """
     sf = _square_free(c)
     if sf[-1] != 1:
         raise ValueError("the polynomial's leading coefficient does not divide its content")
-    cells = _root_cells(sf, precision) if len(sf) > 1 else ()
-    return (_refine(*cell) for cell in cells)
+    return _root_cells(sf, precision) if len(sf) > 1 else iter(())
 
 
 # -- public operations ----------------------------------------------------

@@ -167,15 +167,12 @@ def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECIS
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision
     lo, hi = isolate_lowest_root(residual, prec)
-    if int_min is not None:
-        # The residual has no integer roots, so a finer precision separates them.
-        while lo < int_min < hi:
-            prec = prec / 2
-            lo, hi = isolate_lowest_root(residual, prec)
-        if int_min <= lo:
-            return SpectralValue(is_integer=True, value=int_min)
-    while lo < 0:
-        # Connected graph: the root is strictly positive, so tighten.
+    # Halve the precision until the cell lies in [0, ∞) and not across
+    # int_min: the graph is connected, so the root is positive, and the
+    # residual has no integer root, so a finer cell separates the two.
+    while lo < 0 or int_min is not None and lo < int_min < hi:
         prec = prec / 2
         lo, hi = isolate_lowest_root(residual, prec)
+    if int_min is not None and int_min <= lo:
+        return SpectralValue(is_integer=True, value=int_min)
     return SpectralValue(is_integer=False, lo=lo, hi=hi)

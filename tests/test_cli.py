@@ -288,6 +288,8 @@ def test_bad_input_exits_with_usage_error(capsys, tmp_path):
     for argv in (
         ["spectrum", "--file", str(tmp_path / "missing.txt")],
         ["spectrum", "--g6", "D?{", "--precision", "1/0"],
+        ["spectrum", "--g6", "D?|"],
+        ["classify", "--g6", "D?~"],
         ["verify-theorem", "--min", "9", "--max", "9", "--jobs", "0"],
     ):
         code, out, err = run(capsys, *argv)

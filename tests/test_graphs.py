@@ -332,6 +332,11 @@ def test_graph6_codec():
     assert from_graph6(">>graph6<<D?{").n == 5
     with pytest.raises(ValueError):
         from_graph6("D?")  # truncated body
+    # the last character's two padding bits must be 0: D?| and D?~ would
+    # decode to the star D?{ stands for
+    for text in ("D?|", "D?~", "D?}", ">>graph6<<D?|"):
+        with pytest.raises(ValueError, match="padding"):
+            from_graph6(text)
 
 
 def test_adjacency_text():

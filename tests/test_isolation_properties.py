@@ -29,10 +29,10 @@ the precision of an integer root or equals it.
 The cell search's shortcuts: the real-root range is strict on products
 of distinct rational linear factors, degree 2 included, where
 Samuelson's inequality is tight; and every cell the search yields holds
-one root, by the Sturm oracle, with the end values it hands to the
-refinement the polynomial's scaled values at its ends at the target
-level, and none handed for a cell already at least as narrow as the
-precision. The examples are derandomized, so every run draws the same
+one root, by the Sturm oracle, and is at most precision wide; only a
+cell wider than the precision is handed to the refinement, with
+rest(2B·y) pre-scaled at the target level and that list's values at the
+cell's ends. The examples are derandomized, so every run draws the same
 ones.
 """
 
@@ -47,8 +47,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lapspec.matrices import IntMatrix, char_poly  # noqa: E402
+from lapspec import polys  # noqa: E402
 from lapspec.polys import (  # noqa: E402
+    _prescaled,
     _real_root_range,
+    _root_bound,
     _root_cells,
     _square_free,
     count_roots,
@@ -282,11 +285,25 @@ def test_end_values_handed_to_the_refinement_are_the_values_at_the_ends(c, preci
     if len(rest) < 2:
         return
     d = len(rest) - 1
-    for _, lo, hi, k, target, f_lo, f_hi in _root_cells(rest, precision):
-        assert sturm_count_oracle(rest, Fraction(lo, 1 << k), Fraction(hi, 1 << k)) == 1
-        if k >= target:  # nothing to refine, nothing handed over
-            assert f_lo is None and f_hi is None
-            continue
-        for end, value in ((lo, f_lo), (hi, f_hi)):
+    width = 2 * _root_bound(rest)
+    unit = [a * width**i for i, a in enumerate(rest)]  # rest(2B·y)
+    handed, _refine = [], polys._refine
+
+    def refine(scaled, j, k, target, w_lo, w_hi):
+        handed.append((scaled, j, k, target, w_lo, w_hi))
+        return _refine(scaled, j, k, target, w_lo, w_hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_refine", refine)
+        cells = list(_root_cells(rest, precision))
+    assert len(cells) == d and len(handed) <= d
+    for lo, hi in cells:
+        assert hi - lo <= precision and sturm_count_oracle(rest, lo, hi) == 1
+    for scaled, j, k, target, w_lo, w_hi in handed:
+        # only a cell wider than the precision is refined, on rest(2B·y)
+        # pre-scaled at the target level
+        assert k < target and scaled == _prescaled(unit, target)
+        assert sturm_count_oracle(rest, Fraction(j * width, 1 << k), Fraction((j + 1) * width, 1 << k)) == 1
+        for end, value in ((j, w_lo), (j + 1, w_hi)):
             x = end << (target - k)
-            assert value == sum(a * x**i << target * (d - i) for i, a in enumerate(rest))
+            assert value == sum(a * x**i << target * (d - i) for i, a in enumerate(unit))

@@ -326,12 +326,12 @@ def test_the_gcd_falls_back_to_the_remainder_sequence_when_its_tries_run_out(mon
     assert len(calls) == 4
 
 
-def test_the_cell_search_scales_the_residual_once_per_eight_levels(monkeypatch):
+def test_the_cell_search_scales_the_residual_once_at_the_target_level_and_once_per_level_past_it(monkeypatch):
     # the close pair of λ⁴ − 2(2^20·λ − 1)², about 2^-59 apart, is split
-    # some 15 levels past the target level 44 of precision 1/2; there, as
-    # above it, the residual is scaled at multiples of 8 only, and once per
-    # level (at the target level once, for the cell search and the
-    # refinement)
+    # 18 levels past the target level 44 of precision 1/2: rest(2B·y) is
+    # pre-scaled once at the target level, for the cell search and the
+    # refinement, and once at each of the levels 45..62 past it, and at no
+    # level below the target
     a = 1 << 20
     c = [-2, 4 * a, -2 * a * a, 0, 1]
     calls = []
@@ -343,9 +343,8 @@ def test_the_cell_search_scales_the_residual_once_per_eight_levels(monkeypatch):
 
     monkeypatch.setattr(polys, "_prescaled", counting)
     assert len(isolate_roots(c, Fraction(1, 2))) == 4
-    levels = sorted({level for _, level in calls})
-    assert levels == [24, 32, 40, 44, 48, 56, 64]
-    assert len(calls) == len(set(calls))
+    assert sorted(level for _, level in calls) == list(range(44, 63))
+    assert len({p for p, _ in calls}) == 1
 
 
 def test_isolation_equals_sturm_bisection():
@@ -363,28 +362,28 @@ def test_isolation_equals_sturm_bisection():
 
 def _refinement_evaluations(monkeypatch, c, precision):
     """isolate_roots(c, precision), and (evaluations, 4·(target - k)) for
-    each root _refine refines meanwhile; asserts that every point a
+    each root _refine refines meanwhile; asserts that every grid index a
     refinement evaluates is new and strictly inside its cell (the cell
     search hands over both end values), and stops a refinement that
     exceeds the bound."""
     horner, refine = polys._horner, polys._refine
     per_root = []
-    current = None  # (cell ends, points so far, bound, target)
+    current = None  # (cell ends as target-level indices, points so far, bound)
 
     def counting_value(scaled, point):
         if current is not None:
-            ends, seen, bound, target = current
-            x = Fraction(point, 1 << target)
-            assert x not in seen, "a point evaluated twice"
-            assert ends[0] < x < ends[1], "a point outside the cell"
-            seen.append(x)
+            ends, seen, bound = current
+            assert point not in seen, "a point evaluated twice"
+            assert ends[0] < point < ends[1], "a point outside the cell"
+            seen.append(point)
             assert len(seen) <= bound, "the refinement exceeds its bound"
         return horner(scaled, point)
 
-    def counting_refine(scaled, lo, hi, k, target, w_lo, w_hi):
+    def counting_refine(scaled, j, k, target, w_lo, w_hi):
         nonlocal current
-        current = ((Fraction(lo, 1 << k), Fraction(hi, 1 << k)), [], 4 * (target - k), target)
-        out = refine(scaled, lo, hi, k, target, w_lo, w_hi)
+        shift = target - k
+        current = ((j << shift, j + 1 << shift), [], 4 * shift)
+        out = refine(scaled, j, k, target, w_lo, w_hi)
         per_root.append((len(current[1]), current[2]))
         current = None
         return out
@@ -560,6 +559,22 @@ def test_a_root_on_a_grid_point_gets_the_bisection_cell():
     for c in cases:
         for precision in (polys.DEFAULT_PRECISION, Fraction(1, 3), Fraction(1), Fraction(5)):
             assert list(_cells(c, precision)) == _bisection_cells(c, precision), (c, precision)
+
+
+def test_a_cell_as_wide_as_the_start_interval_is_kept_at_level_zero():
+    # at a precision of at least 2B the target level is 0: a degree-1
+    # residual keeps the whole start interval (-B, B], and a quadratic's
+    # roots get the level-1 cells bisection reaches, on both sides of 0 or
+    # on one
+    assert isolate_lowest_root([-3, 1], 8) == (-4, 4)
+    assert list(_cells([-3, 1], 8)) == _bisection_cells([-3, 1], 8) == [(-4, 4)]
+    for c, precision, cells in (
+        ([-2, 0, 1], 6, [(-3, 0), (0, 3)]),
+        ([-2, 0, 1], 1000, [(-3, 0), (0, 3)]),
+        ([5, -5, 1], 12, [(0, 3), (3, 6)]),
+    ):
+        assert isolate_roots(c, precision) == _bisection_cells(c, precision) == cells
+        assert isolate_lowest_root(c, precision) == cells[0]
 
 
 def test_precision_must_be_positive_everywhere():

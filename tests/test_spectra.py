@@ -8,6 +8,7 @@ import pytest
 from lapspec import (
     FamilyConfig,
     Graph,
+    SpectralValue,
     algebraic_connectivity,
     char_poly,
     complete,
@@ -18,6 +19,7 @@ from lapspec import (
     disjoint_union,
     empty_graph,
     firefly,
+    from_graph6,
     is_L_integral,
     is_Q_integral,
     is_connected,
@@ -32,6 +34,7 @@ from lapspec import (
     to_graph6,
     vertex_connectivity,
 )
+from lapspec import spectra
 from oracle_helpers import (
     _interlaces,
     edge_interlacing_check,
@@ -189,6 +192,26 @@ def test_algebraic_connectivity():
     assert a.is_integer and a.value == 0
     with pytest.raises(ValueError):
         algebraic_connectivity(complete(1))
+
+
+def test_algebraic_connectivity_halves_a_precision_whose_cell_reaches_across_an_integer_root(monkeypatch):
+    # at precision 8 the lowest residual cell of P4 (Cp: 2 - √2 beside the
+    # integer root 2) and of EuHG (3 - √2 beside 1) reaches across the
+    # lowest nonzero integer root; each halving isolates the root again,
+    # until the cell lies on one side of it
+    calls = []
+    isolate = spectra.isolate_lowest_root
+
+    def counting(c, precision):
+        calls.append(precision)
+        return isolate(c, precision)
+
+    monkeypatch.setattr(spectra, "isolate_lowest_root", counting)
+    a = algebraic_connectivity(from_graph6("Cp"), Fraction(8))
+    assert a == SpectralValue(is_integer=False, lo=Fraction(0), hi=Fraction(5, 4)) and calls == [8, 4, 2]
+    calls.clear()
+    a = algebraic_connectivity(from_graph6("EuHG"), Fraction(8))
+    assert a == SpectralValue(is_integer=True, value=1) and calls == [8, 4, 2, 1]
 
 
 def test_kirkland_examples():
