@@ -14,20 +14,19 @@ texts with one compiled tokenizer pattern, and a printed polynomial is
 split by λ-degree only when it differs from the computed one. Two
 misprints are pre-registered; everything else must diff empty.
 
-The printed sign claims are checked exactly on the parameter grid
-(verify_sign_claims) by one search, polys.sign_exceptions, which yields
-the grid points where a polynomial's sign is not an allowed one. Each
-claim's polynomial in the parameters is first shifted to the grid floor,
-the least value of each parameter on the grid. Every grid point lies in
-the orthant above that corner, so a shift whose coefficients all have one
-sign, with a nonzero constant term, proves that sign at every grid point
-at any cap (Collins & Akritas, 1976). Where the shift has mixed signs, the
-orthant is split along its first parameter v into v = floor and
-v >= floor + 1, and each part is certified the same way, down to single
-points, which are constants; parts and points that hold no grid point
-(above the grid's top, below min_param_total or excluded) drop out. The
-split settles every claim row of the catalog, and a misprinted claim's
-failures are the points it decides against, so no grid is walked.
+The printed sign claims and root bracket are checked exactly on the
+parameter grid (verify_sign_claims) by polys.sign_exceptions, which yields
+the grid points where a verdict on some polynomials' signs fails. Each
+polynomial in the parameters is shifted to the grid floor, the least value
+of each parameter on the grid; every grid point lies in the orthant above
+it, so a shift whose coefficients all have one sign, with a nonzero
+constant term, proves that sign at every grid point at any cap (Collins &
+Akritas, 1976). Where a sign the verdict needs is uncertified, the orthant
+is split along its first parameter v into v = floor and v >= floor + 1,
+down to single points, which are constants; parts and points that hold no
+grid point (above the grid's top, below min_param_total or excluded) drop
+out. A claim's verdict is its row's sign, the bracket's a Budan–Fourier
+count on its ends' Taylor rows (polys.root_inside): no grid is walked.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product, zip_longest
+from math import comb
 
 from .graphs import FamilyConfig, quotient_cells, realize
 from .matrices import IntMatrix, char_poly, links_table, quotient_values, side_table, two_hub_coupling
@@ -45,12 +45,11 @@ from .partitions import quotient_matrix
 from .polys import (
     LAMBDA,
     MPoly,
-    count_roots,
-    divide_root,
     divides,
     grid_interpolate,
     interpolate,
     parse_poly,
+    root_inside,
     sign_exceptions,
     split_integer_roots,
 )
@@ -64,10 +63,9 @@ MATRIX_TYPO_LEDGER = {"4.6-c2.1": {(0, 0), (1, 1)}}  # hub diagonal printed s+1
 SIGN_VALUE_TYPO_LEDGER = {("4.7-c2.1", Fraction(1))}
 
 GRID_CAP_DEFAULT = 20
-#: The largest grid cap the CLI accepts: a root bracket whose ends' signs
-#: do not settle it takes a root count at up to cap² points (an end that is
-#: a root at every point is divided out first). The catalog's claims all
-#: settle, and `families --case all` at this cap takes about 0.1 s.
+#: The largest grid cap the CLI accepts, an input bound: each check is one
+#: split search, bounded by the grid. The catalog's claims all settle on
+#: the whole orthant; `families --case all` at this cap takes about 0.1 s.
 GRID_CAP_MAX = 500
 
 
@@ -375,14 +373,14 @@ def _box_size(case: PropositionCase, ranges) -> int:
     return count
 
 
-def _row(coeffs, q: Fraction, params) -> MPoly:
-    """r^d · f(p/r) for q = p/r, a polynomial in params with the sign of f
-    at q, f having the ascending λ-coefficients coeffs (polynomials in
-    params) and degree d; the sum is taken on one term dict."""
+def _row(coeffs, q: Fraction, params, m: int = 0) -> MPoly:
+    """The y^m coefficient Σ_k f_k·C(k, m)·p^(k-m)·r^(d-k) of r^d·f((p + y)/r)
+    for q = p/r, f having the ascending λ-coefficients coeffs (polynomials
+    in params) and degree d; at m = 0, r^d·f(q), with the sign of f at q."""
     d = len(coeffs) - 1
     terms = {}
-    for k, f in enumerate(coeffs):
-        scale = q.numerator**k * q.denominator ** (d - k)
+    for k, f in enumerate(coeffs[m:], m):
+        scale = comb(k, m) * q.numerator ** (k - m) * q.denominator ** (d - k)
         for exps, c in f.terms.items():
             terms[exps] = terms.get(exps, 0) + c * scale
     return MPoly(params, terms)
@@ -404,7 +402,7 @@ def verify_sign_claims(
     shifts and split along its first free parameter down to single points
     where they do not certify (see the module docstring), with the parts and
     points that hold no grid point dropped (_box_size). It yields, in grid
-    order, the points at which a polynomial's sign is not an allowed one, so
+    order, the points at which a verdict on the certified signs fails, so
     no grid is walked, and each failure list holds the first five points of
     its searches:
 
@@ -412,17 +410,12 @@ def verify_sign_claims(
       value read there with MPoly.eval_at;
     - a printed value fails where r^d times it differs from its point's
       row, unless their difference is the zero polynomial;
-    - an end e whose row is the zero polynomial is a root at every grid
-      point, and an integer, f being monic in λ: (λ - e) is divided out of
-      f (divide_root) until neither end's row is zero. The cofactor has
-      f's roots strictly inside the interval, and its rows at lo and hi
-      stand for f's below;
-    - unless the rows at lo and hi have opposite signs at every grid point,
-      each point where their product is not negative is decided by
-      count_roots on the λ-coefficients, exact because f is the
-      characteristic polynomial of an equitable quotient, whose roots are
-      the Laplacian's and so all real: a root strictly inside the
-      interval.
+    - the root check is settled where the rows at lo and hi have opposite
+      signs at every grid point; elsewhere one search takes the d + 1 rows
+      of each end q = p/r, the y-coefficients of r^d · f((p + y)/r) (_row),
+      and polys.root_inside decides from their signs whether a root lies
+      strictly inside, exact as f, an equitable quotient's characteristic
+      polynomial, has the Laplacian's roots, all real (Budan–Fourier).
 
     A row's search for a sign serves both its claim and the root check.
     Every claim row of the catalog settles at every cap, so no search yields
@@ -440,13 +433,16 @@ def verify_sign_claims(
     def holds(box):
         return _box_size(case, box) > 0
 
-    def exceptions(row, signs):  # the grid points where row's sign is not in signs
-        for point in sign_exceptions(row, ranges, signs, holds):
+    def exceptions(polys, verdict):  # the grid points where verdict on polys' signs fails
+        for point in sign_exceptions(polys, ranges, verdict, holds):
             yield dict(zip(case.params, point))
+
+    def is_sign(sign):  # the verdict that one polynomial has that sign
+        return lambda signs: None if signs[0] is None else signs[0] == sign
 
     @lru_cache(maxsize=None)
     def misses(i, sign):  # the first five grid points where row i has not that sign
-        return list(islice(exceptions(rows[i], {sign}), 5))
+        return list(islice(exceptions([rows[i]], is_sign(sign)), 5))
 
     # (point, claim index, failure): each claim's first five, merged in
     # grid order, then claim order, as the point-by-point check lists them
@@ -461,23 +457,14 @@ def verify_sign_claims(
         if claim.printed_value is not None and (case_id, claim.point) not in SIGN_VALUE_TYPO_LEDGER:
             difference = parse_poly(claim.printed_value, variables=case.params) * scale - rows[i]
             if difference:
-                for at in islice(exceptions(difference, {0}), 5):
+                for at in islice(exceptions([difference], is_sign(0)), 5):
                     identity_failures.append((at, index, {"point": at, "at": str(claim.point)}))
     row_lo, row_hi = points.index(lo), points.index(hi)
-    cofactor = coeffs  # f with each end that is a root at every grid point divided out
-    while not (rows[row_lo] and rows[row_hi]):
-        # f is monic in λ, so a rational root of f at every point is an integer
-        cofactor = divide_root(cofactor, (lo if not rows[row_lo] else hi).numerator)
-        row_lo, row_hi = len(rows), len(rows) + 1
-        rows += [_row(cofactor, lo, case.params), _row(cofactor, hi, case.params)]
     root_failures = []
     if not any(not misses(row_lo, sign) and not misses(row_hi, -sign) for sign in (1, -1)):
-        for at in exceptions(rows[row_lo] * rows[row_hi], {-1}):
-            inside = count_roots([f.eval_at(at) for f in cofactor], lo, hi)
-            if inside - (rows[row_hi].eval_at(at) == 0) < 1:  # a root at hi is not inside
-                root_failures.append({"point": at})
-                if len(root_failures) == 5:
-                    break
+        ends = [_row(coeffs, q, case.params, m) for q in (lo, hi) for m in range(d + 1)]
+        inside = exceptions(ends, lambda signs: root_inside(signs[: d + 1], signs[d + 1 :]))
+        root_failures = [{"point": at} for at in islice(inside, 5)]
 
     def first_five(failures):
         failures.sort(key=lambda f: (tuple(f[0].values()), f[1]))

@@ -7,7 +7,7 @@ and parse_poly compute on the same term-dict sum, negation, product and
 power, and taylor_shift on the term-dict binomial expansion, from which
 sign_above certifies one sign of a polynomial at every point above a
 corner, and sign_exceptions finds, by splitting where that fails, the
-points of a grid at which a polynomial's sign is not an allowed one.
+points of a grid at which a verdict (such as root_inside) on signs fails.
 Every single-graph decision works on ascending integer coefficient lists
 in one univariate kernel: the gcd of two primitive lists by evaluation at
 one integer (the heuristic gcd, with a primitive remainder sequence as its
@@ -437,50 +437,61 @@ def sign_above(poly: MPoly, floors) -> int:
     return 0
 
 
-def sign_exceptions(poly: MPoly, ranges, signs, holds):
-    """The points of a grid at which poly's sign (1, -1, or 0 where it
-    vanishes) is not in `signs`, each a tuple of ints in poly.vars order,
-    in lexicographic order. The grid is the integer points of the box
-    `ranges` (one range per variable, in poly.vars order) that it keeps:
-    holds(box) tells whether a sub-box, given the same way, keeps a grid
-    point.
+def sign_exceptions(polys, ranges, verdict, holds):
+    """The points of a grid at which verdict fails on the signs of polys,
+    MPolys over one variable tuple, each point a tuple of ints in that
+    order, in lexicographic order. The grid is the integer points of the
+    box `ranges` (one range per variable) that it keeps: holds(box) tells
+    whether a sub-box, given the same way, keeps a grid point.
 
     The search starts with the whole orthant above the box's floor, the
-    least value of each variable, and certifies each part with sign_above
-    at the part's floor (Collins & Akritas, 1976); a zero part has sign 0.
-    A part whose sign is certified is settled when the sign is in `signs`,
-    and otherwise every grid point in it is an exception. A part that
-    certifies nothing and holds a grid point is split along its first free
-    variable v into v = floor, substituted, and v >= floor + 1; a part
-    whose floor is above the box's top holds no grid point and is dropped.
-    A part with every variable substituted is a constant, so the split
-    decides every grid point exactly. It ends because each split fixes a
-    variable or raises a floor towards the box's top: the box bounds the
-    number of parts. The v = floor part is searched first, so the parts,
-    and the points, come in lexicographic order.
+    least value of each variable. On each part, each polynomial's sign is
+    certified with sign_above at the part's floor (Collins & Akritas, 1976):
+    1 or -1, 0 for the zero polynomial, None when uncertified. verdict on
+    that list settles the part (True), fails its every grid point (False),
+    or asks for a split (None, never when no sign is None) along the first
+    free variable v, if the part holds a grid point, into v = floor,
+    substituted, and v >= floor + 1; a part whose floor is above the box's
+    top holds no grid point and is dropped. A part with every variable
+    substituted is constants, so the split decides every grid point
+    exactly. It ends because each split fixes a variable or raises a floor
+    towards the box's top: the box bounds the number of parts. The v = floor
+    part is searched first, so the points come in lexicographic order.
     """
-    n = len(poly.vars)
-    # (the part's polynomial in its free variables, which are poly.vars[k:]
-    # with the first k fixed at their floors, and the floor of each variable)
-    work = [(poly, [r.start for r in ranges])]
+    # (the part's polynomials in their free variables, all but the first k,
+    # which are fixed at their floors, and the floor of each variable)
+    work = [(list(polys), [r.start for r in ranges])]
     while work:
         part, floors = work.pop()
-        k = n - len(part.vars)
-        part_sign = sign_above(part, dict(zip(part.vars, floors[k:])))
-        certified = part_sign or not part
-        if certified and part_sign in signs:
+        free = part[0].vars
+        k = len(ranges) - len(free)
+        settled = verdict([sign_above(p, dict(zip(free, floors[k:]))) or (None if p else 0) for p in part])
+        if settled:
             continue
         box = [range(f, f + 1) for f in floors[:k]] + [
             range(f, r.stop) for f, r in zip(floors[k:], ranges[k:])
         ]
         if not holds(box):
             continue
-        if certified:
+        if settled is False:
             yield from (point for point in product(*box) if holds([range(x, x + 1) for x in point]))
             continue
         if floors[k] + 1 < ranges[k].stop:
             work.append((part, floors[:k] + [floors[k] + 1] + floors[k + 1 :]))
-        work.append((part.substitute({part.vars[0]: floors[k]}), floors))
+        work.append(([p.substitute({free[0]: floors[k]}) for p in part], floors))
+
+
+def root_inside(lo_signs, hi_signs):
+    """Whether a real-rooted f has a root strictly between lo < hi, from the
+    signs (1, -1 or 0) of the ascending y-coefficients of f(lo + y) and of
+    f(hi + y), or of positive multiples of them; None when a sign is None,
+    uncertified. The sign variations at each end count the roots above it
+    with multiplicity (Budan–Fourier, exact as every root is real), and the
+    zeros before hi's first nonzero sign count hi's multiplicity."""
+    if None in lo_signs or None in hi_signs:
+        return None
+    multiplicity = next(m for m, sign in enumerate(hi_signs) if sign)
+    return _variations(lo_signs) - _variations(hi_signs) - multiplicity >= 1
 
 
 #: One token after any white space: an integer literal; a name, which starts
@@ -1053,10 +1064,10 @@ def split_integer_roots(c):
 
 
 def divide_root(c, r):
-    """The ascending λ-coefficients of c / (λ - r), by synthetic division
-    over the coefficients' ring (ints, or the catalog's MPolys); c has
-    degree at least 1, and r must be a root of c = Σ c[k]·λ^k, or the
-    result is a ValueError."""
+    """The ascending λ-coefficients of c / (λ - r), by synthetic division,
+    for deflate on integer lists (it takes only the ring operations of the
+    coefficients); c has degree at least 1, and r must be a root of
+    c = Σ c[k]·λ^k, or the result is a ValueError."""
     out = [c[-1]]
     for a in reversed(c[1:-1]):
         out.append(a + r * out[-1])
@@ -1171,7 +1182,8 @@ def count_roots(c, a, b) -> int:
     the sign variations of the coefficients of s(x + y) in y: the number of
     roots of s above x, by Descartes' rule of signs, which is exact when
     every root is real (Budan–Fourier). At x = p/q the coefficients are
-    positive multiples of those: the Taylor shift to p of q^d·s(y / q).
+    positive multiples of those: the Taylor shift to p of q^d·s(y / q). A
+    library entry point and root_inside's per-point oracle; no caller here.
     """
     a, b = _as_fraction(a), _as_fraction(b)
     if a >= b:

@@ -167,10 +167,10 @@ def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECIS
         return SpectralValue(is_integer=True, value=int_min)
     prec = precision
     lo, hi = isolate_lowest_root(residual, prec)
-    # Halve the precision until the cell lies in [0, ∞) and not across
-    # int_min: the graph is connected, so the root is positive, and the
-    # residual has no integer root, so a finer cell separates the two.
-    while lo < 0 or int_min is not None and lo < int_min < hi:
+    # Halve the precision until a finer cell separates the root from int_min.
+    # The root is positive and 0 a grid point at every level >= 1, so no cell
+    # reaches below 0; only a degree-1 residual (an integer root) gets (-B, B].
+    while int_min is not None and lo < int_min < hi:
         prec = prec / 2
         lo, hi = isolate_lowest_root(residual, prec)
     if int_min is not None and int_min <= lo:

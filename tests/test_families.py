@@ -25,7 +25,7 @@ from lapspec import (
     verify_printed_polynomial,
     verify_sign_claims,
 )
-from lapspec import families
+from lapspec import families, polys
 from lapspec.polys import divide_root, sign_above, sign_exceptions, taylor_shift
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
@@ -205,15 +205,23 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
 
 @pytest.fixture
 def root_count_calls(monkeypatch):
-    """Count the root-count fallbacks of verify_sign_claims."""
+    """Record every call of polys.count_roots made through the polys module,
+    the one way families could reach it, as it imports no count_roots of its
+    own; the oracle's count_roots was bound at import and is not recorded."""
+    assert not hasattr(families, "count_roots")
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return count_roots(*args, **kwargs)
 
-    monkeypatch.setattr(families, "count_roots", counting)
+    monkeypatch.setattr(polys, "count_roots", counting)
     return calls
+
+
+def _one_sign(sign):
+    """The sign_exceptions verdict that its one polynomial has that sign."""
+    return lambda signs: None if signs[0] is None else signs[0] == sign
 
 
 def test_sign_claims_equal_the_oracle_on_every_case(root_count_calls):
@@ -265,10 +273,15 @@ MUTATIONS = [
     ("4.7-c1.2", "interval", (Fraction(7, 3), Fraction(10, 3)), {ROOT}),
     # a root at the upper end does not count as inside
     ("4.5", "interval", (Fraction(-1), Fraction(0)), {ROOT}),
-    # the lower end is a root at every point: λ is divided out, and the
-    # cofactor's signs at the ends settle every point
+    # the lower end is a root at every point: its zero row is skipped by
+    # the Budan–Fourier count, which settles every point
     ("4.6-c2.1", "interval", (Fraction(0), Fraction(1)), set()),
     ("4.7-c2.2", "interval", (Fraction(0), Fraction(1)), set()),
+    # the ends have the same sign, with two roots between them at every
+    # point: the Budan–Fourier rows at the ends settle the grid
+    ("4.4", "two_roots", (Fraction(1, 2), Fraction(2)), set()),
+    ("4.7-c3.1", "two_roots", (Fraction(1, 2), Fraction(2)), set()),
+    ("4.7-c1.2", "two_roots", (Fraction(1), Fraction(3)), set()),
 ]
 
 
@@ -282,24 +295,27 @@ def _mutate_claims(monkeypatch, case_id, kind, change):
         _mutate(monkeypatch, case_id, sign_claims=(moved,) + claims[1:])
     elif kind == "values":
         _mutate(monkeypatch, case_id, sign_claims=_claims(case_id, **change))
-    else:
+    else:  # "interval" or "two_roots"
         _mutate(monkeypatch, case_id, root_interval=change)
 
 
 @pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
-def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, case_id, kind, change, failures):
+def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, root_count_calls, case_id, kind, change, failures):
     _mutate_claims(monkeypatch, case_id, kind, change)
     for cap in (6, 20):
         assert verify_sign_claims(case_id, cap) == _oracle_sign_claims(case_id, cap)
     report = verify_sign_claims(case_id, 20)
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
+    assert root_count_calls == []
     if case_id == "4.7-c2.1":
         assert {f["at"] for f in report["identity_failures"]} == {"1/2"}
 
 
 # the sha256 of each mutated case's report at cap 500, as JSON in the CLI's
 # form, read from the grid walk that checked every point before the split
-# search decided them; keyed by MUTATIONS' case and kind
+# search decided them (the last three from the root count at each point
+# that decided such a bracket before the Budan–Fourier rows did); keyed by
+# MUTATIONS' case and kind
 MUTATED_DIGESTS_500 = {
     ("4.4", "signs"): "2266ff7a874bcd72e3e377ab0c93fb1abd6123504419517492b7352fe2d9aa72",
     ("4.7-c3.1", "signs"): "3132388ab3cdf00aaef26702c048c5f7b12eb2b0a3365acc0c663a1a372366af",
@@ -313,14 +329,19 @@ MUTATED_DIGESTS_500 = {
     ("4.6-c2.1", "interval"): "3d4922daea738bae177d7b404f24801bbe7cc1bacd5707801aab7e807555c151",
     # read from the Sturm count at each of the 250,498 points, which took 56 s
     ("4.7-c2.2", "interval"): "394c7b45a5b1e398cf3615f68a76589113916ee628ecc97566807c474b4e16ef",
+    ("4.4", "two_roots"): "110a8a8af84c82c04890b0af94ce2411b71a6c7c70894984e4c9d3046836f585",
+    ("4.7-c3.1", "two_roots"): "cba49cd3161d14f4e6a1ccf3732ac21b0eb53c9ccc80d2321240ce6a5faab025",
+    ("4.7-c1.2", "two_roots"): "542eb78be21c351e75fe5a59f66adf0e171e357c2c7288834da463880fd38f34",
 }
 
 
 @pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
-def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_id, kind, change, failures):
+def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(
+    monkeypatch, root_count_calls, case_id, kind, change, failures
+):
     # A misprinted claim's failures come from the split search, which
-    # decides single points as constants: the grid is never walked, and
-    # the report is byte for byte the grid walk's.
+    # decides single points as constants: the grid is never walked, no root
+    # is counted at a point, and the report is byte for byte the grid walk's.
     _mutate_claims(monkeypatch, case_id, kind, change)
     walked = []
     walk = families.grid_points
@@ -331,7 +352,7 @@ def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_i
 
     monkeypatch.setattr(families, "grid_points", recording)
     report = verify_sign_claims(case_id, families.GRID_CAP_MAX)
-    assert walked == []
+    assert walked == [] and root_count_calls == []
     text = json.dumps(report, ensure_ascii=False).encode()
     assert hashlib.sha256(text).hexdigest() == MUTATED_DIGESTS_500[case_id, kind]
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
@@ -340,8 +361,9 @@ def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(monkeypatch, case_i
 @pytest.mark.parametrize("case_id", ["4.6-c2.1", "4.7-c2.2"])
 def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, root_count_calls, case_id):
     # 0 is a root of every quotient, so the row at the end 0 is the zero
-    # polynomial; λ is divided out, and the cofactor's rows at 0 and 1 have
-    # opposite signs at every point, up to the largest cap
+    # polynomial, and the end signs settle nothing; the Budan–Fourier count
+    # skips the zero row, and the rows at 0 and 1 settle every point, up to
+    # the largest cap
     _mutate(monkeypatch, case_id, root_interval=(Fraction(0), Fraction(1)))
     for cap in (20, families.GRID_CAP_MAX):
         assert verify_sign_claims(case_id, cap)["root_in_interval_ok"]
@@ -349,7 +371,8 @@ def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatc
 
 
 def test_divide_root_is_exact_synthetic_division():
-    # over the catalog's Z[s,t] and over Z, as deflate divides
+    # over Z, as deflate divides, and over Z[s,t]: the division takes only
+    # the ring operations of its coefficients
     cofactor = [parse_poly(text, variables=("s", "t")) for text in ("s^2 + 3", "-2*s", "1")]
     # (λ - 4)·(c0 + c1·λ + c2·λ²), ascending in λ
     f = [-4 * cofactor[0], cofactor[0] - 4 * cofactor[1], cofactor[1] - 4 * cofactor[2], cofactor[2]]
@@ -360,16 +383,27 @@ def test_divide_root_is_exact_synthetic_division():
             divide_root(c, 5)
 
 
-def test_two_roots_between_equal_signs_take_the_root_count_fallback(monkeypatch, root_count_calls):
+def test_two_roots_between_equal_signs_settle_by_budan_fourier_rows(monkeypatch, root_count_calls):
     # (1/2, 2) holds two roots of every 4.4 quotient, and the quotient has
-    # the same sign at both ends, so only the root count certifies a root;
-    # the quotient is real-rooted, so count_roots' Budan–Fourier count is
-    # the Sturm oracle's
+    # the same sign at both ends, so the end signs settle nothing; the
+    # Budan–Fourier rows at the ends certify a root inside on the whole
+    # orthant, with no root counted at a point and no grid walked, up to the
+    # largest cap. The quotient is real-rooted, so count_roots' Budan–Fourier
+    # count, the oracle's, is the Sturm oracle's
     _mutate(monkeypatch, "4.4", root_interval=(Fraction(1, 2), Fraction(2)))
+    walked = []
+    walk = families.grid_points
+
+    def recording(case, *args):
+        walked.append(case.id)
+        return walk(case, *args)
+
+    monkeypatch.setattr(families, "grid_points", recording)
     report = verify_sign_claims("4.4")
     assert report == _oracle_sign_claims("4.4", 20)
-    assert report["root_in_interval_ok"]
-    assert len(root_count_calls) == report["points_checked"] == 19
+    assert report["root_in_interval_ok"] and report["points_checked"] == 19
+    assert verify_sign_claims("4.4", families.GRID_CAP_MAX)["root_in_interval_ok"]
+    assert walked == [] and root_count_calls == []
     for point in grid_points(get_case("4.4"), 20):
         inst = computed_symbolic_poly("4.4").substitute(point).univariate_coeffs()
         assert fraction_sign(inst, Fraction(1, 2)) == fraction_sign(inst, 2) != 0
@@ -400,9 +434,9 @@ def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
     for cap in (3, 20, 500):
         ranges = families._grid_ranges(case, cap, None)
         holds = lambda box: families._box_size(case, box) > 0  # noqa: E731
-        assert next(sign_exceptions(row, ranges, {1}, holds), None) is None
+        assert next(sign_exceptions([row], ranges, _one_sign(1), holds), None) is None
         grid = [tuple(p.values()) for p in islice(grid_points(case, cap), 5)]
-        assert list(islice(sign_exceptions(row, ranges, {-1}, holds), 5)) == grid
+        assert list(islice(sign_exceptions([row], ranges, _one_sign(-1), holds), 5)) == grid
     # so no case's report evaluates a claim row at a grid point
     calls = []
     eval_at = MPoly.eval_at
@@ -471,24 +505,24 @@ def test_a_zero_row_and_an_emptied_range_settle_without_walking(monkeypatch):
         return families._box_size(case, box) > 0
 
     # λ = 0 is a root of every quotient, so its row is the zero polynomial:
-    # the whole orthant is a zero part, of sign 0, settled for {0} with no
-    # box asked about, and for either other sign it yields every grid
+    # the whole orthant is a zero part, of sign 0, settled for sign 0 with
+    # no box asked about, and for either other sign it yields every grid
     # point, each asked about once, with no split
     zero = computed_symbolic_poly("4.4").substitute({LAMBDA: 0})
     assert not zero
     ranges = families._grid_ranges(case, 20, None)
-    assert next(sign_exceptions(zero, ranges, {0}, holds), None) is None
+    assert next(sign_exceptions([zero], ranges, _one_sign(0), holds), None) is None
     assert holds_calls == []
     grid = [(p["s"],) for p in grid_points(case, 20)]
     for sign in (1, -1):
         holds_calls.clear()
-        assert list(sign_exceptions(zero, ranges, {sign}, holds)) == grid
+        assert list(sign_exceptions([zero], ranges, _one_sign(sign), holds)) == grid
         assert holds_calls == [ranges] + [[range(s, s + 1)] for s, in grid]
     # an override that empties a range leaves a grid with no point, which
     # settles every row, the zero row too
     emptied = families._grid_ranges(case, 20, {"s": (5, 4)})
-    for signs in ({1}, {-1}):
-        assert next(sign_exceptions(zero, emptied, signs, holds), None) is None
+    for sign in (1, -1):
+        assert next(sign_exceptions([zero], emptied, _one_sign(sign), holds), None) is None
     claims = case.sign_claims
     _mutate(monkeypatch, "4.4", sign_claims=(claims[0]._replace(point=Fraction(0)),) + claims[1:])
     for cid in ALL_CASES:

@@ -38,13 +38,20 @@ polynomial shifted back from one whose coefficients and nonzero constant
 term share a sign always certifies. sign_exceptions yields, on a small
 catalog grid (floors 0..2, tops up to 6, a random least parameter sum and
 random exclusions), exactly the grid points whose sign (1, -1 or 0) is not
-the allowed one, in grid_points' order, checked point by point; and
-_box_size counts the points grid_points yields.
+the allowed one, in grid_points' order, checked point by point, and for a
+verdict on two polynomials the points where it fails; and _box_size counts
+the points grid_points yields. root_inside, on seeded real-rooted
+polynomials given by their linear factors, with roots of multiplicity 0..3
+at each end, finds a root strictly between the ends exactly when the
+factorization has one, from the signs of the end rows families._row gives
+(checked against the multiplied-out factors), and nothing (None) when a
+sign is uncertified.
 Divisibility, content and rational roots come from the
 Fraction helpers of oracle_helpers, not from lapspec.
 """
 
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import comb, factorial, gcd, prod
@@ -54,7 +61,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from lapspec.families import _box_size, _grid_quotient, _grid_ranges, get_case, grid_points  # noqa: E402
+from lapspec.families import _box_size, _grid_quotient, _grid_ranges, _row, get_case, grid_points  # noqa: E402
 from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
@@ -72,6 +79,7 @@ from lapspec.polys import (  # noqa: E402
     interpolate,
     parse_poly,
     poly_value,
+    root_inside,
     sign_above,
     sign_exceptions,
     split_integer_roots,
@@ -585,6 +593,56 @@ def test_split_search_yields_the_grid_points_whose_sign_is_not_allowed(row):
     def holds(box):
         return _box_size(case, box) > 0
 
+    def sign_of(value):
+        return (value > 0) - (value < 0)
+
     for sign in (1, -1, 0):
-        want = [p for p, value in zip(points, values) if (value > 0) - (value < 0) != sign]
-        assert list(sign_exceptions(poly, ranges, {sign}, holds)) == want, sign
+        want = [p for p, value in zip(points, values) if sign_of(value) != sign]
+        verdict = lambda signs: None if signs[0] is None else signs[0] == sign  # noqa: E731
+        assert list(sign_exceptions([poly], ranges, verdict, holds)) == want, sign
+    # a verdict on two polynomials at once: their signs differ
+    want = [p for p, value in zip(points, values) if sign_of(value) == sign_of(value - 1)]
+    differ = lambda signs: None if None in signs else signs[0] != signs[1]  # noqa: E731
+    assert list(sign_exceptions([poly, poly - 1], ranges, differ, holds)) == want
+
+
+@st.composite
+def bracketed_roots(draw):
+    """(lo, hi, f, inside): lo < hi rationals, f = a·∏ (r·λ - p) over a list
+    of rational roots p/r, given by its factors, with lo a root of
+    multiplicity 0..3 and hi one of 0..3, and up to four more roots below,
+    between and above them; inside, the number of roots strictly between
+    lo and hi, with multiplicity."""
+    fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    lo = draw(fraction)
+    hi = lo + draw(st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)))
+    others = draw(st.lists(fraction.map(lambda x: x + lo - 1), max_size=4))
+    roots = [lo] * draw(st.integers(0, 3)) + [hi] * draw(st.integers(0, 3)) + others
+    return lo, hi, draw(st.sampled_from([1, -1, 2, -3])), roots
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(bracketed_roots(), st.data())
+def test_root_inside_counts_the_roots_of_a_known_factorization(case, data):
+    lo, hi, lead, roots = case
+    factors = [[-x.numerator, x.denominator] for x in roots]
+    f = reduce(poly_mul, factors, [lead])
+    d = len(f) - 1
+    inside = sum(lo < x < hi for x in roots)
+
+    def rows(q):
+        # the signs of r^d·f((p + y)/r) for q = p/r, multiplied out from the
+        # factors: each factor b + c·λ gives r·(b + c·(p + y)/r) = (c·p + b·r) + c·y
+        p, r = q.numerator, q.denominator
+        g = reduce(poly_mul, ([c * p + b * r, c] for b, c in factors), [lead])
+        # families._row gives the same coefficients from f's
+        coeffs = [MPoly((), {(): a}) for a in f]
+        assert [_row(coeffs, q, (), m).constant_value() for m in range(d + 1)] == g
+        return [(a > 0) - (a < 0) for a in g]
+
+    lo_signs, hi_signs = rows(lo), rows(hi)
+    assert root_inside(lo_signs, hi_signs) == (inside >= 1)
+    # a row left uncertified decides nothing
+    hidden = data.draw(st.sets(st.integers(0, 2 * d + 1), min_size=1, max_size=3))
+    masked = [None if i in hidden else sign for i, sign in enumerate(lo_signs + hi_signs)]
+    assert root_inside(masked[: d + 1], masked[d + 1 :]) is None

@@ -48,11 +48,13 @@ COLD_START_EXCLUDED = (
     "locale",
 )
 # defined in the package with no caller in it: the dense-path oracles
-# det_gauss and brute_force_oracle, and the library entry points
-# isolate_roots and algebraic_connectivity
+# det_gauss and brute_force_oracle, the per-point root-count oracle
+# count_roots, and the library entry points isolate_roots and
+# algebraic_connectivity
 UNREFERENCED = {
     "det_gauss",
     "brute_force_oracle",
+    "count_roots",
     "isolate_roots",
     "algebraic_connectivity",
 }
