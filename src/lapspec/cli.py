@@ -370,9 +370,7 @@ def _case_report(case_id: str, cap: int, overrides: dict | None = None) -> dict:
         "excluded_instances": families.excluded_instance_report(case_id),
     }
     if case_id == "4.7-c1.2":
-        doc["closed_forms"] = [
-            families.closed_form_root_check(sub, cap=cap) for sub in ("i", "ii", "iii", "iv")
-        ]
+        doc["closed_forms"] = [families.closed_form_root_check(sub) for sub in ("i", "ii", "iii", "iv")]
     point = next(families.grid_points(families.get_case(case_id), cap, overrides))
     doc["cross_check"] = families.cross_check_with_realization(case_id, **point)
     return doc

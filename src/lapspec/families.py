@@ -27,6 +27,8 @@ down to single points, which are constants; parts and points that hold no
 grid point (above the grid's top, below min_param_total or excluded) drop
 out. A claim's verdict is its row's sign, the bracket's a Budan–Fourier
 count on its ends' Taylor rows (polys.root_inside): no grid is walked.
+The closed forms of 4.7-c1.2 hold for every t the same way: a quadratic
+factor's discriminant lies strictly between two consecutive squares.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .polys import (
     interpolate,
     parse_poly,
     root_inside,
+    sign_above,
     sign_exceptions,
-    split_integer_roots,
 )
 from .spectra import is_L_integral, laplacian, spectrum
 
@@ -511,33 +513,50 @@ def excluded_instance_report(case_id: str) -> list:
 
 _CLOSED_FORM_CASE = "4.7-c1.2"
 
+#: Subcases i and iv: s, the printed polynomial at that s (None when none is
+#: printed), its printed factorization around the quadratic factor {q}, that
+#: quadratic, and the root r(t) and least t of its bracket r² < disc < (r + 1)².
+_QUADRATIC_SUBCASES = {
+    "i": (1, None, "λ*({q})^2", "λ^2 - (4+t)*λ + 3 + 2*t", "t", 2),
+    "iv": (2, "(-2*t - 10)*λ^4 + λ^5 + (t^2 + 14*t + 35)*λ^3 + (-4*t^2 - 30*t - 50)*λ^2 + (4*t^2 + 20*t + 24)*λ",
+           "λ*(λ-2)*(λ-t-3)*({q})", "λ^2-(t+5)*λ+2*t+4", "t + 1", 3),
+}
 
-def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
+
+def _no_integer_root(quad: MPoly, root: MPoly, floor: int) -> bool:
+    """Whether root² < disc < (root + 1)² at every t >= floor, disc = b² − 4c
+    the discriminant of quad = λ² + bλ + c in Z[t][λ], by two sign_above
+    certificates. At an integer t, root(t) is then an integer and disc(t) no
+    square, so quad has no integer root there, as its roots are
+    (−b ± √disc) / 2. A quad that is not monic of degree 2 in λ is a
+    ValueError."""
+    coeffs = quad.coefficients_in(LAMBDA)
+    if len(coeffs) != 3 or coeffs[2] != 1:
+        raise ValueError(f"{quad.to_text()} is not a monic quadratic in {LAMBDA}")
+    c, b, _ = coeffs
+    disc = b * b - 4 * c
+    floors = {"t": floor}
+    return sign_above(disc - root**2, floors) == 1 == sign_above((root + 1) ** 2 - disc, floors)
+
+
+def closed_form_root_check(subcase: str) -> dict:
     """Verify the printed factorizations and root brackets of 4.7-c1.2.
 
-    Subcases: 'i' (s=1 squared-factor identity), 'ii' and 'iii' (concrete
-    spectra), 'iv' (s=2, t >= 3 factor identity and integer roots), 'v'
-    covered by the case's sign claims.
+    Subcases: 'i' (s=1 squared-factor identity, t >= 2) and 'iv' (s=2,
+    t >= 3 factor identity), each with a quadratic factor that has no
+    integer root for every such t (_no_integer_root); 'ii' and 'iii'
+    (concrete spectra); 'v' covered by the case's sign claims.
     """
-    poly = computed_symbolic_poly(_CLOSED_FORM_CASE)
-    if subcase == "i":
-        inst = poly.substitute({"s": 1})
-        target = parse_poly("λ*(λ^2 - λ*(4+t) + 3 + 2*t)^2", variables=(LAMBDA, "t"))
-        brackets = []
-        for t in range(2, cap + 1):
-            disc = t * t + 4
-            brackets.append(t * t < disc < (t + 1) * (t + 1))
-        quad = parse_poly("λ^2 - (4+t)*λ + 3 + 2*t", variables=(LAMBDA, "t"))
-        quad_ok = all(
-            not split_integer_roots(quad.substitute({"t": t}).univariate_coeffs())[0]
-            for t in range(2, cap + 1)
-        )
-        return {
-            "subcase": "i",
-            "identity_ok": inst == target,
-            "bracket_ok": all(brackets),
-            "no_integer_roots": quad_ok,
-        }
+    if subcase in _QUADRATIC_SUBCASES:
+        s, printed, factored, quad_text, root, floor = _QUADRATIC_SUBCASES[subcase]
+        inst = computed_symbolic_poly(_CLOSED_FORM_CASE).substitute({"s": s})
+        quad = parse_poly(quad_text, variables=(LAMBDA, "t"))
+        report = {"subcase": subcase}
+        if printed is not None:
+            report["printed_instance_ok"] = inst == parse_poly(printed, variables=quad.vars)
+        report["identity_ok"] = inst == parse_poly(factored.format(q=quad_text), variables=quad.vars)
+        bracket = _no_integer_root(quad, parse_poly(root, variables=("t",)), floor)
+        return report | {"bracket_ok": bracket, "no_integer_roots": bracket}
     if subcase in ("ii", "iii"):
         s, t = (2, 1) if subcase == "ii" else (2, 2)
         expect_int = {"ii": ((4, 1), (2, 2), (0, 1)), "iii": ((5, 1), (3, 1), (2, 2), (1, 1), (0, 1))}
@@ -556,30 +575,6 @@ def closed_form_root_check(subcase: str, cap: int = GRID_CAP_DEFAULT) -> dict:
             ),
             "decimal_digits": digits,
             "decimal_digits_ok": digits == expect_digits[subcase],
-        }
-    if subcase == "iv":
-        inst = poly.substitute({"s": 2})
-        printed_s2 = parse_poly(
-            "(-2*t - 10)*λ^4 + λ^5 + (t^2 + 14*t + 35)*λ^3 + (-4*t^2 - 30*t - 50)*λ^2 + (4*t^2 + 20*t + 24)*λ",
-            variables=(LAMBDA, "t"),
-        )
-        target = parse_poly(
-            "λ*(λ-2)*(λ-t-3)*(λ^2-(t+5)*λ+2*t+4)", variables=(LAMBDA, "t")
-        )
-        quad = parse_poly("λ^2-(t+5)*λ+2*t+4", variables=(LAMBDA, "t"))
-        brackets = []
-        quad_ok = True
-        for t in range(3, cap + 1):
-            disc = t * t + 2 * t + 9
-            brackets.append((t + 1) ** 2 < disc < (t + 2) ** 2)
-            quad_t = quad.substitute({"t": t}).univariate_coeffs()
-            quad_ok = quad_ok and not split_integer_roots(quad_t)[0]
-        return {
-            "subcase": "iv",
-            "printed_instance_ok": inst == printed_s2,
-            "identity_ok": inst == target,
-            "bracket_ok": all(brackets),
-            "no_integer_roots": quad_ok,
         }
     raise ValueError(f"unknown subcase {subcase!r}; use i, ii, iii or iv")
 

@@ -181,7 +181,7 @@ def _repeats_integral(pendant_kinds=(), cycle_kinds=(), path_kinds=()) -> bool:
     )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _continuant_values(last, size, longest):
     """The values of the continuants t_j at λ = k for j = -1..longest, as
     rows over k in range(size): row j + 1 holds t_j(0), ..., t_j(size - 1).
@@ -198,7 +198,7 @@ def _continuant_values(last, size, longest):
     return tuple(rows)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def side_table(pendants, cycles, size):
     """(P(k), N(k)) for k in range(size) of the chains hanging from one hub,
     and whether every repeated θ of the side has only integer roots
@@ -269,7 +269,7 @@ def _fold_path_kind(fold, t, order, c):
     )
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def _paths_table(paths, size):
     """(P(k), N(k), U(k), D(k)) for k in range(size) of the internal paths
     with no hub edge (see _fold_path_kind), and whether every repeated θ of
@@ -289,7 +289,7 @@ def _paths_table(paths, size):
     return (*map(tuple, fold), ok and _repeats_integral(path_kinds=[(order, c)]))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def links_table(paths, hub_edge, size):
     """(P(k), N(k), T(k)) for k in range(size) of the internal paths (an
     ascending tuple of orders) and the hub edge, T = D + 2U - P with the

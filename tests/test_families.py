@@ -535,7 +535,7 @@ def test_a_zero_row_and_an_emptied_range_settle_without_walking(monkeypatch):
 
 
 def test_closed_forms():
-    r = closed_form_root_check("i", cap=8)
+    r = closed_form_root_check("i")
     assert r["identity_ok"] and r["bracket_ok"] and r["no_integer_roots"]
     r = closed_form_root_check("ii")
     assert r["integer_spectrum_ok"] and r["residual_ok"]
@@ -543,10 +543,41 @@ def test_closed_forms():
     r = closed_form_root_check("iii")
     assert r["integer_spectrum_ok"] and r["residual_ok"]
     assert r["decimal_digits"] == ("5.56", "1.44")
-    r = closed_form_root_check("iv", cap=8)
+    r = closed_form_root_check("iv")
     assert r["printed_instance_ok"] and r["identity_ok"] and r["bracket_ok"] and r["no_integer_roots"]
     with pytest.raises(ValueError):
         closed_form_root_check("v")
+
+
+def test_closed_form_quadratics_have_no_integer_root_at_each_t():
+    # oracle, the point-by-point check the certificate replaces: for t from
+    # the bracket's floor to 500, the quadratic factor at t has no integer
+    # root and its discriminant lies strictly between the bracket's squares
+    for subcase in ("i", "iv"):
+        _, _, _, quad_text, root_text, floor = families._QUADRATIC_SUBCASES[subcase]
+        quad = parse_poly(quad_text, variables=(LAMBDA, "t"))
+        c, b, a = quad.coefficients_in(LAMBDA)
+        root = parse_poly(root_text, variables=("t",))
+        for t in range(floor, 501):
+            at = {"t": t}
+            assert not polys.split_integer_roots(quad.substitute(at).univariate_coeffs())[0], (subcase, t)
+            disc = b.eval_at(at) ** 2 - 4 * a.eval_at(at) * c.eval_at(at)
+            r = root.eval_at(at)
+            assert r * r < disc < (r + 1) * (r + 1), (subcase, t)
+
+
+def test_closed_form_certificate_fails_where_a_bracket_does_not_hold():
+    quad = parse_poly(families._QUADRATIC_SUBCASES["i"][3], variables=(LAMBDA, "t"))
+    t = parse_poly("t", variables=("t",))
+    assert families._no_integer_root(quad, t, 2)
+    # (λ - 1)(λ - t - 1): its discriminant t^2 is a square, with root 1
+    square = parse_poly("λ^2 - (t+2)*λ + t + 1", variables=(LAMBDA, "t"))
+    assert not families._no_integer_root(square, t, 2)
+    # subcase i with the bracket root t - 1: its discriminant t^2 + 4 is not below t^2
+    assert not families._no_integer_root(quad, t - 1, 2)
+    for not_monic in ("2*λ^2 - λ + t", "λ^3 - t", "λ - t"):
+        with pytest.raises(ValueError):
+            families._no_integer_root(parse_poly(not_monic, variables=(LAMBDA, "t")), t, 2)
 
 
 def test_cross_checks():
