@@ -52,7 +52,6 @@ from .polys import (
     integer_roots,
     interpolate,
     isolate_lowest_root,
-    isolate_roots,
     only_integer_roots,
     parse_poly,
     poly_text,
@@ -62,7 +61,6 @@ from .polys import (
 from .spectra import (
     SpectralValue,
     SpectrumReport,
-    algebraic_connectivity,
     algebraic_connectivity_from_poly,
     is_L_integral,
     is_Q_integral,

@@ -475,7 +475,6 @@ INT_OPTIONS = frozenset({"grid_cap", "n", "min", "max", "jobs"})
 CHOICES = {"kind": ("L", "Q"), "family": ("G1", "G2")}
 REQUIRED = frozenset({"partition", "case", "family", "n"})
 FLAGS = frozenset({"stats"})  # each sets True when given, and takes no value
-ALIASES = {"--max-n": "max"}
 
 
 def _spelling(dest: str) -> str:
@@ -501,9 +500,8 @@ def _help(name: str | None) -> str:
     _, text, options = COMMANDS[name]
     lines = [_usage(name), "", text, "", "options:"]
     for dest, (default, what) in options.items():
-        spelled = ", ".join([_spelling(dest)] + [f"{a} {dest.upper()}" for a, d in ALIASES.items() if d == dest])
         shown = " (required)" if dest in REQUIRED else "" if default in (None, False) else f" (default {default})"
-        lines.append(f"  {spelled:<26}{what}{shown}")
+        lines.append(f"  {_spelling(dest):<26}{what}{shown}")
     return "\n".join(lines)
 
 
@@ -526,11 +524,10 @@ def parse_args(argv: list):
     handler, _, options = COMMANDS[name] if name else (None, None, {})
     values = {dest: default for dest, (default, _) in options.items()}
     spellings = {"--" + dest.replace("_", "-"): dest for dest in options}
-    spellings.update((a, d) for a, d in ALIASES.items() if d in options)
     tokens = iter(argv[1:] if name else argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_help(name))
+            print(_help(name), flush=True)  # a closed pipe raises here, in main's try
             raise SystemExit(EXIT_OK)
         flag, eq, value = token.partition("=")
         dest = spellings.get(flag)
@@ -556,8 +553,8 @@ def parse_args(argv: list):
 
 
 def main(argv=None) -> int:
-    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
+        handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
         code = handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -37,7 +37,6 @@ from .graphs import (
 )
 from .matrices import (
     links_table,
-    one_hub_coupling,
     quotient_values,
     side_sign_change,
     side_table,
@@ -434,8 +433,9 @@ class TheoremSummary(namedtuple("TheoremSummary", "n_min n_max rows disagreement
 def _shard_groups(n, size):
     """The sweep's shards at order n in walk order: the G1 members as one
     shard, then one per G2 link set and u side. Each is (key prefix,
-    coupling, ok, base, u record, v records), with the side records of
-    _side_records (u record None for G1), one member per v record (side,
+    coupling, ok, base, u record, v records), G1's coupling (A, B) being
+    (1, 0) at every k (see matrices.quotient_values), with the side records
+    of _side_records (u record None for G1), one member per v record (side,
     table, degree): its fields are prefix + side + suffix (suffix () for G2,
     the empty v side for G1), and the hub carrying the side has degree
     base + degree. ok is false when the chains the shard fixes (the links
@@ -444,7 +444,7 @@ def _shard_groups(n, size):
     and 4 (see matrices.side_table). A shard with no member is skipped."""
     g1_records = _g1_records(n, size)
     if g1_records:
-        yield ("G1", False, ()), one_hub_coupling(size), True, 0, None, g1_records
+        yield ("G1", False, ()), ((1,) * size, (0,) * size), True, 0, None, g1_records
     for hub_edge, paths in _g2_links(n):
         links = links_table(paths, hub_edge, size)
         base = hub_edge + len(paths)

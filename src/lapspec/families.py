@@ -4,8 +4,8 @@ Each catalog case fixes a hub adjacency flag and a multiset of internal
 path orders with symbolic counts (s, t). The quotient matrix over the
 position-pooled partition is generated structurally, and its polynomial
 in Z[s,t][λ] is read off the sweep's value tables (matrices.links_table
-and quotient_values) at the counts 1..3 of each parameter, interpolated by
-one polys.grid_interpolate call and mapped back to the counts (see
+and quotient_values) at the counts 1..3 of each parameter and
+interpolated in the counts by one polys.grid_interpolate call (see
 _grid_quotient); the source text's printed matrix and
 characteristic polynomial are transcribed verbatim in the data file and
 diffed against the generated/computed ones, so any misprint shows up as
@@ -139,6 +139,9 @@ def get_case(case_id: str) -> PropositionCase:
 
 
 def _resolve_counts(case: PropositionCase, values: dict, symbolic: bool):
+    """Each path order's count: its digits, its parameter as an MPoly when
+    symbolic, or else the parameter's value in values, which must be given,
+    non-negative and at most the top of its grid, if the grid has one."""
     counts = {}
     for order, expr in case.path_counts:
         if expr.isdigit():
@@ -151,6 +154,9 @@ def _resolve_counts(case: PropositionCase, values: dict, symbolic: bool):
             val = int(values[expr])
             if val < 0:
                 raise ValueError(f"{expr} must be nonnegative")
+            hi = case.grid[expr][1]
+            if hi is not None and val > hi:
+                raise ValueError(f"{expr}={val} outside the declared range for {case.id}")
             counts[order] = val
     return counts
 
@@ -161,15 +167,12 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
     Symbolic mode keeps the counts as variables (all position classes
     present); concrete mode drops classes whose count is zero. Each
     concrete parameter must be given, non-negative and at most its grid's
-    upper end, if the grid has one. The grid's lower end is not enforced:
-    a count below it still realizes a member, such as s = 2 of 4.7-c1.2,
-    whose closed forms cover it.
+    upper end, if the grid has one (_resolve_counts). The grid's lower end
+    is not enforced: a count below it still realizes a member, such as
+    s = 2 of 4.7-c1.2, whose closed forms cover it.
     """
     case = get_case(case_id)
-    values = {"s": s, "t": t}
-    counts = _resolve_counts(case, values, symbolic)
-    if not symbolic:
-        _check_range(case, values)
+    counts = _resolve_counts(case, {"s": s, "t": t}, symbolic)
     orders = [
         order
         for order, _ in case.path_counts
@@ -204,16 +207,6 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
     return IntMatrix(m)
 
 
-def _check_range(case: PropositionCase, values: dict):
-    for name in case.params:
-        hi = case.grid[name][1]
-        val = values.get(name)
-        if val is None:
-            raise ValueError(f"case {case.id} needs a value for {name}")
-        if val < 0 or (hi is not None and val > hi):
-            raise ValueError(f"{name}={val} outside the declared range for {case.id}")
-
-
 def case_config(case_id: str, s=None, t=None) -> FamilyConfig:
     """The two-hub family config realized by a concrete case instance."""
     case = get_case(case_id)
@@ -235,38 +228,31 @@ def _grid_quotient(path_counts, hub_edge) -> MPoly:
     D at most quadratically (see matrices._fold_path_kind), and P not at
     all, so each λ-coefficient of Q = P X² - 2 N X + T has degree at most 2
     in each parameter: the counts 1, 2, 3 fix it. polys.grid_interpolate
-    interpolates the coefficient lists at the counts x + 1, x in
-    {0, 1, 2}^params, and each quadratic in one x is rewritten in place as
-    one in its count, axis by axis, before the one MPoly is built. As a
-    polynomial identity it keeps a parameter's θ in P at 0 too;
+    interpolates the coefficient lists at the counts {1, 2, 3}^params into
+    coefficients in the counts themselves, and one MPoly is built from
+    them. As a polynomial identity it keeps a parameter's θ in P at 0 too;
     a fixed count of 0 would drop its θ, and load_cases rejects one.
     """
     params = tuple(sorted({c for _, c in path_counts if not c.isdigit()}))
     size = 3 + sum(order - 2 for order, _ in path_counts)
     empty = side_table((), (), size)
-    table = {}  # a point x of {0, 1, 2}^params -> Q's coefficients at x + 1
-    for point in product(range(3), repeat=len(params)):
+    table = {}  # a point of {1, 2, 3}^params -> Q's coefficients at those counts
+    for point in product((1, 2, 3), repeat=len(params)):
         values = dict(zip(params, point))
-        counts = [(order, int(c) if c.isdigit() else values[c] + 1) for order, c in path_counts]
+        counts = [(order, int(c) if c.isdigit() else values[c]) for order, c in path_counts]
         paths = tuple(order for order, c in counts for _ in range(c))
         d = int(hub_edge) + len(paths)
         coupling = two_hub_coupling(links_table(paths, hub_edge, size), empty, d)
         table[point] = interpolate(quotient_values(coupling, empty, d, size - 1))
-    coeffs = grid_interpolate(table)  # in x = count - 1 on each axis
-    for axis in range(len(params)):
-        # c0 + c1·x + c2·x² = (c0 - c1 + c2) + (c1 - 2·c2)·count + c2·count²
-        for exps in [exps for exps in coeffs if not exps[axis]]:
-            c0, c1, c2 = (coeffs[exps[:axis] + (j,) + exps[axis + 1 :]] for j in range(3))
-            coeffs[exps] = [a - b + c for a, b, c in zip(c0, c1, c2)]
-            coeffs[exps[:axis] + (1,) + exps[axis + 1 :]] = [b - 2 * c for b, c in zip(c1, c2)]
+    coeffs = grid_interpolate(table)
     return MPoly((LAMBDA,) + params, {(e,) + exps: a for exps, c in coeffs.items() for e, a in enumerate(c)})
 
 
 @lru_cache(maxsize=None)
 def computed_symbolic_poly(case_id: str) -> MPoly:
-    """The case's quotient polynomial in Z[s,t][λ], read off the sweep's
-    value tables at the counts 1..3 and mapped back to the counts
-    (_grid_quotient), no matrix built."""
+    """The case's quotient polynomial in Z[s,t][λ], interpolated from the
+    sweep's value tables at the counts 1..3 (_grid_quotient), no matrix
+    built."""
     case = get_case(case_id)
     return _grid_quotient(case.path_counts, case.hub_edge)
 

@@ -522,6 +522,8 @@ def from_graph6(text: str) -> Graph:
         if len(text) < 4:
             raise ValueError("truncated graph6 size")
         n = int(text[1:4].translate(_GRAPH6_BITS), 2)
+        if not 63 <= n <= 258047:  # the one size range of the 4-byte form
+            raise ValueError(f"graph6 size {n} outside 63..258047, the range of its 4-byte form")
         body = text[4:]
     else:
         n = ord(text[0]) - 63

@@ -302,12 +302,6 @@ def links_table(paths, hub_edge, size):
     return p, n, d, ok
 
 
-def one_hub_coupling(size) -> tuple:
-    """(A(k), B(k)) = (1, 0) for k in range(size): with them
-    side_sign_change scans a G1 member's quotient X."""
-    return (1,) * size, (0,) * size
-
-
 def two_hub_coupling(links, side_u, degree_u) -> tuple:
     """(A(k), B(k)) for k in the range of the tables, A = P X_u - N P_u and
     B = N X_u - P_u T, from a links_table and the side_table of the u hub
@@ -330,8 +324,9 @@ def quotient_values(coupling, side, degree, n) -> list:
     Q, of degree at most n, is the monic characteristic polynomial of the
     quotient of L by the equitable partition with the hubs as singletons
     and one cell per chain kind and position along the chain. A G1
-    member's is X = (λ - d_u) P_u - N_u. A G2 member's is
-    P X Y - N (X P_v + Y P_u) + P_u P_v T = Y A - P_v B, which is
+    member's is X = (λ - d_u) P_u - N_u, its coupling (A, B) = (1, 0) at
+    every k. A G2 member's is P X Y - N (X P_v + Y P_u) + P_u P_v T =
+    Y A - P_v B, with its coupling from two_hub_coupling, which is
     (A'B' - P_u P_v C'^2) / P with A' = X P - P_u N, B' = Y P - P_v N and
     C' = hub_edge · P - U multiplied out (see _fold_path_kind for U)."""
     a, b = coupling
@@ -341,7 +336,8 @@ def quotient_values(coupling, side, degree, n) -> list:
 
 def side_sign_change(coupling, side, degree, n):
     """The first k in 1..n-1 at which Q(k) and Q(k + 1) of quotient_values
-    are nonzero of opposite sign, or None; stops at the first such k.
+    are nonzero of opposite sign, or None; stops at the first such k. The
+    arguments are quotient_values', so a G1 member's coupling is (1, 0).
 
     Q's roots are Laplacian eigenvalues (Q is the characteristic polynomial
     of an equitable quotient), so such a k certifies one in the open

@@ -25,21 +25,19 @@ matrix is. Samuelson's interval (_real_root_range) is the one range both
 root searches take: it bounds the integer-root candidates and fixes the
 level where the cell search starts. The roots above a point are counted
 by the sign variations of the Taylor shift to it (Budan–Fourier).
-Isolation (integer_roots, isolate_roots, isolate_lowest_root) also takes
-only a polynomial whose primitive part is monic; integer_roots and
-isolate_roots find out any other input, a ValueError, in bounded time.
-Its rational roots are then the integer roots split_integer_roots finds.
-The square-free part is c over its gcd with c', read off the integer gcd
-of their values at one point and checked by exact division (_gcd); a
-remainder sequence takes over only when _GCD_TRIES points fail. The cells
-are the ones plain bisection from the Cauchy bound B reaches, found with
-fewer evaluations (see _root_cells and _refine), ascending, and merged
-with the integer roots' point intervals only when there are some. The
-search and the refinement run on integer grid indices of r(2B·y), r the
-square-free part, and evaluate on one list, r(2B·y) pre-scaled once at
-the target level (_prescaled); only a cell past that level, which holds
-roots closer together than the precision, gets a list pre-scaled at its
-own level. isolate_lowest_root refines the lowest root only and splits
+Isolation (integer_roots, isolate_lowest_root) also takes only a
+polynomial whose primitive part is monic; integer_roots finds out any
+other input, a ValueError, in bounded time. Its rational roots are then
+the integer roots split_integer_roots finds. The square-free part is c
+over its gcd with c', read off the integer gcd of their values at one
+point and checked by exact division (_gcd); a remainder sequence takes
+over only when _GCD_TRIES points fail. The cells are the ones plain
+bisection from the Cauchy bound B reaches, found with fewer evaluations
+(see _root_cells and _refine), ascending. The search and the refinement
+run on integer grid indices of r(2B·y), r the square-free part, and
+evaluate on one list, r(2B·y) pre-scaled once at the target level
+(_prescaled); only a cell past that level, which holds roots closer
+together than the precision, gets a list pre-scaled at its own level. isolate_lowest_root refines the lowest root only and splits
 no integer root off, so a classify request searches each
 characteristic polynomial it builds for integer roots once. No floating
 point is used anywhere in a decision path; decimal output elsewhere in
@@ -645,14 +643,15 @@ def _remainder_gcd(a, b):
 
 def _square_free(c):
     """The primitive square-free part of a trimmed nonzero c, leading
-    coefficient positive: c over its gcd with c' (_gcd)."""
+    coefficient positive: c over its gcd with c' (_gcd), both primitive
+    with positive leading coefficients, so the quotient is too (Gauss)."""
     c = _primitive(c)
     if c[-1] < 0:
         c = [-a for a in c]
     if len(c) < 3:
         return c
     g = _gcd(c, _primitive(_derivative(c)))
-    return c if len(g) == 1 else _exact_quotient(c, g)
+    return c if len(g) == 1 else _quotient(c, g)
 
 
 def _root_bound(c) -> int:
@@ -677,19 +676,6 @@ def _quotient(a, b):
         for i, x in enumerate(b):
             r[k + i] -= q[k] * x
     return None if any(r) else q
-
-
-def _exact_quotient(a, b):
-    """Primitive part, leading coefficient positive, of a / b.
-
-    b must divide a over Q. By Gauss's lemma the quotient of a by the
-    primitive part of b has integer coefficients, so the long division
-    never leaves Z.
-    """
-    q = _quotient(a, _primitive(b))
-    assert q is not None, "divisor does not divide"
-    q = _primitive(q)
-    return [-x for x in q] if q[-1] < 0 else q
 
 
 def _divisors(n: int, limit: int):
@@ -758,25 +744,26 @@ def interpolate(values) -> list:
 
 def grid_interpolate(table) -> dict:
     """The integer polynomial of degree at most 2 in each of p variables
-    that takes table[x] at each point x of {0, 1, 2}^p, as a map from
+    that takes table[x] at each point x of {1, 2, 3}^p, as a map from
     exponent tuples to coefficients; ValueError when there is none. The
     table's values are lists of one length, interpolated entrywise, one
-    variable after another: a line v0, v1, v2 is c0 + c1·x + c2·x² with
-    c0 = v0, c2 = (v2 - 2·v1 + v0) / 2, an integer exactly when that second
-    difference is even (interpolate's Newton form), and c1 = v1 - v0 - c2.
+    variable after another: a line v1, v2, v3 is c0 + c1·x + c2·x² with
+    c2 = (v3 - 2·v2 + v1) / 2, an integer exactly when that second
+    difference is even (interpolate's Newton form), c1 = v2 - v1 - 3·c2
+    and c0 = 2·v1 - v2 + 2·c2.
     """
     for axis in range(len(next(iter(table)))):
         out = {}
-        for point, v0 in table.items():
-            if point[axis]:
+        for point, v1 in table.items():
+            if point[axis] != 1:
                 continue
-            v1, v2 = (table[point[:axis] + (x,) + point[axis + 1 :]] for x in (1, 2))
-            second = [a - 2 * b + c for a, b, c in zip(v0, v1, v2)]
+            v2, v3 = (table[point[:axis] + (x,) + point[axis + 1 :]] for x in (2, 3))
+            second = [a - 2 * b + c for a, b, c in zip(v1, v2, v3)]
             if any(x & 1 for x in second):
                 raise ValueError("the values are not those of an integer polynomial")
             c2 = [x >> 1 for x in second]
-            out[point] = v0
-            out[point[:axis] + (1,) + point[axis + 1 :]] = [b - a - c for a, b, c in zip(v0, v1, c2)]
+            out[point[:axis] + (0,) + point[axis + 1 :]] = [2 * a - b + 2 * c for a, b, c in zip(v1, v2, c2)]
+            out[point] = [b - a - 3 * c for a, b, c in zip(v1, v2, c2)]
             out[point[:axis] + (2,) + point[axis + 1 :]] = c2
         table = out
     return table
@@ -1162,8 +1149,9 @@ def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
     ValueError: a primitive part that is not monic at once, and a rest that
     is not real-rooted once the cell search finds it out, which it does
     before it returns (see _root_cells). The rest then has no rational
-    root, so each interval is a half-open cell (lo, hi] of the dyadic grid
-    (see isolate_roots).
+    root, so each interval is a half-open cell (lo, hi] of the dyadic grid:
+    the cell plain bisection from the Cauchy bound reaches, refined until
+    its width is at most the precision (see _root_cells and _refine).
     """
     c, precision = _checked(c, precision)
     roots, residual = split_integer_roots(c)
@@ -1182,8 +1170,8 @@ def count_roots(c, a, b) -> int:
     the sign variations of the coefficients of s(x + y) in y: the number of
     roots of s above x, by Descartes' rule of signs, which is exact when
     every root is real (Budan–Fourier). At x = p/q the coefficients are
-    positive multiples of those: the Taylor shift to p of q^d·s(y / q). A
-    library entry point and root_inside's per-point oracle; no caller here.
+    positive multiples of those: the Taylor shift to p of q^d·s(y / q). An
+    oracle, root_inside's per point; no caller here.
     """
     a, b = _as_fraction(a), _as_fraction(b)
     if a >= b:
@@ -1210,28 +1198,6 @@ def _checked(c, precision):
     return c, precision
 
 
-def isolate_roots(c, precision: Fraction = DEFAULT_PRECISION):
-    """Isolating rational intervals for all distinct real roots of c,
-    sorted by midpoint; c real-rooted as in integer_roots, any other c a
-    ValueError.
-
-    The integer roots are split off first (integer_roots) and come back
-    as exact point intervals [r, r]; they are c's only rational roots,
-    c's primitive part being monic. Every other interval is a cell
-    of a dyadic grid, found from a start level fixed by Samuelson's
-    interval (_real_root_range) and refined by Illinois regula-falsi steps
-    until its width is at most the requested precision: the cell plain
-    bisection reaches (see _root_cells and _refine).
-    """
-    report = integer_roots(c, precision)
-    if not report.integer_roots:
-        return list(report.isolating_intervals)
-    intervals = [(Fraction(r), Fraction(r)) for r, _ in report.integer_roots]
-    intervals += report.isolating_intervals
-    intervals.sort(key=sum)  # lo + hi: the order of the midpoints
-    return intervals
-
-
 def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
     """The isolating cell of the lowest root of c, or None when c is a
     constant; c real-rooted as in integer_roots (its one caller,
@@ -1245,7 +1211,7 @@ def isolate_lowest_root(c, precision: Fraction = DEFAULT_PRECISION):
     refinement. No integer root is split off: an integer lowest root gets
     the grid cell (r - w, r] that holds it, not [r, r]. So on c with no
     integer root, such as split_integer_roots' residual, the result is
-    isolate_roots(c, precision)[0].
+    integer_roots(c, precision).isolating_intervals[0].
     """
     return next(_cells(*_checked(c, precision)), None)
 

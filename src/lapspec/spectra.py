@@ -143,13 +143,6 @@ class SpectralValue(namedtuple("SpectralValue", "is_integer value lo hi", defaul
         return f"SpectralValue(({float(self.lo):.6f}, {float(self.hi):.6f}))"
 
 
-def algebraic_connectivity(g: Graph, precision: Fraction = DEFAULT_PRECISION) -> SpectralValue:
-    """Second-smallest Laplacian eigenvalue, exact when integer."""
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    return algebraic_connectivity_from_poly(split_integer_roots(char_poly(laplacian(g))), precision)
-
-
 def algebraic_connectivity_from_poly(split, precision: Fraction = DEFAULT_PRECISION) -> SpectralValue:
     """The second-smallest root of a graph's Laplacian polynomial (n >= 2),
     exact when integer, from the polynomial's split_integer_roots: split is

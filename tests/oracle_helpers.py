@@ -67,7 +67,6 @@ from lapspec import (
 from lapspec.enumeration import TAG_NONE
 from lapspec.matrices import (
     links_table,
-    one_hub_coupling,
     quotient_values,
     side_table,
     two_hub_coupling,
@@ -399,8 +398,23 @@ def fraction_isolate_squarefree(c, precision: Fraction):
 
 
 def fraction_isolate_roots(c, precision: Fraction):
-    """The oracle for isolate_roots: isolation of the square-free part."""
+    """The oracle for integer_roots: isolation of the square-free part, its
+    rational roots as point intervals."""
     return fraction_isolate_squarefree(fraction_square_free_part(c), precision)
+
+
+def fraction_root_parts(c, precision: Fraction):
+    """fraction_isolate_roots split as integer_roots reports c: the ends of
+    its point intervals, descending, which are c's integer roots when c's
+    primitive part is monic, and its other intervals, ascending."""
+    intervals = fraction_isolate_roots(c, precision)
+    return tuple(lo for lo, hi in reversed(intervals) if lo == hi), tuple(iv for iv in intervals if iv[0] != iv[1])
+
+
+def report_parts(report):
+    """A RootReport's distinct integer roots, descending, and its
+    isolating intervals: what fraction_root_parts gives."""
+    return tuple(r for r, _ in report.integer_roots), report.isolating_intervals
 
 
 def fraction_sorted_display(report) -> str:
@@ -580,11 +594,11 @@ def repeated_factors(cfg) -> tuple:
 def member_tables(cfg) -> tuple:
     """(coupling, side table, degree) of cfg's quotient at k = 0..n, the
     arguments of quotient_values and side_sign_change: the u side of a G1
-    member, the v side of a G2 member."""
+    member, whose coupling is (1, 0) at every k, the v side of a G2 member."""
     size = vertex_count(cfg) + 1
     side_u = side_table(cfg.pendants_u, cfg.cycles_u, size)
     if cfg.family == "G1":
-        return one_hub_coupling(size), side_u, cfg.hub_degree_u()
+        return ((1,) * size, (0,) * size), side_u, cfg.hub_degree_u()
     links = links_table(cfg.paths, cfg.hub_edge, size)
     coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())
     return coupling, side_table(cfg.pendants_v, cfg.cycles_v, size), cfg.hub_degree_v()

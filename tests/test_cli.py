@@ -155,6 +155,22 @@ def test_closed_pipe_ends_quietly_with_its_exit_code():
     assert (first["family"], first["n"]) == ("G2", 12)
 
 
+@pytest.mark.parametrize("argv", [["verify-theorem", "-h"], ["--help"]])
+def test_help_into_a_closed_pipe_ends_quietly_with_its_exit_code(argv):
+    # `lapspec verify-theorem -h | head -1` with the reader gone before the
+    # help is written: the pipe's read end is closed before the start
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lapspec.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lapspec", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
 def test_verify_theorem_command(capsys, tmp_path):
     out_path = tmp_path / "verdicts.jsonl"
     code, out, _ = run(

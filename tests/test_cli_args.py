@@ -2,7 +2,7 @@
 command table.
 
 Seeded valid argv, drawn from the table (values given as `--opt value` or
-`--opt=value`, options repeated, the --max-n alias, the --stats flag),
+`--opt=value`, options repeated, the --stats flag),
 must give the handler and the option values that argparse gives. Each
 class of usage error ends in SystemExit(2) with one usage line and one
 `lapspec: error:` line on stderr; -h lists every command, and
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from lapspec.cli import ALIASES, CHOICES, COMMANDS, FLAGS, INT_OPTIONS, REQUIRED, main, parse_args
+from lapspec.cli import CHOICES, COMMANDS, FLAGS, INT_OPTIONS, REQUIRED, main, parse_args
 
 
 def _flag(dest):
@@ -28,12 +28,11 @@ def oracle() -> argparse.ArgumentParser:
     for name, (_, text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for dest, (default, what) in options.items():
-            flags = [_flag(dest)] + [alias for alias, d in ALIASES.items() if d == dest]
             if dest in FLAGS:
-                p.add_argument(*flags, dest=dest, action="store_true", help=what)
+                p.add_argument(_flag(dest), dest=dest, action="store_true", help=what)
                 continue
             p.add_argument(
-                *flags,
+                _flag(dest),
                 dest=dest,
                 default=default,
                 type=int if dest in INT_OPTIONS else str,
@@ -58,8 +57,7 @@ def _valid_argv(rng):
     chosen += rng.choices(list(options), k=rng.randrange(3))  # repeats: the last one wins
     rng.shuffle(chosen)
     for dest in chosen:
-        spellings = [_flag(dest)] + [alias for alias, d in ALIASES.items() if d == dest]
-        flag = rng.choice(spellings)
+        flag = _flag(dest)
         if dest in FLAGS:
             argv.append(flag)
             continue
@@ -80,8 +78,8 @@ def test_valid_argv_parse_as_the_argparse_oracle_parses_them():
         assert handler is COMMANDS[want.pop("command")][0], argv
         assert vars(args) == want, argv
         seen.update(token.partition("=")[0] for token in argv if token.startswith("--"))
-    # every spelling of every option was drawn
-    assert seen == {_flag(dest) for _, _, options in COMMANDS.values() for dest in options} | set(ALIASES)
+    # every option was drawn
+    assert seen == {_flag(dest) for _, _, options in COMMANDS.values() for dest in options}
 
 
 def test_a_value_is_the_next_token_whatever_it_starts_with():
@@ -102,6 +100,7 @@ USAGE_ERRORS = [
     (["quotient", "--builder", "star 6"], "missing required option"),
     (["classify", "--builder", "star 6", "extra"], "stray positional"),
     (["verify-theorem", "--stats=1"], "value for a flag"),
+    (["verify-theorem", "--max-n", "12"], "removed --max-n alias"),
 ]
 
 
@@ -137,4 +136,4 @@ def test_help_lists_every_command_and_every_option(capsys):
             out = capsys.readouterr().out
             assert text in out
             assert all(_flag(dest) in out for dest in options)
-            assert ("--max-n" in out) == (name == "verify-theorem")
+            assert "--max-n" not in out

@@ -339,6 +339,21 @@ def test_graph6_codec():
             from_graph6(text)
 
 
+def test_graph6_takes_the_4_byte_size_form_only_for_63_and_up():
+    # ~??D is the 4-byte form of n = 5, which the 1-byte D stands for: so
+    # ~??Ds_ would decode to the K1,4 that Ds_ stands for
+    assert degree_sequence(from_graph6("Ds_")) == (4, 1, 1, 1, 1)
+    for text in ("~??Ds_", "~???", "~??}" + "?" * 316, "~~??????"):
+        with pytest.raises(ValueError, match="outside 63..258047"):
+            from_graph6(text)
+    # the least size of the form decodes, and the largest gets as far as
+    # the body's length
+    assert from_graph6("~??~" + "?" * 326) == Graph.from_edges(63, [])
+    assert from_graph6(to_graph6(star(63))) == star(63)
+    with pytest.raises(ValueError, match="body length"):
+        from_graph6("~}~~")
+
+
 def test_adjacency_text():
     g = realize(FamilyConfig("G2", hub_edge=True, paths=(3, 4)))
     text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())

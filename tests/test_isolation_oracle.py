@@ -1,20 +1,22 @@
 """Root isolation on integer dyadic endpoints against the Fraction oracle.
 
-isolate_roots counts roots by Budan–Fourier, starts its search at a level
+integer_roots splits off the integer roots and isolates the other roots:
+it counts roots by Budan–Fourier, starts its search at a level
 fixed by Samuelson's interval, skips the midpoints outside that real-root
 range, splits two-root cells by the sign at their midpoint, and refines
 by Illinois regula-falsi steps on integer grid indices at the target
 level. The oracle in oracle_helpers runs plain bisection from the Cauchy
 bound on Fractions, with its own gcd, Sturm chain, rational roots and
 plain Horner signs (fraction_sign), so every interval must come back
-exactly equal, in the same order. Every input is monic and real-rooted,
+exactly equal, in the same order, and the oracle's point intervals must
+be the integer roots. Every input is monic and real-rooted,
 as isolation requires: seeded characteristic polynomials of symmetric
 integer matrices, some times planted integer roots, products of real
 quadratics, and graph polynomials; so the oracle's rational roots are
 integers. On a polynomial with no integer root isolate_lowest_root must
 return the first interval; an integer lowest root must lie in the cell
-it returns. algebraic_connectivity must give the same value with the
-oracle patched in for the isolation it calls.
+it returns. algebraic_connectivity_from_poly must give the same value
+with the oracle patched in for the isolation it calls.
 """
 
 import random
@@ -26,15 +28,17 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import count_roots, integer_roots, isolate_lowest_root, isolate_roots, split_integer_roots
-from lapspec.spectra import algebraic_connectivity, laplacian, signless_laplacian
+from lapspec.polys import count_roots, integer_roots, isolate_lowest_root, split_integer_roots
+from lapspec.spectra import algebraic_connectivity_from_poly, laplacian, signless_laplacian
 
 from oracle_helpers import (
     fraction_isolate_roots,
+    fraction_root_parts,
     fraction_square_free_part,
     poly_mul,
     random_connected_graph,
     random_symmetric_char_poly,
+    report_parts,
 )
 
 PRECISIONS = [
@@ -89,14 +93,14 @@ EXTRA = _close_pairs() + [[-1, -1, 1]]
 def test_seeded_polynomials_reach_the_stated_sizes():
     assert max(len(c) for c in SQUARE_FREE) - 1 == 14
     assert max(abs(a) for c in SQUARE_FREE for a in c) > 10**11
-    # some integer roots come back as point intervals
-    assert any(lo == hi for c in SQUARE_FREE for lo, hi in isolate_roots(c, Fraction(2)))
+    # some have integer roots, which the oracle gives as point intervals
+    assert any(fraction_root_parts(c, Fraction(2))[0] for c in SQUARE_FREE)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=str)
 def test_isolate_roots_equals_the_oracle_on_seeded_polynomials(precision):
     for c in SQUARE_FREE + EXTRA:
-        assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), c
+        assert report_parts(integer_roots(c, precision)) == fraction_root_parts(c, precision), c
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=str)
@@ -106,17 +110,17 @@ def test_isolate_lowest_root_is_the_first_interval(precision):
     for c in SQUARE_FREE + EXTRA + graph_polys:
         roots, rest = split_integer_roots(c)
         lo, hi = isolate_lowest_root(c, precision)
-        first = isolate_roots(c, precision)[0]
         if not roots:
-            assert (lo, hi) == first, c
+            assert (lo, hi) == integer_roots(c, precision).isolating_intervals[0], c
             integer_free += 1
         else:
             # the cell of c's own grid holds the lowest root, an integer
             # one included, which no point interval replaces
             assert count_roots(c, lo, hi) == 1 and count_roots(c, lo - 2**64, lo) == 0, c
-            assert first[0] != first[1] or lo < first[0] <= hi, c
+            lowest = min(roots)
+            assert count_roots(c, lo - 2**64, lowest) != 1 or lo < lowest <= hi, c
         if len(rest) > 1:
-            assert isolate_lowest_root(rest, precision) == isolate_roots(rest, precision)[0], c
+            assert isolate_lowest_root(rest, precision) == integer_roots(rest, precision).isolating_intervals[0], c
     assert integer_free == 7
     assert isolate_lowest_root([5], precision) is None
     with pytest.raises(ValueError, match="not real-rooted"):
@@ -129,7 +133,7 @@ def test_isolate_roots_equals_the_oracle_on_graph_polynomials(kind):
     for g in GRAPHS:
         c = char_poly(matrix(g))
         for precision in PRECISIONS:
-            assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision), (g.n, precision)
+            assert report_parts(integer_roots(c, precision)) == fraction_root_parts(c, precision), (g.n, precision)
 
 
 def test_isolation_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
@@ -138,12 +142,12 @@ def test_isolation_and_algebraic_connectivity_equal_the_oracle(monkeypatch):
         for g in GRAPHS:
             lc, qc = char_poly(laplacian(g)), char_poly(signless_laplacian(g))
             intervals = integer_roots(qc).isolating_intervals
-            out.append((isolate_roots(lc), algebraic_connectivity(g), intervals))
+            out.append((integer_roots(lc), algebraic_connectivity_from_poly(split_integer_roots(lc)), intervals))
         return out
 
     expected = results()
-    # the cells that integer_roots (which isolate_roots calls) and
-    # isolate_lowest_root (which algebraic_connectivity calls) draw,
+    # the cells that integer_roots and isolate_lowest_root (which
+    # algebraic_connectivity_from_poly calls) draw,
     # replaced by the oracle's; the counts, by caller, show that both were
     # reached
     calls = Counter()

@@ -1,9 +1,9 @@
 """Property version of the isolation oracle test (needs Hypothesis).
 
 Any monic real-rooted integer polynomial, square-free or not, and any
-positive precision: isolate_roots returns exactly the Fraction oracle's
-intervals (isolation takes only real-rooted polynomials whose primitive
-part is monic). The inputs are characteristic polynomials of symmetric
+positive precision: integer_roots returns exactly the Fraction oracle's
+intervals, its point intervals as the integer roots (isolation takes
+only real-rooted polynomials whose primitive part is monic). The inputs are characteristic polynomials of symmetric
 integer matrices with small or large entries, times monic quadratics
 with two real roots and large coefficients. So does integer_roots for
 the residual it leaves once the integer roots are split off, on a unit
@@ -13,13 +13,13 @@ rational root, so no interval is a point. count_roots, by Budan–Fourier,
 equals the Sturm oracle's count on real-rooted polynomials with repeated
 roots, at rational ends and at roots. A monic quadratic with a non-real
 pair of roots times a real-rooted polynomial is a ValueError for
-integer_roots and isolate_roots, in bounded time.
+integer_roots, in bounded time.
 
 Characteristic polynomials of random symmetric integer matrices, whose
 roots are all real, and their products with planted integer roots of
-both signs: isolate_roots equals the oracle, and integer_roots finds
-every integer root the oracle finds, the negative ones included (the
-integer-root search leaves out negative candidates only when Descartes'
+both signs: integer_roots equals the oracle: it finds every integer root
+the oracle finds, the negative ones included (the integer-root search
+leaves out negative candidates only when Descartes'
 rule rules them out), and isolates the residual as the oracle does. On
 those reports SpectrumReport.display, which merges the integer roots
 with the interval midpoints by exact integer comparisons, prints what
@@ -56,15 +56,16 @@ from lapspec.polys import (  # noqa: E402
     _square_free,
     count_roots,
     integer_roots,
-    isolate_roots,
 )
 from lapspec.spectra import SpectrumReport  # noqa: E402
 
 from oracle_helpers import (  # noqa: E402
     fraction_isolate_roots,
+    fraction_root_parts,
     fraction_sorted_display,
     poly_mul,
     reconstructs,
+    report_parts,
     sturm_count_oracle,
 )
 
@@ -110,7 +111,7 @@ real_rooted = st.tuples(
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(real_rooted, precisions)
 def test_isolate_roots_equals_the_fraction_oracle(c, precision):
-    assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
+    assert report_parts(integer_roots(c, precision)) == fraction_root_parts(c, precision)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -125,7 +126,7 @@ def test_planted_rational_roots_equal_the_fraction_oracle(roots, cofactor, preci
     c = cofactor
     for p in roots:
         c = poly_mul(c, [-p, 1])
-    assert isolate_roots(c, precision) == fraction_isolate_roots(c, precision)
+    assert report_parts(integer_roots(c, precision)) == fraction_root_parts(c, precision)
 
 
 def _irrational_real(quadratic) -> bool:
@@ -172,12 +173,10 @@ def _with_roots(c, roots):
 
 
 def _check_against_the_oracle(c, precision):
-    oracle = fraction_isolate_roots(c, precision)
-    assert isolate_roots(c, precision) == oracle
     report = integer_roots(c, precision)
-    assert reconstructs(report, c)
     # c is monic, so the oracle's rational roots are its integer roots
-    assert [r for r, _ in report.integer_roots] == sorted((lo for lo, hi in oracle if lo == hi), reverse=True)
+    assert report_parts(report) == fraction_root_parts(c, precision)
+    assert reconstructs(report, c)
     assert report.isolating_intervals == tuple(fraction_isolate_roots(list(report.residual), precision))
 
 
@@ -257,11 +256,10 @@ def test_a_non_real_pair_is_a_value_error(pair, factors, precision):
     # roots: isolation of the whole polynomial, or of the residual its
     # integer roots leave, ends in a ValueError, in bounded time
     c = _product([pair, *factors])
-    for call in (integer_roots, isolate_roots):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="not real-rooted"):
-            call(c, precision)
-        assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not real-rooted"):
+        integer_roots(c, precision)
+    assert time.perf_counter() - start < 2
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

@@ -19,18 +19,18 @@ at a dyadic level gives the general scaled value at a point of it, the
 Taylor shift of such a list is its binomial expansion at the point, and
 interpolate gives back an integer polynomial from its values at 0, 1, ...
 and rejects the values of a polynomial whose coefficients are not all
-integers; grid_interpolate on {0, 1, 2}^p, p = 1 or 2, gives back the
-polynomial a table was made from, as interpolate does line by line, and
-rejects a table changed by an odd amount at a point with a coordinate 0 or
-2. The compiled tokenizer gives the tokens, or the ValueError, of the
+integers; grid_interpolate on {1, 2, 3}^p, p = 1 or 2, gives back the
+polynomial a table was made from, as Lagrange's formula does line by line,
+and rejects a table changed by an odd amount at a point with a coordinate 1
+or 3. The compiled tokenizer gives the tokens, or the ValueError, of the
 character-at-a-time scanner of oracle_helpers on short mixed texts.
 parse_poly reads
 MPoly's canonical text back to the same polynomial over the given
 variables. char_poly, on symmetric and on other matrices, takes the values
 det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
 gives at integer (s, t) what it gives for the matrix with the values put
-in. The catalog's polynomial interpolated from the integer fold on the
-{0, 1, 2} grid equals the polynomial fold with symbolic counts, on random
+in. The catalog's polynomial interpolated from the integer fold at the
+counts {1, 2, 3} equals the polynomial fold with symbolic counts, on random
 path-count lists. taylor_shift of a polynomial in one or two parameters
 equals its terms multiplied out at the shifted variables, and a sign that
 sign_above certifies holds at every point of a box above the floors; a
@@ -374,16 +374,27 @@ def test_the_compiled_tokenizer_equals_the_character_scanner(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(scan_tokens, text)
 
 
+def _lagrange_line(v1, v2, v3):
+    """The coefficients of the polynomial of degree at most 2 that takes
+    v1, v2, v3 at 1, 2, 3, by Lagrange's formula over Fractions; ValueError
+    when one is not an integer."""
+    basis = ([6, -5, 1], [-6, 8, -2], [2, -3, 1])  # twice the basis at 1, 2, 3
+    coeffs = [Fraction(sum(v * b[e] for v, b in zip((v1, v2, v3), basis)), 2) for e in range(3)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("not an integer polynomial")
+    return [int(c) for c in coeffs]
+
+
 def interpolate_line_by_line(table):
     """grid_interpolate's table interpolated one line of one value at a time
-    along one axis after another, with polys.interpolate: a map from
-    (list index, exponents) to the nonzero coefficients."""
+    along one axis after another, by _lagrange_line: a map from (list
+    index, exponents) to the nonzero coefficients."""
     flat = {(k,) + point: a for point, values in table.items() for k, a in enumerate(values)}
     for axis in range(1, len(next(iter(table))) + 1):
         out = {}
         for rest in {key[:axis] + key[axis + 1 :] for key in flat}:
-            line = [flat.get(rest[:axis] + (x,) + rest[axis:], 0) for x in range(3)]
-            for e, a in enumerate(interpolate(line)):
+            line = [flat.get(rest[:axis] + (x,) + rest[axis:], 0) for x in (1, 2, 3)]
+            for e, a in enumerate(_lagrange_line(*line)):
                 out[rest[:axis] + (e,) + rest[axis:]] = a
         flat = out
     return {key: a for key, a in flat.items() if a}
@@ -391,16 +402,16 @@ def interpolate_line_by_line(table):
 
 @st.composite
 def grid_tables(draw):
-    """A table of grid_interpolate over {0, 1, 2}^p, p = 1 or 2: the values
+    """A table of grid_interpolate over {1, 2, 3}^p, p = 1 or 2: the values
     there of lists of integer polynomials of degree at most 2 in each
     variable, and those polynomials as a map from (list index, exponents)
     to their nonzero coefficients."""
     p, size = draw(st.integers(1, 2)), draw(st.integers(1, 4))
-    grid = list(product(range(3), repeat=p))
-    coeffs = {exps: draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)) for exps in grid}
+    exponents = list(product(range(3), repeat=p))
+    coeffs = {exps: draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)) for exps in exponents}
     table = {
-        point: [sum(coeffs[exps][k] * prod(map(pow, point, exps)) for exps in grid) for k in range(size)]
-        for point in grid
+        point: [sum(coeffs[exps][k] * prod(map(pow, point, exps)) for exps in exponents) for k in range(size)]
+        for point in product((1, 2, 3), repeat=p)
     }
     return table, {(k,) + exps: c[k] for exps, c in coeffs.items() for k in range(size) if c[k]}
 
@@ -411,10 +422,11 @@ def test_grid_interpolation_equals_interpolate_one_line_at_a_time(case, data):
     table, planted = case
     got = {(k,) + exps: a for exps, c in grid_interpolate(table).items() for k, a in enumerate(c) if a}
     assert got == interpolate_line_by_line(table) == planted
-    # an odd change at a point with a coordinate 0 or 2 adds an odd multiple
-    # of a product of Lagrange basis polynomials with the factor x(x - 1)/2
-    # or (x - 1)(x - 2)/2 on that axis: no integer polynomial takes the values
-    point = data.draw(st.sampled_from([x for x in table if set(x) & {0, 2}]))
+    # an odd change at a point with a coordinate 1 or 3 adds an odd multiple
+    # of a product of Lagrange basis polynomials with the factor
+    # (x - 2)(x - 3)/2 or (x - 1)(x - 2)/2 on that axis: no integer
+    # polynomial takes the values
+    point = data.draw(st.sampled_from([x for x in table if set(x) & {1, 3}]))
     k = data.draw(st.integers(0, len(table[point]) - 1))
     table[point][k] += data.draw(st.sampled_from([-3, -1, 1, 5]))
     with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ imports nothing from polys: the value tables fold ints and build no
 polynomial. And no function, class or method defined in a module is
 dead: each is referenced by code elsewhere in the package, as a name or
 an attribute, outside its own body. Imports, and so the
-package's re-exports, and docstrings are not references. The entry
-points and oracles named in UNREFERENCED are exempt. Importing the CLI,
+package's re-exports, and docstrings are not references. The oracles
+named in UNREFERENCED are exempt. Importing the CLI,
 loading the catalog and running two commands in a fresh interpreter loads
 none of the heavy standard modules in COLD_START_EXCLUDED.
 """
@@ -47,17 +47,9 @@ COLD_START_EXCLUDED = (
     "gettext",
     "locale",
 )
-# defined in the package with no caller in it: the dense-path oracles
-# det_gauss and brute_force_oracle, the per-point root-count oracle
-# count_roots, and the library entry points isolate_roots and
-# algebraic_connectivity
-UNREFERENCED = {
-    "det_gauss",
-    "brute_force_oracle",
-    "count_roots",
-    "isolate_roots",
-    "algebraic_connectivity",
-}
+# defined in the package with no caller in it: the oracles, det_gauss and
+# brute_force_oracle on the dense path and count_roots per point
+UNREFERENCED = {"det_gauss", "brute_force_oracle", "count_roots"}
 
 
 def private_imports(source: str, filename: str = "<source>"):

@@ -202,7 +202,6 @@ def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
     # quotient_cells, evaluated at every k in 0..n
     from lapspec.matrices import (
         links_table,
-        one_hub_coupling,
         quotient_values,
         side_table,
         two_hub_coupling,
@@ -214,7 +213,7 @@ def test_pointwise_quotient_equals_the_multiplied_out_quotient_up_to_ten():
             for cfg in enumerate_family(family, n):
                 side_u = side_table(cfg.pendants_u, cfg.cycles_u, n + 1)
                 if family == "G1":
-                    coupling, side, d = one_hub_coupling(n + 1), side_u, cfg.hub_degree_u()
+                    coupling, side, d = ((1,) * (n + 1), (0,) * (n + 1)), side_u, cfg.hub_degree_u()
                 else:
                     links = links_table(cfg.paths, cfg.hub_edge, n + 1)
                     coupling = two_hub_coupling(links, side_u, cfg.hub_degree_u())

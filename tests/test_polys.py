@@ -14,7 +14,6 @@ from lapspec import (
     divides,
     integer_roots,
     isolate_lowest_root,
-    isolate_roots,
     only_integer_roots,
     parse_poly,
     path,
@@ -214,14 +213,10 @@ def _bisection_cells(c, precision):
 
 
 def _sturm_bisection(c, precision):
-    """Isolating intervals by Sturm counts alone: the integer roots as
-    point intervals, and the bisection cells of the integer-root-free
-    rest, sorted by midpoint."""
-    roots, rest = split_integer_roots(c)
-    intervals = [(Fraction(r), Fraction(r)) for r in roots]
-    if len(rest) > 1:
-        intervals += _bisection_cells(rest, precision)
-    return sorted(intervals, key=lambda iv: (iv[0] + iv[1]) / 2)
+    """The bisection cells, by Sturm counts alone, of the integer-root-free
+    rest of c: the isolating intervals integer_roots gives."""
+    rest = split_integer_roots(c)[1]
+    return _bisection_cells(rest, precision) if len(rest) > 1 else []
 
 
 def _random_factored_poly(rng):
@@ -291,9 +286,10 @@ def test_isolation_builds_no_remainder_sequence(monkeypatch):
         return prem(f, g)
 
     monkeypatch.setattr(polys, "_prem", counting)
-    assert integer_roots(c).residual == tuple(rest)
-    assert len(isolate_roots(c)) == 2 + count_roots(rest, -3, 3) == 6
-    assert isolate_lowest_root(rest) == isolate_roots(rest)[0]
+    report = integer_roots(c)
+    assert report.residual == tuple(rest)
+    assert len(report.integer_roots) + len(report.isolating_intervals) == 2 + count_roots(rest, -3, 3) == 6
+    assert isolate_lowest_root(rest) == integer_roots(rest).isolating_intervals[0]
     for g in queries_pool_graphs():
         for matrix in (laplacian(g), signless_laplacian(g)):
             integer_roots(char_poly(matrix))
@@ -342,7 +338,7 @@ def test_the_cell_search_scales_the_residual_once_at_the_target_level_and_once_p
         return prescaled(p, level)
 
     monkeypatch.setattr(polys, "_prescaled", counting)
-    assert len(isolate_roots(c, Fraction(1, 2))) == 4
+    assert len(integer_roots(c, Fraction(1, 2)).isolating_intervals) == 4
     assert sorted(level for _, level in calls) == list(range(44, 63))
     assert len({p for p, _ in calls}) == 1
 
@@ -357,11 +353,11 @@ def test_isolation_equals_sturm_bisection():
             c = poly_mul(c, [-rng.randint(-20, 20), 1])
         c = fraction_square_free_part(c)
         precision = rng.choice([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 2**20)])
-        assert isolate_roots(c, precision) == _sturm_bisection(c, precision), c
+        assert list(integer_roots(c, precision).isolating_intervals) == _sturm_bisection(c, precision), c
 
 
 def _refinement_evaluations(monkeypatch, c, precision):
-    """isolate_roots(c, precision), and (evaluations, 4·(target - k)) for
+    """integer_roots(c, precision)'s cells, and (evaluations, 4·(target - k)) for
     each root _refine refines meanwhile; asserts that every grid index a
     refinement evaluates is new and strictly inside its cell (the cell
     search hands over both end values), and stops a refinement that
@@ -390,7 +386,7 @@ def _refinement_evaluations(monkeypatch, c, precision):
 
     monkeypatch.setattr(polys, "_horner", counting_value)
     monkeypatch.setattr(polys, "_refine", counting_refine)
-    intervals = isolate_roots(c, precision)
+    intervals = list(integer_roots(c, precision).isolating_intervals)
     monkeypatch.undo()
     return intervals, per_root
 
@@ -496,23 +492,26 @@ def test_eval_mul_homomorphism():
 
 
 def test_isolate_roots():
-    ivs = isolate_roots(coeffs("λ^2 - 6*λ + 6"), Fraction(1, 100))
+    ivs = integer_roots(coeffs("λ^2 - 6*λ + 6"), Fraction(1, 100)).isolating_intervals
     assert len(ivs) == 2
     for (lo, hi), target in zip(ivs, (Fraction(1268, 1000), Fraction(4732, 1000))):
         assert hi - lo <= Fraction(1, 100)
         assert lo < target < hi or abs((lo + hi) / 2 - target) < Fraction(1, 100)
-    ivs = isolate_roots(coeffs("λ^2 - 7*λ + 8"), Fraction(1, 100))
+    ivs = integer_roots(coeffs("λ^2 - 7*λ + 8"), Fraction(1, 100)).isolating_intervals
     mids = [float((lo + hi) / 2) for lo, hi in ivs]
     assert round(mids[0], 2) == 1.44 and round(mids[1], 2) == 5.56
-    assert isolate_roots(coeffs("λ - 5")) == [(5, 5)]
+    report = integer_roots(coeffs("λ - 5"))
+    assert (report.integer_roots, report.isolating_intervals) == (((5, 1),), ())
 
 
 def test_isolation_handles_repeated_and_rational_roots():
     # a monic polynomial's rational roots are its integer roots
     p = coeffs("(λ+1)^2*(λ-3)*(λ^2-2)")
-    ivs = isolate_roots(p, Fraction(1, 1000))
-    assert len(ivs) == len(set(ivs)) == 4
-    assert ivs[1] == (-1, -1) and ivs[3] == (3, 3)
+    report = integer_roots(p, Fraction(1, 1000))
+    assert report.integer_roots == ((3, 1), (-1, 2))
+    ivs = report.isolating_intervals
+    assert len(ivs) == len(set(ivs)) == 2
+    assert ivs[0][1] < -1 < ivs[1][0] and ivs[1][1] < 3
     assert all(type(end) is Fraction for iv in ivs for end in iv)
     assert count_roots(p, -4, 4) == 4
 
@@ -521,10 +520,11 @@ def test_isolation_takes_only_a_monic_primitive_part():
     # the leading coefficient must divide the content: 2λ² - 4 = 2(λ² - 2)
     # and -λ³ + λ are taken; 2λ - 1, (2λ - 1)(λ² - 2) and (λ - 3)(3λ² + 1)
     # are not, the last one also once its integer root is split off
-    assert len(isolate_roots([-4, 0, 2])) == 2 and len(isolate_roots([0, 1, 0, -1])) == 3
+    assert len(integer_roots([-4, 0, 2]).isolating_intervals) == 2
+    assert len(integer_roots([0, 1, 0, -1]).integer_roots) == 3
     non_monic = [[-1, 2], poly_mul([-1, 2], [-2, 0, 1]), poly_mul([-3, 1], [1, 0, 3])]
     for c in non_monic:
-        for call in (isolate_roots, isolate_lowest_root, integer_roots):
+        for call in (isolate_lowest_root, integer_roots):
             with pytest.raises(ValueError, match="leading coefficient does not divide its content"):
                 call(c)
         # the integer-root search takes a primitive part that is not monic;
@@ -543,7 +543,7 @@ def test_a_root_on_a_grid_point_gets_the_bisection_cell():
     assert isolate_lowest_root(c) == (Fraction(-1048577, 1048576), -1)
     for precision in (polys.DEFAULT_PRECISION, Fraction(1, 3), Fraction(1), Fraction(5)):
         assert isolate_lowest_root(c, precision) == _bisection_cells(c, precision)[0]
-    assert isolate_roots(c)[0] == (-1, -1)
+    assert integer_roots(c).integer_roots == ((-1, 1),)
     # every cell of polynomials with integer roots at grid points: the
     # root 0 lies on the upper end of the cell (-w, 0] next to it, and is
     # the lower end of the cell above it, which holds another root; and
@@ -573,18 +573,19 @@ def test_a_cell_as_wide_as_the_start_interval_is_kept_at_level_zero():
         ([-2, 0, 1], 1000, [(-3, 0), (0, 3)]),
         ([5, -5, 1], 12, [(0, 3), (3, 6)]),
     ):
-        assert isolate_roots(c, precision) == _bisection_cells(c, precision) == cells
+        assert list(integer_roots(c, precision).isolating_intervals) == _bisection_cells(c, precision) == cells
         assert isolate_lowest_root(c, precision) == cells[0]
 
 
 def test_precision_must_be_positive_everywhere():
-    # integer_roots and spectrum check precision as isolate_roots does: a
-    # zero width would divide by zero, a negative one still give intervals
+    # integer_roots and spectrum check precision as isolate_lowest_root
+    # does: a zero width would divide by zero, a negative one still give
+    # intervals
     c = coeffs("λ^2 - 2")
     for bad in (0, Fraction(-1, 10)):
         for call in (
             lambda: integer_roots(c, bad),
-            lambda: isolate_roots(c, bad),
+            lambda: isolate_lowest_root(c, bad),
             lambda: spectrum(path(4), "L", precision=bad),
         ):
             with pytest.raises(ValueError, match="precision must be positive"):
@@ -639,8 +640,9 @@ def test_close_roots_are_separated():
     # about 2^-59 apart, and (λ - 1) adds an integer root, recovered exactly
     a = 1 << 20
     quartic = [-2, 4 * a, -2 * a * a, 0, 1]
-    ivs = isolate_roots(poly_mul([-1, 1], quartic), Fraction(1, 2**30))
-    assert (1, 1) in ivs and len(ivs) == 5
+    report = integer_roots(poly_mul([-1, 1], quartic), Fraction(1, 2**30))
+    ivs = report.isolating_intervals
+    assert report.integer_roots == ((1, 1),) and len(ivs) == 4
     close = [iv for iv in ivs if Fraction(1, 2**21) < iv[0] < Fraction(1, 2**19)]
     assert len(close) == 2 and close[0][1] <= close[1][0]
     assert all(count_roots(quartic, lo, hi) == 1 for lo, hi in close)
@@ -656,7 +658,7 @@ def test_isolation_of_a_polynomial_with_complex_roots_is_a_value_error(text):
     # holds no root: only its sign check finds that out before
     # isolate_lowest_root refines it. Each ends in well under a second
     c = coeffs(text)
-    for call in (integer_roots, isolate_roots, isolate_lowest_root):
+    for call in (integer_roots, isolate_lowest_root):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="not real-rooted"):
             call(c)
@@ -682,7 +684,7 @@ def test_big_coefficient_isolation_is_fast_and_bounded():
         assert sturm_count_oracle(c, -bound, bound) < 12
         start = time.perf_counter()
         with pytest.raises(ValueError, match="not real-rooted"):
-            isolate_roots(c)
+            integer_roots(c)
         assert time.perf_counter() - start < 2
 
 

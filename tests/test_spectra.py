@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from lapspec import (
+    DEFAULT_PRECISION,
     FamilyConfig,
     Graph,
     SpectralValue,
-    algebraic_connectivity,
+    algebraic_connectivity_from_poly,
     char_poly,
     complete,
     complete_bipartite,
@@ -30,11 +31,13 @@ from lapspec import (
     realize,
     signless_laplacian,
     spectrum,
+    split_integer_roots,
     star,
     to_graph6,
     vertex_connectivity,
 )
 from lapspec import spectra
+from lapspec.cli import main
 from oracle_helpers import (
     _interlaces,
     edge_interlacing_check,
@@ -181,17 +184,24 @@ def test_prop_instance_spectrum_with_residual():
     assert round(mids[0], 2) == 1.27 and round(mids[1], 2) == 4.73
 
 
-def test_algebraic_connectivity():
-    a = algebraic_connectivity(star(6))
+def _connectivity(g, precision=DEFAULT_PRECISION):
+    """a(G) read off the integer-root split of G's Laplacian polynomial, as
+    classify reads it."""
+    return algebraic_connectivity_from_poly(split_integer_roots(char_poly(laplacian(g))), precision)
+
+
+def test_algebraic_connectivity(capsys):
+    a = _connectivity(star(6))
     assert a.is_integer and a.value == 1
-    a = algebraic_connectivity(path(4))
+    a = _connectivity(path(4))
     assert not a.is_integer and 0 < a.lo and a.hi < 1
-    a = algebraic_connectivity(complete(5))
+    a = _connectivity(complete(5))
     assert a.is_integer and a.value == 5
-    a = algebraic_connectivity(disjoint_union(path(2), path(3)))
+    a = _connectivity(disjoint_union(path(2), path(3)))
     assert a.is_integer and a.value == 0
-    with pytest.raises(ValueError):
-        algebraic_connectivity(complete(1))
+    # a(G) needs n >= 2: classify leaves it out for K1
+    assert main(["classify", "--builder", "K1"]) == 0
+    assert "algebraic_connectivity" not in json.loads(capsys.readouterr().out)
 
 
 def test_algebraic_connectivity_halves_a_precision_whose_cell_reaches_across_an_integer_root(monkeypatch):
@@ -207,10 +217,10 @@ def test_algebraic_connectivity_halves_a_precision_whose_cell_reaches_across_an_
         return isolate(c, precision)
 
     monkeypatch.setattr(spectra, "isolate_lowest_root", counting)
-    a = algebraic_connectivity(from_graph6("Cp"), Fraction(8))
+    a = _connectivity(from_graph6("Cp"), Fraction(8))
     assert a == SpectralValue(is_integer=False, lo=Fraction(0), hi=Fraction(5, 4)) and calls == [8, 4, 2]
     calls.clear()
-    a = algebraic_connectivity(from_graph6("EuHG"), Fraction(8))
+    a = _connectivity(from_graph6("EuHG"), Fraction(8))
     assert a == SpectralValue(is_integer=True, value=1) and calls == [8, 4, 2, 1]
 
 
@@ -235,7 +245,7 @@ def test_kirkland_matches_connectivity_on_random_graphs():
         if g.edge_count == g.n * (g.n - 1) // 2:
             continue
         r = kirkland_decomposition_check(g)
-        a = algebraic_connectivity(g)
+        a = _connectivity(g)
         if r.a_equals_k:
             assert a.is_integer and a.value == r.k
             cut = set(r.cut_vertices)
@@ -274,7 +284,7 @@ def test_path_interior_root_counts():
 
 
 def test_cycle_six_connectivity_gap():
-    a = algebraic_connectivity(cycle(6))
+    a = _connectivity(cycle(6))
     assert a.is_integer and a.value == 1
     assert vertex_connectivity(cycle(6)) == 2
 
@@ -283,7 +293,7 @@ def test_connected_graphs_have_positive_connectivity_value():
     rng = random.Random(404)
     for _ in range(25):
         g = random_connected_graph(rng, 8)
-        a = algebraic_connectivity(g)
+        a = _connectivity(g)
         if a.is_integer:
             assert a.value > 0
         else:
