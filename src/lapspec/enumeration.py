@@ -89,37 +89,25 @@ def _partitions(total: int, min_part: int) -> tuple:
     )
 
 
-def _cycle_multisets(budget: int):
-    """Cycle-length multisets consuming exactly budget non-hub vertices."""
-    for parts in _partitions(budget, 2):
-        yield tuple(p + 1 for p in parts)
-
-
-@lru_cache(maxsize=None)
-def _sides(budget: int) -> tuple:
-    """(pendant lengths, cycle lengths) pairs for one hub, exact budget."""
-    return tuple(
-        (pendants, cycles)
-        for pend_used in range(budget + 1)
-        for pendants in _partitions(pend_used, 1)
-        for cycles in _cycle_multisets(budget - pend_used)
-    )
-
-
 @lru_cache(maxsize=None)
 def _side_records(budget: int, size: int, min_degree: int) -> tuple:
-    """(side, table, degree) for each hub side of _sides(budget), in that
-    order, whose degree (FamilyConfig.side_degree) is at least min_degree:
-    table is the side's side_table of size entries, or None for size 0, a
-    walk that decides nothing. The records of one budget and size are
-    built once and shared by every min_degree, and they reference the
-    cached tables, so the walk reads a member's table and degree with no
-    lookup."""
+    """(side, table, degree) for each hub side (pendant lengths, cycle
+    lengths) of exactly budget non-hub vertices whose degree
+    (FamilyConfig.side_degree) is at least min_degree, by pendant budget,
+    then pendants, then cycles, a cycle of length c taking c - 1 of the
+    budget's vertices: table is the side's side_table of size entries, or
+    None for size 0, a walk that decides nothing. The records of one
+    budget and size are built once and shared by every min_degree, and
+    they reference the cached tables, so the walk reads a member's table
+    and degree with no lookup."""
     if min_degree:
         return tuple(r for r in _side_records(budget, size, 0) if r[2] >= min_degree)
     return tuple(
         (side, side_table(*side, size) if size else None, FamilyConfig.side_degree(*side))
-        for side in _sides(budget)
+        for pend_used in range(budget + 1)
+        for pendants in _partitions(pend_used, 1)
+        for parts in _partitions(budget - pend_used, 2)
+        for side in [(pendants, tuple(p + 1 for p in parts))]
     )
 
 
@@ -127,15 +115,10 @@ def _side_records(budget: int, size: int, min_degree: int) -> tuple:
 def _g1_records(n: int, size: int) -> tuple:
     """The side records (see _side_records) of the G1 members on n
     vertices, each hub side of degree at least 3 one member, cycles before
-    pendants: by cycle budget, then cycles, then pendants."""
-    by_side = {record[0]: record for record in _side_records(n - 1, size, 3)}
-    return tuple(
-        by_side[pendants, cycles]
-        for cyc_used in range(n)
-        for cycles in _cycle_multisets(cyc_used)
-        for pendants in _partitions(n - 1 - cyc_used, 1)
-        if (pendants, cycles) in by_side
-    )
+    pendants: sorted by cycle budget Σ(c - 1), then cycles, then pendants,
+    which orders each budget's multisets as _partitions yields them."""
+    records = _side_records(n - 1, size, 3)
+    return tuple(sorted(records, key=lambda r: (sum(r[0][1]) - len(r[0][1]), r[0][1], r[0][0])))
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +433,7 @@ def _shard_groups(n, size):
         base = hub_edge + len(paths)
         for record_u, v_records in _g2_sides(n, hub_edge, paths, size):
             side_u, table_u, degree_u = record_u
-            ok = links[3] and table_u[2]
+            ok = links[4] and table_u[2]
             coupling = two_hub_coupling(links, table_u, base + degree_u) if ok else None
             yield ("G2", hub_edge, paths) + side_u, coupling, ok, base, record_u, v_records
 
@@ -530,10 +513,10 @@ def _decide_shard(n, shard, row, counts, mismatches, out):
 
 def _fill_tables(n_max: int) -> None:
     """Fill the value tables of every hub side and link set of the members
-    on at most n_max vertices."""
+    on at most n_max vertices: the sides through their _side_records,
+    which the walk then reads."""
     for budget in range(n_max):
-        for pendants, cycles in _sides(budget):
-            side_table(pendants, cycles, n_max + 1)
+        _side_records(budget, n_max + 1, 0)
     for hub_edge, paths in _g2_links(n_max):
         links_table(paths, hub_edge, n_max + 1)
 

@@ -321,24 +321,23 @@ def _grid_ranges(case: PropositionCase, cap: int, overrides: dict | None) -> lis
 
 
 def grid_points(case: PropositionCase, cap: int = GRID_CAP_DEFAULT, overrides: dict | None = None):
-    """Deterministic stream of in-range parameter assignments.
+    """Deterministic stream of in-range parameter assignments: the points
+    of the ranges' box whose one-point box holds a grid point (_box_size).
 
     overrides maps a parameter name to an (lo, hi) pair narrowing the
     declared range; the declared minimum still applies.
     """
     for combo in product(*_grid_ranges(case, cap, overrides)):
-        if case.min_param_total is not None and sum(combo) < case.min_param_total:
-            continue
-        point = dict(zip(case.params, combo))
-        if tuple(point.items()) not in case.grid_exclude:  # params are sorted
-            yield point
+        if _box_size(case, [range(v, v + 1) for v in combo]) == 1:
+            yield dict(zip(case.params, combo))
 
 
 def _box_size(case: PropositionCase, ranges) -> int:
     """The number of grid points of the case in the box ranges, one range
     per parameter in case.params order: the points of the box that meet
-    min_param_total and are not in grid_exclude. Over the ranges of
-    _grid_ranges it is the number of points grid_points yields.
+    min_param_total and are not in grid_exclude, the one statement of the
+    grid's rule: grid_points yields the points whose one-point box it
+    counts, so over the ranges of _grid_ranges it is their number.
 
     No point is built. For each combination of the other parameters, the
     last one's values that reach min_param_total form one run at the top of

@@ -519,6 +519,8 @@ def from_graph6(text: str) -> Graph:
     if min(text) < "?" or max(text) > "~":
         raise ValueError("invalid graph6 character")
     if text[0] == "~":
+        if text[1:2] == "~":
+            raise ValueError("the graph6 8-byte size form (n >= 258048) is not supported")
         if len(text) < 4:
             raise ValueError("truncated graph6 size")
         n = int(text[1:4].translate(_GRAPH6_BITS), 2)

@@ -10,7 +10,8 @@ links_table hold each hub side's and link set's fold at k = 0, 1, ...,
 in ints from the continuants' values, each folded once from the cached
 table of its prefix, and whether every repeated θ of their chains has
 only integer roots, which a closed-form rule on the chain kinds answers
-(_repeats_integral). The sweep scans the quotient at consecutive
+(_repeats_integral); one cached links_table per link set holds P, N, U, T
+and that flag, its hub edge applied to the no-edge entry of the cache. The sweep scans the quotient at consecutive
 integers off the tables (side_sign_change), where a sign change
 certifies a non-integer eigenvalue with no polynomial built and a member
 costs a few products per k; quotient_values gives Q(0..n), on which the
@@ -148,7 +149,7 @@ def det_gauss(m: IntMatrix) -> Fraction:
 # (Haemers, Linear Algebra Appl. 226-228, 1995); the full polynomial is that
 # quotient times θ^(c-1) for every kind with c >= 2.
 #
-# A table holds a side's or a link set's P, N (and T) at k = 0..size-1,
+# A table holds a side's P, N or a link set's P, N, U, T at k = 0..size-1,
 # folded in plain ints at each k from the continuants' values t_j(k). One
 # hub side or one set of internal paths recurs in many members, so the
 # tables are cached. A and B below depend only on the internal paths and the
@@ -182,9 +183,10 @@ def _repeats_integral(pendant_kinds=(), cycle_kinds=(), path_kinds=()) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _continuant_values(last, size, longest):
-    """The values of the continuants t_j at λ = k for j = -1..longest, as
-    rows over k in range(size): row j + 1 holds t_j(0), ..., t_j(size - 1).
+def _continuant_values(last, size):
+    """The values of the continuants t_j at λ = k for j = -1..max(1, size -
+    1), as rows over k in range(size): row j + 1 holds t_j(0), ...,
+    t_j(size - 1), for every chain of a member on fewer than size vertices.
 
     t_j = det(λI - T_j) for T_j the trailing j x j block of the tridiagonal
     T with -1 off the diagonal and diagonal 2, ..., 2, last, so t_{-1} = 0,
@@ -193,7 +195,7 @@ def _continuant_values(last, size, longest):
     """
     ks = range(size)
     rows = [(0,) * size, (1,) * size, tuple(k - last for k in ks)]
-    while len(rows) < longest + 2:
+    while len(rows) <= size:
         rows.append(tuple((k - 2) * a - b for k, a, b in zip(ks, rows[-1], rows[-2])))
     return tuple(rows)
 
@@ -225,13 +227,13 @@ def side_table(pendants, cycles, size):
     c = len(lengths) - start
     if cycles:
         p, n, ok = side_table(pendants, cycles[:start], size)
-        t = _continuant_values(2, size, length - 1)
+        t = _continuant_values(2, size)
         sign = (-1) ** length
         theta, m = t[length], [2 * (x + sign) for x in t[length - 1]]
         ok = ok and _repeats_integral(cycle_kinds=[(length, c)])
     else:
         p, n, ok = side_table(pendants[:start], (), size)
-        t = _continuant_values(1, size, length)
+        t = _continuant_values(1, size)
         theta, m = t[length + 1], t[length]
         ok = ok and _repeats_integral(pendant_kinds=[(length, c)])
     return (
@@ -243,8 +245,8 @@ def side_table(pendants, cycles, size):
 
 def _fold_path_kind(fold, t, order, c):
     """(P, N, U, D) of internal paths folded with c further paths of order
-    i, in ints at each k, t the _continuant_values rows (last = 2) up to
-    t_{i-2}.
+    i, in ints at each k, t the _continuant_values rows (last = 2), which
+    reach t_{i-2}.
 
     P = ∏ θ_i; N / P = Σ c_i t_{i-3} / θ_i is each hub's share of the
     Schur complement (the same at u and at v, a path being symmetric), and
@@ -270,36 +272,27 @@ def _fold_path_kind(fold, t, order, c):
 
 
 @lru_cache(maxsize=None)
-def _paths_table(paths, size):
-    """(P(k), N(k), U(k), D(k)) for k in range(size) of the internal paths
-    with no hub edge (see _fold_path_kind), and whether every repeated θ of
-    the paths has only integer roots (_repeats_integral).
-
-    As side_table does, it folds the cached table of its prefix, the paths
-    without their longest kind, once with that kind; the prefix is a link
-    set of a smaller budget the walk meets too."""
+def links_table(paths, hub_edge, size):
+    """(P(k), N(k), U(k), T(k)) for k in range(size) of the internal paths
+    (an ascending tuple of orders) and the hub edge (see _fold_path_kind),
+    and whether every repeated θ of the paths has only integer roots
+    (_repeats_integral). With no hub edge T = D, and as side_table does, it
+    folds the cached table of its prefix, the paths without their longest
+    kind, once with that kind; the prefix is a link set of a smaller budget
+    the walk meets too. The hub edge gives T = D + 2U - P on the cached
+    no-edge table of the same paths."""
+    if hub_edge:
+        p, n, u, d, ok = links_table(paths, False, size)
+        return p, n, u, tuple([d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)]), ok
     if not paths:
         zero = (0,) * size
         return (1,) * size, zero, zero, zero, True
     order = paths[-1]
     start = paths.index(order)
     c = len(paths) - start
-    *fold, ok = _paths_table(paths[:start], size)
-    fold = _fold_path_kind(fold, _continuant_values(2, size, order - 2), order, c)
+    *fold, ok = links_table(paths[:start], False, size)
+    fold = _fold_path_kind(fold, _continuant_values(2, size), order, c)
     return (*map(tuple, fold), ok and _repeats_integral(path_kinds=[(order, c)]))
-
-
-@lru_cache(maxsize=None)
-def links_table(paths, hub_edge, size):
-    """(P(k), N(k), T(k)) for k in range(size) of the internal paths (an
-    ascending tuple of orders) and the hub edge, T = D + 2U - P with the
-    edge applied last to the cached fold of the paths (_paths_table), T = D
-    without it, and whether every repeated θ of the paths has only integer
-    roots (_repeats_integral)."""
-    p, n, u, d, ok = _paths_table(paths, size)
-    if hub_edge:
-        d = tuple([d_k + 2 * u_k - p_k for d_k, u_k, p_k in zip(d, u, p)])
-    return p, n, d, ok
 
 
 def two_hub_coupling(links, side_u, degree_u) -> tuple:
@@ -307,7 +300,7 @@ def two_hub_coupling(links, side_u, degree_u) -> tuple:
     B = N X_u - P_u T, from a links_table and the side_table of the u hub
     of degree degree_u, X_u(k) = (k - degree_u) P_u(k) - N_u(k): the part
     of a G2 member's quotient Y A - P_v B its v side does not change."""
-    p, n, t, _ = links
+    p, n, _, t, _ = links
     pu, nu, _ = side_u
     a, b = [], []
     for k, p_k, n_k, t_k, pu_k, nu_k in zip(range(len(p)), p, n, t, pu, nu):

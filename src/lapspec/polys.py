@@ -1083,13 +1083,6 @@ def deflate(c, candidates):
     return roots, c
 
 
-@lru_cache(maxsize=None)
-def _difference_weights(n: int) -> tuple:
-    """(-1)^k C(n, k) for k = 0..n: Σ w_k h(k) is (-1)^n times the n-th
-    forward difference of h at 0, which is 0 for every h of degree below n."""
-    return tuple((-1) ** k * comb(n, k) for k in range(n + 1))
-
-
 def deflate_values(values, candidates):
     """deflate in value space: ({root: multiplicity}, the cofactor's values
     at 0..n) for g given as its values g(0), ..., g(n), g an integer
@@ -1099,10 +1092,11 @@ def deflate_values(values, candidates):
     candidate r is a root of what is left exactly when its value at r is
     0; then the cofactor h = g / (λ - r) has integer coefficients (division
     by a monic factor), so h(k) = g(k) / (k - r) is an exact integer
-    division at each k != r. h has degree below n, so its n-th forward
-    difference vanishes, and with it Σ (-1)^k C(n, k) h(k), which is that
-    difference up to sign; h(r) is the one unknown of the sum: one more
-    exact division, by (-1)^r C(n, r). As in deflate,
+    division at each k != r. For w the last row of _interpolation_weights(n),
+    Σ w_k h(k) is n! times h's x^n coefficient, which is 0, h having degree
+    below n; w_k = (-1)^(n-k) C(n, k), so the sum is the n-th forward
+    difference of h at 0 up to sign. h(r) is the one unknown of the sum:
+    h(r) = -Σ_{k≠r} w_k h(k) / w_r, one more exact division. As in deflate,
     r's multiplicity is the number of divisions, each cofactor keeps the
     n + 1 values, and with every integer root among the candidates g has
     only integer roots exactly when the cofactor's values are all equal.
@@ -1113,7 +1107,7 @@ def deflate_values(values, candidates):
     if not any(values):
         raise ValueError("zero polynomial")
     n = len(values) - 1
-    weights = _difference_weights(n)
+    weights = _interpolation_weights(n)[n]
     roots = {}
     for r in candidates:
         if not 0 <= r <= n:

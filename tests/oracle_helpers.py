@@ -15,7 +15,9 @@ _fold_links fold a hub side and the internal paths over them, as
 polynomials where the library folds values. scan_tokens is the
 one-character-at-a-time scanner that polys._tokenize replaced with one
 compiled pattern, recursive_partitions is the generator that
-enumeration._partitions replaced with cached tuples, and
+enumeration._partitions replaced with cached tuples,
+cycles_first_g1_sides is the cycles-first walk of the G1 sides that
+enumeration._g1_records replaced with one sort, and
 fraction_sorted_display is the Fraction sort that SpectrumReport.display
 replaced with an exact merge. None of it shares code with the library
 paths it checks, with three exceptions. family_factors and family_char_poly
@@ -691,7 +693,7 @@ def _side(pendants, cycles):
 
 
 def _fold_links(kinds, hub_edge):
-    """(P, N, T) of the internal paths joining the two hubs as polynomials,
+    """(P, N, U, T) of the internal paths joining the two hubs as polynomials,
     folding each (order, count) pair of kinds once; a count is an int or an
     MPoly. The update is _fold_path_kind's (see its Cassini argument), run on
     the continuants' coefficient lists instead of their values."""
@@ -711,7 +713,7 @@ def _fold_links(kinds, hub_edge):
         )
     if hub_edge:
         d = _add(_add(d, u, 2), p, -1)
-    return p, n, d
+    return p, n, u, d
 
 
 def fold_path_quotient(counts, hub_edge) -> MPoly:
@@ -720,7 +722,7 @@ def fold_path_quotient(counts, hub_edge) -> MPoly:
     may be MPoly values, lifted to an MPoly in λ: the oracle of
     families._grid_quotient."""
     counts = tuple(counts)
-    p, n, t = _fold_links(counts, hub_edge)
+    p, n, _, t = _fold_links(counts, hub_edge)
     x = (-(int(hub_edge) + sum(c for _, c in counts)), 1)
     return lift(_add(poly_mul(x, _add(poly_mul(p, x), n, -2)), t))
 
@@ -781,6 +783,19 @@ def recursive_partitions(total: int, min_part: int):
                 yield (part,) + rest
 
     yield from rec(total, min_part)
+
+
+def cycles_first_g1_sides(n: int):
+    """The hub sides (pendant lengths, cycle lengths) of the G1 members on
+    n vertices, each side of degree at least 3 one member, walked cycles
+    first: by cycle budget, then cycles, then pendants, the order
+    enumeration._g1_records sorts its records into."""
+    for cyc_used in range(n):
+        for parts in recursive_partitions(cyc_used, 2):
+            cycles = tuple(p + 1 for p in parts)
+            for pendants in recursive_partitions(n - 1 - cyc_used, 1):
+                if len(pendants) + 2 * len(cycles) >= 3:
+                    yield pendants, cycles
 
 
 # -- spectral checks ------------------------------------------------------------

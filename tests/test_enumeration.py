@@ -38,10 +38,12 @@ from lapspec.enumeration import (
     TAG_PRODUCT,
     TAG_STAR,
     BudgetExceededError,
+    _g1_records,
     _partitions,
 )
 from lapspec.polys import deflate, interpolate
 from oracle_helpers import (
+    cycles_first_g1_sides,
     family_char_poly,
     has_quotient_sign_change,
     kirkland_decomposition_check,
@@ -59,6 +61,14 @@ def test_memoized_partitions_equal_the_recursive_generator():
         for min_part in (1, 2, 3):
             assert _partitions(total, min_part) == tuple(recursive_partitions(total, min_part))
     assert len(_partitions(24, 1)) == 1575
+
+
+def test_sorted_g1_records_walk_the_sides_cycles_first():
+    # _g1_records sorts the G1 sides by cycle budget, cycles and pendants;
+    # that is the order of the cycles-first walk it replaced, which fixes
+    # the G1 lines of enumerate and of the sweep's --out
+    for n in range(1, 21):
+        assert [record[0] for record in _g1_records(n, 0)] == list(cycles_first_g1_sides(n)), n
 
 
 def test_enumerate_family_small_cases():

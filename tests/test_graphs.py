@@ -343,8 +343,13 @@ def test_graph6_takes_the_4_byte_size_form_only_for_63_and_up():
     # ~??D is the 4-byte form of n = 5, which the 1-byte D stands for: so
     # ~??Ds_ would decode to the K1,4 that Ds_ stands for
     assert degree_sequence(from_graph6("Ds_")) == (4, 1, 1, 1, 1)
-    for text in ("~??Ds_", "~???", "~??}" + "?" * 316, "~~??????"):
+    for text in ("~??Ds_", "~???", "~??}" + "?" * 316):
         with pytest.raises(ValueError, match="outside 63..258047"):
+            from_graph6(text)
+    # ~~ opens the 8-byte size form, n >= 258048, which is refused as such
+    # and never read as a 4-byte size
+    for text in ("~~??????", "~~", "~~?~~~~~" + "?" * 12):
+        with pytest.raises(ValueError, match="8-byte size form"):
             from_graph6(text)
     # the least size of the form decodes, and the largest gets as far as
     # the body's length

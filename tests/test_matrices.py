@@ -19,7 +19,7 @@ from lapspec import (
     realize,
     split_integer_roots,
 )
-from lapspec.matrices import _repeats_integral, side_sign_change
+from lapspec.matrices import _continuant_values, _repeats_integral, side_sign_change
 
 from oracle_helpers import (
     continuant_theta,
@@ -250,12 +250,31 @@ def assert_tables_equal_the_folds(sides, links, size):
         flags[ok] += 1
     for paths, hub_edge in links:
         kinds = sorted(Counter(paths).items())
-        p, n, t = _fold_links(kinds, hub_edge)
+        p, n, u, t = _fold_links(kinds, hub_edge)
         ok = integer_roots_only(continuant_theta("path", order) for order, c in kinds if c > 1)
-        want = (values(p), values(n), values(t), ok)
+        want = (values(p), values(n), values(u), values(t), ok)
         assert links_table(paths, hub_edge, size) == want, (paths, hub_edge)
         flags[ok] += 1
     assert flags[True] > 0 and flags[False] > 0
+
+
+def test_one_continuant_table_per_size_holds_every_per_length_table():
+    # one table of size entries holds t_{-1}..t_{size-1}; each table the
+    # per-length cache built, t_{-1}..t_longest for a chain of at most
+    # size - 1 vertices, is its leading rows
+    def per_length_rows(last, size, longest):
+        ks = range(size)
+        rows = [(0,) * size, (1,) * size, tuple(k - last for k in ks)]
+        while len(rows) < longest + 2:
+            rows.append(tuple((k - 2) * a - b for k, a, b in zip(ks, rows[-1], rows[-2])))
+        return tuple(rows)
+
+    for last in (1, 2):
+        for size in range(1, 26):
+            table = _continuant_values(last, size)
+            assert len(table) == max(3, size + 1)
+            for longest in range(1, size):
+                assert table[: longest + 2] == per_length_rows(last, size, longest), (last, size)
 
 
 def test_value_tables_equal_the_folds_nine_to_twelve():
@@ -274,9 +293,9 @@ def test_value_tables_equal_the_folds_nine_to_twelve():
 
 def test_value_tables_equal_the_folds_of_the_sixteen_fill():
     # every side and link set _fill_tables(16) builds, at its size 17
-    from lapspec.enumeration import _g2_links, _sides
+    from lapspec.enumeration import _g2_links, _side_records
 
-    sides = [side for budget in range(16) for side in _sides(budget)]
+    sides = [record[0] for budget in range(16) for record in _side_records(budget, 0, 0)]
     links = [(paths, hub_edge) for hub_edge, paths in _g2_links(16)]
     assert (len(sides), len(links)) == (3956, 1015)
     assert_tables_equal_the_folds(sides, links, 17)
@@ -286,15 +305,17 @@ def test_side_tables_fold_from_their_prefix_in_any_order():
     # side_table folds each side's last kind onto its prefix's cached
     # table; from cleared caches, in shuffled order, every side of the
     # _fill_tables(14) fill still equals its polynomial fold, and the
-    # cache holds as many tables as a fill leaves
+    # cache holds as many tables as a fill leaves. The fill builds the
+    # tables through _side_records, whose cache is cleared with them, and
+    # so is that of _g1_records, which holds records of _side_records
     from lapspec import matrices
-    from lapspec.enumeration import _fill_tables, _sides
+    from lapspec.enumeration import _fill_tables, _g1_records, _side_records
 
-    for cached in (matrices.side_table, matrices._continuant_values):
+    for cached in (_g1_records, _side_records, matrices.side_table, matrices._continuant_values):
         cached.cache_clear()
     _fill_tables(14)
     filled = matrices.side_table.cache_info().currsize
-    sides = [side for budget in range(14) for side in _sides(budget)]
+    sides = [record[0] for budget in range(14) for record in _side_records(budget, 0, 0)]
     assert filled == len(sides) == 1770
     random.Random(14).shuffle(sides)
     for cached in (matrices.side_table, matrices._continuant_values):
@@ -304,38 +325,43 @@ def test_side_tables_fold_from_their_prefix_in_any_order():
 
 
 def test_link_tables_fold_from_their_prefix_in_any_order():
-    # links_table applies the hub edge to _paths_table, which folds the
-    # longest kind onto its prefix's cached fold; from cleared caches, in
-    # shuffled order, every link set of the _fill_tables(14) fill still
-    # equals its polynomial fold, with one fold per multiset of paths
+    # links_table folds the longest kind onto its prefix's cached no-edge
+    # table and applies the hub edge to the no-edge table of the same
+    # paths; from cleared caches, in shuffled order, every link set of the
+    # _fill_tables(14) fill still equals its polynomial fold, with one
+    # cached table per link set and one for the empty paths without the
+    # edge, the only no-edge prefix that is not a link set itself
     from lapspec import matrices
     from lapspec.enumeration import _g2_links
 
     links = [(paths, hub_edge) for hub_edge, paths in _g2_links(14)]
     random.Random(14).shuffle(links)
-    for cached in (matrices.links_table, matrices._paths_table, matrices._continuant_values):
+    for cached in (matrices.links_table, matrices._continuant_values):
         cached.cache_clear()
     assert_tables_equal_the_folds([], links, 15)
-    assert matrices._paths_table.cache_info().currsize == len({paths for paths, _ in links}) == 272
+    assert matrices.links_table.cache_info().currsize == len(links) + 1 == 544
 
 
 def test_table_fill_builds_no_polynomial():
     # the fill folds values only: matrices imports nothing from polys (see
     # test_layering), and from cleared caches it fills one table per side
-    # and per link set of the walk
+    # and per link set of the walk, plus the empty paths' no-edge table,
+    # and one continuant table for each last entry, 1 and 2
     from lapspec import matrices
-    from lapspec.enumeration import _fill_tables
+    from lapspec.enumeration import _fill_tables, _g1_records, _side_records
 
     for cached in (
+        _g1_records,
+        _side_records,
         matrices.side_table,
         matrices.links_table,
-        matrices._paths_table,
         matrices._continuant_values,
     ):
         cached.cache_clear()
     _fill_tables(12)
     assert matrices.side_table.cache_info().currsize == 752
-    assert matrices.links_table.cache_info().currsize == 277
+    assert matrices.links_table.cache_info().currsize == 277 + 1
+    assert matrices._continuant_values.cache_info().currsize == 2
 
 
 def test_sign_change_is_the_first_and_brackets_a_root_nine_to_eleven():

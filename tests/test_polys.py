@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 from operator import add, mul, sub
 
 import pytest
@@ -719,3 +720,12 @@ def test_a_constant_hashes_as_the_number_it_equals():
             assert {const: "p"}[value] == "p" and {value: "n"}[const] == "n"
     zero = MPoly.zero(("s",))
     assert 0 in {zero} and zero in {0} and {0: 1}[zero] == 1 and {zero: 1}[0] == 1
+
+
+def test_last_interpolation_weights_row_is_the_signed_binomial_row():
+    # deflate_values reads its weights off the last row of
+    # _interpolation_weights(n), which is (-1)^n (-1)^k C(n, k): the n-th
+    # forward difference's weights, up to one sign for the whole row
+    for n in range(31):
+        row = polys._interpolation_weights(n)[n]
+        assert row == tuple((-1) ** n * (-1) ** k * comb(n, k) for k in range(n + 1))
