@@ -64,6 +64,7 @@ from .spectra import (
     algebraic_connectivity_from_poly,
     is_L_integral,
     is_Q_integral,
+    kind_poly,
     laplacian,
     signless_laplacian,
     spectrum,

@@ -108,6 +108,36 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
     assert calls == [char_poly(laplacian(g)), char_poly(signless_laplacian(g))]
 
 
+def test_repeated_requests_reuse_the_l_and_q_polynomials(capsys, monkeypatch):
+    spectra._matrix_poly.cache_clear()
+    commands = (
+        ("spectrum", "--kind", "L"),
+        ("spectrum", "--kind", "Q"),
+        ("classify",),
+        ("refine", "--partition", "0 | *"),
+    )
+
+    def round_():
+        outs = []
+        for command in commands:
+            code, out, _ = run(capsys, *command, "--g6", "IH~U~qO|G")
+            assert code == EXIT_OK
+            outs.append(out)
+        return outs
+
+    first = round_()
+    calls = []
+    berkowitz = spectra.char_poly
+
+    def counting(m):
+        calls.append(m)
+        return berkowitz(m)
+
+    monkeypatch.setattr(spectra, "char_poly", counting)
+    assert round_() == first
+    assert calls == []
+
+
 def test_quotient_command(capsys):
     code, out, _ = run(
         capsys, "quotient", "--builder", "star 6", "--partition", "0 | 1 2 3 4 5"
