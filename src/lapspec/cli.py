@@ -309,7 +309,7 @@ def cmd_quotient(args) -> int:
     except ValueError as exc:  # the cells are valid, so it is not equitable
         raise CliError(str(exc), code=EXIT_BAD_PARTITION) from exc
     quotient_poly = char_poly(quotient)
-    ok, cofactor = divides(quotient_poly, spectra.kind_poly(g, args.kind))
+    ok, cofactor = divides(quotient_poly, char_poly(matrix))
     doc = {
         "graph6": graphs.to_graph6(g),
         "kind": args.kind,
@@ -329,7 +329,7 @@ def cmd_refine(args) -> int:
     matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
     refined = partitions.coarsest_equitable_refinement(matrix, seed)
     quotient = partitions.quotient_matrix(matrix, refined)
-    poly = spectra.kind_poly(g, args.kind)
+    poly = char_poly(matrix)
     # a discrete partition's quotient is the matrix relabelled: same polynomial
     ok, cofactor = divides(poly if len(refined) == g.n else char_poly(quotient), poly)
     doc = {

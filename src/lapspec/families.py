@@ -161,15 +161,16 @@ def _resolve_counts(case: PropositionCase, values: dict, symbolic: bool):
     return counts
 
 
-def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntMatrix:
+def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False):
     """Quotient matrix of the case under its position-pooled partition.
 
     Symbolic mode keeps the counts as variables (all position classes
-    present); concrete mode drops classes whose count is zero. Each
-    concrete parameter must be given, non-negative and at most its grid's
-    upper end, if the grid has one (_resolve_counts). The grid's lower end
-    is not enforced: a count below it still realizes a member, such as
-    s = 2 of 4.7-c1.2, whose closed forms cover it.
+    present) and returns the rows as tuples of ints and MPoly values;
+    concrete mode drops classes whose count is zero and returns an
+    IntMatrix. Each concrete parameter must be given, non-negative and at
+    most its grid's upper end, if the grid has one (_resolve_counts). The
+    grid's lower end is not enforced: a count below it still realizes a
+    member, such as s = 2 of 4.7-c1.2, whose closed forms cover it.
     """
     case = get_case(case_id)
     counts = _resolve_counts(case, {"s": s, "t": t}, symbolic)
@@ -204,7 +205,7 @@ def build_quotient(case_id: str, s=None, t=None, symbolic: bool = False) -> IntM
                 m[r][0] = -1
             if j == order - 2:
                 m[r][1] = -1
-    return IntMatrix(m)
+    return tuple(map(tuple, m)) if symbolic else IntMatrix(m)
 
 
 def case_config(case_id: str, s=None, t=None) -> FamilyConfig:
@@ -294,7 +295,7 @@ def verify_printed_matrix(case_id: str) -> dict:
             if text not in parsed:
                 parsed[text] = parse_poly(text, variables=case.params)
             want = parsed[text]
-            got = generated.entries[i][j]
+            got = generated[i][j]
             if got != want:
                 computed = got.to_text() if isinstance(got, MPoly) else str(got)
                 diffs.append({"entry": (i, j), "printed": text, "computed": computed})

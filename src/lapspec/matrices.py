@@ -1,6 +1,6 @@
-"""Dense matrices and the value tables of the two families' quotients.
+"""Dense int matrices and the value tables of the two families' quotients.
 
-The characteristic polynomial of a dense matrix is computed by the
+The characteristic polynomial of a dense int matrix is computed by the
 Berkowitz scheme, which is division-free, with an exact-fraction
 Gaussian determinant as a cross-oracle. A one- or two-hub family member
 needs no matrix: det(λI - L) is an equitable quotient polynomial times a
@@ -17,19 +17,28 @@ certifies a non-integer eigenvalue with no polynomial built and a member
 costs a few products per k; quotient_values gives Q(0..n), on which the
 root test deflates (polys.deflate_values) and which fix the quotient's
 coefficients (polys.interpolate). The catalog reads its polynomials off
-the same tables (families._grid_quotient), Berkowitz over Z[s,t] being
-their test oracle; matrices imports nothing from the rest of the package.
+the same tables (families._grid_quotient), their test oracle being
+Berkowitz over Z[s,t] in tests/oracle_helpers.py; matrices imports
+nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import mul
+
+# The polynomial of L and Q for each graph a client keeps asking about, and
+# the quotients refine and quotient build: one pass of the benchmark's query
+# pool builds 144 distinct L and Q matrices and 51 quotients of a
+# non-discrete `refine --partition "0 | *"`, 195 in all, so 256 evict none.
+# Bounded, because a --file of large graphs would keep every n x n key alive.
+_POLY_CACHE_SIZE = 256
 
 
 class IntMatrix:
-    """Immutable dense matrix; entries are ints or MPoly values."""
+    """Immutable dense matrix of ints; any other entry is a TypeError."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -37,6 +46,8 @@ class IntMatrix:
         entries = tuple(tuple(row) for row in entries)
         if entries and any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged rows")
+        if not {int}.issuperset(map(type, chain.from_iterable(entries))):
+            raise TypeError("IntMatrix entries must be ints")
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
         self.entries = entries
@@ -57,27 +68,31 @@ class IntMatrix:
 
 
 def char_poly(m: IntMatrix) -> list:
-    """Ascending coefficients of det(λI - M), division-free.
+    """Ascending integer coefficients of det(λI - M), division-free, as a
+    fresh list, cached per process for the last _POLY_CACHE_SIZE matrices:
+    an IntMatrix holds ints only, so equal keys have equal polynomials.
 
     Berkowitz iteration over leading principal submatrices: each step
     multiplies the coefficient vector by a Toeplitz matrix built from the
-    new row/column, using only ring operations, so the coefficients lie in
-    the ring of the entries (ints, or MPoly values over Z[s,t]). The list
-    has n + 1 entries and ends in the leading 1. Each inner product is a
-    sum(map(mul, ...)); sum starts from the int 0, which MPoly entries add
-    through __radd__.
+    new row/column, using only ring operations. The list has n + 1 entries
+    and ends in the leading 1.
 
     Step r needs row · A^j · v for j = 0..r-2, A the leading block, row
     and v the new row and column. When M equals its transpose (checked on
-    the entries; every Laplacian does), row = v and A is symmetric, so over
-    a commutative ring v · A^(2i) v = |A^i v|² and v · A^(2i+1) v =
-    (A^i v) · (A^(i+1) v): half the matrix-vector products give them all.
+    the entries; every Laplacian does), row = v and A is symmetric, so
+    v · A^(2i) v = |A^i v|² and v · A^(2i+1) v = (A^i v) · (A^(i+1) v):
+    half the matrix-vector products give them all.
     """
+    return list(_berkowitz(m))
+
+
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _berkowitz(m: IntMatrix) -> tuple:
     if not m.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
     if n == 0:
-        return [1]
+        return (1,)
     a = m.entries
     symmetric = a == tuple(zip(*a))
     coeffs = [1, -a[0][0]]  # descending powers
@@ -105,7 +120,11 @@ def char_poly(m: IntMatrix) -> list:
                     v = [sum(map(mul, x, v)) for x in block]
         q.reverse()  # term i of q · coeffs pairs q[i], ..., q[0] with coeffs
         coeffs = [sum(map(mul, q[r - i :], coeffs)) for i in range(r + 1)]
-    return coeffs[::-1]
+    return tuple(reversed(coeffs))
+
+
+char_poly.cache_info = _berkowitz.cache_info
+char_poly.cache_clear = _berkowitz.cache_clear
 
 
 def det_gauss(m: IntMatrix) -> Fraction:

@@ -1092,11 +1092,11 @@ def deflate_values(values, candidates):
     candidate r is a root of what is left exactly when its value at r is
     0; then the cofactor h = g / (λ - r) has integer coefficients (division
     by a monic factor), so h(k) = g(k) / (k - r) is an exact integer
-    division at each k != r. For w the last row of _interpolation_weights(n),
-    Σ w_k h(k) is n! times h's x^n coefficient, which is 0, h having degree
-    below n; w_k = (-1)^(n-k) C(n, k), so the sum is the n-th forward
-    difference of h at 0 up to sign. h(r) is the one unknown of the sum:
-    h(r) = -Σ_{k≠r} w_k h(k) / w_r, one more exact division. As in deflate,
+    division at each k != r. For w_k = (-1)^k C(n, k), Σ w_k h(k) is the
+    n-th forward difference of h at 0 up to sign, n! times h's x^n
+    coefficient, which is 0, h having degree below n. h(r) is the one
+    unknown of the sum: h(r) = -Σ_{k≠r} w_k h(k) / w_r, one more exact
+    division; w is built at the first root found. As in deflate,
     r's multiplicity is the number of divisions, each cofactor keeps the
     n + 1 values, and with every integer root among the candidates g has
     only integer roots exactly when the cofactor's values are all equal.
@@ -1107,12 +1107,14 @@ def deflate_values(values, candidates):
     if not any(values):
         raise ValueError("zero polynomial")
     n = len(values) - 1
-    weights = _interpolation_weights(n)[n]
+    weights = None
     roots = {}
     for r in candidates:
         if not 0 <= r <= n:
             raise ValueError(f"candidate {r} outside 0..{n}")
         while not values[r]:
+            if weights is None:
+                weights = [(-1) ** k * comb(n, k) for k in range(n + 1)]
             for k in range(n + 1):
                 if k != r:
                     values[k], rest = divmod(values[k], k - r)

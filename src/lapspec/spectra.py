@@ -11,25 +11,18 @@ once) by isolating only its lowest non-integer root, on a residual known
 to have no integer root. Floating point appears only in display strings
 derived from isolating intervals.
 
-Every single-graph request takes the polynomial of L(G) or Q(G) from one
-routine, kind_poly, which caches it per process: the key is the int
-matrix that laplacian or signless_laplacian builds (IntMatrix hashes and
-compares on its entries, so two Graph objects with one edge set share an
-entry), and the value is the tuple of Berkowitz's coefficients. A
-repeated request on one graph reuses its L and Q polynomials, and a cold
-one costs what Berkowitz costs. matrices.char_poly itself stays
-uncached: a constant MPoly equals its int and hashes like it, so
-IntMatrix([[MPoly constant 5]]) == IntMatrix([[5]]), and a cache keyed on
-any matrix would hand int coefficients to a Z[s,t] caller. Each entry
-keeps its n x n key alive, so the cache is bounded: it holds the 256
-most recently used (_POLY_CACHE_SIZE), L and Q for each of 128 graphs.
+Every single-graph request takes the polynomial of L(G) or Q(G) from
+kind_poly, which hands the int matrix that laplacian or
+signless_laplacian builds to matrices.char_poly and its per-process
+cache: IntMatrix hashes and compares on its entries, so two Graph
+objects with one edge set share an entry, and a repeated request on one
+graph reuses its L and Q polynomials.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .graphs import Graph, to_graph6
 from .matrices import IntMatrix, char_poly
@@ -68,29 +61,13 @@ def signless_laplacian(g: Graph) -> IntMatrix:
 
 _KIND_MATRIX = {"L": laplacian, "Q": signless_laplacian}
 
-# Two entries (L and Q) per graph a client keeps asking about: 256 serve a
-# working set of 128 graphs. One pass of the benchmark's query pool builds
-# 144 distinct matrices, whose 216 repeated lookups all hit from 144 entries
-# up (198 hit at 128). Bounded, because a --file of large graphs would keep
-# every n x n key alive.
-_POLY_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_POLY_CACHE_SIZE)
-def _matrix_poly(m: IntMatrix) -> tuple:
-    return tuple(char_poly(m))
-
 
 def kind_poly(g: Graph, kind: str = "L") -> list:
     """Ascending coefficients of det(λI - L(G)) (kind "L") or of
-    det(λI - Q(G)) (kind "Q"), Berkowitz run once per distinct matrix in a
-    process, for the last _POLY_CACHE_SIZE matrices. The cache's key is
-    the int matrix this module builds, never a caller's, so no MPoly
-    constant can alias it; each call returns a fresh list, so a caller
-    that changes it leaves the cached entry intact."""
+    det(λI - Q(G)) (kind "Q"), from char_poly's cache."""
     if kind not in _KIND_MATRIX:
         raise ValueError("kind must be 'L' or 'Q'")
-    return list(_matrix_poly(_KIND_MATRIX[kind](g)))
+    return char_poly(_KIND_MATRIX[kind](g))
 
 
 class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report precision")):

@@ -19,7 +19,10 @@ enumeration._partitions replaced with cached tuples,
 cycles_first_g1_sides is the cycles-first walk of the G1 sides that
 enumeration._g1_records replaced with one sort, and
 fraction_sorted_display is the Fraction sort that SpectrumReport.display
-replaced with an exact merge. None of it shares code with the library
+replaced with an exact merge. berkowitz_char_poly is Berkowitz's scheme
+over any commutative ring, on plain rows of ints and MPoly values: the
+oracle of the symbolic Z[s,t] polynomials, which the int-only
+matrices.char_poly does not take. None of it shares code with the library
 paths it checks, with three exceptions. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
@@ -508,6 +511,28 @@ def reconstructs(report, c) -> bool:
         for _ in range(mult):
             prod = [a - root * b for a, b in zip([0] + prod, prod + [0])]
     return prod == _q_trim(list(c))
+
+
+def berkowitz_char_poly(rows) -> list:
+    """Ascending coefficients of det(λI - M) for M given as square rows
+    whose entries lie in a commutative ring, ints or MPoly values over one
+    variable tuple, by Berkowitz's division-free scheme (Inf. Process.
+    Lett. 18, 1984) written out: the polynomial of each leading block is
+    the Toeplitz matrix with first column 1, -a_rr, -R·C, -R·A·C, ...,
+    -R·A^(r-2)·C times the previous block's, R and C the new row and
+    column and A the previous block. Each sum starts from the int 0,
+    which MPoly entries add through __radd__."""
+    coeffs = [1]  # descending powers
+    for r in range(1, len(rows) + 1):
+        block = [row[: r - 1] for row in rows[: r - 1]]
+        new_row = rows[r - 1][: r - 1]
+        v = [row[r - 1] for row in rows[: r - 1]]
+        q = [1, -rows[r - 1][r - 1]]
+        for _ in range(r - 1):
+            q.append(-sum(x * y for x, y in zip(new_row, v)))
+            v = [sum(x * y for x, y in zip(row, v)) for row in block]
+        coeffs = [sum(q[i - j] * c for j, c in enumerate(coeffs[: i + 1])) for i in range(r + 1)]
+    return coeffs[::-1]
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:

@@ -108,34 +108,32 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
     assert calls == [char_poly(laplacian(g)), char_poly(signless_laplacian(g))]
 
 
-def test_repeated_requests_reuse_the_l_and_q_polynomials(capsys, monkeypatch):
-    spectra._matrix_poly.cache_clear()
+def test_repeated_requests_reuse_the_l_and_q_polynomials(capsys):
+    # Berkowitz runs are char_poly's cache misses: L and Q of the first
+    # graph (its refinement is discrete), and L and the two-cell quotient of
+    # the star in the first round, none in the second
+    char_poly.cache_clear()
     commands = (
-        ("spectrum", "--kind", "L"),
-        ("spectrum", "--kind", "Q"),
-        ("classify",),
-        ("refine", "--partition", "0 | *"),
+        ("spectrum", "--kind", "L", "--g6", "IH~U~qO|G"),
+        ("spectrum", "--kind", "Q", "--g6", "IH~U~qO|G"),
+        ("classify", "--g6", "IH~U~qO|G"),
+        ("refine", "--partition", "0 | *", "--g6", "IH~U~qO|G"),
+        ("refine", "--partition", "0 | *", "--builder", "star 6"),
     )
 
     def round_():
         outs = []
         for command in commands:
-            code, out, _ = run(capsys, *command, "--g6", "IH~U~qO|G")
+            code, out, _ = run(capsys, *command)
             assert code == EXIT_OK
             outs.append(out)
         return outs
 
     first = round_()
-    calls = []
-    berkowitz = spectra.char_poly
-
-    def counting(m):
-        calls.append(m)
-        return berkowitz(m)
-
-    monkeypatch.setattr(spectra, "char_poly", counting)
+    assert char_poly.cache_info().misses == 4
+    assert '"cells": 2' in first[-1]
     assert round_() == first
-    assert calls == []
+    assert char_poly.cache_info().misses == 4
 
 
 def test_quotient_command(capsys):

@@ -27,9 +27,9 @@ character-at-a-time scanner of oracle_helpers on short mixed texts.
 parse_poly reads
 MPoly's canonical text back to the same polynomial over the given
 variables. char_poly, on symmetric and on other matrices, takes the values
-det(kI - M) of the Gaussian determinant at k = 0..n, and over Z[s,t] it
-gives at integer (s, t) what it gives for the matrix with the values put
-in. The catalog's polynomial interpolated from the integer fold at the
+det(kI - M) of the Gaussian determinant at k = 0..n, and the Berkowitz
+oracle over Z[s,t] (oracle_helpers.berkowitz_char_poly) gives at integer
+(s, t) what char_poly gives for the matrix with the values put in. The catalog's polynomial interpolated from the integer fold at the
 counts {1, 2, 3} equals the polynomial fold with symbolic counts, on random
 path-count lists. taylor_shift of a polynomial in one or two parameters
 equals its terms multiplied out at the shifted variables, and a sign that
@@ -91,6 +91,7 @@ from oracle_helpers import (  # noqa: E402
     _q_divmod,
     _q_primitive,
     _q_rational_roots,
+    berkowitz_char_poly,
     fold_path_quotient,
     poly_mul,
     random_symmetric_char_poly,
@@ -476,7 +477,7 @@ def _at(x, s, t):
 @settings(max_examples=25, deadline=None, database=None)
 @given(st.integers(-4, 4), st.integers(-4, 4))
 def test_symbolic_char_poly_agrees_with_the_integer_path(s, t):
-    symbolic = char_poly(IntMatrix(SYMBOLIC))
+    symbolic = berkowitz_char_poly(SYMBOLIC)
     at_point = char_poly(IntMatrix([[_at(x, s, t) for x in row] for row in SYMBOLIC]))
     assert [_at(x, s, t) for x in symbolic] == at_point
 

@@ -6,7 +6,10 @@ function bodies. No module imports a private name from another: a
 And MPoly, the sparse polynomial of the symbolic Z[s,t] catalog, is used
 only by polys, families and the package namespace: every other module
 works on integer coefficient lists, so a `from .polys import MPoly` or a
-`polys.MPoly` elsewhere fails the test. No module imports multiprocessing:
+`polys.MPoly` elsewhere fails the test. matrices is int-only:
+IntMatrix raises TypeError on any entry that is not an int, so no MPoly
+reaches char_poly or its cache, and Berkowitz over Z[s,t] lives in
+tests/oracle_helpers.py as the symbolic polynomials' oracle. No module imports multiprocessing:
 the classification sweep runs in one process. The exact kernels, polys
 and matrices, use no floating point: a float literal, a use of float, or
 any math name other than its integer functions fails the test. matrices

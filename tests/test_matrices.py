@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from lapspec import (
 from lapspec.matrices import _continuant_values, _repeats_integral, side_sign_change
 
 from oracle_helpers import (
+    berkowitz_char_poly,
     continuant_theta,
     family_char_poly,
     family_factors,
@@ -98,24 +100,32 @@ def test_char_poly_cross_oracle_gaussian():
 
 def test_symbolic_char_poly_printed_six_by_six():
     s = MPoly.var("s")
-    m = IntMatrix(
-        [
-            [s + 2, -1, -1 * s, -1, 0, 0],
-            [-1, s + 2, -1 * s, 0, 0, -1],
-            [-1, -1, 2, 0, 0, 0],
-            [-1, 0, 0, 2, -1, 0],
-            [0, 0, 0, -1, 2, -1],
-            [0, -1, 0, 0, -1, 2],
-        ]
-    )
+    m = [
+        [s + 2, -1, -1 * s, -1, 0, 0],
+        [-1, s + 2, -1 * s, 0, 0, -1],
+        [-1, -1, 2, 0, 0, 0],
+        [-1, 0, 0, 2, -1, 0],
+        [0, 0, 0, -1, 2, -1],
+        [0, -1, 0, 0, -1, 2],
+    ]
     expected = parse_poly(
         "λ^6+(-2*s-12)*λ^5+(s^2+18*s+55)*λ^4+(-6*s^2-56*s-120)*λ^3"
         "+(10*s^2+70*s+125)*λ^2+(-4*s^2-30*s-50)*λ",
         variables=(LAMBDA, "s"),
     )
-    coeffs = char_poly(m)
+    coeffs = berkowitz_char_poly(m)
     assert len(coeffs) == 7 and coeffs[-1] == 1
     assert lift(coeffs) == expected
+
+
+def test_int_matrix_refuses_non_int_entries():
+    # A constant MPoly or a whole Fraction equals its int and hashes like
+    # it, so a matrix holding one would share char_poly's cache entry with
+    # the int matrix; IntMatrix takes ints only, so no such key exists.
+    with pytest.raises(TypeError):
+        IntMatrix([[MPoly.zero(("s", "t"))]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, Fraction(2)], [0, 1]])
 
 
 def test_principal_submatrix():

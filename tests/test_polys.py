@@ -723,9 +723,9 @@ def test_a_constant_hashes_as_the_number_it_equals():
 
 
 def test_last_interpolation_weights_row_is_the_signed_binomial_row():
-    # deflate_values reads its weights off the last row of
-    # _interpolation_weights(n), which is (-1)^n (-1)^k C(n, k): the n-th
-    # forward difference's weights, up to one sign for the whole row
+    # the last row of _interpolation_weights(n) is (-1)^n (-1)^k C(n, k):
+    # the n-th forward difference's weights, up to one sign for the whole
+    # row, which deflate_values builds in closed form as (-1)^k C(n, k)
     for n in range(31):
         row = polys._interpolation_weights(n)[n]
         assert row == tuple((-1) ** n * (-1) ** k * comb(n, k) for k in range(n + 1))

@@ -39,10 +39,9 @@ from lapspec import (
 )
 from lapspec import spectra
 from lapspec.cli import main
-from lapspec.matrices import IntMatrix
-from lapspec.polys import MPoly
 from oracle_helpers import (
     _interlaces,
+    berkowitz_char_poly,
     edge_interlacing_check,
     fraction_sign,
     gamma_101,
@@ -111,61 +110,49 @@ def test_spectrum_reports_reconstruct_their_polynomial():
 
 
 def test_kind_poly_is_the_char_poly_of_l_and_q():
-    spectra._matrix_poly.cache_clear()
+    char_poly.cache_clear()
     rng = random.Random(45)
     pool = [random_connected_graph(rng, 9) for _ in range(12)]
     pool += [complete(1), empty_graph(4), complete(5), realize(FamilyConfig("G2", hub_edge=True, paths=(3, 4)))]
+    # char_poly would read kind_poly's cache entry: the oracle is uncached
     for g in pool:
-        assert kind_poly(g, "L") == char_poly(laplacian(g))
-        assert kind_poly(g, "Q") == char_poly(signless_laplacian(g))
+        assert kind_poly(g, "L") == berkowitz_char_poly(laplacian(g).entries)
+        assert kind_poly(g, "Q") == berkowitz_char_poly(signless_laplacian(g).entries)
         # the second round is served by the cache, with the same answer
-        assert kind_poly(g, "L") == char_poly(laplacian(g))
-        assert kind_poly(g, "Q") == char_poly(signless_laplacian(g))
+        assert kind_poly(g, "L") == berkowitz_char_poly(laplacian(g).entries)
+        assert kind_poly(g, "Q") == berkowitz_char_poly(signless_laplacian(g).entries)
+    # one Berkowitz run per distinct matrix: L = Q for K1 and the empty graph
+    assert char_poly.cache_info().misses == len({m(g) for g in pool for m in (laplacian, signless_laplacian)})
     with pytest.raises(ValueError):
         kind_poly(complete(3), "A")
 
 
 def test_kind_poly_hands_out_fresh_lists():
-    spectra._matrix_poly.cache_clear()
+    # kind_poly, and char_poly under it: a caller that changes the list it
+    # got leaves the cached entry intact
+    char_poly.cache_clear()
     g = cycle(5)
-    first = kind_poly(g, "L")
-    expected = list(first)
-    first[0] = 99
-    first.append(7)
-    assert kind_poly(g, "L") == expected
+    for poly in (lambda: kind_poly(g, "L"), lambda: char_poly(laplacian(g))):
+        first = poly()
+        expected = list(first)
+        first[0] = 99
+        first.append(7)
+        assert poly() == expected
+    assert char_poly.cache_info().misses == 1
 
 
-def test_kind_poly_runs_berkowitz_once_per_matrix(monkeypatch):
-    spectra._matrix_poly.cache_clear()
-    calls = []
-    berkowitz = spectra.char_poly
-
-    def counting(m):
-        calls.append(m)
-        return berkowitz(m)
-
-    monkeypatch.setattr(spectra, "char_poly", counting)
+def test_kind_poly_runs_berkowitz_once_per_matrix():
+    char_poly.cache_clear()
     g6 = to_graph6(firefly(2, 1, 1))
     a, b = from_graph6(g6), from_graph6(g6)
     assert a is not b
     assert kind_poly(a, "L") == kind_poly(b, "L")
     assert is_L_integral(a) == is_L_integral(b)
     assert spectrum(b, "L").to_json_dict() == spectrum(a, "L").to_json_dict()
-    assert len(calls) == 1
+    assert char_poly.cache_info().misses == 1
     kind_poly(b, "Q")
     is_Q_integral(a)
-    assert len(calls) == 2
-
-
-def test_char_poly_keeps_symbolic_coefficients_after_kind_poly_caches_ints():
-    # A constant MPoly equals its int and hashes like it, so [[0]] and
-    # [[MPoly 0]] are one key: only a cache kept out of char_poly itself
-    # returns MPoly coefficients for the symbolic matrix.
-    spectra._matrix_poly.cache_clear()
-    assert kind_poly(complete(1), "L") == [0, 1]
-    symbolic = IntMatrix([[MPoly.zero(("s", "t"))]])
-    assert symbolic == laplacian(complete(1))
-    assert isinstance(char_poly(symbolic)[0], MPoly)
+    assert char_poly.cache_info().misses == 2
 
 
 def test_integrality_decisions():
