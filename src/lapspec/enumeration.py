@@ -178,72 +178,86 @@ def enumerate_family(family: str, n: int):
 
 
 def canonical_form(g: Graph) -> str:
-    """graph6 of the canonically relabeled graph; equal iff isomorphic."""
+    """graph6 of the canonically relabeled graph; equal iff isomorphic.
+
+    Individualization-refinement over ordered partitions, kept as cells in
+    colour order with each cell's vertices ascending. A refinement round
+    splits each cell of two or more vertices by its members' sorted tuples
+    of neighbour colours, the subcells in tuple order, and numbers the new
+    cells in order; the previous colour being the first key, this is the
+    colouring a global (colour, tuple) ranking of every vertex gives, and
+    singleton cells need no signing. A round that splits no cell leaves the
+    partition equitable. The first cell of two or more vertices is then
+    branched on, one vertex per twin class, by moving the vertex into a
+    cell of its own before every other cell. At a leaf, every cell a
+    singleton, the key is the upper triangle of the relabeled adjacency
+    matrix read column by column as one int, pair (0, 1) its most
+    significant bit; the least key wins.
+    """
     n = g.n
     if n <= 1 or g.edge_count == 0:
         return to_graph6(Graph.from_edges(n, []) if g.edge_count == 0 else g)
+    adj = g.adj
     best = [None, None]  # (key, permutation)
+    colour = [0] * n
 
-    def refine(colors):
-        # A round that splits no class leaves the partition equitable; its
-        # colouring is the one the next round would return unchanged.
-        classes = len(set(colors))
+    def refine(cells):
         while True:
-            sig = [
-                (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-                for v in range(n)
-            ]
-            order = {s: i for i, s in enumerate(sorted(set(sig)))}
-            colors = tuple(order[sig[v]] for v in range(n))
-            if len(order) == classes:
-                return colors
-            classes = len(order)
+            for c, cell in enumerate(cells):
+                for v in cell:
+                    colour[v] = c
+            new = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault(tuple(sorted([colour[w] for w in adj[v]])), []).append(v)
+                if len(groups) == 1:
+                    new.append(cell)
+                else:
+                    new.extend(groups[sig] for sig in sorted(groups))
+            if len(new) == len(cells):
+                return cells
+            cells = new
 
     def branch_reps(cell):
         # Vertices joined by a twin transposition give automorphic
         # branches; keep one representative per twin class.
-        reps = []
         classes = []
         for v in cell:
-            placed = False
             for cls in classes:
                 u = cls[0]
-                if g.adj[u] == g.adj[v] or g.adj[u] - {v} == g.adj[v] - {u}:
+                if adj[u] == adj[v] or adj[u] - {v} == adj[v] - {u}:
                     cls.append(v)
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append([v])
-        for cls in classes:
-            reps.append(min(cls))
-        return reps
+        return [min(cls) for cls in classes]
 
-    def search(colors):
-        colors = refine(colors)
-        cells = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+    def search(cells):
+        cells = refine(cells)
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            key = tuple(
-                1 if g.has_edge(perm[i], perm[j]) else 0
-                for j in range(1, n)
-                for i in range(j)
+            perm = [cell[0] for cell in cells]
+            key = int(
+                "".join(
+                    "1" if perm[i] in adj[perm[j]] else "0"
+                    for j in range(1, n)
+                    for i in range(j)
+                ),
+                2,
             )
             if best[0] is None or key < best[0]:
                 best[0], best[1] = key, perm
             return
-        for v in branch_reps(target):
-            new = list(colors)
-            new[v] = -1
-            search(tuple(new))
+        cell = cells[target]
+        for v in branch_reps(cell):
+            rest = [w for w in cell if w != v]
+            search([[v], *cells[:target], rest, *cells[target + 1:]])
 
-    search((0,) * n)
+    search([list(range(n))])
     perm = best[1]
     pos = {v: i for i, v in enumerate(perm)}
     relabeled = Graph.from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()])

@@ -3,7 +3,9 @@
 A partition of the index set is equitable for a matrix M when the row sum
 from any vertex of cell i into cell j depends only on (i, j); the quotient
 matrix collects those constants, and quotient_matrix raises ValueError,
-naming an offending cell pair, on a partition that is not equitable. Every
+naming an offending cell pair, on a partition that is not equitable. It
+and coarsest_equitable_refinement take a square matrix only (any other is
+a ValueError) and sum over each row's nonzero entries alone. Every
 quotient eigenvalue is then an eigenvalue of M; the CLI and the catalog
 certify it by exact divisibility of the characteristic polynomials
 (polys.divides), which handles irrational eigenvalues uniformly.
@@ -59,12 +61,27 @@ def parse_partition(text: str, n: int):
     return validate_partition(cells, n)
 
 
-def _cell_sums(m: IntMatrix, cells):
-    """Row sums into each cell, per vertex."""
+def _nonzero_rows(m: IntMatrix):
+    """Each row's nonzero (column, entry) pairs, the only entries a cell sum
+    reads; ValueError unless m is square."""
+    if not m.is_square():
+        raise ValueError("equitable partitions need a square matrix")
+    return [[(t, x) for t, x in enumerate(row) if x] for row in m.entries]
+
+
+def _cell_sums(rows, cells, vertices):
+    """Row sums into each cell for each of the given vertices, rows as
+    _nonzero_rows gives them."""
+    cell_of = [0] * len(rows)
+    for i, cell in enumerate(cells):
+        for t in cell:
+            cell_of[t] = i
     sums = {}
-    for v in range(m.rows):
-        row = m.entries[v]
-        sums[v] = tuple(sum(row[t] for t in cell) for cell in cells)
+    for v in vertices:
+        row_sums = [0] * len(cells)
+        for t, x in rows[v]:
+            row_sums[cell_of[t]] += x
+        sums[v] = tuple(row_sums)
     return sums
 
 
@@ -84,8 +101,9 @@ def _witness(cells, sums):
 
 
 def quotient_matrix(m: IntMatrix, cells) -> IntMatrix:
+    rows = _nonzero_rows(m)
     cells = validate_partition(cells, m.rows)
-    sums = _cell_sums(m, cells)
+    sums = _cell_sums(rows, cells, range(m.rows))
     witness = _witness(cells, sums)
     if witness is not None:
         raise ValueError(f"partition is not equitable: {witness}")
@@ -93,28 +111,32 @@ def quotient_matrix(m: IntMatrix, cells) -> IntMatrix:
 
 
 def coarsest_equitable_refinement(m: IntMatrix, cells):
-    """Iteratively split cells by row-sum signatures until stable.
+    """The coarsest equitable refinement of the partition cells of a square
+    m, its cells ordered by smallest member.
 
-    Deterministic: subcells replace their parent ordered by signature, and
-    the stable partition is finally ordered by smallest member.
+    Each round splits every cell of two or more vertices by its members'
+    row sums into the round's cells, read off each row's nonzero entries;
+    a singleton cannot split, so its row is not summed. Every equitable
+    refinement of the seed refines each round's partition, so the rounds
+    stop, when one splits nothing, at the coarsest one, which is unique as
+    a set partition: the order the subcells are split in cannot change the
+    result, which is sorted by smallest member.
     """
+    rows = _nonzero_rows(m)
     cells = list(validate_partition(cells, m.rows))
     while True:
-        sums = _cell_sums(m, cells)
+        sums = _cell_sums(rows, cells, [v for cell in cells if len(cell) > 1 for v in cell])
         new_cells = []
-        changed = False
         for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
             groups = {}
             for v in cell:
                 groups.setdefault(sums[v], []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(sorted(groups[sig])))
-        cells = new_cells
-        if not changed:
+            new_cells.extend(map(tuple, groups.values()))
+        if len(new_cells) == len(cells):
             break
+        cells = new_cells
     cells.sort(key=lambda c: c[0])
     return tuple(cells)

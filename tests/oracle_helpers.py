@@ -17,7 +17,14 @@ one-character-at-a-time scanner that polys._tokenize replaced with one
 compiled pattern, recursive_partitions is the generator that
 enumeration._partitions replaced with cached tuples,
 cycles_first_g1_sides is the cycles-first walk of the G1 sides that
-enumeration._g1_records replaced with one sort, and
+enumeration._g1_records replaced with one sort, canonical_form_oracle is
+the canonical form that re-ranks every vertex by a global sort of
+(colour, sorted neighbour colours) each round, which
+enumeration.canonical_form replaced with cell-wise splits,
+coarsest_refinement_oracle is the refinement that sums every column of
+every cell for every row each round, which
+partitions.coarsest_equitable_refinement replaced with sums over the
+nonzero entries of the rows that can split, and
 fraction_sorted_display is the Fraction sort that SpectrumReport.display
 replaced with an exact merge. berkowitz_char_poly is Berkowitz's scheme
 over any commutative ring, on plain rows of ints and MPoly values: the
@@ -67,6 +74,7 @@ from lapspec import (
     join,
     laplacian,
     split_integer_roots,
+    to_graph6,
     vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
@@ -821,6 +829,97 @@ def cycles_first_g1_sides(n: int):
             for pendants in recursive_partitions(n - 1 - cyc_used, 1):
                 if len(pendants) + 2 * len(cycles) >= 3:
                     yield pendants, cycles
+
+
+# -- colour refinement, by global sorts -----------------------------------------
+
+
+def canonical_form_oracle(g: Graph) -> str:
+    """enumeration.canonical_form by global sorts: each refinement round
+    ranks every vertex by (colour, sorted neighbour colours), a branch
+    gives its vertex colour -1, and a leaf's key is the 0/1 tuple of the
+    relabeled upper triangle, column by column."""
+    n = g.n
+    if n <= 1 or g.edge_count == 0:
+        return to_graph6(Graph.from_edges(n, []) if g.edge_count == 0 else g)
+    best = [None, None]  # (key, permutation)
+
+    def refine(colors):
+        classes = len(set(colors))
+        while True:
+            sig = [
+                (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
+                for v in range(n)
+            ]
+            order = {s: i for i, s in enumerate(sorted(set(sig)))}
+            colors = tuple(order[sig[v]] for v in range(n))
+            if len(order) == classes:
+                return colors
+            classes = len(order)
+
+    def branch_reps(cell):
+        classes = []
+        for v in cell:
+            for cls in classes:
+                u = cls[0]
+                if g.adj[u] == g.adj[v] or g.adj[u] - {v} == g.adj[v] - {u}:
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        return [min(cls) for cls in classes]
+
+    def search(colors):
+        colors = refine(colors)
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            perm = sorted(range(n), key=lambda v: colors[v])
+            key = tuple(
+                1 if g.has_edge(perm[i], perm[j]) else 0
+                for j in range(1, n)
+                for i in range(j)
+            )
+            if best[0] is None or key < best[0]:
+                best[0], best[1] = key, perm
+            return
+        for v in branch_reps(target):
+            new = list(colors)
+            new[v] = -1
+            search(tuple(new))
+
+    search((0,) * n)
+    pos = {v: i for i, v in enumerate(best[1])}
+    return to_graph6(Graph.from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()]))
+
+
+def dense_cell_sums(m: IntMatrix, cells) -> dict:
+    """Row sums into each cell, per row, every column of every cell read."""
+    return {
+        v: tuple(sum(m.entries[v][t] for t in cell) for cell in cells)
+        for v in range(m.rows)
+    }
+
+
+def coarsest_refinement_oracle(m: IntMatrix, cells) -> tuple:
+    """partitions.coarsest_equitable_refinement by dense sums: each round
+    sums every column of every cell for every row and splits each cell by
+    those sums, subcells in sums order, until no cell splits; the result
+    ordered by smallest member."""
+    cells = [tuple(sorted(cell)) for cell in cells]
+    while True:
+        sums = dense_cell_sums(m, cells)
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(sums[v], []).append(v)
+            new_cells.extend(tuple(groups[sig]) for sig in sorted(groups))
+        if len(new_cells) == len(cells):
+            return tuple(sorted(cells))
+        cells = new_cells
 
 
 # -- spectral checks ------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -27,6 +28,7 @@ from lapspec import (
     split_integer_roots,
     star,
     theorem_tag,
+    to_graph6,
     verify_theorem,
 )
 from lapspec.enumeration import (
@@ -43,6 +45,7 @@ from lapspec.enumeration import (
 )
 from lapspec.polys import deflate, interpolate
 from oracle_helpers import (
+    canonical_form_oracle,
     cycles_first_g1_sides,
     family_char_poly,
     has_quotient_sign_change,
@@ -100,18 +103,52 @@ def test_enumeration_has_no_duplicates():
         assert len(configs) == len(set(configs))
 
 
+def seeded_graphs(rng, orders, densities, count):
+    """count seeded G(n, p) graphs for each order and density."""
+    return [
+        Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        for n in orders
+        for p in densities
+        for _ in range(count)
+    ]
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges)
-        perm = list(range(n))
+    small = (
+        Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4])
+        for n in (rng.randint(2, 8) for _ in range(60))
+    )
+    larger = seeded_graphs(random.Random(16), range(2, 17), (0.15, 0.5, 0.85), 2)
+    # vertex-transitive and twin-heavy graphs individualize deepest
+    larger += [complete(12), cycle(40), complete_bipartite(7, 23)]
+    for g in chain(small, larger):
+        perm = list(range(g.n))
         rng.shuffle(perm)
-        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_form(g) == canonical_form(h)
     # and distinguishes non-isomorphic graphs of equal degree sequence
     assert canonical_form(disjoint_union(cycle(3), cycle(3))) != canonical_form(cycle(6))
+
+
+def test_canonical_form_matches_the_global_sort_oracle():
+    pairs = [(i, j) for j in range(5) for i in range(j)]
+    graphs = [
+        Graph.from_edges(n, [pair for k, pair in enumerate(pairs[: n * (n - 1) // 2]) if mask >> k & 1])
+        for n in range(6)
+        for mask in range(1 << (n * (n - 1) // 2))
+    ]
+    graphs += seeded_graphs(random.Random(47), range(6, 17), (0.15, 0.5, 0.85), 3)
+    graphs += [complete(n) for n in (2, 7, 12)] + [cycle(n) for n in (3, 8, 21)]
+    graphs += [complete_bipartite(a, b) for a, b in ((1, 6), (3, 3), (4, 9))]
+    graphs += [
+        disjoint_union(cycle(3), cycle(3)),
+        disjoint_union(cycle(4), complete(4)),
+        disjoint_union(star(5), complete_bipartite(2, 3), empty_graph(2)),
+    ]
+    graphs += [realize(c) for family in ("G1", "G2") for n in range(1, 11) for c in enumerate_family(family, n)]
+    for g in graphs:
+        assert canonical_form(g) == canonical_form_oracle(g), to_graph6(g)
 
 
 def test_oracle_tiny_cases():

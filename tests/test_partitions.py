@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from lapspec import (
     FamilyConfig,
+    Graph,
+    IntMatrix,
     char_poly,
     coarsest_equitable_refinement,
     complete_bipartite,
@@ -13,9 +17,16 @@ from lapspec import (
     path,
     quotient_matrix,
     realize,
+    signless_laplacian,
     star,
 )
-from oracle_helpers import adjacency_matrix, poly_mul
+from lapspec.partitions import _witness
+from oracle_helpers import (
+    adjacency_matrix,
+    coarsest_refinement_oracle,
+    dense_cell_sums,
+    poly_mul,
+)
 
 
 def test_star_center_leaves_partition():
@@ -78,6 +89,49 @@ def test_refinement_idempotent_and_equitable():
         # refinement refines the seed
         for cell in ref:
             assert any(set(cell) <= set(s) for s in seed)
+
+
+def random_seed_partition(rng, n):
+    """A random partition of range(n) into at most k cells, k drawn from
+    1..n, in the order of the cells' labels."""
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    return tuple(tuple(v for v in range(n) if labels[v] == c) for c in sorted(set(labels)))
+
+
+def test_refinement_and_quotient_match_the_dense_oracle():
+    rng = random.Random(47)
+    matrices = []
+    for n in range(2, 17):
+        for p in (0.15, 0.5, 0.85):
+            g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            matrices += [laplacian(g), signless_laplacian(g), adjacency_matrix(g)]
+        # non-symmetric, entries of either sign, about half of them zero
+        matrices.append(IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]))
+    matrices += [laplacian(g) for g in (star(9), cycle(12), complete_bipartite(3, 7))]
+    for m in matrices:
+        for _ in range(4):
+            seed = random_seed_partition(rng, m.rows)
+            refined = coarsest_equitable_refinement(m, seed)
+            assert refined == coarsest_refinement_oracle(m, seed)
+            sums = dense_cell_sums(m, refined)
+            assert quotient_matrix(m, refined).entries == tuple(sums[cell[0]] for cell in refined)
+            witness = _witness(seed, dense_cell_sums(m, seed))
+            if witness is None:
+                assert refined == tuple(sorted(seed))
+            else:
+                with pytest.raises(ValueError) as info:
+                    quotient_matrix(m, seed)
+                assert str(info.value) == f"partition is not equitable: {witness}"
+
+
+def test_non_square_matrices_are_rejected():
+    wide = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    tall = IntMatrix([[1], [2]])
+    for m, cells in ((wide, ((0,), (1,))), (tall, ((0, 1),))):
+        for f in (quotient_matrix, coarsest_equitable_refinement):
+            with pytest.raises(ValueError, match="square"):
+                f(m, cells)
 
 
 def test_hub_seed_recovers_position_pools():
