@@ -247,8 +247,8 @@ def _emit(lines, out: str | None):
             fh.write(line + "\n")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+# json.dumps(obj, ensure_ascii=False), with one encoder for every document
+_dump = json.JSONEncoder(ensure_ascii=False).encode
 
 
 # -- commands -------------------------------------------------------------------
@@ -272,18 +272,19 @@ def cmd_spectrum(args) -> int:
 def cmd_classify(args) -> int:
     out = []
     for g in _graphs_from_args(args):
-        member = graphs.family_membership(g)
+        cfg = graphs.graph_to_config(g)
+        bipartite = graphs.is_bipartite(g)
         l_split = split_integer_roots(spectra.kind_poly(g, "L"))
         doc = {
             "graph6": graphs.to_graph6(g),
             "n": g.n,
             "degree_sequence": list(graphs.degree_sequence(g)),
             "connected": graphs.is_connected(g),
-            "bipartite": graphs.is_bipartite(g),
-            "family": member,
+            "bipartite": bipartite,
+            "family": graphs.config_membership(cfg, bipartite),
             "L_integral": len(l_split[1]) <= 1,
             "Q_integral": spectra.is_Q_integral(g),
-            "tag": enumeration.theorem_tag(g),
+            "tag": enumeration.theorem_tag(cfg),
         }
         if g.n >= 2:
             doc["algebraic_connectivity"] = spectra.algebraic_connectivity_from_poly(l_split).to_json()

@@ -34,6 +34,7 @@ from .graphs import (
     is_bipartite,
     realize,
     to_graph6,
+    triangle_graph6,
 )
 from .matrices import (
     links_table,
@@ -192,13 +193,15 @@ def canonical_form(g: Graph) -> str:
     cell of its own before every other cell. At a leaf, every cell a
     singleton, the key is the upper triangle of the relabeled adjacency
     matrix read column by column as one int, pair (0, 1) its most
-    significant bit; the least key wins.
+    significant bit; the least key wins. That is graph6's bit order, so the
+    winning key, padded to whole characters behind the size head, is the
+    result (triangle_graph6), and no relabeled graph is built.
     """
     n = g.n
-    if n <= 1 or g.edge_count == 0:
-        return to_graph6(Graph.from_edges(n, []) if g.edge_count == 0 else g)
+    if g.edge_count == 0:
+        return triangle_graph6(n, 0)
     adj = g.adj
-    best = [None, None]  # (key, permutation)
+    best = [None]  # the least leaf key
     colour = [0] * n
 
     def refine(cells):
@@ -250,7 +253,7 @@ def canonical_form(g: Graph) -> str:
                 2,
             )
             if best[0] is None or key < best[0]:
-                best[0], best[1] = key, perm
+                best[0] = key
             return
         cell = cells[target]
         for v in branch_reps(cell):
@@ -258,10 +261,7 @@ def canonical_form(g: Graph) -> str:
             search([[v], *cells[:target], rest, *cells[target + 1:]])
 
     search([list(range(n))])
-    perm = best[1]
-    pos = {v: i for i, v in enumerate(perm)}
-    relabeled = Graph.from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()])
-    return to_graph6(relabeled)
+    return triangle_graph6(n, best[0])
 
 
 # -- independent small-order oracle -------------------------------------------
@@ -370,11 +370,12 @@ def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v
     return TAG_NONE
 
 
-def theorem_tag(g: Graph) -> str:
-    cfg = graph_to_config(g)
-    if cfg is None:
-        return TAG_NONE
-    return config_tag(cfg)
+def theorem_tag(member) -> str:
+    """config_tag of a graph's FamilyConfig, TAG_NONE for a non-member.
+    member is the Graph, or its graph_to_config when the caller has read it
+    (None for a non-member)."""
+    cfg = graph_to_config(member) if isinstance(member, Graph) else member
+    return TAG_NONE if cfg is None else config_tag(cfg)
 
 
 # -- the classification sweep --------------------------------------------------

@@ -21,13 +21,19 @@ from itertools import combinations, groupby, islice
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1.
 
-    __slots__ = ("n", "adj")
+    A graph that from_graph6 decoded keeps the text it read, which is the
+    one graph6 string of its edges, and to_graph6 returns it; equality and
+    hashing see only n and adj.
+    """
+
+    __slots__ = ("n", "adj", "_graph6")
 
     def __init__(self, n: int, adj):
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
+        self._graph6 = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -475,20 +481,40 @@ def graph_to_config(g: Graph):
 
 def family_membership(g: Graph) -> str:
     """One of 'G1', 'G2', 'G2_nonbipartite', 'neither'."""
-    cfg = graph_to_config(g)
+    return config_membership(graph_to_config(g), is_bipartite(g))
+
+
+def config_membership(cfg, bipartite: bool) -> str:
+    """family_membership of a graph from its graph_to_config (None for a
+    non-member) and whether it is bipartite."""
     if cfg is None:
         return "neither"
     if cfg.family == "G1":
         return "G1"
-    return "G2" if is_bipartite(g) else "G2_nonbipartite"
+    return "G2" if bipartite else "G2_nonbipartite"
 
 
 # -- graph6 codec -----------------------------------------------------------
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode in the standard printable-ASCII graph6 format (no header)."""
-    n = g.n
+    """Encode in the standard printable-ASCII graph6 format (no header):
+    the text from_graph6 read, for a graph it decoded."""
+    if g._graph6 is not None:
+        return g._graph6
+    # pair (i, j) of the upper triangle, column by column, is bit
+    # j(j-1)/2 + i from the top
+    top = g.n * (g.n - 1) // 2 - 1
+    key = 0
+    for i, j in g.edges():
+        key |= 1 << (top - j * (j - 1) // 2 - i)
+    return triangle_graph6(g.n, key)
+
+
+def triangle_graph6(n: int, key: int) -> str:
+    """graph6 (no header) of the graph on n vertices whose upper triangle,
+    read column by column with pair (0, 1) the most significant bit, is the
+    n(n-1)/2 bits of key."""
     if n > 258047:
         raise ValueError("graph too large for the supported graph6 sizes")
     if n <= 62:
@@ -497,13 +523,10 @@ def to_graph6(g: Graph) -> str:
         head = chr(126) + "".join(
             chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)
         )
-    # the upper triangle column by column, pair (i, j) at bit j(j-1)/2 + i
-    # from the top, padded to whole 6-bit characters
+    # padded to whole 6-bit characters
     width = (n * (n - 1) // 2 + 5) // 6 * 6
-    bits = 0
-    for i, j in g.edges():
-        bits |= 1 << (width - 1 - j * (j - 1) // 2 - i)
-    return head + "".join(chr(63 + (bits >> shift & 63)) for shift in range(width - 6, -1, -6))
+    key <<= width - n * (n - 1) // 2
+    return head + "".join(chr(63 + (key >> shift & 63)) for shift in range(width - 6, -1, -6))
 
 
 #: The six bits, highest first, that a graph6 character stands for.
@@ -548,7 +571,11 @@ def from_graph6(text: str) -> Graph:
             adj[j - 1 - k].add(j)
             adj[j].add(j - 1 - k)
             column ^= 1 << k
-    return Graph(n, adj)
+    g = Graph(n, adj)
+    # the decoder takes one text per graph: no padding bit set, and the
+    # 4-byte size form only for n >= 63, so text is what to_graph6 writes
+    g._graph6 = text
+    return g
 
 
 # -- adjacency-list text format ----------------------------------------------

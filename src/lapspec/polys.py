@@ -60,6 +60,13 @@ LAMBDA = "λ"
 #: Default width for isolating intervals attached to reports.
 DEFAULT_PRECISION = Fraction(1, 10**6)
 
+# The integer-root split of the L and Q polynomial of each graph a client
+# keeps asking about, as matrices.char_poly caches the polynomials: one pass
+# of the benchmark's query pool splits the L and Q polynomials of 72 graphs,
+# 137 distinct ones (a bipartite graph's two are equal), so 256 evict none.
+# Bounded, because a --file of large graphs would keep every key alive.
+_SPLIT_CACHE_SIZE = 256
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -1030,24 +1037,38 @@ def split_integer_roots(c):
     integer roots. A c with a non-real root that the range does not reject
     may keep an integer root outside it in the cofactor, which is not a
     constant all the same.
+
+    The split is cached per process for the last _SPLIT_CACHE_SIZE
+    polynomials, keyed on the trimmed coefficient tuple, so the spectrum
+    and classify requests on one graph split its L and Q polynomials once;
+    each call returns a fresh dict and list, and an error is not cached.
     """
-    c = _trim(list(c))
+    roots, rest = _split(tuple(_trim(list(c))))
+    return dict(roots), list(rest)
+
+
+@lru_cache(maxsize=_SPLIT_CACHE_SIZE)
+def _split(c: tuple):
     if not c:
         raise ValueError("zero polynomial")
     roots = {}
     k = 0
-    while not c[0]:
-        c = c[1:]
+    while not c[k]:
         k += 1
     if k:
         roots[0] = k
+    c = list(c[k:])
     candidates = []
     if len(c) > 1:
         lo, hi = _real_root_range(c if c[-1] > 0 else [-a for a in c])
         candidates = [r for d in _divisors(c[0], max(-lo, hi)) for r in (d, -d) if lo < r < hi]
     found, c = deflate(c, candidates)
     roots.update(found)
-    return roots, c
+    return roots, tuple(c)
+
+
+split_integer_roots.cache_info = _split.cache_info
+split_integer_roots.cache_clear = _split.cache_clear
 
 
 def divide_root(c, r):

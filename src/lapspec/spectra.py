@@ -16,7 +16,11 @@ kind_poly, which hands the int matrix that laplacian or
 signless_laplacian builds to matrices.char_poly and its per-process
 cache: IntMatrix hashes and compares on its entries, so two Graph
 objects with one edge set share an entry, and a repeated request on one
-graph reuses its L and Q polynomials.
+graph reuses its L and Q polynomials. The integer-root split of a
+polynomial is cached beside it, keyed on the coefficients
+(polys.split_integer_roots), so spectrum, is_L_integral, is_Q_integral
+and classify on one graph search each of its polynomials for integer
+roots once per process.
 """
 
 from __future__ import annotations

@@ -136,6 +136,19 @@ def test_repeated_requests_reuse_the_l_and_q_polynomials(capsys):
     assert char_poly.cache_info().misses == 4
 
 
+def test_spectrum_and_classify_split_each_polynomial_once(capsys):
+    # split_integer_roots misses once per distinct polynomial: L and Q of
+    # IH~U~qO|G, and the one polynomial L and Q of the star share, as a
+    # bipartite graph's do; every other split of the round is a hit
+    polys.split_integer_roots.cache_clear()
+    for source in (("--g6", "IH~U~qO|G"), ("--builder", "star 6")):
+        for command in (("spectrum", "--kind", "L"), ("spectrum", "--kind", "Q"), ("classify",)):
+            code, _, _ = run(capsys, *command, *source)
+            assert code == EXIT_OK
+    info = polys.split_integer_roots.cache_info()
+    assert (info.misses, info.hits) == (3, 5)
+
+
 def test_quotient_command(capsys):
     code, out, _ = run(
         capsys, "quotient", "--builder", "star 6", "--partition", "0 | 1 2 3 4 5"

@@ -139,6 +139,8 @@ def test_canonical_form_matches_the_global_sort_oracle():
         for mask in range(1 << (n * (n - 1) // 2))
     ]
     graphs += seeded_graphs(random.Random(47), range(6, 17), (0.15, 0.5, 0.85), 3)
+    # from n = 63 the size head canonical_form writes is the 4-byte form
+    graphs += seeded_graphs(random.Random(63), range(63, 66), (0.5,), 1)
     graphs += [complete(n) for n in (2, 7, 12)] + [cycle(n) for n in (3, 8, 21)]
     graphs += [complete_bipartite(a, b) for a, b in ((1, 6), (3, 3), (4, 9))]
     graphs += [
@@ -193,6 +195,9 @@ def test_theorem_tags():
     assert theorem_tag(cycle(8)) == TAG_NONE
     assert theorem_tag(firefly(1, 1, 1)) == TAG_NONE
     assert theorem_tag(realize(FamilyConfig("G2", hub_edge=True, paths=(3, 4, 4)))) == TAG_NONE
+    # or from the graph's graph_to_config, None for a non-member
+    assert theorem_tag(FamilyConfig("G1", pendants_u=(1, 1, 1))) == TAG_STAR
+    assert theorem_tag(None) == TAG_NONE
 
 
 def test_tag_is_unique_per_graph():

@@ -359,6 +359,51 @@ def test_graph6_takes_the_4_byte_size_form_only_for_63_and_up():
         from_graph6("~}~~")
 
 
+def _graph6_text(n, mask, head=None):
+    """graph6 of the graph on n vertices whose upper triangle, column by
+    column, is the n(n-1)/2 bits of mask, pair (0, 1) the highest; written
+    here, apart from the library's encoder. head replaces the size head."""
+    pairs = n * (n - 1) // 2
+    pad = -pairs % 6
+    if head is None:
+        head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = mask << pad
+    return head + "".join(chr(63 + (bits >> s & 63)) for s in range(pairs + pad - 6, -1, -6))
+
+
+def _graph6_variants(n, mask):
+    """(text, accepted) for the graph6 text of (n, mask) as it is, with a
+    header and with whitespace, which from_graph6 must accept, and with
+    padding bits set or a 4-byte size head below n = 63, which it must not."""
+    text = _graph6_text(n, mask)
+    yield from ((v, True) for v in (text, ">>graph6<<" + text, f" \t{text}\n", f"  >>graph6<<{text} "))
+    pad = -(n * (n - 1) // 2) % 6
+    for extra in range(1, 1 << pad):
+        yield text[:-1] + chr(63 + (ord(text[-1]) - 63 | extra)), False
+    if n <= 62:
+        yield _graph6_text(n, mask, "~??" + chr(63 + n)), False
+
+
+def test_a_decoded_graph_keeps_the_text_to_graph6_writes():
+    rng = random.Random(48)
+    cases = [(n, mask) for n in range(6) for mask in range(1 << n * (n - 1) // 2)]
+    cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in range(6, 71)]
+    assert len({n for n, _ in cases if n >= 63}) == 8
+    for n, mask in cases:
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        edges = [pair for k, pair in enumerate(reversed(pairs)) if mask >> k & 1]
+        rebuilt = Graph.from_edges(n, edges)
+        for text, accepted in _graph6_variants(n, mask):
+            try:
+                g = from_graph6(text)
+            except ValueError:
+                assert not accepted, text
+                continue
+            # any text the decoder takes is kept as the one encoding
+            assert to_graph6(g) == to_graph6(rebuilt) == _graph6_text(n, mask), text
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+
+
 def test_adjacency_text():
     g = realize(FamilyConfig("G2", hub_edge=True, paths=(3, 4)))
     text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())

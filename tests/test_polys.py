@@ -271,6 +271,30 @@ def test_the_integer_root_search_takes_only_real_rooted_input():
         integer_roots(c)
 
 
+def test_the_split_is_cached_per_polynomial_and_handed_out_fresh():
+    split_integer_roots.cache_clear()
+    c = poly_mul(poly_mul([-5, 1], [-5, 1]), [-2, 0, 1])  # (λ - 5)²(λ² - 2)
+    first = split_integer_roots(c)
+    assert first == ({5: 2}, [-2, 0, 1])
+    # changing what a call returned leaves the cached split intact
+    first[0][5] = 9
+    first[0][7] = 1
+    first[1][0] = 0
+    first[1].append(3)
+    # the key is the trimmed coefficient tuple: trailing zeros and a tuple
+    # find the same entry
+    assert split_integer_roots(tuple(c) + (0, 0)) == ({5: 2}, [-2, 0, 1])
+    assert split_integer_roots.cache_info()[:2] == (1, 1)  # hits, misses
+    # an error is not cached: each call raises it again and adds no entry
+    for _ in range(3):
+        for bad, match in (([0, 0], "zero polynomial"), ([1, 0, 1], "not real-rooted")):
+            with pytest.raises(ValueError, match=match):
+                split_integer_roots(bad)
+            with pytest.raises(ValueError, match=match):
+                only_integer_roots(bad)
+    assert split_integer_roots.cache_info().currsize == 1
+
+
 def test_isolation_builds_no_remainder_sequence(monkeypatch):
     # (λ - 1)²(λ + 2)(λ² - 2)²(λ² - 3): the integer roots are split off
     # before the square-free part is taken, and the rest, (λ² - 2)²(λ² - 3),
