@@ -275,11 +275,13 @@ def cmd_classify(args) -> int:
         cfg = graphs.graph_to_config(g)
         bipartite = graphs.is_bipartite(g)
         l_split = split_integer_roots(spectra.kind_poly(g, "L"))
+        # from n = 2 on, κ is 0 exactly when the graph is disconnected
+        kappa = graphs.vertex_connectivity(g) if g.n >= 2 else None
         doc = {
             "graph6": graphs.to_graph6(g),
             "n": g.n,
             "degree_sequence": list(graphs.degree_sequence(g)),
-            "connected": graphs.is_connected(g),
+            "connected": g.n < 2 or kappa > 0,
             "bipartite": bipartite,
             "family": graphs.config_membership(cfg, bipartite),
             "L_integral": len(l_split[1]) <= 1,
@@ -288,7 +290,7 @@ def cmd_classify(args) -> int:
         }
         if g.n >= 2:
             doc["algebraic_connectivity"] = spectra.algebraic_connectivity_from_poly(l_split).to_json()
-            doc["vertex_connectivity"] = graphs.vertex_connectivity(g)
+            doc["vertex_connectivity"] = kappa
         out.append(doc)
     _emit(map(_dump, out), args.out)
     return EXIT_OK

@@ -228,7 +228,9 @@ def vertex_connectivity(g: Graph) -> int:
     Disconnected input returns 0; complete graphs n-1. Otherwise the
     minimum, over the vertex pairs of Esfahanian and Hakimi (Networks 14,
     1984), of the number of internally vertex-disjoint paths (Menger), each
-    found by unit-capacity max flow. Take a vertex v and a minimum cut S.
+    found by unit-capacity max flow on the node-split digraph (Even and
+    Tarjan, SIAM J. Comput. 4, 1975), whose state for a pair is one
+    residual list of sets. Take a vertex v and a minimum cut S.
     If v is not in S, S separates v from some vertex not adjacent to it. If
     v is in S, v has a neighbour in every component of G - S, or S - {v}
     would be a smaller cut, so S separates two non-adjacent neighbours of
@@ -250,66 +252,53 @@ def vertex_connectivity(g: Graph) -> int:
     # the node-split digraph: v splits into v_in = 2v and v_out = 2v+1
     # joined by a capacity-1 arc, and an edge vw gives v_out -> w_in
     out = [[] for _ in range(2 * n)]
-    arcs = set()
     for v in range(n):
         out[2 * v].append(2 * v + 1)
-        arcs.add((2 * v, 2 * v + 1))
         for w in g.adj[v]:
             out[2 * v + 1].append(2 * w)
-            arcs.add((2 * v + 1, 2 * w))
     for s, t in pairs:
         if best == 1:  # the floor of a connected graph
             break
-        best = _max_vertex_disjoint_paths(out, arcs, s, t, best, g.adj[s] & g.adj[t])
+        best = _max_vertex_disjoint_paths(out, s, t, best, g.adj[s] & g.adj[t])
     return best
 
 
-def _max_vertex_disjoint_paths(out, arcs, s: int, t: int, cap: int, common) -> int:
+def _max_vertex_disjoint_paths(out, s: int, t: int, cap: int, common) -> int:
     """Count internally vertex-disjoint s-t paths, stopping early at cap,
     by unit-capacity max flow on the node-split digraph with adjacency
-    lists out and arc set arcs (see vertex_connectivity). The flow starts
-    from the paths s -> c -> t through the common neighbours c of s and t,
-    which are disjoint; augmenting from a feasible flow still reaches the
-    maximum."""
+    lists out (see vertex_connectivity). The flow's whole state is one
+    residual list of sets, res[x] holding each y that x can still send a
+    unit to: the digraph has no antiparallel arcs, so sending along x -> y
+    moves y out of res[x] and x into res[y], whether x -> y is an arc or
+    cancels a unit sent along y -> x. The flow starts from the paths
+    s -> c -> t through the common neighbours c of s and t, which are
+    disjoint; augmenting from a feasible flow still reaches the maximum."""
     src, snk = 2 * s + 1, 2 * t
-    flow = set()
-    in_flow = [set() for _ in range(len(out))]
+    res = [set(ys) for ys in out]
     total = 0
     for c in islice(common, cap):
         for x, y in ((src, 2 * c), (2 * c, 2 * c + 1), (2 * c + 1, snk)):
-            flow.add((x, y))
-            in_flow[y].add(x)
+            res[x].remove(y)
+            res[y].add(x)
         total += 1
     while total < cap:
         prev = {src: None}
         queue = deque([src])
-        reached = False
-        while queue and not reached:
+        while queue and snk not in prev:
             x = queue.popleft()
-            for y in out[x]:
-                if (x, y) not in flow and y not in prev:
+            for y in res[x]:
+                if y not in prev:
                     prev[y] = x
                     if y == snk:
-                        reached = True
                         break
                     queue.append(y)
-            if reached:
-                break
-            for a in in_flow[x]:
-                if a not in prev:
-                    prev[a] = x
-                    queue.append(a)
-        if not reached:
+        if snk not in prev:
             break
         y = snk
-        while prev[y] is not None:
+        while y != src:
             x = prev[y]
-            if (x, y) in arcs and (x, y) not in flow:
-                flow.add((x, y))
-                in_flow[y].add(x)
-            else:
-                flow.discard((y, x))
-                in_flow[x].discard(y)
+            res[x].remove(y)
+            res[y].add(x)
             y = x
         total += 1
     return total

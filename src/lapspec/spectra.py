@@ -36,7 +36,6 @@ from .polys import (
     isolate_lowest_root,
     only_integer_roots,
     poly_text,
-    split_integer_roots,
 )
 
 

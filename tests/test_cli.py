@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import lapspec
-from lapspec import cli, families, from_graph6, polys, spectra, to_graph6, star
+from lapspec import cli, families, from_graph6, graphs, polys, to_graph6, star
 from lapspec.cli import (
     EXIT_BAD_PARTITION,
     EXIT_BROKEN_PIPE,
@@ -98,7 +98,7 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
         calls.append(list(c))
         return search(c)
 
-    for module in (polys, cli, spectra):
+    for module in (polys, cli):
         monkeypatch.setattr(module, "split_integer_roots", counting)
     code, out, _ = run(capsys, "classify", "--g6", "IH~U~qO|G")
     doc = json.loads(out)
@@ -106,6 +106,30 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
     assert "interval" in doc["algebraic_connectivity"]
     g = from_graph6("IH~U~qO|G")
     assert calls == [char_poly(laplacian(g)), char_poly(signless_laplacian(g))]
+
+
+def test_classify_reads_connected_off_the_vertex_connectivity(capsys, monkeypatch):
+    # two whole-graph component searches remain, in graph_to_config and in
+    # vertex_connectivity; "connected" is κ > 0 for n >= 2
+    searches = []
+    components = graphs.connected_components
+
+    def counting(g, removed=frozenset()):
+        if not removed:
+            searches.append(g.n)
+        return components(g, removed)
+
+    monkeypatch.setattr(graphs, "connected_components", counting)
+    code, out, _ = run(capsys, "classify", "--builder", "complete 12")
+    assert code == EXIT_OK and json.loads(out)["connected"]
+    assert searches == [12, 12]
+    code, out, _ = run(capsys, "classify", "--builder", "union(K 3, K 2)")
+    assert code == EXIT_OK
+    assert out == (
+        '{"graph6": "DwC", "n": 5, "degree_sequence": [2, 2, 2, 1, 1], "connected": false, '
+        '"bipartite": false, "family": "neither", "L_integral": true, "Q_integral": true, '
+        '"tag": "none", "algebraic_connectivity": {"integer": 0}, "vertex_connectivity": 0}\n'
+    )
 
 
 def test_repeated_requests_reuse_the_l_and_q_polynomials(capsys):

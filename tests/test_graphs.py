@@ -291,6 +291,14 @@ def test_vertex_connectivity():
          (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)],
     )
     assert vertex_connectivity(g) == _exhaustive_connectivity(g) == 3
+    # The flow of one of this graph's pairs reaches κ = 2 only by sending a
+    # unit back along an arc it used before.
+    g = Graph.from_edges(
+        9,
+        [(0, 2), (0, 3), (0, 4), (0, 5), (0, 8), (1, 8), (1, 2), (3, 4), (3, 7),
+         (4, 6), (4, 7), (5, 8), (5, 6), (7, 8)],
+    )
+    assert vertex_connectivity(g) == _exhaustive_connectivity(g) == 2
 
 
 def _exhaustive_connectivity(g):
