@@ -10,8 +10,8 @@ A member is its hubs plus a list of chains (internal paths, pendant paths
 and cycles), each a bare path of non-hub vertices with one or two hub
 edges at its ends. That one chain layout (_chains) gives realize its
 labelling and quotient_cells its equitable partition, and
-graph_to_config reads it back off a graph from the hub edges of each
-component left when the hubs are removed.
+graph_to_config reads it back off a graph, connectivity included, from
+the hub edges of each component left when the hubs are removed.
 """
 
 from __future__ import annotations
@@ -442,10 +442,10 @@ def graph_to_config(g: Graph):
     least three) and every other vertex of degree one or two, so each
     component of G minus the hubs is a bare path whose ends carry its hub
     edges: one edge makes it a pendant path, two to the same hub a cycle
-    through that hub, and one to each hub an internal path.
+    through that hub, and one to each hub an internal path. G is connected
+    exactly when each component has a hub edge and two hubs are adjacent
+    or joined by an internal path, so no whole-graph search is made.
     """
-    if g.n < 2 or not is_connected(g):
-        return None
     hubs = [v for v in range(g.n) if g.degree(v) >= 3]
     if not 1 <= len(hubs) <= 2:
         return None
@@ -454,6 +454,8 @@ def graph_to_config(g: Graph):
     paths = []
     for comp in connected_components(g, hubs):
         ends = sorted(h for w in comp for h in g.adj[w] if h in sides)
+        if not ends:
+            return None
         if len(ends) == 1:
             sides[ends[0]][0].append(len(comp))
         elif ends[0] == ends[1]:
@@ -463,9 +465,10 @@ def graph_to_config(g: Graph):
     (pu, cu), (pv, cv) = sides[u], sides[v]
     if u == v:
         return FamilyConfig("G1", pendants_u=tuple(pu), cycles_u=tuple(cu))
-    return FamilyConfig(
-        "G2", g.has_edge(u, v), tuple(paths), tuple(pu), tuple(cu), tuple(pv), tuple(cv)
-    )
+    hub_edge = g.has_edge(u, v)
+    if not (hub_edge or paths):
+        return None
+    return FamilyConfig("G2", hub_edge, tuple(paths), tuple(pu), tuple(cu), tuple(pv), tuple(cv))
 
 
 def family_membership(g: Graph) -> str:

@@ -31,7 +31,7 @@ other input, a ValueError, in bounded time. Its rational roots are then
 the integer roots split_integer_roots finds. The square-free part is c
 over its gcd with c', read off the integer gcd of their values at one
 point and checked by exact division (_gcd); a remainder sequence takes
-over only when _GCD_TRIES points fail. The cells are the ones plain
+over only when that point fails. The cells are the ones plain
 bisection from the Cauchy bound B reaches, found with fewer evaluations
 (see _root_cells and _refine), ascending. The search and the refinement
 run on integer grid indices of r(2B·y), r the square-free part, and
@@ -587,43 +587,35 @@ def _prem(f, g):
     return r
 
 
-#: How many evaluation points _gcd tries before it falls back to the
-#: remainder sequence (_remainder_gcd).
-_GCD_TRIES = 6
-
-
 def _gcd(a, b):
     """The gcd of primitive trimmed nonconstant integer lists a and b,
     primitive with a positive leading coefficient, by the heuristic gcd
-    (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).
+    (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) at one
+    point, with the remainder sequence (_remainder_gcd) when it fails.
 
-    Both lists are evaluated at one integer ξ, and the integer gcd γ of the
-    two values is read back as the polynomial h whose coefficients are γ's
-    symmetric ξ-adic digits, so h(ξ) = γ. When ξ > 2·min(‖a‖∞, ‖b‖∞) + 2 and
+    Both lists are evaluated at the integer ξ = 2·min(‖a‖∞, ‖b‖∞) + 29, and
+    the integer gcd γ of the two values is read back as the polynomial h
+    whose coefficients are γ's symmetric ξ-adic digits, so h(ξ) = γ. When
     h's primitive part divides both lists exactly, it is their gcd. The gcd
     is then h's primitive part times a common factor k of a and b, and k(ξ)
     divides h's content, which is at most ξ/2. A nonconstant k would have
     |k(ξ)| > ξ/2, its roots lying below min‖·‖∞ + 1 in absolute value
-    (Cauchy), so k is ±1. A failed try multiplies ξ by about 2.7·ξ^(1/4);
-    after _GCD_TRIES tries the gcd comes from the remainder sequence
-    (_remainder_gcd).
+    (Cauchy), so k is ±1.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(_GCD_TRIES):
-        gamma = gcd(_horner(reversed(a), xi), _horner(reversed(b), xi))
-        h = []
-        while gamma:
-            digit = gamma % xi
-            if digit > xi // 2:
-                digit -= xi
-            h.append(digit)
-            gamma = (gamma - digit) // xi
-        h = _primitive(h)
-        if h[-1] < 0:
-            h = [-x for x in h]
-        if len(h) == 1 or _quotient(a, h) is not None and _quotient(b, h) is not None:
-            return h
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    gamma = gcd(_horner(reversed(a), xi), _horner(reversed(b), xi))
+    h = []
+    while gamma:
+        digit = gamma % xi
+        if digit > xi // 2:
+            digit -= xi
+        h.append(digit)
+        gamma = (gamma - digit) // xi
+    h = _primitive(h)
+    if h[-1] < 0:
+        h = [-x for x in h]
+    if len(h) == 1 or _quotient(a, h) is not None and _quotient(b, h) is not None:
+        return h
     return _remainder_gcd(a, b)
 
 

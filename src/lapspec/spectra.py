@@ -73,7 +73,7 @@ def kind_poly(g: Graph, kind: str = "L") -> list:
     return char_poly(_KIND_MATRIX[kind](g))
 
 
-class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report precision")):
+class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report")):
     """Exact spectrum of L(G) or Q(G): integer part plus isolated residue,
     root_report a RootReport."""
 
@@ -125,9 +125,7 @@ class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report pre
 
 def spectrum(g: Graph, kind: str = "L", precision: Fraction = DEFAULT_PRECISION) -> SpectrumReport:
     report = integer_roots(kind_poly(g, kind), precision)
-    return SpectrumReport(
-        graph6=to_graph6(g), kind=kind, n=g.n, root_report=report, precision=precision
-    )
+    return SpectrumReport(graph6=to_graph6(g), kind=kind, n=g.n, root_report=report)
 
 
 def is_L_integral(g: Graph) -> bool:

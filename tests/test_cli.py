@@ -109,8 +109,9 @@ def test_classify_searches_each_polynomial_for_integer_roots_once(capsys, monkey
 
 
 def test_classify_reads_connected_off_the_vertex_connectivity(capsys, monkeypatch):
-    # two whole-graph component searches remain, in graph_to_config and in
-    # vertex_connectivity; "connected" is κ > 0 for n >= 2
+    # one whole-graph component search remains, in vertex_connectivity:
+    # graph_to_config reads connectivity off its hub-free components, and
+    # "connected" is κ > 0 for n >= 2
     searches = []
     components = graphs.connected_components
 
@@ -122,7 +123,10 @@ def test_classify_reads_connected_off_the_vertex_connectivity(capsys, monkeypatc
     monkeypatch.setattr(graphs, "connected_components", counting)
     code, out, _ = run(capsys, "classify", "--builder", "complete 12")
     assert code == EXIT_OK and json.loads(out)["connected"]
-    assert searches == [12, 12]
+    assert searches == [12]
+    code, out, _ = run(capsys, "classify", "--builder", "g2 path-orders=3,3,5 hub-edge")
+    assert code == EXIT_OK and json.loads(out)["family"] == "G2_nonbipartite"
+    assert searches == [12, 7]
     code, out, _ = run(capsys, "classify", "--builder", "union(K 3, K 2)")
     assert code == EXIT_OK
     assert out == (

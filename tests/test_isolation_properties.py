@@ -209,7 +209,7 @@ display_precisions = st.one_of(precisions, st.integers(1, 8).map(Fraction))
 @example([-3, 0, 1], [(2, 1)], Fraction(4))
 def test_display_equals_the_fraction_sorted_display(c, roots, precision):
     c = _with_roots(c, roots)
-    spectrum = SpectrumReport("", "L", len(c) - 1, integer_roots(c, precision), precision)
+    spectrum = SpectrumReport("", "L", len(c) - 1, integer_roots(c, precision))
     assert spectrum.display() == fraction_sorted_display(spectrum)
 
 

@@ -157,7 +157,7 @@ small_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lamb
 @given(st.lists(st.tuples(small_factors, st.integers(0, 3), st.integers(0, 3)), max_size=3), polys, polys)
 # (λ + 4)(7 - λ) and (λ + 4)(λ + 1): at the first point, ξ = 39, the values
 # -1376 and 1720 have the gcd 344 = 9·39 - 7, whose digits 9λ - 7 divide
-# neither list, so the gcd (λ + 4) comes from the second point
+# neither list, so the gcd (λ + 4) comes from the remainder sequence
 @example([([4, 1], 1, 1)], [7, -1], [1, 1])
 # (3λ + 8)(λ - 1) and -(3λ + 8)(λ² + λ + 2): at ξ = 45 the gcd 572 of the
 # values reads back as 13λ - 13, whose primitive part divides only the first

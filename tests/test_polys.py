@@ -321,15 +321,13 @@ def test_isolation_builds_no_remainder_sequence(monkeypatch):
     assert not calls
 
 
-def test_the_gcd_falls_back_to_the_remainder_sequence_when_its_tries_run_out(monkeypatch):
+def test_the_gcd_falls_back_to_the_remainder_sequence_when_its_one_point_fails(monkeypatch):
     # (λ - 1)³(λ - 3)(λ + 2) and its derivative, and (λ + 4)(7 - λ) and
-    # (λ + 4)(λ + 1), have gcds that the first evaluation point does not
-    # give: the second one does, and with one try allowed the remainder
-    # sequence gives the same gcd, so the same square-free part and count
+    # (λ + 4)(λ + 1), have gcds that the evaluation point does not give:
+    # the remainder sequence gives them, once per gcd, so the square-free
+    # part and the root count (one gcd each) stay exact
     c = [6, -17, 14, 0, -4, 1]
     pairs = [([28, 3, -1], [4, 5, 1]), (c, polys._primitive(polys._derivative(c)))]
-    assert polys._square_free(c) == [6, -5, -2, 1]
-    assert count_roots(c, -3, 3) == 3
     calls = []
     fallback = polys._remainder_gcd
 
@@ -339,9 +337,7 @@ def test_the_gcd_falls_back_to_the_remainder_sequence_when_its_tries_run_out(mon
 
     monkeypatch.setattr(polys, "_remainder_gcd", recording)
     assert [polys._gcd(a, b) for a, b in pairs] == [[4, 1], [1, -2, 1]]
-    assert not calls
-    monkeypatch.setattr(polys, "_GCD_TRIES", 1)
-    assert [polys._gcd(a, b) for a, b in pairs] == [[4, 1], [1, -2, 1]]
+    assert calls == pairs
     assert polys._square_free(c) == [6, -5, -2, 1]
     assert count_roots(c, -3, 3) == 3
     assert len(calls) == 4
