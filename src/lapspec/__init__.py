@@ -17,7 +17,6 @@ from .graphs import (
     degree_sequence,
     disjoint_union,
     empty_graph,
-    family_membership,
     firefly,
     from_graph6,
     graph_to_config,
@@ -31,11 +30,7 @@ from .graphs import (
     to_graph6,
     vertex_connectivity,
 )
-from .matrices import (
-    IntMatrix,
-    char_poly,
-    det_gauss,
-)
+from .matrices import IntMatrix, char_poly
 from .partitions import (
     coarsest_equitable_refinement,
     format_partition,
@@ -47,7 +42,6 @@ from .polys import (
     LAMBDA,
     MPoly,
     RootReport,
-    count_roots,
     divides,
     integer_roots,
     interpolate,
@@ -64,15 +58,14 @@ from .spectra import (
     algebraic_connectivity_from_poly,
     is_L_integral,
     is_Q_integral,
+    kind_matrix,
     kind_poly,
     laplacian,
     signless_laplacian,
     spectrum,
 )
 from .enumeration import (
-    brute_force_oracle,
     canonical_form,
-    config_tag,
     enumerate_family,
     theorem_tag,
     verify_theorem,

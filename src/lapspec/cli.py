@@ -306,7 +306,7 @@ def _partition_or_die(text, n):
 def cmd_quotient(args) -> int:
     (g,) = _graphs_from_args(args)
     cells = _partition_or_die(args.partition, g.n)
-    matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
+    matrix = spectra.kind_matrix(g, args.kind)
     try:
         quotient = partitions.quotient_matrix(matrix, cells)
     except ValueError as exc:  # the cells are valid, so it is not equitable
@@ -329,7 +329,7 @@ def cmd_quotient(args) -> int:
 def cmd_refine(args) -> int:
     (g,) = _graphs_from_args(args)
     seed = _partition_or_die(args.partition, g.n)
-    matrix = spectra.laplacian(g) if args.kind == "L" else spectra.signless_laplacian(g)
+    matrix = spectra.kind_matrix(g, args.kind)
     refined = partitions.coarsest_equitable_refinement(matrix, seed)
     quotient = partitions.quotient_matrix(matrix, refined)
     poly = char_poly(matrix)

@@ -4,17 +4,19 @@ Family members are enumerated structurally, by an integer-composition walk
 over attachment multisets with one member per isomorphism class: the G1
 members by hub side, and the G2 members in shards of one link set (hub
 edge and internal paths), then by u side, then by v side.
-enumerate_family turns the walk into FamilyConfig records. An independent
-vertex-augmentation generator with canonical-form deduplication guards
-completeness at small orders. The verification sweep walks the same
-members in one process, shard by shard (the G1 members, then each G2 link
-set and u side), with no FamilyConfig per member: it reads each member's
-hub side, value table and degree off cached per-budget side records,
-decides exact integrality from the value tables of the hub-side and link
-folds (see matrices.side_table), compares against structural recognition
-of the six closed families and tallies, member by member in place,
-keeping nothing per member; given a text stream, it writes each member's
-record to it.
+enumerate_family turns the walk into FamilyConfig records. Its
+completeness is checked by the tests against an independent
+vertex-augmentation generator (brute_force_oracle in
+tests/oracle_helpers.py), which deduplicates by canonical_form, the
+isomorphism-invariant graph6 defined here. The verification sweep walks
+the same members in one process, shard by shard (the G1 members, then
+each G2 link set and u side), with no FamilyConfig per member: it reads
+each member's hub side, value table and degree off cached per-budget side
+records, decides exact integrality from the value tables of the hub-side
+and link folds (see matrices.side_table), compares against structural
+recognition of the six closed families and tallies, member by member in
+place, keeping nothing per member; given a text stream, it writes each
+member's record to it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from functools import lru_cache
 from .graphs import (
     FamilyConfig,
     Graph,
-    family_membership,
-    from_graph6,
-    graph_to_config,
     is_bipartite,
     realize,
     to_graph6,
@@ -264,48 +263,6 @@ def canonical_form(g: Graph) -> str:
     return triangle_graph6(n, best[0])
 
 
-# -- independent small-order oracle -------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _profile_states(n: int):
-    """All graphs (up to iso) on n vertices with at most two degree-3+
-    vertices, built by vertex augmentation; includes disconnected ones."""
-    if n == 1:
-        return (canonical_form(Graph.from_edges(1, [])),)
-    out = set()
-    for code in _profile_states(n - 1):
-        h = from_graph6(code)
-        for mask in range(1 << h.n):
-            edges = h.edges() + [
-                (v, h.n) for v in range(h.n) if mask >> v & 1
-            ]
-            g = Graph.from_edges(h.n + 1, edges)
-            if sum(1 for v in range(g.n) if g.degree(v) >= 3) > 2:
-                continue
-            out.add(canonical_form(g))
-    return tuple(sorted(out))
-
-
-def brute_force_oracle(n: int) -> dict:
-    """Canonical forms of all family members on n vertices, by family.
-
-    Generic augmentation plus isomorphism dedup; completely independent of
-    the structural config enumeration it validates.
-    """
-    if n > 8:
-        raise ValueError("the oracle is limited to at most 8 vertices")
-    out = {"G1": set(), "G2": set()}
-    for code in _profile_states(n):
-        g = from_graph6(code)
-        member = family_membership(g)
-        if member == "G1":
-            out["G1"].add(code)
-        elif member.startswith("G2"):
-            out["G2"].add(code)
-    return out
-
-
 # -- structural recognition of the six listed families ------------------------
 
 TAG_STAR = "K_{1,n-1}"
@@ -326,8 +283,10 @@ ALL_TAGS = (
 )
 
 
-def config_tag(cfg: FamilyConfig) -> str:
-    """Which of the six closed families the config realizes, if any.
+def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v) -> str:
+    """Which of the six closed families the FamilyConfig with these fields
+    realizes, if any, so that the sweep tags a member with no FamilyConfig
+    built.
 
     Recognition is structural; parameter floors (two leaves on the star
     side, and so on) are enforced by family membership itself. Two of the
@@ -335,12 +294,6 @@ def config_tag(cfg: FamilyConfig) -> str:
     here: triangles-only hubs (no pendant edge) and joins with a single
     extra component are integral members; see the erratum report.
     """
-    return _key_tag(*cfg)
-
-
-def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v) -> str:
-    """config_tag of the config with these fields, so that the sweep tags a
-    member with no FamilyConfig built."""
     if family == "G1":
         if not cycles_u and all(p == 1 for p in pendants_u):
             return TAG_STAR
@@ -370,12 +323,10 @@ def _key_tag(family, hub_edge, paths, pendants_u, cycles_u, pendants_v, cycles_v
     return TAG_NONE
 
 
-def theorem_tag(member) -> str:
-    """config_tag of a graph's FamilyConfig, TAG_NONE for a non-member.
-    member is the Graph, or its graph_to_config when the caller has read it
-    (None for a non-member)."""
-    cfg = graph_to_config(member) if isinstance(member, Graph) else member
-    return TAG_NONE if cfg is None else config_tag(cfg)
+def theorem_tag(cfg) -> str:
+    """The tag (see _key_tag) of a graph_to_config result: a FamilyConfig,
+    or None for a non-member, which tags TAG_NONE."""
+    return TAG_NONE if cfg is None else _key_tag(*cfg)
 
 
 # -- the classification sweep --------------------------------------------------

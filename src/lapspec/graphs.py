@@ -471,14 +471,10 @@ def graph_to_config(g: Graph):
     return FamilyConfig("G2", hub_edge, tuple(paths), tuple(pu), tuple(cu), tuple(pv), tuple(cv))
 
 
-def family_membership(g: Graph) -> str:
-    """One of 'G1', 'G2', 'G2_nonbipartite', 'neither'."""
-    return config_membership(graph_to_config(g), is_bipartite(g))
-
-
 def config_membership(cfg, bipartite: bool) -> str:
-    """family_membership of a graph from its graph_to_config (None for a
-    non-member) and whether it is bipartite."""
+    """The family of a graph, one of 'G1', 'G2', 'G2_nonbipartite' and
+    'neither', from its graph_to_config (None for a non-member) and
+    whether it is bipartite."""
     if cfg is None:
         return "neither"
     if cfg.family == "G1":

@@ -1,11 +1,12 @@
 """Dense int matrices and the value tables of the two families' quotients.
 
 The characteristic polynomial of a dense int matrix is computed by the
-Berkowitz scheme, which is division-free, with an exact-fraction
-Gaussian determinant as a cross-oracle. A one- or two-hub family member
-needs no matrix: det(λI - L) is an equitable quotient polynomial times a
-factor θ^(c-1) for each chain kind repeated c >= 2 times, and the sweep
-decides from both without multiplying either out. side_table and
+Berkowitz scheme, which is division-free; its cross-oracle, a Gaussian
+determinant on Fractions, is det_gauss in tests/oracle_helpers.py. A
+one- or two-hub family member needs no matrix: det(λI - L) is an
+equitable quotient polynomial times a factor θ^(c-1) for each chain kind
+repeated c >= 2 times, and the sweep decides from both without
+multiplying either out. side_table and
 links_table hold each hub side's and link set's fold at k = 0, 1, ...,
 in ints from the continuants' values, each folded once from the cached
 table of its prefix, and whether every repeated θ of their chains has
@@ -24,7 +25,6 @@ nothing from the rest of the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -125,30 +125,6 @@ def _berkowitz(m: IntMatrix) -> tuple:
 
 char_poly.cache_info = _berkowitz.cache_info
 char_poly.cache_clear = _berkowitz.cache_clear
-
-
-def det_gauss(m: IntMatrix) -> Fraction:
-    """Exact determinant by fraction-based Gaussian elimination (oracle)."""
-    if not m.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    work = [[Fraction(x) for x in row] for row in m.entries]
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            f = work[r][col] * inv
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return sign * det
 
 
 # -- the quotient of a one- or two-hub member, as values ----------------------

@@ -15,11 +15,12 @@ fallback), exact division in Z[λ], square-free parts,
 integer-root extraction with multiplicities (the candidates are the
 divisors of the constant term and their negatives that lie inside
 Samuelson's interval, so they are bounded by the size of the roots, not
-of the constant term), root counting over half-open rational intervals
-by Budan–Fourier, isolating intervals, and poly_text, which prints a
-list in MPoly's canonical text.
+of the constant term), isolating intervals, and poly_text, which prints
+a list in MPoly's canonical text. The tests' per-interval root count,
+count_roots in tests/oracle_helpers.py, is Budan–Fourier on the same
+helpers.
 
-The integer-root search, root counting and isolation take only
+The integer-root search, root_inside and isolation take only
 real-rooted polynomials, as the characteristic polynomial of a symmetric
 matrix is. Samuelson's interval (_real_root_range) is the one range both
 root searches take: it bounds the integer-root candidates and fixes the
@@ -1169,32 +1170,6 @@ def integer_roots(c, precision: Fraction = DEFAULT_PRECISION) -> RootReport:
         residual=tuple(residual),
         isolating_intervals=tuple(_cells(residual, precision)),
     )
-
-
-def count_roots(c, a, b) -> int:
-    """The number of distinct real roots in the half-open interval (a, b]
-    of c, a nonzero integer polynomial with only real roots.
-
-    With s the square-free part of c, the count is var(a) - var(b), var(x)
-    the sign variations of the coefficients of s(x + y) in y: the number of
-    roots of s above x, by Descartes' rule of signs, which is exact when
-    every root is real (Budan–Fourier). At x = p/q the coefficients are
-    positive multiples of those: the Taylor shift to p of q^d·s(y / q). An
-    oracle, root_inside's per point; no caller here.
-    """
-    a, b = _as_fraction(a), _as_fraction(b)
-    if a >= b:
-        raise ValueError("empty interval: require a < b")
-    c = _trim(list(c))
-    if not c:
-        raise ValueError("zero polynomial")
-    sf = _square_free(c)
-
-    def above(x):
-        scaled = [v * x.denominator**j for j, v in enumerate(reversed(sf))]
-        return _variations(_taylor_shift(scaled, x.numerator))
-
-    return above(a) - above(b)
 
 
 def _checked(c, precision):

@@ -11,13 +11,13 @@ once) by isolating only its lowest non-integer root, on a residual known
 to have no integer root. Floating point appears only in display strings
 derived from isolating intervals.
 
-Every single-graph request takes the polynomial of L(G) or Q(G) from
-kind_poly, which hands the int matrix that laplacian or
-signless_laplacian builds to matrices.char_poly and its per-process
-cache: IntMatrix hashes and compares on its entries, so two Graph
-objects with one edge set share an entry, and a repeated request on one
-graph reuses its L and Q polynomials. The integer-root split of a
-polynomial is cached beside it, keyed on the coefficients
+Every single-graph request takes the matrix L(G) or Q(G) from
+kind_matrix, and its polynomial from kind_poly, which hands that matrix
+to matrices.char_poly and its per-process cache: IntMatrix hashes and
+compares on its entries, so two Graph objects with one edge set share an
+entry, and a repeated request on one graph reuses its L and Q
+polynomials. The integer-root split of a polynomial is cached beside it,
+keyed on the coefficients
 (polys.split_integer_roots), so spectrum, is_L_integral, is_Q_integral
 and classify on one graph search each of its polynomials for integer
 roots once per process.
@@ -62,15 +62,19 @@ def signless_laplacian(g: Graph) -> IntMatrix:
     return IntMatrix(_degree_rows(g, 1))
 
 
-_KIND_MATRIX = {"L": laplacian, "Q": signless_laplacian}
+def kind_matrix(g: Graph, kind: str) -> IntMatrix:
+    """L(G) for kind "L", Q(G) for kind "Q"."""
+    if kind == "L":
+        return laplacian(g)
+    if kind == "Q":
+        return signless_laplacian(g)
+    raise ValueError("kind must be 'L' or 'Q'")
 
 
 def kind_poly(g: Graph, kind: str = "L") -> list:
     """Ascending coefficients of det(λI - L(G)) (kind "L") or of
     det(λI - Q(G)) (kind "Q"), from char_poly's cache."""
-    if kind not in _KIND_MATRIX:
-        raise ValueError("kind must be 'L' or 'Q'")
-    return char_poly(_KIND_MATRIX[kind](g))
+    return char_poly(kind_matrix(g, kind))
 
 
 class SpectrumReport(namedtuple("SpectrumReport", "graph6 kind n root_report")):

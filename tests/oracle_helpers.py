@@ -4,10 +4,11 @@ Everything here is deliberately naive: spanning trees are enumerated one
 by one, random graphs are built from explicit edge lists, cographs come
 from literal union/join trees, real roots are isolated by bisection on
 Fractions, counted by Sturm chains over Q (sturm_count_oracle, the
-reference for the library's Budan–Fourier count_roots) and counted with
+reference for the Budan–Fourier count_roots here) and counted with
 multiplicity over the chain of repeated gcds,
 signs at rational points come from Horner's rule, polynomials are divided
-over Q and multiplied back one linear factor at a time, and matrices are
+over Q and multiplied back one linear factor at a time, determinants
+come from Gaussian elimination on Fractions (det_gauss), and matrices are
 read off adjacency tests one entry at a time; a polynomial is shifted to
 a corner by multiplying out each of its terms in MPoly's ring. The chain
 continuants are built here as polynomials (_continuants), and _side and
@@ -29,8 +30,16 @@ fraction_sorted_display is the Fraction sort that SpectrumReport.display
 replaced with an exact merge. berkowitz_char_poly is Berkowitz's scheme
 over any commutative ring, on plain rows of ints and MPoly values: the
 oracle of the symbolic Z[s,t] polynomials, which the int-only
-matrices.char_poly does not take. None of it shares code with the library
-paths it checks, with three exceptions. family_factors and family_char_poly
+matrices.char_poly does not take. brute_force_oracle lists every graph
+with at most two vertices of degree 3 or more by vertex augmentation
+(profile_states) and sorts them by family_membership, the library's
+graph_to_config and config_membership, deduplicating by the library's
+canonical_form: the check of enumerate_family's walk at any order. None
+of the rest shares code with the library paths it checks, with four
+exceptions. count_roots counts by Budan–Fourier on the library's
+square-free part, Taylor shift and sign variations, the rows
+polys.root_inside reads, and is itself checked against
+sturm_count_oracle. family_factors and family_char_poly
 assemble a member's quotient from the library's value tables, through
 quotient_values and interpolate, and multiply in the repeated chain
 factors θ^(c-1); the tests check both against Berkowitz on the realized
@@ -62,22 +71,26 @@ from lapspec import (
     SpectralValue,
     algebraic_connectivity_from_poly,
     char_poly,
+    canonical_form,
     complete,
-    config_tag,
     connected_components,
-    count_roots,
     disjoint_union,
     enumerate_family,
     from_graph6,
+    graph_to_config,
     interpolate,
+    is_bipartite,
     is_connected,
     join,
     laplacian,
     split_integer_roots,
+    theorem_tag,
     to_graph6,
     vertex_connectivity,
 )
 from lapspec.enumeration import TAG_NONE
+from lapspec.graphs import config_membership
+from lapspec.polys import _as_fraction, _square_free, _taylor_shift, _trim, _variations
 from lapspec.matrices import (
     links_table,
     quotient_values,
@@ -121,6 +134,30 @@ def principal_submatrix(m: IntMatrix, removed) -> IntMatrix:
         raise ValueError("index out of range")
     keep = [i for i in range(m.rows) if i not in set(removed)]
     return IntMatrix([[m.entries[i][j] for j in keep] for i in keep])
+
+
+def det_gauss(m: IntMatrix) -> Fraction:
+    """Exact determinant by Gaussian elimination on Fractions."""
+    if not m.is_square():
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    work = [[Fraction(x) for x in row] for row in m.entries]
+    sign = 1
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            sign = -sign
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] * inv
+            if f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return sign * det
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -358,6 +395,32 @@ def sturm_count_oracle(c, a, b) -> int:
     of its square-free part over Q: the reference for count_roots, which
     counts by Budan–Fourier and takes only real-rooted c."""
     return _q_count_halfopen(_q_sturm_chain(fraction_square_free_part(c)), Fraction(a), Fraction(b))
+
+
+def count_roots(c, a, b) -> int:
+    """The number of distinct real roots in the half-open interval (a, b]
+    of c, a nonzero integer polynomial with only real roots.
+
+    With s the square-free part of c, the count is var(a) - var(b), var(x)
+    the sign variations of the coefficients of s(x + y) in y: the number of
+    roots of s above x, by Descartes' rule of signs, which is exact when
+    every root is real (Budan–Fourier). At x = p/q the coefficients are
+    positive multiples of those: the Taylor shift to p of q^d·s(y / q). The
+    per-point count that polys.root_inside makes from the same rows.
+    """
+    a, b = _as_fraction(a), _as_fraction(b)
+    if a >= b:
+        raise ValueError("empty interval: require a < b")
+    c = _trim(list(c))
+    if not c:
+        raise ValueError("zero polynomial")
+    sf = _square_free(c)
+
+    def above(x):
+        scaled = [v * x.denominator**j for j, v in enumerate(reversed(sf))]
+        return _variations(_taylor_shift(scaled, x.numerator))
+
+    return above(a) - above(b)
 
 
 def random_symmetric_char_poly(rng: random.Random, n: int, bound: int):
@@ -673,7 +736,7 @@ def reference_sweep(n_min: int, n_max: int):
     member, the reference for verify_theorem's shard walk: a repeated chain
     factor θ with a non-integer root, else a sign change of the quotient
     (has_quotient_sign_change), else the quotient's integer-root test
-    decides, and config_tag tags. Returns the TSV rows, one (family, n, key,
+    decides, and theorem_tag tags. Returns the TSV rows, one (family, n, key,
     integral, tag) per member in order, and the repeated and sign exits."""
     verdicts, tally = [], {}
     repeated = signs = 0
@@ -688,7 +751,7 @@ def reference_sweep(n_min: int, n_max: int):
                     integral = False
                 else:
                     integral = len(split_integer_roots(family_factors(cfg)[1])[1]) <= 1
-                tag = config_tag(cfg)
+                tag = theorem_tag(cfg)
                 verdicts.append((family, n, tuple(cfg), integral, tag))
                 row = tally.setdefault((n, family), [0, 0, 0])
                 row[0] += 1
@@ -829,6 +892,44 @@ def cycles_first_g1_sides(n: int):
             for pendants in recursive_partitions(n - 1 - cyc_used, 1):
                 if len(pendants) + 2 * len(cycles) >= 3:
                     yield pendants, cycles
+
+
+# -- every graph with at most two hubs, by vertex augmentation -----------------
+
+
+def family_membership(g: Graph) -> str:
+    """One of 'G1', 'G2', 'G2_nonbipartite' and 'neither' for a graph."""
+    return config_membership(graph_to_config(g), is_bipartite(g))
+
+
+@lru_cache(maxsize=None)
+def profile_states(n: int) -> tuple:
+    """The canonical forms of all graphs (up to iso) on n vertices with at
+    most two vertices of degree 3 or more, disconnected ones included: each
+    graph of order n - 1 with every set of edges to one new vertex."""
+    if n == 1:
+        return (canonical_form(Graph.from_edges(1, [])),)
+    out = set()
+    for code in profile_states(n - 1):
+        h = from_graph6(code)
+        for mask in range(1 << h.n):
+            edges = h.edges() + [(v, h.n) for v in range(h.n) if mask >> v & 1]
+            g = Graph.from_edges(h.n + 1, edges)
+            if sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 2:
+                out.add(canonical_form(g))
+    return tuple(sorted(out))
+
+
+def brute_force_oracle(n: int) -> dict:
+    """The canonical forms of all family members on n vertices, by family:
+    profile_states sorted by family_membership, with no use of the
+    structural walk it checks, at any order the caller chooses."""
+    out = {"G1": set(), "G2": set()}
+    for code in profile_states(n):
+        member = family_membership(from_graph6(code))
+        if member != "neither":
+            out[member[:2]].add(code)
+    return out
 
 
 # -- colour refinement, by global sorts -----------------------------------------

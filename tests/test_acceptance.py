@@ -12,14 +12,11 @@ from fractions import Fraction
 from lapspec import (
     FamilyConfig,
     LAMBDA,
-    brute_force_oracle,
     canonical_form,
     case_config,
     case_ids,
     char_poly,
     coarsest_equitable_refinement,
-    count_roots,
-    det_gauss,
     enumerate_family,
     is_L_integral,
     laplacian,
@@ -40,6 +37,9 @@ from lapspec.families import (
 from lapspec.graphs import complete_bipartite, cycle, is_bipartite, is_connected, path
 from lapspec.polys import divides
 from oracle_helpers import (
+    brute_force_oracle,
+    count_roots,
+    det_gauss,
     edge_interlacing_check,
     fraction_sign,
     principal_submatrix,
@@ -173,13 +173,16 @@ def test_acceptance_5_property_suites():
 
 def test_acceptance_6_oracle_completeness():
     t0 = time.time()
-    for n in range(3, 9):
+    # the sweep's graphs column, order by order, read off its TSV rows
+    swept = {(n, family): graphs for n, family, graphs, _, _ in verify_theorem(3, 9).rows}
+    for n in range(3, 10):
         oracle = brute_force_oracle(n)
         for family in ("G1", "G2"):
             enumerated = {canonical_form(realize(c)) for c in enumerate_family(family, n)}
             assert enumerated == oracle[family], (n, family, len(enumerated), len(oracle[family]))
+            assert swept.get((n, family), 0) == len(oracle[family]), (n, family)
     elapsed = time.time() - t0
-    _report(6, "enumeration vs augmentation oracle, n <= 8", elapsed)
+    _report(6, "enumeration and sweep vs augmentation oracle, n <= 9", elapsed)
 
 
 def test_acceptance_7_matrix_tree():

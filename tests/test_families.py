@@ -13,7 +13,6 @@ from lapspec import (
     case_config,
     case_ids,
     closed_form_root_check,
-    count_roots,
     cross_check_with_realization,
     erratum_entries,
     is_L_integral,
@@ -37,7 +36,14 @@ from lapspec.families import (
     load_cases,
 )
 
-from oracle_helpers import berkowitz_char_poly, family_factors, fraction_sign, lift, sturm_count_oracle
+from oracle_helpers import (
+    berkowitz_char_poly,
+    count_roots,
+    family_factors,
+    fraction_sign,
+    lift,
+    sturm_count_oracle,
+)
 
 ALL_CASES = (
     "4.4",
@@ -202,19 +208,12 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
 
 
 @pytest.fixture
-def root_count_calls(monkeypatch):
-    """Record every call of polys.count_roots made through the polys module,
-    the one way families could reach it, as it imports no count_roots of its
-    own; the oracle's count_roots was bound at import and is not recorded."""
+def no_root_count():
+    """Check that the catalog can count no root at a point: the per-point
+    count, count_roots, is the tests' oracle (oracle_helpers), and neither
+    polys nor families defines or imports one."""
     assert not hasattr(families, "count_roots")
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return count_roots(*args, **kwargs)
-
-    monkeypatch.setattr(polys, "count_roots", counting)
-    return calls
+    assert not hasattr(polys, "count_roots")
 
 
 def _one_sign(sign):
@@ -222,7 +221,7 @@ def _one_sign(sign):
     return lambda signs: None if signs[0] is None else signs[0] == sign
 
 
-def test_sign_claims_equal_the_oracle_on_every_case(root_count_calls):
+def test_sign_claims_equal_the_oracle_on_every_case(no_root_count):
     narrowed = {"s": (0, 3), "t": (2, 9)}
     one_point = {"s": (3, 3), "t": (3, 3)}
     for cid in ALL_CASES:
@@ -235,9 +234,6 @@ def test_sign_claims_equal_the_oracle_on_every_case(root_count_calls):
     report = verify_sign_claims("4.7-c3.1", cap=30)
     assert report == _oracle_sign_claims("4.7-c3.1", 30)
     assert report["points_checked"] == 900
-    # Every point of today's catalog is settled by the sign change at the
-    # ends of the claimed interval.
-    assert root_count_calls == []
 
 
 def _mutate(monkeypatch, case_id, **changes):
@@ -298,13 +294,12 @@ def _mutate_claims(monkeypatch, case_id, kind, change):
 
 
 @pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
-def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, root_count_calls, case_id, kind, change, failures):
+def test_mutated_sign_claims_fail_like_the_oracle(monkeypatch, no_root_count, case_id, kind, change, failures):
     _mutate_claims(monkeypatch, case_id, kind, change)
     for cap in (6, 20):
         assert verify_sign_claims(case_id, cap) == _oracle_sign_claims(case_id, cap)
     report = verify_sign_claims(case_id, 20)
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
-    assert root_count_calls == []
     if case_id == "4.7-c2.1":
         assert {f["at"] for f in report["identity_failures"]} == {"1/2"}
 
@@ -335,7 +330,7 @@ MUTATED_DIGESTS_500 = {
 
 @pytest.mark.parametrize("case_id, kind, change, failures", MUTATIONS)
 def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(
-    monkeypatch, root_count_calls, case_id, kind, change, failures
+    monkeypatch, no_root_count, case_id, kind, change, failures
 ):
     # A misprinted claim's failures come from the split search, which
     # decides single points as constants: the grid is never walked, no root
@@ -350,14 +345,14 @@ def test_mutated_sign_claims_at_the_largest_cap_walk_no_grid(
 
     monkeypatch.setattr(families, "grid_points", recording)
     report = verify_sign_claims(case_id, families.GRID_CAP_MAX)
-    assert walked == [] and root_count_calls == []
+    assert walked == []
     text = json.dumps(report, ensure_ascii=False).encode()
     assert hashlib.sha256(text).hexdigest() == MUTATED_DIGESTS_500[case_id, kind]
     assert {name for name in (SIGN, IDENTITY, ROOT) if report[name]} == failures
 
 
 @pytest.mark.parametrize("case_id", ["4.6-c2.1", "4.7-c2.2"])
-def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, root_count_calls, case_id):
+def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatch, no_root_count, case_id):
     # 0 is a root of every quotient, so the row at the end 0 is the zero
     # polynomial, and the end signs settle nothing; the Budan–Fourier count
     # skips the zero row, and the rows at 0 and 1 settle every point, up to
@@ -365,7 +360,6 @@ def test_a_bracket_end_that_is_a_root_everywhere_takes_no_sturm_count(monkeypatc
     _mutate(monkeypatch, case_id, root_interval=(Fraction(0), Fraction(1)))
     for cap in (20, families.GRID_CAP_MAX):
         assert verify_sign_claims(case_id, cap)["root_in_interval_ok"]
-    assert root_count_calls == []
 
 
 def test_divide_root_is_exact_synthetic_division():
@@ -381,7 +375,7 @@ def test_divide_root_is_exact_synthetic_division():
             divide_root(c, 5)
 
 
-def test_two_roots_between_equal_signs_settle_by_budan_fourier_rows(monkeypatch, root_count_calls):
+def test_two_roots_between_equal_signs_settle_by_budan_fourier_rows(monkeypatch, no_root_count):
     # (1/2, 2) holds two roots of every 4.4 quotient, and the quotient has
     # the same sign at both ends, so the end signs settle nothing; the
     # Budan–Fourier rows at the ends certify a root inside on the whole
@@ -401,7 +395,7 @@ def test_two_roots_between_equal_signs_settle_by_budan_fourier_rows(monkeypatch,
     assert report == _oracle_sign_claims("4.4", 20)
     assert report["root_in_interval_ok"] and report["points_checked"] == 19
     assert verify_sign_claims("4.4", families.GRID_CAP_MAX)["root_in_interval_ok"]
-    assert walked == [] and root_count_calls == []
+    assert walked == []
     for point in grid_points(get_case("4.4"), 20):
         inst = computed_symbolic_poly("4.4").substitute(point).univariate_coeffs()
         assert fraction_sign(inst, Fraction(1, 2)) == fraction_sign(inst, 2) != 0

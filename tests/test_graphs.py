@@ -15,7 +15,6 @@ from lapspec import (
     disjoint_union,
     empty_graph,
     enumerate_family,
-    family_membership,
     firefly,
     from_graph6,
     graph_to_config,
@@ -32,7 +31,7 @@ from lapspec import (
     vertex_connectivity,
 )
 from lapspec.graphs import from_adjacency_text
-from oracle_helpers import scrambled_fields, vertex_count
+from oracle_helpers import family_membership, profile_states, scrambled_fields, vertex_count
 
 
 def test_basic_constructors():
@@ -214,11 +213,11 @@ def test_graph_to_config_on_every_profile_graph_up_to_eight():
     # every graph with at most two vertices of degree >= 3, up to iso, from
     # the augmentation oracle: None exactly off the degree profile, else a
     # config whose realization is the graph
-    from lapspec.enumeration import _profile_states, canonical_form
+    from lapspec.enumeration import canonical_form
 
     for n in range(1, 9):
         members = 0
-        for code in _profile_states(n):
+        for code in profile_states(n):
             g = from_graph6(code)
             degrees = g.degrees()
             hubs = sum(d >= 3 for d in degrees)

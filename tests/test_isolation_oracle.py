@@ -28,10 +28,11 @@ import pytest
 
 from lapspec import complete, polys, spectra
 from lapspec.matrices import char_poly
-from lapspec.polys import count_roots, integer_roots, isolate_lowest_root, split_integer_roots
+from lapspec.polys import integer_roots, isolate_lowest_root, split_integer_roots
 from lapspec.spectra import algebraic_connectivity_from_poly, laplacian, signless_laplacian
 
 from oracle_helpers import (
+    count_roots,
     fraction_isolate_roots,
     fraction_root_parts,
     fraction_square_free_part,

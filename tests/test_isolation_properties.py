@@ -54,12 +54,12 @@ from lapspec.polys import (  # noqa: E402
     _root_bound,
     _root_cells,
     _square_free,
-    count_roots,
     integer_roots,
 )
 from lapspec.spectra import SpectrumReport  # noqa: E402
 
 from oracle_helpers import (  # noqa: E402
+    count_roots,
     fraction_isolate_roots,
     fraction_root_parts,
     fraction_sorted_display,

@@ -62,7 +62,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from lapspec.families import _box_size, _grid_quotient, _grid_ranges, _row, get_case, grid_points  # noqa: E402
-from lapspec.matrices import IntMatrix, char_poly, det_gauss  # noqa: E402
+from lapspec.matrices import IntMatrix, char_poly  # noqa: E402
 from lapspec.polys import (  # noqa: E402
     LAMBDA,
     MPoly,
@@ -92,6 +92,7 @@ from oracle_helpers import (  # noqa: E402
     _q_primitive,
     _q_rational_roots,
     berkowitz_char_poly,
+    det_gauss,
     fold_path_quotient,
     poly_mul,
     random_symmetric_char_poly,

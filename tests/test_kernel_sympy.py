@@ -19,13 +19,12 @@ from lapspec import (  # noqa: E402
     Graph,
     char_poly,
     complete,
-    count_roots,
     laplacian,
     signless_laplacian,
     split_integer_roots,
 )
 from lapspec.polys import _root_bound, _square_free  # noqa: E402
-from oracle_helpers import random_connected_graph  # noqa: E402
+from oracle_helpers import count_roots, random_connected_graph  # noqa: E402
 
 X = sympy.Symbol("x")
 

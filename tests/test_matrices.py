@@ -10,8 +10,6 @@ from lapspec import (
     LAMBDA,
     MPoly,
     char_poly,
-    count_roots,
-    det_gauss,
     enumerate_family,
     laplacian,
     parse_poly,
@@ -25,6 +23,8 @@ from lapspec.matrices import _continuant_values, _repeats_integral, side_sign_ch
 from oracle_helpers import (
     berkowitz_char_poly,
     continuant_theta,
+    count_roots,
+    det_gauss,
     family_char_poly,
     family_factors,
     fraction_counts_above,

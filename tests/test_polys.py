@@ -11,7 +11,6 @@ from lapspec import (
     MPoly,
     complete,
     complete_bipartite,
-    count_roots,
     divides,
     integer_roots,
     isolate_lowest_root,
@@ -30,6 +29,7 @@ from lapspec.spectra import laplacian, signless_laplacian
 from oracle_helpers import (
     _q_count_halfopen,
     _q_sturm_chain,
+    count_roots,
     fraction_divides,
     fraction_square_free_part,
     lift,

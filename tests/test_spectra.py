@@ -14,9 +14,7 @@ from lapspec import (
     char_poly,
     complete,
     complete_bipartite,
-    count_roots,
     cycle,
-    det_gauss,
     disjoint_union,
     empty_graph,
     firefly,
@@ -42,6 +40,8 @@ from lapspec.cli import main
 from oracle_helpers import (
     _interlaces,
     berkowitz_char_poly,
+    count_roots,
+    det_gauss,
     edge_interlacing_check,
     fraction_sign,
     gamma_101,
