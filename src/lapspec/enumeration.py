@@ -1,16 +1,16 @@
 """Exhaustive enumeration of the two sparse families and the final check.
 
 Family members are enumerated structurally, by an integer-composition walk
-over attachment multisets with one member per isomorphism class: the G1
-members by hub side, and the G2 members in shards of one link set (hub
-edge and internal paths), then by u side, then by v side.
-enumerate_family turns the walk into FamilyConfig records. Its
+over attachment multisets with one member per isomorphism class, in
+shards (_shard_groups): the G1 members as one shard, then the G2 members
+in shards of one link set (hub edge and internal paths) and u side, each
+holding its v sides. enumerate_family reads the shards of one family,
+with no value tables, and turns each member into a FamilyConfig. Its
 completeness is checked by the tests against an independent
 vertex-augmentation generator (brute_force_oracle in
 tests/oracle_helpers.py), which deduplicates by canonical_form, the
 isomorphism-invariant graph6 defined here. The verification sweep walks
-the same members in one process, shard by shard (the G1 members, then
-each G2 link set and u side), with no FamilyConfig per member: it reads
+the same shards in one process, with no FamilyConfig per member: it reads
 each member's hub side, value table and degree off cached per-budget side
 records, decides exact integrality from the value tables of the hub-side
 and link folds (see matrices.side_table), compares against structural
@@ -135,43 +135,18 @@ def _g2_links(n: int) -> tuple:
     return tuple(links)
 
 
-def _g2_sides(n: int, hub_edge: bool, paths: tuple, size: int):
-    """(u record, [v records]) for the G2 members on n vertices with these
-    links, records as _side_records gives them, each pair of sides one
-    member: every hub has degree at least 3 and the u side is the lighter
-    (see FamilyConfig). The one u/v-side loop of the walk."""
-    rem = n - 2 - sum(p - 2 for p in paths)
-    min_degree = max(0, 3 - hub_edge - len(paths))
-    for bu in range(rem + 1):
-        v_all = _side_records(rem - bu, size, min_degree)
-        for record_u in _side_records(bu, size, min_degree) if v_all else ():
-            side_u = record_u[0]
-            v_records = [record for record in v_all if side_u <= record[0]]
-            if v_records:
-                yield record_u, v_records
-
-
 def enumerate_family(family: str, n: int):
-    """Every family member on n vertices, one config per iso class.
-
-    The walk is the sweep's (see verify_theorem), with no value tables:
-    G1 members by hub side, G2 members by links, then u side, then v side.
-    It builds each config already normalized (multisets ascending, the
-    lighter hub side first), so FamilyConfig keeps the walk's shared
-    tuples rather than sorting copies.
-    """
+    """Every family member on n vertices, one config per iso class: the
+    sweep's walk (see _shard_groups) over this family's shards, with no
+    value tables, each member's config built from its shard's key prefix
+    and suffix and its v side."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if family == "G1":
-        for (pendants, cycles), _, _ in _g1_records(n, 0):
-            yield FamilyConfig("G1", pendants_u=pendants, cycles_u=cycles)
-    elif family == "G2":
-        for hub_edge, paths in _g2_links(n):
-            for ((pu, cu), _, _), v_records in _g2_sides(n, hub_edge, paths, 0):
-                for (pv, cv), _, _ in v_records:
-                    yield FamilyConfig("G2", hub_edge, paths, pu, cu, pv, cv)
-    else:
+    if family not in ("G1", "G2"):
         raise ValueError(f"unknown family {family!r}")
+    for prefix, suffix, _, _, _, v_records in _shard_groups(n, 0, family):
+        for side, _, _ in v_records:
+            yield FamilyConfig._make(prefix + side + suffix)
 
 
 # -- canonical forms (refinement + individualization) -------------------------
@@ -379,29 +354,34 @@ class TheoremSummary(namedtuple("TheoremSummary", "n_min n_max rows disagreement
         return "\n".join(lines)
 
 
-def _shard_groups(n, size):
-    """The sweep's shards at order n in walk order: the G1 members as one
-    shard, then one per G2 link set and u side. Each is (key prefix,
-    coupling, ok, base, u record, v records), G1's coupling (A, B) being
-    (1, 0) at every k (see matrices.quotient_values), with the side records
-    of _side_records (u record None for G1), one member per v record (side,
-    table, degree): its fields are prefix + side + suffix (suffix () for G2,
-    the empty v side for G1), and the hub carrying the side has degree
-    base + degree. ok is false when the chains the shard fixes (the links
-    and the u side) repeat a kind whose θ has a non-integer root, any kind
-    but the pendant edge, the triangle and the internal paths of order 3
-    and 4 (see matrices.side_table). A shard with no member is skipped."""
-    g1_records = _g1_records(n, size)
-    if g1_records:
-        yield ("G1", False, ()), ((1,) * size, (0,) * size), True, 0, None, g1_records
+def _shard_groups(n, size, family=None):
+    """The shards at order n in walk order, of one family or of both: the
+    G1 members as one shard, then one per G2 link set and u side. Each is
+    (key prefix, key suffix, links, base, u record, v records): links is
+    the link set's links_table, None for G1 and at size 0; the side records
+    are _side_records' (u record None for G1), one member per v record
+    (side, table, degree), whose fields are prefix + side + suffix (suffix
+    () for G2, the empty v side for G1); the hub carrying the side has
+    degree base + degree. A G2 member's hubs each have degree at least 3
+    and its u side is the lighter (see FamilyConfig). A shard with no
+    member is skipped."""
+    if family != "G2":
+        g1_records = _g1_records(n, size)
+        if g1_records:
+            yield ("G1", False, ()), ((), ()), None, 0, None, g1_records
+    if family == "G1":
+        return
     for hub_edge, paths in _g2_links(n):
-        links = links_table(paths, hub_edge, size)
+        links = links_table(paths, hub_edge, size) if size else None
         base = hub_edge + len(paths)
-        for record_u, v_records in _g2_sides(n, hub_edge, paths, size):
-            side_u, table_u, degree_u = record_u
-            ok = links[4] and table_u[2]
-            coupling = two_hub_coupling(links, table_u, base + degree_u) if ok else None
-            yield ("G2", hub_edge, paths) + side_u, coupling, ok, base, record_u, v_records
+        rem = n - 2 - sum(p - 2 for p in paths)
+        min_degree = max(0, 3 - base)
+        for bu in range(rem + 1):
+            v_all = _side_records(rem - bu, size, min_degree)
+            for record_u in _side_records(bu, size, min_degree) if v_all else ():
+                v_records = [record for record in v_all if record_u[0] <= record[0]]
+                if v_records:
+                    yield ("G2", hub_edge, paths) + record_u[0], (), links, base, record_u, v_records
 
 
 def _integral_from_values(values) -> bool:
@@ -440,9 +420,18 @@ def _decide_shard(n, shard, row, counts, mismatches, out):
     root-test seconds into counts; a member gets a FamilyConfig only in
     its member_record, which is kept, in mismatches, only when the member
     disagrees. Given a text stream out, each member's record is written to
-    it as one JSON line as soon as the member is decided."""
-    prefix, coupling, ok, base, _, v_records = shard
-    suffix = ((), ()) if prefix[0] == "G1" else ()
+    it as one JSON line as soon as the member is decided. A shard's
+    coupling is G1's (1, 0) or two_hub_coupling's, and ok is false when the
+    chains it fixes (links, u side) repeat a kind whose θ has a non-integer
+    root: any but the pendant edge, the triangle and the internal paths of
+    order 3 and 4 (see matrices.side_table)."""
+    prefix, suffix, links, base, record_u, v_records = shard
+    if links is None:
+        ok, coupling = True, ((1,) * (n + 1), (0,) * (n + 1))
+    else:
+        _, table_u, degree_u = record_u
+        ok = links[4] and table_u[2]
+        coupling = two_hub_coupling(links, table_u, base + degree_u) if ok else None
     # a G2 member with a non-empty u side can only tag none (see _key_tag)
     tag_none = prefix[0] == "G2" and bool(prefix[3] or prefix[4])
     clock = time.perf_counter

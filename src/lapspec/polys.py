@@ -1,13 +1,14 @@
 """Exact polynomial arithmetic over the integers.
 
 Two representations, one per job. MPoly is a sparse multivariate
-polynomial (integer or exact-rational coefficients) over one fixed
-variable tuple, and serves only the symbolic Z[s,t][λ] catalog; its ring
-and parse_poly compute on the same term-dict sum, negation, product and
-power, and taylor_shift on the term-dict binomial expansion, from which
-sign_above certifies one sign of a polynomial at every point above a
-corner, and sign_exceptions finds, by splitting where that fails, the
-points of a grid at which a verdict (such as root_inside) on signs fails.
+polynomial over Z (int coefficients only, as IntMatrix is a matrix over
+Z) over one fixed variable tuple, and serves only the symbolic
+Z[s,t][λ] catalog. Its ring and parse_poly compute on the same term-dict
+sum, negation, product and power. sign_above shifts a polynomial's term
+dict to a corner (the binomial expansion, _terms_shift) and certifies
+one sign at every point above it; sign_exceptions finds, by splitting
+where that fails, the points of a grid at which a verdict (such as
+root_inside) on signs fails.
 Every single-graph decision works on ascending integer coefficient lists
 in one univariate kernel: the gcd of two primitive lists by evaluation at
 one integer (the heuristic gcd, with a primitive remainder sequence as its
@@ -38,12 +39,12 @@ bisection from the Cauchy bound B reaches, found with fewer evaluations
 run on integer grid indices of r(2B·y), r the square-free part, and
 evaluate on one list, r(2B·y) pre-scaled once at the target level
 (_prescaled); only a cell past that level, which holds roots closer
-together than the precision, gets a list pre-scaled at its own level. isolate_lowest_root refines the lowest root only and splits
-no integer root off, so a classify request searches each
-characteristic polynomial it builds for integer roots once. No floating
-point is used anywhere in a decision path; decimal output elsewhere in
-the library is display-only rounding of the rational intervals produced
-here.
+together than the precision, gets a list pre-scaled at its own level.
+isolate_lowest_root refines the lowest root only and splits no integer
+root off, so a classify request searches each characteristic polynomial
+it builds for integer roots once. No floating point is used anywhere in
+a decision path; decimal output elsewhere in the library is display-only
+rounding of the rational intervals produced here.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _normalize_coeff(c):
-    # int first: an isinstance test against Fraction goes through ABCMeta
-    if isinstance(c, int):
-        return c
-    c = _as_fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _power_text(name, e):
     return name if e == 1 else f"{name}^{e}"
 
@@ -104,25 +97,27 @@ def _terms_text(terms):
 
 
 class MPoly:
-    """Sparse polynomial: map from exponent vectors to exact coefficients.
+    """Sparse polynomial over Z: map from exponent vectors to ints; any
+    other coefficient is a TypeError.
 
     Variables are an ordered tuple of names; term keys are exponent tuples
     of the same length. Zero coefficients are never stored. Every MPoly in
     the catalog is built over one fixed tuple, so the ring works over one
     tuple only: a binary operation on two MPolys over different tuples is a
-    ValueError, and they are never equal. A number acts as a constant term.
+    ValueError, and they are never equal. An int acts as a constant term.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms):
         self.vars = tuple(variables)
+        if not {int}.issuperset(map(type, terms.values())):
+            raise TypeError("MPoly coefficients must be ints")
         clean = {}
         for exps, c in terms.items():
             exps = tuple(exps)
             if len(exps) != len(self.vars):
                 raise ValueError("exponent vector length does not match variables")
-            c = _normalize_coeff(c)
             if c:
                 clean[exps] = c
         self.terms = clean
@@ -157,12 +152,10 @@ class MPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def degree(self, name=None) -> int:
-        """Total degree, or degree in one variable; zero polynomial -> -1."""
+    def degree(self, name) -> int:
+        """Degree in one variable; zero polynomial -> -1."""
         if not self.terms:
             return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
@@ -189,14 +182,14 @@ class MPoly:
     # -- ring operations ----------------------------------------------
 
     def _terms_of(self, other):
-        """other's term dict over self's variables: a number as a constant
+        """other's term dict over self's variables: an int as a constant
         term, an MPoly's own terms when its variables are self's; None for
         any other type."""
         if isinstance(other, MPoly):
             if other.vars != self.vars:
                 raise ValueError(f"MPoly over {other.vars} meets MPoly over {self.vars}")
             return other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return {(0,) * len(self.vars): other} if other else {}
         return None
 
@@ -239,23 +232,12 @@ class MPoly:
         terms = self._terms_of(other)
         return NotImplemented if terms is None else self.terms == terms
 
-    def __hash__(self):
-        if self.is_constant():  # equal to its value, so hashed as it
-            return hash(self.constant_value())
-        return hash((self.vars, frozenset(self.terms.items())))
-
     # -- evaluation ---------------------------------------------------
 
     def substitute(self, assignment) -> "MPoly":
-        """Substitute exact values for a subset of the variables."""
+        """Substitute int values for a subset of the variables."""
         keep = tuple(v for v in self.vars if v not in assignment)
-        # int values stay int, so integer polynomials never touch Fraction.
-        values = [
-            None if v not in assignment
-            else assignment[v] if isinstance(assignment[v], int)
-            else _as_fraction(assignment[v])
-            for v in self.vars
-        ]
+        values = [assignment.get(v) for v in self.vars]
         out = {}
         for exps, c in self.terms.items():
             val = c
@@ -270,11 +252,11 @@ class MPoly:
         return MPoly(keep, out)
 
     def eval_at(self, assignment):
-        """Evaluate fully at exact rational values; returns int or Fraction."""
+        """Evaluate fully at int values; returns an int."""
         missing = [v for v in self.vars if self.degree(v) > 0 and v not in assignment]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        return _normalize_coeff(self.substitute(assignment).constant_value())
+        return self.substitute(assignment).constant_value()
 
     # -- canonical text form --------------------------------------------
 
@@ -418,27 +400,22 @@ def _terms_shift(a, offsets):
     return a
 
 
-def taylor_shift(poly: MPoly, floors) -> MPoly:
-    """poly with each variable v replaced by v + floors[v] (0 when v is not
-    in floors), expanded: the Taylor shift to the corner floors."""
-    return MPoly(poly.vars, _terms_shift(poly.terms, [floors.get(v, 0) for v in poly.vars]))
-
-
 def sign_above(poly: MPoly, floors) -> int:
     """1 or -1 when poly has that sign at every real point whose variables
     v are each at least floors[v]; 0 when the certificate fails.
 
-    The certificate (Collins & Akritas, 1976): shift poly to the corner
-    (taylor_shift), so that the point v = floors[v] + x_v has every x_v >= 0.
-    If the shift has a nonzero constant term and every coefficient has its
-    sign, each other term is such a coefficient times powers of the x_v,
-    which are >= 0, so it has that sign or is 0; the constant term is not 0,
-    so the sum has that sign. A shift with mixed signs, or with no constant
+    The certificate (Collins & Akritas, 1976): shift poly's terms to the
+    corner (_terms_shift, each v replaced by v + floors[v], 0 when v is not
+    in floors), so that the point v = floors[v] + x_v has every x_v >= 0.
+    If the shift has a nonzero constant term and every nonzero coefficient
+    has its sign, each other term is such a coefficient times powers of the
+    x_v, which are >= 0, so it has that sign or is 0; the constant term is
+    not 0, so the sum has that sign. A shift with mixed signs, or with no constant
     term, certifies nothing, though poly may still keep one sign there.
     """
-    terms = taylor_shift(poly, floors).terms
+    terms = _terms_shift(poly.terms, [floors.get(v, 0) for v in poly.vars])
     const = terms.get((0,) * len(poly.vars), 0)
-    if const and all((c > 0) == (const > 0) for c in terms.values()):
+    if const and all((c > 0) == (const > 0) for c in terms.values() if c):
         return 1 if const > 0 else -1
     return 0
 

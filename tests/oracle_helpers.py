@@ -27,10 +27,13 @@ every cell for every row each round, which
 partitions.coarsest_equitable_refinement replaced with sums over the
 nonzero entries of the rows that can split, and
 fraction_sorted_display is the Fraction sort that SpectrumReport.display
-replaced with an exact merge. berkowitz_char_poly is Berkowitz's scheme
-over any commutative ring, on plain rows of ints and MPoly values: the
-oracle of the symbolic Z[s,t] polynomials, which the int-only
-matrices.char_poly does not take. brute_force_oracle lists every graph
+replaced with an exact merge. threshold_graph, conjugate_degrees and
+hypercube build large graphs whose Laplacian spectra are known in closed
+form, and complement and compose_affine state the complement identity
+between two characteristic polynomials. berkowitz_char_poly is
+Berkowitz's scheme over any commutative ring, on plain rows of ints and
+MPoly values: the oracle of the symbolic Z[s,t] polynomials, which the
+int-only matrices.char_poly does not take. brute_force_oracle lists every graph
 with at most two vertices of degree 3 or more by vertex augmentation
 (profile_states) and sorts them by family_membership, the library's
 graph_to_config and config_membership, deduplicating by the library's
@@ -70,6 +73,7 @@ from lapspec import (
     MPoly,
     SpectralValue,
     algebraic_connectivity_from_poly,
+    cartesian_product,
     char_poly,
     canonical_form,
     complete,
@@ -249,6 +253,53 @@ def random_cograph(rng: random.Random, leaves: int) -> Graph:
     if rng.random() < 0.5:
         return disjoint_union(a, b)
     return join(a, b)
+
+
+# -- large graphs whose Laplacian spectra are known in closed form -----------
+
+
+def threshold_graph(rng: random.Random, n: int) -> Graph:
+    """A threshold graph on n vertices from a random creation sequence: from
+    one vertex on, each new vertex is joined to all before it (join) or to
+    none (disjoint_union)."""
+    g = complete(1)
+    for _ in range(n - 1):
+        g = join(g, complete(1)) if rng.random() < 0.5 else disjoint_union(g, complete(1))
+    return g
+
+
+def conjugate_degrees(g: Graph) -> list:
+    """The conjugate of g's degree sequence: for i = 1..n, the number of
+    vertices of degree at least i. A threshold graph's Laplacian spectrum,
+    multiplicities included (Merris, LAA 199, 1994)."""
+    degrees = [len(neighbours) for neighbours in g.adj]
+    return [sum(d >= i for d in degrees) for i in range(1, g.n + 1)]
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d = K2 □ ... □ K2, d factors: the Laplacian eigenvalue 2k has
+    multiplicity C(d, k)."""
+    g = complete(1)
+    for _ in range(d):
+        g = cartesian_product(g, complete(2))
+    return g
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def complement(g: Graph) -> Graph:
+    return Graph.from_edges(g.n, [(u, v) for u, v in combinations(range(g.n), 2) if v not in g.adj[u]])
+
+
+def compose_affine(c, a: int, b: int) -> list:
+    """The ascending coefficients of c(a + b·λ), by Horner's rule on lists."""
+    out = [0]
+    for x in reversed(c):
+        out = poly_mul(out, [a, b])
+        out[0] += x
+    return _trim(out)
 
 
 # -- real-root isolation on Fractions -----------------------------------------

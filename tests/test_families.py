@@ -24,7 +24,7 @@ from lapspec import (
     verify_sign_claims,
 )
 from lapspec import families, polys
-from lapspec.polys import divide_root, sign_above, sign_exceptions, taylor_shift
+from lapspec.polys import _terms_shift, divide_root, sign_above, sign_exceptions
 from lapspec.families import (
     MATRIX_TYPO_LEDGER,
     POLY_TYPO_LEDGER,
@@ -41,6 +41,7 @@ from oracle_helpers import (
     count_roots,
     family_factors,
     fraction_sign,
+    fraction_value,
     lift,
     sturm_count_oracle,
 )
@@ -160,9 +161,10 @@ def test_sign_claims_small_grid():
 
 
 def _oracle_sign_claims(case_id, cap, overrides=None):
-    """Oracle: the sign-claim check on MPoly values, substituting each grid
-    point into Z[s,t][λ], evaluating every claim as an exact rational and
-    certifying the root by a root count at every point."""
+    """Oracle: the sign-claim check point by point, substituting each grid
+    point into Z[s,t][λ], evaluating every claim on the instance's
+    coefficient list as an exact rational (fraction_value, not MPoly's
+    evaluation) and certifying the root by a root count at every point."""
     case = get_case(case_id)
     poly = computed_symbolic_poly(case_id)
     lo, hi = case.root_interval
@@ -176,9 +178,9 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
     root_failures = []
     for point in grid_points(case, cap, overrides):
         points_checked += 1
-        inst = poly.substitute(point)
+        coeffs = poly.substitute(point).univariate_coeffs()
         for claim in case.sign_claims:
-            value = inst.eval_at({LAMBDA: claim.point})
+            value = fraction_value(coeffs, claim.point)
             if (value > 0) - (value < 0) != claim.sign:
                 sign_failures.append({"point": point, "at": str(claim.point), "value": str(value)})
             expr = claim_exprs.get(claim.point)
@@ -188,7 +190,6 @@ def _oracle_sign_claims(case_id, cap, overrides=None):
                 and expr.eval_at(point) != value
             ):
                 identity_failures.append({"point": point, "at": str(claim.point)})
-        coeffs = inst.univariate_coeffs()
         inside = count_roots(coeffs, lo, hi)
         if fraction_sign(coeffs, hi) == 0:
             inside -= 1
@@ -405,16 +406,18 @@ def test_two_roots_between_equal_signs_settle_by_budan_fourier_rows(monkeypatch,
 def test_every_claim_row_but_one_certifies_above_the_grid_floor(monkeypatch):
     # Each claim's sign holds on the whole orthant above the declared lower
     # ends, by the signs of its Taylor shift, except 4.7-c2.2 at λ = 1,
-    # whose shift to (s, t) = (0, 1) has mixed signs.
+    # whose shift to (s, t) = (0, 1) has mixed signs. A claim at p/r is read
+    # off its row r^d·f(p/r), which has f's sign there.
     open_rows = []
     for cid in ALL_CASES:
         case = get_case(cid)
         floors = {name: case.grid[name][0] for name in case.params}
+        coeffs = computed_symbolic_poly(cid).coefficients_in(LAMBDA)
         for claim in case.sign_claims:
-            row = computed_symbolic_poly(cid).substitute({LAMBDA: claim.point})
+            row = families._row(coeffs, claim.point, case.params)
             if sign_above(row, floors) != claim.sign:
                 open_rows.append((cid, claim.point))
-                residual = taylor_shift(row, floors)
+                residual = MPoly(row.vars, _terms_shift(row.terms, [floors[v] for v in row.vars]))
     assert open_rows == [("4.7-c2.2", Fraction(1))]
     assert residual == parse_poly("2*s*t + t^2 + 2*s - 1", variables=("s", "t"))
     # The split search settles that row on the grid at every cap: s >= 1

@@ -31,8 +31,9 @@ det(kI - M) of the Gaussian determinant at k = 0..n, and the Berkowitz
 oracle over Z[s,t] (oracle_helpers.berkowitz_char_poly) gives at integer
 (s, t) what char_poly gives for the matrix with the values put in. The catalog's polynomial interpolated from the integer fold at the
 counts {1, 2, 3} equals the polynomial fold with symbolic counts, on random
-path-count lists. taylor_shift of a polynomial in one or two parameters
-equals its terms multiplied out at the shifted variables, and a sign that
+path-count lists. The Taylor shift of a polynomial's term dict
+(_terms_shift, as sign_above shifts it) in one or two parameters equals its
+terms multiplied out at the shifted variables, and a sign that
 sign_above certifies holds at every point of a box above the floors; a
 polynomial shifted back from one whose coefficients and nonzero constant
 term share a sign always certifies. sign_exceptions yields, on a small
@@ -72,6 +73,7 @@ from lapspec.polys import (  # noqa: E402
     _remainder_gcd,
     _square_free,
     _taylor_shift,
+    _terms_shift,
     _tokenize,
     deflate,
     deflate_values,
@@ -83,7 +85,6 @@ from lapspec.polys import (  # noqa: E402
     sign_above,
     sign_exceptions,
     split_integer_roots,
-    taylor_shift,
 )
 
 from oracle_helpers import (  # noqa: E402
@@ -522,7 +523,8 @@ def floors_of(draw, poly):
 @given(param_polys().flatmap(lambda p: st.tuples(st.just(p), floors_of(p))))
 def test_taylor_shift_equals_the_multiplied_out_terms(case):
     poly, floors = case
-    assert taylor_shift(poly, floors) == taylor_shift_oracle(poly, floors)
+    shifted = MPoly(poly.vars, _terms_shift(poly.terms, [floors[v] for v in poly.vars]))
+    assert shifted == taylor_shift_oracle(poly, floors)
 
 
 @st.composite

@@ -119,9 +119,10 @@ def test_symbolic_char_poly_printed_six_by_six():
 
 
 def test_int_matrix_refuses_non_int_entries():
-    # A constant MPoly or a whole Fraction equals its int and hashes like
-    # it, so a matrix holding one would share char_poly's cache entry with
-    # the int matrix; IntMatrix takes ints only, so no such key exists.
+    # A whole Fraction equals its int and hashes like it, so a matrix
+    # holding one would share char_poly's cache entry with the int matrix,
+    # and an MPoly has no hash; IntMatrix takes ints only, so neither
+    # reaches the cache.
     with pytest.raises(TypeError):
         IntMatrix([[MPoly.zero(("s", "t"))]])
     with pytest.raises(TypeError):
